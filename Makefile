@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke
+.PHONY: verify fmt fmt-check clippy build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke
+verify: fmt-check clippy build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -103,3 +103,11 @@ kernels-smoke:
 approx-smoke:
 	$(CARGO) test -p sbgt-approx --test accuracy -q
 	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench approx -- --test
+
+# Benchmark-package smoke: `benchmark/` is its own workspace, so the root
+# `cargo test` never compiles it and a break in the session or service API
+# it calls would surface only in the pipeline. Build it, then run its own
+# gate (fmt, clippy, unit tests, and a short smoke pass of every workload).
+benchmark-smoke:
+	$(CARGO) build --offline --release --manifest-path benchmark/Cargo.toml
+	benchmark/ci.sh

@@ -16,22 +16,24 @@
 //! on identical marginals — and makes checkpoint/restore trivially
 //! bit-exact: an `SBGTSNAP` approx snapshot carries only the history, and
 //! [`BpSession::restore`] re-runs the identical deterministic relaxation.
+//!
+//! The round loop itself is `sbgt`'s generic driver; this module supplies
+//! the [`BpBackend`] under it.
 
 use std::sync::Arc;
 
-use sbgt_bayes::{classify_marginals, BayesError, CohortClassification};
-use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
+use sbgt_bayes::BayesError;
 use sbgt_engine::{Engine, StageVariant};
 use sbgt_lattice::BigState;
 use sbgt_response::BinaryOutcomeModel;
 
 use sbgt::{
-    ApproxKind, ApproxSnapshot, ConfigError, RoundStep, SbgtConfig, SessionOutcome,
-    SessionSnapshot, SnapshotError,
+    ApproxKind, ApproxSnapshot, Backend, ConfigError, RoundStep, RoundTrace, SbgtConfig, Session,
+    SessionOutcome, SessionSnapshot, SnapshotError,
 };
 
 use crate::factor::{count_distribution, Factor};
-use crate::select::select_stage_marginals;
+use crate::select::{select_stage_marginals, BigSelection};
 
 /// Cap on message magnitude: |LLR| ≤ 40 keeps `exp` comfortably finite
 /// while representing odds beyond anything a floored likelihood table
@@ -256,247 +258,134 @@ fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// A surveillance session whose posterior is the loopy-BP fixed point over
-/// the observed factors. Memory is O(specimens + Σ pool sizes): nothing
-/// `2^N`-sized exists at any point.
-pub struct BpSession<M> {
-    risks: Vec<f64>,
+/// The loopy-BP fixed point over the observed factors. Memory is
+/// O(specimens + Σ pool sizes): nothing `2^N`-sized exists at any point.
+pub struct BpBackend<M> {
     prior_logit: Vec<f64>,
     model: M,
-    config: SbgtConfig,
     bp: BpConfig,
     factors: Arc<Vec<Factor>>,
-    stages: usize,
     /// Marginals at the current factor set; `None` after an observation
     /// until the next relaxation.
     cached: Option<Vec<f64>>,
-    /// Telemetry sink and the cohort id stamped on every span. `None`
-    /// (the default) records nothing; [`Self::attach_obs`] opts in.
-    obs: Option<(Arc<SpanRecorder>, u64)>,
 }
 
-impl<M: BinaryOutcomeModel> BpSession<M> {
-    /// Open a session from per-specimen prior risks. Cohort size is bounded
-    /// by memory in specimens and pools, not `2^N`.
-    pub fn new(
-        risks: &[f64],
-        model: M,
-        config: SbgtConfig,
-        bp: BpConfig,
-    ) -> Result<Self, ConfigError> {
+/// A surveillance session whose posterior is the BP fixed point: the shared
+/// round driver ([`Session`], reached through `Deref`) over [`BpBackend`].
+/// The round context is an optional engine — [`Self::run_round_on`] runs
+/// the relaxation as a fault-injectable engine stage.
+pub struct BpSession<M>(pub Session<BpBackend<M>>);
+
+impl<M> std::ops::Deref for BpSession<M> {
+    type Target = Session<BpBackend<M>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<M> std::ops::DerefMut for BpSession<M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// Reject a pool that is empty or names a subject outside the cohort.
+pub(crate) fn check_pool(pool: &BigState, n_subjects: usize) -> Result<(), BayesError> {
+    if pool.is_empty() {
+        return Err(BayesError::EmptyPool);
+    }
+    assert!(
+        pool.subjects().all(|i| i < n_subjects),
+        "pool subject out of range for cohort of {n_subjects}"
+    );
+    Ok(())
+}
+
+/// The observation history in snapshot form, shared by both backends.
+pub(crate) fn snapshot_history(factors: &[Factor]) -> Vec<(Vec<u32>, bool)> {
+    factors
+        .iter()
+        .map(|f| (f.members.clone(), f.outcome))
+        .collect()
+}
+
+/// The approx section of a snapshot of the expected kind, or the typed
+/// error for an exact snapshot, the other backend's, or a cohort-size
+/// mismatch with the caller's risks.
+pub(crate) fn approx_section(
+    snapshot: &SessionSnapshot,
+    kind: ApproxKind,
+    n_subjects: usize,
+) -> Result<&ApproxSnapshot, SnapshotError> {
+    let ap = snapshot.approx.as_ref().filter(|ap| ap.kind == kind);
+    let Some(ap) = ap else {
+        return Err(SnapshotError::Corrupt(format!(
+            "snapshot cannot restore a {kind:?} session"
+        )));
+    };
+    if snapshot.n_subjects != n_subjects {
+        return Err(SnapshotError::Corrupt(format!(
+            "snapshot holds {} subjects, caller supplied {n_subjects} risks",
+            snapshot.n_subjects
+        )));
+    }
+    Ok(ap)
+}
+
+/// Rebuild the factor list from a snapshot history.
+pub(crate) fn restore_factors<M: BinaryOutcomeModel>(
+    history: &[(Vec<u32>, bool)],
+    model: &M,
+) -> Vec<Factor> {
+    history
+        .iter()
+        .map(|(members, outcome)| {
+            let pool = BigState::from_subjects(members.iter().map(|&i| i as usize));
+            Factor::new(&pool, *outcome, model)
+        })
+        .collect()
+}
+
+impl<M: BinaryOutcomeModel> BpBackend<M> {
+    fn new(risks: &[f64], model: M, bp: BpConfig) -> Result<Self, ConfigError> {
         validate_risks(risks)?;
-        config.validate()?;
         bp.validate()?;
-        Ok(BpSession {
+        Ok(BpBackend {
             prior_logit: risks.iter().map(|&r| logit(r)).collect(),
-            risks: risks.to_vec(),
             model,
-            config,
             bp,
             factors: Arc::new(Vec::new()),
-            stages: 0,
             cached: Some(risks.to_vec()),
-            obs: None,
         })
     }
+}
 
-    /// Attach a telemetry recorder; every subsequent round emits
-    /// `session:*` spans tagged with `cohort`.
-    pub fn attach_obs(&mut self, recorder: Arc<SpanRecorder>, cohort: u64) {
-        self.obs = Some((recorder, cohort));
+impl<M: BinaryOutcomeModel> Backend for BpBackend<M> {
+    type Pool = BigState;
+    type Ctx<'a> = Option<&'a Engine>;
+
+    fn n_subjects(&self) -> usize {
+        self.prior_logit.len()
     }
 
-    /// Whether a telemetry recorder is attached (used for lazy attach).
-    pub fn has_obs(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    fn obs_at(&self, min: TraceLevel) -> Option<(Arc<SpanRecorder>, u64)> {
-        match &self.obs {
-            Some((rec, cohort)) if rec.enabled_at(min) => Some((Arc::clone(rec), *cohort)),
-            _ => None,
-        }
-    }
-
-    /// Cohort size.
-    pub fn n_subjects(&self) -> usize {
-        self.risks.len()
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &SbgtConfig {
-        &self.config
-    }
-
-    /// The BP tuning.
-    pub fn bp_config(&self) -> &BpConfig {
-        &self.bp
-    }
-
-    /// Completed stages (lab rounds).
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Observed factors, in observation order.
-    pub fn factors(&self) -> &[Factor] {
-        &self.factors
-    }
-
-    /// Total pooled tests observed.
-    pub fn tests_performed(&self) -> usize {
+    fn tests(&self) -> usize {
         self.factors.len()
     }
 
-    /// Per-specimen posterior marginals (the BP fixed point at the current
-    /// history). Relaxes on demand when an observation invalidated the
-    /// cache.
-    pub fn marginals(&mut self) -> Vec<f64> {
-        if self.cached.is_none() {
-            self.cached = Some(relax_marginals(&self.prior_logit, &self.factors, &self.bp));
-        }
-        self.cached.clone().unwrap()
-    }
-
-    /// Marginals without refreshing the cache: relaxes transiently when the
-    /// cache is stale (used by the `&self` trait surface).
-    pub fn marginals_now(&self) -> Vec<f64> {
-        match &self.cached {
-            Some(m) => m.clone(),
-            None => relax_marginals(&self.prior_logit, &self.factors, &self.bp),
-        }
-    }
-
-    /// Classification under the configured rule.
-    pub fn classify(&self) -> CohortClassification {
-        classify_marginals(&self.marginals_now(), self.config.rule)
-    }
-
-    /// Ingest one observed pooled test (counted as one stage). Returns the
-    /// predictive probability of the outcome under the pre-update
-    /// marginals — the approximate model evidence.
-    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        let z = self.push_observation(pool, outcome)?;
-        self.stages += 1;
-        Ok(z)
-    }
-
-    /// Ingest one stage of observed pools (counted as one stage).
-    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
-        let mut z = 1.0;
-        for (pool, outcome) in observations {
-            z *= self.push_observation(pool, *outcome)?;
-        }
-        if !observations.is_empty() {
-            self.stages += 1;
-        }
-        Ok(z)
-    }
-
-    fn push_observation(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        if pool.is_empty() {
-            return Err(BayesError::EmptyPool);
-        }
-        assert!(
-            pool.subjects().all(|i| i < self.n_subjects()),
-            "pool subject out of range for cohort of {}",
-            self.n_subjects()
-        );
-        let factor = Factor::new(pool, outcome, &self.model);
-        // Predictive evidence under the pre-update marginals.
-        let marginals = self.marginals_now();
-        let member_probs: Vec<f64> = factor
-            .members
-            .iter()
-            .map(|&i| marginals[i as usize])
-            .collect();
-        let d = count_distribution(&member_probs);
-        let z: f64 = d
-            .iter()
-            .enumerate()
-            .map(|(k, &dk)| factor.table[k] * dk)
-            .sum();
-        Arc::make_mut(&mut self.factors).push(factor);
-        self.cached = None;
-        Ok(z)
-    }
-
-    /// Drive the session to classification against a lab oracle.
-    pub fn run_to_classification(
-        &mut self,
-        mut lab: impl FnMut(&BigState) -> bool,
-    ) -> SessionOutcome {
-        loop {
-            if let RoundStep::Finished(outcome) = self.run_round(&mut lab) {
-                return outcome;
-            }
-        }
-    }
-
-    /// Drive exactly one round: classify, select the stage's pools via the
-    /// marginal halving search, run them through `lab`, ingest the
-    /// outcomes. The unit a multi-cohort service schedules.
-    pub fn run_round(&mut self, mut lab: impl FnMut(&BigState) -> bool) -> RoundStep {
-        self.run_round_impl(None, &mut lab)
-    }
-
-    /// [`Self::run_round`] with the relaxation running as a
-    /// fault-injectable engine stage: the sweep is a pure closure over the
-    /// (shared) factor list, so the engine's installed fault plan can kill
-    /// or retry it and a retry recomputes the identical fixed point. The
-    /// job is annotated [`StageVariant::Approx`] with the factor count.
+    /// Refresh the marginal cache, optionally running the relaxation as an
+    /// engine stage: the sweep is a pure closure over the (shared) factor
+    /// list, so the engine's installed fault plan can kill or retry it and
+    /// a retry recomputes the identical fixed point. Convergence telemetry
+    /// (sweep count, residual march) is read from the pure relaxation's
+    /// side trace *after* it returns, so recording can never perturb the
+    /// posterior.
     ///
     /// # Panics
     /// Panics when the stage fails permanently (retry budget exhausted) —
     /// the same contract as the other engine-staged rounds, which a
     /// supervising service converts into a snapshot rollback.
-    pub fn run_round_on(
-        &mut self,
-        engine: &Engine,
-        mut lab: impl FnMut(&BigState) -> bool,
-    ) -> RoundStep {
-        self.run_round_impl(Some(engine), &mut lab)
-    }
-
-    fn run_round_impl(
-        &mut self,
-        engine: Option<&Engine>,
-        lab: &mut impl FnMut(&BigState) -> bool,
-    ) -> RoundStep {
-        let obs = self
-            .obs_at(TraceLevel::Spans)
-            .map(|(rec, cohort)| (Arc::clone(&rec), cohort, rec.now_ns()));
-        let step = self.round_inner(engine, lab);
-        if let Some((rec, cohort, start)) = obs {
-            let name = rec.intern("session:round");
-            let mut meta = SpanMeta::for_cohort(cohort);
-            meta.failed =
-                matches!(&step, RoundStep::Finished(o) if !o.classification.is_terminal());
-            rec.record_span_ending_now(SpanKind::Round, name, start, meta);
-        }
-        step
-    }
-
-    /// Record `name` as a `Phase` span covering `start..now` when phase
-    /// tracing ([`TraceLevel::Full`]) is live.
-    fn obs_phase(&self, name: &str, start: Option<u64>) {
-        if let (Some((rec, cohort)), Some(start)) = (self.obs_at(TraceLevel::Full), start) {
-            let name = rec.intern(name);
-            rec.record_span_ending_now(SpanKind::Phase, name, start, SpanMeta::for_cohort(cohort));
-        }
-    }
-
-    /// Timestamp for the next [`Self::obs_phase`] call, `None` when phase
-    /// tracing is off (so untraced rounds never read the clock).
-    fn obs_phase_start(&self) -> Option<u64> {
-        self.obs_at(TraceLevel::Full).map(|(rec, _)| rec.now_ns())
-    }
-
-    /// Refresh the marginal cache, optionally running the relaxation as an
-    /// engine stage. Convergence telemetry (sweep count, residual march)
-    /// is read from the pure relaxation's side trace *after* it returns,
-    /// so recording can never perturb the posterior.
-    fn refresh_marginals(&mut self, engine: Option<&Engine>) {
+    fn refresh(&mut self, engine: Option<&Engine>, phases: Option<&RoundTrace>) {
         if self.cached.is_some() {
             return;
         }
@@ -527,10 +416,11 @@ impl<M: BinaryOutcomeModel> BpSession<M> {
                 out
             }
         };
-        if let Some((rec, cohort)) = self.obs_at(TraceLevel::Full) {
+        if let Some(phases) = phases {
+            let rec = phases.recorder();
             let name = rec.intern("bp:sweep");
             for (sweep, &residual) in trace.residuals.iter().enumerate() {
-                let mut meta = SpanMeta::for_cohort(cohort);
+                let mut meta = phases.meta();
                 meta.task = sweep as u32;
                 rec.mark_value(name, residual_nanos(residual), meta);
             }
@@ -538,86 +428,79 @@ impl<M: BinaryOutcomeModel> BpSession<M> {
         self.cached = Some(marginals);
     }
 
-    fn round_inner(
+    /// The BP fixed point at the current history: the cache when fresh,
+    /// a transient relaxation on the driver otherwise.
+    fn marginals(&self, _: &SbgtConfig) -> Vec<f64> {
+        match &self.cached {
+            Some(m) => m.clone(),
+            None => relax_marginals(&self.prior_logit, &self.factors, &self.bp),
+        }
+    }
+
+    fn select(
         &mut self,
-        engine: Option<&Engine>,
-        lab: &mut impl FnMut(&BigState) -> bool,
-    ) -> RoundStep {
-        // One marginals pass (the relaxation) feeds classification, the
-        // candidate ordering, and selection for the whole round.
-        let t = self.obs_phase_start();
-        self.refresh_marginals(engine);
-        let marginals = self.cached.clone().unwrap();
-        let classification = classify_marginals(&marginals, self.config.rule);
-        self.obs_phase("session:marginals", t);
-        if classification.is_terminal() || self.stages >= self.config.max_stages {
-            return RoundStep::Finished(self.outcome(classification, &marginals));
-        }
-        let t = self.obs_phase_start();
-        let mut order = classification.undetermined();
-        order.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
-        let selections = select_stage_marginals(
-            &order,
-            &marginals,
-            self.config.max_pool_size,
-            self.config.stage_width,
-        );
-        self.obs_phase("session:select", t);
-        if selections.is_empty() {
-            return RoundStep::Finished(self.outcome(classification, &marginals));
-        }
-        let t = self.obs_phase_start();
-        let observations: Vec<(BigState, bool)> = selections
-            .into_iter()
-            .map(|s| {
-                let outcome = lab(&s.pool);
-                (s.pool, outcome)
-            })
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<BigSelection> {
+        select_stage_marginals(order, marginals, config.max_pool_size, config.stage_width)
+    }
+
+    /// Returns the predictive probability of the outcome under the
+    /// pre-update marginals — the approximate model evidence.
+    fn observe(
+        &mut self,
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        pool: &BigState,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        check_pool(pool, self.n_subjects())?;
+        let factor = Factor::new(pool, outcome, &self.model);
+        let marginals = self.marginals(config);
+        let member_probs: Vec<f64> = factor
+            .members
+            .iter()
+            .map(|&i| marginals[i as usize])
             .collect();
-        if self.observe_stage(&observations).is_err() {
-            self.obs_phase("session:observe", t);
-            let classification = self.classify();
-            let marginals = self.marginals_now();
-            return RoundStep::Finished(self.outcome(classification, &marginals));
-        }
-        self.obs_phase("session:observe", t);
-        RoundStep::Progressed
+        let d = count_distribution(&member_probs);
+        let z: f64 = d
+            .iter()
+            .enumerate()
+            .map(|(k, &dk)| factor.table[k] * dk)
+            .sum();
+        Arc::make_mut(&mut self.factors).push(factor);
+        self.cached = None;
+        Ok(z)
     }
 
-    fn outcome(&self, classification: CohortClassification, marginals: &[f64]) -> SessionOutcome {
-        SessionOutcome {
-            tests: self.factors.len(),
-            stages: self.stages,
-            subjects: self.n_subjects(),
-            classification,
-            marginals: marginals.to_vec(),
-        }
+    /// A BP posterior is a pure function of (prior, history), so the
+    /// snapshot carries only the observation history: a restore re-runs the
+    /// identical relaxation and lands bit-for-bit on the same marginals.
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
+        snapshot.approx = Some(ApproxSnapshot {
+            kind: ApproxKind::Bp,
+            history: snapshot_history(&self.factors),
+            particles: None,
+        });
     }
+}
 
-    /// Capture the session for checkpoint/restore. A BP posterior is a
-    /// pure function of (prior, history), so the snapshot carries only the
-    /// observation history: [`Self::restore`] re-runs the identical
-    /// relaxation and lands bit-for-bit on the same marginals.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            n_subjects: self.n_subjects(),
-            shards: Vec::new(),
-            total: 1.0,
-            history: Vec::new(),
-            stages: self.stages,
-            marginals: Vec::new(),
-            pending_selection: None,
-            sparse: None,
-            approx: Some(ApproxSnapshot {
-                kind: ApproxKind::Bp,
-                history: self
-                    .factors
-                    .iter()
-                    .map(|f| (f.members.clone(), f.outcome))
-                    .collect(),
-                particles: None,
-            }),
-        }
+impl<M: BinaryOutcomeModel> BpSession<M> {
+    /// Open a session from per-specimen prior risks. Cohort size is bounded
+    /// by memory in specimens and pools, not `2^N`.
+    pub fn new(
+        risks: &[f64],
+        model: M,
+        config: SbgtConfig,
+        bp: BpConfig,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        Ok(BpSession(Session::open(
+            BpBackend::new(risks, model, bp)?,
+            config,
+        )))
     }
 
     /// Rehydrate from a snapshot. The risks, model, and configs are not
@@ -630,75 +513,61 @@ impl<M: BinaryOutcomeModel> BpSession<M> {
         config: SbgtConfig,
         bp: BpConfig,
     ) -> Result<Self, SnapshotError> {
-        snapshot.validate()?;
-        let Some(ap) = &snapshot.approx else {
-            return Err(SnapshotError::Corrupt(
-                "exact snapshot cannot restore a BP session".into(),
-            ));
-        };
-        if ap.kind != ApproxKind::Bp {
-            return Err(SnapshotError::Corrupt(
-                "particle snapshot cannot restore a BP session".into(),
-            ));
-        }
-        if snapshot.n_subjects != risks.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot holds {} subjects, caller supplied {} risks",
-                snapshot.n_subjects,
-                risks.len()
-            )));
-        }
-        let mut session = BpSession::new(risks, model, config, bp)
+        config
+            .validate()
             .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        let factors = ap
-            .history
-            .iter()
-            .map(|(members, outcome)| {
-                let pool = BigState::from_subjects(members.iter().map(|&i| i as usize));
-                Factor::new(&pool, *outcome, &session.model)
-            })
-            .collect();
-        session.factors = Arc::new(factors);
-        session.stages = snapshot.stages;
-        session.cached = None;
-        Ok(session)
-    }
-}
-
-impl<M: BinaryOutcomeModel> sbgt::SurveillanceSession for BpSession<M> {
-    type Pool = BigState;
-    type Ctx = ();
-
-    fn n_subjects(&self) -> usize {
-        BpSession::n_subjects(self)
+        Session::resume(snapshot, config, |snapshot| {
+            let ap = approx_section(snapshot, ApproxKind::Bp, risks.len())?;
+            let mut backend = BpBackend::new(risks, model, bp)
+                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+            backend.factors = Arc::new(restore_factors(&ap.history, &backend.model));
+            backend.cached = None;
+            Ok(backend)
+        })
+        .map(BpSession)
     }
 
-    fn stages(&self) -> usize {
-        self.stages
+    /// The BP tuning.
+    pub fn bp_config(&self) -> &BpConfig {
+        &self.backend().bp
     }
 
-    fn tests_performed(&self) -> usize {
-        self.factors.len()
+    /// Observed factors, in observation order.
+    pub fn factors(&self) -> &[Factor] {
+        &self.backend().factors
     }
 
-    fn marginals(&self) -> Vec<f64> {
-        self.marginals_now()
+    /// Ingest one observed pooled test (counted as one stage).
+    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
+        self.0.observe_in(None, pool, outcome)
     }
 
-    fn classify(&self) -> CohortClassification {
-        BpSession::classify(self)
+    /// Ingest one stage of observed pools (counted as one stage).
+    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
+        self.0
+            .observe_stage_in(None, observations.iter().map(|(p, o)| (p, *o)))
     }
 
-    fn observe_in(&mut self, _ctx: &(), pool: BigState, outcome: bool) -> Result<f64, BayesError> {
-        self.observe(&pool, outcome)
+    /// Drive the session to classification against a lab oracle, relaxing
+    /// on the driver ([`Session::run`]).
+    pub fn run_to_classification(&mut self, lab: impl FnMut(&BigState) -> bool) -> SessionOutcome {
+        self.0.run(None, lab)
     }
 
-    fn run_round_in(&mut self, _ctx: &(), lab: &mut dyn FnMut(&BigState) -> bool) -> RoundStep {
-        self.run_round(lab)
+    /// Drive exactly one round, relaxing on the driver ([`Session::round`]).
+    pub fn run_round(&mut self, lab: impl FnMut(&BigState) -> bool) -> RoundStep {
+        self.0.round(None, lab)
     }
 
-    fn snapshot(&self) -> SessionSnapshot {
-        BpSession::snapshot(self)
+    /// [`Self::run_round`] with the relaxation running as a
+    /// fault-injectable `fused-round:bp` engine stage, annotated
+    /// [`StageVariant::Approx`] with the factor count.
+    pub fn run_round_on(
+        &mut self,
+        engine: &Engine,
+        lab: impl FnMut(&BigState) -> bool,
+    ) -> RoundStep {
+        self.0.round(Some(engine), lab)
     }
 }
 
@@ -742,7 +611,7 @@ mod tests {
 
     #[test]
     fn no_observations_returns_the_prior() {
-        let mut s = session(6);
+        let s = session(6);
         let m = s.marginals();
         for (got, want) in m.iter().zip(risks(6)) {
             assert!((got - want).abs() < 1e-9, "prior marginal {got} vs {want}");
@@ -803,69 +672,7 @@ mod tests {
         assert_eq!(one.marginals(), batch.marginals());
         assert_eq!(one.stages(), 2);
         assert_eq!(batch.stages(), 1);
-        assert_eq!(one.tests_performed(), 2);
-    }
-
-    #[test]
-    fn run_to_classification_finds_the_positives() {
-        let n = 32;
-        // Undiluted noisy assay: pooled negatives are crisply informative,
-        // so the adaptive design must beat individual testing outright.
-        // (Under heavy dilution — e.g. `pcr_like`'s α = 4 — large-pool
-        // negatives carry little evidence and even the exact design
-        // approaches one test per subject.)
-        let model = BinaryDilutionModel::new(0.99, 0.995, sbgt_response::Dilution::None);
-        let mut s = BpSession::new(
-            &vec![0.03; n],
-            model,
-            SbgtConfig::default().serial(),
-            BpConfig::default(),
-        )
-        .unwrap();
-        let truth = BigState::from_subjects([5, 20]);
-        let outcome = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(outcome.classification.is_terminal());
-        assert_eq!(outcome.subjects, n);
-        assert!(outcome.tests < n, "pooling must beat individual testing");
-        for i in 0..n {
-            let positive = truth.contains(i);
-            assert_eq!(
-                outcome.marginals[i] >= 0.5,
-                positive,
-                "subject {i} misclassified (marginal {})",
-                outcome.marginals[i]
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_exact() {
-        let mut s = session(12);
-        let truth = BigState::from_subjects([3, 7]);
-        // Run a few rounds, snapshot mid-flight.
-        for _ in 0..3 {
-            s.run_round(|pool| truth.intersects(pool));
-        }
-        let snap = s.snapshot();
-        let bytes = snap.to_bytes();
-        let decoded = SessionSnapshot::from_bytes(&bytes).unwrap();
-        let mut restored = BpSession::restore(
-            &decoded,
-            &risks(12),
-            BinaryDilutionModel::pcr_like(),
-            SbgtConfig::default().serial(),
-            BpConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(restored.marginals(), s.marginals());
-        assert_eq!(restored.stages(), s.stages());
-        assert_eq!(restored.tests_performed(), s.tests_performed());
-        // Continue both: identical trajectories.
-        let a = s.run_to_classification(|pool| truth.intersects(pool));
-        let b = restored.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(a.marginals, b.marginals);
-        assert_eq!(a.tests, b.tests);
-        assert_eq!(a.classification, b.classification);
+        assert_eq!(one.tests(), 2);
     }
 
     #[test]
@@ -884,15 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_pool_is_a_typed_error() {
-        let mut s = session(4);
-        assert!(matches!(
-            s.observe(&BigState::empty(), true),
-            Err(BayesError::EmptyPool)
-        ));
-    }
-
-    #[test]
     fn traced_relaxation_is_bit_identical_to_untraced() {
         let mut s = session(9);
         let truth = BigState::from_subjects([1, 6]);
@@ -900,8 +698,8 @@ mod tests {
             s.run_round(|p| truth.intersects(p));
         }
         let cfg = BpConfig::default();
-        let plain = relax_marginals(&s.prior_logit, &s.factors, &cfg);
-        let (traced, trace) = relax_marginals_traced(&s.prior_logit, &s.factors, &cfg);
+        let plain = relax_marginals(&s.backend().prior_logit, s.factors(), &cfg);
+        let (traced, trace) = relax_marginals_traced(&s.backend().prior_logit, s.factors(), &cfg);
         assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
             assert_eq!(

@@ -7,8 +7,10 @@
 //! *specimens, pools, and particles*, not hypotheses, so N in the hundreds
 //! is routine.
 //!
-//! Two backends share one surface (the [`SurveillanceSession`] trait plus
-//! matching inherent APIs):
+//! Two posterior backends run under `sbgt`'s one generic round driver
+//! ([`sbgt::Session`] over the [`sbgt::Backend`] trait); each session type
+//! here is a thin newtype over `Session<…Backend>` adding its constructor
+//! and `BigState`-typed entry points:
 //!
 //! * [`BpSession`] — **loopy belief propagation** on the specimen↔pool
 //!   factor graph (Coja-Oghlan et al., *Efficient and accurate group
@@ -44,11 +46,11 @@ pub mod particle;
 pub mod rng;
 pub mod select;
 
-pub use bp::{relax_marginals_traced, residual_nanos, BpConfig, BpSession, BpTrace};
+pub use bp::{relax_marginals_traced, residual_nanos, BpBackend, BpConfig, BpSession, BpTrace};
 pub use factor::{Factor, MIN_LIKELIHOOD};
-pub use particle::{ParticleConfig, ParticleSession};
+pub use particle::{ParticleBackend, ParticleConfig, ParticleSession};
 pub use rng::SessionRng;
 pub use select::{select_halving_marginals, select_stage_marginals, BigSelection};
 
-pub use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, RoundStep, SurveillanceSession};
+pub use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, RoundStep};
 pub use sbgt_lattice::BigState;

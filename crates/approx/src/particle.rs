@@ -16,22 +16,21 @@
 //! particle block carries the particle words, log-weights, and the RNG
 //! state verbatim, reproducibility holds across snapshot/restore too.
 
-use std::sync::Arc;
-
-use sbgt_bayes::{classify_marginals, BayesError, CohortClassification};
-use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
+use sbgt_bayes::BayesError;
 use sbgt_lattice::BigState;
 use sbgt_response::BinaryOutcomeModel;
 
 use sbgt::{
-    ApproxKind, ApproxSnapshot, ConfigError, ParticleBlock, RoundStep, SbgtConfig, SessionOutcome,
-    SessionSnapshot, SnapshotError,
+    ApproxKind, ApproxSnapshot, Backend, ConfigError, ParticleBlock, RoundStep, SbgtConfig,
+    Session, SessionOutcome, SessionSnapshot, SnapshotError,
 };
 
-use crate::bp::{logit, validate_risks};
+use crate::bp::{
+    approx_section, check_pool, logit, restore_factors, snapshot_history, validate_risks,
+};
 use crate::factor::Factor;
 use crate::rng::SessionRng;
-use crate::select::select_stage_marginals;
+use crate::select::{select_stage_marginals, BigSelection};
 
 /// Tuning for the particle posterior.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,14 +78,11 @@ impl ParticleConfig {
     }
 }
 
-/// A surveillance session whose posterior is a weighted particle cloud.
-/// Memory is O(particles × N/64 + Σ pool sizes): nothing `2^N`-sized
-/// exists at any point.
-pub struct ParticleSession<M> {
-    risks: Vec<f64>,
+/// A weighted particle cloud. Memory is O(particles × N/64 + Σ pool
+/// sizes): nothing `2^N`-sized exists at any point.
+pub struct ParticleBackend<M> {
     prior_logit: Vec<f64>,
     model: M,
-    config: SbgtConfig,
     pcfg: ParticleConfig,
     words_per_particle: usize,
     /// Particle bit-words, particle-major: particle `p` owns
@@ -98,25 +94,35 @@ pub struct ParticleSession<M> {
     /// deltas. Rebuilt from `factors` on restore.
     subject_factors: Vec<Vec<u32>>,
     rng: SessionRng,
-    stages: usize,
-    /// Telemetry sink and the cohort id stamped on every span. `None`
-    /// (the default) records nothing; [`Self::attach_obs`] opts in.
-    obs: Option<(Arc<SpanRecorder>, u64)>,
 }
 
-impl<M: BinaryOutcomeModel> ParticleSession<M> {
-    /// Open a session: the cloud is initialized by sampling every
-    /// specimen's bit from its prior risk, particle-major and
-    /// subject-ascending, so the initial cloud is a deterministic function
-    /// of `(seed, risks)`.
-    pub fn new(
-        risks: &[f64],
-        model: M,
-        config: SbgtConfig,
-        pcfg: ParticleConfig,
-    ) -> Result<Self, ConfigError> {
+/// A surveillance session whose posterior is a weighted particle cloud:
+/// the shared round driver ([`Session`], reached through `Deref`) over
+/// [`ParticleBackend`]. The update mutates the RNG stream, which does not
+/// fit the engine's pure-retry contract, so rounds are self-contained
+/// (context `()`) and fault recovery rides on snapshot rollback.
+pub struct ParticleSession<M>(pub Session<ParticleBackend<M>>);
+
+impl<M> std::ops::Deref for ParticleSession<M> {
+    type Target = Session<ParticleBackend<M>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<M> std::ops::DerefMut for ParticleSession<M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<M: BinaryOutcomeModel> ParticleBackend<M> {
+    /// The cloud is initialized by sampling every specimen's bit from its
+    /// prior risk, particle-major and subject-ascending, so the initial
+    /// cloud is a deterministic function of `(seed, risks)`.
+    fn new(risks: &[f64], model: M, pcfg: ParticleConfig) -> Result<Self, ConfigError> {
         validate_risks(risks)?;
-        config.validate()?;
         pcfg.validate()?;
         let n = risks.len();
         let wpp = n.div_ceil(64);
@@ -129,11 +135,9 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
                 }
             }
         }
-        Ok(ParticleSession {
+        Ok(ParticleBackend {
             prior_logit: risks.iter().map(|&r| logit(r)).collect(),
-            risks: risks.to_vec(),
             model,
-            config,
             pcfg,
             words_per_particle: wpp,
             words,
@@ -141,52 +145,16 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
             factors: Vec::new(),
             subject_factors: vec![Vec::new(); n],
             rng,
-            stages: 0,
-            obs: None,
         })
     }
 
-    /// Attach a telemetry recorder; every subsequent round emits
-    /// `session:*` spans tagged with `cohort`.
-    pub fn attach_obs(&mut self, recorder: Arc<SpanRecorder>, cohort: u64) {
-        self.obs = Some((recorder, cohort));
-    }
-
-    /// Whether a telemetry recorder is attached (used for lazy attach).
-    pub fn has_obs(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    fn obs_at(&self, min: TraceLevel) -> Option<(Arc<SpanRecorder>, u64)> {
-        match &self.obs {
-            Some((rec, cohort)) if rec.enabled_at(min) => Some((Arc::clone(rec), *cohort)),
-            _ => None,
+    /// Append `factor` and index it under each member subject.
+    fn push_factor(&mut self, factor: Factor) {
+        let a = self.factors.len() as u32;
+        for &i in &factor.members {
+            self.subject_factors[i as usize].push(a);
         }
-    }
-
-    /// Cohort size.
-    pub fn n_subjects(&self) -> usize {
-        self.risks.len()
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &SbgtConfig {
-        &self.config
-    }
-
-    /// The particle tuning.
-    pub fn particle_config(&self) -> &ParticleConfig {
-        &self.pcfg
-    }
-
-    /// Completed stages (lab rounds).
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Total pooled tests observed.
-    pub fn tests_performed(&self) -> usize {
-        self.factors.len()
+        self.factors.push(factor);
     }
 
     /// Pool count for particle `p`: `|particle ∩ pool|` over the shared
@@ -223,86 +191,8 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
         w
     }
 
-    /// Per-specimen posterior marginals: weighted bit frequencies.
-    pub fn marginals(&self) -> Vec<f64> {
-        let w = self.normalized_weights();
-        let n = self.n_subjects();
-        let mut m = vec![0.0; n];
-        for (p, &wp) in w.iter().enumerate() {
-            if wp == 0.0 {
-                continue;
-            }
-            let base = p * self.words_per_particle;
-            for (i, mi) in m.iter_mut().enumerate() {
-                if self.words[base + i / 64] & (1u64 << (i % 64)) != 0 {
-                    *mi += wp;
-                }
-            }
-        }
-        for v in &mut m {
-            *v = v.clamp(0.0, 1.0);
-        }
-        m
-    }
-
-    /// Classification under the configured rule.
-    pub fn classify(&self) -> CohortClassification {
-        classify_marginals(&self.marginals(), self.config.rule)
-    }
-
-    /// Ingest one observed pooled test (counted as one stage). Returns the
-    /// predictive probability of the outcome under the pre-update cloud —
-    /// the approximate model evidence.
-    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        let z = self.push_observation(pool, outcome)?;
-        self.stages += 1;
-        Ok(z)
-    }
-
-    /// Ingest one stage of observed pools (counted as one stage).
-    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
-        let mut z = 1.0;
-        for (pool, outcome) in observations {
-            z *= self.push_observation(pool, *outcome)?;
-        }
-        if !observations.is_empty() {
-            self.stages += 1;
-        }
-        Ok(z)
-    }
-
-    fn push_observation(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        if pool.is_empty() {
-            return Err(BayesError::EmptyPool);
-        }
-        assert!(
-            pool.subjects().all(|i| i < self.n_subjects()),
-            "pool subject out of range for cohort of {}",
-            self.n_subjects()
-        );
-        let factor = Factor::new(pool, outcome, &self.model);
-        let pool_words = pool.words().to_vec();
-        // Predictive evidence under the pre-update weights.
-        let w = self.normalized_weights();
-        let counts: Vec<usize> = (0..self.pcfg.particles)
-            .map(|p| self.pool_count(p, &pool_words))
-            .collect();
-        let mut z = 0.0;
-        for ((&wp, lw), &k) in w.iter().zip(self.log_weights.iter_mut()).zip(&counts) {
-            z += wp * factor.table[k];
-            *lw += factor.table[k].ln();
-        }
-        let a = self.factors.len() as u32;
-        for &i in &factor.members {
-            self.subject_factors[i as usize].push(a);
-        }
-        self.factors.push(factor);
-        self.maybe_resample();
-        Ok(z)
-    }
-
     /// Effective sample size of the current weights.
-    pub fn ess(&self) -> f64 {
+    fn ess(&self) -> f64 {
         let w = self.normalized_weights();
         1.0 / w.iter().map(|&v| v * v).sum::<f64>()
     }
@@ -367,131 +257,108 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
             }
         }
     }
+}
 
-    /// Drive the session to classification against a lab oracle.
-    pub fn run_to_classification(
-        &mut self,
-        mut lab: impl FnMut(&BigState) -> bool,
-    ) -> SessionOutcome {
-        loop {
-            if let RoundStep::Finished(outcome) = self.run_round(&mut lab) {
-                return outcome;
+impl<M: BinaryOutcomeModel> Backend for ParticleBackend<M> {
+    type Pool = BigState;
+    type Ctx<'a> = ();
+
+    fn n_subjects(&self) -> usize {
+        self.prior_logit.len()
+    }
+
+    fn tests(&self) -> usize {
+        self.factors.len()
+    }
+
+    /// Per-specimen posterior marginals: weighted bit frequencies.
+    fn marginals(&self, _: &SbgtConfig) -> Vec<f64> {
+        let w = self.normalized_weights();
+        let mut m = vec![0.0; self.n_subjects()];
+        for (p, &wp) in w.iter().enumerate() {
+            if wp == 0.0 {
+                continue;
+            }
+            let base = p * self.words_per_particle;
+            for (i, mi) in m.iter_mut().enumerate() {
+                if self.words[base + i / 64] & (1u64 << (i % 64)) != 0 {
+                    *mi += wp;
+                }
             }
         }
+        for v in &mut m {
+            *v = v.clamp(0.0, 1.0);
+        }
+        m
     }
 
-    /// Drive exactly one round: classify, select the stage's pools via the
-    /// marginal halving search, run them through `lab`, ingest the
-    /// outcomes. The unit a multi-cohort service schedules.
-    pub fn run_round(&mut self, mut lab: impl FnMut(&BigState) -> bool) -> RoundStep {
-        let obs = self
-            .obs_at(TraceLevel::Spans)
-            .map(|(rec, cohort)| (Arc::clone(&rec), cohort, rec.now_ns()));
-        let step = self.round_inner(&mut lab);
-        if let Some((rec, cohort, start)) = obs {
-            let name = rec.intern("session:round");
-            let mut meta = SpanMeta::for_cohort(cohort);
-            meta.failed =
-                matches!(&step, RoundStep::Finished(o) if !o.classification.is_terminal());
-            rec.record_span_ending_now(SpanKind::Round, name, start, meta);
-        }
-        step
+    fn select(
+        &mut self,
+        _: (),
+        config: &SbgtConfig,
+        marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<BigSelection> {
+        select_stage_marginals(order, marginals, config.max_pool_size, config.stage_width)
     }
 
-    /// Record `name` as a `Phase` span covering `start..now` when phase
-    /// tracing ([`TraceLevel::Full`]) is live.
-    fn obs_phase(&self, name: &str, start: Option<u64>) {
-        if let (Some((rec, cohort)), Some(start)) = (self.obs_at(TraceLevel::Full), start) {
-            let name = rec.intern(name);
-            rec.record_span_ending_now(SpanKind::Phase, name, start, SpanMeta::for_cohort(cohort));
-        }
-    }
-
-    /// Timestamp for the next [`Self::obs_phase`] call, `None` when phase
-    /// tracing is off (so untraced rounds never read the clock).
-    fn obs_phase_start(&self) -> Option<u64> {
-        self.obs_at(TraceLevel::Full).map(|(rec, _)| rec.now_ns())
-    }
-
-    fn round_inner(&mut self, lab: &mut impl FnMut(&BigState) -> bool) -> RoundStep {
-        // One marginals pass feeds classification, the candidate ordering,
-        // and selection for the whole round.
-        let t = self.obs_phase_start();
-        let marginals = self.marginals();
-        let classification = classify_marginals(&marginals, self.config.rule);
-        self.obs_phase("session:marginals", t);
-        if classification.is_terminal() || self.stages >= self.config.max_stages {
-            return RoundStep::Finished(self.outcome(classification, &marginals));
-        }
-        let t = self.obs_phase_start();
-        let mut order = classification.undetermined();
-        order.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
-        let selections = select_stage_marginals(
-            &order,
-            &marginals,
-            self.config.max_pool_size,
-            self.config.stage_width,
-        );
-        self.obs_phase("session:select", t);
-        if selections.is_empty() {
-            return RoundStep::Finished(self.outcome(classification, &marginals));
-        }
-        let t = self.obs_phase_start();
-        let observations: Vec<(BigState, bool)> = selections
-            .into_iter()
-            .map(|s| {
-                let outcome = lab(&s.pool);
-                (s.pool, outcome)
-            })
+    /// Reweight the cloud by the outcome's likelihood, then resample and
+    /// rejuvenate if the effective sample size collapsed. Returns the
+    /// predictive probability of the outcome under the pre-update cloud —
+    /// the approximate model evidence.
+    fn observe(
+        &mut self,
+        _: (),
+        _: &SbgtConfig,
+        pool: &BigState,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        check_pool(pool, self.n_subjects())?;
+        let factor = Factor::new(pool, outcome, &self.model);
+        let w = self.normalized_weights();
+        let counts: Vec<usize> = (0..self.pcfg.particles)
+            .map(|p| self.pool_count(p, pool.words()))
             .collect();
-        if self.observe_stage(&observations).is_err() {
-            self.obs_phase("session:observe", t);
-            let classification = self.classify();
-            let marginals = self.marginals();
-            return RoundStep::Finished(self.outcome(classification, &marginals));
+        let mut z = 0.0;
+        for ((&wp, lw), &k) in w.iter().zip(self.log_weights.iter_mut()).zip(&counts) {
+            z += wp * factor.table[k];
+            *lw += factor.table[k].ln();
         }
-        self.obs_phase("session:observe", t);
-        RoundStep::Progressed
+        self.push_factor(factor);
+        self.maybe_resample();
+        Ok(z)
     }
 
-    fn outcome(&self, classification: CohortClassification, marginals: &[f64]) -> SessionOutcome {
-        SessionOutcome {
-            tests: self.factors.len(),
-            stages: self.stages,
-            subjects: self.n_subjects(),
-            classification,
-            marginals: marginals.to_vec(),
-        }
-    }
-
-    /// Capture the session for checkpoint/restore: the observation history
-    /// plus the particle block (bit-words, log-weights, RNG state)
-    /// verbatim, so a restored session continues the exact sample path.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            n_subjects: self.n_subjects(),
-            shards: Vec::new(),
-            total: 1.0,
-            history: Vec::new(),
-            stages: self.stages,
-            marginals: Vec::new(),
-            pending_selection: None,
-            sparse: None,
-            approx: Some(ApproxSnapshot {
-                kind: ApproxKind::Particle,
-                history: self
-                    .factors
-                    .iter()
-                    .map(|f| (f.members.clone(), f.outcome))
-                    .collect(),
-                particles: Some(ParticleBlock {
-                    words_per_particle: self.words_per_particle,
-                    words: self.words.clone(),
-                    log_weights: self.log_weights.clone(),
-                    rng: self.rng.state(),
-                }),
+    /// The observation history plus the particle block (bit-words,
+    /// log-weights, RNG state) verbatim, so a restored session continues
+    /// the exact sample path.
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
+        snapshot.approx = Some(ApproxSnapshot {
+            kind: ApproxKind::Particle,
+            history: snapshot_history(&self.factors),
+            particles: Some(ParticleBlock {
+                words_per_particle: self.words_per_particle,
+                words: self.words.clone(),
+                log_weights: self.log_weights.clone(),
+                rng: self.rng.state(),
             }),
-        }
+        });
+    }
+}
+
+impl<M: BinaryOutcomeModel> ParticleSession<M> {
+    /// Open a session over per-specimen prior risks.
+    pub fn new(
+        risks: &[f64],
+        model: M,
+        config: SbgtConfig,
+        pcfg: ParticleConfig,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        Ok(ParticleSession(Session::open(
+            ParticleBackend::new(risks, model, pcfg)?,
+            config,
+        )))
     }
 
     /// Rehydrate from a snapshot. The risks, model, and configs are not
@@ -504,90 +371,64 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
         config: SbgtConfig,
         pcfg: ParticleConfig,
     ) -> Result<Self, SnapshotError> {
-        snapshot.validate()?;
-        let Some(ap) = &snapshot.approx else {
-            return Err(SnapshotError::Corrupt(
-                "exact snapshot cannot restore a particle session".into(),
-            ));
-        };
-        if ap.kind != ApproxKind::Particle {
-            return Err(SnapshotError::Corrupt(
-                "BP snapshot cannot restore a particle session".into(),
-            ));
-        }
-        let block = ap.particles.as_ref().expect("validated particle block");
-        if snapshot.n_subjects != risks.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot holds {} subjects, caller supplied {} risks",
-                snapshot.n_subjects,
-                risks.len()
-            )));
-        }
-        if block.log_weights.len() != pcfg.particles {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot holds {} particles, config asks for {}",
-                block.log_weights.len(),
-                pcfg.particles
-            )));
-        }
-        let rng = SessionRng::from_state(block.rng)
-            .ok_or_else(|| SnapshotError::Corrupt("all-zero RNG state".into()))?;
-        let mut session = ParticleSession::new(risks, model, config, pcfg)
+        config
+            .validate()
             .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        session.factors = Vec::with_capacity(ap.history.len());
-        session.subject_factors = vec![Vec::new(); risks.len()];
-        for (members, outcome) in &ap.history {
-            let pool = BigState::from_subjects(members.iter().map(|&i| i as usize));
-            let a = session.factors.len() as u32;
-            for &i in members {
-                session.subject_factors[i as usize].push(a);
+        Session::resume(snapshot, config, |snapshot| {
+            let ap = approx_section(snapshot, ApproxKind::Particle, risks.len())?;
+            let block = ap.particles.as_ref().expect("validated particle block");
+            if block.log_weights.len() != pcfg.particles {
+                return Err(SnapshotError::Corrupt(format!(
+                    "snapshot holds {} particles, config asks for {}",
+                    block.log_weights.len(),
+                    pcfg.particles
+                )));
             }
-            session
-                .factors
-                .push(Factor::new(&pool, *outcome, &session.model));
-        }
-        session.words = block.words.clone();
-        session.log_weights = block.log_weights.clone();
-        session.rng = rng;
-        session.stages = snapshot.stages;
-        Ok(session)
-    }
-}
-
-impl<M: BinaryOutcomeModel> sbgt::SurveillanceSession for ParticleSession<M> {
-    type Pool = BigState;
-    type Ctx = ();
-
-    fn n_subjects(&self) -> usize {
-        ParticleSession::n_subjects(self)
+            let rng = SessionRng::from_state(block.rng)
+                .ok_or_else(|| SnapshotError::Corrupt("all-zero RNG state".into()))?;
+            let mut backend = ParticleBackend::new(risks, model, pcfg)
+                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
+            for factor in restore_factors(&ap.history, &backend.model) {
+                backend.push_factor(factor);
+            }
+            backend.words = block.words.clone();
+            backend.log_weights = block.log_weights.clone();
+            backend.rng = rng;
+            Ok(backend)
+        })
+        .map(ParticleSession)
     }
 
-    fn stages(&self) -> usize {
-        self.stages
+    /// The particle tuning.
+    pub fn particle_config(&self) -> &ParticleConfig {
+        &self.backend().pcfg
     }
 
-    fn tests_performed(&self) -> usize {
-        self.factors.len()
+    /// Effective sample size of the current weights.
+    pub fn ess(&self) -> f64 {
+        self.backend().ess()
     }
 
-    fn marginals(&self) -> Vec<f64> {
-        ParticleSession::marginals(self)
+    /// Ingest one observed pooled test (counted as one stage).
+    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
+        self.0.observe_in((), pool, outcome)
     }
 
-    fn classify(&self) -> CohortClassification {
-        ParticleSession::classify(self)
+    /// Ingest one stage of observed pools (counted as one stage).
+    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
+        self.0
+            .observe_stage_in((), observations.iter().map(|(p, o)| (p, *o)))
     }
 
-    fn observe_in(&mut self, _ctx: &(), pool: BigState, outcome: bool) -> Result<f64, BayesError> {
-        self.observe(&pool, outcome)
+    /// Drive the session to classification against a lab oracle
+    /// ([`Session::run`]).
+    pub fn run_to_classification(&mut self, lab: impl FnMut(&BigState) -> bool) -> SessionOutcome {
+        self.0.run((), lab)
     }
 
-    fn run_round_in(&mut self, _ctx: &(), lab: &mut dyn FnMut(&BigState) -> bool) -> RoundStep {
-        self.run_round(lab)
-    }
-
-    fn snapshot(&self) -> SessionSnapshot {
-        ParticleSession::snapshot(self)
+    /// Drive exactly one round ([`Session::round`]).
+    pub fn run_round(&mut self, lab: impl FnMut(&BigState) -> bool) -> RoundStep {
+        self.0.round((), lab)
     }
 }
 
@@ -654,8 +495,8 @@ mod tests {
         let ob = b.run_to_classification(|pool| truth.intersects(pool));
         assert_eq!(oa.marginals, ob.marginals, "same (seed, config) must agree");
         assert_eq!(oa.tests, ob.tests);
-        assert_eq!(a.words, b.words);
-        assert_eq!(a.rng.state(), b.rng.state());
+        assert_eq!(a.backend().words, b.backend().words);
+        assert_eq!(a.backend().rng.state(), b.backend().rng.state());
         // A different seed takes a different sample path.
         let mut c = ParticleSession::new(
             &risks(16),
@@ -668,7 +509,7 @@ mod tests {
         )
         .unwrap();
         c.run_to_classification(|pool| truth.intersects(pool));
-        assert_ne!(a.words, c.words);
+        assert_ne!(a.backend().words, c.backend().words);
     }
 
     #[test]
@@ -703,35 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_continues_the_exact_sample_path() {
-        let truth = BigState::from_subjects([1, 9]);
-        // Reference: run straight through.
-        let mut reference = session(12);
-        for _ in 0..2 {
-            reference.run_round(|pool| truth.intersects(pool));
-        }
-        let snap = reference.snapshot();
-        let bytes = snap.to_bytes();
-        let decoded = SessionSnapshot::from_bytes(&bytes).unwrap();
-        let mut restored = ParticleSession::restore(
-            &decoded,
-            &risks(12),
-            BinaryDilutionModel::pcr_like(),
-            SbgtConfig::default().serial(),
-            small_cfg(),
-        )
-        .unwrap();
-        assert_eq!(restored.words, reference.words);
-        assert_eq!(restored.log_weights, reference.log_weights);
-        assert_eq!(restored.rng.state(), reference.rng.state());
-        let a = reference.run_to_classification(|pool| truth.intersects(pool));
-        let b = restored.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(a.marginals, b.marginals, "restored path must not diverge");
-        assert_eq!(a.tests, b.tests);
-        assert_eq!(a.classification, b.classification);
-    }
-
-    #[test]
     fn restore_rejects_mismatched_spec() {
         let s = session(8);
         let snap = s.snapshot();
@@ -743,14 +555,5 @@ mod tests {
             ..ParticleConfig::default()
         };
         assert!(ParticleSession::restore(&snap, &risks(8), model, cfg, wrong_count).is_err());
-    }
-
-    #[test]
-    fn empty_pool_is_a_typed_error() {
-        let mut s = session(4);
-        assert!(matches!(
-            s.observe(&BigState::empty(), true),
-            Err(BayesError::EmptyPool)
-        ));
     }
 }

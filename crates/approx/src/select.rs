@@ -22,16 +22,10 @@ use sbgt_lattice::BigState;
 /// halving search).
 pub const DISTANCE_EPS: f64 = 1e-12;
 
-/// A selected pool with its approximate all-negative mass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BigSelection {
-    /// The pool to test.
-    pub pool: BigState,
-    /// Approximate probability the pool is all-negative.
-    pub negative_mass: f64,
-    /// `|negative_mass − ½|`, the halving objective.
-    pub distance: f64,
-}
+/// A selected pool with its approximate all-negative mass (`negative_mass`)
+/// and halving objective `|negative_mass − ½|` (`distance`): the exact
+/// search's selection record over a [`BigState`] pool.
+pub type BigSelection = sbgt::prelude::Selection<BigState>;
 
 /// Pick the prefix of `order` (ascending-marginal candidate ordering)
 /// whose approximate all-negative mass is closest to ½, capped at

@@ -173,7 +173,8 @@ fn bp_marginals_track_the_exact_posterior() {
 
             let mut bp = BpSession::new(&risks, model(), config, BpConfig::default()).unwrap();
             let _ = bp.run_to_classification(|pool| truth.intersects(pool));
-            let history = sbgt::SurveillanceSession::snapshot(&bp)
+            let history = bp
+                .snapshot()
                 .approx
                 .expect("BP snapshot carries an approx section")
                 .history;
@@ -183,7 +184,7 @@ fn bp_marginals_track_the_exact_posterior() {
                 let pool = State::from_subjects(members.iter().map(|&i| i as usize));
                 dense.observe(pool, *outcome).unwrap();
             }
-            let bp_m = sbgt::SurveillanceSession::marginals(&bp);
+            let bp_m = bp.marginals();
             let dense_m = dense.marginals();
             for (b, d) in bp_m.iter().zip(&dense_m) {
                 worst = worst.max((b - d).abs());

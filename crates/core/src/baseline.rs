@@ -230,7 +230,7 @@ impl<M: BinaryOutcomeModel> BaselineSession<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SbgtSession;
+    use crate::SbgtSession;
     use sbgt_response::BinaryDilutionModel;
 
     fn close(a: f64, b: f64) -> bool {

@@ -12,9 +12,17 @@
 //! | test selection | [`SbgtSession::select_next`] / [`SbgtSession::select_stage`] (one-pass prefix halving, branch-fused look-ahead) |
 //! | statistical analysis | [`SbgtSession::report`] (fused parallel marginals/entropy/top-k) |
 //!
-//! Two execution backends implement the same math:
+//! The loop over those three classes is written once — the generic
+//! [`Session`] driver in [`session`] — over a small [`Backend`] trait that
+//! carries only what differs between posterior representations. The
+//! concrete sessions are aliases: [`SbgtSession`] (dense in memory, with
+//! the adaptive dense→sparse switch), [`ShardedSession`] (engine shards),
+//! [`SparseSession`] (pruned lattice); `sbgt-approx` adds the BP and
+//! particle backends past the `2^N` wall.
 //!
-//! * [`session::SbgtSession`] — the SBGT framework: likelihood-table
+//! Two frameworks implement the same math:
+//!
+//! * [`SbgtSession`] — the SBGT framework: likelihood-table
 //!   broadcast, fused multiply+reduce passes, one-pass all-prefix halving
 //!   search, rayon chunk kernels, and an engine-sharded dataflow variant
 //!   ([`parallel::ShardedPosterior`]) that mirrors the paper's Spark
@@ -48,25 +56,26 @@
 
 pub mod baseline;
 pub mod config;
+pub mod conformance;
+pub mod dense_session;
 pub mod parallel;
 pub mod report;
 pub mod session;
 pub mod sharded_session;
 pub mod snapshot;
 pub mod sparse_session;
-pub mod surveillance;
 
 pub use baseline::BaselineSession;
 pub use config::{ConfigError, ExecMode, SbgtConfig};
+pub use dense_session::{DenseBackend, SbgtSession};
 pub use parallel::{FusedRound, ShardedPosterior};
 pub use report::SessionOutcome;
-pub use session::{RoundStep, SbgtSession};
-pub use sharded_session::ShardedSession;
+pub use session::{Backend, History, Pool, RoundCtx, RoundStep, RoundTrace, Session};
+pub use sharded_session::{ShardedBackend, ShardedSession};
 pub use snapshot::{
     ApproxKind, ApproxSnapshot, ParticleBlock, SessionSnapshot, SnapshotError, SparseSnapshot,
 };
-pub use sparse_session::SparseSession;
-pub use surveillance::SurveillanceSession;
+pub use sparse_session::{SparseBackend, SparseSession};
 
 // The adaptive-switch types are lattice-level but configured through
 // [`SbgtConfig::sparse_switch`], so re-export them at the session surface.
@@ -83,7 +92,7 @@ pub mod prelude {
     pub use crate::{
         ApproxKind, ApproxSnapshot, BaselineSession, ConfigError, ExecMode, ParticleBlock,
         RoundStep, SbgtConfig, SbgtSession, SessionOutcome, SessionSnapshot, ShardedSession,
-        SnapshotError, SparseSession, SparseSwitch, SurveillanceSession,
+        SnapshotError, SparseSession, SparseSwitch,
     };
     pub use sbgt_bayes::{ClassificationRule, CohortClassification, Prior, SubjectStatus};
     pub use sbgt_lattice::State;

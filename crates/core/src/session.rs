@@ -1,33 +1,34 @@
-//! The SBGT session: the framework's public driving surface.
+//! The round driver: one generic [`Session`] over a posterior [`Backend`].
+//!
+//! The paper's method is one loop over three operation classes —
+//! *statistical analysis* (marginals → classify), *test selection* (BHA /
+//! look-ahead) and *lattice-model manipulation* (the Bayesian update).
+//! [`Session`] is that loop, written once: it owns the configuration, the
+//! stage counter, telemetry, the plan-cache handle, the lab call and the
+//! stopping rule. A [`Backend`] carries only what differs between
+//! posterior representations — how to read marginals, select one stage
+//! live, and apply one observation — so dense-hybrid, engine-sharded,
+//! pruned-sparse, loopy-BP and particle sessions are five `Backend` impls
+//! under the same driver, monomorphised per backend.
 
 use std::sync::Arc;
 
-use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
+use sbgt_bayes::{classify_marginals, BayesError, ClassificationRule, CohortClassification};
+use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel, NO_COHORT};
+use sbgt_engine::Engine;
+use sbgt_lattice::{BigState, State};
+use sbgt_select::{PlanHandle, Selection};
 
-use sbgt_bayes::{
-    analyze, analyze_par, classify_marginals, update_dense, update_dense_par, update_sparse,
-    BayesError, CohortClassification, Observation, PosteriorReport, Prior,
-};
-use sbgt_lattice::kernels::par_marginals;
-use sbgt_lattice::{DensePosterior, HybridPosterior, SparsePosterior, State};
-use sbgt_response::BinaryOutcomeModel;
-use sbgt_select::{
-    select_halving_global, select_halving_global_par, select_halving_prefix,
-    select_halving_prefix_par, select_halving_prefix_sparse, select_information_gain,
-    select_stage_lookahead_fused, select_stage_lookahead_par, select_stage_lookahead_sparse,
-    InfoSelection, LookaheadConfig, PlanHandle, SelectError, Selection,
-};
-
-use crate::config::{ExecMode, SbgtConfig};
+use crate::config::SbgtConfig;
 use crate::report::SessionOutcome;
-use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
+use crate::snapshot::{SessionSnapshot, SnapshotError};
 
 /// Result of driving one BHA round (select → lab → observe).
 ///
-/// Both session types implement `run_to_classification` as a loop over
-/// `run_round`, so a service that steps cohorts one round at a time — to
-/// interleave many cohorts fairly on one engine — reproduces the batch
-/// loop's trajectory **by construction**.
+/// `run_to_classification` is a loop over single rounds, so a service that
+/// steps cohorts one round at a time — to interleave many cohorts fairly
+/// on one engine — reproduces the batch loop's trajectory **by
+/// construction**.
 #[derive(Debug)]
 pub enum RoundStep {
     /// The session advanced one stage and is still unclassified.
@@ -47,58 +48,283 @@ impl RoundStep {
     }
 }
 
-/// A live Bayesian group-testing session over one cohort.
+/// An observation history: every `(pool, outcome)` so far, in order.
+pub type History<P> = [(P, bool)];
+
+/// What a lab is handed: a one-word [`State`] mask for the exact backends,
+/// a [`BigState`] word array past the 48-subject `State` ceiling.
 ///
-/// The session owns the lattice posterior and exposes the paper's
-/// three operation classes (`observe` = lattice manipulation,
-/// `select_next`/`select_stage` = test selection, `report` = statistical
-/// analysis), each dispatching to serial or parallel kernels per the
-/// configured [`ExecMode`].
+/// The plan cache memoizes selections keyed on one-word observation
+/// histories, so replaying and recording a plan is a property of the pool
+/// representation: `State` forwards to the [`PlanHandle`]; by default a
+/// representation never hits and never records.
+pub trait Pool: Clone {
+    /// The selections `plan` memoized for exactly this history, if any.
+    fn replay(_plan: &PlanHandle, _history: &History<Self>) -> Option<Vec<Selection<Self>>> {
+        None
+    }
+
+    /// Record the `live` selections computed at `history` in `plan`.
+    fn record(_plan: &PlanHandle, _history: &History<Self>, _live: &[Selection<Self>]) {}
+}
+
+impl Pool for State {
+    fn replay(plan: &PlanHandle, history: &History<State>) -> Option<Vec<Selection>> {
+        plan.lookup(history)
+    }
+
+    fn record(plan: &PlanHandle, history: &History<State>, live: &[Selection]) {
+        plan.extend(history, live);
+    }
+}
+
+impl Pool for BigState {}
+
+/// What a round borrows from its caller: `()` for self-contained backends,
+/// `&Engine` for the sharded one (every traversal is an engine stage), and
+/// `Option<&Engine>` for backends that can run their update either on the
+/// driver or as a fault-injectable engine stage.
+pub trait RoundCtx<'a>: Copy {
+    /// The context to use when an engine is at hand (how a service that
+    /// owns one engine steps any backend).
+    fn on(engine: &'a Engine) -> Self;
+
+    /// The engine's recorder, when the context carries an engine: the
+    /// telemetry sink of a session no recorder was attached to.
+    fn recorder(self) -> Option<&'a Arc<SpanRecorder>>;
+}
+
+impl<'a> RoundCtx<'a> for () {
+    fn on(_: &'a Engine) {}
+
+    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
+        None
+    }
+}
+
+impl<'a> RoundCtx<'a> for &'a Engine {
+    fn on(engine: &'a Engine) -> Self {
+        engine
+    }
+
+    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
+        Some(self.obs())
+    }
+}
+
+impl<'a> RoundCtx<'a> for Option<&'a Engine> {
+    fn on(engine: &'a Engine) -> Self {
+        Some(engine)
+    }
+
+    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
+        self.map(Engine::obs)
+    }
+}
+
+/// The telemetry sink of one traced round: the recorder and the cohort id
+/// stamped on every span. Exists only while recording is enabled, so an
+/// untraced round never reads the clock.
+pub struct RoundTrace {
+    rec: Arc<SpanRecorder>,
+    cohort: u64,
+}
+
+impl RoundTrace {
+    /// The recorder spans and marks go to.
+    pub fn recorder(&self) -> &SpanRecorder {
+        &self.rec
+    }
+
+    /// Span metadata tagged with this round's cohort.
+    pub fn meta(&self) -> SpanMeta {
+        SpanMeta::for_cohort(self.cohort)
+    }
+
+    fn span(&self, kind: SpanKind, name: &str, start: u64, meta: SpanMeta) {
+        let name = self.rec.intern(name);
+        self.rec.record_span_ending_now(kind, name, start, meta);
+    }
+}
+
+/// Start timestamp of a phase span; `None` (no clock read) unless phase
+/// tracing is live.
+fn phase_start(phases: Option<&RoundTrace>) -> Option<u64> {
+    phases.map(|t| t.rec.now_ns())
+}
+
+/// Record `name` as a `Phase` span covering `start..now`.
+fn phase_end(phases: Option<&RoundTrace>, name: &str, start: Option<u64>) {
+    if let (Some(t), Some(start)) = (phases, start) {
+        t.span(SpanKind::Phase, name, start, t.meta());
+    }
+}
+
+/// A posterior representation under the round driver: only what differs
+/// between dense, sharded, sparse, BP and particle posteriors. The methods
+/// map onto the paper's three operation classes — [`Self::marginals`] is
+/// statistical analysis, [`Self::select`] is test selection,
+/// [`Self::observe`] is lattice-model manipulation — plus the snapshot
+/// boundary. Everything else about a session lives in [`Session`].
+pub trait Backend {
+    /// The pool representation a lab is handed.
+    type Pool: Pool;
+    /// What a round borrows from its caller (see [`RoundCtx`]).
+    type Ctx<'a>: RoundCtx<'a>;
+
+    /// Cohort size.
+    fn n_subjects(&self) -> usize;
+
+    /// Pooled tests observed so far.
+    fn tests(&self) -> usize;
+
+    /// Bring cached read-outs up to date at the top of a round, before the
+    /// driver reads marginals (BP relaxes here, as an engine stage when the
+    /// context carries one). `phases` is the round's sink when phase-level
+    /// tracing is live.
+    fn refresh(&mut self, _ctx: Self::Ctx<'_>, _phases: Option<&RoundTrace>) {}
+
+    /// Current per-subject posterior marginals.
+    fn marginals(&self, config: &SbgtConfig) -> Vec<f64>;
+
+    /// Select one stage's pools live: up to `config.stage_width` pools over
+    /// the unclassified subjects in `order` (ascending marginal). Empty
+    /// when no admissible pool exists.
+    fn select(
+        &mut self,
+        ctx: Self::Ctx<'_>,
+        config: &SbgtConfig,
+        marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<Selection<Self::Pool>>;
+
+    /// Apply one observed pooled test; returns its model evidence. On an
+    /// error the observation is not recorded ([`Self::tests`] is
+    /// unchanged) and the run ends.
+    fn observe(
+        &mut self,
+        ctx: Self::Ctx<'_>,
+        config: &SbgtConfig,
+        pool: &Self::Pool,
+        outcome: bool,
+    ) -> Result<f64, BayesError>;
+
+    /// Runs once after every stage whose observations all landed (the
+    /// adaptive dense→sparse switch lives here).
+    fn end_stage(&mut self, _ctx: Self::Ctx<'_>, _config: &SbgtConfig) {}
+
+    /// The observation history the plan cache is keyed on, for backends
+    /// whose selections are a pure function of it. `None` (the default)
+    /// means selections are never memoized and the cache is never touched.
+    fn plan_history(&self) -> Option<&History<Self::Pool>> {
+        None
+    }
+
+    /// Write the posterior into `snapshot`; the driver has already filled
+    /// in the cohort size and the stage counter.
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot);
+}
+
+/// Unclassified subjects by ascending marginal (ties by index): the
+/// candidate ordering every halving search scans.
+pub(crate) fn eligible_order(marginals: &[f64], rule: ClassificationRule) -> Vec<usize> {
+    order_from(marginals, &classify_marginals(marginals, rule))
+}
+
+fn order_from(marginals: &[f64], classification: &CohortClassification) -> Vec<usize> {
+    let mut eligible = classification.undetermined();
+    eligible.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
+    eligible
+}
+
+/// Reject an approximate-backend snapshot in an exact backend's restore.
+pub(crate) fn exact_only(snapshot: &SessionSnapshot) -> Result<(), SnapshotError> {
+    match snapshot.approx {
+        Some(_) => Err(SnapshotError::Corrupt(
+            "approx snapshot cannot restore an exact session".into(),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// A live Bayesian group-testing session over one cohort: the round loop,
+/// generic over the posterior [`Backend`].
 ///
-/// The posterior starts dense; when [`SbgtConfig::sparse_switch`] is
-/// configured, the session converts it to the pruned sparse representation
-/// once evidence concentrates the retained support below the configured
-/// fraction of `2^N`, and every subsequent round runs the `O(support)`
-/// sparse kernels instead of the `Θ(2^N)` dense ones.
-pub struct SbgtSession<M> {
-    posterior: HybridPosterior,
-    model: M,
+/// The concrete sessions are aliases of this type — `SbgtSession`,
+/// `ShardedSession`, `SparseSession` here, the BP and particle sessions in
+/// `sbgt-approx` — each adding its constructor and the entry points whose
+/// signatures depend on the backend's pool and context types.
+pub struct Session<B> {
+    backend: B,
     config: SbgtConfig,
-    history: Vec<(State, bool)>,
     stages: usize,
-    /// Telemetry sink and the cohort id stamped on every span. `None`
-    /// (the default) records nothing; [`Self::attach_obs`] opts in.
-    obs: Option<(Arc<SpanRecorder>, u64)>,
+    /// Telemetry sink. `None` (the default) falls back to the round
+    /// context's recorder, if it has one.
+    obs: Option<Arc<SpanRecorder>>,
+    /// Cohort id stamped on every span; `None` tags [`NO_COHORT`].
+    cohort: Option<u64>,
     /// Memoized selection plan. `None` (the default) selects live every
     /// round; [`Self::attach_plan`] opts in.
     plan: Option<PlanHandle>,
 }
 
-impl<M: BinaryOutcomeModel> SbgtSession<M> {
-    /// Open a session from a prior and an assay model.
-    pub fn new(prior: Prior, model: M, config: SbgtConfig) -> Self {
-        SbgtSession {
-            posterior: HybridPosterior::new_dense(prior.to_dense()),
-            model,
+impl<B: Backend> Session<B> {
+    /// Open a session over a freshly built backend.
+    pub fn open(backend: B, config: SbgtConfig) -> Self {
+        Session {
+            backend,
             config,
-            history: Vec::new(),
             stages: 0,
             obs: None,
+            cohort: None,
             plan: None,
         }
     }
 
+    /// The shared half of every restore: validate the snapshot, let
+    /// `backend` rebuild the posterior from it, and resume the stage
+    /// counter. The model and config are the cohort's static spec, supplied
+    /// by the caller; posterior state is restored exactly, so selections
+    /// and classifications continue bit-for-bit.
+    pub fn resume(
+        snapshot: &SessionSnapshot,
+        config: SbgtConfig,
+        backend: impl FnOnce(&SessionSnapshot) -> Result<B, SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
+        snapshot.validate()?;
+        let mut session = Session::open(backend(snapshot)?, config);
+        session.stages = snapshot.stages;
+        Ok(session)
+    }
+
+    /// The posterior backend.
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
     /// Attach a telemetry recorder; every subsequent round emits
     /// `session:*` spans tagged with `cohort`. Sessions driven by an
-    /// engine-backed service share the engine's recorder so all lanes
-    /// land in one trace.
+    /// engine-backed service share the engine's recorder so all lanes land
+    /// in one trace.
     pub fn attach_obs(&mut self, recorder: Arc<SpanRecorder>, cohort: u64) {
-        self.obs = Some((recorder, cohort));
+        self.obs = Some(recorder);
+        self.cohort = Some(cohort);
     }
 
     /// Whether a telemetry recorder is attached (used for lazy attach).
     pub fn has_obs(&self) -> bool {
         self.obs.is_some()
+    }
+
+    /// Tag this session's spans with a cohort id without attaching a
+    /// recorder (the sink is then the round context's engine recorder).
+    pub fn set_cohort(&mut self, cohort: u64) {
+        self.cohort = Some(cohort);
+    }
+
+    /// The cohort id stamped on telemetry spans, if one was set.
+    pub fn cohort(&self) -> Option<u64> {
+        self.cohort
     }
 
     /// Attach a memoized selection plan (see `sbgt_select::plancache`).
@@ -107,8 +333,11 @@ impl<M: BinaryOutcomeModel> SbgtSession<M> {
     /// tree select live and extend it in place. The caller is responsible
     /// for the key discipline: the handle's [`sbgt_select::PlanKey`] must
     /// have been built from this session's exact prior risks, model,
-    /// classification rule, stage width, pool cap, and execution lineage —
-    /// then cached and live selections are bit-for-bit identical.
+    /// classification rule, stage width, pool cap, and execution lineage
+    /// (dense, `Sharded { parts }`, `Sparse { epsilon }` — their summation
+    /// orders differ in the last ulp) — then cached and live selections
+    /// are bit-for-bit identical. A backend without a
+    /// [`Backend::plan_history`] ignores the plan.
     pub fn attach_plan(&mut self, plan: PlanHandle) {
         self.plan = Some(plan);
     }
@@ -118,18 +347,14 @@ impl<M: BinaryOutcomeModel> SbgtSession<M> {
         self.plan.is_some()
     }
 
-    /// The attached recorder and cohort id when recording is live at
-    /// `min`, cloned so span guards never borrow `self`.
-    fn obs_at(&self, min: TraceLevel) -> Option<(Arc<SpanRecorder>, u64)> {
-        match &self.obs {
-            Some((rec, cohort)) if rec.enabled_at(min) => Some((Arc::clone(rec), *cohort)),
-            _ => None,
-        }
+    /// Whether this session's selections can be memoized at all.
+    pub fn memoizes(&self) -> bool {
+        self.backend.plan_history().is_some()
     }
 
     /// Cohort size.
     pub fn n_subjects(&self) -> usize {
-        self.posterior.n_subjects()
+        self.backend.n_subjects()
     }
 
     /// The session configuration.
@@ -137,49 +362,20 @@ impl<M: BinaryOutcomeModel> SbgtSession<M> {
         &self.config
     }
 
-    /// Borrow the current dense posterior (normalized after every
-    /// observation).
-    ///
-    /// # Panics
-    /// Panics once the session has taken the adaptive dense→sparse switch
-    /// (only possible when [`SbgtConfig::sparse_switch`] is configured);
-    /// check [`Self::is_sparse`] or use [`Self::sparse_posterior`] then.
-    pub fn posterior(&self) -> &DensePosterior {
-        self.posterior
-            .as_dense()
-            .expect("posterior has switched to sparse; use sparse_posterior()")
-    }
-
-    /// Whether the adaptive dense→sparse switch has happened.
-    pub fn is_sparse(&self) -> bool {
-        self.posterior.is_sparse()
-    }
-
-    /// The sparse posterior, once the session has switched.
-    pub fn sparse_posterior(&self) -> Option<&SparsePosterior> {
-        self.posterior.as_sparse()
-    }
-
-    /// Every `(pool, outcome)` observed so far, in order.
-    pub fn history(&self) -> &[(State, bool)] {
-        &self.history
-    }
-
-    /// Number of completed stages (calls to `observe_stage` /
-    /// single-observation stages).
+    /// Completed stages (lab rounds). A look-ahead stage banks several
+    /// observations under one count.
     pub fn stages(&self) -> usize {
         self.stages
     }
 
+    /// Pooled tests observed so far.
+    pub fn tests(&self) -> usize {
+        self.backend.tests()
+    }
+
     /// Current posterior marginals.
     pub fn marginals(&self) -> Vec<f64> {
-        match &self.posterior {
-            HybridPosterior::Dense(d) => match self.config.exec {
-                ExecMode::Serial => d.marginals(),
-                ExecMode::Parallel(cfg) => par_marginals(d, cfg),
-            },
-            HybridPosterior::Sparse(s) => s.marginals(),
-        }
+        self.backend.marginals(&self.config)
     }
 
     /// Classification under the configured rule.
@@ -187,190 +383,71 @@ impl<M: BinaryOutcomeModel> SbgtSession<M> {
         classify_marginals(&self.marginals(), self.config.rule)
     }
 
-    /// One posterior update through whichever representation is live, plus
-    /// the history append. Shared by [`Self::observe`] and
-    /// [`Self::observe_stage`].
-    fn apply_observation(&mut self, pool: State, outcome: bool) -> Result<f64, BayesError> {
-        let obs = Observation::new(pool, outcome);
-        let SbgtSession {
-            posterior,
-            model,
-            config,
-            ..
-        } = self;
-        let z = match posterior {
-            HybridPosterior::Dense(d) => match config.exec {
-                ExecMode::Serial => update_dense(d, model, &obs)?,
-                ExecMode::Parallel(cfg) => update_dense_par(d, model, &obs, cfg)?,
-            },
-            HybridPosterior::Sparse(s) => {
-                let eps = config.sparse_switch.map(|w| w.prune_epsilon).unwrap_or(0.0);
-                update_sparse(s, model, &obs, eps)?
-            }
-        };
-        self.history.push((pool, outcome));
-        Ok(z)
-    }
-
-    /// Take the dense→sparse switch if configured and the support now
-    /// qualifies (checked once per stage, after its updates land).
-    fn maybe_switch(&mut self) {
-        if let Some(switch) = self.config.sparse_switch {
-            self.posterior.maybe_switch(&switch);
-        }
-    }
-
-    /// Ingest one observed pooled test (one stage).
-    /// Returns the model evidence of the observation.
-    pub fn observe(&mut self, pool: State, outcome: bool) -> Result<f64, BayesError> {
-        let z = self.apply_observation(pool, outcome)?;
-        self.stages += 1;
-        self.maybe_switch();
-        Ok(z)
-    }
-
-    /// Ingest a whole stage of observations (look-ahead workflows run
-    /// several pools per lab round). Counts as one stage.
-    pub fn observe_stage(&mut self, observations: &[(State, bool)]) -> Result<(), BayesError> {
-        for &(pool, outcome) in observations {
-            self.apply_observation(pool, outcome)?;
-        }
-        if !observations.is_empty() {
-            self.stages += 1;
-            self.maybe_switch();
-        }
-        Ok(())
-    }
-
     /// Unclassified subjects ordered by ascending marginal — the candidate
     /// ordering for the halving search.
     pub fn eligible_order(&self) -> Vec<usize> {
-        let marginals = self.marginals();
-        let classification = classify_marginals(&marginals, self.config.rule);
-        Self::order_from(&marginals, &classification)
+        eligible_order(&self.marginals(), self.config.rule)
     }
 
-    /// `eligible_order` given already-computed marginals and their
-    /// classification, so one marginals pass can feed classification,
-    /// ordering, and selection in a single round.
-    fn order_from(marginals: &[f64], classification: &CohortClassification) -> Vec<usize> {
-        let mut eligible = classification.undetermined();
-        eligible.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
-        eligible
+    /// Ingest one observed pooled test as a stage of its own. Returns the
+    /// model evidence of the observation.
+    pub fn observe_in(
+        &mut self,
+        ctx: B::Ctx<'_>,
+        pool: &B::Pool,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        self.observe_stage_in(ctx, [(pool, outcome)])
     }
 
-    /// Bayesian Halving Algorithm: the next pool to test, or `None` when
-    /// every subject is already classified.
-    pub fn select_next(&self) -> Option<Selection> {
-        self.select_next_with_order(&self.eligible_order())
-    }
-
-    fn select_next_with_order(&self, order: &[usize]) -> Option<Selection> {
-        match &self.posterior {
-            HybridPosterior::Dense(d) => match self.config.exec {
-                ExecMode::Serial => select_halving_prefix(d, order, self.config.max_pool_size),
-                ExecMode::Parallel(cfg) => {
-                    select_halving_prefix_par(d, order, self.config.max_pool_size, cfg)
+    /// Ingest the observed outcomes of one stage (the pools ran
+    /// concurrently on the bench; posterior updates are sequential
+    /// multiplies, so order does not matter). Returns the joint evidence.
+    ///
+    /// **Stage accounting, for every backend:** the stage counts iff at
+    /// least one of its observations landed. On an impossible observation
+    /// the error is returned after the preceding observations of the stage
+    /// have been applied and counted — a wet lab cannot un-run tests — and
+    /// a stage whose first pool fails (or an empty stage) counts nothing.
+    pub fn observe_stage_in<'p>(
+        &mut self,
+        ctx: B::Ctx<'_>,
+        observations: impl IntoIterator<Item = (&'p B::Pool, bool)>,
+    ) -> Result<f64, BayesError>
+    where
+        B::Pool: 'p,
+    {
+        let mut joint = 1.0f64;
+        let mut landed = false;
+        for (pool, outcome) in observations {
+            match self.backend.observe(ctx, &self.config, pool, outcome) {
+                Ok(z) => joint *= z,
+                Err(e) => {
+                    self.stages += usize::from(landed);
+                    return Err(e);
                 }
-            },
-            HybridPosterior::Sparse(s) => {
-                select_halving_prefix_sparse(s, order, self.config.max_pool_size)
             }
+            landed = true;
         }
-    }
-
-    /// Globally optimal Bayesian halving over **all** admissible pools of
-    /// the unclassified subjects, priced by one zeta transform
-    /// (`O(N · 2^N)` instead of the prefix rule's `O(2^N)`, exact instead
-    /// of near-optimal). `None` when every subject is classified.
-    pub fn select_next_global(&self) -> Option<Selection> {
-        let order = self.eligible_order();
-        let dense = self.dense_view();
-        match self.config.exec {
-            ExecMode::Serial => select_halving_global(&dense, &order, self.config.max_pool_size),
-            ExecMode::Parallel(_) => {
-                select_halving_global_par(&dense, &order, self.config.max_pool_size)
-            }
+        if landed {
+            self.stages += 1;
+            self.backend.end_stage(ctx, &self.config);
         }
-    }
-
-    /// The dense posterior, materialized from the sparse entries when the
-    /// session has switched — for the zeta-transform and exact-information
-    /// rules, which have no sparse counterpart.
-    fn dense_view(&self) -> std::borrow::Cow<'_, DensePosterior> {
-        match &self.posterior {
-            HybridPosterior::Dense(d) => std::borrow::Cow::Borrowed(d),
-            HybridPosterior::Sparse(s) => std::borrow::Cow::Owned(s.to_dense()),
-        }
-    }
-
-    /// Information-gain refinement: score the `shortlist` best halving
-    /// prefixes by exact expected entropy reduction and return the most
-    /// informative (see `sbgt_select::information`). `None` when the
-    /// cohort is classified.
-    pub fn select_next_informative(&self, shortlist: usize) -> Option<InfoSelection> {
-        let order = self.eligible_order();
-        select_information_gain(
-            &self.dense_view(),
-            &self.model,
-            &order,
-            self.config.max_pool_size,
-            shortlist,
-        )
-    }
-
-    /// Look-ahead stage selection: up to `width` pools for one lab round,
-    /// on the **branch-fused** fast path (serial or rayon per the
-    /// configured [`ExecMode`]) — no branch posterior is materialized.
-    /// Rejects a zero `width` with [`SelectError::InvalidArgument`].
-    pub fn select_stage(&self, width: usize) -> Result<Vec<Selection>, SelectError> {
-        self.select_stage_with_order(width, &self.eligible_order())
-    }
-
-    fn select_stage_with_order(
-        &self,
-        width: usize,
-        order: &[usize],
-    ) -> Result<Vec<Selection>, SelectError> {
-        let cfg = LookaheadConfig {
-            width,
-            max_pool_size: self.config.max_pool_size,
-        };
-        match &self.posterior {
-            HybridPosterior::Dense(d) => match self.config.exec {
-                ExecMode::Serial => select_stage_lookahead_fused(d, &self.model, order, &cfg),
-                ExecMode::Parallel(pc) => {
-                    select_stage_lookahead_par(d, &self.model, order, &cfg, pc)
-                }
-            },
-            HybridPosterior::Sparse(s) => {
-                select_stage_lookahead_sparse(s, &self.model, order, &cfg)
-            }
-        }
-    }
-
-    /// Full statistical readout (marginals, entropy, MAP, top-k, rank
-    /// distribution) using the configured kernels.
-    pub fn report(&self, top_k: usize) -> PosteriorReport {
-        let dense = self.dense_view();
-        match self.config.exec {
-            ExecMode::Serial => analyze(&dense, top_k),
-            ExecMode::Parallel(cfg) => analyze_par(&dense, top_k, cfg),
-        }
+        Ok(joint)
     }
 
     /// Drive the session to classification against a lab oracle: `lab` is
     /// called with each selected pool and must return the assay outcome.
     /// Stops when the cohort is classified, the stage cap is reached, or an
-    /// observation is impossible under the model.
-    ///
-    /// The number of pools per stage comes from the
-    /// [`SbgtConfig::stage_width`] knob: `1` runs the classic one-test
-    /// BHA loop; wider stages run look-ahead selection on the branch-fused
-    /// fast path.
-    pub fn run_to_classification(&mut self, mut lab: impl FnMut(State) -> bool) -> SessionOutcome {
+    /// observation is impossible under the model. The number of pools per
+    /// stage comes from [`SbgtConfig::stage_width`].
+    pub fn run(
+        &mut self,
+        ctx: B::Ctx<'_>,
+        mut lab: impl FnMut(&B::Pool) -> bool,
+    ) -> SessionOutcome {
         loop {
-            if let RoundStep::Finished(outcome) = self.run_round(&mut lab) {
+            if let RoundStep::Finished(outcome) = self.round(ctx, &mut lab) {
                 return outcome;
             }
         }
@@ -378,618 +455,120 @@ impl<M: BinaryOutcomeModel> SbgtSession<M> {
 
     /// Drive exactly one round: classify, select the stage's pools, run
     /// them through `lab`, and ingest the outcomes. The unit a multi-cohort
-    /// service schedules — [`Self::run_to_classification`] is a loop over
-    /// this, so round-stepped and batch trajectories are identical.
-    pub fn run_round(&mut self, mut lab: impl FnMut(State) -> bool) -> RoundStep {
-        let Some((rec, cohort)) = self.obs_at(TraceLevel::Spans) else {
-            return self.run_round_inner(&mut lab);
+    /// service schedules — [`Self::run`] is a loop over this, so
+    /// round-stepped and batch trajectories are identical.
+    ///
+    /// With tracing off this costs one atomic load (none when no recorder
+    /// is in reach) and never reads the clock. With it on, every backend
+    /// gets a `session:round` span — flagged failed when the run ended
+    /// unclassified — and, at [`TraceLevel::Full`], the
+    /// `session:marginals|select|observe` phase spans.
+    pub fn round(&mut self, ctx: B::Ctx<'_>, mut lab: impl FnMut(&B::Pool) -> bool) -> RoundStep {
+        let trace = match self.obs.as_ref().or_else(|| ctx.recorder()) {
+            Some(rec) if rec.enabled_at(TraceLevel::Spans) => RoundTrace {
+                rec: Arc::clone(rec),
+                cohort: self.cohort.unwrap_or(NO_COHORT),
+            },
+            _ => return self.round_inner(ctx, &mut lab, None),
         };
-        let start = rec.now_ns();
-        let step = self.run_round_inner(&mut lab);
-        let name = rec.intern("session:round");
-        let mut meta = SpanMeta::for_cohort(cohort);
+        let start = trace.rec.now_ns();
+        let phases = trace.rec.enabled_at(TraceLevel::Full).then_some(&trace);
+        let step = self.round_inner(ctx, &mut lab, phases);
+        let mut meta = trace.meta();
         meta.failed = matches!(&step, RoundStep::Finished(o) if !o.classification.is_terminal());
-        rec.record_span_ending_now(SpanKind::Round, name, start, meta);
+        trace.span(SpanKind::Round, "session:round", start, meta);
         step
     }
 
-    /// Record `name` as a `Phase` span covering `start..now` when phase
-    /// tracing ([`TraceLevel::Full`]) is live.
-    fn obs_phase(&self, name: &str, start: Option<u64>) {
-        if let (Some((rec, cohort)), Some(start)) = (self.obs_at(TraceLevel::Full), start) {
-            let name = rec.intern(name);
-            rec.record_span_ending_now(SpanKind::Phase, name, start, SpanMeta::for_cohort(cohort));
-        }
-    }
-
-    /// Timestamp for the next [`Self::obs_phase`] call, `None` when phase
-    /// tracing is off (so untraced rounds never read the clock).
-    fn obs_phase_start(&self) -> Option<u64> {
-        self.obs_at(TraceLevel::Full).map(|(rec, _)| rec.now_ns())
-    }
-
-    fn run_round_inner(&mut self, lab: &mut impl FnMut(State) -> bool) -> RoundStep {
-        let stage_width = self.config.stage_width;
-        // One marginals pass feeds classification, the candidate
-        // ordering, and selection for the whole round.
-        let t = self.obs_phase_start();
+    fn round_inner(
+        &mut self,
+        ctx: B::Ctx<'_>,
+        lab: &mut impl FnMut(&B::Pool) -> bool,
+        phases: Option<&RoundTrace>,
+    ) -> RoundStep {
+        // Statistical analysis: one marginals pass feeds classification,
+        // the candidate ordering, and selection for the whole round.
+        let t = phase_start(phases);
+        self.backend.refresh(ctx, phases);
         let marginals = self.marginals();
         let classification = classify_marginals(&marginals, self.config.rule);
-        self.obs_phase("session:marginals", t);
+        phase_end(phases, "session:marginals", t);
         if classification.is_terminal() || self.stages >= self.config.max_stages {
-            return RoundStep::Finished(self.outcome(classification));
+            return RoundStep::Finished(self.outcome(classification, marginals));
         }
-        let t = self.obs_phase_start();
-        // A plan hit replays the memoized selections for this exact
-        // observation history; a miss selects live and extends the tree.
-        let selections = match self.plan.as_ref().and_then(|p| p.lookup(&self.history)) {
+        // Test selection: a plan hit replays the memoized selections for
+        // this exact observation history; a miss selects live and extends
+        // the tree.
+        let t = phase_start(phases);
+        let cached = self
+            .planned()
+            .and_then(|(plan, history)| B::Pool::replay(plan, history));
+        let selections = match cached {
             Some(cached) => cached,
             None => {
-                let order = Self::order_from(&marginals, &classification);
-                let live = if stage_width <= 1 {
-                    self.select_next_with_order(&order)
-                        .map(|s| vec![s])
-                        .unwrap_or_default()
-                } else {
-                    self.select_stage_with_order(stage_width, &order)
-                        .expect("stage width validated by SbgtConfig")
-                };
-                if let Some(plan) = &self.plan {
-                    plan.extend(&self.history, &live);
+                let order = order_from(&marginals, &classification);
+                let live = self.backend.select(ctx, &self.config, &marginals, &order);
+                if let Some((plan, history)) = self.planned() {
+                    B::Pool::record(plan, history, &live);
                 }
                 live
             }
         };
-        self.obs_phase("session:select", t);
+        phase_end(phases, "session:select", t);
         if selections.is_empty() {
-            return RoundStep::Finished(self.outcome(classification));
+            return RoundStep::Finished(self.outcome(classification, marginals));
         }
-        let t = self.obs_phase_start();
-        let observations: Vec<(State, bool)> =
-            selections.iter().map(|s| (s.pool, lab(s.pool))).collect();
-        if self.observe_stage(&observations).is_err() {
-            self.obs_phase("session:observe", t);
-            return RoundStep::Finished(self.outcome(self.classify()));
+        // The lab, then lattice-model manipulation.
+        let t = phase_start(phases);
+        let observations: Vec<(B::Pool, bool)> = selections
+            .into_iter()
+            .map(|s| {
+                let outcome = lab(&s.pool);
+                (s.pool, outcome)
+            })
+            .collect();
+        let observed = self.observe_stage_in(ctx, observations.iter().map(|(p, o)| (p, *o)));
+        phase_end(phases, "session:observe", t);
+        if observed.is_err() {
+            let marginals = self.marginals();
+            let classification = classify_marginals(&marginals, self.config.rule);
+            return RoundStep::Finished(self.outcome(classification, marginals));
         }
-        self.obs_phase("session:observe", t);
         RoundStep::Progressed
     }
 
-    /// Capture the full session state for checkpoint/restore. A dense
-    /// posterior is stored as one shard of exact (normalized) values; a
-    /// post-switch sparse posterior stores its retained entries and pruned
-    /// mass instead. [`Self::restore`] reproduces the session bit-for-bit
-    /// either way.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        let (shards, total, sparse) = match &self.posterior {
-            HybridPosterior::Dense(d) => (vec![d.probs().to_vec()], 1.0, None),
-            HybridPosterior::Sparse(s) => (
-                Vec::new(),
-                s.total(),
-                Some(SparseSnapshot {
-                    entries: s.entries().to_vec(),
-                    pruned_mass: s.pruned_mass(),
-                }),
-            ),
-        };
-        SessionSnapshot {
-            n_subjects: self.n_subjects(),
-            shards,
-            total,
-            history: self.history.clone(),
-            stages: self.stages,
-            marginals: Vec::new(),
-            pending_selection: None,
-            sparse,
-            approx: None,
-        }
+    /// The attached plan and the history it is keyed on, when this session
+    /// memoizes selections.
+    fn planned(&self) -> Option<(&PlanHandle, &History<B::Pool>)> {
+        self.plan.as_ref().zip(self.backend.plan_history())
     }
 
-    /// Rehydrate a session from a snapshot. The model and config are not
-    /// part of the snapshot (they are the cohort's static spec) and are
-    /// supplied by the caller; posterior values are restored exactly, so
-    /// selections and classifications continue bit-for-bit.
-    pub fn restore(
-        snapshot: &SessionSnapshot,
-        model: M,
-        config: SbgtConfig,
-    ) -> Result<Self, SnapshotError> {
-        snapshot.validate()?;
-        if snapshot.approx.is_some() {
-            return Err(SnapshotError::Corrupt(
-                "approx snapshot cannot restore an exact session".into(),
-            ));
-        }
-        let posterior = match &snapshot.sparse {
-            Some(sp) => HybridPosterior::Sparse(SparsePosterior::from_parts(
-                snapshot.n_subjects,
-                sp.entries.clone(),
-                sp.pruned_mass,
-            )),
-            None => {
-                let probs: Vec<f64> = snapshot.shards.iter().flatten().copied().collect();
-                HybridPosterior::Dense(DensePosterior::from_probs(snapshot.n_subjects, probs))
-            }
-        };
-        Ok(SbgtSession {
-            posterior,
-            model,
-            config,
-            history: snapshot.history.clone(),
-            stages: snapshot.stages,
-            obs: None,
-            plan: None,
-        })
-    }
-
-    fn outcome(&self, classification: CohortClassification) -> SessionOutcome {
+    fn outcome(&self, classification: CohortClassification, marginals: Vec<f64>) -> SessionOutcome {
         SessionOutcome {
-            tests: self.history.len(),
+            tests: self.backend.tests(),
             stages: self.stages,
             subjects: self.n_subjects(),
             classification,
-            marginals: self.marginals(),
+            marginals,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sbgt_lattice::kernels::ParConfig;
-    use sbgt_response::BinaryDilutionModel;
-
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() < 1e-9
-    }
-
-    fn session(exec: ExecMode) -> SbgtSession<BinaryDilutionModel> {
-        let prior = Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]);
-        SbgtSession::new(
-            prior,
-            BinaryDilutionModel::pcr_like(),
-            SbgtConfig {
-                exec,
-                ..SbgtConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn serial_and_parallel_sessions_agree() {
-        let mut a = session(ExecMode::Serial);
-        let mut b = session(ExecMode::Parallel(ParConfig {
-            chunk_len: 17,
-            threshold: 0,
-        }));
-        let pool = State::from_subjects([0, 1, 2, 3]);
-        let za = a.observe(pool, true).unwrap();
-        let zb = b.observe(pool, true).unwrap();
-        assert!(close(za, zb));
-        for (x, y) in a.marginals().iter().zip(b.marginals()) {
-            assert!(close(*x, y));
-        }
-        let sa = a.select_next().unwrap();
-        let sb = b.select_next().unwrap();
-        assert_eq!(sa.pool, sb.pool);
-        let ra = a.report(3);
-        let rb = b.report(3);
-        assert!(close(ra.entropy, rb.entropy));
-        assert_eq!(ra.map_state.0, rb.map_state.0);
-    }
-
-    #[test]
-    fn history_and_stage_counting() {
-        let mut s = session(ExecMode::Serial);
-        s.observe(State::from_subjects([0]), false).unwrap();
-        s.observe_stage(&[
-            (State::from_subjects([1]), false),
-            (State::from_subjects([2]), false),
-        ])
-        .unwrap();
-        s.observe_stage(&[]).unwrap(); // empty stage is a no-op
-        assert_eq!(s.history().len(), 3);
-        assert_eq!(s.stages(), 2);
-    }
-
-    #[test]
-    fn run_to_classification_with_perfect_oracle() {
-        let prior = Prior::flat(10, 0.05);
-        let truth = State::from_subjects([4, 9]);
-        let mut s = SbgtSession::new(
-            prior,
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default().serial(),
-        );
-        let outcome = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(outcome.classification.is_terminal());
-        assert_eq!(outcome.classification.positives(), 2);
-        assert!(outcome.classification.statuses[4] == sbgt_bayes::SubjectStatus::Positive);
-        assert!(outcome.classification.statuses[9] == sbgt_bayes::SubjectStatus::Positive);
-        assert_eq!(outcome.tests, s.history().len());
-        assert!(outcome.tests < 10, "group testing must beat individual");
-    }
-
-    #[test]
-    fn run_with_stage_width_uses_fewer_stages() {
-        let truth = State::from_subjects([1, 6]);
-        let mk = |width: usize| {
-            SbgtSession::new(
-                Prior::flat(10, 0.08),
-                BinaryDilutionModel::pcr_like(),
-                SbgtConfig::default().serial().with_stage_width(width),
-            )
+    /// Capture the full session state for checkpoint/restore: the shared
+    /// half (cohort size, stage counter) here, the posterior from the
+    /// backend. The backend's `restore` reproduces the session bit-for-bit.
+    pub fn snapshot(&self) -> SessionSnapshot {
+        let mut snapshot = SessionSnapshot {
+            n_subjects: self.n_subjects(),
+            shards: Vec::new(),
+            total: 1.0,
+            history: Vec::new(),
+            stages: self.stages,
+            marginals: Vec::new(),
+            pending_selection: None,
+            sparse: None,
+            approx: None,
         };
-        let mut narrow = mk(1);
-        let o1 = narrow.run_to_classification(|pool| truth.intersects(pool));
-        let mut wide = mk(3);
-        let o2 = wide.run_to_classification(|pool| truth.intersects(pool));
-        assert!(o1.classification.is_terminal());
-        assert!(o2.classification.is_terminal());
-        assert!(
-            o2.stages <= o1.stages,
-            "wide {} vs narrow {}",
-            o2.stages,
-            o1.stages
-        );
-    }
-
-    #[test]
-    fn round_stepping_matches_batch_run() {
-        let truth = State::from_subjects([4, 9]);
-        let mk = || {
-            SbgtSession::new(
-                Prior::from_risks(&[0.03, 0.07, 0.02, 0.09, 0.05, 0.04, 0.08, 0.06, 0.025, 0.045]),
-                BinaryDilutionModel::perfect(),
-                SbgtConfig::default().serial(),
-            )
-        };
-        let mut batch = mk();
-        let batch_outcome = batch.run_to_classification(|pool| truth.intersects(pool));
-        let mut stepped = mk();
-        let stepped_outcome = loop {
-            if let Some(o) = stepped.run_round(|pool| truth.intersects(pool)).finished() {
-                break o;
-            }
-        };
-        assert_eq!(stepped_outcome.tests, batch_outcome.tests);
-        assert_eq!(stepped.history(), batch.history());
-        assert_eq!(
-            stepped_outcome.classification.statuses,
-            batch_outcome.classification.statuses
-        );
-        for (a, b) in stepped_outcome
-            .marginals
-            .iter()
-            .zip(&batch_outcome.marginals)
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_exact_mid_run() {
-        let truth = State::from_subjects([1, 6]);
-        let mut s = SbgtSession::new(
-            Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]),
-            BinaryDilutionModel::pcr_like(),
-            SbgtConfig::default().serial(),
-        );
-        // Advance a few rounds, snapshot, then drive both copies to the end.
-        for _ in 0..3 {
-            if s.run_round(|pool| truth.intersects(pool))
-                .finished()
-                .is_some()
-            {
-                break;
-            }
-        }
-        let snap = s.snapshot();
-        let mut restored =
-            SbgtSession::restore(&snap, BinaryDilutionModel::pcr_like(), *s.config()).unwrap();
-        assert_eq!(restored.history(), s.history());
-        assert_eq!(restored.stages(), s.stages());
-        for (a, b) in restored
-            .posterior()
-            .probs()
-            .iter()
-            .zip(s.posterior().probs())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let original = s.run_to_classification(|pool| truth.intersects(pool));
-        let resumed = restored.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(resumed.tests, original.tests);
-        assert_eq!(
-            resumed.classification.statuses,
-            original.classification.statuses
-        );
-        for (a, b) in resumed.marginals.iter().zip(&original.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The byte codec preserves the trajectory too.
-        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn select_next_none_when_classified() {
-        let prior = Prior::flat(4, 0.02);
-        let mut s = SbgtSession::new(
-            prior,
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default().serial(),
-        );
-        // One all-negative pool classifies everyone at these thresholds.
-        s.observe(State::from_subjects([0, 1, 2, 3]), false)
-            .unwrap();
-        assert!(s.classify().is_terminal());
-        assert!(s.select_next().is_none());
-    }
-
-    #[test]
-    fn global_selection_is_no_worse_than_prefix() {
-        let mut s = session(ExecMode::Serial);
-        s.observe(State::from_subjects([0, 1, 2]), true).unwrap();
-        let prefix = s.select_next().unwrap();
-        let global = s.select_next_global().unwrap();
-        assert!(global.distance <= prefix.distance + 1e-12);
-        // And the parallel path agrees with the serial one.
-        let mut p = session(ExecMode::Parallel(ParConfig {
-            chunk_len: 17,
-            threshold: 0,
-        }));
-        p.observe(State::from_subjects([0, 1, 2]), true).unwrap();
-        let global_par = p.select_next_global().unwrap();
-        assert_eq!(global.pool, global_par.pool);
-    }
-
-    #[test]
-    fn informative_selection_bounds() {
-        let mut s = session(ExecMode::Serial);
-        s.observe(State::from_subjects([0, 1]), true).unwrap();
-        let sel = s.select_next_informative(3).unwrap();
-        assert!(sel.information_gain >= 0.0);
-        assert!(sel.information_gain <= 2f64.ln() + 1e-12);
-        assert!(!sel.pool.is_empty());
-    }
-
-    #[test]
-    fn select_stage_dispatches_and_validates() {
-        let mut a = session(ExecMode::Serial);
-        let mut b = session(ExecMode::Parallel(ParConfig {
-            chunk_len: 17,
-            threshold: 0,
-        }));
-        let pool = State::from_subjects([0, 1, 2]);
-        a.observe(pool, true).unwrap();
-        b.observe(pool, true).unwrap();
-        let sa = a.select_stage(3).unwrap();
-        let sb = b.select_stage(3).unwrap();
-        assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(&sb) {
-            assert_eq!(x.pool, y.pool);
-        }
-        // Zero width is a typed error, not a panic.
-        assert!(matches!(
-            a.select_stage(0),
-            Err(SelectError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn attached_recorder_captures_round_and_phase_spans() {
-        use sbgt_engine::obs::{ObsConfig, SpanKind, SpanRecorder};
-        let truth = State::from_subjects([1, 3]);
-        let mut s = SbgtSession::new(
-            Prior::flat(6, 0.1),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default().serial(),
-        );
-        assert!(!s.has_obs());
-        let rec = Arc::new(SpanRecorder::new(ObsConfig::full()));
-        s.attach_obs(Arc::clone(&rec), 7);
-        assert!(s.has_obs());
-        let outcome = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(outcome.classification.is_terminal());
-        let snap = rec.snapshot();
-        let events: Vec<_> = snap.all_events().collect();
-        let rounds = events.iter().filter(|e| e.kind == SpanKind::Round).count();
-        assert!(rounds >= 1, "each round must emit a Round span");
-        // Every span carries the attached cohort id, and Full level also
-        // captured the per-phase breakdown.
-        assert!(events.iter().all(|e| e.meta.cohort == 7));
-        for phase in ["session:marginals", "session:select", "session:observe"] {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == SpanKind::Phase && rec.name_of(e.name) == phase),
-                "missing phase span {phase}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_switch_happens_mid_run_and_still_classifies() {
-        use sbgt_lattice::SparseSwitch;
-        let truth = State::from_subjects([2, 7]);
-        let mut s = SbgtSession::new(
-            Prior::flat(10, 0.05),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default()
-                .serial()
-                .with_sparse_switch(SparseSwitch {
-                    max_support_fraction: 0.5,
-                    prune_epsilon: 1e-9,
-                }),
-        );
-        assert!(!s.is_sparse());
-        let outcome = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(outcome.classification.is_terminal());
-        assert_eq!(outcome.classification.positives(), 2);
-        // A perfect-model run collapses support fast; the switch must have
-        // fired well before classification at a 50% threshold.
-        assert!(s.is_sparse(), "session never switched to sparse");
-        let sp = s.sparse_posterior().unwrap();
-        assert!(sp.support() < 1 << 10);
-        // Conservation holds on the live sparse posterior.
-        assert!((sp.total() + sp.pruned_mass() - 1.0).abs() < 1e-9);
-        // Dense-only views still work by materializing.
-        let report = s.report(2);
-        assert!(report.entropy >= 0.0);
-    }
-
-    #[test]
-    fn sparse_snapshot_restore_is_bit_exact() {
-        use sbgt_lattice::SparseSwitch;
-        let truth = State::from_subjects([1, 6]);
-        let mk = || {
-            SbgtSession::new(
-                Prior::flat(9, 0.06),
-                BinaryDilutionModel::pcr_like(),
-                SbgtConfig::default()
-                    .serial()
-                    .with_sparse_switch(SparseSwitch {
-                        max_support_fraction: 0.5,
-                        prune_epsilon: 1e-9,
-                    }),
-            )
-        };
-        let mut s = mk();
-        // Drive until the switch fires (or the run ends, which would be a
-        // test bug at these thresholds).
-        while !s.is_sparse() {
-            assert!(
-                s.run_round(|pool| truth.intersects(pool))
-                    .finished()
-                    .is_none(),
-                "classified before switching"
-            );
-        }
-        let snap = s.snapshot();
-        assert!(snap.sparse.is_some());
-        // Byte codec round-trips the sparse section bit-for-bit.
-        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-        let mut restored =
-            SbgtSession::restore(&decoded, BinaryDilutionModel::pcr_like(), *s.config()).unwrap();
-        assert!(restored.is_sparse());
-        let (a, b) = (
-            s.sparse_posterior().unwrap(),
-            restored.sparse_posterior().unwrap(),
-        );
-        assert_eq!(a.pruned_mass().to_bits(), b.pruned_mass().to_bits());
-        assert_eq!(a.entries().len(), b.entries().len());
-        for ((sa, pa), (sb, pb)) in a.entries().iter().zip(b.entries()) {
-            assert_eq!(sa, sb);
-            assert_eq!(pa.to_bits(), pb.to_bits());
-        }
-        // Both copies finish identically.
-        let original = s.run_to_classification(|pool| truth.intersects(pool));
-        let resumed = restored.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(resumed.tests, original.tests);
-        assert_eq!(
-            resumed.classification.statuses,
-            original.classification.statuses
-        );
-        for (x, y) in resumed.marginals.iter().zip(&original.marginals) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "switched to sparse")]
-    fn dense_accessor_panics_after_switch() {
-        use sbgt_lattice::SparseSwitch;
-        let truth = State::from_subjects([0]);
-        let mut s = SbgtSession::new(
-            Prior::flat(6, 0.05),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default()
-                .serial()
-                .with_sparse_switch(SparseSwitch {
-                    max_support_fraction: 1.0,
-                    prune_epsilon: 1e-9,
-                }),
-        );
-        // With the threshold at the whole lattice, the first informative
-        // observation triggers the switch.
-        let _ = s.run_round(|pool| truth.intersects(pool));
-        assert!(s.is_sparse());
-        let _ = s.posterior();
-    }
-
-    #[test]
-    fn plan_cache_replay_is_bit_exact() {
-        use sbgt_select::{PlanCache, PlanKey, PlanLineage};
-        let risks = [0.03, 0.07, 0.02, 0.09, 0.05, 0.04, 0.08, 0.06];
-        let truth = State::from_subjects([1, 6]);
-        let config = SbgtConfig::default().serial().with_stage_width(2);
-        let mk = || {
-            SbgtSession::new(
-                Prior::from_risks(&risks),
-                BinaryDilutionModel::pcr_like(),
-                config,
-            )
-        };
-        let key = || {
-            PlanKey::new(
-                &risks,
-                &BinaryDilutionModel::pcr_like(),
-                &config.rule,
-                config.stage_width,
-                config.max_pool_size,
-                None,
-                PlanLineage::DenseSerial,
-            )
-        };
-        let mut live = mk();
-        let reference = live.run_to_classification(|pool| truth.intersects(pool));
-
-        let cache = PlanCache::new(1024);
-        let mut warming = mk();
-        warming.attach_plan(cache.handle(key()));
-        assert!(warming.has_plan());
-        let warmed = warming.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(warming.history(), live.history(), "warming run ≡ live");
-        let after_warm = cache.stats();
-        assert!(after_warm.extends > 0, "warming run must extend the tree");
-
-        // Same config replayed: every select step hits the tree, and the
-        // whole trajectory is bit-for-bit the live one.
-        let mut replay = mk();
-        replay.attach_plan(cache.handle(key()));
-        let replayed = replay.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(replay.history(), live.history(), "replay ≡ live");
-        assert_eq!(
-            cache.stats().misses,
-            after_warm.misses,
-            "replay never misses"
-        );
-        assert!(cache.stats().hits > after_warm.hits);
-        for (a, b) in replayed
-            .marginals
-            .iter()
-            .chain(&warmed.marginals)
-            .zip(reference.marginals.iter().chain(&reference.marginals))
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(
-            replayed.classification.statuses,
-            reference.classification.statuses
-        );
-    }
-
-    #[test]
-    fn impossible_observation_propagates() {
-        let mut s = SbgtSession::new(
-            Prior::flat(3, 0.1),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default().serial(),
-        );
-        let pool = State::from_subjects([0, 1, 2]);
-        s.observe(pool, false).unwrap();
-        assert!(s.observe(pool, true).is_err());
+        self.backend.snapshot_into(&mut snapshot);
+        snapshot
     }
 }

@@ -23,23 +23,21 @@
 
 use std::sync::Arc;
 
-use sbgt_bayes::{
-    classify_marginals, update_sparse_with_table, BayesError, CohortClassification, Prior,
-};
-use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel, NO_COHORT};
+use sbgt_bayes::{BayesError, Prior};
 use sbgt_engine::{Engine, StageVariant};
 use sbgt_lattice::{num_states, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
     drive_lookahead, select_halving_from_masses, select_halving_prefix_sparse,
-    select_stage_lookahead_sparse, LookaheadConfig, PlanHandle, SelectError, Selection,
+    select_stage_lookahead_sparse, LookaheadConfig, SelectError, Selection,
 };
 
 use crate::config::SbgtConfig;
 use crate::parallel::ShardedPosterior;
 use crate::report::SessionOutcome;
-use crate::session::RoundStep;
+use crate::session::{eligible_order, exact_only, Backend, RoundStep, Session};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
+use crate::sparse_session::sparse_round_on;
 
 /// The session's posterior in whichever representation is currently live:
 /// engine shards before the adaptive switch, a driver-held pruned sparse
@@ -50,306 +48,143 @@ enum ShardedState {
     Sparse(SparsePosterior),
 }
 
-/// A live group-testing session whose posterior lives as engine shards.
-pub struct ShardedSession<M> {
+/// The posterior as engine shards, plus the pipelined selection bank —
+/// private to this backend; the driver only ever asks it to select.
+pub struct ShardedBackend<M> {
     state: ShardedState,
     model: M,
-    config: SbgtConfig,
     history: Vec<(State, bool)>,
-    /// Completed stages. One observation per stage on the width-1 loop;
-    /// a look-ahead stage banks several observations under one count.
-    stages: usize,
     /// Marginals of the current posterior (kept fresh by every round).
     marginals: Vec<f64>,
     /// `(order, masses)` carried over from the last fused round: all-prefix
     /// negative masses of the *current* posterior under `order`.
     pending_selection: Option<(Vec<usize>, Vec<f64>)>,
-    /// Cohort id stamped on the session's telemetry spans (the engine's
-    /// recorder is the sink, so no recorder handle is stored here).
-    /// `None` leaves spans tagged [`NO_COHORT`].
-    cohort: Option<u64>,
-    /// Memoized selection plan. `None` (the default) selects live every
-    /// round; [`Self::attach_plan`] opts in.
-    plan: Option<PlanHandle>,
 }
 
-impl<M: BinaryOutcomeModel> ShardedSession<M> {
-    /// Open a session: shard the prior posterior into `parts` partitions
-    /// and run one marginals stage to seed the classification state.
-    pub fn new(engine: &Engine, prior: Prior, model: M, config: SbgtConfig, parts: usize) -> Self {
-        let posterior = ShardedPosterior::from_dense(&prior.to_dense(), parts);
-        let marginals = posterior.marginals(engine);
-        ShardedSession {
-            state: ShardedState::Dense(posterior),
-            model,
-            config,
-            history: Vec::new(),
-            stages: 0,
-            marginals,
-            pending_selection: None,
-            cohort: None,
-            plan: None,
+/// A live group-testing session whose posterior lives as engine shards.
+pub type ShardedSession<M> = Session<ShardedBackend<M>>;
+
+impl<M: BinaryOutcomeModel> ShardedBackend<M> {
+    /// Exact BHA over `order`: one read-only all-prefix mass stage.
+    fn select_next(
+        &self,
+        engine: &Engine,
+        config: &SbgtConfig,
+        order: &[usize],
+    ) -> Option<Selection> {
+        if order.is_empty() {
+            return None;
+        }
+        match &self.state {
+            ShardedState::Dense(p) => {
+                let masses = p.prefix_negative_masses(engine, order);
+                select_halving_from_masses(order, &masses, config.max_pool_size)
+            }
+            // Post-switch the support fits the driver: selection is a plain
+            // O(support) scan, no stage.
+            ShardedState::Sparse(s) => select_halving_prefix_sparse(s, order, config.max_pool_size),
         }
     }
 
-    /// Attach a memoized selection plan (see `sbgt_select::plancache`).
-    /// Rounds covered by the plan replay cached pool selections; rounds
-    /// that fall off the tree select live and extend it. The handle's
-    /// [`sbgt_select::PlanKey`] must carry this session's exact risks,
-    /// model, rule, widths, and the `Sharded { parts }` lineage — the
-    /// sharded summation order differs from the dense one in the last ulp,
-    /// which a shared key would surface as a near-tie selection flip.
-    pub fn attach_plan(&mut self, plan: PlanHandle) {
-        self.plan = Some(plan);
+    fn select_stage(
+        &self,
+        engine: &Engine,
+        cfg: &LookaheadConfig,
+        order: &[usize],
+    ) -> Result<Vec<Selection>, SelectError> {
+        cfg.validate()?;
+        if order.is_empty() {
+            return Ok(Vec::new());
+        }
+        match &self.state {
+            ShardedState::Dense(p) => {
+                let kernel = Arc::new(LookaheadKernel::new(p.n_subjects(), order));
+                drive_lookahead(&self.model, order, cfg, |pools| {
+                    p.lookahead_histograms(engine, &kernel, pools.to_vec())
+                })
+            }
+            ShardedState::Sparse(s) => select_stage_lookahead_sparse(s, &self.model, order, cfg),
+        }
     }
+}
 
-    /// Whether a selection plan is attached.
-    pub fn has_plan(&self) -> bool {
-        self.plan.is_some()
-    }
+impl<M: BinaryOutcomeModel> Backend for ShardedBackend<M> {
+    type Pool = State;
+    type Ctx<'a> = &'a Engine;
 
-    /// Tag this session's telemetry spans with a cohort id (the sink is
-    /// the engine's own [`SpanRecorder`], shared with stage/task spans).
-    pub fn set_cohort(&mut self, cohort: u64) {
-        self.cohort = Some(cohort);
-    }
-
-    /// The cohort id stamped on telemetry spans, if one was set.
-    pub fn cohort(&self) -> Option<u64> {
-        self.cohort
-    }
-
-    /// Cohort size.
-    pub fn n_subjects(&self) -> usize {
+    fn n_subjects(&self) -> usize {
         match &self.state {
             ShardedState::Dense(p) => p.n_subjects(),
             ShardedState::Sparse(s) => s.n_subjects(),
         }
     }
 
-    /// The sharded posterior.
-    ///
-    /// # Panics
-    /// Panics once the session has taken the adaptive dense→sparse switch
-    /// (only possible when [`SbgtConfig::sparse_switch`] is configured);
-    /// check [`Self::is_sparse`] or use [`Self::sparse_posterior`] then.
-    pub fn posterior(&self) -> &ShardedPosterior {
-        match &self.state {
-            ShardedState::Dense(p) => p,
-            ShardedState::Sparse(_) => {
-                panic!("posterior has switched to sparse; use sparse_posterior()")
-            }
-        }
+    fn tests(&self) -> usize {
+        self.history.len()
     }
 
-    /// Whether the adaptive dense→sparse switch has happened.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.state, ShardedState::Sparse(_))
+    /// No stage: the marginals are kept fresh by each round.
+    fn marginals(&self, _: &SbgtConfig) -> Vec<f64> {
+        self.marginals.clone()
     }
 
-    /// The sparse posterior, once the session has switched.
-    pub fn sparse_posterior(&self) -> Option<&SparsePosterior> {
-        match &self.state {
-            ShardedState::Sparse(s) => Some(s),
-            ShardedState::Dense(_) => None,
-        }
-    }
-
-    /// Every `(pool, outcome)` observed so far, in order.
-    pub fn history(&self) -> &[(State, bool)] {
-        &self.history
-    }
-
-    /// Completed stages. With `stage_width == 1` this equals the number of
-    /// observations; a wider look-ahead stage counts once for all its
-    /// pools (the bench-turnaround quantity of experiment E8).
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Current posterior marginals (no stage: kept fresh by each round).
-    pub fn marginals(&self) -> &[f64] {
-        &self.marginals
-    }
-
-    /// Classification under the configured rule.
-    pub fn classify(&self) -> CohortClassification {
-        classify_marginals(&self.marginals, self.config.rule)
-    }
-
-    /// Unclassified subjects by ascending marginal (ties by index) — the
-    /// candidate ordering for the halving search.
-    pub fn eligible_order(&self) -> Vec<usize> {
-        let mut eligible = self.classify().undetermined();
-        eligible.sort_by(|&a, &b| {
-            self.marginals[a]
-                .total_cmp(&self.marginals[b])
-                .then(a.cmp(&b))
-        });
-        eligible
-    }
-
-    /// Exact BHA selection: fresh eligible ordering, one read-only
-    /// all-prefix mass stage. `None` when the cohort is classified.
-    pub fn select_next(&self, engine: &Engine) -> Option<Selection> {
-        let order = self.eligible_order();
-        if order.is_empty() {
-            return None;
-        }
-        match &self.state {
-            ShardedState::Dense(p) => {
-                let masses = p.prefix_negative_masses(engine, &order);
-                select_halving_from_masses(&order, &masses, self.config.max_pool_size)
-            }
-            // Post-switch the support fits the driver: selection is a plain
-            // O(support) scan, no stage.
-            ShardedState::Sparse(s) => {
-                select_halving_prefix_sparse(s, &order, self.config.max_pool_size)
-            }
-        }
-    }
-
-    /// Select all pools of one look-ahead stage on the **engine-sharded
-    /// fused path**: each greedy step is one read-only
-    /// `lookahead:select` aggregate stage accumulating every outcome
-    /// branch's prefix-mass histogram in a single traversal of the shards
-    /// — no branch posterior is ever materialized, on the driver or on any
-    /// task. Selects bit-for-bit the same pools as the serial
-    /// clone-per-branch rule (pinned by the chaos-equivalence suite, with
-    /// and without injected faults).
-    ///
-    /// Returns an empty stage when the cohort is already classified.
-    pub fn select_stage(
-        &self,
-        engine: &Engine,
-        cfg: &LookaheadConfig,
-    ) -> Result<Vec<Selection>, SelectError> {
-        cfg.validate()?;
-        let order = self.eligible_order();
-        if order.is_empty() {
-            return Ok(Vec::new());
-        }
-        match &self.state {
-            ShardedState::Dense(p) => {
-                let kernel = Arc::new(LookaheadKernel::new(self.n_subjects(), &order));
-                drive_lookahead(&self.model, &order, cfg, |pools| {
-                    p.lookahead_histograms(engine, &kernel, pools.to_vec())
-                })
-            }
-            ShardedState::Sparse(s) => select_stage_lookahead_sparse(s, &self.model, &order, cfg),
-        }
-    }
-
-    /// Ingest one observed pooled test as a single fused in-place stage;
-    /// returns the model evidence. Refreshes the marginals and banks the
-    /// prefix masses for the next round's pipelined selection.
-    pub fn observe(
+    /// A look-ahead stage runs on the sharded fused path. The width-1 loop
+    /// is pipelined: it spends the masses banked by the previous fused
+    /// round, and only the first round (or one after a plan hit left the
+    /// bank empty) pays the extra exact-selection stage. Plan hits never
+    /// reach this method and leave the bank alone — `observe` re-banks it
+    /// every round, so a later live miss sees the same masses either way.
+    fn select(
         &mut self,
         engine: &Engine,
-        pool: State,
+        config: &SbgtConfig,
+        _marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<Selection> {
+        if config.stage_width > 1 {
+            return self
+                .select_stage(engine, &config.lookahead(), order)
+                .expect("stage width validated by SbgtConfig");
+        }
+        self.pending_selection
+            .take()
+            .and_then(|(order, masses)| {
+                select_halving_from_masses(&order, &masses, config.max_pool_size)
+            })
+            .or_else(|| self.select_next(engine, config, order))
+            .into_iter()
+            .collect()
+    }
+
+    /// One fused in-place stage: applies the update, refreshes the
+    /// marginals, and banks the prefix masses for the next round's
+    /// pipelined selection.
+    fn observe(
+        &mut self,
+        engine: &Engine,
+        config: &SbgtConfig,
+        pool: &State,
         outcome: bool,
     ) -> Result<f64, BayesError> {
-        let z = self.observe_inner(engine, pool, outcome)?;
-        self.stages += 1;
-        self.maybe_switch(engine);
-        Ok(z)
-    }
-
-    /// Ingest all observed outcomes of one look-ahead stage under a single
-    /// stage count (the pools ran concurrently on the bench; posterior
-    /// updates are sequential multiplies, so order does not matter).
-    /// Returns the joint model evidence. On an impossible observation the
-    /// error is returned after the preceding observations of the stage
-    /// have been applied — matching a wet lab that cannot un-run tests.
-    pub fn observe_stage(
-        &mut self,
-        engine: &Engine,
-        observations: &[(State, bool)],
-    ) -> Result<f64, BayesError> {
-        let mut joint = 1.0f64;
-        let mut any = false;
-        for &(pool, outcome) in observations {
-            let z = self.observe_inner(engine, pool, outcome);
-            match z {
-                Ok(z) => joint *= z,
-                Err(e) => {
-                    if any {
-                        self.stages += 1;
-                    }
-                    return Err(e);
-                }
-            }
-            any = true;
-        }
-        if any {
-            self.stages += 1;
-            self.maybe_switch(engine);
-        }
-        Ok(joint)
-    }
-
-    fn observe_inner(
-        &mut self,
-        engine: &Engine,
-        pool: State,
-        outcome: bool,
-    ) -> Result<f64, BayesError> {
-        let order = self.eligible_order();
-        let eps = self
-            .config
-            .sparse_switch
-            .map(|w| w.prune_epsilon)
-            .unwrap_or(0.0);
-        let ShardedSession {
-            state,
-            model,
-            marginals,
-            pending_selection,
-            history,
-            ..
-        } = self;
-        match state {
+        let order = eligible_order(&self.marginals, config.rule);
+        let z = match &mut self.state {
             ShardedState::Dense(p) => {
-                let round = p.fused_round(engine, model, pool, outcome, &order)?;
-                *marginals = round.marginals;
-                *pending_selection = Some((order, round.prefix_negative_masses));
-                history.push((pool, outcome));
-                Ok(round.evidence)
+                let round = p.fused_round(engine, &self.model, *pool, outcome, &order)?;
+                self.marginals = round.marginals;
+                self.pending_selection = Some((order, round.prefix_negative_masses));
+                round.evidence
             }
-            // Sparse rounds stay on the engine: the update runs as a
-            // single-task `fused-round:sparse` stage against a clone of the
-            // posterior, so the installed fault plan can kill or retry it
-            // (the closure is pure — a retry re-clones pristine input) and
-            // the commit below happens only on stage success. A permanently
-            // failed stage panics, which the service's catch_unwind recovery
-            // converts into a snapshot rollback, exactly like dense stages.
             ShardedState::Sparse(sparse) => {
-                if pool.rank() == 0 {
-                    return Err(BayesError::EmptyPool);
-                }
-                let table = model.likelihood_table(outcome, pool.rank());
-                let base = Arc::new(sparse.clone());
-                let task = {
-                    let base = Arc::clone(&base);
-                    move || {
-                        let mut p = (*base).clone();
-                        update_sparse_with_table(&mut p, pool, &table, eps).map(|z| (p, z))
-                    }
-                };
-                let results = engine
-                    .run_stage("fused-round:sparse", vec![task])
-                    .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
-                let (p, z) = results.into_iter().next().expect("one sparse task")?;
-                engine.metrics().annotate_last_job(StageVariant::Sparse {
-                    support: p.support(),
-                });
-                *marginals = p.marginals();
-                *pending_selection = None;
-                history.push((pool, outcome));
+                let eps = config.sparse_switch.map_or(0.0, |w| w.prune_epsilon);
+                let (p, z) = sparse_round_on(engine, &self.model, sparse, *pool, outcome, eps)?;
+                self.marginals = p.marginals();
+                self.pending_selection = None;
                 *sparse = p;
-                Ok(z)
+                z
             }
-        }
+        };
+        self.history.push((*pool, outcome));
+        Ok(z)
     }
 
     /// After a dense stage, take the dense→sparse switch if configured and
@@ -357,8 +192,8 @@ impl<M: BinaryOutcomeModel> ShardedSession<M> {
     /// counting stage per round while dense, plus a final `sparse:collect`
     /// stage that materializes the pruned posterior on the driver. Matches
     /// [`sbgt_lattice::HybridPosterior::maybe_switch`]'s predicate exactly.
-    fn maybe_switch(&mut self, engine: &Engine) {
-        let Some(switch) = self.config.sparse_switch else {
+    fn end_stage(&mut self, engine: &Engine, config: &SbgtConfig) {
+        let Some(switch) = config.sparse_switch else {
             return;
         };
         let ShardedState::Dense(p) = &self.state else {
@@ -379,236 +214,183 @@ impl<M: BinaryOutcomeModel> ShardedSession<M> {
         self.state = ShardedState::Sparse(sparse);
     }
 
-    /// Drive the session to classification against a lab oracle, one fused
-    /// stage per round. Stops when the cohort is classified, the stage cap
-    /// is reached, or an observation is impossible under the model.
-    ///
-    /// Under a fault-tolerant engine the whole run survives injected or
-    /// real task failures with an identical outcome: every stage recovers
-    /// bit-for-bit, so pool selection — which feeds on posterior bits —
-    /// never diverges from a fault-free run.
-    /// With `config.stage_width > 1` each round is a look-ahead stage on
-    /// the sharded fused path: [`Self::select_stage`] picks all the
-    /// stage's pools up front, the lab runs them together, and
-    /// [`Self::observe_stage`] ingests every outcome under one stage
-    /// count.
-    pub fn run_to_classification(
-        &mut self,
-        engine: &Engine,
-        mut lab: impl FnMut(State) -> bool,
-    ) -> SessionOutcome {
-        loop {
-            if let RoundStep::Finished(outcome) = self.run_round(engine, &mut lab) {
-                return outcome;
+    fn plan_history(&self) -> Option<&[(State, bool)]> {
+        Some(&self.history)
+    }
+
+    /// Posterior shards (exact bits, partition boundaries preserved),
+    /// normalization constant, fresh marginals, and the pipelined selection
+    /// bank. Shard storage is captured by value so the snapshot stays valid
+    /// across later in-place rounds.
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
+        snapshot.history = self.history.clone();
+        snapshot.marginals = self.marginals.clone();
+        snapshot.pending_selection = self.pending_selection.clone();
+        match &self.state {
+            ShardedState::Dense(p) => {
+                snapshot.shards = p.shard_values();
+                snapshot.total = p.total();
+            }
+            ShardedState::Sparse(s) => {
+                snapshot.total = s.total();
+                snapshot.sparse = Some(SparseSnapshot::of(s));
             }
         }
     }
+}
 
-    /// Drive exactly one round (classify → select → lab → observe) — the
-    /// unit a multi-cohort service schedules onto a shared engine.
-    /// [`Self::run_to_classification`] is a loop over this, so round-stepped
-    /// and batch trajectories are identical by construction.
-    pub fn run_round(&mut self, engine: &Engine, mut lab: impl FnMut(State) -> bool) -> RoundStep {
-        let rec = engine.obs();
-        if !rec.enabled_at(TraceLevel::Spans) {
-            return self.run_round_inner(engine, &mut lab, None);
-        }
-        let rec = Arc::clone(rec);
-        let start = rec.now_ns();
-        let step = self.run_round_inner(engine, &mut lab, Some(&rec));
-        let name = rec.intern("session:round");
-        rec.record_span_ending_now(
-            SpanKind::Round,
-            name,
-            start,
-            SpanMeta::for_cohort(self.cohort.unwrap_or(NO_COHORT)),
-        );
-        step
-    }
-
-    /// Record `name` as a `Phase` span covering `start..now` on `rec`,
-    /// tagged with this session's cohort. Phase detail is
-    /// [`TraceLevel::Full`] only; the caller passes `start: None` below
-    /// that level so untraced rounds never read the clock.
-    fn obs_phase(&self, rec: Option<&SpanRecorder>, name: &str, start: Option<u64>) {
-        if let (Some(rec), Some(start)) = (rec, start) {
-            let name = rec.intern(name);
-            rec.record_span_ending_now(
-                SpanKind::Phase,
-                name,
-                start,
-                SpanMeta::for_cohort(self.cohort.unwrap_or(NO_COHORT)),
-            );
-        }
-    }
-
-    fn obs_phase_start(rec: Option<&SpanRecorder>) -> Option<u64> {
-        rec.filter(|r| r.enabled_at(TraceLevel::Full))
-            .map(|r| r.now_ns())
-    }
-
-    fn run_round_inner(
-        &mut self,
-        engine: &Engine,
-        lab: &mut impl FnMut(State) -> bool,
-        rec: Option<&SpanRecorder>,
-    ) -> RoundStep {
-        let classification = self.classify();
-        if classification.is_terminal() || self.stages() >= self.config.max_stages {
-            return RoundStep::Finished(self.outcome(classification));
-        }
-        if self.config.stage_width > 1 {
-            let cfg = self.config.lookahead();
-            let t = Self::obs_phase_start(rec);
-            // A plan hit replays the memoized stage for this exact
-            // observation history; a miss selects live and extends the tree.
-            let stage = match self.plan.as_ref().and_then(|p| p.lookup(&self.history)) {
-                Some(cached) => cached,
-                None => {
-                    let live = self
-                        .select_stage(engine, &cfg)
-                        .expect("stage width validated by SbgtConfig");
-                    if let Some(plan) = &self.plan {
-                        plan.extend(&self.history, &live);
-                    }
-                    live
-                }
-            };
-            self.obs_phase(rec, "session:select", t);
-            if stage.is_empty() {
-                return RoundStep::Finished(self.outcome(classification));
-            }
-            let t = Self::obs_phase_start(rec);
-            let observations: Vec<(State, bool)> =
-                stage.iter().map(|s| (s.pool, lab(s.pool))).collect();
-            let observed = self.observe_stage(engine, &observations);
-            self.obs_phase(rec, "session:observe", t);
-            if observed.is_err() {
-                return RoundStep::Finished(self.outcome(self.classify()));
-            }
-            return RoundStep::Progressed;
-        }
-        // Pipelined fast path: masses banked by the previous fused
-        // round. First round (or after a miss) pays one extra stage.
-        // Plan hits leave the bank alone — observe re-banks it every
-        // round, so a later live miss sees the same masses either way.
-        let t = Self::obs_phase_start(rec);
-        let selection = match self.plan.as_ref().and_then(|p| p.lookup(&self.history)) {
-            Some(cached) => cached.into_iter().next(),
-            None => {
-                let live = self
-                    .pending_selection
-                    .take()
-                    .and_then(|(order, masses)| {
-                        select_halving_from_masses(&order, &masses, self.config.max_pool_size)
-                    })
-                    .or_else(|| self.select_next(engine));
-                if let (Some(plan), Some(sel)) = (&self.plan, &live) {
-                    plan.extend(&self.history, std::slice::from_ref(sel));
-                }
-                live
-            }
+impl<M: BinaryOutcomeModel> Session<ShardedBackend<M>> {
+    /// Open a session: shard the prior posterior into `parts` partitions
+    /// and run one marginals stage to seed the classification state.
+    pub fn new(engine: &Engine, prior: Prior, model: M, config: SbgtConfig, parts: usize) -> Self {
+        let posterior = ShardedPosterior::from_dense(&prior.to_dense(), parts);
+        let marginals = posterior.marginals(engine);
+        let backend = ShardedBackend {
+            state: ShardedState::Dense(posterior),
+            model,
+            history: Vec::new(),
+            marginals,
+            pending_selection: None,
         };
-        self.obs_phase(rec, "session:select", t);
-        let Some(selection) = selection else {
-            return RoundStep::Finished(self.outcome(classification));
-        };
-        let t = Self::obs_phase_start(rec);
-        let outcome = lab(selection.pool);
-        let observed = self.observe(engine, selection.pool, outcome);
-        self.obs_phase(rec, "session:observe", t);
-        if observed.is_err() {
-            return RoundStep::Finished(self.outcome(self.classify()));
-        }
-        RoundStep::Progressed
-    }
-
-    /// Capture the full session state — posterior shards (exact bits,
-    /// partition boundaries preserved), normalization constant, committed
-    /// pools, round counter, fresh marginals, and the pipelined selection
-    /// bank. Cheap relative to a running session: shard storage is captured
-    /// by value so the snapshot stays valid across later in-place rounds.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        let (shards, total, sparse) = match &self.state {
-            ShardedState::Dense(p) => (p.shard_values(), p.total(), None),
-            ShardedState::Sparse(s) => (
-                Vec::new(),
-                s.total(),
-                Some(SparseSnapshot {
-                    entries: s.entries().to_vec(),
-                    pruned_mass: s.pruned_mass(),
-                }),
-            ),
-        };
-        SessionSnapshot {
-            n_subjects: self.n_subjects(),
-            shards,
-            total,
-            history: self.history.clone(),
-            stages: self.stages,
-            marginals: self.marginals.clone(),
-            pending_selection: self.pending_selection.clone(),
-            sparse,
-            approx: None,
-        }
+        Session::open(backend, config)
     }
 
     /// Rehydrate a session from a snapshot, without touching the engine
     /// (the marginals were snapshotted fresh, so no bootstrap stage runs).
-    /// The model and config are the cohort's static spec, supplied by the
-    /// caller. Posterior values, marginals, and the selection bank are
-    /// restored exactly, so the session continues bit-for-bit.
+    /// Posterior values, marginals, and the selection bank are restored
+    /// exactly, so the session continues bit-for-bit.
     pub fn restore(
         snapshot: &SessionSnapshot,
         model: M,
         config: SbgtConfig,
     ) -> Result<Self, SnapshotError> {
-        snapshot.validate()?;
-        if snapshot.approx.is_some() {
-            return Err(SnapshotError::Corrupt(
-                "approx snapshot cannot restore an exact session".into(),
-            ));
-        }
-        if snapshot.marginals.len() != snapshot.n_subjects {
-            return Err(SnapshotError::Corrupt(format!(
-                "sharded restore needs {} marginals, snapshot holds {}",
-                snapshot.n_subjects,
-                snapshot.marginals.len()
-            )));
-        }
-        let state = match &snapshot.sparse {
-            Some(sp) => ShardedState::Sparse(SparsePosterior::from_parts(
-                snapshot.n_subjects,
-                sp.entries.clone(),
-                sp.pruned_mass,
-            )),
-            None => ShardedState::Dense(ShardedPosterior::from_shards(
-                snapshot.n_subjects,
-                snapshot.shards.clone(),
-                snapshot.total,
-            )?),
-        };
-        Ok(ShardedSession {
-            state,
-            model,
-            config,
-            history: snapshot.history.clone(),
-            stages: snapshot.stages,
-            marginals: snapshot.marginals.clone(),
-            pending_selection: snapshot.pending_selection.clone(),
-            cohort: None,
-            plan: None,
+        Session::resume(snapshot, config, |snapshot| {
+            exact_only(snapshot)?;
+            if snapshot.marginals.len() != snapshot.n_subjects {
+                return Err(SnapshotError::Corrupt(format!(
+                    "sharded restore needs {} marginals, snapshot holds {}",
+                    snapshot.n_subjects,
+                    snapshot.marginals.len()
+                )));
+            }
+            let state = match &snapshot.sparse {
+                Some(sp) => ShardedState::Sparse(sp.posterior(snapshot.n_subjects)),
+                None => ShardedState::Dense(ShardedPosterior::from_shards(
+                    snapshot.n_subjects,
+                    snapshot.shards.clone(),
+                    snapshot.total,
+                )?),
+            };
+            Ok(ShardedBackend {
+                state,
+                model,
+                history: snapshot.history.clone(),
+                marginals: snapshot.marginals.clone(),
+                pending_selection: snapshot.pending_selection.clone(),
+            })
         })
     }
 
-    fn outcome(&self, classification: CohortClassification) -> SessionOutcome {
-        SessionOutcome {
-            tests: self.history.len(),
-            stages: self.stages(),
-            subjects: self.n_subjects(),
-            classification,
-            marginals: self.marginals.clone(),
+    /// The sharded posterior.
+    ///
+    /// # Panics
+    /// Panics once the session has taken the adaptive dense→sparse switch
+    /// (only possible when [`SbgtConfig::sparse_switch`] is configured);
+    /// check [`Self::is_sparse`] or use [`Self::sparse_posterior`] then.
+    pub fn posterior(&self) -> &ShardedPosterior {
+        match &self.backend().state {
+            ShardedState::Dense(p) => p,
+            ShardedState::Sparse(_) => {
+                panic!("posterior has switched to sparse; use sparse_posterior()")
+            }
         }
+    }
+
+    /// Whether the adaptive dense→sparse switch has happened.
+    pub fn is_sparse(&self) -> bool {
+        matches!(self.backend().state, ShardedState::Sparse(_))
+    }
+
+    /// The sparse posterior, once the session has switched.
+    pub fn sparse_posterior(&self) -> Option<&SparsePosterior> {
+        match &self.backend().state {
+            ShardedState::Sparse(s) => Some(s),
+            ShardedState::Dense(_) => None,
+        }
+    }
+
+    /// Every `(pool, outcome)` observed so far, in order.
+    pub fn history(&self) -> &[(State, bool)] {
+        &self.backend().history
+    }
+
+    /// Exact BHA selection: fresh eligible ordering, one read-only
+    /// all-prefix mass stage. `None` when the cohort is classified.
+    pub fn select_next(&self, engine: &Engine) -> Option<Selection> {
+        self.backend()
+            .select_next(engine, self.config(), &self.eligible_order())
+    }
+
+    /// Select all pools of one look-ahead stage on the **engine-sharded
+    /// fused path**: each greedy step is one read-only
+    /// `lookahead:select` aggregate stage accumulating every outcome
+    /// branch's prefix-mass histogram in a single traversal of the shards
+    /// — no branch posterior is ever materialized, on the driver or on any
+    /// task. Selects bit-for-bit the same pools as the serial
+    /// clone-per-branch rule (pinned by the chaos-equivalence suite, with
+    /// and without injected faults).
+    ///
+    /// Returns an empty stage when the cohort is already classified.
+    pub fn select_stage(
+        &self,
+        engine: &Engine,
+        cfg: &LookaheadConfig,
+    ) -> Result<Vec<Selection>, SelectError> {
+        self.backend()
+            .select_stage(engine, cfg, &self.eligible_order())
+    }
+
+    /// Ingest one observed pooled test as a single fused in-place stage;
+    /// returns the model evidence.
+    pub fn observe(
+        &mut self,
+        engine: &Engine,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        self.observe_in(engine, &pool, outcome)
+    }
+
+    /// Ingest all observed outcomes of one look-ahead stage under a single
+    /// stage count; returns the joint model evidence. Stage accounting is
+    /// [`Session::observe_stage_in`]'s.
+    pub fn observe_stage(
+        &mut self,
+        engine: &Engine,
+        observations: &[(State, bool)],
+    ) -> Result<f64, BayesError> {
+        self.observe_stage_in(engine, observations.iter().map(|(p, o)| (p, *o)))
+    }
+
+    /// Drive the session to classification against a lab oracle, one fused
+    /// stage per round ([`Session::run`]).
+    ///
+    /// Under a fault-tolerant engine the whole run survives injected or
+    /// real task failures with an identical outcome: every stage recovers
+    /// bit-for-bit, so pool selection — which feeds on posterior bits —
+    /// never diverges from a fault-free run.
+    pub fn run_to_classification(
+        &mut self,
+        engine: &Engine,
+        mut lab: impl FnMut(State) -> bool,
+    ) -> SessionOutcome {
+        self.run(engine, |pool| lab(*pool))
+    }
+
+    /// Drive exactly one round ([`Session::round`]) — the unit a
+    /// multi-cohort service schedules onto a shared engine.
+    pub fn run_round(&mut self, engine: &Engine, mut lab: impl FnMut(State) -> bool) -> RoundStep {
+        self.round(engine, |pool| lab(*pool))
     }
 }
 
@@ -632,31 +414,6 @@ mod tests {
     /// different — equally valid — BHA trajectories.
     fn distinct_risks() -> Prior {
         Prior::from_risks(&[0.03, 0.07, 0.02, 0.09, 0.05, 0.04, 0.08, 0.06, 0.025, 0.045])
-    }
-
-    #[test]
-    fn fused_loop_classifies_with_perfect_oracle() {
-        let e = engine();
-        let truth = State::from_subjects([4, 9]);
-        let mut s = ShardedSession::new(
-            &e,
-            distinct_risks(),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default(),
-            4,
-        );
-        let outcome = s.run_to_classification(&e, |pool| truth.intersects(pool));
-        assert!(outcome.classification.is_terminal());
-        assert_eq!(outcome.classification.positives(), 2);
-        assert_eq!(
-            outcome.classification.statuses[4],
-            sbgt_bayes::SubjectStatus::Positive
-        );
-        assert_eq!(
-            outcome.classification.statuses[9],
-            sbgt_bayes::SubjectStatus::Positive
-        );
-        assert!(outcome.tests < 10, "group testing must beat individual");
     }
 
     #[test]
@@ -777,46 +534,8 @@ mod tests {
     }
 
     #[test]
-    fn impossible_observation_ends_run() {
-        let e = engine();
-        let mut s = ShardedSession::new(
-            &e,
-            Prior::flat(4, 0.1),
-            BinaryDilutionModel::perfect(),
-            SbgtConfig::default(),
-            2,
-        );
-        let pool = State::from_subjects([0, 1, 2, 3]);
-        s.observe(&e, pool, false).unwrap();
-        assert_eq!(
-            s.observe(&e, pool, true).unwrap_err(),
-            BayesError::ImpossibleObservation
-        );
-    }
-
-    #[test]
-    fn round_stepping_matches_batch_run() {
-        let e = engine();
-        let truth = State::from_subjects([3, 7]);
-        let model = BinaryDilutionModel::perfect();
-        for width in [1usize, 3] {
-            let config = SbgtConfig::default().with_stage_width(width);
-            let mut batch = ShardedSession::new(&e, distinct_risks(), model, config, 4);
-            let expected = batch.run_to_classification(&e, |pool| truth.intersects(pool));
-            let mut stepped = ShardedSession::new(&e, distinct_risks(), model, config, 4);
-            let outcome = loop {
-                if let RoundStep::Finished(o) = stepped.run_round(&e, |pool| truth.intersects(pool))
-                {
-                    break o;
-                }
-            };
-            assert_eq!(outcome, expected, "width {width}");
-        }
-    }
-
-    #[test]
     fn engine_recorder_captures_cohort_tagged_round_spans() {
-        use sbgt_engine::obs::ObsConfig;
+        use sbgt_engine::obs::{ObsConfig, SpanKind};
         let e = Engine::new(
             EngineConfig::default()
                 .with_threads(2)
@@ -920,97 +639,6 @@ mod tests {
         assert!(sharded.is_sparse() && dense.is_sparse());
         for (a, b) in so.marginals.iter().zip(&do_.marginals) {
             assert!(close(*a, *b), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn sparse_snapshot_restore_is_bit_exact() {
-        use sbgt_lattice::SparseSwitch;
-        let e = engine();
-        let truth = State::from_subjects([2, 6]);
-        let config = SbgtConfig::default().with_sparse_switch(SparseSwitch {
-            max_support_fraction: 0.5,
-            prune_epsilon: 1e-9,
-        });
-        let model = BinaryDilutionModel::pcr_like();
-        let mut live = ShardedSession::new(&e, distinct_risks(), model, config, 4);
-        while !live.is_sparse() {
-            assert!(
-                matches!(
-                    live.run_round(&e, |pool| truth.intersects(pool)),
-                    RoundStep::Progressed
-                ),
-                "classified before switching"
-            );
-        }
-        let snap = live.snapshot();
-        assert!(snap.sparse.is_some());
-        assert!(snap.shards.is_empty());
-        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-        let mut restored = ShardedSession::restore(&decoded, model, config).unwrap();
-        assert!(restored.is_sparse());
-        {
-            let (a, b) = (
-                live.sparse_posterior().unwrap(),
-                restored.sparse_posterior().unwrap(),
-            );
-            assert_eq!(a.pruned_mass().to_bits(), b.pruned_mass().to_bits());
-            for ((sa, pa), (sb, pb)) in a.entries().iter().zip(b.entries()) {
-                assert_eq!(sa, sb);
-                assert_eq!(pa.to_bits(), pb.to_bits());
-            }
-        }
-        let expected = live.run_to_classification(&e, |pool| truth.intersects(pool));
-        let outcome = restored.run_to_classification(&e, |pool| truth.intersects(pool));
-        assert_eq!(outcome, expected);
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_exact_mid_run() {
-        let e = engine();
-        let truth = State::from_subjects([1, 8]);
-        let model = BinaryDilutionModel::pcr_like();
-        let config = SbgtConfig::default();
-        // Reference: run uninterrupted, recording every selection.
-        let mut reference = ShardedSession::new(&e, distinct_risks(), model, config, 4);
-        let mut ref_pools = Vec::new();
-        let expected = reference.run_to_classification(&e, |pool| {
-            ref_pools.push(pool);
-            truth.intersects(pool)
-        });
-        // Candidate: snapshot after three rounds (pending_selection banked),
-        // round-trip the byte codec, restore, and finish.
-        let mut live = ShardedSession::new(&e, distinct_risks(), model, config, 4);
-        for _ in 0..3 {
-            assert!(matches!(
-                live.run_round(&e, |pool| truth.intersects(pool)),
-                RoundStep::Progressed
-            ));
-        }
-        let snap = live.snapshot();
-        assert!(snap.pending_selection.is_some(), "fused rounds bank masses");
-        let bytes = snap.to_bytes();
-        let decoded = SessionSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, snap);
-        drop(live);
-        let mut restored = ShardedSession::restore(&decoded, model, config).unwrap();
-        let mut pools = restored
-            .history()
-            .iter()
-            .map(|(p, _)| *p)
-            .collect::<Vec<_>>();
-        let outcome = restored.run_to_classification(&e, |pool| {
-            pools.push(pool);
-            truth.intersects(pool)
-        });
-        assert_eq!(pools, ref_pools, "selection trajectory must be identical");
-        assert_eq!(outcome, expected);
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits(), "bit-exact marginals");
         }
     }
 }

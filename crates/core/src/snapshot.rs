@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sbgt_lattice::State;
+use sbgt_lattice::{SparsePosterior, State};
 
 /// Which approximate backend produced an [`ApproxSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,6 +107,21 @@ pub struct SparseSnapshot {
     pub entries: Vec<(State, f64)>,
     /// Mass discarded by pruning so far (the conservation record).
     pub pruned_mass: f64,
+}
+
+impl SparseSnapshot {
+    /// Capture a live sparse posterior.
+    pub fn of(posterior: &SparsePosterior) -> Self {
+        SparseSnapshot {
+            entries: posterior.entries().to_vec(),
+            pruned_mass: posterior.pruned_mass(),
+        }
+    }
+
+    /// Rebuild the sparse posterior over `n_subjects`, bit for bit.
+    pub fn posterior(&self, n_subjects: usize) -> SparsePosterior {
+        SparsePosterior::from_parts(n_subjects, self.entries.clone(), self.pruned_mass)
+    }
 }
 
 /// Full state of a session at a round boundary (or mid-stage: any point

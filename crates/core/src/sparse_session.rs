@@ -8,51 +8,163 @@
 //! it trades a bounded marginal error (`≲ ε · support` per step) for
 //! order-of-magnitude cheaper updates.
 //!
-//! The surface mirrors [`crate::SbgtSession`] — including the
-//! [`RoundStep`] stepping API a multi-cohort service schedules, telemetry
-//! attachment, and bit-exact snapshot/restore — plus
-//! [`SparseSession::run_round_on`], which runs each round's update as a
-//! fault-injectable engine stage so chaos campaigns cover sparse cohorts
-//! exactly like sharded ones. Tests pin the `ε = 0` case to the dense
-//! session bit-for-bit (modulo float reduction order).
+//! The round context is an optional engine: [`SparseSession::run_round`]
+//! applies the update on the driver, [`SparseSession::run_round_on`] runs
+//! it as a fault-injectable engine stage so chaos campaigns cover sparse
+//! cohorts exactly like sharded ones. Tests pin the `ε = 0` case to the
+//! dense session bit-for-bit (modulo float reduction order).
 
 use std::sync::Arc;
 
-use sbgt_bayes::{
-    classify_marginals, update_sparse, update_sparse_with_table, BayesError, CohortClassification,
-    Observation, Prior,
-};
-use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
+use sbgt_bayes::{update_sparse, update_sparse_with_table, BayesError, Observation, Prior};
 use sbgt_engine::{Engine, StageVariant};
 use sbgt_lattice::{SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
-    select_halving_prefix_sparse, select_stage_lookahead_sparse, PlanHandle, SelectError, Selection,
+    select_halving_prefix_sparse, select_stage_lookahead_sparse, LookaheadConfig, SelectError,
+    Selection,
 };
 
 use crate::config::{ConfigError, SbgtConfig};
 use crate::report::SessionOutcome;
-use crate::session::RoundStep;
+use crate::session::{exact_only, Backend, RoundStep, Session};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
 
-/// A session whose posterior lives in the pruned sparse representation.
-pub struct SparseSession<M> {
+/// One sparse update as a single-task engine stage named
+/// `fused-round:sparse`: the update runs against a clone of `posterior`
+/// inside the stage, so the engine's installed fault plan can kill or retry
+/// it (the closure is pure — a retry re-clones pristine input) and the
+/// caller commits the returned posterior only on stage success. The job is
+/// annotated [`StageVariant::Sparse`] with the post-update support.
+///
+/// # Panics
+/// Panics when the stage fails permanently (retry budget exhausted) — the
+/// same contract as the sharded session's fused rounds, which a supervising
+/// service converts into a snapshot rollback.
+pub(crate) fn sparse_round_on<M: BinaryOutcomeModel>(
+    engine: &Engine,
+    model: &M,
+    posterior: &SparsePosterior,
+    pool: State,
+    outcome: bool,
+    prune_epsilon: f64,
+) -> Result<(SparsePosterior, f64), BayesError> {
+    if pool.rank() == 0 {
+        return Err(BayesError::EmptyPool);
+    }
+    let table = model.likelihood_table(outcome, pool.rank());
+    let base = Arc::new(posterior.clone());
+    let task = move || {
+        let mut p = (*base).clone();
+        update_sparse_with_table(&mut p, pool, &table, prune_epsilon).map(|z| (p, z))
+    };
+    let results = engine
+        .run_stage("fused-round:sparse", vec![task])
+        .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
+    let (p, z) = results.into_iter().next().expect("one sparse task")?;
+    engine.metrics().annotate_last_job(StageVariant::Sparse {
+        support: p.support(),
+    });
+    Ok((p, z))
+}
+
+/// The posterior in the pruned sparse representation, re-pruned after
+/// every update.
+pub struct SparseBackend<M> {
     posterior: SparsePosterior,
     model: M,
-    config: SbgtConfig,
     /// Pruning threshold applied after every observation (`0.0` disables).
     prune_epsilon: f64,
     history: Vec<(State, bool)>,
-    stages: usize,
-    /// Telemetry sink and the cohort id stamped on every span. `None`
-    /// (the default) records nothing; [`Self::attach_obs`] opts in.
-    obs: Option<(Arc<SpanRecorder>, u64)>,
-    /// Memoized selection plan. `None` (the default) selects live every
-    /// round; [`Self::attach_plan`] opts in.
-    plan: Option<PlanHandle>,
 }
 
-impl<M: BinaryOutcomeModel> SparseSession<M> {
+/// A session whose posterior lives in the pruned sparse representation.
+pub type SparseSession<M> = Session<SparseBackend<M>>;
+
+fn check_epsilon(prune_epsilon: f64) -> Result<(), String> {
+    if (0.0..1.0).contains(&prune_epsilon) {
+        Ok(())
+    } else {
+        Err(format!("prune epsilon {prune_epsilon} outside [0, 1)"))
+    }
+}
+
+impl<M: BinaryOutcomeModel> Backend for SparseBackend<M> {
+    type Pool = State;
+    type Ctx<'a> = Option<&'a Engine>;
+
+    fn n_subjects(&self) -> usize {
+        self.posterior.n_subjects()
+    }
+
+    fn tests(&self) -> usize {
+        self.history.len()
+    }
+
+    /// Marginals over the retained mass.
+    fn marginals(&self, _: &SbgtConfig) -> Vec<f64> {
+        self.posterior.marginals()
+    }
+
+    /// Selection stays on the driver even under an engine: post-prune the
+    /// support is tiny, so only the update is worth a stage.
+    fn select(
+        &mut self,
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        _marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<Selection> {
+        if config.stage_width <= 1 {
+            select_halving_prefix_sparse(&self.posterior, order, config.max_pool_size)
+                .into_iter()
+                .collect()
+        } else {
+            select_stage_lookahead_sparse(&self.posterior, &self.model, order, &config.lookahead())
+                .expect("stage width validated by SbgtConfig")
+        }
+    }
+
+    /// Sparse fused update + re-prune, on the driver or — when the context
+    /// carries an engine — as a [`sparse_round_on`] stage.
+    fn observe(
+        &mut self,
+        engine: Option<&Engine>,
+        _: &SbgtConfig,
+        pool: &State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        let z = match engine {
+            Some(engine) => {
+                let eps = self.prune_epsilon;
+                let (p, z) =
+                    sparse_round_on(engine, &self.model, &self.posterior, *pool, outcome, eps)?;
+                self.posterior = p;
+                z
+            }
+            None => update_sparse(
+                &mut self.posterior,
+                &self.model,
+                &Observation::new(*pool, outcome),
+                self.prune_epsilon,
+            )?,
+        };
+        self.history.push((*pool, outcome));
+        Ok(z)
+    }
+
+    fn plan_history(&self) -> Option<&[(State, bool)]> {
+        Some(&self.history)
+    }
+
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
+        snapshot.history = self.history.clone();
+        snapshot.total = self.posterior.total();
+        snapshot.sparse = Some(SparseSnapshot::of(&self.posterior));
+    }
+}
+
+impl<M: BinaryOutcomeModel> Session<SparseBackend<M>> {
     /// Open a sparse session. `prune_epsilon` is the per-update relative
     /// mass threshold below which states are dropped (`1e-9` is a good
     /// default per E10; `0.0` keeps everything). An out-of-range epsilon is
@@ -66,358 +178,125 @@ impl<M: BinaryOutcomeModel> SparseSession<M> {
         config: SbgtConfig,
         prune_epsilon: f64,
     ) -> Result<Self, ConfigError> {
-        if !(0.0..1.0).contains(&prune_epsilon) {
-            return Err(ConfigError::InvalidArgument(format!(
-                "prune epsilon {prune_epsilon} outside [0, 1)"
-            )));
-        }
-        Ok(SparseSession {
+        check_epsilon(prune_epsilon).map_err(ConfigError::InvalidArgument)?;
+        let backend = SparseBackend {
             posterior: prior.to_sparse(prune_epsilon),
             model,
-            config,
             prune_epsilon,
             history: Vec::new(),
-            stages: 0,
-            obs: None,
-            plan: None,
-        })
-    }
-
-    /// Attach a telemetry recorder; every subsequent round emits a
-    /// `session:round` span tagged with `cohort`. Sessions driven by an
-    /// engine-backed service share the engine's recorder so all lanes land
-    /// in one trace.
-    pub fn attach_obs(&mut self, recorder: Arc<SpanRecorder>, cohort: u64) {
-        self.obs = Some((recorder, cohort));
-    }
-
-    /// Whether a telemetry recorder is attached (used for lazy attach).
-    pub fn has_obs(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    /// Attach a memoized selection plan (see `sbgt_select::plancache`).
-    /// Rounds covered by the plan replay cached pool selections; rounds
-    /// that fall off the tree select live and extend it. The handle's
-    /// [`sbgt_select::PlanKey`] must carry this session's exact risks,
-    /// model, rule, widths, and the `Sparse { epsilon }` lineage — pruning
-    /// perturbs marginals, so sparse trajectories must not share a tree
-    /// with dense ones.
-    pub fn attach_plan(&mut self, plan: PlanHandle) {
-        self.plan = Some(plan);
-    }
-
-    /// Whether a selection plan is attached.
-    pub fn has_plan(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Cohort size.
-    pub fn n_subjects(&self) -> usize {
-        self.posterior.n_subjects()
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &SbgtConfig {
-        &self.config
-    }
-
-    /// The per-update prune threshold this session was opened with.
-    pub fn prune_epsilon(&self) -> f64 {
-        self.prune_epsilon
-    }
-
-    /// Current working-set size (retained states).
-    pub fn support(&self) -> usize {
-        self.posterior.support()
-    }
-
-    /// Total mass discarded by pruning so far.
-    pub fn pruned_mass(&self) -> f64 {
-        self.posterior.pruned_mass()
-    }
-
-    /// Borrow the sparse posterior.
-    pub fn posterior(&self) -> &SparsePosterior {
-        &self.posterior
-    }
-
-    /// Observed history.
-    pub fn history(&self) -> &[(State, bool)] {
-        &self.history
-    }
-
-    /// Stage count.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Posterior marginals over the retained mass.
-    pub fn marginals(&self) -> Vec<f64> {
-        self.posterior.marginals()
-    }
-
-    /// Classification under the configured rule.
-    pub fn classify(&self) -> CohortClassification {
-        classify_marginals(&self.marginals(), self.config.rule)
-    }
-
-    /// Ingest one observation: sparse fused update + re-prune.
-    pub fn observe(&mut self, pool: State, outcome: bool) -> Result<f64, BayesError> {
-        let z = update_sparse(
-            &mut self.posterior,
-            &self.model,
-            &Observation::new(pool, outcome),
-            self.prune_epsilon,
-        )?;
-        self.history.push((pool, outcome));
-        self.stages += 1;
-        Ok(z)
-    }
-
-    /// [`Self::observe`] as a single-task engine stage named
-    /// `fused-round:sparse`: the update runs against a clone of the
-    /// posterior inside the stage, so the engine's installed fault plan can
-    /// kill or retry it (the closure is pure — a retry re-clones pristine
-    /// input) and the posterior commits only on stage success. The job is
-    /// annotated [`StageVariant::Sparse`] with the post-update support.
-    ///
-    /// # Panics
-    /// Panics when the stage fails permanently (retry budget exhausted) —
-    /// the same contract as the sharded session's fused rounds, which a
-    /// supervising service converts into a snapshot rollback.
-    pub fn observe_on(
-        &mut self,
-        engine: &Engine,
-        pool: State,
-        outcome: bool,
-    ) -> Result<f64, BayesError> {
-        if pool.rank() == 0 {
-            return Err(BayesError::EmptyPool);
-        }
-        let table = self.model.likelihood_table(outcome, pool.rank());
-        let eps = self.prune_epsilon;
-        let base = Arc::new(self.posterior.clone());
-        let task = {
-            let base = Arc::clone(&base);
-            move || {
-                let mut p = (*base).clone();
-                update_sparse_with_table(&mut p, pool, &table, eps).map(|z| (p, z))
-            }
         };
-        let results = engine
-            .run_stage("fused-round:sparse", vec![task])
-            .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
-        let (p, z) = results.into_iter().next().expect("one sparse task")?;
-        engine.metrics().annotate_last_job(StageVariant::Sparse {
-            support: p.support(),
-        });
-        self.posterior = p;
-        self.history.push((pool, outcome));
-        self.stages += 1;
-        Ok(z)
+        Ok(Session::open(backend, config))
     }
 
-    /// Unclassified subjects by ascending marginal (ties by index) — the
-    /// candidate ordering for the halving search.
-    pub fn eligible_order(&self) -> Vec<usize> {
-        let marginals = self.marginals();
-        let mut eligible = classify_marginals(&marginals, self.config.rule).undetermined();
-        eligible.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
-        eligible
-    }
-
-    /// Halving selection over the retained states (sparse prefix masses).
-    pub fn select_next(&self) -> Option<Selection> {
-        select_halving_prefix_sparse(
-            &self.posterior,
-            &self.eligible_order(),
-            self.config.max_pool_size,
-        )
-    }
-
-    /// Look-ahead stage selection over the retained states: up to `width`
-    /// pools for one lab round on the sparse branch-fused path.
-    pub fn select_stage(&self, width: usize) -> Result<Vec<Selection>, SelectError> {
-        let cfg = sbgt_select::LookaheadConfig {
-            width,
-            max_pool_size: self.config.max_pool_size,
-        };
-        select_stage_lookahead_sparse(&self.posterior, &self.model, &self.eligible_order(), &cfg)
-    }
-
-    /// Drive to classification against a lab oracle — a loop over
-    /// [`Self::run_round`], so round-stepped and batch trajectories are
-    /// identical by construction.
-    pub fn run_to_classification(&mut self, mut lab: impl FnMut(State) -> bool) -> SessionOutcome {
-        loop {
-            if let RoundStep::Finished(outcome) = self.run_round(&mut lab) {
-                return outcome;
-            }
-        }
-    }
-
-    /// Drive exactly one round (classify → select → lab → observe) with the
-    /// update applied on the driver — the unit a multi-cohort service
-    /// schedules.
-    pub fn run_round(&mut self, mut lab: impl FnMut(State) -> bool) -> RoundStep {
-        self.run_round_impl(None, &mut lab)
-    }
-
-    /// [`Self::run_round`] with the posterior update running as a
-    /// fault-injectable engine stage ([`Self::observe_on`]) — how an
-    /// engine-backed service steps sparse cohorts so chaos campaigns reach
-    /// them. Selection stays on the driver: post-prune the support is tiny,
-    /// so only the update is worth a stage.
-    pub fn run_round_on(
-        &mut self,
-        engine: &Engine,
-        mut lab: impl FnMut(State) -> bool,
-    ) -> RoundStep {
-        self.run_round_impl(Some(engine), &mut lab)
-    }
-
-    fn run_round_impl(
-        &mut self,
-        engine: Option<&Engine>,
-        lab: &mut impl FnMut(State) -> bool,
-    ) -> RoundStep {
-        let obs = match &self.obs {
-            Some((rec, cohort)) if rec.enabled_at(TraceLevel::Spans) => {
-                Some((Arc::clone(rec), *cohort, rec.now_ns()))
-            }
-            _ => None,
-        };
-        let step = self.round_inner(engine, lab);
-        if let Some((rec, cohort, start)) = obs {
-            let name = rec.intern("session:round");
-            let mut meta = SpanMeta::for_cohort(cohort);
-            meta.failed =
-                matches!(&step, RoundStep::Finished(o) if !o.classification.is_terminal());
-            rec.record_span_ending_now(SpanKind::Round, name, start, meta);
-        }
-        step
-    }
-
-    fn round_inner(
-        &mut self,
-        engine: Option<&Engine>,
-        lab: &mut impl FnMut(State) -> bool,
-    ) -> RoundStep {
-        let classification = self.classify();
-        if classification.is_terminal() || self.stages >= self.config.max_stages {
-            return RoundStep::Finished(self.outcome(classification));
-        }
-        // A plan hit replays the memoized selections for this exact
-        // observation history; a miss selects live and extends the tree.
-        let selections = match self.plan.as_ref().and_then(|p| p.lookup(&self.history)) {
-            Some(cached) => cached,
-            None => {
-                let live = if self.config.stage_width <= 1 {
-                    self.select_next().map(|s| vec![s]).unwrap_or_default()
-                } else {
-                    self.select_stage(self.config.stage_width)
-                        .expect("stage width validated by SbgtConfig")
-                };
-                if let Some(plan) = &self.plan {
-                    plan.extend(&self.history, &live);
-                }
-                live
-            }
-        };
-        if selections.is_empty() {
-            return RoundStep::Finished(self.outcome(classification));
-        }
-        // A multi-pool stage counts once, like the dense sessions: observe
-        // each pool, then fold the extra per-observation stage increments
-        // back into a single count.
-        let before = self.stages;
-        for sel in &selections {
-            let outcome = lab(sel.pool);
-            let observed = match engine {
-                Some(engine) => self.observe_on(engine, sel.pool, outcome),
-                None => self.observe(sel.pool, outcome),
-            };
-            if observed.is_err() {
-                self.stages = before + 1;
-                return RoundStep::Finished(self.outcome(self.classify()));
-            }
-        }
-        self.stages = before + 1;
-        RoundStep::Progressed
-    }
-
-    /// Capture the full session state — retained entries (exact bits),
-    /// pruned-mass record, committed pools, and round counter — for
-    /// checkpoint/restore. [`Self::restore`] reproduces the session
-    /// bit-for-bit.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            n_subjects: self.n_subjects(),
-            shards: Vec::new(),
-            total: self.posterior.total(),
-            history: self.history.clone(),
-            stages: self.stages,
-            marginals: Vec::new(),
-            pending_selection: None,
-            sparse: Some(SparseSnapshot {
-                entries: self.posterior.entries().to_vec(),
-                pruned_mass: self.posterior.pruned_mass(),
-            }),
-            approx: None,
-        }
-    }
-
-    /// Rehydrate a session from a snapshot. The model, config, and prune
-    /// epsilon are the cohort's static spec, supplied by the caller;
-    /// posterior entries and the pruned-mass record are restored exactly,
-    /// so selections and classifications continue bit-for-bit.
+    /// Rehydrate a session from a snapshot. The prune epsilon, like the
+    /// model and config, is the cohort's static spec, supplied by the
+    /// caller; posterior entries and the pruned-mass record are restored
+    /// exactly.
     pub fn restore(
         snapshot: &SessionSnapshot,
         model: M,
         config: SbgtConfig,
         prune_epsilon: f64,
     ) -> Result<Self, SnapshotError> {
-        snapshot.validate()?;
-        if snapshot.approx.is_some() {
-            return Err(SnapshotError::Corrupt(
-                "approx snapshot cannot restore an exact session".into(),
-            ));
-        }
-        let Some(sp) = &snapshot.sparse else {
-            return Err(SnapshotError::Corrupt(
-                "sparse restore needs a sparse section".into(),
-            ));
-        };
-        if !(0.0..1.0).contains(&prune_epsilon) {
-            return Err(SnapshotError::Corrupt(format!(
-                "prune epsilon {prune_epsilon} outside [0, 1)"
-            )));
-        }
-        Ok(SparseSession {
-            posterior: SparsePosterior::from_parts(
-                snapshot.n_subjects,
-                sp.entries.clone(),
-                sp.pruned_mass,
-            ),
-            model,
-            config,
-            prune_epsilon,
-            history: snapshot.history.clone(),
-            stages: snapshot.stages,
-            obs: None,
-            plan: None,
+        Session::resume(snapshot, config, |snapshot| {
+            exact_only(snapshot)?;
+            let Some(sp) = &snapshot.sparse else {
+                return Err(SnapshotError::Corrupt(
+                    "sparse restore needs a sparse section".into(),
+                ));
+            };
+            check_epsilon(prune_epsilon).map_err(SnapshotError::Corrupt)?;
+            Ok(SparseBackend {
+                posterior: sp.posterior(snapshot.n_subjects),
+                model,
+                prune_epsilon,
+                history: snapshot.history.clone(),
+            })
         })
     }
 
-    fn outcome(&self, classification: CohortClassification) -> SessionOutcome {
-        SessionOutcome {
-            tests: self.history.len(),
-            stages: self.stages,
-            subjects: self.n_subjects(),
-            classification,
-            marginals: self.marginals(),
-        }
+    /// The per-update prune threshold this session was opened with.
+    pub fn prune_epsilon(&self) -> f64 {
+        self.backend().prune_epsilon
+    }
+
+    /// Current working-set size (retained states).
+    pub fn support(&self) -> usize {
+        self.backend().posterior.support()
+    }
+
+    /// Total mass discarded by pruning so far.
+    pub fn pruned_mass(&self) -> f64 {
+        self.backend().posterior.pruned_mass()
+    }
+
+    /// Borrow the sparse posterior.
+    pub fn posterior(&self) -> &SparsePosterior {
+        &self.backend().posterior
+    }
+
+    /// Every `(pool, outcome)` observed so far, in order.
+    pub fn history(&self) -> &[(State, bool)] {
+        &self.backend().history
+    }
+
+    /// Ingest one observation on the driver (one stage).
+    pub fn observe(&mut self, pool: State, outcome: bool) -> Result<f64, BayesError> {
+        self.observe_in(None, &pool, outcome)
+    }
+
+    /// [`Self::observe`] as a fault-injectable `fused-round:sparse` engine
+    /// stage.
+    pub fn observe_on(
+        &mut self,
+        engine: &Engine,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        self.observe_in(Some(engine), &pool, outcome)
+    }
+
+    /// Halving selection over the retained states (sparse prefix masses).
+    pub fn select_next(&self) -> Option<Selection> {
+        select_halving_prefix_sparse(
+            self.posterior(),
+            &self.eligible_order(),
+            self.config().max_pool_size,
+        )
+    }
+
+    /// Look-ahead stage selection over the retained states: up to `width`
+    /// pools for one lab round on the sparse branch-fused path.
+    pub fn select_stage(&self, width: usize) -> Result<Vec<Selection>, SelectError> {
+        let cfg = LookaheadConfig {
+            width,
+            max_pool_size: self.config().max_pool_size,
+        };
+        let order = self.eligible_order();
+        select_stage_lookahead_sparse(self.posterior(), &self.backend().model, &order, &cfg)
+    }
+
+    /// Drive to classification against a lab oracle, updates applied on the
+    /// driver ([`Session::run`]).
+    pub fn run_to_classification(&mut self, mut lab: impl FnMut(State) -> bool) -> SessionOutcome {
+        self.run(None, |pool| lab(*pool))
+    }
+
+    /// Drive exactly one round with the update applied on the driver
+    /// ([`Session::round`]).
+    pub fn run_round(&mut self, mut lab: impl FnMut(State) -> bool) -> RoundStep {
+        self.round(None, |pool| lab(*pool))
+    }
+
+    /// [`Self::run_round`] with the posterior update running as a
+    /// fault-injectable engine stage — how an engine-backed service steps
+    /// sparse cohorts so chaos campaigns reach them.
+    pub fn run_round_on(
+        &mut self,
+        engine: &Engine,
+        mut lab: impl FnMut(State) -> bool,
+    ) -> RoundStep {
+        self.round(Some(engine), |pool| lab(*pool))
     }
 }
 
@@ -425,7 +304,7 @@ impl<M: BinaryOutcomeModel> SparseSession<M> {
 mod tests {
     use super::*;
     use crate::config::ConfigError;
-    use crate::session::SbgtSession;
+    use crate::SbgtSession;
     use sbgt_engine::EngineConfig;
     use sbgt_response::BinaryDilutionModel;
 
@@ -474,20 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_episode_classifies_correctly() {
-        let truth = State::from_subjects([2, 5]);
-        let model = BinaryDilutionModel::perfect();
-        let cfg = SbgtConfig::default().serial();
-        let mut s = SparseSession::new(Prior::flat(8, 0.1), model, cfg, 1e-9).unwrap();
-        let out = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(out.classification.is_terminal());
-        assert_eq!(out.classification.positives(), 2);
-        assert!(out.classification.statuses[2] == sbgt_bayes::SubjectStatus::Positive);
-        assert!(out.classification.statuses[5] == sbgt_bayes::SubjectStatus::Positive);
-        assert!(out.tests < 8 * 2, "tests {}", out.tests);
-    }
-
-    #[test]
     fn aggressive_pruning_still_tracks_truth_with_perfect_assay() {
         // With a perfect assay, the true state's mass only ever grows
         // relatively, so even harsh pruning keeps it.
@@ -518,31 +383,6 @@ mod tests {
         }
         // And the boundary values are accepted.
         assert!(SparseSession::new(Prior::flat(3, 0.1), model, SbgtConfig::default(), 0.0).is_ok());
-    }
-
-    #[test]
-    fn round_stepping_matches_batch_run() {
-        let truth = State::from_subjects([2, 5]);
-        let model = BinaryDilutionModel::perfect();
-        let cfg = SbgtConfig::default().serial();
-        let mk = || SparseSession::new(Prior::flat(8, 0.1), model, cfg, 1e-9).unwrap();
-        let mut batch = mk();
-        let expected = batch.run_to_classification(|pool| truth.intersects(pool));
-        let mut stepped = mk();
-        let outcome = loop {
-            if let Some(o) = stepped.run_round(|pool| truth.intersects(pool)).finished() {
-                break o;
-            }
-        };
-        assert_eq!(outcome.tests, expected.tests);
-        assert_eq!(stepped.history(), batch.history());
-        assert_eq!(
-            outcome.classification.statuses,
-            expected.classification.statuses
-        );
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -585,89 +425,5 @@ mod tests {
         assert!(sparse_jobs
             .iter()
             .all(|j| matches!(j.variant, StageVariant::Sparse { .. })));
-    }
-
-    #[test]
-    fn wide_stages_bank_several_tests_per_stage() {
-        let truth = State::from_subjects([1, 6]);
-        let model = BinaryDilutionModel::perfect();
-        let cfg = SbgtConfig::default().serial().with_stage_width(3);
-        let mut s = SparseSession::new(Prior::flat(8, 0.08), model, cfg, 1e-9).unwrap();
-        let out = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(out.classification.is_terminal());
-        assert!(
-            out.stages < out.tests,
-            "width-3 stages must bank several tests per stage ({} stages, {} tests)",
-            out.stages,
-            out.tests
-        );
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_exact_mid_run() {
-        let truth = State::from_subjects([2, 5]);
-        let model = BinaryDilutionModel::pcr_like();
-        let cfg = SbgtConfig::default().serial();
-        let mut live = SparseSession::new(Prior::flat(8, 0.1), model, cfg, 1e-9).unwrap();
-        for _ in 0..3 {
-            assert!(live
-                .run_round(|pool| truth.intersects(pool))
-                .finished()
-                .is_none());
-        }
-        let snap = live.snapshot();
-        assert!(snap.sparse.is_some());
-        // Byte codec round-trips the session bit-for-bit.
-        let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-        let mut restored = SparseSession::restore(&decoded, model, cfg, 1e-9).unwrap();
-        assert_eq!(restored.history(), live.history());
-        assert_eq!(restored.stages(), live.stages());
-        assert_eq!(
-            restored.pruned_mass().to_bits(),
-            live.pruned_mass().to_bits()
-        );
-        let expected = live.run_to_classification(|pool| truth.intersects(pool));
-        let outcome = restored.run_to_classification(|pool| truth.intersects(pool));
-        assert_eq!(outcome.tests, expected.tests);
-        assert_eq!(
-            outcome.classification.statuses,
-            expected.classification.statuses
-        );
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // A dense snapshot is rejected by the sparse restore, typed.
-        let dense_snap = SbgtSession::new(Prior::flat(4, 0.1), model, cfg).snapshot();
-        assert!(matches!(
-            SparseSession::restore(&dense_snap, model, cfg, 1e-9),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn attached_recorder_captures_round_spans() {
-        use sbgt_engine::obs::ObsConfig;
-        let truth = State::from_subjects([1, 3]);
-        let model = BinaryDilutionModel::perfect();
-        let mut s = SparseSession::new(
-            Prior::flat(6, 0.1),
-            model,
-            SbgtConfig::default().serial(),
-            1e-9,
-        )
-        .unwrap();
-        assert!(!s.has_obs());
-        let rec = Arc::new(SpanRecorder::new(ObsConfig::spans()));
-        s.attach_obs(Arc::clone(&rec), 11);
-        assert!(s.has_obs());
-        let out = s.run_to_classification(|pool| truth.intersects(pool));
-        assert!(out.classification.is_terminal());
-        let snap = rec.snapshot();
-        let rounds = snap
-            .all_events()
-            .filter(|e| e.kind == SpanKind::Round && e.meta.cohort == 11)
-            .count();
-        assert!(rounds >= 1, "each round must emit a cohort-tagged span");
     }
 }

@@ -13,11 +13,13 @@
 use sbgt_lattice::kernels::{par_prefix_negative_masses, ParConfig};
 use sbgt_lattice::{DensePosterior, SparsePosterior, State};
 
-/// The outcome of a selection rule.
+/// The outcome of a selection rule. The pool is a one-word [`State`] for
+/// every exact rule in this crate; the approximate backends past the
+/// 48-subject `State` ceiling select `Selection<BigState>`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Selection {
+pub struct Selection<P = State> {
     /// The chosen pool.
-    pub pool: State,
+    pub pool: P,
     /// Posterior probability that the pool is truly negative, `m(A)`.
     pub negative_mass: f64,
     /// Halving distance `|m(A) − ½|`.

@@ -17,11 +17,13 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use sbgt::{
-    ExecMode, PlanCache, PlanKey, PlanLineage, RiskQuantizer, RoundStep, SbgtConfig, SbgtSession,
-    SessionOutcome, SessionSnapshot, ShardedSession, SparseSession,
+    Backend, ExecMode, PlanCache, PlanHandle, PlanKey, PlanLineage, RiskQuantizer, RoundCtx,
+    RoundStep, SbgtConfig, SbgtSession, Session, SessionOutcome, SessionSnapshot, ShardedSession,
+    SnapshotError, SparseSession,
 };
 use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
 use sbgt_bayes::Prior;
+use sbgt_engine::obs::{SpanMeta, TraceLevel};
 use sbgt_engine::Engine;
 use sbgt_lattice::{BigState, State};
 use sbgt_response::{BinaryDilutionModel, BinaryOutcomeModel};
@@ -175,29 +177,202 @@ fn particle_config(policy: &SessionPolicy, spec: &CohortSpec) -> ParticleConfig 
     }
 }
 
-/// The session behind a cohort, picked by the [`SessionPolicy`]:
-/// approximate (BP or particle) at or above the approx threshold — the
-/// only kinds with no `2^N` footprint — dense in-memory below the dense
-/// threshold, pruned-sparse at or above the sparse threshold when the
-/// policy enables it, engine-sharded otherwise.
-enum SessionKind {
-    Dense(SbgtSession<BinaryDilutionModel>),
-    Sharded(ShardedSession<BinaryDilutionModel>),
-    Sparse(SparseSession<BinaryDilutionModel>),
-    Bp(BpSession<BinaryDilutionModel>),
-    Particle(ParticleSession<BinaryDilutionModel>),
+/// A pool the deterministic virtual lab can be asked about.
+trait LabPool {
+    fn outcome(&self, spec: &CohortSpec, test_index: usize, model: &BinaryDilutionModel) -> bool;
 }
 
-impl SessionKind {
-    fn kind(&self) -> CohortKind {
-        match self {
-            SessionKind::Dense(_) => CohortKind::Dense,
-            SessionKind::Sharded(_) => CohortKind::Sharded,
-            SessionKind::Sparse(_) => CohortKind::Sparse,
-            SessionKind::Bp(_) => CohortKind::Bp,
-            SessionKind::Particle(_) => CohortKind::Particle,
-        }
+impl LabPool for State {
+    fn outcome(&self, spec: &CohortSpec, test_index: usize, model: &BinaryDilutionModel) -> bool {
+        lab_outcome(spec, test_index, *self, model)
     }
+}
+
+impl LabPool for BigState {
+    fn outcome(&self, spec: &CohortSpec, test_index: usize, model: &BinaryDilutionModel) -> bool {
+        lab_outcome_big(spec, test_index, self, model)
+    }
+}
+
+/// What the actor needs of its session, whichever backend runs under the
+/// round driver. This is the actor's one dynamic boundary: a round is one
+/// virtual call, and everything behind it — the driver, the backend, the
+/// lab closure — is monomorphised per backend.
+trait CohortSession: Send {
+    /// One round against the virtual lab, on the engine where the backend
+    /// can use one (sharded stages, the sparse update and the BP relaxation
+    /// as fault-injectable stages; the particle update mutates its RNG
+    /// stream, which does not fit the engine's pure-retry contract, so
+    /// particle recovery rides entirely on snapshot rollback).
+    fn round(
+        &mut self,
+        engine: &Engine,
+        spec: &CohortSpec,
+        model: &BinaryDilutionModel,
+    ) -> RoundStep;
+    fn snapshot(&self) -> SessionSnapshot;
+    fn memoizes(&self) -> bool;
+    fn attach_plan(&mut self, plan: PlanHandle);
+}
+
+impl<B> CohortSession for Session<B>
+where
+    B: Backend + Send,
+    B::Pool: LabPool,
+{
+    fn round(
+        &mut self,
+        engine: &Engine,
+        spec: &CohortSpec,
+        model: &BinaryDilutionModel,
+    ) -> RoundStep {
+        // Wire telemetry to the engine's recorder, tagged with the cohort
+        // id. Lazy (per round, not at construction) because restore paths
+        // build sessions without an engine in reach; a no-op when tracing
+        // is off or already attached.
+        if !self.has_obs() && engine.obs().enabled_at(TraceLevel::Spans) {
+            self.attach_obs(Arc::clone(engine.obs()), spec.id);
+        }
+        // The test cursor is the session's own count, so a restored or
+        // rolled-back session resumes the lab's outcome stream exactly.
+        let mut test_index = self.tests();
+        Session::round(self, RoundCtx::on(engine), |pool| {
+            let outcome = pool.outcome(spec, test_index, model);
+            test_index += 1;
+            outcome
+        })
+    }
+
+    fn snapshot(&self) -> SessionSnapshot {
+        Session::snapshot(self)
+    }
+
+    fn memoizes(&self) -> bool {
+        Session::memoizes(self)
+    }
+
+    fn attach_plan(&mut self, plan: PlanHandle) {
+        Session::attach_plan(self, plan)
+    }
+}
+
+/// Where a session comes from: opened fresh on an engine, or rehydrated
+/// from a snapshot.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Fresh(&'a Engine),
+    Snapshot(&'a SessionSnapshot),
+}
+
+/// The placement rule: approximate (BP or particle) at or above the approx
+/// threshold — the only kinds with no `2^N` footprint, checked first so no
+/// exact structure is ever built for those cohorts — dense in-memory below
+/// the dense threshold, pruned-sparse at or above the sparse threshold when
+/// the policy's epsilon is positive, engine-sharded otherwise.
+fn place(policy: &SessionPolicy, n: usize) -> CohortKind {
+    if policy.approx_threshold > 0 && n >= policy.approx_threshold {
+        match policy.approx_backend {
+            ApproxBackend::Bp => CohortKind::Bp,
+            ApproxBackend::Particle => CohortKind::Particle,
+        }
+    } else if n < policy.dense_threshold {
+        CohortKind::Dense
+    } else if policy.sparse_epsilon > 0.0 && n >= policy.sparse_threshold {
+        CohortKind::Sparse
+    } else {
+        CohortKind::Sharded
+    }
+}
+
+/// The one place the five backends are named: the session of `kind` over
+/// this cohort — opened or restored per `source` — with the lineage tag its
+/// selections are memoized under (the backend's summation order).
+///
+/// The sharded restore rebuilds the exact partition boundaries recorded in
+/// the snapshot, so it needs no engine; the sparse restore takes its prune
+/// epsilon, and the approximate ones their (quantized) risks, from the
+/// static spec — none of that is part of a snapshot.
+fn build_session(
+    kind: CohortKind,
+    source: Source<'_>,
+    spec: &CohortSpec,
+    model: BinaryDilutionModel,
+    cfg: SbgtConfig,
+    policy: &SessionPolicy,
+) -> Result<(Box<dyn CohortSession>, PlanLineage), SnapshotError> {
+    // Quantization runs before the prior is built, so the session's
+    // arithmetic — and the plan key derived from the same risks — agree on
+    // the exact prior bits. Identity when buckets == 0.
+    let risks = RiskQuantizer::new(policy.plan_risk_buckets).snap_all(&spec.risks);
+    let prior = || Prior::from_risks(&risks);
+    let validated = "risks and config validated by ServiceConfig";
+    Ok(match kind {
+        CohortKind::Dense => {
+            let session = match source {
+                Source::Fresh(_) => SbgtSession::new(prior(), model, cfg),
+                Source::Snapshot(snapshot) => SbgtSession::restore(snapshot, model, cfg)?,
+            };
+            let lineage = match cfg.exec {
+                ExecMode::Serial => PlanLineage::DenseSerial,
+                ExecMode::Parallel(p) => PlanLineage::DenseParallel {
+                    chunk_len: p.chunk_len as u64,
+                    threshold: p.threshold as u64,
+                },
+            };
+            (Box::new(session), lineage)
+        }
+        CohortKind::Sharded => {
+            let session = match source {
+                Source::Fresh(engine) => {
+                    ShardedSession::new(engine, prior(), model, cfg, policy.parts)
+                }
+                Source::Snapshot(snapshot) => ShardedSession::restore(snapshot, model, cfg)?,
+            };
+            let parts = policy.parts as u32;
+            (Box::new(session), PlanLineage::Sharded { parts })
+        }
+        CohortKind::Sparse => {
+            let epsilon = policy.sparse_epsilon;
+            let session = match source {
+                Source::Fresh(_) => {
+                    SparseSession::new(prior(), model, cfg, epsilon).expect(validated)
+                }
+                Source::Snapshot(snapshot) => {
+                    SparseSession::restore(snapshot, model, cfg, epsilon)?
+                }
+            };
+            let epsilon_bits = epsilon.to_bits();
+            (Box::new(session), PlanLineage::Sparse { epsilon_bits })
+        }
+        CohortKind::Bp => {
+            let bp = BpConfig::default();
+            let session = match source {
+                Source::Fresh(_) => BpSession::new(&risks, model, cfg, bp).expect(validated),
+                Source::Snapshot(snapshot) => BpSession::restore(snapshot, &risks, model, cfg, bp)?,
+            };
+            let lineage = PlanLineage::Bp {
+                max_iters: bp.max_iters,
+                damping_bits: bp.damping.to_bits(),
+            };
+            (Box::new(session.0), lineage)
+        }
+        CohortKind::Particle => {
+            let pcfg = particle_config(policy, spec);
+            let session = match source {
+                Source::Fresh(_) => {
+                    ParticleSession::new(&risks, model, cfg, pcfg).expect(validated)
+                }
+                Source::Snapshot(snapshot) => {
+                    ParticleSession::restore(snapshot, &risks, model, cfg, pcfg)?
+                }
+            };
+            let lineage = PlanLineage::Particle {
+                particles: pcfg.particles as u32,
+                ess_bits: pcfg.ess_frac.to_bits(),
+            };
+            (Box::new(session.0), lineage)
+        }
+    })
 }
 
 /// Outcome of one recovering round.
@@ -207,15 +382,16 @@ pub(crate) struct RoundRun {
     pub recovered: u64,
 }
 
-/// A live cohort: spec + session + test cursor, advanced one round at a
-/// time by the service workers.
+/// A live cohort: spec + session, advanced one round at a time by the
+/// service workers.
 pub struct CohortActor {
     spec: CohortSpec,
     model: BinaryDilutionModel,
     session_config: SbgtConfig,
     policy: SessionPolicy,
-    kind: SessionKind,
-    tests_done: usize,
+    kind: CohortKind,
+    session: Box<dyn CohortSession>,
+    lineage: PlanLineage,
     recoveries: u64,
     /// The shared plan cache, kept so rollback-and-replay recovery can
     /// re-attach the plan to the rebuilt session.
@@ -223,11 +399,8 @@ pub struct CohortActor {
 }
 
 impl CohortActor {
-    /// Open a cohort per the placement policy: approximate backend when
-    /// the approx threshold is enabled and `n >= approx_threshold` (checked
-    /// first — no exact structure is ever built for those cohorts); dense
-    /// session when `n < dense_threshold`; pruned-sparse when the policy's
-    /// epsilon is positive and `n >= sparse_threshold`; sharded otherwise.
+    /// Open a cohort on the session kind the placement policy picks for
+    /// its size (see [`SessionPolicy`]).
     pub fn new(
         engine: &Engine,
         spec: CohortSpec,
@@ -235,56 +408,39 @@ impl CohortActor {
         session_config: SbgtConfig,
         policy: SessionPolicy,
     ) -> Self {
-        // Quantization runs before the prior is built, so the session's
-        // arithmetic — and the plan key derived from the same risks —
-        // agree on the exact prior bits. Identity when buckets == 0.
-        let risks = RiskQuantizer::new(policy.plan_risk_buckets).snap_all(&spec.risks);
-        let n = spec.n_subjects();
-        let kind = if policy.approx_threshold > 0 && n >= policy.approx_threshold {
-            match policy.approx_backend {
-                ApproxBackend::Bp => SessionKind::Bp(
-                    BpSession::new(&risks, model, session_config, BpConfig::default())
-                        .expect("risks and config validated by ServiceConfig"),
-                ),
-                ApproxBackend::Particle => SessionKind::Particle(
-                    ParticleSession::new(
-                        &risks,
-                        model,
-                        session_config,
-                        particle_config(&policy, &spec),
-                    )
-                    .expect("risks and config validated by ServiceConfig"),
-                ),
-            }
-        } else if n < policy.dense_threshold {
-            let prior = Prior::from_risks(&risks);
-            SessionKind::Dense(SbgtSession::new(prior, model, session_config))
-        } else if policy.sparse_epsilon > 0.0 && n >= policy.sparse_threshold {
-            let prior = Prior::from_risks(&risks);
-            SessionKind::Sparse(
-                SparseSession::new(prior, model, session_config, policy.sparse_epsilon)
-                    .expect("policy epsilon validated by ServiceConfig"),
-            )
-        } else {
-            let prior = Prior::from_risks(&risks);
-            SessionKind::Sharded(ShardedSession::new(
-                engine,
-                prior,
-                model,
-                session_config,
-                policy.parts,
-            ))
-        };
-        CohortActor {
+        let kind = place(&policy, spec.n_subjects());
+        Self::assemble(
+            kind,
+            Source::Fresh(engine),
+            spec,
+            model,
+            session_config,
+            policy,
+        )
+        .expect("opening a session reads no snapshot")
+    }
+
+    fn assemble(
+        kind: CohortKind,
+        source: Source<'_>,
+        spec: CohortSpec,
+        model: BinaryDilutionModel,
+        session_config: SbgtConfig,
+        policy: SessionPolicy,
+    ) -> Result<Self, SnapshotError> {
+        let (session, lineage) =
+            build_session(kind, source, &spec, model, session_config, &policy)?;
+        Ok(CohortActor {
             spec,
             model,
             session_config,
             policy,
             kind,
-            tests_done: 0,
+            session,
+            lineage,
             recoveries: 0,
             plan_cache: None,
-        }
+        })
     }
 
     /// Open a cohort with the same rollback-and-replay recovery as a
@@ -327,12 +483,12 @@ impl CohortActor {
 
     /// Whether the cohort runs the dense session.
     pub fn is_dense(&self) -> bool {
-        matches!(self.kind, SessionKind::Dense(_))
+        self.kind == CohortKind::Dense
     }
 
     /// The session kind the cohort is running.
     pub fn kind(&self) -> CohortKind {
-        self.kind.kind()
+        self.kind
     }
 
     /// Total rollback-and-replay cycles over the cohort's lifetime.
@@ -342,119 +498,38 @@ impl CohortActor {
 
     /// Attach the process-wide plan cache: derive this cohort's [`PlanKey`]
     /// — the quantized risks the session actually runs on, the exact model
-    /// and rule bits, and a lineage tag for the session kind's summation
-    /// order — and hand the session its memoized decision tree. Cohorts
-    /// sharing a key replay each other's selections; a cohort without a
-    /// cache selects live every round.
+    /// and rule bits, and the session kind's lineage tag — and hand the
+    /// session its memoized decision tree. Cohorts sharing a key replay
+    /// each other's selections; a cohort without a cache selects live every
+    /// round.
+    ///
+    /// A session that does not memoize (the approximate backends select
+    /// from live marginals, not a decision tree) never touches the cache:
+    /// no key is derived, no tree is created, no lock is taken.
     pub fn attach_plan_cache(&mut self, cache: &Arc<PlanCache>) {
+        if !self.session.memoizes() {
+            return;
+        }
         self.plan_cache = Some(Arc::clone(cache));
         let risks = RiskQuantizer::new(self.policy.plan_risk_buckets).snap_all(&self.spec.risks);
         let cfg = &self.session_config;
-        let sparse_switch = cfg
-            .sparse_switch
-            .map(|s| (s.max_support_fraction, s.prune_epsilon));
-        let lineage = match &self.kind {
-            SessionKind::Dense(_) => match cfg.exec {
-                ExecMode::Serial => PlanLineage::DenseSerial,
-                ExecMode::Parallel(p) => PlanLineage::DenseParallel {
-                    chunk_len: p.chunk_len as u64,
-                    threshold: p.threshold as u64,
-                },
-            },
-            SessionKind::Sharded(_) => PlanLineage::Sharded {
-                parts: self.policy.parts as u32,
-            },
-            SessionKind::Sparse(_) => PlanLineage::Sparse {
-                epsilon_bits: self.policy.sparse_epsilon.to_bits(),
-            },
-            SessionKind::Bp(s) => PlanLineage::Bp {
-                max_iters: s.bp_config().max_iters,
-                damping_bits: s.bp_config().damping.to_bits(),
-            },
-            SessionKind::Particle(s) => PlanLineage::Particle {
-                particles: s.particle_config().particles as u32,
-                ess_bits: s.particle_config().ess_frac.to_bits(),
-            },
-        };
         let key = PlanKey::new(
             &risks,
             &self.model,
             &cfg.rule,
             cfg.stage_width,
             cfg.max_pool_size,
-            sparse_switch,
-            lineage,
+            cfg.sparse_switch
+                .map(|s| (s.max_support_fraction, s.prune_epsilon)),
+            self.lineage,
         );
-        let handle = cache.handle(key);
-        match &mut self.kind {
-            SessionKind::Dense(s) => s.attach_plan(handle),
-            SessionKind::Sharded(s) => s.attach_plan(handle),
-            SessionKind::Sparse(s) => s.attach_plan(handle),
-            // Approximate sessions select from live marginals, not a
-            // memoized decision tree. The lineage-distinct key is still
-            // derived (and the cache entry claimed) so an exact cohort can
-            // never replay an approximate trajectory, or vice versa, if a
-            // future backend starts recording plans under these tags.
-            SessionKind::Bp(_) | SessionKind::Particle(_) => drop(handle),
-        }
-    }
-
-    fn history_len(&self) -> usize {
-        match &self.kind {
-            SessionKind::Dense(s) => s.history().len(),
-            SessionKind::Sharded(s) => s.history().len(),
-            SessionKind::Sparse(s) => s.history().len(),
-            SessionKind::Bp(s) => s.tests_performed(),
-            SessionKind::Particle(s) => s.tests_performed(),
-        }
+        self.session.attach_plan(cache.handle(key));
     }
 
     /// Advance the session by exactly one round against the deterministic
     /// virtual lab.
     pub fn run_round(&mut self, engine: &Engine) -> RoundStep {
-        self.attach_obs(engine);
-        let spec = &self.spec;
-        let model = self.model;
-        let mut idx = self.tests_done;
-        // Each arm builds its own lab closure (the exact sessions query by
-        // one-word `State`, the approximate ones by `BigState`) over the
-        // same pure outcome function and shared test cursor.
-        let step = match &mut self.kind {
-            SessionKind::Dense(s) => s.run_round(|pool: State| {
-                let outcome = lab_outcome(spec, idx, pool, &model);
-                idx += 1;
-                outcome
-            }),
-            SessionKind::Sharded(s) => s.run_round(engine, |pool: State| {
-                let outcome = lab_outcome(spec, idx, pool, &model);
-                idx += 1;
-                outcome
-            }),
-            // The sparse update runs as a fault-injectable engine stage,
-            // so chaos campaigns cover sparse cohorts like sharded ones.
-            SessionKind::Sparse(s) => s.run_round_on(engine, |pool: State| {
-                let outcome = lab_outcome(spec, idx, pool, &model);
-                idx += 1;
-                outcome
-            }),
-            // The BP relaxation likewise runs as an engine stage; a retry
-            // recomputes the identical fixed point.
-            SessionKind::Bp(s) => s.run_round_on(engine, |pool: &BigState| {
-                let outcome = lab_outcome_big(spec, idx, pool, &model);
-                idx += 1;
-                outcome
-            }),
-            // The particle update mutates the RNG stream, which does not
-            // fit the engine's pure-retry contract; recovery for particle
-            // cohorts rides entirely on snapshot rollback.
-            SessionKind::Particle(s) => s.run_round(|pool: &BigState| {
-                let outcome = lab_outcome_big(spec, idx, pool, &model);
-                idx += 1;
-                outcome
-            }),
-        };
-        self.tests_done = self.history_len();
-        step
+        self.session.round(engine, &self.spec, &self.model)
     }
 
     /// Advance one round with rollback-and-replay recovery: when the engine
@@ -492,10 +567,10 @@ impl CohortActor {
                     self.recoveries += 1;
                     self.restore_session(&snapshot);
                     let rec = engine.obs();
-                    if rec.enabled_at(sbgt_engine::obs::TraceLevel::Spans) {
+                    if rec.enabled_at(TraceLevel::Spans) {
                         rec.mark(
                             rec.intern("service:recovery"),
-                            sbgt_engine::obs::SpanMeta::for_cohort(self.spec.id),
+                            SpanMeta::for_cohort(self.spec.id),
                         );
                     }
                 }
@@ -503,98 +578,22 @@ impl CohortActor {
         }
     }
 
-    /// Lazily wire the session's telemetry to the engine's recorder,
-    /// tagging every span with this cohort's id. Lazy (per round, not at
-    /// construction) because restore paths build sessions without an
-    /// engine in reach; a no-op when tracing is off or already attached.
-    fn attach_obs(&mut self, engine: &Engine) {
-        use sbgt_engine::obs::TraceLevel;
-        if !engine.obs().enabled_at(TraceLevel::Spans) {
-            return;
-        }
-        match &mut self.kind {
-            SessionKind::Dense(s) => {
-                if !s.has_obs() {
-                    s.attach_obs(std::sync::Arc::clone(engine.obs()), self.spec.id);
-                }
-            }
-            SessionKind::Sharded(s) => {
-                if s.cohort().is_none() {
-                    s.set_cohort(self.spec.id);
-                }
-            }
-            SessionKind::Sparse(s) => {
-                if !s.has_obs() {
-                    s.attach_obs(std::sync::Arc::clone(engine.obs()), self.spec.id);
-                }
-            }
-            SessionKind::Bp(s) => {
-                if !s.has_obs() {
-                    s.attach_obs(std::sync::Arc::clone(engine.obs()), self.spec.id);
-                }
-            }
-            SessionKind::Particle(s) => {
-                if !s.has_obs() {
-                    s.attach_obs(std::sync::Arc::clone(engine.obs()), self.spec.id);
-                }
-            }
-        }
-    }
-
     /// Snapshot the underlying session state.
     pub fn snapshot_session(&self) -> SessionSnapshot {
-        match &self.kind {
-            SessionKind::Dense(s) => s.snapshot(),
-            SessionKind::Sharded(s) => s.snapshot(),
-            SessionKind::Sparse(s) => s.snapshot(),
-            SessionKind::Bp(s) => s.snapshot(),
-            SessionKind::Particle(s) => s.snapshot(),
-        }
+        self.session.snapshot()
     }
 
     fn restore_session(&mut self, snapshot: &SessionSnapshot) {
-        self.kind = match &self.kind {
-            SessionKind::Dense(_) => SessionKind::Dense(
-                SbgtSession::restore(snapshot, self.model, self.session_config)
-                    .expect("own snapshot restores"),
-            ),
-            SessionKind::Sharded(_) => SessionKind::Sharded(
-                ShardedSession::restore(snapshot, self.model, self.session_config)
-                    .expect("own snapshot restores"),
-            ),
-            SessionKind::Sparse(_) => SessionKind::Sparse(
-                SparseSession::restore(
-                    snapshot,
-                    self.model,
-                    self.session_config,
-                    self.policy.sparse_epsilon,
-                )
-                .expect("own snapshot restores"),
-            ),
-            // Approximate restores need the (quantized) risks back — they
-            // are the session's prior, not part of the snapshot.
-            SessionKind::Bp(_) => SessionKind::Bp(
-                BpSession::restore(
-                    snapshot,
-                    &RiskQuantizer::new(self.policy.plan_risk_buckets).snap_all(&self.spec.risks),
-                    self.model,
-                    self.session_config,
-                    BpConfig::default(),
-                )
-                .expect("own snapshot restores"),
-            ),
-            SessionKind::Particle(_) => SessionKind::Particle(
-                ParticleSession::restore(
-                    snapshot,
-                    &RiskQuantizer::new(self.policy.plan_risk_buckets).snap_all(&self.spec.risks),
-                    self.model,
-                    self.session_config,
-                    particle_config(&self.policy, &self.spec),
-                )
-                .expect("own snapshot restores"),
-            ),
-        };
-        self.tests_done = self.history_len();
+        let (session, _) = build_session(
+            self.kind,
+            Source::Snapshot(snapshot),
+            &self.spec,
+            self.model,
+            self.session_config,
+            &self.policy,
+        )
+        .expect("own snapshot restores");
+        self.session = session;
         // The rebuilt session lost its plan handle; re-derive it so
         // recovered cohorts keep replaying (and extending) the tree.
         if let Some(cache) = self.plan_cache.clone() {
@@ -606,7 +605,7 @@ impl CohortActor {
     pub fn checkpoint(&self) -> crate::checkpoint::CohortCheckpoint {
         crate::checkpoint::CohortCheckpoint {
             spec: self.spec.clone(),
-            kind: self.kind(),
+            kind: self.kind,
             recoveries: self.recoveries,
             snapshot: self.snapshot_session(),
         }
@@ -614,58 +613,22 @@ impl CohortActor {
 
     /// Rehydrate a cohort from a checkpoint, to the **recorded** kind (not
     /// the policy rule), so the arithmetic path stays identical across the
-    /// freeze. The sharded restore rebuilds the exact partition boundaries
-    /// recorded in the snapshot, so no engine is needed here; the sparse
-    /// restore takes its prune epsilon from the policy.
+    /// freeze.
     pub fn restore(
         checkpoint: &crate::checkpoint::CohortCheckpoint,
         model: BinaryDilutionModel,
         session_config: SbgtConfig,
         policy: SessionPolicy,
-    ) -> Result<Self, sbgt::SnapshotError> {
-        let kind = match checkpoint.kind {
-            CohortKind::Dense => SessionKind::Dense(SbgtSession::restore(
-                &checkpoint.snapshot,
-                model,
-                session_config,
-            )?),
-            CohortKind::Sharded => SessionKind::Sharded(ShardedSession::restore(
-                &checkpoint.snapshot,
-                model,
-                session_config,
-            )?),
-            CohortKind::Sparse => SessionKind::Sparse(SparseSession::restore(
-                &checkpoint.snapshot,
-                model,
-                session_config,
-                policy.sparse_epsilon,
-            )?),
-            CohortKind::Bp => SessionKind::Bp(BpSession::restore(
-                &checkpoint.snapshot,
-                &RiskQuantizer::new(policy.plan_risk_buckets).snap_all(&checkpoint.spec.risks),
-                model,
-                session_config,
-                BpConfig::default(),
-            )?),
-            CohortKind::Particle => SessionKind::Particle(ParticleSession::restore(
-                &checkpoint.snapshot,
-                &RiskQuantizer::new(policy.plan_risk_buckets).snap_all(&checkpoint.spec.risks),
-                model,
-                session_config,
-                particle_config(&policy, &checkpoint.spec),
-            )?),
-        };
-        let mut actor = CohortActor {
-            spec: checkpoint.spec.clone(),
+    ) -> Result<Self, SnapshotError> {
+        let mut actor = Self::assemble(
+            checkpoint.kind,
+            Source::Snapshot(&checkpoint.snapshot),
+            checkpoint.spec.clone(),
             model,
             session_config,
             policy,
-            kind,
-            tests_done: 0,
-            recoveries: checkpoint.recoveries,
-            plan_cache: None,
-        };
-        actor.tests_done = actor.history_len();
+        )?;
+        actor.recoveries = checkpoint.recoveries;
         Ok(actor)
     }
 }
@@ -853,111 +816,107 @@ mod tests {
         );
     }
 
-    /// An approximate cohort past the one-word truth ceiling classifies
-    /// end-to-end and its checkpoint resumes bit-for-bit — the service-side
-    /// half of the 2^N-wall story.
+    /// Approximate cohorts select from live marginals, so a plan-cache-
+    /// enabled service must not grow a dead tree (keyed on the full risk
+    /// vector) per approx cohort, nor count lookups for them — at attach
+    /// time, while running, or when a rollback recovery re-attaches.
     #[test]
-    fn approx_checkpoint_restore_resumes_bit_for_bit() {
+    fn approx_cohorts_never_touch_the_plan_cache() {
         let e = engine();
-        // 70 subjects: truth spans two words; an exact session cannot even
-        // represent this cohort.
-        let sp = specimens(70, 21);
-        assert!(sp.iter().any(|s| s.infected), "seed must infect someone");
-        let spec = CohortSpec::from_specimens(3, 13, &sp);
         let model = BinaryDilutionModel::new(0.99, 0.995, sbgt_response::Dilution::None);
         let cfg = SbgtConfig::default();
+        let cache = PlanCache::new(1024);
         for backend in [ApproxBackend::Bp, ApproxBackend::Particle] {
             let p = SessionPolicy {
                 approx_threshold: 17,
                 approx_backend: backend,
                 ..policy(0, 4)
             };
-            let expected = run_cohort_serial(&e, &spec, model, cfg, p);
+            for id in 0..4 {
+                let spec = CohortSpec::from_specimens(id, 13, &specimens(24, 21 + id));
+                let mut actor = CohortActor::new(&e, spec, model, cfg, p);
+                actor.attach_plan_cache(&cache);
+                assert!(matches!(actor.run_round(&e), RoundStep::Progressed));
+                // What a chaos rollback does between rounds.
+                actor.restore_session(&actor.snapshot_session());
+                while let RoundStep::Progressed = actor.run_round(&e) {}
+            }
+        }
+        assert_eq!(cache.tree_count(), 0);
+        assert_eq!(cache.stats(), sbgt::PlanCacheStats::default());
+        // An exact cohort on the same cache does claim its tree.
+        let spec = CohortSpec::from_specimens(9, 13, &specimens(8, 3));
+        let mut dense = CohortActor::new(&e, spec, model, cfg, policy(100, 4));
+        dense.attach_plan_cache(&cache);
+        assert_eq!(cache.tree_count(), 1);
+    }
+
+    /// A cohort of every kind, frozen mid-run, resumes from its checkpoint
+    /// bytes bit-for-bit like an uninterrupted serial run — including the
+    /// approximate kinds past the one-word truth ceiling (70 subjects: the
+    /// truth spans two words; an exact session cannot even represent the
+    /// cohort), the service-side half of the 2^N-wall story.
+    #[test]
+    fn checkpoint_restore_resumes_bit_for_bit_for_every_kind() {
+        let e = engine();
+        let cfg = SbgtConfig::default();
+        let noisy = BinaryDilutionModel::pcr_like();
+        let undiluted = BinaryDilutionModel::new(0.99, 0.995, sbgt_response::Dilution::None);
+        let approx = |approx_backend| SessionPolicy {
+            approx_threshold: 17,
+            approx_backend,
+            ..policy(0, 4)
+        };
+        let sparse = SessionPolicy {
+            sparse_epsilon: 1e-9,
+            ..policy(0, 4)
+        };
+        for (kind, n, model, p) in [
+            (CohortKind::Dense, 9, noisy, policy(100, 4)),
+            (CohortKind::Sharded, 9, noisy, policy(0, 4)),
+            (CohortKind::Sparse, 8, noisy, sparse),
+            (CohortKind::Bp, 70, undiluted, approx(ApproxBackend::Bp)),
+            (
+                CohortKind::Particle,
+                70,
+                undiluted,
+                approx(ApproxBackend::Particle),
+            ),
+        ] {
+            let sp = specimens(n, 21);
             assert!(
-                expected.classification.is_terminal(),
-                "{backend:?} must classify"
+                n < 64 || sp.iter().any(|s| s.infected),
+                "seed must infect someone"
             );
+            let spec = CohortSpec::from_specimens(3, 13, &sp);
+            let expected = run_cohort_serial(&e, &spec, model, cfg, p);
+            assert!(expected.classification.is_terminal(), "{kind:?}");
 
             let mut actor = CohortActor::new(&e, spec.clone(), model, cfg, p);
+            assert_eq!(actor.kind(), kind);
             for _ in 0..2 {
                 assert!(matches!(actor.run_round(&e), RoundStep::Progressed));
             }
             let bytes = actor.checkpoint().to_bytes();
             drop(actor);
             let checkpoint = crate::checkpoint::CohortCheckpoint::from_bytes(&bytes).unwrap();
+            assert_eq!(checkpoint.kind, kind);
             assert_eq!(checkpoint.spec.truth, spec.truth);
+            assert_eq!(
+                checkpoint.snapshot.sparse.is_some(),
+                kind == CohortKind::Sparse
+            );
             let mut restored = CohortActor::restore(&checkpoint, model, cfg, p).unwrap();
+            assert_eq!(restored.kind(), kind);
             let outcome = loop {
                 if let RoundStep::Finished(o) = restored.run_round(&e) {
                     break o;
                 }
             };
-            assert_eq!(outcome, expected, "{backend:?}");
+            assert_eq!(outcome, expected, "{kind:?}");
             for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{backend:?}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}");
             }
-        }
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_bit_for_bit() {
-        let e = engine();
-        let spec = CohortSpec::from_specimens(1, 11, &specimens(9, 4));
-        let model = BinaryDilutionModel::pcr_like();
-        let cfg = SbgtConfig::default();
-        let expected = run_cohort_serial(&e, &spec, model, cfg, policy(0, 4));
-
-        let mut actor = CohortActor::new(&e, spec, model, cfg, policy(0, 4));
-        for _ in 0..2 {
-            assert!(matches!(actor.run_round(&e), RoundStep::Progressed));
-        }
-        let bytes = actor.checkpoint().to_bytes();
-        drop(actor);
-        let checkpoint = crate::checkpoint::CohortCheckpoint::from_bytes(&bytes).unwrap();
-        let mut restored = CohortActor::restore(&checkpoint, model, cfg, policy(0, 4)).unwrap();
-        let outcome = loop {
-            if let RoundStep::Finished(o) = restored.run_round(&e) {
-                break o;
-            }
-        };
-        assert_eq!(outcome, expected);
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_checkpoint_restore_resumes_bit_for_bit() {
-        let e = engine();
-        let spec = CohortSpec::from_specimens(2, 19, &specimens(8, 6));
-        let model = BinaryDilutionModel::pcr_like();
-        let cfg = SbgtConfig::default();
-        let p = SessionPolicy {
-            sparse_epsilon: 1e-9,
-            ..policy(0, 4)
-        };
-        let expected = run_cohort_serial(&e, &spec, model, cfg, p);
-
-        let mut actor = CohortActor::new(&e, spec, model, cfg, p);
-        assert_eq!(actor.kind(), CohortKind::Sparse);
-        for _ in 0..2 {
-            assert!(matches!(actor.run_round(&e), RoundStep::Progressed));
-        }
-        let bytes = actor.checkpoint().to_bytes();
-        drop(actor);
-        let checkpoint = crate::checkpoint::CohortCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(checkpoint.kind, CohortKind::Sparse);
-        assert!(checkpoint.snapshot.sparse.is_some());
-        let mut restored = CohortActor::restore(&checkpoint, model, cfg, p).unwrap();
-        assert_eq!(restored.kind(), CohortKind::Sparse);
-        let outcome = loop {
-            if let RoundStep::Finished(o) = restored.run_round(&e) {
-                break o;
-            }
-        };
-        assert_eq!(outcome, expected);
-        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

@@ -5,11 +5,13 @@
 
 use proptest::prelude::*;
 
-use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, SbgtConfig, SessionSnapshot};
+use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, RoundStep, SbgtConfig, SessionSnapshot};
+use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::BigState;
 use sbgt_response::BinaryDilutionModel;
 use sbgt_service::{
-    ApproxBackend, CohortActor, CohortCheckpoint, CohortKind, CohortSpec, SessionPolicy,
+    run_cohort_serial, ApproxBackend, CohortActor, CohortCheckpoint, CohortKind, CohortSpec,
+    SessionPolicy,
 };
 
 fn risks_from_seed(seed: u64, n: usize) -> Vec<f64> {
@@ -196,6 +198,96 @@ proptest! {
                 SbgtConfig::default(),
                 policy(backend),
             );
+        }
+    }
+}
+
+/// `SBGTCKPT` bytes written by the commit before the round-driver refactor
+/// (PR 11, `1eda90e`): one cohort of each kind, frozen after two rounds of
+/// the spec and policies below. The refactor may not move a byte of the
+/// format or a bit of the arithmetic, so on this commit (a) a cohort driven
+/// to the same point freezes to the identical bytes, and (b) the old bytes
+/// restore and finish bit-for-bit like an uninterrupted run.
+#[test]
+fn checkpoints_written_before_the_round_driver_refactor_still_resume() {
+    let engine = Engine::new(EngineConfig::default().with_threads(2));
+    let model = BinaryDilutionModel::pcr_like();
+    let config = SbgtConfig::default();
+    let spec = CohortSpec {
+        id: 5,
+        seed: 0xC0FFEE,
+        tenant: 1,
+        risks: vec![0.03, 0.07, 0.02, 0.09, 0.05, 0.04],
+        truth: BigState::from_subjects([1, 4]),
+    };
+    let dense = SessionPolicy {
+        dense_threshold: 100,
+        parts: 2,
+        sparse_epsilon: 0.0,
+        sparse_threshold: 0,
+        approx_threshold: 0,
+        approx_backend: ApproxBackend::Bp,
+        approx_particles: 8,
+        plan_risk_buckets: 0,
+    };
+    let sharded = SessionPolicy {
+        dense_threshold: 0,
+        ..dense
+    };
+    let bp = SessionPolicy {
+        approx_threshold: 1,
+        ..dense
+    };
+    let cases = [
+        ("DENSE", CohortKind::Dense, dense),
+        ("SHARDED", CohortKind::Sharded, sharded),
+        (
+            "SPARSE",
+            CohortKind::Sparse,
+            SessionPolicy {
+                sparse_epsilon: 1e-9,
+                ..sharded
+            },
+        ),
+        ("BP", CohortKind::Bp, bp),
+        (
+            "PARTICLE",
+            CohortKind::Particle,
+            SessionPolicy {
+                approx_backend: ApproxBackend::Particle,
+                ..bp
+            },
+        ),
+    ];
+    let recorded = include_str!("data/parent_checkpoints.txt");
+    for (name, kind, policy) in cases {
+        let hex = recorded
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no recorded {name} checkpoint"));
+        let old: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+
+        let mut live = CohortActor::new(&engine, spec.clone(), model, config, policy);
+        assert_eq!(live.kind(), kind);
+        for _ in 0..2 {
+            assert!(matches!(live.run_round(&engine), RoundStep::Progressed));
+        }
+        assert_eq!(live.checkpoint().to_bytes(), old, "{name}: bytes moved");
+
+        let checkpoint = CohortCheckpoint::from_bytes(&old).unwrap();
+        let mut resumed = CohortActor::restore(&checkpoint, model, config, policy).unwrap();
+        let outcome = loop {
+            if let RoundStep::Finished(outcome) = resumed.run_round(&engine) {
+                break outcome;
+            }
+        };
+        let expected = run_cohort_serial(&engine, &spec, model, config, policy);
+        assert_eq!(outcome, expected, "{name}");
+        for (a, b) in outcome.marginals.iter().zip(&expected.marginals) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name}");
         }
     }
 }
