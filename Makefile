@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -17,6 +17,29 @@ fmt-check:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# One byte layer: every binary format (SBGTSNAP, SBGTCKPT, SBGTPLAN, wire
+# frames, ObsFrame) reads and writes through sbgt_lattice::bytes. Fails if
+# a second `struct Reader` appears under crates/*/src, or if byte-order
+# calls appear there outside that module and the engine's FxHasher.
+codec-lint:
+	@n=$$(grep -rn "struct Reader" crates/*/src | wc -l); \
+	if [ "$$n" -ne 1 ]; then \
+		echo "codec-lint: $$n definitions of struct Reader under crates/*/src (want 1)"; \
+		grep -rn "struct Reader" crates/*/src; exit 1; \
+	fi
+	@bad=$$(grep -rnE "(to|from)_le_bytes" crates/*/src \
+		| grep -v -e "^crates/lattice/src/bytes.rs:" -e "^crates/engine/src/partitioner.rs:"); \
+	if [ -n "$$bad" ]; then \
+		echo "codec-lint: byte-order calls outside sbgt_lattice::bytes and FxHasher:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "codec-lint: OK"
+
+# The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
+# src/, without a traced run.
+loc:
+	@find crates src -name '*.rs' -print0 | xargs -0 cat | wc -l
 
 build:
 	$(CARGO) build --release

@@ -1,13 +1,15 @@
-//! Property tests: the `SBGTSNAP` approx section round-trips bit-for-bit
-//! and rejects tampering with typed errors — truncation anywhere, flipped
-//! bytes (including the approx kind byte), and cross-backend restores all
-//! fail closed, never panic, never corrupt a session.
+//! The `SBGTSNAP` approx section on snapshots of live BP and particle
+//! sessions: the shared tamper harness (`sbgt_lattice::bytes::check`)
+//! proves byte-exact round trips, that truncation anywhere and trailing
+//! bytes fail closed, and that a flipped byte (including the approx kind
+//! byte) is a typed error or a snapshot the restore layer can vet without
+//! panicking; cross-backend restores are rejected outright.
 
 use proptest::prelude::*;
 
 use sbgt::SessionSnapshot;
 use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
-use sbgt_lattice::BigState;
+use sbgt_lattice::{bytes, BigState};
 use sbgt_response::BinaryDilutionModel;
 
 fn risks_from_seed(seed: u64, n: usize) -> Vec<f64> {
@@ -20,6 +22,14 @@ fn risks_from_seed(seed: u64, n: usize) -> Vec<f64> {
             0.01 + (h >> 11) as f64 / (1u64 << 53) as f64 * 0.15
         })
         .collect()
+}
+
+fn particle_config(seed: u64) -> ParticleConfig {
+    ParticleConfig {
+        particles: 16,
+        seed,
+        ..ParticleConfig::default()
+    }
 }
 
 /// A session of each backend with a couple of observed pools, so the
@@ -35,12 +45,7 @@ fn observed_sessions(
     let model = BinaryDilutionModel::pcr_like();
     let config = sbgt::SbgtConfig::default();
     let mut bp = BpSession::new(&risks, model, config, BpConfig::default()).unwrap();
-    let pcfg = ParticleConfig {
-        particles: 64,
-        seed,
-        ..ParticleConfig::default()
-    };
-    let mut particle = ParticleSession::new(&risks, model, config, pcfg).unwrap();
+    let mut particle = ParticleSession::new(&risks, model, config, particle_config(seed)).unwrap();
     let pools = [
         BigState::from_subjects(0..n / 2),
         BigState::from_subjects(n / 2..n),
@@ -52,66 +57,41 @@ fn observed_sessions(
     (bp, particle)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Both approx snapshot kinds survive the byte codec bit-for-bit, and
-    /// truncation at any point is a typed error.
-    #[test]
-    fn approx_snapshots_round_trip_and_reject_truncation(
-        seed in proptest::arbitrary::any::<u64>(),
-        n in 18usize..=40,
-        cut_seed in proptest::arbitrary::any::<usize>(),
-    ) {
-        let (bp, particle) = observed_sessions(seed, n);
-        for snap in [bp.snapshot(), particle.snapshot()] {
-            let bytes = snap.to_bytes();
-            prop_assert_eq!(&SessionSnapshot::from_bytes(&bytes).unwrap(), &snap);
-            let cut = cut_seed % bytes.len();
-            prop_assert!(SessionSnapshot::from_bytes(&bytes[..cut]).is_err());
-        }
-    }
-
-    /// Flipping any single byte of an approx snapshot either decodes to a
-    /// still-structurally-valid snapshot or fails with a typed error —
-    /// and whatever decodes must restore cleanly or be rejected, never
-    /// panic. This covers the approx kind byte too: a kind flipped to the
-    /// other backend is caught by the restore-side kind check.
-    #[test]
-    fn flipped_bytes_never_panic_the_approx_codec(
-        seed in proptest::arbitrary::any::<u64>(),
-        n in 18usize..=32,
-        at_seed in proptest::arbitrary::any::<usize>(),
-        xor in 1u8..=255,
-    ) {
+/// Both approx snapshot kinds pass the harness, and whatever survives a
+/// flip and decodes must hit the restore-side validation walls without
+/// panicking (a kind byte flipped to the other backend is caught there).
+#[test]
+fn approx_snapshots_survive_the_tamper_harness() {
+    let model = BinaryDilutionModel::pcr_like();
+    let config = sbgt::SbgtConfig::default();
+    for (seed, n) in [(1u64, 18usize), (0xC0FFEE, 33)] {
         let (bp, particle) = observed_sessions(seed, n);
         let risks = risks_from_seed(seed, n);
-        let model = BinaryDilutionModel::pcr_like();
-        let config = sbgt::SbgtConfig::default();
         for (snap, is_bp) in [(bp.snapshot(), true), (particle.snapshot(), false)] {
-            let mut bytes = snap.to_bytes();
-            let at = at_seed % bytes.len();
-            bytes[at] ^= xor;
-            let Ok(decoded) = SessionSnapshot::from_bytes(&bytes) else {
-                continue; // typed rejection is a pass
-            };
-            // Whatever survived decoding must hit the restore-side
-            // validation walls without panicking; a clean restore is only
-            // acceptable for flips that landed in don't-care bits.
-            if is_bp {
-                let _ = BpSession::restore(
-                    &decoded, &risks, model, config, BpConfig::default(),
-                );
-            } else {
-                let pcfg = ParticleConfig {
-                    particles: 64,
-                    seed,
-                    ..ParticleConfig::default()
-                };
-                let _ = ParticleSession::restore(&decoded, &risks, model, config, pcfg);
-            }
+            let bytes = snap.to_bytes();
+            assert_eq!(SessionSnapshot::from_bytes(&bytes).unwrap(), snap);
+            bytes::check(&bytes, |tampered| {
+                let decoded = SessionSnapshot::from_bytes(tampered)?;
+                if is_bp {
+                    let _ =
+                        BpSession::restore(&decoded, &risks, model, config, BpConfig::default());
+                } else {
+                    let _ = ParticleSession::restore(
+                        &decoded,
+                        &risks,
+                        model,
+                        config,
+                        particle_config(seed),
+                    );
+                }
+                Ok::<_, sbgt::SnapshotError>(decoded.to_bytes())
+            });
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cross-backend restores are rejected outright: a BP snapshot cannot
     /// rebuild a particle session and vice versa, whatever the payload.
@@ -124,7 +104,7 @@ proptest! {
         let risks = risks_from_seed(seed, n);
         let model = BinaryDilutionModel::pcr_like();
         let config = sbgt::SbgtConfig::default();
-        let pcfg = ParticleConfig { particles: 64, seed, ..ParticleConfig::default() };
+        let pcfg = particle_config(seed);
         prop_assert!(ParticleSession::restore(
             &bp.snapshot(), &risks, model, config, pcfg
         ).is_err());

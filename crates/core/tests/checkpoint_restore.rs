@@ -165,34 +165,28 @@ proptest! {
             prop_assert_eq!(outcome, expected);
         }
     }
+}
 
-    /// The byte codec round-trips arbitrary structurally-valid snapshots
-    /// bit-for-bit, and restore rejects tampered payloads with a typed
-    /// error instead of corrupting a session.
-    #[test]
-    fn codec_rejects_tampering(
-        seed in proptest::arbitrary::any::<u64>(),
-        n in 3usize..=7,
-        flip in proptest::arbitrary::any::<usize>(),
-    ) {
-        let e = engine();
-        let risks = risks_from_seed(seed, n);
-        let truth = truth_from_seed(seed >> 9, n);
-        let mut live = ShardedSession::new(
-            &e,
-            Prior::from_risks(&risks),
-            BinaryDilutionModel::pcr_like(),
-            SbgtConfig::default(),
-            3,
-        );
-        let _ = live.run_round(&e, |pool| truth.intersects(pool));
-        let bytes = live.snapshot().to_bytes();
-        prop_assert_eq!(
-            SessionSnapshot::from_bytes(&bytes).unwrap(),
-            live.snapshot()
-        );
-        // Truncation anywhere is an error, never a panic.
-        let cut = flip % bytes.len();
-        prop_assert!(SessionSnapshot::from_bytes(&bytes[..cut]).is_err());
-    }
+/// The bytes of a live sharded session — pending selection bank included —
+/// pass the shared tamper harness *through* restore: they round-trip
+/// byte-exactly, truncation and trailing bytes are typed errors, and
+/// whatever a flipped byte decodes to is rejected by restore or restores,
+/// never a panic and never a corrupted session.
+#[test]
+fn live_sharded_snapshot_survives_the_tamper_harness() {
+    let e = engine();
+    let (model, config) = (BinaryDilutionModel::pcr_like(), SbgtConfig::default());
+    let risks = risks_from_seed(0xC0FFEE, 5);
+    let truth = truth_from_seed(21, 5);
+    let mut live = ShardedSession::new(&e, Prior::from_risks(&risks), model, config, 3);
+    let _ = live.run_round(&e, |pool| truth.intersects(pool));
+    let snapshot = live.snapshot();
+    assert!(snapshot.pending_selection.is_some(), "bank is pipelined");
+    let bytes = snapshot.to_bytes();
+    assert_eq!(SessionSnapshot::from_bytes(&bytes).unwrap(), snapshot);
+    sbgt_lattice::bytes::check(&bytes, |tampered| {
+        let decoded = SessionSnapshot::from_bytes(tampered)?;
+        let _ = ShardedSession::restore(&decoded, model, config);
+        Ok::<_, SnapshotError>(decoded.to_bytes())
+    });
 }

@@ -1,16 +1,16 @@
 //! Partitioned datasets — the RDD analogue.
 //!
-//! A [`Dataset<T>`] is an immutable collection split into partitions, each
-//! held behind an [`Arc`] so tasks can reference partition data without
-//! copying it. Transformations (`map`, `filter`, `map_partitions`, ...)
-//! submit one task per partition to the engine's executor pool and produce a
-//! new dataset; actions (`reduce`, `aggregate`, `collect`, `count`) return a
-//! value to the driver.
+//! A [`Dataset<T>`] is a collection split into partitions, each held
+//! behind an [`Arc`] so tasks can reference partition data without copying
+//! it. A stage submits one task per partition to the engine's executor
+//! pool: `map_partitions` produces a new dataset, `map_partitions_in_place`
+//! mutates this one and returns one scalar per partition,
+//! `aggregate_partitions` only reads; `collect` gathers to the driver.
 //!
-//! Unlike Spark, execution is eager: each transformation is one job. SBGT's
-//! dataflow is a short pipeline of wide barriers over the lattice shards, so
-//! lazy DAG fusion would buy nothing here — the important Spark semantics
-//! (partition-parallelism, broadcast, shuffle, barriers) are preserved.
+//! Unlike Spark, execution is eager: each stage is one job. SBGT's dataflow
+//! is a short pipeline of wide barriers over the lattice shards, so lazy
+//! DAG fusion would buy nothing here — the Spark semantics it needs
+//! (partition-parallelism, broadcast, barriers) are preserved.
 //!
 //! # Panics
 //!
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::partitioner::partition_ranges;
 use crate::Engine;
 
@@ -99,9 +99,8 @@ impl<T> Dataset<T> {
 }
 
 impl<T: Send + Sync + 'static> Dataset<T> {
-    /// Per-partition transformation; the fallible primitive all other
-    /// transformations lower to. `f` receives the partition index and a
-    /// borrowed slice of its records.
+    /// Per-partition transformation (fallible). `f` receives the partition
+    /// index and a borrowed slice of its records.
     pub fn try_map_partitions<U, F>(&self, engine: &Engine, name: &str, f: F) -> Result<Dataset<U>>
     where
         U: Send + Sync + 'static,
@@ -322,120 +321,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         unwrap_job(self.try_aggregate_partitions(engine, "aggregate_partitions", f))
     }
 
-    /// Element-wise map.
-    pub fn map<U, F>(&self, engine: &Engine, f: F) -> Dataset<U>
-    where
-        U: Send + Sync + 'static,
-        F: Fn(&T) -> U + Send + Sync + 'static,
-    {
-        unwrap_job(
-            self.try_map_partitions(engine, "map", move |_, part| part.iter().map(&f).collect()),
-        )
-    }
-
-    /// Keep records matching the predicate.
-    pub fn filter<F>(&self, engine: &Engine, f: F) -> Dataset<T>
-    where
-        T: Clone,
-        F: Fn(&T) -> bool + Send + Sync + 'static,
-    {
-        unwrap_job(self.try_map_partitions(engine, "filter", move |_, part| {
-            part.iter().filter(|x| f(x)).cloned().collect()
-        }))
-    }
-
-    /// Map each record to zero or more outputs.
-    pub fn flat_map<U, F, I>(&self, engine: &Engine, f: F) -> Dataset<U>
-    where
-        U: Send + Sync + 'static,
-        I: IntoIterator<Item = U>,
-        F: Fn(&T) -> I + Send + Sync + 'static,
-    {
-        unwrap_job(self.try_map_partitions(engine, "flat_map", move |_, part| {
-            part.iter().flat_map(&f).collect()
-        }))
-    }
-
-    /// Run a side-effecting closure over every partition (e.g. to feed
-    /// accumulators). Returns after the barrier.
-    pub fn for_each_partition<F>(&self, engine: &Engine, f: F)
-    where
-        F: Fn(usize, &[T]) + Send + Sync + 'static,
-    {
-        unwrap_job(
-            self.try_map_partitions(engine, "for_each", move |idx, part| {
-                f(idx, part);
-                Vec::<()>::with_capacity(0)
-            }),
-        );
-    }
-
-    /// General two-phase aggregation: fold each partition with `seq` from a
-    /// clone of `zero`, then combine partition results with `comb` on the
-    /// driver. This is the workhorse action (normalization sums, mass sums,
-    /// marginal accumulation all lower to it).
-    pub fn aggregate<A, S, C>(&self, engine: &Engine, zero: A, seq: S, comb: C) -> A
-    where
-        A: Clone + Send + Sync + 'static,
-        S: Fn(A, &T) -> A + Send + Sync + 'static,
-        C: Fn(A, A) -> A,
-    {
-        let seq = Arc::new(seq);
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|part| {
-                let part = Arc::clone(part);
-                let seq = Arc::clone(&seq);
-                let zero = zero.clone();
-                // `zero.clone()` per invocation keeps the task re-runnable
-                // (retry/speculation re-invoke the closure).
-                move || part.iter().fold(zero.clone(), |acc, x| seq(acc, x))
-            })
-            .collect();
-        let partials = unwrap_job(engine.run_stage("aggregate", tasks));
-        partials.into_iter().fold(zero, comb)
-    }
-
-    /// Reduce with a binary operation; `None` on an empty dataset.
-    pub fn reduce<F>(&self, engine: &Engine, f: F) -> Option<T>
-    where
-        T: Clone,
-        F: Fn(&T, &T) -> T + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|part| {
-                let part = Arc::clone(part);
-                let f = Arc::clone(&f);
-                move || {
-                    let mut iter = part.iter();
-                    let first = iter.next()?.clone();
-                    Some(iter.fold(first, |acc, x| f(&acc, x)))
-                }
-            })
-            .collect();
-        let partials = unwrap_job(engine.run_stage("reduce", tasks));
-        partials.into_iter().flatten().reduce(|a, b| f(&a, &b))
-    }
-
-    /// Count records (parallel).
-    pub fn count(&self, engine: &Engine) -> usize {
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|part| {
-                let part = Arc::clone(part);
-                move || part.len()
-            })
-            .collect();
-        unwrap_job(engine.run_stage("count", tasks))
-            .into_iter()
-            .sum()
-    }
-
     /// Gather all records to the driver in partition order.
     pub fn collect(&self) -> Vec<T>
     where
@@ -446,132 +331,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             out.extend(part.iter().cloned());
         }
         out
-    }
-
-    /// First `n` records in partition order.
-    pub fn take(&self, n: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.iter().take(n).cloned().collect()
-    }
-
-    /// Pairwise combination of two datasets with identical partition shapes
-    /// (same partition count and per-partition lengths).
-    pub fn try_zip_map<U, V, F>(
-        &self,
-        engine: &Engine,
-        other: &Dataset<U>,
-        f: F,
-    ) -> Result<Dataset<V>>
-    where
-        U: Send + Sync + 'static,
-        V: Send + Sync + 'static,
-        F: Fn(&T, &U) -> V + Send + Sync + 'static,
-    {
-        if self.num_partitions() != other.num_partitions() {
-            return Err(EngineError::PartitionMismatch {
-                left: self.num_partitions(),
-                right: other.num_partitions(),
-            });
-        }
-        for (a, b) in self.partitions.iter().zip(&other.partitions) {
-            if a.len() != b.len() {
-                return Err(EngineError::PartitionMismatch {
-                    left: a.len(),
-                    right: b.len(),
-                });
-            }
-        }
-        let f = Arc::new(f);
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .zip(&other.partitions)
-            .map(|(a, b)| {
-                let a = Arc::clone(a);
-                let b = Arc::clone(b);
-                let f = Arc::clone(&f);
-                move || {
-                    a.iter()
-                        .zip(b.iter())
-                        .map(|(x, y)| f(x, y))
-                        .collect::<Vec<V>>()
-                }
-            })
-            .collect();
-        let parts = engine.run_stage("zip_map", tasks)?;
-        Ok(Dataset::from_partitions(parts))
-    }
-
-    /// Pairwise combination; panics on shape mismatch or task failure.
-    pub fn zip_map<U, V, F>(&self, engine: &Engine, other: &Dataset<U>, f: F) -> Dataset<V>
-    where
-        U: Send + Sync + 'static,
-        V: Send + Sync + 'static,
-        F: Fn(&T, &U) -> V + Send + Sync + 'static,
-    {
-        unwrap_job(self.try_zip_map(engine, other, f))
-    }
-
-    /// Rebalance into `parts` contiguous partitions.
-    pub fn repartition(&self, parts: usize) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        Dataset::from_vec(self.collect(), parts)
-    }
-
-    /// Concatenate two datasets (partitions of `self` followed by
-    /// partitions of `other`).
-    pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
-        let mut partitions = self.partitions.clone();
-        partitions.extend(other.partitions.iter().cloned());
-        Dataset { partitions }
-    }
-
-    /// Remove duplicate records (via a shuffle-free driver-side pass;
-    /// order of first occurrence is preserved).
-    pub fn distinct(&self, parts: usize) -> Dataset<T>
-    where
-        T: Clone + Eq + std::hash::Hash,
-    {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for item in self.iter() {
-            if seen.insert(item.clone()) {
-                out.push(item.clone());
-            }
-        }
-        Dataset::from_vec(out, parts)
-    }
-
-    /// Deterministic subsample: keep each record with probability `frac`,
-    /// decided by a per-record hash of `(seed, partition, offset)` — the
-    /// Spark-style reproducible Bernoulli sample that needs no RNG state
-    /// shared across tasks.
-    pub fn sample(&self, engine: &Engine, frac: f64, seed: u64) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0,1]");
-        let threshold = (frac * u64::MAX as f64) as u64;
-        unwrap_job(
-            self.try_map_partitions(engine, "sample", move |pidx, part| {
-                part.iter()
-                    .enumerate()
-                    .filter(|(off, _)| {
-                        let mut h = crate::partitioner::FxHasher::default();
-                        use std::hash::Hasher as _;
-                        h.write_u64(seed);
-                        h.write_usize(pidx);
-                        h.write_usize(*off);
-                        h.finish() <= threshold
-                    })
-                    .map(|(_, x)| x.clone())
-                    .collect()
-            }),
-        )
     }
 }
 
@@ -585,7 +344,7 @@ fn unwrap_job<T>(result: Result<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{EngineConfig, EngineError};
 
     fn engine() -> Engine {
         Engine::new(EngineConfig::default().with_threads(2))
@@ -607,136 +366,20 @@ mod tests {
         let ds = Dataset::from_vec(vec![1, 2], 5);
         assert_eq!(ds.num_partitions(), 5);
         assert_eq!(ds.collect(), vec![1, 2]);
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let e = engine();
-        let ds = Dataset::from_vec((0..100).collect::<Vec<i64>>(), 7);
-        let out = ds.map(&e, |x| x + 1).collect();
-        assert_eq!(out, (1..101).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn filter_and_flat_map() {
-        let e = engine();
-        let ds = Dataset::from_vec((0..20).collect::<Vec<u32>>(), 4);
-        let evens = ds.filter(&e, |x| x % 2 == 0).collect();
-        assert_eq!(evens.len(), 10);
-        let doubled = ds.flat_map(&e, |x| vec![*x, *x]).count(&e);
-        assert_eq!(doubled, 40);
-    }
-
-    #[test]
-    fn aggregate_sums() {
-        let e = engine();
-        let ds = Dataset::from_vec((1..=100u64).collect::<Vec<_>>(), 9);
-        let sum = ds.aggregate(&e, 0u64, |acc, x| acc + x, |a, b| a + b);
-        assert_eq!(sum, 5050);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let e = engine();
-        let ds = Dataset::from_vec(vec![3, 9, 2, 7, 5], 3);
-        let max = ds.reduce(&e, |a, b| (*a).max(*b)).unwrap();
-        assert_eq!(max, 9);
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let e = engine();
-        let ds: Dataset<i32> = Dataset::from_vec(vec![], 4);
-        assert!(ds.reduce(&e, |a, b| a + b).is_none());
-    }
-
-    #[test]
-    fn reduce_with_empty_partitions() {
-        let e = engine();
-        // 2 items across 5 partitions -> 3 empty partitions.
-        let ds = Dataset::from_vec(vec![4, 6], 5);
-        assert_eq!(ds.reduce(&e, |a, b| a + b), Some(10));
-    }
-
-    #[test]
-    fn zip_map_matches_element_wise() {
-        let e = engine();
-        let a = Dataset::from_vec((0..50).collect::<Vec<i64>>(), 6);
-        let b = Dataset::from_vec((0..50).map(|x| x * 10).collect::<Vec<i64>>(), 6);
-        let c = a.zip_map(&e, &b, |x, y| x + y).collect();
-        assert_eq!(c, (0..50).map(|x| x * 11).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn zip_map_rejects_mismatched_partitions() {
-        let e = engine();
-        let a = Dataset::from_vec((0..10).collect::<Vec<i64>>(), 2);
-        let b = Dataset::from_vec((0..10).collect::<Vec<i64>>(), 3);
-        match a.try_zip_map(&e, &b, |x, y| x + y) {
-            Err(EngineError::PartitionMismatch { left: 2, right: 3 }) => {}
-            other => panic!("unexpected: {:?}", other.map(|d| d.len())),
-        }
-    }
-
-    #[test]
-    fn repartition_preserves_content() {
-        let ds = Dataset::from_vec((0..17).collect::<Vec<_>>(), 2);
-        let re = ds.repartition(5);
-        assert_eq!(re.num_partitions(), 5);
-        assert_eq!(re.collect(), (0..17).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn take_and_iter() {
-        let ds = Dataset::from_vec((0..9).collect::<Vec<_>>(), 3);
-        assert_eq!(ds.take(4), vec![0, 1, 2, 3]);
-        assert_eq!(ds.iter().count(), 9);
+        assert_eq!(ds.iter().count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "dataset job failed")]
-    fn map_propagates_user_panic() {
+    fn map_partitions_propagates_user_panic() {
         let e = engine();
         let ds = Dataset::from_vec(vec![1, 2, 3], 2);
-        let _ = ds.map(&e, |x| if *x == 2 { panic!("bad record") } else { *x });
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let a = Dataset::from_vec(vec![1, 2], 2);
-        let b = Dataset::from_vec(vec![3, 4, 5], 1);
-        let u = a.union(&b);
-        assert_eq!(u.collect(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(u.num_partitions(), 3);
-    }
-
-    #[test]
-    fn distinct_preserves_first_occurrence() {
-        let ds = Dataset::from_vec(vec![3, 1, 3, 2, 1, 3], 3);
-        assert_eq!(ds.distinct(2).collect(), vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn sample_is_reproducible_and_proportional() {
-        let e = engine();
-        let ds = Dataset::from_vec((0..10_000).collect::<Vec<u32>>(), 8);
-        let a = ds.sample(&e, 0.3, 7).collect();
-        let b = ds.sample(&e, 0.3, 7).collect();
-        assert_eq!(a, b);
-        let frac = a.len() as f64 / 10_000.0;
-        assert!((frac - 0.3).abs() < 0.03, "fraction {frac}");
-        let c = ds.sample(&e, 0.3, 8).collect();
-        assert_ne!(a, c, "different seeds should differ");
-        assert!(ds.sample(&e, 0.0, 1).is_empty());
-        assert_eq!(ds.sample(&e, 1.0, 1).len(), 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn sample_validates_fraction() {
-        let e = engine();
-        let ds = Dataset::from_vec(vec![1], 1);
-        let _ = ds.sample(&e, 1.5, 0);
+        let _ = ds.map_partitions(&e, |idx, part| {
+            if idx == 1 {
+                panic!("bad partition");
+            }
+            part.to_vec()
+        });
     }
 
     #[test]
@@ -902,9 +545,11 @@ mod tests {
                 .with_threads(2)
                 .with_retry(crate::RetryPolicy::clamped(3)),
         );
-        e.set_fault_plan(crate::FaultPlan::new().panic_at("map", 0, 0));
+        e.set_fault_plan(crate::FaultPlan::new().panic_at("map_partitions", 0, 0));
         let ds = Dataset::from_vec((0..30i64).collect::<Vec<_>>(), 3);
-        let out = ds.map(&e, |x| x + 1).collect();
+        let out = ds
+            .map_partitions(&e, |_, part| part.iter().map(|x| x + 1).collect())
+            .collect();
         assert_eq!(out, (1..31).collect::<Vec<_>>());
         // Make sure the fault actually fired and was absorbed somewhere in
         // this engine's jobs.
@@ -936,17 +581,5 @@ mod tests {
             .map(|h| Arc::try_unwrap(h).expect("unique"))
             .collect();
         assert_eq!(owned, vec![vec![0, 1, 2], vec![3, 4, 5]]);
-    }
-
-    #[test]
-    fn for_each_partition_side_effects() {
-        let e = engine();
-        let ds = Dataset::from_vec((0..100u64).collect::<Vec<_>>(), 8);
-        let acc = Arc::new(crate::SumAccumulator::new());
-        let acc2 = Arc::clone(&acc);
-        ds.for_each_partition(&e, move |_, part| {
-            acc2.add(part.iter().map(|&x| x as f64).sum());
-        });
-        assert_eq!(acc.value(), 4950.0);
     }
 }

@@ -23,13 +23,6 @@ pub enum EngineError {
     },
     /// The executor pool shut down while a job was in flight.
     PoolShutDown,
-    /// Two datasets were combined with incompatible partitioning.
-    PartitionMismatch {
-        /// Partition count of the left operand.
-        left: usize,
-        /// Partition count of the right operand.
-        right: usize,
-    },
     /// An operation required a non-empty dataset but the dataset was empty.
     EmptyDataset,
     /// A caller-supplied parameter was invalid (e.g. zero partitions).
@@ -58,10 +51,6 @@ impl std::fmt::Display for EngineError {
                 }
             }
             EngineError::PoolShutDown => write!(f, "executor pool shut down"),
-            EngineError::PartitionMismatch { left, right } => write!(
-                f,
-                "partition mismatch: left has {left} partitions, right has {right}"
-            ),
             EngineError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
             EngineError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
@@ -103,10 +92,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "stage 'update': task 3 panicked after 4 attempt(s): x"
-        );
-        assert_eq!(
-            EngineError::PartitionMismatch { left: 2, right: 4 }.to_string(),
-            "partition mismatch: left has 2 partitions, right has 4"
         );
         assert_eq!(
             EngineError::PoolShutDown.to_string(),

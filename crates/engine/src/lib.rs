@@ -1,21 +1,22 @@
-//! # sbgt-engine — partitioned in-memory dataflow engine
+//! # sbgt-engine — partitioned in-memory stage engine
 //!
 //! SBGT (IPDPS '23) scales Bayesian group testing by distributing the
 //! exponential lattice state space over Apache Spark. This crate is the
 //! Spark substitute used by the Rust reproduction: an in-process,
-//! partition-parallel dataflow engine that mirrors the Spark primitives the
-//! paper relies on:
+//! partition-parallel engine holding the primitives the posterior hot
+//! loop, the service and the simulators call:
 //!
 //! * [`Engine`] — the driver: owns a [`ThreadPool`] of executor threads and a
 //!   [`MetricsRegistry`] recording per-task and per-job timings (the
 //!   equivalent of Spark's stage/task UI, used by the benchmark harness).
-//! * [`Dataset`] — an immutable partitioned collection (the RDD analogue)
-//!   with `map`, `filter`, `map_partitions`, `reduce`, `aggregate`, `zip`,
-//!   and shuffle-based `repartition`/`group_by_key` operations.
+//! * [`Dataset`] — a partitioned collection (the RDD analogue) with
+//!   per-partition stages: `map_partitions` (new dataset),
+//!   `map_partitions_in_place` (mutate, one scalar per partition back),
+//!   `aggregate_partitions` (read-only, one value per partition back).
 //! * [`Broadcast`] — read-only variables shared with every task (likelihood
 //!   tables, pool masks).
-//! * [`accumulator`] — commutative counters/sums updated from tasks
-//!   (posterior normalization constants, mass accumulators).
+//! * Supervised stages ([`Engine::run_stage`]) with retry, speculation and
+//!   seeded fault injection, and the telemetry recorder ([`obs`]).
 //!
 //! Everything runs inside one process: "executors" are worker threads and a
 //! "cluster" is a thread count, per the reproduction guidance to rebuild the
@@ -88,30 +89,28 @@
 //! use sbgt_engine::{Engine, EngineConfig, Dataset};
 //!
 //! let engine = Engine::new(EngineConfig::default().with_threads(2));
-//! let ds = Dataset::from_vec((0u64..1000).collect::<Vec<_>>(), 8);
-//! let sum: u64 = ds
-//!     .map(&engine, |x| x * 2)
-//!     .aggregate(&engine, 0u64, |acc, x| acc + x, |a, b| a + b);
-//! assert_eq!(sum, 999 * 1000);
+//! let mut ds = Dataset::from_vec((0u64..1000).collect::<Vec<_>>(), 8);
+//! // One in-place stage: double every record, one partial sum per partition.
+//! let partials = ds.map_partitions_in_place(&engine, |_, part| {
+//!     part.iter_mut().for_each(|x| *x *= 2);
+//!     part.iter().sum::<u64>()
+//! });
+//! assert_eq!(partials.iter().sum::<u64>(), 999 * 1000);
 //! ```
 
-pub mod accumulator;
 pub mod broadcast;
 pub mod chaos;
 pub mod config;
 pub mod dataset;
 pub mod error;
-pub mod keyed;
 pub mod metrics;
 pub mod obs;
 pub mod partitioner;
 pub mod pool;
 pub mod retry;
-pub mod shuffle;
 pub mod stage;
 pub mod timeline;
 
-pub use accumulator::{CountAccumulator, SumAccumulator};
 pub use broadcast::Broadcast;
 pub use chaos::{ChaosConfig, Fault, FaultPlan, SpeculationConfig};
 pub use config::EngineConfig;
@@ -125,7 +124,7 @@ pub use obs::{
     trace_id_for_cohort, LogHistogram, ObsConfig, SpanKind, SpanMeta, SpanRecorder, TraceContext,
     TraceLevel,
 };
-pub use partitioner::{partition_ranges, HashPartitioner, Partitioner, RangePartitioner};
+pub use partitioner::partition_ranges;
 pub use pool::ThreadPool;
 pub use retry::RetryPolicy;
 
@@ -261,7 +260,7 @@ impl Engine {
 
     /// Run a named job: one closure per task, results returned in task order.
     ///
-    /// This is the primitive every `Dataset` operation lowers to. Task
+    /// This is the primitive the unsupervised `Dataset` stages lower to. Task
     /// panics are caught and surfaced as [`EngineError::TaskPanicked`]; the
     /// job's timing is recorded in the metrics registry whether it succeeds
     /// or fails.

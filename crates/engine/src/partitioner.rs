@@ -1,12 +1,11 @@
-//! Partitioning strategies.
+//! Contiguous partitioning, and the hash the chaos layer draws faults with.
 //!
-//! Datasets are split into contiguous partitions; shuffles route records to
-//! target partitions with a [`Partitioner`]. The hash partitioner uses the
-//! FxHash multiplication-based mixing function (fast, adequate quality for
-//! in-process shuffles; HashDoS resistance is irrelevant here — see the
-//! perf-book guidance on hash function choice).
+//! Datasets are split into contiguous partitions by [`partition_ranges`].
+//! [`FxHasher`] is the FxHash multiplication-based mixing function (fast,
+//! adequate quality for in-process use; HashDoS resistance is irrelevant
+//! here): seeded fault plans hash `(seed, stage, task, attempt)` with it.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::ops::Range;
 
 /// Split `len` items into `parts` contiguous ranges whose sizes differ by at
@@ -29,85 +28,6 @@ pub fn partition_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, len);
     out
-}
-
-/// Maps a record key to a target partition index.
-pub trait Partitioner<K: ?Sized>: Send + Sync {
-    /// Total number of target partitions.
-    fn num_partitions(&self) -> usize;
-    /// Target partition for `key`; must be `< num_partitions()`.
-    fn partition(&self, key: &K) -> usize;
-}
-
-/// Hash partitioner over any `Hash` key.
-#[derive(Debug, Clone)]
-pub struct HashPartitioner {
-    parts: usize,
-}
-
-impl HashPartitioner {
-    /// Create a hash partitioner targeting `parts` partitions (at least 1).
-    pub fn new(parts: usize) -> Self {
-        HashPartitioner {
-            parts: parts.max(1),
-        }
-    }
-}
-
-impl<K: Hash + ?Sized> Partitioner<K> for HashPartitioner {
-    fn num_partitions(&self) -> usize {
-        self.parts
-    }
-
-    fn partition(&self, key: &K) -> usize {
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.parts as u64) as usize
-    }
-}
-
-/// Range partitioner for `u64` keys distributed over a known span, used to
-/// shard lattice state indices contiguously (state index = array index, so
-/// contiguous shards keep kernels gather-free).
-#[derive(Debug, Clone)]
-pub struct RangePartitioner {
-    parts: usize,
-    span: u64,
-}
-
-impl RangePartitioner {
-    /// Partitioner for keys in `0..span` into `parts` contiguous ranges.
-    pub fn new(parts: usize, span: u64) -> Self {
-        RangePartitioner {
-            parts: parts.max(1),
-            span: span.max(1),
-        }
-    }
-}
-
-impl Partitioner<u64> for RangePartitioner {
-    fn num_partitions(&self) -> usize {
-        self.parts
-    }
-
-    fn partition(&self, key: &u64) -> usize {
-        let key = (*key).min(self.span - 1);
-        // Mirror partition_ranges: first `extra` ranges are one larger.
-        let base = self.span / self.parts as u64;
-        let extra = self.span % self.parts as u64;
-        let boundary = extra * (base + 1);
-        if key < boundary {
-            (key / (base + 1)) as usize
-        } else {
-            match (key - boundary).checked_div(base) {
-                Some(q) => (extra + q) as usize,
-                // span < parts: everything past the boundary is out of
-                // range of the sized partitions; clamp to the last
-                // non-empty one.
-                None => (extra.saturating_sub(1)) as usize,
-            }
-        }
-    }
 }
 
 /// FxHash: the rustc hash function (multiply + rotate mixing).
@@ -166,6 +86,7 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn ranges_cover_exactly() {
@@ -192,55 +113,6 @@ mod tests {
         let ranges = partition_ranges(10, 0);
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0], 0..10);
-    }
-
-    #[test]
-    fn hash_partitioner_in_range() {
-        let p = HashPartitioner::new(7);
-        for key in 0u64..1000 {
-            let idx = p.partition(&key);
-            assert!(idx < 7);
-        }
-    }
-
-    #[test]
-    fn hash_partitioner_spreads_keys() {
-        let p = HashPartitioner::new(8);
-        let mut counts = [0usize; 8];
-        for key in 0u64..8000 {
-            counts[p.partition(&key)] += 1;
-        }
-        // Expect roughly 1000 per bucket; allow generous slack.
-        for &c in &counts {
-            assert!(c > 500 && c < 1500, "skewed: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn range_partitioner_matches_partition_ranges() {
-        for span in [1u64, 5, 16, 100, 1000] {
-            for parts in [1usize, 2, 3, 7, 16] {
-                let ranges = partition_ranges(span as usize, parts);
-                let p = RangePartitioner::new(parts, span);
-                for key in 0..span {
-                    let expected = ranges
-                        .iter()
-                        .position(|r| r.contains(&(key as usize)))
-                        .unwrap();
-                    assert_eq!(
-                        p.partition(&key),
-                        expected,
-                        "span={span} parts={parts} key={key}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn range_partitioner_clamps_out_of_span() {
-        let p = RangePartitioner::new(4, 100);
-        assert!(Partitioner::<u64>::partition(&p, &1_000_000) < 4);
     }
 
     #[test]

@@ -22,10 +22,10 @@ fn traced_engine() -> Engine {
 /// Run a few engine jobs so every lane holds stage and task spans.
 fn run_some_jobs(e: &Engine) {
     let ds = Dataset::from_vec((0..64i64).collect(), 4);
-    let doubled = ds.map(e, |x| x * 2);
+    let doubled = ds.map_partitions(e, |_, part| part.iter().map(|x| x * 2).collect());
     assert_eq!(doubled.collect().len(), 64);
-    let sum = ds.aggregate(e, 0i64, |acc, x| acc + x, |a, b| a + b);
-    assert_eq!(sum, (0..64).sum::<i64>());
+    let sums = ds.aggregate_partitions(e, |_, part| part.iter().sum::<i64>());
+    assert_eq!(sums.iter().sum::<i64>(), (0..64).sum::<i64>());
 }
 
 #[test]

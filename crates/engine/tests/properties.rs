@@ -1,5 +1,5 @@
-//! Property tests for the dataflow engine: partitioning, shuffle, sort,
-//! join, and aggregation invariants under randomized inputs.
+//! Property tests for the stage engine: partitioning and per-partition
+//! stages agree with their sequential references under randomized inputs.
 
 use proptest::prelude::*;
 
@@ -23,110 +23,32 @@ proptest! {
         prop_assert_eq!(ds.collect(), data);
     }
 
-    /// map ∘ collect ≡ collect ∘ map (engine map equals iterator map).
+    /// A per-partition map, immutable or in place, equals the iterator map.
     #[test]
-    fn map_commutes_with_collect(
+    fn partition_stages_commute_with_collect(
         data in prop::collection::vec(any::<i16>(), 0..150),
         parts in 1usize..8,
     ) {
         let e = engine();
-        let ds = Dataset::from_vec(data.clone(), parts);
-        let via_engine = ds.map(&e, |x| i32::from(*x) * 3 - 1).collect();
-        let direct: Vec<i32> = data.iter().map(|x| i32::from(*x) * 3 - 1).collect();
-        prop_assert_eq!(via_engine, direct);
+        let widened: Vec<i32> = data.iter().map(|x| i32::from(*x)).collect();
+        let direct: Vec<i32> = widened.iter().map(|x| x * 3 - 1).collect();
+        let mut ds = Dataset::from_vec(widened, parts);
+        let immutable = ds.map_partitions(&e, |_, part| part.iter().map(|x| x * 3 - 1).collect());
+        prop_assert_eq!(immutable.collect(), direct.clone());
+        ds.map_partitions_in_place(&e, |_, part| part.iter_mut().for_each(|x| *x = *x * 3 - 1));
+        prop_assert_eq!(ds.collect(), direct);
     }
 
-    /// aggregate equals the sequential fold for associative+commutative ops.
+    /// Per-partition partials combine to the sequential fold.
     #[test]
-    fn aggregate_equals_fold(
+    fn aggregate_partitions_equals_fold(
         data in prop::collection::vec(0i64..1000, 0..200),
         parts in 1usize..9,
     ) {
         let e = engine();
         let ds = Dataset::from_vec(data.clone(), parts);
-        let sum = ds.aggregate(&e, 0i64, |acc, x| acc + x, |a, b| a + b);
-        prop_assert_eq!(sum, data.iter().sum::<i64>());
-        let max = ds.reduce(&e, |a, b| (*a).max(*b));
-        prop_assert_eq!(max, data.iter().copied().max());
-    }
-
-    /// Shuffle preserves the multiset and colocates keys.
-    #[test]
-    fn shuffle_invariants(
-        data in prop::collection::vec((0u8..20, any::<u16>()), 0..150),
-        in_parts in 1usize..6,
-        out_parts in 1usize..6,
-    ) {
-        let e = engine();
-        let ds = Dataset::from_vec(data.clone(), in_parts);
-        let shuffled = ds.shuffle_by_key(&e, out_parts);
-        let mut before = data;
-        let mut after = shuffled.collect();
-        before.sort_unstable();
-        after.sort_unstable();
-        prop_assert_eq!(before, after);
-        for key in 0u8..20 {
-            let holders = (0..shuffled.num_partitions())
-                .filter(|&p| shuffled.partition(p).iter().any(|(k, _)| *k == key))
-                .count();
-            prop_assert!(holders <= 1, "key {} split", key);
-        }
-    }
-
-    /// sort_by_key agrees with std sort on keys.
-    #[test]
-    fn sort_matches_std(
-        data in prop::collection::vec((any::<i32>(), any::<u8>()), 0..150),
-        parts in 1usize..6,
-    ) {
-        let e = engine();
-        let ds = Dataset::from_vec(data.clone(), 4);
-        let sorted = ds.sort_by_key(&e, parts, 5);
-        let keys: Vec<i32> = sorted.iter().map(|(k, _)| *k).collect();
-        let mut expected: Vec<i32> = data.iter().map(|(k, _)| *k).collect();
-        expected.sort_unstable();
-        prop_assert_eq!(keys, expected);
-    }
-
-    /// join equals the nested-loop reference.
-    #[test]
-    fn join_matches_reference(
-        left in prop::collection::vec((0u8..8, 0u32..100), 0..40),
-        right in prop::collection::vec((0u8..8, 0u32..100), 0..40),
-    ) {
-        let e = engine();
-        let l = Dataset::from_vec(left.clone(), 3);
-        let r = Dataset::from_vec(right.clone(), 2);
-        let mut joined = l.join(&e, &r, 4).collect();
-        joined.sort_unstable();
-        let mut expected = Vec::new();
-        for (k, v) in &left {
-            for (k2, w) in &right {
-                if k == k2 {
-                    expected.push((*k, (*v, *w)));
-                }
-            }
-        }
-        expected.sort_unstable();
-        prop_assert_eq!(joined, expected);
-    }
-
-    /// reduce_by_key sums match a HashMap reference.
-    #[test]
-    fn reduce_by_key_matches_reference(
-        data in prop::collection::vec((0u8..10, 0u64..1000), 0..120),
-        parts in 1usize..5,
-    ) {
-        let e = engine();
-        let ds = Dataset::from_vec(data.clone(), 4);
-        let mut reduced = ds.reduce_by_key(&e, parts, |a, b| a + b).collect();
-        reduced.sort_unstable();
-        let mut expected_map = std::collections::HashMap::<u8, u64>::new();
-        for (k, v) in &data {
-            *expected_map.entry(*k).or_default() += v;
-        }
-        let mut expected: Vec<(u8, u64)> = expected_map.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(reduced, expected);
+        let partials = ds.aggregate_partitions(&e, |_, part| part.iter().sum::<i64>());
+        prop_assert_eq!(partials.len(), parts);
+        prop_assert_eq!(partials.iter().sum::<i64>(), data.iter().sum::<i64>());
     }
 }

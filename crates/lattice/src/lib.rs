@@ -26,7 +26,12 @@
 //! * [`branch`] — the branch-fused look-ahead selection kernel
 //!   ([`LookaheadKernel`]) that accumulates all `2^j` outcome-branch
 //!   prefix-mass histograms in one traversal, shared by the serial, rayon,
-//!   and engine-sharded selection paths.
+//!   and engine-sharded selection paths;
+//! * [`bytes`] — the workspace's one byte layer: the fail-closed
+//!   `Reader`/`Writer` every binary format (SBGTSNAP, SBGTCKPT, SBGTPLAN,
+//!   wire frames, ObsFrame) is written on, and the tamper harness each is
+//!   tested with. It lives here because this is the one crate every codec
+//!   owner already depends on.
 //!
 //! Throughout, the state integer doubles as the array index, so dense
 //! kernels are gather-free linear passes — the layout property that lets the
@@ -34,6 +39,7 @@
 
 pub mod bigstate;
 pub mod branch;
+pub mod bytes;
 pub mod chains;
 pub mod dense;
 pub mod hybrid;

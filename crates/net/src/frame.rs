@@ -27,6 +27,7 @@ use sbgt::SessionOutcome;
 use sbgt_bayes::{CohortClassification, SubjectStatus};
 use sbgt_engine::obs::hist::BUCKET_COUNT;
 use sbgt_engine::obs::{LogHistogram, PromSample, SpanEvent, SpanKind, SpanMeta, TraceContext};
+use sbgt_lattice::bytes::{ByteError, Fault, Reader, Writer};
 use sbgt_lattice::BigState;
 use sbgt_service::{CohortReport, CohortSpec, ShedReason, Specimen};
 
@@ -267,120 +268,40 @@ const NO_REASON: u8 = 0xFF;
 const TRAILER_TRACE: u8 = 0x01;
 
 // ---------------------------------------------------------------------------
-// Payload writer/reader
+// Field codecs, on the shared byte layer (`sbgt_lattice::bytes`)
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64_bits(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-/// Bounds-checked payload cursor; every short read is
-/// [`DecodeError::Corrupt`] (within a complete frame the header's length
-/// is authoritative, so running out of payload is corruption, not a torn
-/// stream).
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(DecodeError::Corrupt("field past end of payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64_bits(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// A `u32` count about to drive a loop of items at least `min_item`
-    /// bytes each — bounded by the remaining payload so a hostile count
-    /// cannot pre-allocate unbounded memory.
-    fn count(&mut self, min_item: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_item.max(1)) > self.buf.len() - self.pos {
-            return Err(DecodeError::Corrupt("count exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Corrupt("trailing bytes after message"))
-        }
+/// Within a complete frame the header's length is authoritative, so
+/// running out of payload is corruption, not a torn stream.
+impl From<ByteError> for DecodeError {
+    fn from(e: ByteError) -> Self {
+        DecodeError::Corrupt(match e.fault {
+            Fault::Truncated { .. } => "field past end of payload",
+            Fault::Count { .. } => "count exceeds payload",
+            Fault::Trailing { .. } => "trailing bytes after message",
+        })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Field codecs
-// ---------------------------------------------------------------------------
-
-fn put_spec(out: &mut Vec<u8>, spec: &CohortSpec) {
-    put_u64(out, spec.id);
-    put_u64(out, spec.seed);
-    put_u32(out, spec.tenant);
-    put_u32(out, spec.risks.len() as u32);
-    for r in &spec.risks {
-        put_f64_bits(out, *r);
-    }
+fn put_spec(w: &mut Writer, spec: &CohortSpec) {
+    w.u64(spec.id);
+    w.u64(spec.seed);
+    w.u32(spec.tenant);
+    w.u32(spec.risks.len() as u32);
+    w.f64s(&spec.risks);
     let words = spec.truth.words();
-    put_u32(out, words.len() as u32);
-    for w in words {
-        put_u64(out, *w);
-    }
+    w.u32(words.len() as u32);
+    w.u64s(words);
 }
 
-fn read_spec(r: &mut Reader<'_>) -> Result<CohortSpec, DecodeError> {
+fn read_spec(r: &mut Reader<'_>) -> Result<CohortSpec, ByteError> {
     let id = r.u64()?;
     let seed = r.u64()?;
     let tenant = r.u32()?;
-    let n = r.count(8)?;
-    let risks = (0..n).map(|_| r.f64_bits()).collect::<Result<_, _>>()?;
-    let n_words = r.count(8)?;
-    let words = (0..n_words).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let truth = BigState::from_words(words);
+    let n_risks = r.count32(8, "risk")?;
+    let risks = r.f64s(n_risks)?;
+    let n_words = r.count32(8, "truth word")?;
+    let truth = BigState::from_words(r.u64s(n_words)?);
     Ok(CohortSpec {
         id,
         seed,
@@ -407,21 +328,19 @@ fn status_from_byte(b: u8) -> Result<SubjectStatus, DecodeError> {
     }
 }
 
-fn put_report(out: &mut Vec<u8>, report: &CohortReport) {
-    put_u64(out, report.cohort);
-    put_u32(out, report.tenant);
-    put_u32(out, report.subjects as u32);
-    put_u64(out, report.recovered_rounds);
-    put_u64(out, report.outcome.tests as u64);
-    put_u64(out, report.outcome.stages as u64);
-    put_u32(out, report.outcome.classification.statuses.len() as u32);
+fn put_report(w: &mut Writer, report: &CohortReport) {
+    w.u64(report.cohort);
+    w.u32(report.tenant);
+    w.u32(report.subjects as u32);
+    w.u64(report.recovered_rounds);
+    w.u64(report.outcome.tests as u64);
+    w.u64(report.outcome.stages as u64);
+    w.u32(report.outcome.classification.statuses.len() as u32);
     for &s in &report.outcome.classification.statuses {
-        out.push(status_byte(s));
+        w.u8(status_byte(s));
     }
-    put_u32(out, report.outcome.marginals.len() as u32);
-    for &m in &report.outcome.marginals {
-        put_f64_bits(out, m);
-    }
+    w.u32(report.outcome.marginals.len() as u32);
+    w.f64s(&report.outcome.marginals);
 }
 
 fn read_report(r: &mut Reader<'_>) -> Result<CohortReport, DecodeError> {
@@ -431,14 +350,14 @@ fn read_report(r: &mut Reader<'_>) -> Result<CohortReport, DecodeError> {
     let recovered_rounds = r.u64()?;
     let tests = r.u64()? as usize;
     let stages = r.u64()? as usize;
-    let n_statuses = r.count(1)?;
-    let statuses = (0..n_statuses)
-        .map(|_| status_from_byte(r.u8()?))
+    let n_statuses = r.count32(1, "status")?;
+    let statuses = r
+        .take(n_statuses)?
+        .iter()
+        .map(|&b| status_from_byte(b))
         .collect::<Result<_, _>>()?;
-    let n_marginals = r.count(8)?;
-    let marginals = (0..n_marginals)
-        .map(|_| r.f64_bits())
-        .collect::<Result<_, _>>()?;
+    let n_marginals = r.count32(8, "marginal")?;
+    let marginals = r.f64s(n_marginals)?;
     Ok(CohortReport {
         cohort,
         tenant,
@@ -454,29 +373,29 @@ fn read_report(r: &mut Reader<'_>) -> Result<CohortReport, DecodeError> {
     })
 }
 
-fn put_reports(out: &mut Vec<u8>, reports: &[CohortReport]) {
-    put_u32(out, reports.len() as u32);
+fn put_reports(w: &mut Writer, reports: &[CohortReport]) {
+    w.u32(reports.len() as u32);
     for report in reports {
-        put_report(out, report);
+        put_report(w, report);
     }
 }
 
 fn read_reports(r: &mut Reader<'_>) -> Result<Vec<CohortReport>, DecodeError> {
     // Smallest report: fixed fields + two empty vectors.
-    let n = r.count(40)?;
+    let n = r.count32(48, "report")?;
     (0..n).map(|_| read_report(r)).collect()
 }
 
-fn put_blobs(out: &mut Vec<u8>, blobs: &[Vec<u8>]) {
-    put_u32(out, blobs.len() as u32);
+fn put_blobs(w: &mut Writer, blobs: &[Vec<u8>]) {
+    w.u32(blobs.len() as u32);
     for blob in blobs {
-        put_bytes(out, blob);
+        w.bytes(blob);
     }
 }
 
-fn read_blobs(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, DecodeError> {
-    let n = r.count(4)?;
-    (0..n).map(|_| r.bytes()).collect()
+fn read_blobs(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ByteError> {
+    let n = r.count32(4, "blob")?;
+    (0..n).map(|_| Ok(r.bytes()?.to_vec())).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -486,15 +405,15 @@ fn read_blobs(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, DecodeError> {
 // understand must not have that trailer dropped on the floor.
 // ---------------------------------------------------------------------------
 
-fn put_trailers(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
+fn put_trailers(w: &mut Writer, trace: &Option<TraceContext>) {
     match trace {
-        None => out.push(0),
+        None => w.u8(0),
         Some(ctx) => {
-            out.push(1);
-            out.push(TRAILER_TRACE);
-            put_u32(out, 16);
-            put_u64(out, ctx.trace_id);
-            put_u64(out, ctx.parent_span);
+            w.u8(1);
+            w.u8(TRAILER_TRACE);
+            w.u32(16);
+            w.u64(ctx.trace_id);
+            w.u64(ctx.parent_span);
         }
     }
 }
@@ -528,24 +447,24 @@ fn read_trailers(r: &mut Reader<'_>) -> Result<Option<TraceContext>, DecodeError
 // ObsFrame codec
 // ---------------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+fn put_str(w: &mut Writer, s: &str) {
+    w.bytes(s.as_bytes());
 }
 
 fn read_str(r: &mut Reader<'_>) -> Result<String, DecodeError> {
-    String::from_utf8(r.bytes()?).map_err(|_| DecodeError::Corrupt("string is not UTF-8"))
+    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| DecodeError::Corrupt("string is not UTF-8"))
 }
 
-fn put_labels(out: &mut Vec<u8>, labels: &[(String, String)]) {
-    put_u32(out, labels.len() as u32);
+fn put_labels(w: &mut Writer, labels: &[(String, String)]) {
+    w.u32(labels.len() as u32);
     for (k, v) in labels {
-        put_str(out, k);
-        put_str(out, v);
+        put_str(w, k);
+        put_str(w, v);
     }
 }
 
 fn read_labels(r: &mut Reader<'_>) -> Result<Vec<(String, String)>, DecodeError> {
-    let n = r.count(8)?;
+    let n = r.count32(8, "label")?;
     (0..n).map(|_| Ok((read_str(r)?, read_str(r)?))).collect()
 }
 
@@ -555,23 +474,23 @@ fn read_labels(r: &mut Reader<'_>) -> Result<Vec<(String, String)>, DecodeError>
 /// so a tampered frame (bad index, inconsistent scalars, overflowing
 /// counts) is a typed [`DecodeError::Corrupt`], never an inconsistent
 /// histogram in memory.
-fn put_hist(out: &mut Vec<u8>, hist: &LogHistogram) {
+fn put_hist(w: &mut Writer, hist: &LogHistogram) {
     let counts = hist.bucket_counts();
     let filled = counts.iter().filter(|&&c| c > 0).count();
-    put_u32(out, filled as u32);
+    w.u32(filled as u32);
     for (idx, &count) in counts.iter().enumerate() {
         if count > 0 {
-            put_u32(out, idx as u32);
-            put_u64(out, count);
+            w.u32(idx as u32);
+            w.u64(count);
         }
     }
-    put_u64(out, hist.sum());
-    put_u64(out, hist.min().unwrap_or(u64::MAX));
-    put_u64(out, hist.max().unwrap_or(0));
+    w.u64(hist.sum());
+    w.u64(hist.min().unwrap_or(u64::MAX));
+    w.u64(hist.max().unwrap_or(0));
 }
 
 fn read_hist(r: &mut Reader<'_>) -> Result<LogHistogram, DecodeError> {
-    let n = r.count(12)?;
+    let n = r.count32(12, "histogram bucket")?;
     let mut counts = vec![0u64; BUCKET_COUNT];
     for _ in 0..n {
         let idx = r.u32()? as usize;
@@ -622,9 +541,9 @@ const EVENT_FLAG_FAILED: u8 = 2;
 /// Fixed encoded size of one span event (the `min_item` for counts).
 const EVENT_WIRE_LEN: usize = 4 + 1 + 1 + 4 + 2 + 8 + 8 + 8 + 8 + 8;
 
-fn put_event(out: &mut Vec<u8>, e: &SpanEvent) {
-    put_u32(out, e.name);
-    out.push(span_kind_byte(e.kind));
+fn put_event(w: &mut Writer, e: &SpanEvent) {
+    w.u32(e.name);
+    w.u8(span_kind_byte(e.kind));
     let mut flags = 0u8;
     if e.meta.speculative {
         flags |= EVENT_FLAG_SPECULATIVE;
@@ -632,14 +551,14 @@ fn put_event(out: &mut Vec<u8>, e: &SpanEvent) {
     if e.meta.failed {
         flags |= EVENT_FLAG_FAILED;
     }
-    out.push(flags);
-    put_u32(out, e.meta.task);
-    out.extend_from_slice(&e.meta.attempt.to_le_bytes());
-    put_u64(out, e.meta.cohort);
-    put_u64(out, e.meta.seq);
-    put_u64(out, e.start_ns);
-    put_u64(out, e.end_ns);
-    put_u64(out, e.value);
+    w.u8(flags);
+    w.u32(e.meta.task);
+    w.u16(e.meta.attempt);
+    w.u64(e.meta.cohort);
+    w.u64(e.meta.seq);
+    w.u64(e.start_ns);
+    w.u64(e.end_ns);
+    w.u64(e.value);
 }
 
 fn read_event(r: &mut Reader<'_>) -> Result<SpanEvent, DecodeError> {
@@ -650,7 +569,7 @@ fn read_event(r: &mut Reader<'_>) -> Result<SpanEvent, DecodeError> {
         return Err(DecodeError::Corrupt("invalid span flag bits"));
     }
     let task = r.u32()?;
-    let attempt = u16::from_le_bytes(r.take(2)?.try_into().unwrap());
+    let attempt = r.u16()?;
     let cohort = r.u64()?;
     let seq = r.u64()?;
     let start_ns = r.u64()?;
@@ -673,48 +592,48 @@ fn read_event(r: &mut Reader<'_>) -> Result<SpanEvent, DecodeError> {
     })
 }
 
-fn put_obs_frame(out: &mut Vec<u8>, f: &ObsFrame) {
-    put_u64(out, f.process_tag);
-    put_u32(out, f.samples.len() as u32);
+fn put_obs_frame(w: &mut Writer, f: &ObsFrame) {
+    w.u64(f.process_tag);
+    w.u32(f.samples.len() as u32);
     for s in &f.samples {
-        put_str(out, &s.name);
-        put_labels(out, &s.labels);
-        put_f64_bits(out, s.value);
+        put_str(w, &s.name);
+        put_labels(w, &s.labels);
+        w.f64(s.value);
     }
-    put_u32(out, f.hists.len() as u32);
+    w.u32(f.hists.len() as u32);
     for h in &f.hists {
-        put_str(out, &h.name);
-        put_labels(out, &h.labels);
-        put_hist(out, &h.hist);
+        put_str(w, &h.name);
+        put_labels(w, &h.labels);
+        put_hist(w, &h.hist);
     }
-    put_u32(out, f.names.len() as u32);
+    w.u32(f.names.len() as u32);
     for name in &f.names {
-        put_str(out, name);
+        put_str(w, name);
     }
-    put_u32(out, f.lanes.len() as u32);
+    w.u32(f.lanes.len() as u32);
     for lane in &f.lanes {
-        put_str(out, &lane.name);
-        put_u64(out, lane.dropped);
-        put_u32(out, lane.events.len() as u32);
+        put_str(w, &lane.name);
+        w.u64(lane.dropped);
+        w.u32(lane.events.len() as u32);
         for e in &lane.events {
-            put_event(out, e);
+            put_event(w, e);
         }
     }
 }
 
 fn read_obs_frame(r: &mut Reader<'_>) -> Result<ObsFrame, DecodeError> {
     let process_tag = r.u64()?;
-    let n_samples = r.count(16)?;
+    let n_samples = r.count32(16, "sample")?;
     let samples = (0..n_samples)
         .map(|_| {
             Ok(PromSample {
                 name: read_str(r)?,
                 labels: read_labels(r)?,
-                value: r.f64_bits()?,
+                value: r.f64()?,
             })
         })
-        .collect::<Result<_, _>>()?;
-    let n_hists = r.count(36)?;
+        .collect::<Result<_, DecodeError>>()?;
+    let n_hists = r.count32(36, "histogram")?;
     let hists = (0..n_hists)
         .map(|_| {
             Ok(ObsHist {
@@ -723,17 +642,17 @@ fn read_obs_frame(r: &mut Reader<'_>) -> Result<ObsFrame, DecodeError> {
                 hist: read_hist(r)?,
             })
         })
-        .collect::<Result<_, _>>()?;
-    let n_names = r.count(4)?;
+        .collect::<Result<_, DecodeError>>()?;
+    let n_names = r.count32(4, "span name")?;
     let names = (0..n_names)
         .map(|_| read_str(r))
         .collect::<Result<_, _>>()?;
-    let n_lanes = r.count(16)?;
+    let n_lanes = r.count32(16, "lane")?;
     let lanes = (0..n_lanes)
         .map(|_| {
             let name = read_str(r)?;
             let dropped = r.u64()?;
-            let n_events = r.count(EVENT_WIRE_LEN)?;
+            let n_events = r.count32(EVENT_WIRE_LEN, "span event")?;
             let events = (0..n_events)
                 .map(|_| read_event(r))
                 .collect::<Result<_, _>>()?;
@@ -743,7 +662,7 @@ fn read_obs_frame(r: &mut Reader<'_>) -> Result<ObsFrame, DecodeError> {
                 events,
             })
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, DecodeError>>()?;
     Ok(ObsFrame {
         process_tag,
         samples,
@@ -757,52 +676,46 @@ fn read_obs_frame(r: &mut Reader<'_>) -> Result<ObsFrame, DecodeError> {
 // Frame encode/decode
 // ---------------------------------------------------------------------------
 
-fn frame(kind: u8, payload: Vec<u8>) -> Vec<u8> {
+fn frame(kind: u8, payload: Writer) -> Vec<u8> {
+    let payload = payload.into_bytes();
     debug_assert!(payload.len() as u64 <= MAX_PAYLOAD as u64);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut w = Writer::with_capacity(HEADER_LEN + payload.len());
+    w.raw(&MAGIC);
+    w.u8(WIRE_VERSION);
+    w.u8(kind);
+    w.bytes(&payload);
+    w.into_bytes()
 }
 
 /// Split `buf` into a validated `(kind, payload)` plus the total bytes the
 /// frame occupies. Shared by both directions; the caller matches the kind.
 fn decode_header(buf: &[u8]) -> Result<(u8, &[u8], usize), DecodeError> {
-    if buf.len() < HEADER_LEN {
-        return Err(DecodeError::Torn {
-            have: buf.len(),
-            need: HEADER_LEN,
-        });
-    }
-    let magic = [buf[0], buf[1]];
+    let torn = |need| DecodeError::Torn {
+        have: buf.len(),
+        need,
+    };
+    let mut r = Reader::new(buf);
+    let (Ok(magic), Ok(version), Ok(kind), Ok(len)) = (r.take(2), r.u8(), r.u8(), r.u32()) else {
+        return Err(torn(HEADER_LEN));
+    };
     if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
+        return Err(DecodeError::BadMagic([magic[0], magic[1]]));
     }
-    if buf[2] != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(buf[2]));
+    if version != WIRE_VERSION {
+        return Err(DecodeError::BadVersion(version));
     }
-    let kind = buf[3];
-    let len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
     if len > MAX_PAYLOAD {
         return Err(DecodeError::Oversized { len });
     }
     let total = HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Err(DecodeError::Torn {
-            have: buf.len(),
-            need: total,
-        });
-    }
-    Ok((kind, &buf[HEADER_LEN..total], total))
+    let payload = r.take(len as usize).map_err(|_| torn(total))?;
+    Ok((kind, payload, total))
 }
 
 impl Request {
     /// Encode into one wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let (kind, mut payload) = (self.kind(), Vec::new());
+        let mut w = Writer::new();
         match self {
             Request::Ping
             | Request::PollReports
@@ -815,24 +728,24 @@ impl Request {
                 specimens,
                 trace,
             } => {
-                put_u32(&mut payload, *tenant);
-                put_u32(&mut payload, specimens.len() as u32);
+                w.u32(*tenant);
+                w.u32(specimens.len() as u32);
                 for s in specimens {
-                    put_f64_bits(&mut payload, s.risk);
-                    payload.push(u8::from(s.infected));
+                    w.f64(s.risk);
+                    w.u8(u8::from(s.infected));
                 }
-                put_trailers(&mut payload, trace);
+                put_trailers(&mut w, trace);
             }
             Request::PlaceCohort { spec, trace } => {
-                put_spec(&mut payload, spec);
-                put_trailers(&mut payload, trace);
+                put_spec(&mut w, spec);
+                put_trailers(&mut w, trace);
             }
             Request::Handoff { checkpoints, trace } => {
-                put_blobs(&mut payload, checkpoints);
-                put_trailers(&mut payload, trace);
+                put_blobs(&mut w, checkpoints);
+                put_trailers(&mut w, trace);
             }
         }
-        frame(kind, payload)
+        frame(self.kind(), w)
     }
 
     fn kind(&self) -> u8 {
@@ -858,10 +771,10 @@ impl Request {
             KIND_PING => Request::Ping,
             KIND_SUBMIT => {
                 let tenant = r.u32()?;
-                let n = r.count(9)?;
+                let n = r.count32(9, "specimen")?;
                 let specimens = (0..n)
                     .map(|_| {
-                        let risk = r.f64_bits()?;
+                        let risk = r.f64()?;
                         let infected = match r.u8()? {
                             0 => false,
                             1 => true,
@@ -902,7 +815,7 @@ impl Request {
 impl Response {
     /// Encode into one wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let (kind, mut payload) = (self.kind(), Vec::new());
+        let mut w = Writer::new();
         match self {
             Response::Pong => {}
             Response::Accepted {
@@ -910,23 +823,23 @@ impl Response {
                 shed,
                 reason,
             } => {
-                put_u32(&mut payload, *accepted);
-                put_u32(&mut payload, *shed);
-                payload.push(reason.map_or(NO_REASON, ShedReason::to_byte));
+                w.u32(*accepted);
+                w.u32(*shed);
+                w.u8(reason.map_or(NO_REASON, ShedReason::to_byte));
             }
-            Response::Reports { reports } => put_reports(&mut payload, reports),
-            Response::Stats { prometheus } => put_bytes(&mut payload, prometheus.as_bytes()),
+            Response::Reports { reports } => put_reports(&mut w, reports),
+            Response::Stats { prometheus } => put_str(&mut w, prometheus),
             Response::Drained {
                 reports,
                 checkpoints,
             } => {
-                put_reports(&mut payload, reports);
-                put_blobs(&mut payload, checkpoints);
+                put_reports(&mut w, reports);
+                put_blobs(&mut w, checkpoints);
             }
-            Response::Error { message } => put_bytes(&mut payload, message.as_bytes()),
-            Response::ObsFrame { frame } => put_obs_frame(&mut payload, frame),
+            Response::Error { message } => put_str(&mut w, message),
+            Response::ObsFrame { frame } => put_obs_frame(&mut w, frame),
         }
-        frame(kind, payload)
+        frame(self.kind(), w)
     }
 
     fn kind(&self) -> u8 {
@@ -968,16 +881,14 @@ impl Response {
                 reports: read_reports(&mut r)?,
             },
             KIND_STATS_RESP => Response::Stats {
-                prometheus: String::from_utf8(r.bytes()?)
-                    .map_err(|_| DecodeError::Corrupt("stats body is not UTF-8"))?,
+                prometheus: read_str(&mut r)?,
             },
             KIND_DRAINED => Response::Drained {
                 reports: read_reports(&mut r)?,
                 checkpoints: read_blobs(&mut r)?,
             },
             KIND_ERROR => Response::Error {
-                message: String::from_utf8(r.bytes()?)
-                    .map_err(|_| DecodeError::Corrupt("error body is not UTF-8"))?,
+                message: read_str(&mut r)?,
             },
             KIND_OBS_FRAME => Response::ObsFrame {
                 frame: read_obs_frame(&mut r)?,
@@ -992,6 +903,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgt_lattice::bytes;
 
     fn sample_report() -> CohortReport {
         CohortReport {
@@ -1015,8 +927,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
+    /// Every request verb; the work-carrying ones with and without the
+    /// trace trailer.
+    fn requests() -> Vec<Request> {
         let spec = CohortSpec::from_specimens(
             5,
             99,
@@ -1032,22 +945,21 @@ mod tests {
             ],
         )
         .with_tenant(3);
-        let requests = [
+        let specimens = vec![Specimen {
+            risk: 0.05,
+            infected: true,
+        }];
+        let checkpoints = vec![vec![1, 2, 3], vec![]];
+        vec![
             Request::Ping,
             Request::Submit {
                 tenant: 2,
-                specimens: vec![Specimen {
-                    risk: 0.05,
-                    infected: true,
-                }],
+                specimens: specimens.clone(),
                 trace: None,
             },
             Request::Submit {
                 tenant: 2,
-                specimens: vec![Specimen {
-                    risk: 0.05,
-                    infected: true,
-                }],
+                specimens,
                 trace: Some(TraceContext::for_cohort(42)),
             },
             Request::PlaceCohort {
@@ -1065,11 +977,11 @@ mod tests {
             Request::Stats,
             Request::Drain,
             Request::Handoff {
-                checkpoints: vec![vec![1, 2, 3], vec![]],
+                checkpoints: checkpoints.clone(),
                 trace: None,
             },
             Request::Handoff {
-                checkpoints: vec![vec![1, 2, 3], vec![]],
+                checkpoints,
                 trace: Some(TraceContext {
                     trace_id: TraceContext::for_cohort(7).trace_id,
                     parent_span: TraceContext::for_cohort(7).child_span(3),
@@ -1077,18 +989,12 @@ mod tests {
             },
             Request::Shutdown,
             Request::ObsExport,
-        ];
-        for request in requests {
-            let bytes = request.encode();
-            let (decoded, used) = Request::decode(&bytes).unwrap();
-            assert_eq!(decoded, request);
-            assert_eq!(used, bytes.len());
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let responses = [
+    /// Every response verb, the last one a populated [`ObsFrame`].
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Pong,
             Response::Accepted {
                 accepted: 10,
@@ -1113,68 +1019,117 @@ mod tests {
             Response::Error {
                 message: "no such cohort".to_string(),
             },
-        ];
-        for response in responses {
+            Response::ObsFrame {
+                frame: sample_obs_frame(),
+            },
+        ]
+    }
+
+    /// Whole-buffer decode → encode; a frame followed by anything is an
+    /// error here (on a stream it would be the next frame's first bytes).
+    fn whole<T>(decoded: (T, usize), len: usize) -> Result<T, DecodeError> {
+        match decoded {
+            (message, used) if used == len => Ok(message),
+            _ => Err(DecodeError::Corrupt("bytes after the frame")),
+        }
+    }
+
+    fn reencode_request(bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        Ok(whole(Request::decode(bytes)?, bytes.len())?.encode())
+    }
+
+    fn reencode_response(bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        Ok(whole(Response::decode(bytes)?, bytes.len())?.encode())
+    }
+
+    #[test]
+    fn every_verb_round_trips_and_survives_the_tamper_harness() {
+        for request in requests() {
+            let bytes = request.encode();
+            assert_eq!(Request::decode(&bytes).unwrap(), (request, bytes.len()));
+            bytes::check(&bytes, reencode_request);
+        }
+        for response in responses() {
             let bytes = response.encode();
-            let (decoded, used) = Response::decode(&bytes).unwrap();
-            assert_eq!(decoded, response);
-            assert_eq!(used, bytes.len());
+            assert_eq!(Response::decode(&bytes).unwrap(), (response, bytes.len()));
+            bytes::check(&bytes, reencode_response);
         }
     }
 
+    /// One frame of every verb as the commit before the shared byte layer
+    /// (`ae8dcfc`) encoded it: no byte of the wire format may have moved.
     #[test]
-    fn marginals_survive_bit_for_bit() {
-        let mut report = sample_report();
-        // Values with no short decimal representation: only raw bit
-        // transport preserves them.
-        report.outcome.marginals = vec![0.1 + 0.2, f64::MIN_POSITIVE, 1.0 - 1e-16];
-        let bytes = Response::Reports {
-            reports: vec![report.clone()],
-        }
-        .encode();
-        let (decoded, _) = Response::decode(&bytes).unwrap();
-        let Response::Reports { reports } = decoded else {
-            panic!("wrong response kind");
+    fn frames_match_the_bytes_the_parent_commit_wrote() {
+        let mut recorded = include_str!("../tests/data/parent_frames.txt").lines();
+        let mut expect = |direction: &str, bytes: Vec<u8>| {
+            let line = recorded.next().expect("a recorded frame per sample");
+            let hex = line.strip_prefix(direction).expect("recorded direction");
+            let old = bytes::from_hex(hex.trim_start());
+            assert!(bytes == old, "{direction} kind {:#04x} moved", bytes[3]);
         };
-        for (a, b) in reports[0]
-            .outcome
-            .marginals
-            .iter()
-            .zip(&report.outcome.marginals)
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for request in requests() {
+            expect("REQUEST", request.encode());
         }
+        for response in responses() {
+            expect("RESPONSE", response.encode());
+        }
+        assert_eq!(recorded.next(), None);
     }
 
+    /// Every strict prefix of every frame is `Torn` with exact arithmetic
+    /// — the reactor's "read more" signal — and a body cut short under a
+    /// header re-declaring the shorter length is `Corrupt`, never a
+    /// truncated-but-accepted message.
     #[test]
-    fn torn_frames_are_typed_not_panics() {
-        let bytes = Request::Submit {
-            tenant: 0,
-            specimens: vec![Specimen {
-                risk: 0.1,
-                infected: false,
-            }],
-            trace: Some(TraceContext::for_cohort(9)),
-        }
-        .encode();
-        // Every strict prefix is Torn — never a panic, never a success.
-        for cut in 0..bytes.len() {
-            match Request::decode(&bytes[..cut]) {
-                Err(DecodeError::Torn { have, need }) => {
-                    assert_eq!(have, cut);
-                    assert!(need > cut);
+    fn prefixes_are_torn_and_short_bodies_corrupt() {
+        let requests = requests().into_iter().map(|r| r.encode());
+        let responses = responses().into_iter().map(|r| r.encode());
+        for bytes in requests.chain(responses) {
+            let is_request = bytes[3] < 0x80;
+            let decode = |buf: &[u8]| {
+                if is_request {
+                    Request::decode(buf).map(|_| ())
+                } else {
+                    Response::decode(buf).map(|_| ())
                 }
-                other => panic!("prefix of {cut} bytes gave {other:?}"),
+            };
+            for cut in 0..bytes.len() {
+                let need = if cut < HEADER_LEN {
+                    HEADER_LEN
+                } else {
+                    bytes.len()
+                };
+                assert_eq!(
+                    decode(&bytes[..cut]),
+                    Err(DecodeError::Torn { have: cut, need })
+                );
+                if cut >= HEADER_LEN {
+                    let mut short = Writer::new();
+                    short.raw(&bytes[..4]);
+                    short.bytes(&bytes[HEADER_LEN..cut]);
+                    assert!(matches!(
+                        decode(&short.into_bytes()),
+                        Err(DecodeError::Corrupt(_))
+                    ));
+                }
             }
         }
     }
 
+    /// A bare header claiming `len` payload bytes.
+    fn header(kind: u8, len: u32) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.raw(&MAGIC);
+        w.u8(WIRE_VERSION);
+        w.u8(kind);
+        w.u32(len);
+        w.into_bytes()
+    }
+
     #[test]
     fn oversized_rejected_before_allocation() {
-        let mut bytes = Request::Ping.encode();
-        bytes[4..8].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         assert_eq!(
-            Request::decode(&bytes),
+            Request::decode(&header(KIND_PING, MAX_PAYLOAD + 1)),
             Err(DecodeError::Oversized {
                 len: MAX_PAYLOAD + 1
             })
@@ -1211,30 +1166,27 @@ mod tests {
     fn corrupt_payloads_are_typed() {
         // Submit frame whose count promises more specimens than the
         // payload holds.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 1000);
-        let bytes = frame(KIND_SUBMIT, payload);
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(DecodeError::Corrupt(_))
-        ));
+        let mut payload = Writer::new();
+        payload.u32(0);
+        payload.u32(1000);
+        assert_eq!(
+            Request::decode(&frame(KIND_SUBMIT, payload)),
+            Err(DecodeError::Corrupt("count exceeds payload"))
+        );
         // Trailing bytes after a complete message.
-        let mut bytes = Request::Ping.encode();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut bytes = header(KIND_PING, 1);
         bytes.push(0);
         assert_eq!(
             Request::decode(&bytes),
             Err(DecodeError::Corrupt("trailing bytes after message"))
         );
         // A shed-reason byte outside the known range.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 1);
-        put_u32(&mut payload, 1);
-        payload.push(7);
-        let bytes = frame(KIND_ACCEPTED, payload);
+        let mut payload = Writer::new();
+        payload.u32(1);
+        payload.u32(1);
+        payload.u8(7);
         assert_eq!(
-            Response::decode(&bytes),
+            Response::decode(&frame(KIND_ACCEPTED, payload)),
             Err(DecodeError::Corrupt("invalid shed reason byte"))
         );
     }
@@ -1303,199 +1255,147 @@ mod tests {
         }
     }
 
-    #[test]
-    fn obs_frames_round_trip() {
-        let response = Response::ObsFrame {
-            frame: sample_obs_frame(),
-        };
-        let bytes = response.encode();
-        let (decoded, used) = Response::decode(&bytes).unwrap();
-        assert_eq!(decoded, response);
-        assert_eq!(used, bytes.len());
-        // The carried histogram is bit-for-bit the original: merging the
-        // decoded copy into an empty histogram reproduces it exactly.
-        let Response::ObsFrame { frame } = decoded else {
-            unreachable!()
-        };
-        let mut merged = LogHistogram::new();
-        merged.merge(&frame.hists[0].hist);
-        assert_eq!(merged, frame.hists[0].hist);
-    }
-
-    #[test]
-    fn obs_frame_prefixes_are_torn_never_panics() {
-        let bytes = Response::ObsFrame {
-            frame: sample_obs_frame(),
-        }
-        .encode();
-        for cut in 0..bytes.len() {
-            match Response::decode(&bytes[..cut]) {
-                Err(DecodeError::Torn { have, need }) => {
-                    assert_eq!(have, cut);
-                    assert!(need > cut);
-                }
-                other => panic!("prefix of {cut} bytes gave {other:?}"),
-            }
-        }
+    /// A Submit payload with no specimens, then `trailers`.
+    fn submit_with(trailers: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut payload = Writer::new();
+        payload.u32(2); // tenant
+        payload.u32(0); // no specimens
+        trailers(&mut payload);
+        frame(KIND_SUBMIT, payload)
     }
 
     #[test]
     fn trailer_decoding_is_fail_closed() {
-        let base = |payload: &mut Vec<u8>| {
-            put_u32(payload, 2); // tenant
-            put_u32(payload, 0); // no specimens
-        };
         // Unknown trailer tag: rejected, not skipped.
-        let mut payload = Vec::new();
-        base(&mut payload);
-        payload.push(1);
-        payload.push(0x7F);
-        put_u32(&mut payload, 0);
+        let bytes = submit_with(|p| {
+            p.u8(1);
+            p.u8(0x7F);
+            p.u32(0);
+        });
         assert_eq!(
-            Request::decode(&frame(KIND_SUBMIT, payload)),
+            Request::decode(&bytes),
             Err(DecodeError::Corrupt("unknown trailer tag"))
         );
         // Trace trailer with the wrong length.
-        let mut payload = Vec::new();
-        base(&mut payload);
-        payload.push(1);
-        payload.push(TRAILER_TRACE);
-        put_u32(&mut payload, 8);
-        put_u64(&mut payload, 1);
+        let bytes = submit_with(|p| {
+            p.u8(1);
+            p.u8(TRAILER_TRACE);
+            p.u32(8);
+            p.u64(1);
+        });
         assert_eq!(
-            Request::decode(&frame(KIND_SUBMIT, payload)),
+            Request::decode(&bytes),
             Err(DecodeError::Corrupt("trace trailer has wrong length"))
         );
         // Duplicate trace trailer.
-        let mut payload = Vec::new();
-        base(&mut payload);
-        payload.push(2);
-        for _ in 0..2 {
-            payload.push(TRAILER_TRACE);
-            put_u32(&mut payload, 16);
-            put_u64(&mut payload, 1);
-            put_u64(&mut payload, 2);
-        }
+        let bytes = submit_with(|p| {
+            p.u8(2);
+            for _ in 0..2 {
+                p.u8(TRAILER_TRACE);
+                p.u32(16);
+                p.u64(1);
+                p.u64(2);
+            }
+        });
         assert_eq!(
-            Request::decode(&frame(KIND_SUBMIT, payload)),
+            Request::decode(&bytes),
             Err(DecodeError::Corrupt("duplicate trace trailer"))
         );
         // Missing trailer block entirely (a v2-shaped Submit payload):
         // typed Corrupt, not a misparse.
-        let mut payload = Vec::new();
-        base(&mut payload);
         assert!(matches!(
-            Request::decode(&frame(KIND_SUBMIT, payload)),
+            Request::decode(&submit_with(|_| {})),
             Err(DecodeError::Corrupt(_))
         ));
+    }
+
+    /// An ObsFrame payload: process tag, then the four counted sections
+    /// as `sections` writes them.
+    fn obs_frame_with(sections: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut payload = Writer::new();
+        payload.u64(0); // process_tag
+        sections(&mut payload);
+        frame(KIND_OBS_FRAME, payload)
     }
 
     #[test]
     fn tampered_obs_frames_are_typed() {
         // Histogram bucket index out of range.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0); // process_tag
-        put_u32(&mut payload, 0); // samples
-        put_u32(&mut payload, 1); // one hist
-        put_str(&mut payload, "h");
-        put_u32(&mut payload, 0); // labels
-        put_u32(&mut payload, 1); // one bucket pair
-        put_u32(&mut payload, BUCKET_COUNT as u32); // index past the end
-        put_u64(&mut payload, 1);
-        put_u64(&mut payload, 1); // sum
-        put_u64(&mut payload, 1); // min
-        put_u64(&mut payload, 1); // max
-        put_u32(&mut payload, 0); // names
-        put_u32(&mut payload, 0); // lanes
+        let bytes = obs_frame_with(|p| {
+            p.u32(0); // samples
+            p.u32(1); // one hist
+            put_str(p, "h");
+            p.u32(0); // labels
+            p.u32(1); // one bucket pair
+            p.u32(BUCKET_COUNT as u32); // index past the end
+            p.u64(1);
+            p.u64s(&[1, 1, 1]); // sum, min, max
+            p.u32(0); // names
+            p.u32(0); // lanes
+        });
         assert_eq!(
-            Response::decode(&frame(KIND_OBS_FRAME, payload)),
+            Response::decode(&bytes),
             Err(DecodeError::Corrupt("histogram bucket index out of range"))
         );
         // Scalars inconsistent with the buckets (empty buckets, sum 5):
         // LogHistogram::from_raw_parts fails closed.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 1);
-        put_str(&mut payload, "h");
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0); // no bucket pairs
-        put_u64(&mut payload, 5); // but sum claims samples
-        put_u64(&mut payload, u64::MAX);
-        put_u64(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0);
+        let bytes = obs_frame_with(|p| {
+            p.u32(0);
+            p.u32(1);
+            put_str(p, "h");
+            p.u32(0);
+            p.u32(0); // no bucket pairs
+            p.u64s(&[5, u64::MAX, 0]); // but sum claims samples
+            p.u32(0);
+            p.u32(0);
+        });
         assert_eq!(
-            Response::decode(&frame(KIND_OBS_FRAME, payload)),
+            Response::decode(&bytes),
             Err(DecodeError::Corrupt("inconsistent histogram"))
         );
         // Span event with an invalid kind byte.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 1); // one lane
-        put_str(&mut payload, "lane");
-        put_u64(&mut payload, 0); // dropped
-        put_u32(&mut payload, 1); // one event
-        put_u32(&mut payload, 0); // name id
-        payload.push(7); // kind byte past Counter
-        payload.extend_from_slice(&[0; EVENT_WIRE_LEN - 5]);
+        let bytes = obs_frame_with(|p| {
+            p.u32(0);
+            p.u32(0);
+            p.u32(0);
+            p.u32(1); // one lane
+            put_str(p, "lane");
+            p.u64(0); // dropped
+            p.u32(1); // one event
+            p.u32(0); // name id
+            p.u8(7); // kind byte past Counter
+            p.raw(&[0; EVENT_WIRE_LEN - 5]);
+        });
         assert_eq!(
-            Response::decode(&frame(KIND_OBS_FRAME, payload)),
+            Response::decode(&bytes),
             Err(DecodeError::Corrupt("invalid span kind byte"))
         );
         // Non-UTF-8 metric name.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0);
-        put_u32(&mut payload, 1); // one sample
-        put_bytes(&mut payload, &[0xFF, 0xFE]);
-        put_u32(&mut payload, 0);
-        put_f64_bits(&mut payload, 1.0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0);
-        put_u32(&mut payload, 0);
+        let bytes = obs_frame_with(|p| {
+            p.u32(1); // one sample
+            p.bytes(&[0xFF, 0xFE]);
+            p.u32(0);
+            p.f64(1.0);
+            p.u32(0);
+            p.u32(0);
+            p.u32(0);
+        });
         assert_eq!(
-            Response::decode(&frame(KIND_OBS_FRAME, payload)),
+            Response::decode(&bytes),
             Err(DecodeError::Corrupt("string is not UTF-8"))
         );
     }
 
-    mod adversarial_props {
+    mod trailer_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Flipping any byte of an encoded ObsFrame never panics: the
-            /// decoder answers Ok (the flip hit a don't-care bit) or a
-            /// typed DecodeError.
-            fn obs_frame_byte_flips_never_panic(pos in any::<u64>(), xor in 1u8..=255) {
-                let mut bytes = Response::ObsFrame { frame: sample_obs_frame() }.encode();
-                let i = (pos as usize) % bytes.len();
-                bytes[i] ^= xor;
-                let _ = Response::decode(&bytes);
-            }
-
-            /// Truncating an encoded ObsFrame anywhere inside the payload
-            /// (keeping the header intact) is always a typed error.
-            fn obs_frame_payload_truncation_is_typed(frac in 0.0f64..1.0) {
-                let bytes = Response::ObsFrame { frame: sample_obs_frame() }.encode();
-                let cut = HEADER_LEN + ((bytes.len() - HEADER_LEN - 1) as f64 * frac) as usize;
-                let mut torn = bytes[..cut].to_vec();
-                // Re-declare the shorter payload so the header is
-                // self-consistent and the damage is inside the body.
-                torn[4..8].copy_from_slice(&((cut - HEADER_LEN) as u32).to_le_bytes());
-                match Response::decode(&torn) {
-                    Ok(_) => prop_assert!(false, "truncated body decoded"),
-                    Err(e) => prop_assert!(matches!(e, DecodeError::Corrupt(_))),
-                }
-            }
-
             /// Trace trailers round-trip for arbitrary contexts on every
             /// work-carrying verb.
+            #[test]
             fn trace_trailers_round_trip(
                 trace_id in any::<u64>(),
                 parent in any::<u64>(),

@@ -333,8 +333,12 @@ fn drain_handoff_relocates_cohorts_bit_for_bit() {
 
 #[test]
 fn drained_checkpoints_round_trip_byte_exactly() {
-    // Pin the byte-exactness of the handoff payload itself: every blob a
-    // drain returns re-encodes to the identical bytes after a decode.
+    // Every blob a drain returns re-encodes to the identical bytes after a
+    // decode, and the drain accounts for every cohort. With one worker the
+    // four small cohorts may all classify before the drain lands, so the
+    // ledger — not "some cohort was still live" — is what is asserted; the
+    // byte-exactness of SBGTCKPT itself is pinned deterministically by the
+    // tamper harness in `sbgt_service::checkpoint`.
     let config = ServiceConfig {
         workers: 1,
         batch_size: 10,
@@ -356,13 +360,17 @@ fn drained_checkpoints_round_trip_byte_exactly() {
             other => panic!("unexpected response: {other:?}"),
         }
     }
-    let checkpoints = match client.call(&Request::Drain).unwrap() {
-        Response::Drained { checkpoints, .. } => checkpoints,
+    let (reports, checkpoints) = match client.call(&Request::Drain).unwrap() {
+        Response::Drained {
+            reports,
+            checkpoints,
+        } => (reports, checkpoints),
         other => panic!("unexpected response: {other:?}"),
     };
-    assert!(
-        !checkpoints.is_empty(),
-        "immediate drain must freeze cohorts"
+    assert_eq!(
+        reports.len() + checkpoints.len(),
+        4,
+        "every placed cohort is reported or frozen"
     );
     for blob in &checkpoints {
         let decoded = sbgt_service::CohortCheckpoint::from_bytes(blob).unwrap();

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sbgt_bayes::ClassificationRule;
+use sbgt_lattice::bytes::{ByteError, Reader, Writer};
 use sbgt_lattice::State;
 use sbgt_response::BinaryOutcomeModel;
 
@@ -213,8 +214,9 @@ impl PlanKey {
 fn model_fingerprint<M: BinaryOutcomeModel>(model: &M, max_pool_size: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mix = |h: &mut u64, x: u64| {
-        for byte in x.to_le_bytes() {
-            *h ^= u64::from(byte);
+        // Least-significant byte first.
+        for shift in (0..64).step_by(8) {
+            *h ^= (x >> shift) & 0xFF;
             *h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
@@ -635,23 +637,23 @@ impl PlanCache {
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = trees
             .iter()
             .map(|(key, tree)| {
-                let mut key_bytes = Vec::new();
+                let mut key_bytes = Writer::new();
                 write_key(&mut key_bytes, key);
-                let mut tree_bytes = Vec::new();
+                let mut tree_bytes = Writer::new();
                 write_tree(&mut tree_bytes, &tree.lock().unwrap());
-                (key_bytes, tree_bytes)
+                (key_bytes.into_bytes(), tree_bytes.into_bytes())
             })
             .collect();
         entries.sort();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u32(VERSION);
+        w.u32(entries.len() as u32);
         for (key_bytes, tree_bytes) in entries {
-            out.extend_from_slice(&key_bytes);
-            out.extend_from_slice(&tree_bytes);
+            w.raw(&key_bytes);
+            w.raw(&tree_bytes);
         }
-        out
+        w.into_bytes()
     }
 
     /// Merge an `SBGTPLAN` blob into this cache. Keys already present keep
@@ -660,7 +662,7 @@ impl PlanCache {
     /// a tampered blob must never panic. Returns the number of trees
     /// adopted.
     pub fn import(&self, bytes: &[u8]) -> Result<usize, PlanCodecError> {
-        let mut r = Reader { bytes, at: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(8)? != MAGIC {
             return Err(PlanCodecError::Corrupt("bad plan magic".into()));
         }
@@ -670,19 +672,11 @@ impl PlanCache {
                 "unsupported plan version {version}"
             )));
         }
-        let n_trees = r.u32()? as usize;
-        if n_trees > r.remaining() {
-            return Err(PlanCodecError::Corrupt("tree count exceeds payload".into()));
-        }
-        let mut parsed = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
-            let key = read_key(&mut r)?;
-            let tree = read_tree(&mut r, self.node_budget)?;
-            parsed.push((key, tree));
-        }
-        if r.at != bytes.len() {
-            return Err(PlanCodecError::Corrupt("trailing bytes after plans".into()));
-        }
+        let n_trees = r.count32(MIN_KEY_BYTES + 4, "tree")?;
+        let parsed = (0..n_trees)
+            .map(|_| Ok((read_key(&mut r)?, read_tree(&mut r, self.node_budget)?)))
+            .collect::<Result<Vec<_>, PlanCodecError>>()?;
+        r.finish()?;
         let mut adopted = 0usize;
         let mut trees = self.trees.lock().unwrap();
         for (key, tree) in parsed {
@@ -756,64 +750,70 @@ impl std::fmt::Display for PlanCodecError {
 
 impl std::error::Error for PlanCodecError {}
 
-fn write_key(out: &mut Vec<u8>, key: &PlanKey) {
-    out.extend_from_slice(&key.n.to_le_bytes());
-    out.extend_from_slice(&(key.risk_bits.len() as u32).to_le_bytes());
-    for bits in &key.risk_bits {
-        out.extend_from_slice(&bits.to_le_bytes());
+impl From<ByteError> for PlanCodecError {
+    fn from(e: ByteError) -> Self {
+        PlanCodecError::Corrupt(e.to_string())
     }
-    out.extend_from_slice(&key.model_fp.to_le_bytes());
-    out.extend_from_slice(&key.pos_threshold_bits.to_le_bytes());
-    out.extend_from_slice(&key.neg_threshold_bits.to_le_bytes());
-    out.extend_from_slice(&key.stage_width.to_le_bytes());
-    out.extend_from_slice(&key.max_pool_size.to_le_bytes());
+}
+
+/// Smallest encoded key: no risks, no sparse switch, the `DenseSerial`
+/// lineage (`n`, risk count, fingerprint, two thresholds, width, pool cap,
+/// switch flag, lineage tag).
+const MIN_KEY_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 1 + 1;
+
+/// Smallest encoded node: the width byte, one selection, two child slots.
+const MIN_NODE_BYTES: usize = 1 + 24 + 2 * 4;
+
+fn write_key(w: &mut Writer, key: &PlanKey) {
+    w.u32(key.n);
+    w.u32(key.risk_bits.len() as u32);
+    w.u64s(&key.risk_bits);
+    w.u64(key.model_fp);
+    w.u64(key.pos_threshold_bits);
+    w.u64(key.neg_threshold_bits);
+    w.u32(key.stage_width);
+    w.u32(key.max_pool_size);
     match key.sparse_switch_bits {
-        None => out.push(0),
+        None => w.u8(0),
         Some((f, e)) => {
-            out.push(1);
-            out.extend_from_slice(&f.to_le_bytes());
-            out.extend_from_slice(&e.to_le_bytes());
+            w.u8(1);
+            w.u64(f);
+            w.u64(e);
         }
     }
-    out.push(key.lineage.tag());
+    w.u8(key.lineage.tag());
     match key.lineage {
         PlanLineage::DenseSerial => {}
         PlanLineage::DenseParallel {
             chunk_len,
             threshold,
         } => {
-            out.extend_from_slice(&chunk_len.to_le_bytes());
-            out.extend_from_slice(&threshold.to_le_bytes());
+            w.u64(chunk_len);
+            w.u64(threshold);
         }
-        PlanLineage::Sharded { parts } => out.extend_from_slice(&parts.to_le_bytes()),
-        PlanLineage::Sparse { epsilon_bits } => out.extend_from_slice(&epsilon_bits.to_le_bytes()),
+        PlanLineage::Sharded { parts } => w.u32(parts),
+        PlanLineage::Sparse { epsilon_bits } => w.u64(epsilon_bits),
         PlanLineage::Bp {
             max_iters,
             damping_bits,
         } => {
-            out.extend_from_slice(&max_iters.to_le_bytes());
-            out.extend_from_slice(&damping_bits.to_le_bytes());
+            w.u32(max_iters);
+            w.u64(damping_bits);
         }
         PlanLineage::Particle {
             particles,
             ess_bits,
         } => {
-            out.extend_from_slice(&particles.to_le_bytes());
-            out.extend_from_slice(&ess_bits.to_le_bytes());
+            w.u32(particles);
+            w.u64(ess_bits);
         }
     }
 }
 
 fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
     let n = r.u32()?;
-    let n_risks = r.u32()? as usize;
-    if n_risks > r.remaining() / 8 {
-        return Err(PlanCodecError::Corrupt("risk count exceeds payload".into()));
-    }
-    let mut risk_bits = Vec::with_capacity(n_risks);
-    for _ in 0..n_risks {
-        risk_bits.push(r.u64()?);
-    }
+    let n_risks = r.count32(8, "risk")?;
+    let risk_bits = r.u64s(n_risks)?;
     let model_fp = r.u64()?;
     let pos_threshold_bits = r.u64()?;
     let neg_threshold_bits = r.u64()?;
@@ -869,7 +869,7 @@ fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
 /// its selection list followed by `2^width` child indices (`u32::MAX` =
 /// none). Touch clocks are deliberately not serialized: an imported tree
 /// starts cold and re-earns its LRU standing.
-fn write_tree(out: &mut Vec<u8>, tree: &PlanTree) {
+fn write_tree(w: &mut Writer, tree: &PlanTree) {
     let mut bfs: Vec<usize> = Vec::with_capacity(tree.nodes.len());
     let mut remap: Vec<u32> = vec![u32::MAX; tree.nodes.len()];
     if let Some(root) = tree.root {
@@ -885,32 +885,23 @@ fn write_tree(out: &mut Vec<u8>, tree: &PlanTree) {
             }
         }
     }
-    out.extend_from_slice(&(bfs.len() as u32).to_le_bytes());
+    w.u32(bfs.len() as u32);
     for &i in &bfs {
         let node = &tree.nodes[i];
-        out.push(node.selections.len() as u8);
+        w.u8(node.selections.len() as u8);
         for sel in &node.selections {
-            out.extend_from_slice(&sel.pool.bits().to_le_bytes());
-            out.extend_from_slice(&sel.negative_mass.to_bits().to_le_bytes());
-            out.extend_from_slice(&sel.distance.to_bits().to_le_bytes());
+            w.u64(sel.pool.bits());
+            w.f64(sel.negative_mass);
+            w.f64(sel.distance);
         }
         for slot in &node.children {
-            let encoded = match slot {
-                Some(c) => remap[*c],
-                None => u32::MAX,
-            };
-            out.extend_from_slice(&encoded.to_le_bytes());
+            w.u32(slot.map_or(u32::MAX, |c| remap[c]));
         }
     }
 }
 
 fn read_tree(r: &mut Reader<'_>, node_budget: usize) -> Result<PlanTree, PlanCodecError> {
-    let n_nodes = r.u32()? as usize;
-    // Each node is at least 1 (width) + 4 (one child slot... actually 2
-    // slots minimum) bytes; a generous floor still caps a hostile count.
-    if n_nodes > r.remaining() {
-        return Err(PlanCodecError::Corrupt("node count exceeds payload".into()));
-    }
+    let n_nodes = r.count32(MIN_NODE_BYTES, "node")?;
     let mut tree = PlanTree::new(node_budget);
     let mut referenced = vec![false; n_nodes];
     for idx in 0..n_nodes {
@@ -920,19 +911,18 @@ fn read_tree(r: &mut Reader<'_>, node_budget: usize) -> Result<PlanTree, PlanCod
                 "node {idx} has invalid stage width {width}"
             )));
         }
-        let mut selections = Vec::with_capacity(width);
-        for _ in 0..width {
-            let pool = State(r.u64()?);
-            let negative_mass = f64::from_bits(r.u64()?);
-            let distance = f64::from_bits(r.u64()?);
-            selections.push(Selection {
-                pool,
-                negative_mass,
-                distance,
-            });
-        }
+        let selections = (0..width)
+            .map(|_| {
+                Ok(Selection {
+                    pool: State(r.u64()?),
+                    negative_mass: r.f64()?,
+                    distance: r.f64()?,
+                })
+            })
+            .collect::<Result<_, ByteError>>()?;
+        let slots = r.fits(1 << width, 4, "child slot")?;
         let mut node = PlanNode::new(selections, 0);
-        for slot in 0..(1usize << width) {
+        for slot in 0..slots {
             let child = r.u32()?;
             if child != u32::MAX {
                 let child = child as usize;
@@ -970,44 +960,10 @@ fn read_tree(r: &mut Reader<'_>, node_budget: usize) -> Result<PlanTree, PlanCod
     Ok(tree)
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PlanCodecError> {
-        if self.at + n > self.bytes.len() {
-            return Err(PlanCodecError::Corrupt(format!(
-                "plan truncated at byte {} (wanted {n} more)",
-                self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, PlanCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PlanCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, PlanCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgt_lattice::bytes;
     use sbgt_response::BinaryDilutionModel;
 
     fn key(risks: &[f64]) -> PlanKey {
@@ -1226,8 +1182,9 @@ mod tests {
         assert_eq!(cache.tree_count(), 2);
     }
 
-    #[test]
-    fn sbgtplan_codec_round_trips_bit_for_bit() {
+    /// Three trees under three lineages (one with a sparse-switch policy),
+    /// the first with a width-2 root and two outcome branches below it.
+    fn sample_cache() -> Arc<PlanCache> {
         let cache = PlanCache::new(64);
         let handle = cache.handle(key(&[0.05, 0.15, 0.25]));
         handle.extend(&[], &[sel(0b011, 0.48), sel(0b111, 0.52)]);
@@ -1239,68 +1196,111 @@ mod tests {
             &[(State(0b011), true), (State(0b111), true)],
             &[sel(0b100, 0.49)],
         );
-        let other = cache.handle(key(&[0.35]));
-        other.extend(&[], &[sel(0b1, 0.51)]);
+        let mut sharded = key(&[0.35]);
+        sharded.lineage = PlanLineage::Sharded { parts: 4 };
+        sharded.sparse_switch_bits = Some((0.25f64.to_bits(), 1e-9f64.to_bits()));
+        cache.handle(sharded).extend(&[], &[sel(0b1, 0.51)]);
+        let mut sparse = key(&[0.35]);
+        sparse.lineage = PlanLineage::Sparse {
+            epsilon_bits: 1e-9f64.to_bits(),
+        };
+        let handle = cache.handle(sparse);
+        handle.extend(&[], &[sel(0b1, 0.51)]);
+        handle.extend(&[(State(0b1), true)], &[sel(0b1, 0.3)]);
+        cache
+    }
 
+    fn reencode(bytes: &[u8]) -> Result<Vec<u8>, PlanCodecError> {
+        let cache = PlanCache::new(64);
+        cache.import(bytes)?;
+        Ok(cache.export())
+    }
+
+    #[test]
+    fn sbgtplan_round_trips_and_survives_the_tamper_harness() {
+        let cache = sample_cache();
         let blob = cache.export();
         let restored = PlanCache::new(64);
-        assert_eq!(restored.import(&blob).unwrap(), 2);
-        assert_eq!(restored.tree_count(), 2);
+        assert_eq!(restored.import(&blob).unwrap(), 3);
+        assert_eq!(restored.tree_count(), 3);
         assert_eq!(restored.total_nodes(), cache.total_nodes());
-        // Replays identically, and re-export is byte-identical.
         let h = restored.handle(key(&[0.05, 0.15, 0.25]));
         assert_eq!(
             h.lookup(&[]).unwrap(),
             vec![sel(0b011, 0.48), sel(0b111, 0.52)]
         );
-        assert_eq!(restored.export(), blob);
-        // Import into a cache that already has the key keeps the live tree.
+        // Import into a cache that already has the keys keeps the live trees.
         assert_eq!(cache.import(&blob).unwrap(), 0);
+        bytes::check(&blob, reencode);
+    }
+
+    /// The same cache exported by the commit before the shared byte layer
+    /// (`ae8dcfc`): no byte of the format may have moved.
+    #[test]
+    fn export_matches_the_bytes_the_parent_commit_wrote() {
+        let hex = include_str!("../tests/data/parent_plan.txt")
+            .strip_prefix("SBGTPLAN ")
+            .expect("recorded SBGTPLAN line");
+        let recorded = bytes::from_hex(hex.trim_end());
+        assert!(sample_cache().export() == recorded, "SBGTPLAN bytes moved");
     }
 
     #[test]
-    fn tampered_plan_blobs_are_typed_errors_not_panics() {
-        let cache = PlanCache::new(64);
-        let handle = cache.handle(key(&[0.05, 0.15]));
-        handle.extend(&[], &[sel(0b01, 0.5), sel(0b11, 0.5)]);
-        handle.extend(
-            &[(State(0b01), false), (State(0b11), false)],
-            &[sel(0b10, 0.5)],
-        );
-        let blob = cache.export();
-
-        // Truncations at every prefix length.
-        for cut in 0..blob.len() {
-            let target = PlanCache::new(64);
-            assert!(
-                target.import(&blob[..cut]).is_err(),
-                "truncation at {cut} must be rejected"
-            );
-        }
-        // Single-byte corruption: either a typed error or a still-valid
-        // blob (flipping a float payload byte is not structural) — never a
-        // panic.
-        for at in 0..blob.len() {
-            let mut bad = blob.clone();
-            bad[at] ^= 0xFF;
-            let target = PlanCache::new(64);
-            let _ = target.import(&bad);
-        }
-        // Specific structural tampers give Corrupt.
+    fn structural_violations_are_named() {
+        let blob = sample_cache().export();
         let mut bad_magic = blob.clone();
         bad_magic[0] = b'Z';
-        assert!(matches!(
-            PlanCache::new(64).import(&bad_magic),
-            Err(PlanCodecError::Corrupt(_))
-        ));
-        let mut long = blob.clone();
-        long.push(9);
-        assert!(matches!(
-            PlanCache::new(64).import(&long),
-            Err(PlanCodecError::Corrupt(_))
-        ));
+        let err = PlanCache::new(64).import(&bad_magic).unwrap_err();
+        assert_eq!(err.to_string(), "corrupt SBGTPLAN blob: bad plan magic");
         let err = PlanCache::new(64).import(&blob[..4]).unwrap_err();
-        assert!(err.to_string().contains("SBGTPLAN"));
+        assert!(err
+            .to_string()
+            .starts_with("corrupt SBGTPLAN blob: truncated"));
+
+        // One tree of `nodes`, each one width-1 selection plus two child
+        // slots, under the smallest key.
+        let tree = |nodes: &[[u32; 2]]| {
+            let mut w = Writer::new();
+            w.raw(MAGIC);
+            w.u32(VERSION);
+            w.u32(1);
+            write_key(&mut w, &key(&[]));
+            w.u32(nodes.len() as u32);
+            for slots in nodes {
+                w.u8(1);
+                w.u64(0b1);
+                w.f64(0.5);
+                w.f64(0.0);
+                w.u32(slots[0]);
+                w.u32(slots[1]);
+            }
+            PlanCache::new(64).import(&w.into_bytes())
+        };
+        const NONE: u32 = u32::MAX;
+        assert_eq!(tree(&[[1, NONE], [NONE, NONE]]), Ok(1));
+        for (nodes, why) in [
+            (&[[NONE, NONE], [NONE, NONE]][..], "node 1 is orphaned"),
+            (&[[1, 1], [NONE, NONE]][..], "node 1 linked twice"),
+            (&[[0, NONE]][..], "links the root as a child"),
+            (
+                &[[2, NONE], [NONE, NONE]][..],
+                "links child 2 beyond 2 nodes",
+            ),
+        ] {
+            let err = tree(nodes).unwrap_err().to_string();
+            assert!(err.contains(why), "{err}");
+        }
+        // A node count claiming every remaining byte is rejected at the
+        // count, before the `referenced` table is allocated for it.
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u32(VERSION);
+        w.u32(1);
+        write_key(&mut w, &key(&[]));
+        w.u32(64);
+        w.raw(&[0; 64]);
+        let err = PlanCache::new(64).import(&w.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("node count 64"), "{err}");
     }
 
     #[test]

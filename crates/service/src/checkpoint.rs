@@ -5,6 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use sbgt::{SessionSnapshot, SnapshotError};
+use sbgt_lattice::bytes::{Reader, Writer};
 use sbgt_lattice::BigState;
 
 use crate::cohort::CohortSpec;
@@ -86,36 +87,32 @@ impl CohortCheckpoint {
     /// (length-prefixed, delegating to its own versioned codec).
     pub fn to_bytes(&self) -> Vec<u8> {
         let snapshot = self.snapshot.to_bytes();
-        let mut out = Vec::with_capacity(64 + self.spec.risks.len() * 8 + snapshot.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.spec.id.to_le_bytes());
-        out.extend_from_slice(&self.spec.seed.to_le_bytes());
-        out.extend_from_slice(&self.spec.tenant.to_le_bytes());
-        out.extend_from_slice(&(self.spec.risks.len() as u64).to_le_bytes());
-        for r in &self.spec.risks {
-            out.extend_from_slice(&r.to_bits().to_le_bytes());
-        }
+        let mut w = Writer::with_capacity(64 + self.spec.risks.len() * 8 + snapshot.len());
+        w.raw(MAGIC);
+        w.u32(VERSION);
+        w.u64(self.spec.id);
+        w.u64(self.spec.seed);
+        w.u32(self.spec.tenant);
+        w.u64(self.spec.risks.len() as u64);
+        w.f64s(&self.spec.risks);
         let truth_words = self.spec.truth.words();
-        out.extend_from_slice(&(truth_words.len() as u32).to_le_bytes());
-        for w in truth_words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.recoveries.to_le_bytes());
-        out.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-        out.extend_from_slice(&snapshot);
-        out
+        w.u32(truth_words.len() as u32);
+        w.u64s(truth_words);
+        w.u8(self.kind.to_byte());
+        w.u64(self.recoveries);
+        w.u64(snapshot.len() as u64);
+        w.raw(&snapshot);
+        w.into_bytes()
     }
 
     /// Decode; every structural violation (including one inside the
     /// embedded snapshot) is a typed [`SnapshotError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader { bytes, at: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(8)? != MAGIC {
             return Err(SnapshotError::Corrupt("bad checkpoint magic".into()));
         }
-        let version = u32::from_le_bytes(r.take(4)?.try_into().unwrap());
+        let version = r.u32()?;
         if version == 0 || version > VERSION {
             return Err(SnapshotError::Corrupt(format!(
                 "unsupported checkpoint version {version}"
@@ -123,49 +120,21 @@ impl CohortCheckpoint {
         }
         let id = r.u64()?;
         let seed = r.u64()?;
-        let tenant = if version >= 2 {
-            u32::from_le_bytes(r.take(4)?.try_into().unwrap())
-        } else {
-            0
-        };
-        let n_risks = r.u64()? as usize;
-        if n_risks > bytes.len() / 8 {
-            return Err(SnapshotError::Corrupt("risk count exceeds payload".into()));
-        }
-        let mut risks = Vec::with_capacity(n_risks);
-        for _ in 0..n_risks {
-            risks.push(f64::from_bits(r.u64()?));
-        }
+        let tenant = if version >= 2 { r.u32()? } else { 0 };
+        let n_risks = r.count64(8, "risk")?;
+        let risks = r.f64s(n_risks)?;
         let truth = if version >= 3 {
-            let n_words = u32::from_le_bytes(r.take(4)?.try_into().unwrap()) as usize;
-            if n_words > bytes.len() / 8 {
-                return Err(SnapshotError::Corrupt(
-                    "truth word count exceeds payload".into(),
-                ));
-            }
-            let mut words = Vec::with_capacity(n_words);
-            for _ in 0..n_words {
-                words.push(r.u64()?);
-            }
-            BigState::from_words(words)
+            let n_words = r.count32(8, "truth word")?;
+            BigState::from_words(r.u64s(n_words)?)
         } else {
             // v1/v2 wrote the 16-subject lattice state as one word.
             BigState::from_words(vec![r.u64()?])
         };
-        let kind = CohortKind::from_byte(r.take(1)?[0])?;
+        let kind = CohortKind::from_byte(r.u8()?)?;
         let recoveries = r.u64()?;
-        let snap_len = r.u64()? as usize;
-        if snap_len > bytes.len() - r.at {
-            return Err(SnapshotError::Corrupt(
-                "snapshot length exceeds payload".into(),
-            ));
-        }
+        let snap_len = r.count64(1, "snapshot byte")?;
         let snapshot = SessionSnapshot::from_bytes(r.take(snap_len)?)?;
-        if r.at != bytes.len() {
-            return Err(SnapshotError::Corrupt(
-                "trailing bytes after checkpoint".into(),
-            ));
-        }
+        r.finish()?;
         if snapshot.n_subjects != risks.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "spec holds {} risks but snapshot covers {} subjects",
@@ -188,33 +157,11 @@ impl CohortCheckpoint {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.at + n > self.bytes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "checkpoint truncated at byte {} (wanted {n} more)",
-                self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgt_lattice::State;
+    use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, SparseSnapshot};
+    use sbgt_lattice::{bytes, State};
 
     fn sample() -> CohortCheckpoint {
         CohortCheckpoint {
@@ -241,139 +188,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn codec_round_trips() {
-        let ckpt = sample();
-        let back = CohortCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(back, ckpt);
-        for (a, b) in ckpt.spec.risks.iter().zip(&back.spec.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn truncation_and_tampering_are_typed_errors() {
-        let bytes = sample().to_bytes();
-        for cut in [0, 5, 13, 30, bytes.len() - 1] {
-            assert!(CohortCheckpoint::from_bytes(&bytes[..cut]).is_err());
-        }
-        let mut bad = bytes.clone();
-        bad[0] = b'Z';
-        assert!(CohortCheckpoint::from_bytes(&bad).is_err());
-        let mut long = bytes;
-        long.push(7);
-        assert!(CohortCheckpoint::from_bytes(&long).is_err());
-    }
-
-    #[test]
-    fn subject_count_mismatch_is_rejected() {
-        let mut ckpt = sample();
-        ckpt.spec.risks.push(0.2);
-        assert!(CohortCheckpoint::from_bytes(&ckpt.to_bytes()).is_err());
-    }
-
-    /// Byte offset of the kind flag: header + spec fields (id, seed,
-    /// tenant, risk count) + risks + truth word count + truth words.
-    fn kind_offset(ckpt: &CohortCheckpoint) -> usize {
-        8 + 4 + 8 + 8 + 4 + 8 + ckpt.spec.risks.len() * 8 + 4 + ckpt.spec.truth.words().len() * 8
-    }
-
-    /// Hand-encode the v1 layout (no tenant field, one-word truth) for a
-    /// sample and check it still decodes, with the tenant defaulting to
-    /// lane 0.
-    #[test]
-    fn v1_checkpoints_decode_with_tenant_zero() {
-        let ckpt = sample();
-        let snapshot = ckpt.snapshot.to_bytes();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&ckpt.spec.id.to_le_bytes());
-        v1.extend_from_slice(&ckpt.spec.seed.to_le_bytes());
-        v1.extend_from_slice(&(ckpt.spec.risks.len() as u64).to_le_bytes());
-        for r in &ckpt.spec.risks {
-            v1.extend_from_slice(&r.to_bits().to_le_bytes());
-        }
-        let truth_word = ckpt.spec.truth.words().first().copied().unwrap_or(0);
-        v1.extend_from_slice(&truth_word.to_le_bytes());
-        v1.push(ckpt.kind.to_byte());
-        v1.extend_from_slice(&ckpt.recoveries.to_le_bytes());
-        v1.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&snapshot);
-
-        let back = CohortCheckpoint::from_bytes(&v1).unwrap();
-        assert_eq!(back.spec.tenant, 0, "v1 lands on the default lane");
-        assert_eq!(back.spec.id, ckpt.spec.id);
-        assert_eq!(back.spec.truth, ckpt.spec.truth);
-        assert_eq!(back.snapshot, ckpt.snapshot);
-        for (a, b) in ckpt.spec.risks.iter().zip(&back.spec.risks) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Hand-encode the v2 layout (tenant present, truth still one word)
-    /// and check the decoder widens it into the same `BigState`.
-    #[test]
-    fn v2_checkpoints_decode_their_single_truth_word() {
-        let ckpt = sample();
-        let snapshot = ckpt.snapshot.to_bytes();
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(MAGIC);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&ckpt.spec.id.to_le_bytes());
-        v2.extend_from_slice(&ckpt.spec.seed.to_le_bytes());
-        v2.extend_from_slice(&ckpt.spec.tenant.to_le_bytes());
-        v2.extend_from_slice(&(ckpt.spec.risks.len() as u64).to_le_bytes());
-        for r in &ckpt.spec.risks {
-            v2.extend_from_slice(&r.to_bits().to_le_bytes());
-        }
-        let truth_word = ckpt.spec.truth.words().first().copied().unwrap_or(0);
-        v2.extend_from_slice(&truth_word.to_le_bytes());
-        v2.push(ckpt.kind.to_byte());
-        v2.extend_from_slice(&ckpt.recoveries.to_le_bytes());
-        v2.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-        v2.extend_from_slice(&snapshot);
-
-        let back = CohortCheckpoint::from_bytes(&v2).unwrap();
-        assert_eq!(back.spec, ckpt.spec);
-        assert_eq!(back.snapshot, ckpt.snapshot);
-    }
-
-    #[test]
-    fn kind_byte_is_wire_compatible_with_the_old_dense_flag() {
-        // Sharded/Dense encode to the exact bytes the old `bool` wrote;
-        // Sparse and the approximate backends claim the next values;
-        // anything else is typed corruption.
-        for (kind, byte) in [
-            (CohortKind::Sharded, 0u8),
-            (CohortKind::Dense, 1),
-            (CohortKind::Sparse, 2),
-        ] {
-            let mut ckpt = sample();
-            ckpt.kind = kind;
-            let bytes = ckpt.to_bytes();
-            assert_eq!(bytes[kind_offset(&ckpt)], byte);
-            assert_eq!(CohortCheckpoint::from_bytes(&bytes).unwrap().kind, kind);
-        }
-        for (kind, byte) in [(CohortKind::Bp, 3u8), (CohortKind::Particle, 4)] {
-            let mut ckpt = approx_sample(kind);
-            ckpt.kind = kind;
-            let bytes = ckpt.to_bytes();
-            assert_eq!(bytes[kind_offset(&ckpt)], byte);
-            assert_eq!(CohortCheckpoint::from_bytes(&bytes).unwrap().kind, kind);
-        }
-        let ckpt = sample();
-        let mut bad = ckpt.to_bytes();
-        bad[kind_offset(&ckpt)] = 5;
-        assert!(matches!(
-            CohortCheckpoint::from_bytes(&bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    /// A checkpoint holding an approximate-session snapshot of `kind`.
+    /// A checkpoint holding an approximate-session snapshot of `kind`,
+    /// over a cohort wide enough that the truth spans two words.
     fn approx_sample(kind: CohortKind) -> CohortCheckpoint {
-        use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock};
         let approx_kind = match kind {
             CohortKind::Bp => ApproxKind::Bp,
             CohortKind::Particle => ApproxKind::Particle,
@@ -413,46 +230,156 @@ mod tests {
         }
     }
 
-    #[test]
-    fn approx_checkpoints_round_trip_multi_word_truth() {
-        for kind in [CohortKind::Bp, CohortKind::Particle] {
-            let ckpt = approx_sample(kind);
-            assert!(ckpt.spec.truth.words().len() > 1, "truth spans words");
-            let back = CohortCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-            assert_eq!(back, ckpt);
-        }
-        // A corrupt truth word count is a typed error, not a huge alloc.
-        let ckpt = approx_sample(CohortKind::Bp);
-        let mut bad = ckpt.to_bytes();
-        let count_at = 8 + 4 + 8 + 8 + 4 + 8 + ckpt.spec.risks.len() * 8;
-        bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            CohortCheckpoint::from_bytes(&bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn sparse_checkpoint_round_trips_bit_for_bit() {
-        use sbgt::SparseSnapshot;
-        let mut ckpt = sample();
-        ckpt.kind = CohortKind::Sparse;
-        ckpt.snapshot.shards = vec![];
-        ckpt.snapshot.total = 0.75;
-        ckpt.snapshot.sparse = Some(SparseSnapshot {
+    /// One checkpoint of each of the five cohort kinds.
+    fn samples() -> [CohortCheckpoint; 5] {
+        let mut sharded = sample();
+        sharded.kind = CohortKind::Sharded;
+        sharded.snapshot.shards = vec![vec![0.1; 4], vec![0.1; 4]];
+        sharded.snapshot.marginals = vec![0.2, 0.3, 0.4];
+        sharded.snapshot.pending_selection = Some((vec![2, 0, 1], vec![0.8, 0.4, 0.2, 0.1]));
+        let mut sparse = sample();
+        sparse.kind = CohortKind::Sparse;
+        sparse.snapshot.shards = vec![];
+        sparse.snapshot.total = 0.75;
+        sparse.snapshot.sparse = Some(SparseSnapshot {
             entries: vec![(State(1), 0.5), (State(5), 0.25)],
             pruned_mass: 0.25,
         });
-        let back = CohortCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(back, ckpt);
-        let (a, b) = (
-            ckpt.snapshot.sparse.as_ref().unwrap(),
-            back.snapshot.sparse.as_ref().unwrap(),
-        );
-        assert_eq!(a.pruned_mass.to_bits(), b.pruned_mass.to_bits());
-        for ((sa, pa), (sb, pb)) in a.entries.iter().zip(&b.entries) {
-            assert_eq!(sa, sb);
-            assert_eq!(pa.to_bits(), pb.to_bits());
+        [
+            sample(),
+            sharded,
+            sparse,
+            approx_sample(CohortKind::Bp),
+            approx_sample(CohortKind::Particle),
+        ]
+    }
+
+    fn reencode(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
+        CohortCheckpoint::from_bytes(bytes).map(|ckpt| ckpt.to_bytes())
+    }
+
+    /// Byte offset of the risk count in the v3 layout (magic, version, id,
+    /// seed, tenant).
+    const RISK_COUNT_AT: usize = 8 + 4 + 8 + 8 + 4;
+
+    /// Byte offset of the kind flag: the risks, then the truth word count
+    /// and words.
+    fn kind_offset(ckpt: &CohortCheckpoint) -> usize {
+        RISK_COUNT_AT + 8 + ckpt.spec.risks.len() * 8 + 4 + ckpt.spec.truth.words().len() * 8
+    }
+
+    #[test]
+    fn every_kind_round_trips_and_survives_the_tamper_harness() {
+        // Sharded/Dense encode to the exact bytes the old `bool` flag
+        // wrote; Sparse and the approximate backends claim the next values.
+        for (ckpt, kind_byte) in samples().into_iter().zip([1u8, 0, 2, 3, 4]) {
+            let bytes = ckpt.to_bytes();
+            assert_eq!(bytes[kind_offset(&ckpt)], kind_byte);
+            assert_eq!(CohortCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
+            bytes::check(&bytes, reencode);
         }
+        assert!(approx_sample(CohortKind::Bp).spec.truth.words().len() > 1);
+    }
+
+    /// Hand-encode the v1 layout (no tenant field, one-word truth) and the
+    /// v2 layout (tenant present, truth still one word).
+    fn legacy_layout(ckpt: &CohortCheckpoint, version: u32) -> Vec<u8> {
+        let snapshot = ckpt.snapshot.to_bytes();
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u32(version);
+        w.u64(ckpt.spec.id);
+        w.u64(ckpt.spec.seed);
+        if version >= 2 {
+            w.u32(ckpt.spec.tenant);
+        }
+        w.u64(ckpt.spec.risks.len() as u64);
+        w.f64s(&ckpt.spec.risks);
+        w.u64(ckpt.spec.truth.words().first().copied().unwrap_or(0));
+        w.u8(ckpt.kind.to_byte());
+        w.u64(ckpt.recoveries);
+        w.u64(snapshot.len() as u64);
+        w.raw(&snapshot);
+        w.into_bytes()
+    }
+
+    /// v1 checkpoints still decode, landing on tenant 0 (the default
+    /// lane); v2 checkpoints decode their single truth word into the same
+    /// `BigState`. Both re-encode as v3, so the harness checks them
+    /// against the v3 bytes of what they must decode to.
+    #[test]
+    fn v1_and_v2_checkpoints_decode_and_survive_the_tamper_harness() {
+        let ckpt = sample();
+        let mut on_default_lane = ckpt.clone();
+        on_default_lane.spec.tenant = 0;
+        for (version, expected) in [(1, on_default_lane), (2, ckpt.clone())] {
+            let old = legacy_layout(&ckpt, version);
+            assert_eq!(CohortCheckpoint::from_bytes(&old).unwrap(), expected);
+            bytes::check_against(&old, &expected.to_bytes(), reencode);
+        }
+    }
+
+    #[test]
+    fn subject_count_mismatch_is_rejected() {
+        let mut ckpt = sample();
+        ckpt.spec.risks.push(0.2);
+        assert!(CohortCheckpoint::from_bytes(&ckpt.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn format_violations_are_named() {
+        let ckpt = sample();
+        let bytes = ckpt.to_bytes();
+        let mut bad = bytes.clone();
+        bad[0] = b'Z';
+        let err = CohortCheckpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("bad checkpoint magic"), "{err}");
+        let mut bad = bytes.clone();
+        bad[8] = 4;
+        let err = CohortCheckpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("version 4"), "{err}");
+        let mut bad = bytes;
+        bad[kind_offset(&ckpt)] = 5;
+        let err = CohortCheckpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("unknown cohort kind"), "{err}");
+    }
+
+    /// Regression (allocation amplification from the wire): the risk and
+    /// truth-word counts were bounded by the *whole* buffer, the snapshot
+    /// length not at all before its `take`. Each is now bounded by the
+    /// bytes left, and a count claiming all of them as 8-byte elements is
+    /// rejected at the count, by name.
+    #[test]
+    fn counts_claiming_every_remaining_byte_are_rejected_at_the_count() {
+        let mut ckpt = sample();
+        ckpt.spec.risks.truncate(2);
+        ckpt.snapshot.n_subjects = 2;
+        ckpt.snapshot.shards = vec![vec![0.25; 4]];
+        let bytes = ckpt.to_bytes();
+        assert!(bytes.len() < 200);
+        // Counts and the buffer are all under 256, so a count's low byte
+        // is the whole count.
+        let poke = |at: usize, width: usize, what: &str| {
+            let claimed = bytes.len() - at - width;
+            let mut bad = bytes.clone();
+            bad[at] = claimed as u8;
+            let err = CohortCheckpoint::from_bytes(&bad).unwrap_err().to_string();
+            let want = format!("{what} count {claimed} at byte {}", at + width);
+            assert!(err.contains(&want), "{err}");
+        };
+        poke(RISK_COUNT_AT, 8, "risk");
+        poke(RISK_COUNT_AT + 8 + 2 * 8, 4, "truth word");
+        // The embedded snapshot's own counts fail the same way through the
+        // checkpoint: its shard count sits 36 bytes into the blob.
+        let snapshot_at = kind_offset(&ckpt) + 1 + 8 + 8;
+        let mut bad = bytes.clone();
+        bad[snapshot_at + 36] = (bytes.len() - snapshot_at - 44) as u8;
+        let err = CohortCheckpoint::from_bytes(&bad).unwrap_err().to_string();
+        assert!(err.contains("shard count"), "{err}");
+        // A snapshot length one past the end is rejected at the length.
+        let mut bad = bytes.clone();
+        bad[snapshot_at - 8] += 1;
+        let err = CohortCheckpoint::from_bytes(&bad).unwrap_err().to_string();
+        assert!(err.contains("snapshot byte count"), "{err}");
     }
 }

@@ -795,7 +795,8 @@ fn worker_loop(
                 }
             }
             RoundStep::Progressed => {
-                sched.push(tenant, actor);
+                // This worker pops next; waking another buys nothing.
+                sched.requeue(tenant, actor);
             }
         }
     }

@@ -82,10 +82,28 @@ impl<T> WfqScheduler<T> {
         }
     }
 
-    /// Enqueue one round of work for `tenant`. An arrival into an idle
-    /// lane restarts the lane's tag at the current virtual time, so idle
-    /// periods earn no credit.
+    /// Enqueue one round of work for `tenant` and wake one blocked
+    /// [`WfqScheduler::pop`]. An arrival into an idle lane restarts the
+    /// lane's tag at the current virtual time, so idle periods earn no
+    /// credit.
     pub fn push(&self, tenant: u32, item: T) {
+        self.enqueue(tenant, item);
+        self.available.notify_one();
+    }
+
+    /// [`WfqScheduler::push`] for a consumer that calls
+    /// [`WfqScheduler::pop`] next: the entry is tagged and queued the same
+    /// way, but nobody is woken, because the caller is about to take an
+    /// entry itself. A worker woken here would find the queue empty again,
+    /// or win the race and move the cohort to a cold core, at a cost that
+    /// depends on how busy the host is. No wake-up is lost: if the
+    /// caller's `pop` takes another entry and leaves this one, the wake-up
+    /// `push` sent for that other entry finds this one.
+    pub fn requeue(&self, tenant: u32, item: T) {
+        self.enqueue(tenant, item);
+    }
+
+    fn enqueue(&self, tenant: u32, item: T) {
         let mut state = self.state.lock().expect("wfq lock");
         let vtime = state.vtime;
         let lane = state.lanes.entry(tenant).or_insert_with(|| Lane {
@@ -98,8 +116,6 @@ impl<T> WfqScheduler<T> {
         }
         lane.items.push_back(item);
         state.queued += 1;
-        drop(state);
-        self.available.notify_one();
     }
 
     /// Dequeue the next round: blocks while empty, returns `None` once the
@@ -298,5 +314,62 @@ mod tests {
         sched.close();
         assert_eq!(waiter.join().unwrap(), None);
         assert_eq!(sched.pop(), None, "closed stays closed");
+    }
+
+    #[test]
+    fn requeue_tags_like_push_and_strands_no_entry() {
+        // Same shares as `weights_two_to_one_share_rounds_two_to_one`.
+        let sched = WfqScheduler::new([(1, 2), (2, 1)]);
+        for _ in 0..4 {
+            sched.push(1, 1);
+            sched.push(2, 2);
+        }
+        let mut counts = BTreeMap::new();
+        for _ in 0..300 {
+            let tenant = sched.pop().unwrap();
+            *counts.entry(tenant).or_insert(0) += 1;
+            sched.requeue(tenant, tenant);
+        }
+        assert_eq!((counts[&1], counts[&2]), (200, 100));
+
+        // Three workers run every entry for `ROUNDS` rounds, requeueing in
+        // between as the service's do, while entries keep arriving: every
+        // round is served although `requeue` wakes nobody.
+        const ENTRIES: usize = 64;
+        const ROUNDS: usize = 50;
+        let sched = Arc::new(WfqScheduler::<usize>::new([]));
+        let served = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (sched, served) = (Arc::clone(&sched), Arc::clone(&served));
+                std::thread::spawn(move || {
+                    while let Some(rounds_left) = sched.pop() {
+                        served.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        if rounds_left > 1 {
+                            sched.requeue(0, rounds_left - 1);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for i in 0..ENTRIES {
+            sched.push(0, ROUNDS);
+            if i % 8 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while served.load(std::sync::atomic::Ordering::SeqCst) < ENTRIES * ROUNDS {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "an entry was stranded"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(sched.is_empty());
+        sched.close();
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 }

@@ -1,13 +1,15 @@
-//! Property tests: `SBGTCKPT` checkpoints carrying the approx cohort kinds
-//! (BP, particle) round-trip bit-for-bit over multi-word truths and fail
-//! closed under tampering — truncation, kind-byte rewrites, and arbitrary
-//! byte flips are typed errors or restore-time rejections, never panics.
+//! `SBGTCKPT` checkpoints through the restore layer: the shared tamper
+//! harness (`sbgt_lattice::bytes::check`) over approx cohorts with
+//! multi-word truths and over recorded checkpoints of all five kinds —
+//! byte-exact round trips; truncation, trailing bytes and byte flips are
+//! typed errors or restore-time rejections, never panics — plus kind-byte
+//! rewrites and the recorded parent-commit bytes.
 
 use proptest::prelude::*;
 
 use sbgt::{ApproxKind, ApproxSnapshot, ParticleBlock, RoundStep, SbgtConfig, SessionSnapshot};
 use sbgt_engine::{Engine, EngineConfig};
-use sbgt_lattice::BigState;
+use sbgt_lattice::{bytes, BigState};
 use sbgt_response::BinaryDilutionModel;
 use sbgt_service::{
     run_cohort_serial, ApproxBackend, CohortActor, CohortCheckpoint, CohortKind, CohortSpec,
@@ -98,36 +100,67 @@ fn policy(backend: ApproxBackend) -> SessionPolicy {
     }
 }
 
+/// Decode → restore an actor (which must not panic, whatever decoded) →
+/// encode: the harness closure for checkpoints headed for `policy`.
+fn reencode_through_restore(
+    policy: SessionPolicy,
+) -> impl Fn(&[u8]) -> Result<Vec<u8>, sbgt::SnapshotError> {
+    move |bytes| {
+        let decoded = CohortCheckpoint::from_bytes(bytes)?;
+        let _ = CohortActor::restore(
+            &decoded,
+            BinaryDilutionModel::pcr_like(),
+            SbgtConfig::default(),
+            policy,
+        );
+        Ok(decoded.to_bytes())
+    }
+}
+
+/// Approx-kind checkpoints with two-word truths pass the tamper harness
+/// and restore to an actor of the same kind.
+#[test]
+fn approx_checkpoints_survive_the_tamper_harness() {
+    for (kind, backend) in [
+        (CohortKind::Bp, ApproxBackend::Bp),
+        (CohortKind::Particle, ApproxBackend::Particle),
+    ] {
+        let ckpt = approx_checkpoint(kind, 0xC0FFEE, 66);
+        let bytes = ckpt.to_bytes();
+        assert_eq!(CohortCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
+        let actor = CohortActor::restore(
+            &ckpt,
+            BinaryDilutionModel::pcr_like(),
+            SbgtConfig::default(),
+            policy(backend),
+        )
+        .unwrap();
+        assert_eq!(actor.checkpoint().kind, kind);
+        bytes::check(&bytes, reencode_through_restore(policy(backend)));
+    }
+}
+
+/// The recorded checkpoints of all five kinds — bytes real cohorts froze
+/// to — pass the tamper harness through the restore layer.
+#[test]
+fn recorded_checkpoints_of_every_kind_survive_the_tamper_harness() {
+    let restore_policy = SessionPolicy {
+        approx_particles: 8,
+        ..policy(ApproxBackend::Particle)
+    };
+    let lines: Vec<_> = include_str!("data/parent_checkpoints.txt")
+        .lines()
+        .collect();
+    assert_eq!(lines.len(), 5);
+    for line in lines {
+        let (_, hex) = line.split_once(' ').expect("NAME hex");
+        let bytes = bytes::from_hex(hex);
+        bytes::check(&bytes, reencode_through_restore(restore_policy));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Approx-kind checkpoints with two-word truths round-trip bit-for-bit
-    /// and restore to an actor of the same kind; truncation anywhere is a
-    /// typed error.
-    #[test]
-    fn approx_checkpoints_round_trip_and_reject_truncation(
-        seed in proptest::arbitrary::any::<u64>(),
-        n in 66usize..=120,
-        cut_seed in proptest::arbitrary::any::<usize>(),
-    ) {
-        for (kind, backend) in [
-            (CohortKind::Bp, ApproxBackend::Bp),
-            (CohortKind::Particle, ApproxBackend::Particle),
-        ] {
-            let ckpt = approx_checkpoint(kind, seed, n);
-            let bytes = ckpt.to_bytes();
-            prop_assert_eq!(&CohortCheckpoint::from_bytes(&bytes).unwrap(), &ckpt);
-            let cut = cut_seed % bytes.len();
-            prop_assert!(CohortCheckpoint::from_bytes(&bytes[..cut]).is_err());
-            let actor = CohortActor::restore(
-                &ckpt,
-                BinaryDilutionModel::pcr_like(),
-                SbgtConfig::default(),
-                policy(backend),
-            ).unwrap();
-            prop_assert_eq!(actor.checkpoint().kind, kind);
-        }
-    }
 
     /// Rewriting the cohort kind byte fails closed: bytes past the known
     /// range are a decode error, and every *valid-but-wrong* kind is caught
@@ -169,35 +202,6 @@ proptest! {
                     ).is_err(), "kind {wrong} restored an approx {:?} payload", kind);
                 }
             }
-        }
-    }
-
-    /// Arbitrary single-byte flips never panic: decode either rejects with
-    /// a typed error or yields a checkpoint the restore layer can vet.
-    #[test]
-    fn flipped_bytes_never_panic_the_checkpoint_codec(
-        seed in proptest::arbitrary::any::<u64>(),
-        n in 66usize..=100,
-        at_seed in proptest::arbitrary::any::<usize>(),
-        xor in 1u8..=255,
-    ) {
-        for (kind, backend) in [
-            (CohortKind::Bp, ApproxBackend::Bp),
-            (CohortKind::Particle, ApproxBackend::Particle),
-        ] {
-            let ckpt = approx_checkpoint(kind, seed, n);
-            let mut bytes = ckpt.to_bytes();
-            let at = at_seed % bytes.len();
-            bytes[at] ^= xor;
-            let Ok(decoded) = CohortCheckpoint::from_bytes(&bytes) else {
-                continue;
-            };
-            let _ = CohortActor::restore(
-                &decoded,
-                BinaryDilutionModel::pcr_like(),
-                SbgtConfig::default(),
-                policy(backend),
-            );
         }
     }
 }
