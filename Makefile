@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -35,6 +35,19 @@ codec-lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "codec-lint: OK"
+
+# One I/O idiom, no hand-rolled syscalls: `unsafe` lives only in the SIMD
+# kernels (every other crate root carries `#![forbid(unsafe_code)]`, which
+# the word match below does not count), and no inline assembly or epoll
+# readiness loop may come back under crates/*/src.
+unsafe-lint:
+	@bad=$$(grep -rnE "\bunsafe\b|asm!|epoll" crates/*/src \
+		| grep -v "^crates/lattice/src/simd.rs:"); \
+	if [ -n "$$bad" ]; then \
+		echo "unsafe-lint: unsafe, asm! or epoll outside crates/lattice/src/simd.rs:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "unsafe-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.

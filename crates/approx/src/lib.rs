@@ -40,6 +40,8 @@
 //! expected-tests gap ≤ 5% across a seeded small-N campaign, for both
 //! backends.
 
+#![forbid(unsafe_code)]
+
 pub mod bp;
 pub mod factor;
 pub mod particle;

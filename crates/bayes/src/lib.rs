@@ -14,6 +14,8 @@
 //!   paper: marginals, entropy, MAP/top-k states, rank distribution,
 //!   computed in fused passes.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod classify;
 pub mod credible;

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sbgt_bayes::{
     classify_marginals, credible_set, update_dense, ClassificationRule, Observation, Prior,
 };
-use sbgt_lattice::{DensePosterior, LogPosterior, State};
+use sbgt_lattice::{DensePosterior, State};
 use sbgt_response::{BinaryDilutionModel, Dilution, ResponseModel};
 
 fn close(a: f64, b: f64) -> bool {
@@ -109,38 +109,6 @@ proptest! {
             }
         }
         prop_assert!(close(z_sum, 1.0));
-    }
-
-    /// Log-domain and linear-domain updates agree on marginals for any
-    /// observation sequence.
-    #[test]
-    fn log_domain_agrees(
-        risks in risks_strategy(7),
-        model in model_strategy(),
-        pools in prop::collection::vec(1u64..128, 1..4),
-        outcomes in prop::collection::vec(any::<bool>(), 4),
-    ) {
-        let n = risks.len();
-        let mut linear = Prior::from_risks(&risks).to_dense();
-        let mut log = LogPosterior::from_risks(&risks);
-        for (raw, &outcome) in pools.iter().zip(&outcomes) {
-            let mask = raw & State::full(n).bits();
-            if mask == 0 {
-                continue;
-            }
-            let pool = State(mask);
-            let table = model.likelihood_table(outcome, pool.rank());
-            let lin_ok =
-                update_dense(&mut linear, &model, &Observation::new(pool, outcome)).is_ok();
-            let log_ok = log.update(pool, &table).is_some();
-            prop_assert_eq!(lin_ok, log_ok);
-            if !lin_ok {
-                break;
-            }
-        }
-        for (a, b) in linear.marginals().iter().zip(log.marginals()) {
-            prop_assert!(close(*a, b));
-        }
     }
 
     /// Classification partitions the cohort and respects thresholds.

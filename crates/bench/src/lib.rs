@@ -5,6 +5,8 @@
 //! workloads and timing helpers from here so the two report on identical
 //! inputs.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use sbgt_bayes::Prior;

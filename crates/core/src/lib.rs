@@ -54,6 +54,8 @@
 //! assert!(report.marginals.iter().all(|&m| m < 0.02 + 1e-9));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod config;
 pub mod conformance;

@@ -25,9 +25,8 @@
 //! small record per partition to the driver. [`ShardedPosterior::fused_round`]
 //! goes further and computes update + marginals + prefix-negative-mass
 //! histogram in a single traversal, making a full BHA round one stage
-//! instead of three. The legacy materializing update is kept as
-//! [`ShardedPosterior::update_immutable`] for A/B benchmarking; per-stage
-//! variants land in the engine's metrics registry, giving the E9 breakdown.
+//! instead of three. Per-stage variants land in the engine's metrics
+//! registry, giving the E9 breakdown.
 
 use std::sync::Arc;
 
@@ -273,52 +272,6 @@ impl ShardedPosterior {
             return Err(BayesError::ImpossibleObservation);
         }
         let evidence = new_total / self.total;
-        self.total = new_total;
-        Ok(evidence)
-    }
-
-    /// The pre-in-place update: a materializing `map_partitions` stage
-    /// whose outputs are moved (not cloned) into the new shard dataset.
-    /// Kept as the immutable baseline the in-place path is benchmarked
-    /// against; semantically identical to [`Self::update`].
-    pub fn update_immutable<M: ResponseModel>(
-        &mut self,
-        engine: &Engine,
-        model: &M,
-        pool: State,
-        outcome: M::Outcome,
-    ) -> Result<f64, BayesError> {
-        if pool.is_empty() {
-            return Err(BayesError::EmptyPool);
-        }
-        let table = engine.broadcast(model.likelihood_table(outcome, pool.rank()));
-        let mask = pool.bits();
-        let offsets = Arc::clone(&self.offsets);
-
-        // One stage: multiply + partial sum per partition. The new shard
-        // values and the partial sum travel together so no second pass is
-        // needed.
-        let fused: Dataset<(Vec<f64>, f64)> =
-            self.shards.map_partitions(engine, move |pidx, probs| {
-                vec![mul_table_collect(probs, offsets[pidx], mask, table.value())]
-            });
-
-        // The stage output handles are uniquely owned, so each partition's
-        // values vector is moved out — not cloned — on the driver.
-        let mut new_parts: Vec<Vec<f64>> = Vec::with_capacity(fused.num_partitions());
-        let mut new_total = 0.0;
-        for handle in fused.into_partitions() {
-            let mut records =
-                Arc::try_unwrap(handle).expect("stage output handles are uniquely owned");
-            let (values, sum) = records.pop().expect("one record per partition");
-            new_total += sum;
-            new_parts.push(values);
-        }
-        if !(new_total.is_finite() && new_total > 0.0) {
-            return Err(BayesError::ImpossibleObservation);
-        }
-        let evidence = new_total / self.total;
-        self.shards = Dataset::from_partitions(new_parts);
         self.total = new_total;
         Ok(evidence)
     }
@@ -572,17 +525,10 @@ impl ShardedPosterior {
 /// delegated to the runtime-dispatched SIMD block kernel
 /// ([`sbgt_lattice::simd::mul_table_block`]). The blocked popcount and the
 /// four accumulator lanes (lane of element `off` = `off % 4`) live there;
-/// the reduction order is a pure function of the partition layout, so this
-/// kernel and [`mul_table_collect`] stay bit-for-bit identical across
-/// dispatch levels.
+/// the reduction order is a pure function of the partition layout, so the
+/// kernel stays bit-for-bit identical across dispatch levels.
 fn mul_table_in_place(probs: &mut [f64], base: u64, mask: u64, table: &[f64]) -> f64 {
     simd::mul_table_block(probs, base, mask, table)
-}
-
-/// The materializing twin of [`mul_table_in_place`]: identical arithmetic
-/// in identical order, but writing into a freshly allocated vector.
-fn mul_table_collect(src: &[f64], base: u64, mask: u64, table: &[f64]) -> (Vec<f64>, f64) {
-    simd::mul_table_collect_block(src, base, mask, table)
 }
 
 #[cfg(test)]
@@ -705,33 +651,6 @@ mod tests {
         );
         assert_eq!(jobs[1].variant, sbgt_engine::StageVariant::Immutable);
         assert_eq!(e.metrics().in_place_job_count(), 1);
-    }
-
-    #[test]
-    fn in_place_and_immutable_updates_are_bit_identical() {
-        let e = engine();
-        let model = BinaryDilutionModel::pcr_like();
-        let dense = Prior::from_risks(&risks()).to_dense();
-        let mut in_place = ShardedPosterior::from_dense(&dense, 5);
-        let mut immutable = ShardedPosterior::from_dense(&dense, 5);
-        let tests = [
-            (State::from_subjects([0, 1, 2, 3]), true),
-            (State::from_subjects([4, 5]), false),
-            (State::from_subjects([0]), true),
-        ];
-        for (pool, outcome) in tests {
-            let za = in_place.update(&e, &model, pool, outcome).unwrap();
-            let zb = immutable
-                .update_immutable(&e, &model, pool, outcome)
-                .unwrap();
-            assert_eq!(za.to_bits(), zb.to_bits(), "evidence must be identical");
-        }
-        assert_eq!(in_place.total().to_bits(), immutable.total().to_bits());
-        let a = in_place.to_dense(&e);
-        let b = immutable.to_dense(&e);
-        for (x, y) in a.probs().iter().zip(b.probs()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

@@ -15,10 +15,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use sbgt::{SbgtConfig, ShardedPosterior, ShardedSession};
-use sbgt_bayes::Prior;
-use sbgt_engine::{ChaosConfig, Engine, EngineConfig, FaultPlan, RetryPolicy, SpeculationConfig};
-use sbgt_lattice::State;
-use sbgt_response::BinaryDilutionModel;
+use sbgt_bayes::{BayesError, Prior};
+use sbgt_engine::{
+    ChaosConfig, Dataset, Engine, EngineConfig, FaultPlan, RetryPolicy, SpeculationConfig,
+};
+use sbgt_lattice::{simd, DensePosterior, State};
+use sbgt_response::{BinaryDilutionModel, ResponseModel};
 use sbgt_select::{select_stage_lookahead, LookaheadConfig, Selection};
 
 /// Fault-free reference engine.
@@ -55,6 +57,61 @@ fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// The immutable stage variant, driven directly (the sharded posterior's
+/// own update is in-place only): the same contiguous shards, updated by a
+/// materializing `Dataset::map_partitions` stage that multiplies each one
+/// into a fresh vector and ships it back with its partial sum, reduced on
+/// the driver in partition order.
+struct ImmutablePosterior {
+    shards: Dataset<f64>,
+    total: f64,
+}
+
+impl ImmutablePosterior {
+    fn from_dense(dense: &DensePosterior, parts: usize) -> Self {
+        ImmutablePosterior {
+            shards: Dataset::from_vec(dense.probs().to_vec(), parts),
+            total: dense.total(),
+        }
+    }
+
+    fn update(
+        &mut self,
+        e: &Engine,
+        model: &BinaryDilutionModel,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        let table = model.likelihood_table(outcome, pool.rank());
+        let mask = pool.bits();
+        let mut offsets = Vec::with_capacity(self.shards.num_partitions());
+        let mut base = 0u64;
+        for p in 0..self.shards.num_partitions() {
+            offsets.push(base);
+            base += self.shards.partition(p).len() as u64;
+        }
+        let stage = self.shards.map_partitions(e, move |pidx, probs| {
+            let mut out = probs.to_vec();
+            let sum = simd::mul_table_block(&mut out, offsets[pidx], mask, &table);
+            vec![(out, sum)]
+        });
+        let (parts, sums): (Vec<Vec<f64>>, Vec<f64>) = stage.iter().cloned().unzip();
+        let new_total: f64 = sums.iter().sum();
+        if !(new_total.is_finite() && new_total > 0.0) {
+            return Err(BayesError::ImpossibleObservation);
+        }
+        let evidence = new_total / self.total;
+        self.shards = Dataset::from_partitions(parts);
+        self.total = new_total;
+        Ok(evidence)
+    }
+
+    /// Unnormalized values in state order.
+    fn values(&self) -> Vec<f64> {
+        self.shards.collect()
+    }
+}
+
 /// Every observable of the stage-variant sequence, for exact comparison
 /// between a clean and a chaotic run.
 struct SequenceOutput {
@@ -75,9 +132,9 @@ fn run_stage_variant_sequence(e: &Engine) -> SequenceOutput {
     let model = BinaryDilutionModel::pcr_like();
 
     // Immutable variant (`map_partitions`).
-    let mut immutable = ShardedPosterior::from_dense(&dense0, 4);
+    let mut immutable = ImmutablePosterior::from_dense(&dense0, 4);
     let z1 = immutable
-        .update_immutable(e, &model, pool_from_seed(13, n), true)
+        .update(e, &model, pool_from_seed(13, n), true)
         .unwrap();
 
     // In-place on uniquely-owned shards.
@@ -101,7 +158,7 @@ fn run_stage_variant_sequence(e: &Engine) -> SequenceOutput {
         fused_marginals: round.marginals,
         fused_masses: round.prefix_negative_masses,
         final_dense: post.to_dense(e).probs().to_vec(),
-        immutable_dense: immutable.to_dense(e).probs().to_vec(),
+        immutable_dense: immutable.values(),
         cow_snapshot_dense: snapshot.to_dense(e).probs().to_vec(),
     }
 }
@@ -505,8 +562,8 @@ proptest! {
 
         let mut clean_post = ShardedPosterior::from_dense(&dense0, parts);
         let mut chaos_post = ShardedPosterior::from_dense(&dense0, parts);
-        let mut clean_imm = ShardedPosterior::from_dense(&dense0, parts);
-        let mut chaos_imm = ShardedPosterior::from_dense(&dense0, parts);
+        let mut clean_imm = ImmutablePosterior::from_dense(&dense0, parts);
+        let mut chaos_imm = ImmutablePosterior::from_dense(&dense0, parts);
         let order: Vec<usize> = (0..n).collect();
 
         for (i, &(seed, outcome)) in obs.iter().enumerate() {
@@ -542,8 +599,8 @@ proptest! {
                     }
                 }
                 _ => {
-                    let a = clean_imm.update_immutable(&clean_e, &model, pool, outcome);
-                    let b = chaos_imm.update_immutable(&chaos_e, &model, pool, outcome);
+                    let a = clean_imm.update(&clean_e, &model, pool, outcome);
+                    let b = chaos_imm.update(&chaos_e, &model, pool, outcome);
                     prop_assert_eq!(a.is_ok(), b.is_ok());
                     if let (Ok(za), Ok(zb)) = (a, b) {
                         prop_assert_eq!(za.to_bits(), zb.to_bits());
@@ -559,8 +616,8 @@ proptest! {
                 "chaos vs clean posterior",
             );
             assert_bitwise_eq(
-                clean_imm.to_dense(&clean_e).probs(),
-                chaos_imm.to_dense(&chaos_e).probs(),
+                &clean_imm.values(),
+                &chaos_imm.values(),
                 "chaos vs clean immutable posterior",
             );
         }

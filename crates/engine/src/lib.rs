@@ -98,6 +98,8 @@
 //! assert_eq!(partials.iter().sum::<u64>(), 999 * 1000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod broadcast;
 pub mod chaos;
 pub mod config;

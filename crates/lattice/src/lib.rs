@@ -40,12 +40,10 @@
 pub mod bigstate;
 pub mod branch;
 pub mod bytes;
-pub mod chains;
 pub mod dense;
 pub mod hybrid;
 pub mod iter;
 pub mod kernels;
-pub mod logdomain;
 pub mod order;
 pub mod simd;
 pub mod sparse;
@@ -54,10 +52,8 @@ pub mod transform;
 
 pub use bigstate::BigState;
 pub use branch::{BranchPool, LookaheadKernel};
-pub use chains::{ChainPosterior, ChainShape};
 pub use dense::DensePosterior;
 pub use hybrid::{HybridPosterior, SparseSwitch};
-pub use logdomain::LogPosterior;
 pub use sparse::SparsePosterior;
 pub use state::{State, MAX_SUBJECTS};
 

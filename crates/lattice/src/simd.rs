@@ -196,32 +196,6 @@ unsafe fn mul_table_block_avx2(probs: &mut [f64], base: u64, mask: u64, table: &
     reduce4(lanes)
 }
 
-/// Materializing twin of [`mul_table_block`]: reads `src`, returns the
-/// updated block and its total, with arithmetic identical to the in-place
-/// kernel (same products, same 4-lane sum).
-pub fn mul_table_collect_block(
-    src: &[f64],
-    base: u64,
-    mask: u64,
-    table: &[f64],
-) -> (Vec<f64>, f64) {
-    let mut out = src.to_vec();
-    let total = mul_table_block(&mut out, base, mask, table);
-    (out, total)
-}
-
-/// Scalar reference of [`mul_table_collect_block`].
-pub fn mul_table_collect_block_scalar(
-    src: &[f64],
-    base: u64,
-    mask: u64,
-    table: &[f64],
-) -> (Vec<f64>, f64) {
-    let mut out = src.to_vec();
-    let total = mul_table_block_scalar(&mut out, base, mask, table);
-    (out, total)
-}
-
 // ---------------------------------------------------------------------------
 // Kernel 2: fused update + marginals + first-positive histogram superstage.
 // ---------------------------------------------------------------------------
@@ -617,13 +591,6 @@ mod tests {
             let zb = mul_table_block_scalar(&mut b, base, mask, &table);
             assert_eq!(za.to_bits(), zb.to_bits(), "base {base} len {len}");
             for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            let (ca, ta) = mul_table_collect_block(&src, base, mask, &table);
-            let (cb, tb) = mul_table_collect_block_scalar(&src, base, mask, &table);
-            assert_eq!(ta.to_bits(), tb.to_bits());
-            assert_eq!(ta.to_bits(), za.to_bits(), "collect twin matches in-place");
-            for (x, y) in ca.iter().zip(&cb) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }

@@ -295,13 +295,11 @@ proptest! {
     }
 }
 
-// --- extension modules: transforms, log domain, product-of-chains ---
+// --- extension module: zeta/Möbius transforms ---
 
-use sbgt_lattice::logdomain::LogPosterior;
 use sbgt_lattice::transform::{
     all_pool_negative_masses, mobius_in_place, up_set_masses, zeta_in_place,
 };
-use sbgt_lattice::{ChainPosterior, ChainShape};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -341,79 +339,6 @@ proptest! {
                     let u = t | (1 << bit);
                     prop_assert!(up[t] >= up[u] - 1e-12);
                 }
-            }
-        }
-    }
-
-    /// Log-domain updates track linear-domain updates for random tables.
-    #[test]
-    fn log_domain_tracks_linear(
-        risks in risks_strategy(7),
-        pool_bits in 1u64..128,
-        table_seed in 1u64..1000,
-    ) {
-        let n = risks.len();
-        let mask = pool_bits & ((1u64 << n) - 1);
-        prop_assume!(mask != 0);
-        let pool = State(mask);
-        // Deterministic pseudo-random positive table.
-        let table: Vec<f64> = (0..=pool.rank())
-            .map(|k| {
-                let x = (table_seed.wrapping_mul(k as u64 + 1)).wrapping_mul(2654435761) % 1000;
-                0.01 + x as f64 / 1000.0
-            })
-            .collect();
-        let mut lin = DensePosterior::from_risks(&risks);
-        let mut log = LogPosterior::from_risks(&risks);
-        let z_lin = lin.mul_likelihood_fused(pool, &table);
-        lin.try_normalize().unwrap();
-        let z_log = log.update(pool, &table).unwrap();
-        prop_assert!(close(z_lin.ln(), z_log));
-        for (a, b) in lin.marginals().iter().zip(log.marginals()) {
-            prop_assert!(close(*a, b));
-        }
-    }
-
-    /// Chain lattices with binary levels agree with the Boolean lattice on
-    /// priors, updates, and marginals.
-    #[test]
-    fn chain_binary_levels_match_boolean(risks in risks_strategy(6), pool_bits in 1u64..64) {
-        let n = risks.len();
-        let mask = pool_bits & ((1u64 << n) - 1);
-        prop_assume!(mask != 0);
-        let pool = State(mask);
-        let pool_subjects: Vec<usize> = pool.subjects().collect();
-        let shape = ChainShape::uniform(n, 2);
-        let priors: Vec<Vec<f64>> = risks.iter().map(|&p| vec![1.0 - p, p]).collect();
-        let mut chain = ChainPosterior::from_priors(shape, &priors);
-        let mut boolean = DensePosterior::from_risks(&risks);
-        let table: Vec<f64> = (0..=pool.rank()).map(|k| 0.9 / (k as f64 + 1.0)).collect();
-        let zc = chain.mul_likelihood_fused(&pool_subjects, &table);
-        let zb = boolean.mul_likelihood_fused(pool, &table);
-        prop_assert!(close(zc, zb));
-        for (a, b) in chain.positive_marginals().iter().zip(boolean.marginals()) {
-            prop_assert!(close(*a, b));
-        }
-        prop_assert!(close(chain.entropy(), boolean.entropy()));
-    }
-
-    /// Chain level-marginals are distributions and encode/decode is a
-    /// bijection.
-    #[test]
-    fn chain_shape_bijection_and_marginal_axioms(
-        levels in prop::collection::vec(2u8..4, 1..5),
-    ) {
-        let shape = ChainShape::new(&levels);
-        let post = ChainPosterior::new_uniform(shape.clone());
-        for state in 0..shape.num_states() {
-            prop_assert_eq!(shape.encode(&shape.decode(state)), state);
-        }
-        for (i, row) in post.level_marginals().iter().enumerate() {
-            prop_assert_eq!(row.len(), shape.levels_of(i) as usize);
-            prop_assert!(close(row.iter().sum::<f64>(), 1.0));
-            // Uniform joint ⇒ uniform per-subject marginals.
-            for &v in row {
-                prop_assert!(close(v, 1.0 / shape.levels_of(i) as f64));
             }
         }
     }

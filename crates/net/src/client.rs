@@ -1,15 +1,16 @@
 //! A blocking shard client: one request frame out, one response frame
 //! back, over a plain `TcpStream`.
 //!
-//! The client is deliberately synchronous — the async machinery lives on
-//! the server side, where one reactor multiplexes many of these. Routers,
-//! tests, and the soak harness call it like a function.
+//! Strictly request→response: nothing pipelines, so the server's
+//! connection threads run the same blocking frame loop from the other
+//! end ([`crate::frame`]'s `read_frame`). Routers, tests, and the soak
+//! harness call it like a function.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::frame::{DecodeError, Request, Response, HEADER_LEN, MAX_PAYLOAD};
+use crate::frame::{read_frame, Request, Response};
 
 /// A connected shard client.
 pub struct ShardClient {
@@ -44,40 +45,9 @@ impl ShardClient {
 
     /// Send one request and block for its response. Wire-level decode
     /// failures surface as `InvalidData` errors carrying the typed
-    /// [`DecodeError`] message.
+    /// [`crate::DecodeError`] message.
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        self.stream.write_all(&request.encode())?;
-        loop {
-            match Response::decode(&self.buf) {
-                Ok((response, used)) => {
-                    self.buf.drain(..used);
-                    return Ok(response);
-                }
-                Err(DecodeError::Torn { .. }) => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "shard closed mid-response",
-                        ));
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    if self.buf.len() > HEADER_LEN + MAX_PAYLOAD as usize {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "response exceeds frame bounds",
-                        ));
-                    }
-                }
-                Err(error) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        error.to_string(),
-                    ))
-                }
-            }
-        }
+        self.call_raw(&request.encode())
     }
 
     /// Send raw bytes (not necessarily a valid frame) and read one
@@ -85,30 +55,6 @@ impl ShardClient {
     /// with garbage without the typed encoder getting in the way.
     pub fn call_raw(&mut self, bytes: &[u8]) -> io::Result<Response> {
         self.stream.write_all(bytes)?;
-        loop {
-            match Response::decode(&self.buf) {
-                Ok((response, used)) => {
-                    self.buf.drain(..used);
-                    return Ok(response);
-                }
-                Err(DecodeError::Torn { .. }) => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "shard closed mid-response",
-                        ));
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(error) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        error.to_string(),
-                    ))
-                }
-            }
-        }
+        read_frame(&mut self.stream, &mut self.buf, Response::decode)
     }
 }

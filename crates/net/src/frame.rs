@@ -23,6 +23,8 @@
 //! rejected as [`DecodeError::Oversized`] *before* any allocation, so a
 //! hostile header cannot balloon memory.
 
+use std::io::{self, Read};
+
 use sbgt::SessionOutcome;
 use sbgt_bayes::{CohortClassification, SubjectStatus};
 use sbgt_engine::obs::hist::BUCKET_COUNT;
@@ -900,6 +902,62 @@ impl Response {
     }
 }
 
+/// Least room [`read_frame`] offers a `read`: enough that a frame of a few
+/// dozen reports arrives in one syscall, small enough that zeroing it per
+/// call is noise. It is the buffer's own tail, not a chunk on the stack:
+/// stack probing made every connection thread, parked or not, touch a
+/// 64 KiB chunk's worth of stack.
+const READ_ROOM: usize = 16 * 1024;
+
+/// Read one frame off a blocking stream — the one reassembly loop both
+/// ends of the wire use. `buf` carries bytes between calls; `decode` is
+/// [`Request::decode`] or [`Response::decode`]. [`DecodeError::Torn`]
+/// means "read more"; every other decode failure is an `InvalidData`
+/// error whose message is the typed [`DecodeError`]'s, and a peer that
+/// closes before a frame completes is `UnexpectedEof`. The buffer never
+/// grows past one maximal frame (plus [`READ_ROOM`]), whatever the peer
+/// sends.
+pub(crate) fn read_frame<T>(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    decode: impl Fn(&[u8]) -> Result<(T, usize), DecodeError>,
+) -> io::Result<T> {
+    loop {
+        match decode(buf) {
+            Ok((message, used)) => {
+                buf.drain(..used);
+                return Ok(message);
+            }
+            Err(DecodeError::Torn { need, .. }) => {
+                if need > HEADER_LEN + MAX_PAYLOAD as usize {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "torn frame claims more than the largest frame",
+                    ));
+                }
+                // Read straight into the buffer's tail: room for the rest
+                // of this frame once its header has named the length.
+                let have = buf.len();
+                buf.resize(need.max(have + READ_ROOM), 0);
+                let read = stream.read(&mut buf[have..]);
+                buf.truncate(have + *read.as_ref().unwrap_or(&0));
+                match read {
+                    Ok(0) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "peer closed before the frame completed",
+                        ))
+                    }
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(error) => return Err(io::Error::new(io::ErrorKind::InvalidData, error)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,7 +1135,7 @@ mod tests {
     }
 
     /// Every strict prefix of every frame is `Torn` with exact arithmetic
-    /// — the reactor's "read more" signal — and a body cut short under a
+    /// — `read_frame`'s "read more" signal — and a body cut short under a
     /// header re-declaring the shorter length is `Corrupt`, never a
     /// truncated-but-accepted message.
     #[test]
@@ -1114,6 +1172,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `read_frame` on streams a socket can produce: two frames back to
+    /// back, a peer that hangs up mid-frame, garbage, a large frame in small
+    /// reads, and a length no frame may have.
+    #[test]
+    fn read_frame_reassembles_bounds_and_types_its_failures() {
+        let ping = Request::Ping.encode();
+        let mut two = ping.clone();
+        two.extend_from_slice(&Request::Stats.encode());
+        let (mut stream, mut buf) = (two.as_slice(), Vec::new());
+        for expect in [Request::Ping, Request::Stats] {
+            assert_eq!(
+                read_frame(&mut stream, &mut buf, Request::decode).unwrap(),
+                expect
+            );
+        }
+        assert!(buf.is_empty(), "consumed frames leave the buffer");
+
+        let cut = read_frame(&mut &ping[..5], &mut Vec::new(), Request::decode).unwrap_err();
+        assert_eq!(cut.kind(), io::ErrorKind::UnexpectedEof);
+
+        let garbage = read_frame(&mut &b"XXzzzzzz"[..], &mut Vec::new(), Request::decode);
+        let garbage = garbage.unwrap_err();
+        assert_eq!(garbage.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            garbage.to_string(),
+            DecodeError::BadMagic(*b"XX").to_string()
+        );
+
+        // A frame larger than one read's room, arriving a little at a time.
+        struct Dribble<'a>(&'a [u8]);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                let n = self.0.len().min(out.len()).min(1000);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let big = Response::Stats {
+            prometheus: "x".repeat(3 * READ_ROOM),
+        };
+        let bytes = big.encode();
+        let mut buf = Vec::new();
+        let got = read_frame(&mut Dribble(&bytes), &mut buf, Response::decode).unwrap();
+        assert_eq!(got, big);
+        assert!(buf.is_empty());
+
+        // Whatever `decode` claims it needs, the buffer stops at one
+        // maximal frame.
+        let greedy = |buf: &[u8]| -> Result<((), usize), DecodeError> {
+            Err(DecodeError::Torn {
+                have: buf.len(),
+                need: usize::MAX,
+            })
+        };
+        let refused = read_frame(&mut io::repeat(0), &mut buf, greedy).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(buf.is_empty(), "refused before any allocation");
     }
 
     /// A bare header claiming `len` payload bytes.

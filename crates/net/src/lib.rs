@@ -1,20 +1,19 @@
 //! # sbgt-net — the network front door and shard fabric for `sbgt-service`
 //!
 //! PR 4 made SBGT a multi-cohort *service*; this crate makes it a
-//! multi-process *system*. Four layers, bottom up:
+//! multi-process *system*. Three layers, bottom up:
 //!
 //! * [`frame`] — a length-prefixed, versioned binary wire protocol.
 //!   Floats travel as raw IEEE-754 bits, so a report read over TCP is
 //!   **bit-for-bit** the report the shard computed. Every malformed input
 //!   is a typed [`frame::DecodeError`] (torn, oversized, unknown kind,
 //!   bad magic/version, corrupt payload) — never a panic.
-//! * [`reactor`] — a non-blocking epoll event loop with no async runtime
-//!   and no libc: the three epoll syscalls are issued via inline assembly
-//!   on Linux/x86_64, with a portable polling fallback elsewhere.
 //! * [`server`] / [`client`] — one [`server::ShardServer`] wraps one
 //!   [`sbgt_service::SurveillanceService`] behind the wire verbs (submit,
 //!   place-cohort, poll-reports, stats, drain, handoff, shutdown); the
-//!   blocking [`client::ShardClient`] is the caller side.
+//!   blocking [`client::ShardClient`] is the caller side. Both ends are
+//!   plain blocking `std::net` — the server a fixed set of connection
+//!   threads — and read frames through the same loop.
 //! * [`ring`] / [`fabric`] — consistent-hash placement of cohorts onto
 //!   shards, and a [`fabric::FabricRouter`] that forms cohorts
 //!   client-side, places them by cohort id, and **rebalances by
@@ -35,10 +34,11 @@
 //! sharding, and migration decide *where and when* a cohort's rounds run,
 //! never *what* they compute.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod fabric;
 pub mod frame;
-pub mod reactor;
 pub mod ring;
 pub mod server;
 
@@ -47,6 +47,5 @@ pub use fabric::{FabricConfig, FabricCounters, FabricRouter, FleetScraper};
 pub use frame::{
     DecodeError, ObsFrame, ObsHist, ObsLane, Request, Response, MAX_PAYLOAD, WIRE_VERSION,
 };
-pub use reactor::{Event, Interest, Reactor};
 pub use ring::{HashRing, RingError, DEFAULT_VNODES};
 pub use server::ShardServer;

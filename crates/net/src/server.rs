@@ -1,22 +1,25 @@
 //! The shard server: one [`SurveillanceService`] behind a TCP front door.
 //!
-//! A single event-loop thread drives every connection through the
-//! [`Reactor`](crate::reactor::Reactor): non-blocking accept, per-connection
-//! read buffers, frame decode, dispatch, and buffered writes (write
-//! interest is armed only while a response is partially flushed). There is
-//! no per-connection thread and no async runtime — the service's own
-//! batcher/worker threads do the heavy lifting, and every front-door verb
-//! is either non-blocking or terminal.
+//! Plain blocking `std::net`, like every other thread in the workspace: a
+//! fixed set of [`CONN_THREADS`] connection threads each loop `accept()` →
+//! serve that one connection (read a frame, dispatch it under the one
+//! state lock, write the response) until the peer hangs up. The set is
+//! fixed, not spawned per connection, because the span recorder keeps one
+//! ring per recording thread for the life of the process: a fixed set
+//! bounds threads, span lanes and open connections at once, and excess
+//! connections wait in the listen backlog. The traffic is a handful of
+//! long-lived router connections making strictly request→response calls.
 //!
 //! Malformed input never kills the server: torn frames wait for more
-//! bytes, anything else typed by [`DecodeError`] gets an error frame and
-//! the connection is closed (a desynced length-prefixed stream cannot be
-//! re-synchronized safely).
+//! bytes, anything else typed by [`DecodeError`](crate::DecodeError) gets
+//! an error frame and the connection is closed (a desynced length-prefixed
+//! stream cannot be re-synchronized safely). A failed `accept` is logged
+//! and retried.
 
-use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -26,33 +29,29 @@ use sbgt_service::{
     CohortCheckpoint, ServiceConfig, ServiceError, ShedReason, SurveillanceService,
 };
 
-use crate::frame::{DecodeError, ObsFrame, ObsHist, ObsLane, Request, Response};
-use crate::reactor::{Interest, Reactor};
+use crate::frame::{read_frame, ObsFrame, ObsHist, ObsLane, Request, Response};
 
-const LISTENER_TOKEN: u64 = 0;
-const READ_CHUNK: usize = 64 * 1024;
+/// Size of the fixed connection-thread set: the most connections served
+/// at once (a fabric shard holds one per router, plus a scraper and an
+/// occasional probe).
+pub const CONN_THREADS: usize = 16;
 
-/// One live connection's buffers.
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    /// Close once the out-buffer is flushed (protocol error or EOF).
-    closing: bool,
-}
+/// Pause before retrying `accept` after it failed twice in a row, so a
+/// persistent failure (`EMFILE`) cannot spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
-/// A running shard server. Owns the service and the event-loop thread;
-/// dropping the handle does **not** stop the server — send
-/// [`Request::Shutdown`] (or call [`ShardServer::shutdown`]) and then
-/// [`ShardServer::join`].
+/// A running shard server. Owns the connection threads and, with them,
+/// the service; dropping the handle does **not** stop the server — send
+/// [`Request::Shutdown`] and then [`ShardServer::join`], or call
+/// [`ShardServer::shutdown`].
 pub struct ShardServer {
-    addr: SocketAddr,
-    thread: Option<thread::JoinHandle<()>>,
+    front: Arc<FrontDoor>,
+    threads: Vec<thread::JoinHandle<()>>,
 }
 
 impl ShardServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`), start the service, and spawn
-    /// the event loop.
+    /// the connection threads.
     pub fn bind(
         addr: &str,
         engine: SharedEngine,
@@ -60,53 +59,64 @@ impl ShardServer {
     ) -> io::Result<ShardServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // Tag the recorder with the OS pid so spans exported over the wire
         // identify which process produced them in a merged fleet trace.
         engine.obs().set_process_tag(u64::from(std::process::id()));
         let service = SurveillanceService::start(engine.clone(), config)
             .map_err(|e| io::Error::other(e.to_string()))?;
-        let thread = thread::Builder::new()
-            .name("sbgt-shard".to_string())
-            .spawn(move || {
-                let mut state = ServerState {
-                    engine,
-                    service: Some(service),
-                };
-                if let Err(e) = serve(listener, &mut state) {
-                    eprintln!("sbgt-shard event loop error: {e}");
-                }
-            })?;
-        Ok(ShardServer {
+        let front = Arc::new(FrontDoor {
+            listener,
             addr: local,
-            thread: Some(thread),
-        })
+            state: Mutex::new(ServerState {
+                engine,
+                service: Some(service),
+            }),
+            stopping: AtomicBool::new(false),
+            serving: Mutex::new(std::array::from_fn(|_| None)),
+        });
+        let mut server = ShardServer {
+            front,
+            threads: Vec::with_capacity(CONN_THREADS),
+        };
+        for slot in 0..CONN_THREADS {
+            let front = Arc::clone(&server.front);
+            let spawned = thread::Builder::new()
+                .name(format!("sbgt-conn-{slot}"))
+                .spawn(move || front.accept_loop(slot));
+            match spawned {
+                Ok(thread) => server.threads.push(thread),
+                Err(e) => {
+                    let _ = server.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr
     }
 
-    /// Ask the event loop to stop by sending [`Request::Shutdown`] over a
-    /// fresh connection, then wait for it to exit.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        let mut client = crate::client::ShardClient::connect(self.addr)?;
-        let _ = client.call(&Request::Shutdown)?;
-        if let Some(thread) = self.thread.take() {
-            thread
-                .join()
-                .map_err(|_| io::Error::other("shard event loop panicked"))?;
+    /// Stop the server — what [`Request::Shutdown`] does over the wire, and
+    /// possible even while every connection thread is taken — then wait
+    /// for it to exit.
+    pub fn shutdown(self) -> io::Result<()> {
+        self.front.stop();
+        self.join()
+    }
+
+    /// Wait for every connection thread to exit (after a wire-side
+    /// `Shutdown`). The service and the listener are dropped before this
+    /// returns.
+    pub fn join(self) -> io::Result<()> {
+        let mut panicked = false;
+        for thread in self.threads {
+            panicked |= thread.join().is_err();
         }
-        Ok(())
-    }
-
-    /// Wait for the event loop to exit (after a wire-side `Shutdown`).
-    pub fn join(mut self) -> io::Result<()> {
-        if let Some(thread) = self.thread.take() {
-            thread
-                .join()
-                .map_err(|_| io::Error::other("shard event loop panicked"))?;
+        if panicked {
+            return Err(io::Error::other("shard connection thread panicked"));
         }
         Ok(())
     }
@@ -118,8 +128,9 @@ struct ServerState {
     service: Option<SurveillanceService>,
 }
 
-/// Dispatch one decoded request. Blocking verbs (`Drain`) are terminal,
-/// so stalling the event loop on them is acceptable by design.
+/// Dispatch one decoded request, under the state lock. Blocking verbs
+/// (`Drain`) are terminal, so stalling every other connection on them is
+/// acceptable by design.
 fn handle(state: &mut ServerState, request: Request) -> (Response, bool) {
     let mut shutdown = false;
     let response = match request {
@@ -386,146 +397,106 @@ fn drained_error() -> Response {
     }
 }
 
-fn serve(listener: TcpListener, state: &mut ServerState) -> io::Result<()> {
-    let reactor = Reactor::new()?;
-    reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
-    let mut next_token: u64 = 1;
-    let mut shutdown = false;
+/// What the connection threads share.
+struct FrontDoor {
+    listener: TcpListener,
+    addr: SocketAddr,
+    state: Mutex<ServerState>,
+    /// Set once by [`FrontDoor::stop`]; every thread checks it before each
+    /// `accept` and before serving what `accept` returned.
+    stopping: AtomicBool,
+    /// Per connection thread, a handle on the stream it is serving, so
+    /// `stop` can wake it out of a blocked `read`.
+    serving: Mutex<[Option<TcpStream>; CONN_THREADS]>,
+}
 
-    loop {
-        // Exit once asked to shut down and every response has drained.
-        if shutdown && conns.values().all(|c| c.outbuf.is_empty()) {
-            return Ok(());
-        }
-        let events = reactor.wait(Some(Duration::from_millis(100)))?;
-        for event in events {
-            if event.token == LISTENER_TOKEN {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(true)?;
-                            stream.set_nodelay(true)?;
-                            let token = next_token;
-                            next_token += 1;
-                            reactor.register(stream.as_raw_fd(), token, Interest::READ)?;
-                            conns.insert(
-                                token,
-                                Conn {
-                                    stream,
-                                    inbuf: Vec::new(),
-                                    outbuf: Vec::new(),
-                                    closing: false,
-                                },
-                            );
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => return Err(e),
-                    }
+/// A panic under one of the front door's locks must not take the other
+/// connections down with it: both guarded values are valid at every step
+/// (the only mutations are whole-`Option` stores), so recover the guard.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl FrontDoor {
+    /// One connection thread: accept, serve that connection to its end,
+    /// repeat. Only the stop flag ends the loop — a failed `accept`
+    /// (`ECONNABORTED`, `EMFILE`) is logged and retried.
+    fn accept_loop(&self, slot: usize) {
+        let mut failures = 0u32;
+        while !self.stopping.load(Ordering::SeqCst) {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    failures = 0;
+                    // A peer that resets mid-setup only loses its own
+                    // connection.
+                    let _ = self.serve(slot, stream);
                 }
-                continue;
+                Err(e) => {
+                    if failures == 0 {
+                        eprintln!("sbgt-conn-{slot}: accept failed, retrying: {e}");
+                    } else {
+                        thread::sleep(ACCEPT_RETRY);
+                    }
+                    failures += 1;
+                }
             }
-            let Some(conn) = conns.get_mut(&event.token) else {
-                continue;
+        }
+    }
+
+    /// Serve one connection until the peer hangs up, the stream desyncs,
+    /// or the server stops.
+    fn serve(&self, slot: usize, mut stream: TcpStream) -> io::Result<()> {
+        stream.set_nodelay(true)?;
+        // Publish the stream, *then* check the flag: `stop` sets the flag
+        // and then walks the slots, so either it finds this stream or this
+        // thread sees the flag — a read is never left blocked past a stop.
+        lock(&self.serving)[slot] = Some(stream.try_clone()?);
+        if !self.stopping.load(Ordering::SeqCst) {
+            self.frame_loop(&mut stream);
+        }
+        lock(&self.serving)[slot] = None;
+        Ok(())
+    }
+
+    fn frame_loop(&self, stream: &mut TcpStream) {
+        let mut inbuf = Vec::new();
+        loop {
+            let request = match read_frame(stream, &mut inbuf, Request::decode) {
+                Ok(request) => request,
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    // A desynced stream cannot be re-framed: answer with
+                    // the typed error and close.
+                    let message = e.to_string();
+                    let _ = stream.write_all(&Response::Error { message }.encode());
+                    return;
+                }
+                // The peer hung up, or `stop` closed the stream under us.
+                Err(_) => return,
             };
-            let mut drop_conn = event.closed;
-            if event.readable && !drop_conn {
-                drop_conn = read_and_dispatch(conn, state, &mut shutdown);
+            let (response, stop) = handle(&mut lock(&self.state), request);
+            let written = stream.write_all(&response.encode());
+            if stop {
+                self.stop();
             }
-            if !conn.outbuf.is_empty() {
-                drop_conn |= flush(conn);
-            }
-            let want_write = !conn.outbuf.is_empty();
-            if drop_conn || (conn.closing && !want_write) {
-                let fd = conn.stream.as_raw_fd();
-                let _ = reactor.deregister(fd);
-                conns.remove(&event.token);
-            } else {
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                let _ = reactor.rearm(conn.stream.as_raw_fd(), event.token, interest);
+            if stop || written.is_err() {
+                return;
             }
         }
     }
-}
 
-/// Read everything available, decode complete frames, dispatch them, and
-/// queue responses. Returns `true` when the connection should be dropped.
-fn read_and_dispatch(conn: &mut Conn, state: &mut ServerState, shutdown: &mut bool) -> bool {
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut eof = false;
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
+    /// Stop the server: wake every thread blocked in `read` by closing its
+    /// stream, and every thread blocked in `accept` by dialling it a
+    /// connection, which it drops on seeing the flag.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        for stream in lock(&self.serving).iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        // At most CONN_THREADS threads are in `accept`, and each takes at
+        // most one connection after the flag is set; dials nobody accepts
+        // are reset when the last thread drops the listener.
+        for _ in 0..CONN_THREADS {
+            let _ = TcpStream::connect(self.addr);
         }
     }
-    let mut consumed = 0usize;
-    while consumed < conn.inbuf.len() {
-        match Request::decode(&conn.inbuf[consumed..]) {
-            Ok((request, used)) => {
-                consumed += used;
-                let (response, stop) = handle(state, request);
-                conn.outbuf.extend_from_slice(&response.encode());
-                if stop {
-                    *shutdown = true;
-                    conn.closing = true;
-                }
-            }
-            Err(DecodeError::Torn { .. }) => break,
-            Err(error) => {
-                // A desynced stream cannot be re-framed: answer with the
-                // typed error and close after flushing.
-                conn.outbuf.extend_from_slice(
-                    &Response::Error {
-                        message: error.to_string(),
-                    }
-                    .encode(),
-                );
-                conn.closing = true;
-                conn.inbuf.clear();
-                consumed = 0;
-                break;
-            }
-        }
-    }
-    conn.inbuf.drain(..consumed);
-    // EOF with a torn frame left over is a peer that hung up mid-message;
-    // either way the connection is done once responses flush.
-    if eof {
-        conn.closing = true;
-        if conn.outbuf.is_empty() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Flush as much of the out-buffer as the socket accepts. Returns `true`
-/// when the connection broke.
-fn flush(conn: &mut Conn) -> bool {
-    let mut written = 0usize;
-    let result = loop {
-        if written == conn.outbuf.len() {
-            break false;
-        }
-        match conn.stream.write(&conn.outbuf[written..]) {
-            Ok(0) => break true,
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break true,
-        }
-    };
-    conn.outbuf.drain(..written);
-    result
 }

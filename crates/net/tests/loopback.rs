@@ -394,3 +394,131 @@ fn drained_checkpoints_round_trip_byte_exactly() {
     }
     server.shutdown().unwrap();
 }
+
+// ---- connection-thread lifecycle ------------------------------------------
+
+#[test]
+fn concurrent_clients_each_get_their_own_responses() {
+    let server = ShardServer::bind("127.0.0.1:0", shared_engine(), wire_config()).unwrap();
+    let addr = server.local_addr();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for offset in 0..4 {
+            let start = &start;
+            scope.spawn(move || {
+                let mut client = ShardClient::connect(addr).unwrap();
+                start.wait();
+                for i in 0..200 {
+                    // Each client walks the verbs from a different phase, so
+                    // the four connections ask different things at once.
+                    let (request, right_type): (_, fn(&Response) -> bool) = match (i + offset) % 3 {
+                        0 => (Request::Ping, |r| *r == Response::Pong),
+                        1 => (Request::PollReports, |r| {
+                            matches!(r, Response::Reports { .. })
+                        }),
+                        _ => (Request::Stats, |r| matches!(r, Response::Stats { .. })),
+                    };
+                    let response = client.call(&request).unwrap();
+                    assert!(right_type(&response), "{request:?} got {response:?}");
+                }
+            });
+        }
+    });
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_wakes_idle_and_stalled_connections_with_every_thread_taken() {
+    use std::io::{Read, Write};
+    let server = ShardServer::bind("127.0.0.1:0", shared_engine(), wire_config()).unwrap();
+    let addr = server.local_addr();
+
+    // Every connection thread is taken: all but one by an idle connection
+    // whose thread is parked in `read` (the answered ping proves a thread
+    // took it), the last by a peer stalled mid-frame.
+    let mut idle: Vec<ShardClient> = (1..sbgt_net::server::CONN_THREADS)
+        .map(|_| {
+            let mut client = ShardClient::connect(addr).unwrap();
+            assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+            client
+        })
+        .collect();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&Request::Ping.encode()[..5]).unwrap();
+
+    let (done, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown()));
+    returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returns within 1 s")
+        .unwrap();
+
+    // Joined means gone: the listener is closed and both peers see it.
+    assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    for client in &mut idle {
+        assert!(client.call(&Request::Ping).is_err());
+    }
+    assert!(matches!(stalled.read(&mut [0u8; 8]), Ok(0) | Err(_)));
+}
+
+#[test]
+fn span_lanes_stay_bounded_by_the_thread_set_across_reconnects() {
+    use sbgt_engine::obs::ObsConfig;
+    let engine = SharedEngine::new(
+        EngineConfig::default()
+            .with_threads(2)
+            .with_obs(ObsConfig::spans()),
+    );
+    let server = ShardServer::bind("127.0.0.1:0", engine, wire_config()).unwrap();
+    let addr = server.local_addr();
+
+    // One connect → ping → drop cycle; the empty submit records a
+    // `net:submit` span, so the serving thread registers its lane.
+    let cycle = || {
+        let mut client = ShardClient::connect(addr).unwrap();
+        assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+        let empty = Request::Submit {
+            tenant: 0,
+            specimens: Vec::new(),
+            trace: None,
+        };
+        assert!(matches!(
+            client.call(&empty).unwrap(),
+            Response::Accepted { accepted: 0, .. }
+        ));
+        match client.call(&Request::Stats).unwrap() {
+            Response::Stats { prometheus } => {
+                let samples = sbgt_engine::obs::parse_prometheus(&prometheus).unwrap();
+                let lanes = samples.iter().find(|s| s.name == "sbgt_obs_lanes");
+                lanes.expect("lane gauge present").value as usize
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    };
+    let first = cycle();
+    let mut last = first;
+    for _ in 1..100 {
+        last = cycle();
+    }
+    assert!(
+        last <= first + sbgt_net::server::CONN_THREADS,
+        "{first} lanes after one connection, {last} after a hundred"
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_frame_written_one_byte_at_a_time_still_answers() {
+    use std::io::{Read, Write};
+    let server = ShardServer::bind("127.0.0.1:0", shared_engine(), wire_config()).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    for byte in Request::Ping.encode() {
+        raw.write_all(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut buf = [0u8; 64];
+    let n = raw.read(&mut buf).unwrap();
+    assert_eq!(Response::decode(&buf[..n]).unwrap().0, Response::Pong);
+    server.shutdown().unwrap();
+}

@@ -20,17 +20,17 @@
 //! `n` — exposed via [`model::ResponseModel::likelihood_table`], which
 //! returns the `n + 1` values a lattice update indexes by `|s ∩ A|`.
 
+#![forbid(unsafe_code)]
+
 pub mod binary;
 pub mod calibrate;
 pub mod continuous;
 pub mod ct_value;
 pub mod dilution;
-pub mod graded;
 pub mod model;
 
 pub use binary::BinaryDilutionModel;
 pub use continuous::GaussianResponse;
 pub use ct_value::{CtOutcome, CtValueModel};
 pub use dilution::Dilution;
-pub use graded::GradedBinaryModel;
 pub use model::{BinaryOutcomeModel, ResponseModel};

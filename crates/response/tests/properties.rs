@@ -1,11 +1,11 @@
-//! Property tests for the response models: probability axioms, dilution
-//! monotonicity, and graded/Boolean consistency.
+//! Property tests for the response models: probability axioms and
+//! dilution monotonicity.
 
 use proptest::prelude::*;
 
 use sbgt_response::{
     BinaryDilutionModel, BinaryOutcomeModel, CtOutcome, CtValueModel, Dilution, GaussianResponse,
-    GradedBinaryModel, ResponseModel,
+    ResponseModel,
 };
 
 fn dilution_strategy() -> impl Strategy<Value = Dilution> {
@@ -55,23 +55,6 @@ proptest! {
         }
         prop_assert!((m.base_sensitivity() - sens).abs() < 1e-12);
         prop_assert!((m.specificity() - spec).abs() < 1e-12);
-    }
-
-    /// Graded model reduces to the Boolean model on 0/1 levels.
-    #[test]
-    fn graded_reduces_to_boolean(
-        sens in 0.5f64..1.0,
-        spec in 0.5f64..1.0,
-        d in dilution_strategy(),
-        n in 1u32..20,
-    ) {
-        let graded = GradedBinaryModel::new(sens, spec, d);
-        let boolean = BinaryDilutionModel::new(sens, spec, d);
-        for k in 0..=n {
-            prop_assert!(
-                (graded.positive_prob(k, n) - boolean.positive_prob(k, n)).abs() < 1e-12
-            );
-        }
     }
 
     /// Gaussian response density is positive, finite, and peaks at the

@@ -33,6 +33,8 @@
 //!   zero search work, falling back to live selection (and extending the
 //!   tree in place, under an LRU node budget) when it walks off the tree.
 
+#![forbid(unsafe_code)]
+
 pub mod candidates;
 pub mod global;
 pub mod halving;

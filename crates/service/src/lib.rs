@@ -48,6 +48,8 @@
 //!
 //! [`MetricsRegistry`]: sbgt_engine::MetricsRegistry
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cohort;
 pub mod config;

@@ -23,6 +23,8 @@
 //! * [`traffic`] — open-loop Poisson specimen arrivals driving the
 //!   surveillance service experiments (E13).
 
+#![forbid(unsafe_code)]
+
 pub mod array_testing;
 pub mod dorfman;
 pub mod metrics;

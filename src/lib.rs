@@ -15,6 +15,8 @@
 //! * [`sbgt_service`] — the multi-cohort surveillance service (batched
 //!   ingestion, admission control, checkpoint/restore).
 
+#![forbid(unsafe_code)]
+
 pub use sbgt;
 pub use sbgt_bayes;
 pub use sbgt_engine;
