@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint unsafe-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint obs-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -48,6 +48,31 @@ unsafe-lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "unsafe-lint: OK"
+
+# One metrics read-out: exporters render from MetricsRegistry::scrape, so
+# no library code re-parses a rendered page (parse_prometheus is the
+# validator for tests and smoke binaries — crates/bench is the one caller
+# under crates/*/src), the histogram -> _bucket/_sum/_count rule lives
+# only in obs::hist_series, and the ASCII timeline stays deleted.
+obs-lint:
+	@bad=$$(grep -rn "parse_prometheus(" crates/*/src \
+		| grep -v -e "^crates/engine/src/obs/prom.rs:" -e "^crates/bench/src/"); \
+	if [ -n "$$bad" ]; then \
+		echo "obs-lint: parse_prometheus called from library code:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn "cumulative_buckets()" crates/*/src \
+		| grep -v -e "^crates/engine/src/obs/hist.rs:" -e "^crates/engine/src/obs/prom.rs:"); \
+	if [ -n "$$bad" ]; then \
+		echo "obs-lint: cumulative_buckets() outside obs/hist.rs and obs/prom.rs:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE "render_timeline|summary_line" crates examples tests); \
+	if [ -n "$$bad" ]; then \
+		echo "obs-lint: the timeline renderer is back:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "obs-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.

@@ -466,8 +466,8 @@ impl ShardedPosterior {
     /// reduced elementwise in partition order. **Nothing posterior-sized is
     /// allocated and no shard is written** — the stage reads the same
     /// shared handles the updates mutate in place between stages. The job
-    /// is tagged [`StageVariant::Lookahead`] with its branch count so the
-    /// timeline distinguishes selection stages from update stages.
+    /// is tagged [`StageVariant::Lookahead`] with its branch count so
+    /// `jobs()` distinguishes selection stages from update stages.
     pub fn lookahead_histograms(
         &self,
         engine: &Engine,

@@ -593,7 +593,7 @@ mod tests {
         assert!(s.is_sparse(), "session never switched to sparse");
         assert!(s.sparse_posterior().unwrap().support() < 1 << 10);
         // Post-switch rounds ran as engine stages, tagged with the sparse
-        // variant so the timeline shows the representation change.
+        // variant so `jobs()` shows the representation change.
         let jobs = e.metrics().jobs();
         let sparse_rounds = jobs
             .iter()

@@ -218,7 +218,7 @@ proptest! {
                 prop_assert_eq!(unique, 0, "every partition was shared with the clone");
                 prop_assert_eq!(cow, shared.num_partitions());
             }
-            other => prop_assert!(false, "expected in-place stage, got {}", other),
+            other => prop_assert!(false, "expected in-place stage, got {:?}", other),
         }
         // The clone still sees the prior, bit for bit.
         assert_bitwise_eq(snapshot.to_dense(&e).probs(), snapshot_before.probs(), "clone");

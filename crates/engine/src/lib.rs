@@ -7,8 +7,9 @@
 //! loop, the service and the simulators call:
 //!
 //! * [`Engine`] — the driver: owns a [`ThreadPool`] of executor threads and a
-//!   [`MetricsRegistry`] recording per-task and per-job timings (the
-//!   equivalent of Spark's stage/task UI, used by the benchmark harness).
+//!   [`MetricsRegistry`] recording per-job timings (the equivalent of
+//!   Spark's stage UI), read out through one typed scrape
+//!   ([`MetricsRegistry::scrape`]) that the Prometheus page renders from.
 //! * [`Dataset`] — a partitioned collection (the RDD analogue) with
 //!   per-partition stages: `map_partitions` (new dataset),
 //!   `map_partitions_in_place` (mutate, one scalar per partition back),
@@ -28,7 +29,7 @@
 //! ## Immutable vs in-place stages
 //!
 //! Stages come in two execution variants, recorded per job as a
-//! [`StageVariant`] in the metrics registry and rendered in the timeline:
+//! [`StageVariant`] in the metrics registry:
 //!
 //! * **Immutable** (`map_partitions` and everything lowering to it): tasks
 //!   read shared partition handles and materialize new output vectors. Any
@@ -81,7 +82,7 @@
 //! a retried or speculated attempt always sees unmutated input, and a
 //! failed stage restores the dataset unchanged instead of leaving partial
 //! results. What was injected and what recovery did about it is recorded
-//! per job in [`metrics::FaultStats`] and rendered in the timeline.
+//! per job in [`metrics::FaultStats`]; the totals are in the scrape.
 //!
 //! ## Example
 //!
@@ -111,7 +112,6 @@ pub mod partitioner;
 pub mod pool;
 pub mod retry;
 pub mod stage;
-pub mod timeline;
 
 pub use broadcast::Broadcast;
 pub use chaos::{ChaosConfig, Fault, FaultPlan, SpeculationConfig};
@@ -120,7 +120,7 @@ pub use dataset::Dataset;
 pub use error::{EngineError, Result};
 pub use metrics::{
     BpStats, FaultStats, JobMetrics, MetricsRegistry, ServiceStats, StageAgg, StageVariant,
-    TaskMetrics, TenantStats, BURN_BUDGET, BURN_WINDOW_ROUNDS,
+    TenantStats, BURN_BUDGET, BURN_WINDOW_ROUNDS,
 };
 pub use obs::{
     trace_id_for_cohort, LogHistogram, ObsConfig, SpanKind, SpanMeta, SpanRecorder, TraceContext,
@@ -132,6 +132,7 @@ pub use retry::RetryPolicy;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -139,7 +140,7 @@ use parking_lot::Mutex;
 ///
 /// An `Engine` owns a pool of executor threads and a metrics registry. All
 /// [`Dataset`] operations take `&Engine` and submit one task per partition to
-/// the pool; the engine records wall-clock timings per task and per job so
+/// the pool; the engine records wall-clock and summed task time per job so
 /// benchmarks can report Spark-style stage breakdowns.
 ///
 /// `Engine` is cheap to clone conceptually — wrap it in [`Arc`] if multiple
@@ -209,17 +210,11 @@ impl Engine {
         &self.obs
     }
 
-    /// Render the ASCII timeline of everything this engine recorded,
-    /// including the `obs:` summary segment when tracing was on.
-    pub fn render_timeline(&self) -> String {
-        timeline::render_timeline_with_obs(&self.metrics, &self.obs)
-    }
-
     /// Render the Prometheus exposition page for this engine, including
     /// the `sbgt_obs_*` recorder-health families sourced from the span
     /// recorder (dropped events, ring wraps, lane counts).
     pub fn render_prometheus(&self) -> String {
-        self.metrics.render_prometheus_with_obs(Some(&self.obs))
+        self.metrics.render_prometheus(Some(&self.obs))
     }
 
     /// The underlying executor pool.
@@ -276,7 +271,6 @@ impl Engine {
             .enabled_at(TraceLevel::Spans)
             .then(|| (self.obs.intern(name), self.obs.now_ns()));
         let start = std::time::Instant::now();
-        let n_tasks = tasks.len();
         let outcome = self.pool.run_tasks(tasks);
         let elapsed = start.elapsed();
         if let Some((name_id, start_ns)) = obs_start {
@@ -289,17 +283,10 @@ impl Engine {
         }
         match outcome {
             Ok(results) => {
-                let task_metrics = results
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| TaskMetrics {
-                        index: i,
-                        duration: r.duration,
-                    })
-                    .collect();
                 self.metrics.record_job(JobMetrics {
                     name: name.to_string(),
-                    tasks: task_metrics,
+                    tasks: results.len(),
+                    task_time: results.iter().map(|r| r.duration).sum(),
                     wall: elapsed,
                     succeeded: true,
                     variant: StageVariant::Immutable,
@@ -310,13 +297,13 @@ impl Engine {
             Err(e) => {
                 self.metrics.record_job(JobMetrics {
                     name: name.to_string(),
-                    tasks: Vec::with_capacity(0),
+                    tasks: 0,
+                    task_time: Duration::ZERO,
                     wall: elapsed,
                     succeeded: false,
                     variant: StageVariant::Immutable,
                     faults: FaultStats::default(),
                 });
-                let _ = n_tasks;
                 Err(e)
             }
         }
@@ -397,7 +384,7 @@ mod tests {
         let jobs = engine.metrics().jobs();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].name, "a");
-        assert_eq!(jobs[0].tasks.len(), 4);
+        assert_eq!(jobs[0].tasks, 4);
         assert_eq!(jobs[1].name, "b");
         assert!(jobs.iter().all(|j| j.succeeded));
     }

@@ -11,15 +11,6 @@ use parking_lot::Mutex;
 
 use crate::obs::hist::LogHistogram;
 
-/// Timing of one task within a job.
-#[derive(Debug, Clone)]
-pub struct TaskMetrics {
-    /// Task index within its job.
-    pub index: usize,
-    /// Wall-clock duration of the task body on its executor.
-    pub duration: Duration,
-}
-
 /// How a stage touched its partitions — the axis the E9 breakdown uses to
 /// distinguish allocation-free rounds from materializing ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,26 +58,6 @@ impl StageVariant {
     }
 }
 
-impl std::fmt::Display for StageVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StageVariant::Immutable => write!(f, "immutable"),
-            StageVariant::InPlace { unique, cow } => {
-                write!(f, "in-place {unique}u/{cow}c")
-            }
-            StageVariant::Lookahead { branches } => {
-                write!(f, "lookahead {branches}b")
-            }
-            StageVariant::Approx { factors } => {
-                write!(f, "approx {factors}f")
-            }
-            StageVariant::Sparse { support } => {
-                write!(f, "sparse {support}s")
-            }
-        }
-    }
-}
-
 /// Fault-containment counters of one job: what the chaos layer injected
 /// and what the recovery machinery did about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,12 +82,6 @@ impl FaultStats {
         self.injected_panics + self.injected_delays + self.injected_poisons
     }
 
-    /// Whether nothing fault-related happened (the common case; quiet jobs
-    /// render without a chaos segment in the timeline).
-    pub fn is_quiet(&self) -> bool {
-        *self == FaultStats::default()
-    }
-
     /// Accumulate another job's counters into this one.
     pub fn absorb(&mut self, other: &FaultStats) {
         self.injected_panics += other.injected_panics;
@@ -133,8 +98,10 @@ impl FaultStats {
 pub struct JobMetrics {
     /// Job name as passed to [`crate::Engine::run_job`].
     pub name: String,
-    /// Per-task timings (empty when the job failed).
-    pub tasks: Vec<TaskMetrics>,
+    /// Tasks that completed (0 when the job failed).
+    pub tasks: usize,
+    /// Sum of task durations on their executors (total CPU-ish time).
+    pub task_time: Duration,
     /// End-to-end wall time including scheduling.
     pub wall: Duration,
     /// Whether every task completed without panicking.
@@ -145,37 +112,9 @@ pub struct JobMetrics {
     pub faults: FaultStats,
 }
 
-impl JobMetrics {
-    /// Sum of task durations (total executor CPU-ish time).
-    pub fn total_task_time(&self) -> Duration {
-        self.tasks.iter().map(|t| t.duration).sum()
-    }
-
-    /// Longest single task (the stage's critical path).
-    pub fn max_task_time(&self) -> Duration {
-        self.tasks
-            .iter()
-            .map(|t| t.duration)
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// Ratio of total task time to (wall * tasks) — a crude utilization
-    /// figure in [0, 1] when tasks outnumber threads.
-    pub fn skew(&self) -> f64 {
-        let max = self.max_task_time().as_secs_f64();
-        let total = self.total_task_time().as_secs_f64();
-        if total <= 0.0 || self.tasks.is_empty() {
-            return 0.0;
-        }
-        max * self.tasks.len() as f64 / total
-    }
-}
-
 /// Service-level counters — what the surveillance layer above the engine
 /// did with its traffic. Lives next to the job metrics so one registry
-/// snapshot (and one timeline render) covers both the stage view and the
-/// queueing view.
+/// scrape covers both the stage view and the queueing view.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Specimens admitted past the ingress queue's admission control
@@ -365,16 +304,10 @@ impl ServiceStats {
     }
 
     /// The round-latency histogram itself (microsecond samples) — what
-    /// the Prometheus exporter renders as bucketed series.
+    /// the scrape carries natively and the Prometheus page renders as
+    /// bucketed series.
     pub fn round_latency_histogram(&self) -> &LogHistogram {
         &self.round_latency
-    }
-
-    /// Whether no service activity has been recorded (the common case for
-    /// engines not driven through `sbgt-service`; quiet stats render no
-    /// service section in the timeline).
-    pub fn is_quiet(&self) -> bool {
-        *self == ServiceStats::default()
     }
 }
 
@@ -394,17 +327,10 @@ pub struct BpStats {
     pub residual_nanos: LogHistogram,
 }
 
-impl BpStats {
-    /// Whether no relaxation has been recorded.
-    pub fn is_quiet(&self) -> bool {
-        self.relaxations == 0
-    }
-}
-
 /// Default number of per-job records retained by a registry. Older jobs
 /// are evicted FIFO; the per-stage-name aggregates ([`StageAgg`]), fault
 /// totals, and broadcast counter are maintained incrementally at record
-/// time, so everything except the per-task detail of evicted jobs
+/// time, so everything except the per-job detail of evicted jobs
 /// survives eviction. This caps registry memory at O(retention) for an
 /// engine running for days (previously the job vector grew forever).
 pub const DEFAULT_JOB_RETENTION: usize = 4096;
@@ -443,7 +369,7 @@ struct StageAggCore {
 
 /// Registry of all jobs an engine has run.
 ///
-/// Holds the last [`DEFAULT_JOB_RETENTION`] jobs in full per-task detail
+/// Holds the last [`DEFAULT_JOB_RETENTION`] jobs one record each
 /// plus incremental aggregates (per-stage-name totals, fault totals)
 /// covering every job ever recorded.
 #[derive(Debug)]
@@ -492,9 +418,9 @@ impl MetricsRegistry {
             if !metrics.succeeded {
                 agg.failed_jobs += 1;
             }
-            agg.tasks += metrics.tasks.len() as u64;
+            agg.tasks += metrics.tasks as u64;
             agg.wall += metrics.wall;
-            agg.task_time += metrics.total_task_time();
+            agg.task_time += metrics.task_time;
             if metrics.variant.is_in_place() {
                 agg.in_place_jobs += 1;
             }
@@ -646,44 +572,19 @@ impl MetricsRegistry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn job(name: &str, task_ms: &[u64], wall_ms: u64) -> JobMetrics {
+    pub(crate) fn job(name: &str, task_ms: &[u64], wall_ms: u64) -> JobMetrics {
         JobMetrics {
             name: name.into(),
-            tasks: task_ms
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| TaskMetrics {
-                    index: i,
-                    duration: Duration::from_millis(ms),
-                })
-                .collect(),
+            tasks: task_ms.len(),
+            task_time: Duration::from_millis(task_ms.iter().sum()),
             wall: Duration::from_millis(wall_ms),
             succeeded: true,
             variant: StageVariant::default(),
             faults: FaultStats::default(),
         }
-    }
-
-    #[test]
-    fn totals_and_max() {
-        let j = job("x", &[10, 20, 30], 35);
-        assert_eq!(j.total_task_time(), Duration::from_millis(60));
-        assert_eq!(j.max_task_time(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn skew_balanced_is_one() {
-        let j = job("x", &[10, 10, 10, 10], 40);
-        assert!((j.skew() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn skew_empty_is_zero() {
-        let j = job("x", &[], 40);
-        assert_eq!(j.skew(), 0.0);
     }
 
     #[test]
@@ -709,8 +610,6 @@ mod tests {
         assert_eq!(jobs[1].variant, StageVariant::InPlace { unique: 3, cow: 1 });
         assert!(jobs[1].variant.is_in_place());
         assert_eq!(reg.in_place_job_count(), 1);
-        assert_eq!(jobs[1].variant.to_string(), "in-place 3u/1c");
-        assert_eq!(jobs[0].variant.to_string(), "immutable");
         // Annotating an empty registry is a no-op, not a panic.
         reg.clear();
         reg.annotate_last_job(StageVariant::Immutable);
@@ -718,13 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_variant_renders_branch_count() {
+    fn lookahead_variant_is_not_in_place() {
         let reg = MetricsRegistry::new();
         reg.record_job(job("lookahead:select", &[4, 4], 4));
         reg.annotate_last_job(StageVariant::Lookahead { branches: 8 });
         let jobs = reg.jobs();
         assert_eq!(jobs[0].variant, StageVariant::Lookahead { branches: 8 });
-        assert_eq!(jobs[0].variant.to_string(), "lookahead 8b");
         // A read-only selection stage is not an in-place stage.
         assert!(!jobs[0].variant.is_in_place());
         assert_eq!(reg.in_place_job_count(), 0);
@@ -752,21 +650,18 @@ mod tests {
         assert_eq!(totals.retries, 4);
         assert_eq!(totals.speculative_launched, 2);
         assert_eq!(totals.speculative_wins, 1);
-        assert!(!totals.is_quiet());
-        assert!(reg.jobs()[2].faults.is_quiet());
+        assert_eq!(reg.jobs()[2].faults, FaultStats::default());
     }
 
     #[test]
-    fn service_stats_percentiles_and_quiet() {
+    fn service_stats_percentiles() {
         let mut s = ServiceStats::default();
-        assert!(s.is_quiet());
         assert_eq!(s.round_latency_percentile(0.5), None);
         for ms in [10u64, 20, 30, 40] {
             s.record_round(Duration::from_millis(ms));
         }
         s.observe_queue_depth(7);
         s.observe_queue_depth(3);
-        assert!(!s.is_quiet());
         assert_eq!(s.rounds, 4);
         assert_eq!(s.queue_peak, 7);
         // Histogram quantiles: within one sub-bucket (12.5%) of the exact
@@ -808,7 +703,7 @@ mod tests {
             j.faults.retries = 1;
             reg.record_job(j);
         }
-        // Only the newest 4 jobs keep per-task detail...
+        // Only the newest 4 jobs keep their own record...
         assert_eq!(reg.job_count(), 4);
         assert_eq!(reg.jobs().len(), 4);
         // ...but the aggregate view still covers all 6.
@@ -847,7 +742,7 @@ mod tests {
     #[test]
     fn registry_tracks_and_clears_service_stats() {
         let reg = MetricsRegistry::new();
-        assert!(reg.service_stats().is_quiet());
+        assert_eq!(reg.service_stats(), ServiceStats::default());
         reg.update_service(|s| {
             s.submitted = 10;
             s.shed = 2;
@@ -858,7 +753,7 @@ mod tests {
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.rounds, 1);
         reg.clear();
-        assert!(reg.service_stats().is_quiet());
+        assert_eq!(reg.service_stats(), ServiceStats::default());
     }
 
     #[test]
@@ -916,7 +811,7 @@ mod tests {
     #[test]
     fn bp_stats_accumulate_and_clear() {
         let reg = MetricsRegistry::new();
-        assert!(reg.bp_stats().is_quiet());
+        assert_eq!(reg.bp_stats(), BpStats::default());
         reg.record_bp_relaxation(12, 500);
         reg.record_bp_relaxation(3, 1_000_000);
         let bp = reg.bp_stats();
@@ -924,9 +819,8 @@ mod tests {
         assert_eq!(bp.sweeps.count(), 2);
         assert_eq!(bp.sweeps.max(), Some(12));
         assert_eq!(bp.residual_nanos.min(), Some(500));
-        assert!(!bp.is_quiet());
         reg.clear();
-        assert!(reg.bp_stats().is_quiet());
+        assert_eq!(reg.bp_stats(), BpStats::default());
     }
 
     #[test]

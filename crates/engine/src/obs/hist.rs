@@ -417,8 +417,7 @@ mod tests {
 
     #[test]
     fn golden_quantiles_for_round_latencies() {
-        // The exact values the timeline golden test renders: 1/2/3/4 ms
-        // rounds in microseconds.
+        // Pinned quantiles of 1/2/3/4 ms rounds, in microseconds.
         let mut h = LogHistogram::new();
         for ms in [1_000u64, 2_000, 3_000, 4_000] {
             h.record(ms);

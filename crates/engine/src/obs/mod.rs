@@ -14,9 +14,11 @@
 //!   histograms (≤12.5% relative error) backing all percentile queries.
 //! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable),
 //!   plus the in-repo JSON parser that validates it.
-//! * [`prom`] — Prometheus text exposition
-//!   ([`crate::MetricsRegistry::render_prometheus`]) plus the line
-//!   parser that round-trips it.
+//! * [`prom`] — the registry's one typed read-out
+//!   ([`crate::MetricsRegistry::scrape`] → [`Scrape`]) with the metric
+//!   family table, its Prometheus text rendering
+//!   ([`crate::MetricsRegistry::render_prometheus`]) and the line parser
+//!   that validates it.
 //!
 //! See DESIGN.md §8 for the span model and the exporter formats.
 
@@ -32,7 +34,7 @@ pub use chrome::{
 };
 pub use config::{ObsConfig, TraceLevel, DEFAULT_LANE_CAPACITY};
 pub use hist::LogHistogram;
-pub use prom::{escape_label_value, parse_prometheus, render_prom_samples, PromSample};
+pub use prom::{hist_series, parse_prometheus, render_prom_samples, ObsHist, PromSample, Scrape};
 pub use span::{
     trace_id_for_cohort, LaneSnapshot, ObsSnapshot, SpanEvent, SpanGuard, SpanKind, SpanMeta,
     SpanRecorder, TraceContext, NO_COHORT, NO_SEQ, NO_TASK,

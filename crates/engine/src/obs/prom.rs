@@ -1,520 +1,385 @@
-//! Prometheus text exposition — `MetricsRegistry::render_prometheus`.
+//! The metrics read-out and its Prometheus text exposition.
 //!
-//! Renders a point-in-time scrape of everything the registry aggregates:
-//! per-stage-name job/task counters and wall/task seconds, fault and
-//! recovery counters, broadcast count, every service counter (submitted,
-//! shed, batches, cohorts, rounds, checkpoints, restores), the queue
-//! high-water gauge, and the round-latency histogram as cumulative
-//! `_bucket{le=...}` series with `_sum`/`_count`. The format is the
-//! standard text exposition (version 0.0.4), so the output can be served
-//! to a real Prometheus scraper byte-for-byte.
+//! [`MetricsRegistry::scrape`] is the one structured read-out of
+//! everything the registry aggregates: scalar samples (per-stage job/task
+//! counters and wall/task seconds, fault and recovery counters, every
+//! service counter, SLO burn gauges, span-ring health) plus every
+//! histogram once, in native bucket form. Its three consumers are views
+//! of that one value: the per-process page
+//! ([`MetricsRegistry::render_prometheus`]), the shard's binary
+//! `ObsFrame` (`sbgt-net` moves the scrape into the frame as is), and the
+//! fleet page (`FleetScraper` relabels it by shard). The family table
+//! (`FAMILIES`) is the only list of metric names, types and HELP texts,
+//! and [`hist_series`] the only place that knows how a histogram becomes
+//! `_bucket`/`_sum`/`_count` series.
 //!
-//! No external serializer exists in this workspace, so the renderer is
-//! hand-rolled and [`parse_prometheus`] — a strict little line-format
-//! parser — round-trips it in tests and in the self-validating
-//! `examples/trace.rs`.
+//! The page is the standard text exposition (version 0.0.4), so it can be
+//! served to a real Prometheus scraper as is. No external serializer
+//! exists in this workspace, so the renderer is hand-rolled and
+//! [`parse_prometheus`] — a strict little line-format parser — validates
+//! it in tests, in `examples/trace.rs` and in the soak binary.
 
 use std::fmt::Write as _;
 
-use super::span::SpanRecorder;
+use super::hist::LogHistogram;
+use super::span::{ObsSnapshot, SpanRecorder};
 use crate::metrics::MetricsRegistry;
 
-impl MetricsRegistry {
-    /// Render the registry as Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        self.render_prometheus_with_obs(None)
+/// How a metric family reads on a Prometheus page.
+#[derive(Clone, Copy)]
+enum FamilyKind {
+    Counter,
+    Gauge,
+    /// Scraped natively as an [`ObsHist`] under the family's own name (the
+    /// unit the registry records in, so fleet merges stay exact integer
+    /// bucket sums). The per-process page keeps the Prometheus base-unit
+    /// convention instead: it renders the histogram as `page`, with
+    /// bucket bounds and sum divided by `scale`.
+    Histogram {
+        page: &'static str,
+        scale: f64,
+    },
+}
+use FamilyKind::{Counter, Gauge, Histogram};
+
+/// One row of the family table.
+struct Family {
+    name: &'static str,
+    kind: FamilyKind,
+    help: &'static str,
+}
+
+/// Declares the family table: one row per family, in page order. Each row
+/// also names a constant holding the family name, which is how
+/// [`MetricsRegistry::scrape`] refers to it — so a metric name is spelled
+/// exactly once. To add a family, add a row here and push its samples in
+/// `scrape`; the page, the frame and the fleet page pick it up from there.
+macro_rules! families {
+    ($($id:ident = $name:literal, $kind:expr, $help:literal;)*) => {
+        $(const $id: &str = $name;)*
+        const FAMILIES: &[Family] = &[$(Family { name: $name, kind: $kind, help: $help }),*];
+    };
+}
+
+families! {
+    STAGE_JOBS = "sbgt_stage_jobs_total", Counter, "Jobs run, by stage name.";
+    STAGE_FAILED_JOBS = "sbgt_stage_failed_jobs_total", Counter,
+        "Jobs that failed after exhausting retries, by stage name.";
+    STAGE_TASKS = "sbgt_stage_tasks_total", Counter, "Task completions, by stage name.";
+    STAGE_WALL_SECONDS = "sbgt_stage_wall_seconds_total", Counter,
+        "Summed job wall-clock seconds, by stage name.";
+    STAGE_TASK_SECONDS = "sbgt_stage_task_seconds_total", Counter,
+        "Summed per-task executor seconds, by stage name.";
+    BROADCASTS = "sbgt_broadcasts_total", Counter, "Broadcast variables created.";
+    FAULTS_INJECTED = "sbgt_faults_injected_total", Counter,
+        "Faults injected by the chaos layer, by kind.";
+    TASK_RETRIES = "sbgt_task_retries_total", Counter,
+        "Failed attempts re-submitted under the retry policy.";
+    SPECULATIVE_LAUNCHED = "sbgt_speculative_launched_total", Counter,
+        "Speculative duplicates launched for stragglers.";
+    SPECULATIVE_WINS = "sbgt_speculative_wins_total", Counter,
+        "Tasks whose speculative duplicate finished first.";
+    SUBMITTED = "sbgt_service_specimens_submitted_total", Counter,
+        "Specimens admitted past the ingress queue's admission control.";
+    SHED = "sbgt_service_specimens_shed_total", Counter,
+        "Specimens rejected by admission control.";
+    SHED_SLO = "sbgt_service_specimens_shed_slo_total", Counter,
+        "Specimens shed because a tenant's latency SLO was breached.";
+    SHED_DRAINING = "sbgt_service_specimens_shed_draining_total", Counter,
+        "Specimens refused while the service drained for handoff.";
+    BATCHES = "sbgt_service_batches_total", Counter,
+        "Cohort batches sealed (size- or deadline-triggered).";
+    COHORTS_OPENED = "sbgt_service_cohorts_opened_total", Counter, "Cohort sessions opened.";
+    COHORTS_COMPLETED = "sbgt_service_cohorts_completed_total", Counter,
+        "Cohort sessions driven to a final report.";
+    ROUNDS = "sbgt_service_rounds_total", Counter, "BHA rounds executed across all cohorts.";
+    RECOVERED_ROUNDS = "sbgt_service_recovered_rounds_total", Counter,
+        "Rounds killed by a fault and re-run from a checkpoint.";
+    CHECKPOINTS = "sbgt_service_checkpoints_total", Counter, "Session checkpoints taken.";
+    RESTORES = "sbgt_service_restores_total", Counter, "Sessions restored from a checkpoint.";
+    PLAN_HITS = "sbgt_service_plan_hits_total", Counter,
+        "Select steps replayed from a memoized plan-cache tree.";
+    PLAN_MISSES = "sbgt_service_plan_misses_total", Counter,
+        "Select steps that fell off the plan tree and ran live.";
+    PLAN_EXTENDS = "sbgt_service_plan_extends_total", Counter,
+        "Plan-tree extensions recorded after cache misses.";
+    PLAN_EVICTIONS = "sbgt_service_plan_evictions_total", Counter,
+        "Memoized select steps evicted by the per-tree LRU budget.";
+    QUEUE_DEPTH_PEAK = "sbgt_service_queue_depth_peak", Gauge,
+        "High-water mark of the ingress queue depth.";
+    ROUND_LATENCY_US = "sbgt_service_round_latency_us",
+        Histogram { page: "sbgt_round_latency_seconds", scale: 1e6 },
+        "Per-round wall-clock latency.";
+    TENANT_ROUNDS = "sbgt_tenant_rounds_total", Counter, "Engine rounds run, by lab tenant.";
+    TENANT_ROUND_LATENCY_US = "sbgt_tenant_round_latency_us",
+        Histogram { page: "sbgt_tenant_round_latency_seconds", scale: 1e6 },
+        "Per-round wall-clock latency, by lab tenant.";
+    TENANT_SLO_BURN_RATE = "sbgt_tenant_slo_burn_rate", Gauge,
+        "SLO error-budget burn rate over the rolling window \
+         (1.0 = exactly on budget, >1.0 burns early).";
+    BP_RELAXATIONS = "sbgt_bp_relaxations_total", Counter,
+        "Loopy-BP relaxations run (one per marginal refresh).";
+    BP_SWEEPS = "sbgt_bp_sweeps", Histogram { page: "sbgt_bp_sweeps", scale: 1.0 },
+        "Sweeps per BP relaxation before the residual converged.";
+    BP_RESIDUAL_NANOS = "sbgt_bp_residual_nanos",
+        Histogram { page: "sbgt_bp_residual_nanos", scale: 1.0 },
+        "Final max-residual per BP relaxation, in nano-units.";
+    OBS_EVENTS = "sbgt_obs_events", Gauge,
+        "Span-ring events currently retained across all lanes.";
+    OBS_LANES = "sbgt_obs_lanes", Gauge,
+        "Registered span-ring lanes (one per recording thread).";
+    OBS_DROPPED_EVENTS = "sbgt_obs_dropped_events_total", Counter,
+        "Events overwritten by span-ring wrap-around, all lanes.";
+    OBS_LANE_DROPPED = "sbgt_obs_lane_dropped_total", Counter,
+        "Events overwritten by ring wrap-around, by lane (thread) name.";
+}
+
+/// One named histogram in native bucket form.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ObsHist {
+    /// Metric name (Prometheus family, without the `_bucket` suffix).
+    pub name: String,
+    /// Labels identifying the series within the family.
+    pub labels: Vec<(String, String)>,
+    /// The buckets.
+    pub hist: LogHistogram,
+}
+
+/// A point-in-time read-out of a [`MetricsRegistry`]: what every exporter
+/// renders from.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Scrape {
+    /// Counters and gauges, with the registry's own `f64` values. No
+    /// histogram series: those are in [`Self::hists`], each exactly once.
+    pub samples: Vec<PromSample>,
+    /// Every histogram, under its native family name.
+    pub hists: Vec<ObsHist>,
+}
+
+fn owned(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+}
+
+impl Scrape {
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.samples.push(PromSample {
+            name: name.to_string(),
+            labels: owned(labels),
+            value,
+        });
     }
 
-    /// Like [`Self::render_prometheus`], additionally exposing the span
-    /// recorder's ring health when one is supplied: retained events, lane
-    /// count, and — the part that is otherwise silently invisible —
-    /// ring-wrap drop counters, total and per lane. Lane labels are thread
-    /// names, so they go through the exposition escaper.
-    pub fn render_prometheus_with_obs(&self, recorder: Option<&SpanRecorder>) -> String {
+    fn hist(&mut self, name: &str, labels: &[(&str, &str)], hist: &LogHistogram) {
+        self.hists.push(ObsHist {
+            name: name.to_string(),
+            labels: owned(labels),
+            hist: hist.clone(),
+        });
+    }
+
+    /// The per-process Prometheus page: the family table in order, each
+    /// family that has series under one HELP/TYPE header.
+    fn render_page(&self) -> String {
         let mut out = String::new();
+        for family in FAMILIES {
+            let (page, kind) = match family.kind {
+                Counter => (family.name, "counter"),
+                Gauge => (family.name, "gauge"),
+                Histogram { page, .. } => (page, "histogram"),
+            };
+            let start = out.len();
+            let _ = writeln!(out, "# HELP {page} {}", family.help);
+            let _ = writeln!(out, "# TYPE {page} {kind}");
+            let body = out.len();
+            if let Histogram { scale, .. } = family.kind {
+                for h in self.hists.iter().filter(|h| h.name == family.name) {
+                    for s in hist_series(page, &h.labels, &h.hist, scale, true) {
+                        write_sample(&mut out, &s);
+                    }
+                }
+            } else {
+                for s in self.samples.iter().filter(|s| s.name == family.name) {
+                    write_sample(&mut out, s);
+                }
+            }
+            if out.len() == body {
+                out.truncate(start);
+            }
+        }
+        out
+    }
+}
 
-        let aggs = self.stage_aggregates();
-        family(
-            &mut out,
-            "sbgt_stage_jobs_total",
-            "counter",
-            "Jobs run, by stage name.",
-        );
-        for a in &aggs {
-            sample_u64(&mut out, "sbgt_stage_jobs_total", &a.name, a.jobs);
+impl MetricsRegistry {
+    /// Read out everything the registry aggregates. With a span-ring
+    /// snapshot, also the recorder's ring health: retained events, lane
+    /// count, and — the part that is otherwise silently invisible —
+    /// ring-wrap drop counters, total and per lane (thread name).
+    ///
+    /// Families that only exist once something happened (tenant lanes, SLO
+    /// burn, BP convergence) are absent until then.
+    pub fn scrape(&self, ring: Option<&ObsSnapshot>) -> Scrape {
+        let mut s = Scrape::default();
+        for a in self.stage_aggregates() {
+            let stage = [("stage", a.name.as_str())];
+            s.sample(STAGE_JOBS, &stage, a.jobs as f64);
+            s.sample(STAGE_FAILED_JOBS, &stage, a.failed_jobs as f64);
+            s.sample(STAGE_TASKS, &stage, a.tasks as f64);
+            s.sample(STAGE_WALL_SECONDS, &stage, a.wall.as_secs_f64());
+            s.sample(STAGE_TASK_SECONDS, &stage, a.task_time.as_secs_f64());
         }
-        family(
-            &mut out,
-            "sbgt_stage_failed_jobs_total",
-            "counter",
-            "Jobs that failed after exhausting retries, by stage name.",
-        );
-        for a in &aggs {
-            sample_u64(
-                &mut out,
-                "sbgt_stage_failed_jobs_total",
-                &a.name,
-                a.failed_jobs,
-            );
-        }
-        family(
-            &mut out,
-            "sbgt_stage_tasks_total",
-            "counter",
-            "Task completions, by stage name.",
-        );
-        for a in &aggs {
-            sample_u64(&mut out, "sbgt_stage_tasks_total", &a.name, a.tasks);
-        }
-        family(
-            &mut out,
-            "sbgt_stage_wall_seconds_total",
-            "counter",
-            "Summed job wall-clock seconds, by stage name.",
-        );
-        for a in &aggs {
-            sample_f64(
-                &mut out,
-                "sbgt_stage_wall_seconds_total",
-                Some(("stage", &a.name)),
-                a.wall.as_secs_f64(),
-            );
-        }
-        family(
-            &mut out,
-            "sbgt_stage_task_seconds_total",
-            "counter",
-            "Summed per-task executor seconds, by stage name.",
-        );
-        for a in &aggs {
-            sample_f64(
-                &mut out,
-                "sbgt_stage_task_seconds_total",
-                Some(("stage", &a.name)),
-                a.task_time.as_secs_f64(),
-            );
-        }
-
-        family(
-            &mut out,
-            "sbgt_broadcasts_total",
-            "counter",
-            "Broadcast variables created.",
-        );
-        sample_f64(
-            &mut out,
-            "sbgt_broadcasts_total",
-            None,
-            self.broadcast_count() as f64,
-        );
+        s.sample(BROADCASTS, &[], self.broadcast_count() as f64);
 
         let faults = self.fault_totals();
-        family(
-            &mut out,
-            "sbgt_faults_injected_total",
-            "counter",
-            "Faults injected by the chaos layer, by kind.",
-        );
         for (kind, count) in [
             ("panic", faults.injected_panics),
             ("delay", faults.injected_delays),
             ("poison", faults.injected_poisons),
         ] {
-            let _ = writeln!(out, "sbgt_faults_injected_total{{kind=\"{kind}\"}} {count}");
+            s.sample(FAULTS_INJECTED, &[("kind", kind)], count as f64);
         }
-        for (name, help, value) in [
-            (
-                "sbgt_task_retries_total",
-                "Failed attempts re-submitted under the retry policy.",
-                faults.retries,
-            ),
-            (
-                "sbgt_speculative_launched_total",
-                "Speculative duplicates launched for stragglers.",
-                faults.speculative_launched,
-            ),
-            (
-                "sbgt_speculative_wins_total",
-                "Tasks whose speculative duplicate finished first.",
-                faults.speculative_wins,
-            ),
-        ] {
-            family(&mut out, name, "counter", help);
-            sample_f64(&mut out, name, None, value as f64);
-        }
+        s.sample(TASK_RETRIES, &[], faults.retries as f64);
+        s.sample(
+            SPECULATIVE_LAUNCHED,
+            &[],
+            faults.speculative_launched as f64,
+        );
+        s.sample(SPECULATIVE_WINS, &[], faults.speculative_wins as f64);
 
         let service = self.service_stats();
-        for (name, help, value) in [
-            (
-                "sbgt_service_specimens_submitted_total",
-                "Specimens admitted past the ingress queue's admission control.",
-                service.submitted,
-            ),
-            (
-                "sbgt_service_specimens_shed_total",
-                "Specimens rejected by admission control.",
-                service.shed,
-            ),
-            (
-                "sbgt_service_specimens_shed_slo_total",
-                "Specimens shed because a tenant's latency SLO was breached.",
-                service.shed_slo,
-            ),
-            (
-                "sbgt_service_specimens_shed_draining_total",
-                "Specimens refused while the service drained for handoff.",
-                service.shed_draining,
-            ),
-            (
-                "sbgt_service_batches_total",
-                "Cohort batches sealed (size- or deadline-triggered).",
-                service.batches,
-            ),
-            (
-                "sbgt_service_cohorts_opened_total",
-                "Cohort sessions opened.",
-                service.cohorts_opened,
-            ),
-            (
-                "sbgt_service_cohorts_completed_total",
-                "Cohort sessions driven to a final report.",
-                service.cohorts_completed,
-            ),
-            (
-                "sbgt_service_rounds_total",
-                "BHA rounds executed across all cohorts.",
-                service.rounds,
-            ),
-            (
-                "sbgt_service_recovered_rounds_total",
-                "Rounds killed by a fault and re-run from a checkpoint.",
-                service.recovered_rounds,
-            ),
-            (
-                "sbgt_service_checkpoints_total",
-                "Session checkpoints taken.",
-                service.checkpoints,
-            ),
-            (
-                "sbgt_service_restores_total",
-                "Sessions restored from a checkpoint.",
-                service.restores,
-            ),
-            (
-                "sbgt_service_plan_hits_total",
-                "Select steps replayed from a memoized plan-cache tree.",
-                service.plan_hits,
-            ),
-            (
-                "sbgt_service_plan_misses_total",
-                "Select steps that fell off the plan tree and ran live.",
-                service.plan_misses,
-            ),
-            (
-                "sbgt_service_plan_extends_total",
-                "Plan-tree extensions recorded after cache misses.",
-                service.plan_extends,
-            ),
-            (
-                "sbgt_service_plan_evictions_total",
-                "Memoized select steps evicted by the per-tree LRU budget.",
-                service.plan_evictions,
-            ),
+        for (name, value) in [
+            (SUBMITTED, service.submitted),
+            (SHED, service.shed),
+            (SHED_SLO, service.shed_slo),
+            (SHED_DRAINING, service.shed_draining),
+            (BATCHES, service.batches),
+            (COHORTS_OPENED, service.cohorts_opened),
+            (COHORTS_COMPLETED, service.cohorts_completed),
+            (ROUNDS, service.rounds),
+            (RECOVERED_ROUNDS, service.recovered_rounds),
+            (CHECKPOINTS, service.checkpoints),
+            (RESTORES, service.restores),
+            (PLAN_HITS, service.plan_hits),
+            (PLAN_MISSES, service.plan_misses),
+            (PLAN_EXTENDS, service.plan_extends),
+            (PLAN_EVICTIONS, service.plan_evictions),
+            (QUEUE_DEPTH_PEAK, service.queue_peak),
         ] {
-            family(&mut out, name, "counter", help);
-            sample_f64(&mut out, name, None, value as f64);
+            s.sample(name, &[], value as f64);
         }
-        family(
-            &mut out,
-            "sbgt_service_queue_depth_peak",
-            "gauge",
-            "High-water mark of the ingress queue depth.",
-        );
-        sample_f64(
-            &mut out,
-            "sbgt_service_queue_depth_peak",
-            None,
-            service.queue_peak as f64,
-        );
-
-        let hist = service.round_latency_histogram();
-        family(
-            &mut out,
-            "sbgt_round_latency_seconds",
-            "histogram",
-            "Per-round wall-clock latency.",
-        );
-        for (upper_us, cumulative) in hist.cumulative_buckets() {
-            let _ = writeln!(
-                out,
-                "sbgt_round_latency_seconds_bucket{{le=\"{}\"}} {cumulative}",
-                format_f64(upper_us as f64 / 1e6)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "sbgt_round_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-            hist.count()
-        );
-        let _ = writeln!(
-            out,
-            "sbgt_round_latency_seconds_sum {}",
-            format_f64(hist.sum() as f64 / 1e6)
-        );
-        let _ = writeln!(out, "sbgt_round_latency_seconds_count {}", hist.count());
-
-        // Per-tenant lanes: rounds counter plus a latency histogram per
-        // tenant label — the QoS scheduler's fairness and each tenant's
-        // SLO headroom, scrapeable side by side.
-        let tenants = service.tenants();
-        if !tenants.is_empty() {
-            family(
-                &mut out,
-                "sbgt_tenant_rounds_total",
-                "counter",
-                "Engine rounds run, by lab tenant.",
-            );
-            for (tenant, lane) in tenants {
-                let _ = writeln!(
-                    out,
-                    "sbgt_tenant_rounds_total{{tenant=\"{tenant}\"}} {}",
-                    lane.rounds
-                );
-            }
-            family(
-                &mut out,
-                "sbgt_tenant_round_latency_seconds",
-                "histogram",
-                "Per-round wall-clock latency, by lab tenant.",
-            );
-            for (tenant, lane) in tenants {
-                for (upper_us, cumulative) in lane.latency.cumulative_buckets() {
-                    let _ = writeln!(
-                        out,
-                        "sbgt_tenant_round_latency_seconds_bucket{{tenant=\"{tenant}\",le=\"{}\"}} {cumulative}",
-                        format_f64(upper_us as f64 / 1e6)
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "sbgt_tenant_round_latency_seconds_bucket{{tenant=\"{tenant}\",le=\"+Inf\"}} {}",
-                    lane.latency.count()
-                );
-                let _ = writeln!(
-                    out,
-                    "sbgt_tenant_round_latency_seconds_sum{{tenant=\"{tenant}\"}} {}",
-                    format_f64(lane.latency.sum() as f64 / 1e6)
-                );
-                let _ = writeln!(
-                    out,
-                    "sbgt_tenant_round_latency_seconds_count{{tenant=\"{tenant}\"}} {}",
-                    lane.latency.count()
-                );
-            }
-            // SLO error-budget burn: only tenants with an SLO-fed burn
-            // window render, so SLO-less deployments scrape
-            // byte-identical to before.
-            if tenants.values().any(|lane| lane.burn_rate().is_some()) {
-                family(
-                    &mut out,
-                    "sbgt_tenant_slo_burn_rate",
-                    "gauge",
-                    "SLO error-budget burn rate over the rolling window \
-                     (1.0 = exactly on budget, >1.0 burns early).",
-                );
-                for (tenant, lane) in tenants {
-                    if let Some(burn) = lane.burn_rate() {
-                        let _ = writeln!(
-                            out,
-                            "sbgt_tenant_slo_burn_rate{{tenant=\"{tenant}\"}} {}",
-                            format_f64(burn)
-                        );
-                    }
-                }
+        s.hist(ROUND_LATENCY_US, &[], service.round_latency_histogram());
+        // Per-tenant lanes: the QoS scheduler's fairness and each tenant's
+        // SLO headroom side by side. Burn only for tenants with an SLO-fed
+        // window.
+        for (tenant, lane) in service.tenants() {
+            let tenant = tenant.to_string();
+            let tenant = [("tenant", tenant.as_str())];
+            s.sample(TENANT_ROUNDS, &tenant, lane.rounds as f64);
+            s.hist(TENANT_ROUND_LATENCY_US, &tenant, &lane.latency);
+            if let Some(burn) = lane.burn_rate() {
+                s.sample(TENANT_SLO_BURN_RATE, &tenant, burn);
             }
         }
 
-        // BP convergence: only rendered once a relaxation ran, so scrapes
-        // of exact-posterior deployments stay byte-identical to before.
         let bp = self.bp_stats();
         if bp.relaxations > 0 {
-            family(
-                &mut out,
-                "sbgt_bp_relaxations_total",
-                "counter",
-                "Loopy-BP relaxations run (one per marginal refresh).",
-            );
-            sample_f64(
-                &mut out,
-                "sbgt_bp_relaxations_total",
-                None,
-                bp.relaxations as f64,
-            );
-            histogram_family(
-                &mut out,
-                "sbgt_bp_sweeps",
-                "Sweeps per BP relaxation before the residual converged.",
-                None,
-                &bp.sweeps,
-                1.0,
-            );
-            histogram_family(
-                &mut out,
-                "sbgt_bp_residual_nanos",
-                "Final max-residual per BP relaxation, in nano-units.",
-                None,
-                &bp.residual_nanos,
-                1.0,
-            );
+            s.sample(BP_RELAXATIONS, &[], bp.relaxations as f64);
+            s.hist(BP_SWEEPS, &[], &bp.sweeps);
+            s.hist(BP_RESIDUAL_NANOS, &[], &bp.residual_nanos);
         }
 
-        if let Some(rec) = recorder {
-            let snap = rec.snapshot();
-            family(
-                &mut out,
-                "sbgt_obs_events",
-                "gauge",
-                "Span-ring events currently retained across all lanes.",
-            );
-            sample_f64(
-                &mut out,
-                "sbgt_obs_events",
-                None,
-                snap.total_events() as f64,
-            );
-            family(
-                &mut out,
-                "sbgt_obs_lanes",
-                "gauge",
-                "Registered span-ring lanes (one per recording thread).",
-            );
-            sample_f64(&mut out, "sbgt_obs_lanes", None, snap.lanes.len() as f64);
-            family(
-                &mut out,
-                "sbgt_obs_dropped_events_total",
-                "counter",
-                "Events overwritten by span-ring wrap-around, all lanes.",
-            );
-            sample_f64(
-                &mut out,
-                "sbgt_obs_dropped_events_total",
-                None,
-                snap.total_dropped() as f64,
-            );
-            if !snap.lanes.is_empty() {
-                family(
-                    &mut out,
-                    "sbgt_obs_lane_dropped_total",
-                    "counter",
-                    "Events overwritten by ring wrap-around, by lane (thread) name.",
-                );
-                for lane in &snap.lanes {
-                    sample_f64(
-                        &mut out,
-                        "sbgt_obs_lane_dropped_total",
-                        Some(("lane", &lane.name)),
-                        lane.dropped as f64,
-                    );
-                }
+        if let Some(ring) = ring {
+            s.sample(OBS_EVENTS, &[], ring.total_events() as f64);
+            s.sample(OBS_LANES, &[], ring.lanes.len() as f64);
+            s.sample(OBS_DROPPED_EVENTS, &[], ring.total_dropped() as f64);
+            for lane in &ring.lanes {
+                let lane_label = [("lane", lane.name.as_str())];
+                s.sample(OBS_LANE_DROPPED, &lane_label, lane.dropped as f64);
             }
         }
+        s
+    }
 
-        out
+    /// Render the registry as a Prometheus text exposition page; with a
+    /// recorder, including its `sbgt_obs_*` ring-health families.
+    pub fn render_prometheus(&self, recorder: Option<&SpanRecorder>) -> String {
+        let ring = recorder.map(SpanRecorder::snapshot);
+        self.scrape(ring.as_ref()).render_page()
     }
 }
 
-/// Render a full histogram family (`_bucket`/`_sum`/`_count` plus HELP and
-/// TYPE lines) with an optional fixed label on every series. Bucket bounds
-/// are divided by `scale` (1e6 turns microseconds into seconds).
-pub(crate) fn histogram_family(
-    out: &mut String,
+/// The `_sum` and `_count` series of one histogram under the family stem
+/// `name`, preceded — when `buckets` — by its `_bucket{le=…}` series:
+/// cumulative non-empty buckets plus `+Inf`. Bucket bounds and sum are
+/// divided by `scale` (1e6 turns microseconds into seconds). `labels` lead
+/// every series; `le` comes last.
+pub fn hist_series(
     name: &str,
-    help: &str,
-    label: Option<(&str, &str)>,
-    hist: &super::hist::LogHistogram,
+    labels: &[(String, String)],
+    hist: &LogHistogram,
     scale: f64,
-) {
-    family(out, name, "histogram", help);
-    let lead = match label {
-        Some((k, v)) => format!("{k}=\"{}\",", escape_label_value(v)),
-        None => String::new(),
+    buckets: bool,
+) -> Vec<PromSample> {
+    let series = |suffix: &str, le: Option<String>, value: f64| {
+        let mut labels = labels.to_vec();
+        labels.extend(le.map(|le| ("le".to_string(), le)));
+        PromSample {
+            name: format!("{name}{suffix}"),
+            labels,
+            value,
+        }
     };
-    for (upper, cumulative) in hist.cumulative_buckets() {
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{lead}le=\"{}\"}} {cumulative}",
-            format_f64(upper as f64 / scale)
+    let count = hist.count() as f64;
+    let mut out = Vec::new();
+    if buckets {
+        out.extend(
+            hist.cumulative_buckets()
+                .into_iter()
+                .map(|(upper, cumulative)| {
+                    let le = format_f64(upper as f64 / scale);
+                    series("_bucket", Some(le), cumulative as f64)
+                }),
         );
+        out.push(series("_bucket", Some("+Inf".to_string()), count));
     }
-    let _ = writeln!(out, "{name}_bucket{{{lead}le=\"+Inf\"}} {}", hist.count());
-    let tail = match label {
-        Some((k, v)) => format!("{{{k}=\"{}\"}}", escape_label_value(v)),
-        None => String::new(),
-    };
-    let _ = writeln!(
-        out,
-        "{name}_sum{tail} {}",
-        format_f64(hist.sum() as f64 / scale)
-    );
-    let _ = writeln!(out, "{name}_count{tail} {}", hist.count());
+    out.push(series("_sum", None, hist.sum() as f64 / scale));
+    out.push(series("_count", None, count));
+    out
 }
 
-/// Render parsed samples back to exposition sample lines (no HELP/TYPE),
-/// escaping every label value. With [`parse_prometheus`] this is the
-/// re-labeling primitive the fleet scraper uses to prefix shard labels.
+/// Render samples as exposition sample lines (no HELP/TYPE), escaping
+/// every label value.
 pub fn render_prom_samples(samples: &[PromSample]) -> String {
     let mut out = String::new();
     for s in samples {
-        out.push_str(&s.name);
-        if !s.labels.is_empty() {
-            out.push('{');
-            for (i, (k, v)) in s.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
-            }
-            out.push('}');
-        }
-        if s.value == f64::INFINITY {
-            out.push_str(" +Inf\n");
-        } else if s.value == f64::NEG_INFINITY {
-            out.push_str(" -Inf\n");
-        } else if s.value.is_nan() {
-            out.push_str(" NaN\n");
-        } else {
-            let _ = writeln!(out, " {}", format_f64(s.value));
-        }
+        write_sample(&mut out, s);
     }
     out
 }
 
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-fn sample_u64(out: &mut String, name: &str, stage: &str, value: u64) {
-    let _ = writeln!(
-        out,
-        "{name}{{stage=\"{}\"}} {value}",
-        escape_label_value(stage)
-    );
-}
-
-fn sample_f64(out: &mut String, name: &str, label: Option<(&str, &str)>, value: f64) {
-    match label {
-        Some((k, v)) => {
-            let _ = writeln!(
-                out,
-                "{name}{{{k}=\"{}\"}} {}",
-                escape_label_value(v),
-                format_f64(value)
-            );
+fn write_sample(out: &mut String, s: &PromSample) {
+    out.push_str(&s.name);
+    if !s.labels.is_empty() {
+        out.push('{');
+        for (i, (k, v)) in s.labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
         }
-        None => {
-            let _ = writeln!(out, "{name} {}", format_f64(value));
-        }
+        out.push('}');
+    }
+    if s.value == f64::INFINITY {
+        out.push_str(" +Inf\n");
+    } else if s.value == f64::NEG_INFINITY {
+        out.push_str(" -Inf\n");
+    } else if s.value.is_nan() {
+        out.push_str(" NaN\n");
+    } else {
+        let _ = writeln!(out, " {}", format_f64(s.value));
     }
 }
 
@@ -522,7 +387,7 @@ fn sample_f64(out: &mut String, name: &str, label: Option<(&str, &str)>, value: 
 /// become `\\`, `\"`, and `\n`. [`parse_prometheus`] reverses exactly
 /// these, so any label value — tenant names, thread names — survives a
 /// render→parse cycle (property-tested below).
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -689,25 +554,20 @@ fn parse_labels(block: &str, lineno: usize) -> Result<Vec<(String, String)>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{FaultStats, JobMetrics, StageVariant, TaskMetrics};
+    use crate::metrics::tests::job;
     use std::time::Duration;
 
-    fn job(name: &str, task_ms: &[u64], wall_ms: u64) -> JobMetrics {
-        JobMetrics {
-            name: name.into(),
-            tasks: task_ms
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| TaskMetrics {
-                    index: i,
-                    duration: Duration::from_millis(ms),
-                })
-                .collect(),
-            wall: Duration::from_millis(wall_ms),
-            succeeded: true,
-            variant: StageVariant::default(),
-            faults: FaultStats::default(),
-        }
+    #[test]
+    fn family_table_names_each_family_once() {
+        let mut names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        // Page names share the scalar namespace: a histogram's page stem
+        // must not collide with another family either.
+        names.extend(FAMILIES.iter().filter_map(|f| match f.kind {
+            Histogram { page, .. } if page != f.name => Some(page),
+            _ => None,
+        }));
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len());
     }
 
     #[test]
@@ -764,7 +624,7 @@ z_bucket{le=\"+Inf\"} 7\n";
             }
         });
 
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus(None);
         let samples = parse_prometheus(&text).unwrap();
         let get = |name: &str| -> Vec<&PromSample> {
             samples.iter().filter(|s| s.name == name).collect()
@@ -806,7 +666,7 @@ z_bucket{le=\"+Inf\"} 7\n";
                 s.record_round(Duration::from_micros(us));
             }
         });
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus(None);
         let samples = parse_prometheus(&text).unwrap();
         let buckets: Vec<&PromSample> = samples
             .iter()
@@ -862,7 +722,7 @@ z_bucket{le=\"+Inf\"} 7\n";
             // Tenant 1: no SLO -> no burn window, no gauge sample.
             s.record_tenant_round(1, Duration::from_millis(2), None);
         });
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus(None);
         let samples = parse_prometheus(&text).unwrap();
         let burns: Vec<&PromSample> = samples
             .iter()
@@ -879,14 +739,14 @@ z_bucket{le=\"+Inf\"} 7\n";
             s.record_tenant_round(0, Duration::from_millis(2), None);
         });
         assert!(!reg
-            .render_prometheus()
+            .render_prometheus(None)
             .contains("sbgt_tenant_slo_burn_rate"));
     }
 
     #[test]
     fn empty_registry_renders_a_valid_scrape() {
         let reg = MetricsRegistry::new();
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus(None);
         let samples = parse_prometheus(&text).unwrap();
         // No stage series yet, but the service block and an empty
         // histogram (+Inf bucket 0) are present and well-formed.
@@ -897,6 +757,12 @@ z_bucket{le=\"+Inf\"} 7\n";
             .unwrap();
         assert_eq!(inf.label("le"), Some("+Inf"));
         assert_eq!(inf.value, 0.0);
+        // A family with no series prints no bare HELP/TYPE header either.
+        assert!(!text.contains("sbgt_stage_"));
+        for header in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let family = header.split(' ').next().unwrap();
+            assert!(samples.iter().any(|s| s.name.starts_with(family)));
+        }
     }
 
     #[test]
@@ -909,7 +775,7 @@ z_bucket{le=\"+Inf\"} 7\n";
         for i in 0..40u64 {
             rec.record_span(SpanKind::Phase, name, i, i + 1, SpanMeta::default());
         }
-        let text = reg.render_prometheus_with_obs(Some(&rec));
+        let text = reg.render_prometheus(Some(&rec));
         let samples = parse_prometheus(&text).unwrap();
         let get = |name: &str| samples.iter().find(|s| s.name == name).unwrap().value;
         assert_eq!(get("sbgt_obs_events"), 16.0);
@@ -922,7 +788,7 @@ z_bucket{le=\"+Inf\"} 7\n";
         assert!(lane.label("lane").is_some());
         assert_eq!(lane.value, 24.0);
         // Without a recorder the obs families are absent entirely.
-        assert!(!reg.render_prometheus().contains("sbgt_obs_"));
+        assert!(!reg.render_prometheus(None).contains("sbgt_obs_"));
     }
 
     #[test]
@@ -947,7 +813,7 @@ z_bucket{le=\"+Inf\"} 7\n";
                 .unwrap();
         }
         done.wait();
-        let text = reg.render_prometheus_with_obs(Some(&rec2));
+        let text = reg.render_prometheus(Some(&rec2));
         let samples = parse_prometheus(&text).unwrap();
         let lane = samples
             .iter()

@@ -329,7 +329,7 @@ impl WorkerLane {
 }
 
 /// Decoded contents of one lane at snapshot time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaneSnapshot {
     /// Thread name captured at lane registration.
     pub name: String,
@@ -603,26 +603,6 @@ impl SpanRecorder {
                 .collect(),
         }
     }
-
-    /// One-line summary for the timeline's `obs:` segment. Empty when
-    /// nothing was recorded (quiet engines render no segment).
-    pub fn summary_line(&self) -> String {
-        let snap = self.snapshot();
-        let events = snap.total_events();
-        if events == 0 && snap.total_dropped() == 0 {
-            return String::new();
-        }
-        let level = match self.level() {
-            TraceLevel::Off => "off",
-            TraceLevel::Spans => "spans",
-            TraceLevel::Full => "full",
-        };
-        format!(
-            "obs: level {level}, {events} event(s) across {} lane(s), {} overwritten\n",
-            snap.lanes.len(),
-            snap.total_dropped(),
-        )
-    }
 }
 
 impl std::fmt::Debug for SpanRecorder {
@@ -726,7 +706,6 @@ mod tests {
             .span(TraceLevel::Spans, SpanKind::Stage, "x", SpanMeta::default())
             .is_none());
         assert_eq!(rec.snapshot().total_events(), 0);
-        assert_eq!(rec.summary_line(), "");
     }
 
     #[test]
@@ -794,9 +773,7 @@ mod tests {
         assert_eq!(snap.lanes[0].events[0].start_ns, 24);
         assert_eq!(snap.lanes[0].events[15].start_ns, 39);
         assert!(snap.total_dropped() == 24);
-        let summary = rec.summary_line();
-        assert!(summary.contains("16 event(s)"), "{summary}");
-        assert!(summary.contains("24 overwritten"), "{summary}");
+        assert_eq!(snap.total_events(), 16);
     }
 
     #[test]

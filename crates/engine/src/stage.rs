@@ -30,7 +30,7 @@ use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
 use crate::chaos::{Fault, FaultPlan, SpeculationConfig};
 use crate::error::{panic_message, EngineError, Result};
-use crate::metrics::{FaultStats, JobMetrics, StageVariant, TaskMetrics};
+use crate::metrics::{FaultStats, JobMetrics, StageVariant};
 use crate::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
 use crate::pool::ThreadPool;
 use crate::retry::RetryPolicy;
@@ -429,17 +429,10 @@ impl Engine {
         }
         match outcome {
             Ok(pairs) => {
-                let task_metrics = pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, d))| TaskMetrics {
-                        index: i,
-                        duration: *d,
-                    })
-                    .collect();
                 self.metrics().record_job(JobMetrics {
                     name: name.to_string(),
-                    tasks: task_metrics,
+                    tasks: pairs.len(),
+                    task_time: pairs.iter().map(|(_, d)| *d).sum(),
                     wall,
                     succeeded: true,
                     variant: StageVariant::Immutable,
@@ -450,7 +443,8 @@ impl Engine {
             Err(e) => {
                 self.metrics().record_job(JobMetrics {
                     name: name.to_string(),
-                    tasks: Vec::with_capacity(0),
+                    tasks: 0,
+                    task_time: Duration::ZERO,
                     wall,
                     succeeded: false,
                     variant: StageVariant::Immutable,
@@ -488,7 +482,7 @@ mod tests {
         assert!(job.succeeded);
         assert_eq!(job.faults.injected_panics, 1);
         assert_eq!(job.faults.retries, 1);
-        assert_eq!(job.tasks.len(), 4);
+        assert_eq!(job.tasks, 4);
     }
 
     #[test]

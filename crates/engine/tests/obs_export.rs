@@ -3,11 +3,17 @@
 //! nests task spans inside their parent stage span — plus a Prometheus
 //! scrape that round-trips through the text parser.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
+
 use sbgt_engine::obs::{
     parse_json, parse_prometheus, render_chrome_trace, validate_chrome_trace, JsonValue, ObsConfig,
-    SpanKind, SpanMeta, TraceLevel,
+    PromSample, SpanKind, SpanMeta, SpanRecorder, TraceLevel,
 };
-use sbgt_engine::{Dataset, Engine, EngineConfig};
+use sbgt_engine::{
+    Dataset, Engine, EngineConfig, FaultStats, JobMetrics, MetricsRegistry, StageVariant,
+};
 
 /// Fault-free traced engine: speculation/retry losers can outlive their
 /// stage span, so nesting assertions need a clean fault configuration.
@@ -132,7 +138,7 @@ fn sbgt_trace_env_selects_the_default_level() {
 fn prometheus_scrape_from_a_real_run_round_trips() {
     let e = traced_engine();
     run_some_jobs(&e);
-    let text = e.metrics().render_prometheus();
+    let text = e.render_prometheus();
     let samples = parse_prometheus(&text).expect("scrape must parse");
     assert!(!samples.is_empty());
     let jobs: f64 = samples
@@ -151,4 +157,123 @@ fn prometheus_scrape_from_a_real_run_round_trips() {
             .expect("every stage family is exported");
         assert_eq!(tasks.value as u64, agg.tasks);
     }
+}
+
+fn job(name: &str, task_ns: &[u64], wall_ns: u64) -> JobMetrics {
+    JobMetrics {
+        name: name.into(),
+        tasks: task_ns.len(),
+        task_time: Duration::from_nanos(task_ns.iter().sum()),
+        wall: Duration::from_nanos(wall_ns),
+        succeeded: true,
+        variant: StageVariant::default(),
+        faults: FaultStats::default(),
+    }
+}
+
+/// The registry state `tests/data/parent_scrape.txt` was rendered from at
+/// the parent commit: stage aggregates (one hostile stage name), fault
+/// totals, every service counter, two tenants (one with an SLO burn
+/// window), BP stats, and a recorder whose one lane wrapped.
+fn golden_state() -> (MetricsRegistry, Arc<SpanRecorder>) {
+    let reg = MetricsRegistry::new();
+    reg.record_job(job(
+        "fused-round:in-place",
+        &[3_000_000, 4_000_000],
+        5_000_000,
+    ));
+    reg.record_job(job("lookahead:select", &[2_000_000], 2_000_000));
+    reg.record_job(job(
+        "stage\\with\"quotes\nand newline",
+        &[333_333, 444_444, 7],
+        1_234_567,
+    ));
+    let mut failed = job("fused-round:in-place", &[], 9_000_001);
+    failed.succeeded = false;
+    failed.faults = FaultStats {
+        injected_panics: 2,
+        injected_delays: 1,
+        injected_poisons: 3,
+        retries: 4,
+        speculative_launched: 5,
+        speculative_wins: 1,
+    };
+    reg.record_job(failed);
+    reg.record_broadcast();
+    reg.record_broadcast();
+    reg.update_service(|s| {
+        s.submitted = 101;
+        s.shed = 13;
+        s.shed_slo = 7;
+        s.shed_draining = 6;
+        s.batches = 17;
+        s.cohorts_opened = 19;
+        s.cohorts_completed = 18;
+        s.recovered_rounds = 2;
+        s.checkpoints = 23;
+        s.restores = 3;
+        s.plan_hits = 29;
+        s.plan_misses = 11;
+        s.plan_extends = 10;
+        s.plan_evictions = 5;
+        s.observe_queue_depth(31);
+        for us in [500u64, 1_500, 1_500, 80_000, 2_000_000, 37] {
+            s.record_round(Duration::from_micros(us));
+        }
+        let slo = Some(Duration::from_millis(10));
+        for us in [2_000u64, 2_100, 50_000, 1_999] {
+            s.record_tenant_round(0, Duration::from_micros(us), slo);
+        }
+        for us in [700u64, 123_456] {
+            s.record_tenant_round(7, Duration::from_micros(us), None);
+        }
+    });
+    reg.record_bp_relaxation(12, 500);
+    reg.record_bp_relaxation(3, 1_000_000);
+    reg.record_bp_relaxation(3, 999);
+
+    // The lane label is the recording thread's name, so record from a
+    // named thread rather than the test harness's.
+    let rec = Arc::new(SpanRecorder::new(ObsConfig::full().with_lane_capacity(16)));
+    let lane = Arc::clone(&rec);
+    std::thread::Builder::new()
+        .name("golden\"lane".to_string())
+        .spawn(move || {
+            let name = lane.intern("e");
+            for i in 0..40u64 {
+                lane.record_span(SpanKind::Phase, name, i, i + 1, SpanMeta::default());
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    (reg, rec)
+}
+
+/// A page as what a scraper keeps of it: the sample multiset (names,
+/// labels, values) and the `# TYPE` of each family. Line order is not part
+/// of it.
+fn page_content(text: &str) -> (Vec<PromSample>, BTreeMap<String, String>) {
+    let mut samples = parse_prometheus(text).expect("page must parse");
+    samples.sort_by(|a, b| {
+        (&a.name, &a.labels, a.value.to_bits()).cmp(&(&b.name, &b.labels, b.value.to_bits()))
+    });
+    let types = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|rest| {
+            let (family, kind) = rest.split_once(' ').expect("TYPE line has a kind");
+            (family.to_string(), kind.to_string())
+        })
+        .collect();
+    (samples, types)
+}
+
+#[test]
+fn page_equals_the_page_the_parent_commit_rendered() {
+    let (reg, rec) = golden_state();
+    let (samples, types) = page_content(&reg.render_prometheus(Some(&rec)));
+    let (want_samples, want_types) = page_content(include_str!("data/parent_scrape.txt"));
+    assert_eq!(types, want_types);
+    assert_eq!(samples, want_samples);
 }

@@ -21,8 +21,8 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use sbgt_engine::obs::{
-    render_chrome_trace_processes, render_prom_samples, LaneSnapshot, ProcessTrace, PromSample,
-    SpanEvent,
+    hist_series, render_chrome_trace_processes, render_prom_samples, LaneSnapshot, ProcessTrace,
+    PromSample, SpanEvent,
 };
 use sbgt_engine::{LogHistogram, TraceContext};
 use sbgt_service::{CohortCheckpoint, CohortReport, CohortSpec, ShedReason, Specimen};
@@ -330,6 +330,7 @@ fn unexpected(response: &Response) -> io::Error {
 }
 
 /// One shard's accumulated telemetry inside a [`FleetScraper`].
+#[derive(Default)]
 struct ShardObs {
     process_tag: u64,
     /// Latest scalar samples (counters/gauges are cumulative, so the
@@ -348,6 +349,7 @@ struct ShardObs {
 /// retained` is an absolute position in the lane's event stream, so a
 /// cursor on that position identifies exactly which tail entries are new
 /// since the previous poll — polling twice never duplicates an event.
+#[derive(Default)]
 struct AccumLane {
     name: String,
     /// Events that wrapped out of the ring before any poll saw them.
@@ -385,25 +387,14 @@ impl FleetScraper {
     /// Fold one shard's export into the accumulated state (public so a
     /// test or an out-of-band transport can feed frames directly).
     pub fn ingest(&mut self, shard: u32, frame: ObsFrame) {
-        let entry = self.shards.entry(shard).or_insert_with(|| ShardObs {
-            process_tag: 0,
-            samples: Vec::new(),
-            hists: Vec::new(),
-            names: Vec::new(),
-            lanes: Vec::new(),
-        });
+        let entry = self.shards.entry(shard).or_default();
         entry.process_tag = frame.process_tag;
         entry.samples = frame.samples;
         entry.hists = frame.hists;
         entry.names = frame.names;
         for (i, lane) in frame.lanes.into_iter().enumerate() {
             if entry.lanes.len() <= i {
-                entry.lanes.push(AccumLane {
-                    name: lane.name.clone(),
-                    dropped: 0,
-                    events: Vec::new(),
-                    cursor: 0,
-                });
+                entry.lanes.push(AccumLane::default());
             }
             let acc = &mut entry.lanes[i];
             acc.name = lane.name;
@@ -461,16 +452,12 @@ impl FleetScraper {
             .collect()
     }
 
-    /// One shard's latest native histogram for `name` (labels ignored
-    /// when `labels` is `None`; otherwise exact match).
+    /// One shard's latest native histogram for the unlabelled series
+    /// `name`.
     pub fn shard_hist(&self, shard: u32, name: &str) -> Option<&LogHistogram> {
-        self.shards.get(&shard)?.hists.iter().find_map(|h| {
-            if h.name == name && h.labels.is_empty() {
-                Some(&h.hist)
-            } else {
-                None
-            }
-        })
+        let hists = &self.shards.get(&shard)?.hists;
+        let found = hists.iter().find(|h| h.name == name && h.labels.is_empty());
+        found.map(|h| &h.hist)
     }
 
     /// Every distinct histogram series merged across shards, sorted by
@@ -496,33 +483,21 @@ impl FleetScraper {
     /// re-labeled with `shard="<id>"`, per-shard `_count`/`_sum` series
     /// for each native histogram, and fleet-merged `sbgt_fleet_*`
     /// histogram families (bucket/sum/count) whose buckets are the exact
-    /// sum of the per-shard scrapes.
+    /// sum of the per-shard scrapes. Each histogram appears under one
+    /// family stem, in its native unit.
     pub fn render_prometheus(&self) -> String {
         let mut samples = Vec::new();
         for (&shard, obs) in &self.shards {
             let shard_label = ("shard".to_string(), shard.to_string());
             for s in &obs.samples {
-                let mut labels = s.labels.clone();
-                labels.push(shard_label.clone());
-                samples.push(PromSample {
-                    name: s.name.clone(),
-                    labels,
-                    value: s.value,
-                });
+                let mut s = s.clone();
+                s.labels.push(shard_label.clone());
+                samples.push(s);
             }
             for h in &obs.hists {
                 let mut labels = h.labels.clone();
                 labels.push(shard_label.clone());
-                samples.push(PromSample {
-                    name: format!("{}_count", h.name),
-                    labels: labels.clone(),
-                    value: h.hist.count() as f64,
-                });
-                samples.push(PromSample {
-                    name: format!("{}_sum", h.name),
-                    labels,
-                    value: h.hist.sum() as f64,
-                });
+                samples.extend(hist_series(&h.name, &labels, &h.hist, 1.0, false));
             }
         }
         for h in self.merged_hists() {
@@ -530,32 +505,7 @@ impl FleetScraper {
                 "sbgt_fleet_{}",
                 h.name.strip_prefix("sbgt_").unwrap_or(&h.name)
             );
-            for (bound, cumulative) in h.hist.cumulative_buckets() {
-                let mut labels = h.labels.clone();
-                labels.push(("le".to_string(), bound.to_string()));
-                samples.push(PromSample {
-                    name: format!("{fleet}_bucket"),
-                    labels,
-                    value: cumulative as f64,
-                });
-            }
-            let mut labels = h.labels.clone();
-            labels.push(("le".to_string(), "+Inf".to_string()));
-            samples.push(PromSample {
-                name: format!("{fleet}_bucket"),
-                labels,
-                value: h.hist.count() as f64,
-            });
-            samples.push(PromSample {
-                name: format!("{fleet}_count"),
-                labels: h.labels.clone(),
-                value: h.hist.count() as f64,
-            });
-            samples.push(PromSample {
-                name: format!("{fleet}_sum"),
-                labels: h.labels.clone(),
-                value: h.hist.sum() as f64,
-            });
+            samples.extend(hist_series(&fleet, &h.labels, &h.hist, 1.0, true));
         }
         render_prom_samples(&samples)
     }

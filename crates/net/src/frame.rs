@@ -28,6 +28,7 @@ use std::io::{self, Read};
 use sbgt::SessionOutcome;
 use sbgt_bayes::{CohortClassification, SubjectStatus};
 use sbgt_engine::obs::hist::BUCKET_COUNT;
+pub use sbgt_engine::obs::{LaneSnapshot as ObsLane, ObsHist};
 use sbgt_engine::obs::{LogHistogram, PromSample, SpanEvent, SpanKind, SpanMeta, TraceContext};
 use sbgt_lattice::bytes::{ByteError, Fault, Reader, Writer};
 use sbgt_lattice::BigState;
@@ -210,38 +211,16 @@ pub struct ObsFrame {
     /// The shard recorder's process tag
     /// ([`sbgt_engine::SpanRecorder::process_tag`]); 0 when never set.
     pub process_tag: u64,
-    /// Scalar samples of the shard's Prometheus page (counters/gauges;
-    /// histogram series are carried natively in [`Self::hists`]).
+    /// The scalar samples of the shard's [`sbgt_engine::obs::Scrape`]
+    /// (counters/gauges; no histogram series).
     pub samples: Vec<PromSample>,
-    /// Named latency/size histograms in native bucket form.
+    /// The scrape's histograms, each once, in native bucket form.
     pub hists: Vec<ObsHist>,
     /// The recorder's interned span-name table; event `name` ids in
     /// [`Self::lanes`] index into it.
     pub names: Vec<String>,
     /// Span-ring snapshot, one entry per recorder lane (thread).
     pub lanes: Vec<ObsLane>,
-}
-
-/// One named histogram of an [`ObsFrame`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsHist {
-    /// Metric name (Prometheus family, without the `_bucket` suffix).
-    pub name: String,
-    /// Labels identifying the series within the family.
-    pub labels: Vec<(String, String)>,
-    /// The buckets.
-    pub hist: LogHistogram,
-}
-
-/// One recorder lane (thread) of an [`ObsFrame`]'s span snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsLane {
-    /// Thread name captured at lane registration.
-    pub name: String,
-    /// Events lost to ring wrap-around before the snapshot.
-    pub dropped: u64,
-    /// Retained events, oldest first.
-    pub events: Vec<SpanEvent>,
 }
 
 const KIND_PING: u8 = 0x01;

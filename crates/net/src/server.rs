@@ -23,13 +23,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use sbgt_engine::obs::parse_prometheus;
+use sbgt_engine::obs::Scrape;
 use sbgt_engine::{SharedEngine, SpanKind, SpanMeta, TraceContext, TraceLevel};
 use sbgt_service::{
     CohortCheckpoint, ServiceConfig, ServiceError, ShedReason, SurveillanceService,
 };
 
-use crate::frame::{read_frame, ObsFrame, ObsHist, ObsLane, Request, Response};
+use crate::frame::{read_frame, ObsFrame, Request, Response};
 
 /// Size of the fixed connection-thread set: the most connections served
 /// at once (a fabric shard holds one per router, plus a scraper and an
@@ -315,78 +315,22 @@ fn stamp_inbound_trace(state: &ServerState, trace: Option<TraceContext>, meta: S
     }
 }
 
-/// Build the shard's [`Response::ObsFrame`]: the Prometheus page parsed
-/// into samples (minus histogram families, which travel natively so the
-/// fleet merge is [`sbgt_engine::LogHistogram::merge`] instead of a text
-/// round-trip), plus the span-ring snapshot and name table.
+/// Build the shard's [`Response::ObsFrame`]: the engine's scrape moved in
+/// as is (scalar samples with the registry's own `f64` bits, histograms
+/// native so the fleet merge is [`sbgt_engine::LogHistogram::merge`]),
+/// plus the span-ring snapshot the scrape was taken against and the name
+/// table.
 fn obs_export(state: &ServerState) -> Response {
-    let engine = &state.engine;
-    let mut hists = Vec::new();
-    let service = engine.metrics().service_stats();
-    if !service.is_quiet() {
-        hists.push(ObsHist {
-            name: "sbgt_service_round_latency_us".to_string(),
-            labels: Vec::new(),
-            hist: service.round_latency_histogram().clone(),
-        });
-        for (&tenant, lane) in service.tenants() {
-            hists.push(ObsHist {
-                name: "sbgt_tenant_round_latency_us".to_string(),
-                labels: vec![("tenant".to_string(), tenant.to_string())],
-                hist: lane.latency.clone(),
-            });
-        }
-    }
-    let bp = engine.metrics().bp_stats();
-    if !bp.is_quiet() {
-        hists.push(ObsHist {
-            name: "sbgt_bp_sweeps".to_string(),
-            labels: Vec::new(),
-            hist: bp.sweeps.clone(),
-        });
-        hists.push(ObsHist {
-            name: "sbgt_bp_residual_nanos".to_string(),
-            labels: Vec::new(),
-            hist: bp.residual_nanos.clone(),
-        });
-    }
-    let samples = match parse_prometheus(&engine.render_prometheus()) {
-        Ok(samples) => samples,
-        Err(message) => {
-            return Response::Error {
-                message: format!("prometheus self-scrape failed: {message}"),
-            }
-        }
-    };
-    // Drop the text renderings of natively-carried histogram families.
-    let native: Vec<&str> = hists.iter().map(|h| h.name.as_str()).collect();
-    let samples = samples
-        .into_iter()
-        .filter(|s| {
-            !native.iter().any(|family| {
-                s.name
-                    .strip_prefix(family)
-                    .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count"))
-            })
-        })
-        .collect();
-    let obs = engine.obs();
-    let snapshot = obs.snapshot();
+    let obs = state.engine.obs();
+    let ring = obs.snapshot();
+    let Scrape { samples, hists } = state.engine.metrics().scrape(Some(&ring));
     Response::ObsFrame {
         frame: ObsFrame {
-            process_tag: obs.process_tag(),
+            process_tag: ring.process_tag,
             samples,
             hists,
             names: obs.name_table(),
-            lanes: snapshot
-                .lanes
-                .into_iter()
-                .map(|lane| ObsLane {
-                    name: lane.name,
-                    dropped: lane.dropped,
-                    events: lane.events,
-                })
-                .collect(),
+            lanes: ring.lanes,
         },
     }
 }

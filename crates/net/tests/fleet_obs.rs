@@ -4,14 +4,20 @@
 //! drain/handoff leaves spans on **two processes under one trace id**,
 //! with reports that stay bit-for-bit identical to a serial run.
 
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use sbgt_engine::obs::{parse_prometheus, validate_chrome_trace, NO_COHORT};
-use sbgt_engine::{trace_id_for_cohort, EngineConfig, SharedEngine, TraceLevel};
-use sbgt_net::{FabricConfig, FabricRouter, FleetScraper, ShardServer};
+use sbgt_engine::{
+    trace_id_for_cohort, EngineConfig, FaultStats, JobMetrics, SharedEngine, StageVariant,
+    TraceLevel,
+};
+use sbgt_net::{
+    FabricConfig, FabricRouter, FleetScraper, Request, Response, ShardClient, ShardServer,
+};
 use sbgt_service::{run_cohort_serial, CohortReport, CohortSpec, ServiceConfig, Specimen};
 
 fn specimens(n: usize, seed: u64) -> Vec<Specimen> {
@@ -25,6 +31,13 @@ fn specimens(n: usize, seed: u64) -> Vec<Specimen> {
             }
         })
         .collect()
+}
+
+/// The family stem of a `_bucket`/`_sum`/`_count` series name.
+fn histogram_stem(name: &str) -> Option<&str> {
+    ["_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| name.strip_suffix(suffix))
 }
 
 fn traced_engine() -> SharedEngine {
@@ -111,7 +124,7 @@ fn relocated_cohort_stitches_one_trace_across_two_processes() {
     assert!(names_b.iter().any(|n| n == "net:adopt"));
 
     // The tentpole: at least one cohort has spans on BOTH processes.
-    let cohorts = |shard: u32| -> std::collections::BTreeSet<u64> {
+    let cohorts = |shard: u32| -> BTreeSet<u64> {
         scraper
             .shard_events(shard)
             .iter()
@@ -170,6 +183,37 @@ fn relocated_cohort_stitches_one_trace_across_two_processes() {
         .sum();
     assert_eq!(bucket_sum as u64, per_shard_total);
 
+    // A frame carries each histogram once, natively: no histogram series
+    // among its scalar samples, and no family on both sides.
+    for shard in router.all_shards() {
+        let frame = router.obs_export(shard).unwrap();
+        assert!(!frame.hists.is_empty());
+        for s in &frame.samples {
+            assert!(
+                histogram_stem(&s.name).is_none(),
+                "histogram series {} among shard {shard}'s scalar samples",
+                s.name
+            );
+            assert!(
+                frame.hists.iter().all(|h| h.name != s.name),
+                "{} is both a sample and a histogram",
+                s.name
+            );
+        }
+    }
+    // So on the fleet page every histogram has exactly two family stems:
+    // its native name per shard, and its fleet merge.
+    let stems: BTreeSet<&str> = samples
+        .iter()
+        .filter_map(|s| histogram_stem(&s.name))
+        .collect();
+    let mut expected = BTreeSet::new();
+    for h in scraper.merged_hists() {
+        expected.insert(format!("sbgt_fleet_{}", &h.name["sbgt_".len()..]));
+        expected.insert(h.name);
+    }
+    assert_eq!(stems, expected.iter().map(String::as_str).collect());
+
     // Tracing never touches results: every report matches the serial
     // untraced reference bit-for-bit.
     let reference = SharedEngine::new(EngineConfig::default().with_threads(2));
@@ -196,4 +240,37 @@ fn check_reports(
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// Scalars reach the frame as the registry's own `f64`, not through the
+/// page's nine-decimal text: 4.464680097 s is a duration whose printed
+/// form parses back to a neighbouring double.
+#[test]
+fn frame_scalars_carry_the_registry_bits() {
+    let engine = SharedEngine::new(EngineConfig::default().with_threads(1));
+    engine.metrics().record_job(JobMetrics {
+        name: "update".to_string(),
+        tasks: 1,
+        task_time: Duration::new(4, 464_680_097),
+        wall: Duration::new(4, 464_680_097),
+        succeeded: true,
+        variant: StageVariant::Immutable,
+        faults: FaultStats::default(),
+    });
+    let server =
+        ShardServer::bind("127.0.0.1:0", engine.clone(), ServiceConfig::default()).unwrap();
+    let mut client = ShardClient::connect(server.local_addr()).unwrap();
+    let Response::ObsFrame { frame } = client.call(&Request::ObsExport).unwrap() else {
+        panic!("ObsExport must answer with an ObsFrame");
+    };
+    let agg = &engine.metrics().stage_aggregates()[0];
+    for (name, want) in [
+        ("sbgt_stage_wall_seconds_total", agg.wall.as_secs_f64()),
+        ("sbgt_stage_task_seconds_total", agg.task_time.as_secs_f64()),
+    ] {
+        let got = frame.samples.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(got.label("stage"), Some("update"));
+        assert_eq!(got.value.to_bits(), want.to_bits(), "{name}");
+    }
+    server.shutdown().unwrap();
 }

@@ -19,8 +19,8 @@
 //!   ([`CohortCheckpoint`], [`ServiceCheckpoint`]) for eviction, migration,
 //!   and rollback-and-replay recovery when an engine fault kills a round;
 //! * feeds service metrics (queue depth, shed count, round latency
-//!   percentiles, throughput) into the engine's [`MetricsRegistry`] and
-//!   ASCII timeline;
+//!   percentiles, throughput) into the engine's [`MetricsRegistry`], which
+//!   the Prometheus page reads;
 //! * shares one process-wide **plan cache** ([`PlanCache`]) of memoized
 //!   BHA decision trees across cohorts whose quantized configuration maps
 //!   to the same key, replaying selections instead of re-searching —

@@ -15,8 +15,8 @@
 //! past budget, the service records a [`BurnRateAlert`] as a
 //! [`BURN_ALERT_MARK`] obs mark *before* the shed — so a fleet trace
 //! shows the budget exhaustion leading the admission-control response,
-//! not just the sheds themselves. Burn rates also surface as `slo:`
-//! lines in the ASCII timeline and as gauges on the Prometheus page.
+//! not just the sheds themselves. Burn rates also surface as
+//! `sbgt_tenant_slo_burn_rate` gauges on the Prometheus page.
 
 use sbgt_engine::MetricsRegistry;
 

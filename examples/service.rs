@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use sbgt_repro::sbgt_engine::{timeline::render_service_summary, EngineConfig, SharedEngine};
+use sbgt_repro::sbgt_engine::{EngineConfig, SharedEngine};
 use sbgt_repro::sbgt_service::{ServiceConfig, Specimen, SurveillanceService};
 use sbgt_repro::sbgt_sim::traffic::{generate_arrivals, TrafficConfig};
 
@@ -84,9 +84,23 @@ fn main() {
         tests as f64 / subjects as f64
     );
 
+    let stats = engine.metrics().service_stats();
     println!();
-    print!(
-        "{}",
-        render_service_summary(&engine.metrics().service_stats())
+    println!(
+        "service: {} submitted, {} shed, {} batch(es), {}/{} cohort(s) done, queue peak {}",
+        stats.submitted,
+        stats.shed,
+        stats.batches,
+        stats.cohorts_completed,
+        stats.cohorts_opened,
+        stats.queue_peak,
+    );
+    println!(
+        "service: {} round(s) (p50 {:?}, p99 {:?}), {} checkpoint(s), {} restore(s)",
+        stats.rounds,
+        stats.round_latency_percentile(0.50).unwrap_or_default(),
+        stats.round_latency_percentile(0.99).unwrap_or_default(),
+        stats.checkpoints,
+        stats.restores,
     );
 }

@@ -56,16 +56,12 @@ fn main() {
     println!();
     println!("engine stage metrics (Spark-UI analogue):");
     let jobs = engine.metrics().jobs();
-    let total_tasks: usize = jobs.iter().map(|j| j.tasks.len()).sum();
+    let total_tasks: usize = jobs.iter().map(|j| j.tasks).sum();
     println!("  {} jobs, {} tasks", jobs.len(), total_tasks);
     for job in jobs.iter().take(3) {
         println!(
-            "  job `{}`: {} tasks, wall {:?}, max task {:?}, skew {:.2}",
-            job.name,
-            job.tasks.len(),
-            job.wall,
-            job.max_task_time(),
-            job.skew()
+            "  job `{}`: {} tasks, wall {:?}, busy {:?}",
+            job.name, job.tasks, job.wall, job.task_time
         );
     }
 }

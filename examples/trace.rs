@@ -11,7 +11,8 @@
 //!   engine stages, counter tracks for ingress depth and live cohorts.
 //! * `target/obs/metrics.prom` — Prometheus text exposition of the
 //!   engine's metrics registry (stage families, fault counters, service
-//!   counters, and the round-latency histogram).
+//!   counters, the round-latency histogram, and the span ring's own
+//!   `sbgt_obs_*` health families).
 //!
 //! Run: `cargo run --release --example trace`
 
@@ -50,10 +51,7 @@ fn main() {
             .unwrap();
     }
     let reports = service.drain();
-    println!("classified {} cohort(s)\n", reports.len());
-
-    // The timeline now ends with the recorder's own summary line.
-    println!("{}", engine.render_timeline());
+    println!("classified {} cohort(s)", reports.len());
 
     let out_dir = std::path::Path::new("target/obs");
     std::fs::create_dir_all(out_dir).expect("create target/obs");
@@ -76,21 +74,32 @@ fn main() {
     );
 
     // Prometheus scrape: render, self-validate, write.
-    let prom = engine.metrics().render_prometheus();
+    let prom = engine.render_prometheus();
     let samples = parse_prometheus(&prom).expect("exported scrape must parse");
+    let figure = |name: &str| -> f64 {
+        let family = samples.iter().filter(|s| s.name == name);
+        family.map(|s| s.value).sum()
+    };
     let prom_path = out_dir.join("metrics.prom");
     std::fs::write(&prom_path, &prom).expect("write metrics.prom");
     println!(
-        "wrote {} ({} bytes): {} sample(s)",
+        "wrote {} ({} bytes): {} sample(s) — {} job(s), {} round(s), {} ring event(s) \
+         across {} lane(s), {} overwritten",
         prom_path.display(),
         prom.len(),
         samples.len(),
+        figure("sbgt_stage_jobs_total"),
+        figure("sbgt_service_rounds_total"),
+        figure("sbgt_obs_events"),
+        figure("sbgt_obs_lanes"),
+        figure("sbgt_obs_dropped_events_total"),
     );
 
     // The smoke gate: a traced service run must actually produce spans,
     // counters, and a consistent latency histogram.
     assert!(summary.spans > 0, "no spans recorded");
     assert!(summary.counters > 0, "no counter samples recorded");
+    assert!(figure("sbgt_obs_events") > 0.0, "ring health not exported");
     let count = samples
         .iter()
         .find(|s| s.name == "sbgt_round_latency_seconds_count")
