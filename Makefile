@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint loc build test chaos service-smoke obs-smoke bench bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint unsafe-lint obs-lint build test chaos service-smoke obs-smoke bench-smoke kernels-smoke plancache-smoke soak-smoke approx-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -51,9 +51,10 @@ unsafe-lint:
 
 # One metrics read-out: exporters render from MetricsRegistry::scrape, so
 # no library code re-parses a rendered page (parse_prometheus is the
-# validator for tests and smoke binaries — crates/bench is the one caller
-# under crates/*/src), the histogram -> _bucket/_sum/_count rule lives
-# only in obs::hist_series, and the ASCII timeline stays deleted.
+# validator for tests and smoke binaries — the soak in crates/bench, which
+# validates the fleet page it writes, is the one caller under
+# crates/*/src), the histogram -> _bucket/_sum/_count rule lives only in
+# obs::hist_series, and the ASCII timeline stays deleted.
 obs-lint:
 	@bad=$$(grep -rn "parse_prometheus(" crates/*/src \
 		| grep -v -e "^crates/engine/src/obs/prom.rs:" -e "^crates/bench/src/"); \
@@ -73,6 +74,26 @@ obs-lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "obs-lint: OK"
+
+# One measurement system: performance numbers come from benchmark/
+# (BENCHMARK.json) and the paper's rows from the `experiments` binary.
+# Fails if the old bench harness, its smoke env vars or a hand-kept
+# result file is named again in the build files, the sources or the
+# documents that describe the tree. Each pattern carries a bracket so
+# this recipe does not match itself; in *.rs the bare word is left alone,
+# because two library modules use it in its English sense.
+MEASURE_DOCS := Makefile vendor/README.md README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+MEASURE_GONE := cargo[ ]bench|\[\[bench\]\]|BENCH_[a-z]*\.json|SBGT_BENCH[_]SMOKE|SBGT[_]QUICK|[c]riterion::|[c]riterion_(group|main)!
+measure-lint:
+	@files="$(MEASURE_DOCS) $$(find . -name Cargo.toml -not -path './target/*' -not -path './benchmark/*')"; \
+	bad=$$(grep -nE "$(MEASURE_GONE)" $$files; \
+		grep -rnE "$(MEASURE_GONE)" --include='*.rs' crates examples tests; \
+		grep -nwi "[c]riterion" $$files); \
+	if [ -n "$$bad" ]; then \
+		echo "measure-lint: a second measurement system is named again:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "measure-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.
@@ -101,30 +122,27 @@ service-smoke:
 # Telemetry smoke: a fully-traced service run must export a Chrome trace
 # and a Prometheus scrape that both pass the in-repo validators (the
 # example asserts this and exits nonzero otherwise), writing the
-# artifacts to target/obs/ for inspection.
+# artifacts to target/obs/ for inspection; then the disabled-telemetry
+# overhead bound, which only measures in a release build.
 obs-smoke:
 	$(CARGO) run --release --example trace
+	$(CARGO) test -p sbgt --release --test obs_overhead -q
 
-# Criterion benches (plain-text report; pass FILTER=<substring> to select).
-bench:
-	$(CARGO) bench -p sbgt-bench $(if $(FILTER),--bench $(FILTER),)
-
-# One-shot smoke of the look-ahead selection bench: `--test` runs every
-# benchmark once without measurement, and SBGT_BENCH_SMOKE=1 shrinks the
-# sweep to a 4096-state lattice — seconds, not minutes, so it rides in
-# `verify` to keep the bench harness compiling and running.
-bench-smoke:
-	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench lookahead -- --test
-	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench service -- --test
-	SBGT_BENCH_SMOKE=1 $(CARGO) test -p sbgt --release --test obs_overhead -q
+# Paper-experiments smoke: the command EXPERIMENTS.md cites, in quick
+# mode, must exit 0 and print exactly the twelve sections E1–E12.
+experiments-smoke:
+	@out=$$($(CARGO) run --release -q -p sbgt-bench --bin experiments -- --quick) || exit 1; \
+	n=$$(printf '%s\n' "$$out" | grep -c '^## E'); \
+	if [ "$$n" -ne 12 ]; then \
+		echo "experiments-smoke: $$n sections printed (want 12)"; exit 1; \
+	fi
+	@echo "experiments-smoke: OK"
 
 # Plan-cache smoke: the cached≡live equivalence harness (dense, sharded,
-# hybrid-sparse, mid-session eviction, quantization collisions) plus one
-# smoke pass of the warm/cold service bench, so the memoized decision
-# trees stay bit-for-bit honest in `verify`.
+# hybrid-sparse, mid-session eviction, quantization collisions), so the
+# memoized decision trees stay bit-for-bit honest in `verify`.
 plancache-smoke:
 	$(CARGO) test -p sbgt-select --test plancache_equivalence -q
-	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench plancache -- --test
 
 # Shard-fabric smoke: a short seeded soak through the real wire path —
 # 3 shard processes behind the binary protocol, client-side cohort
@@ -147,23 +165,22 @@ fleet-obs-smoke:
 	$(CARGO) test -p sbgt-net --test fleet_obs -q
 	$(CARGO) test -p sbgt-engine --test obs_export -q
 
-# SIMD/sparse kernel smoke: run the per-round kernels bench once in smoke
-# mode, then replay the SIMD-vs-scalar and sparse-equivalence suites with
-# the dispatcher forced to the scalar path (SBGT_FORCE_SCALAR=1), so a CI
-# machine without AVX2/AVX-512 still validates both sides of the dispatch.
+# SIMD/sparse kernel smoke: replay the SIMD-vs-scalar and
+# sparse-equivalence suites with the dispatcher forced to the scalar path
+# (SBGT_FORCE_SCALAR=1), so a CI machine without AVX2/AVX-512 still
+# validates both sides of the dispatch.
 kernels-smoke:
-	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench kernels -- --test
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt-lattice --test properties -q
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt --test sparse_equivalence -q
 
 # Approximate-backend smoke: the exact-vs-approx accuracy harness (>=99%
 # per-specimen agreement with the dense reference, assay budget within 5%,
 # BP marginals on top of the exact posterior, seeded particle
-# reproducibility across snapshot/restore) plus one smoke pass of the
-# large-cohort bench so the past-the-2^N-wall service path stays green.
+# reproducibility across snapshot/restore, a 256-specimen cohort on BP).
+# The past-the-2^N-wall service path is an input of `-p sbgt-service
+# --test equivalence`, which `test` runs.
 approx-smoke:
 	$(CARGO) test -p sbgt-approx --test accuracy -q
-	SBGT_BENCH_SMOKE=1 $(CARGO) bench -p sbgt-bench --bench approx -- --test
 
 # Benchmark-package smoke: `benchmark/` is its own workspace, so the root
 # `cargo test` never compiles it and a break in the session or service API

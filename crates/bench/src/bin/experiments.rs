@@ -1,11 +1,11 @@
-//! Regenerate every reconstructed SBGT table/figure (E1–E13).
+//! Regenerate every reconstructed SBGT table/figure (E1–E12).
 //!
 //! Usage:
 //!   experiments [--exp e1[,e2,...]] [--quick]
 //!
-//! With no `--exp`, all experiments run in order. `--quick` (or env
-//! `SBGT_QUICK=1`) shrinks sweeps for smoke runs. Output is markdown,
-//! designed to be pasted into EXPERIMENTS.md.
+//! With no `--exp`, all experiments run in order; an id outside e1–e12
+//! lists the valid ones and exits 2. `--quick` shrinks sweeps for smoke
+//! runs. Output is markdown, designed to be pasted into EXPERIMENTS.md.
 
 use std::time::Duration;
 
@@ -13,8 +13,8 @@ use sbgt::prelude::*;
 use sbgt::ShardedPosterior;
 use sbgt_bayes::{analyze, analyze_par, update_dense_par, Observation};
 use sbgt_bench::{
-    baseline_analysis, baseline_selection, baseline_update, bench_prior, best_of, fmt_duration,
-    fmt_speedup, markdown_table, timed, warmed_posterior,
+    bench_prior, best_of, fmt_duration, fmt_speedup, markdown_table, observation_script, timed,
+    warmed_posterior,
 };
 use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::kernels::{
@@ -28,16 +28,49 @@ use sbgt_sim::{
     Population, RiskProfile, Scenario, SummaryStats,
 };
 
+/// An experiment's `--exp` id and its entry point, which takes `quick`.
+type Experiment = (&'static str, fn(bool));
+
+/// The paper's rows in print order.
+const EXPERIMENTS: [Experiment; 12] = [
+    ("e1", |_| e1_workloads()),
+    ("e2", e2_lattice_manipulation),
+    ("e3", e3_test_selection),
+    ("e4", e4_statistical_analysis),
+    ("e5", e5_strong_scaling),
+    ("e6", e6_classification_quality),
+    ("e7", e7_testing_efficiency),
+    ("e8", e8_lookahead_tradeoff),
+    ("e9", e9_stage_breakdown),
+    ("e10", e10_pruning_ablation),
+    ("e11", e11_misspecification),
+    ("e12", e12_selection_rules),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick") || sbgt_bench::quick_mode();
-    let selected: Vec<String> = args
+    let quick = args.iter().any(|a| a == "--quick");
+    // A bare `--exp` selects the empty id, which is rejected below.
+    let selected: Vec<String> = match args.iter().position(|a| a == "--exp") {
+        Some(i) => args
+            .get(i + 1)
+            .map_or("", String::as_str)
+            .split(',')
+            .map(str::to_lowercase)
+            .collect(),
+        None => Vec::new(),
+    };
+    if let Some(bad) = selected
         .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.split(',').map(|x| x.to_lowercase()).collect())
-        .unwrap_or_default();
-    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
+        .find(|s| !EXPERIMENTS.iter().any(|(id, _)| id == s))
+    {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        eprintln!(
+            "experiments: unknown --exp id {bad:?}; valid ids: {}",
+            ids.join(",")
+        );
+        std::process::exit(2);
+    }
 
     println!(
         "# SBGT reconstructed experiments ({} mode)",
@@ -50,324 +83,11 @@ fn main() {
     println!("host parallelism: {host} thread(s)");
     println!();
 
-    if want("e1") {
-        e1_workloads();
-    }
-    if want("e2") {
-        e2_lattice_manipulation(quick);
-    }
-    if want("e3") {
-        e3_test_selection(quick);
-    }
-    if want("e4") {
-        e4_statistical_analysis(quick);
-    }
-    if want("e5") {
-        e5_strong_scaling(quick);
-    }
-    if want("e6") {
-        e6_classification_quality(quick);
-    }
-    if want("e7") {
-        e7_testing_efficiency(quick);
-    }
-    if want("e8") {
-        e8_lookahead_tradeoff(quick);
-    }
-    if want("e9") {
-        e9_stage_breakdown(quick);
-    }
-    if want("e10") {
-        e10_pruning_ablation(quick);
-    }
-    if want("e11") {
-        e11_misspecification(quick);
-    }
-    if want("e12") {
-        e12_selection_rules(quick);
-    }
-    if want("e13") {
-        e13_service_throughput(quick);
-    }
-    if want("e17") {
-        e17_large_cohorts(quick);
-    }
-}
-
-/// E17 — large-cohort surveillance on the approximate backends.
-///
-/// Runs cohorts far past the exact `2^N` wall (256 specimens each)
-/// through the full service stack on each approximate backend, checks the
-/// service classifies bit-for-bit with the serial per-cohort reference,
-/// scores the classifications against the planted ground truth, and
-/// reports the terminal checkpoint size — the whole cohort state in
-/// kilobytes, where a dense posterior would need `8·2^256` bytes.
-fn e17_large_cohorts(quick: bool) {
-    use sbgt_service::{
-        batch_specimens, run_cohort_serial, ApproxBackend, CohortActor, Specimen,
-        SurveillanceService,
-    };
-    use sbgt_sim::traffic::{generate_arrivals, TrafficConfig};
-
-    println!("## E17 — large-cohort approximate surveillance (extension)\n");
-    let n = if quick { 64 } else { 256 };
-    let cohorts = if quick { 2 } else { 4 };
-    let specimens: Vec<Specimen> =
-        generate_arrivals(&TrafficConfig::large_cohort(n, cohorts, 0.05, 2026))
-            .into_iter()
-            .map(|a| Specimen {
-                risk: a.risk,
-                infected: a.infected,
-            })
-            .collect();
-
-    // Undiluted assay for the backend comparison (the halving pools are
-    // capped at 16 either way); one extra full-mode row keeps the default
-    // PCR-like dilution model to quantify what dilution costs at scale.
-    let undiluted = BinaryDilutionModel::new(0.99, 0.995, Dilution::None);
-    let mut variants = vec![
-        ("bp", ApproxBackend::Bp, undiluted),
-        ("particle", ApproxBackend::Particle, undiluted),
-    ];
-    if !quick {
-        variants.push((
-            "bp + PCR dilution",
-            ApproxBackend::Bp,
-            BinaryDilutionModel::pcr_like(),
-        ));
-    }
-
-    let mut rows = Vec::new();
-    for (label, backend, model) in variants {
-        let config = sbgt_service::ServiceConfig {
-            queue_capacity: specimens.len(),
-            batch_size: n,
-            approx_threshold: 17,
-            approx_backend: backend,
-            approx_particles: 1024,
-            base_seed: 0xE17,
-            model,
-            session: SbgtConfig {
-                max_stages: 2000,
-                ..SbgtConfig::default()
-            },
-            ..sbgt_service::ServiceConfig::default()
-        };
-        let engine = sbgt_engine::SharedEngine::new(EngineConfig::default().with_threads(2));
-        let specs = batch_specimens(&specimens, n, config.base_seed);
-        let serial: Vec<_> = specs
-            .iter()
-            .map(|spec| {
-                run_cohort_serial(&engine, spec, config.model, config.session, config.policy())
-            })
-            .collect();
-
-        let engine = sbgt_engine::SharedEngine::new(EngineConfig::default().with_threads(2));
-        let (reports, wall) = timed(|| {
-            let service =
-                SurveillanceService::start(engine, config.clone()).expect("service starts");
-            for s in &specimens {
-                service.submit(*s).expect("queue sized for the workload");
-            }
-            service.drain()
-        });
-        let identical = reports.len() == serial.len()
-            && reports.iter().zip(&serial).all(|(r, e)| {
-                r.outcome == *e
-                    && r.outcome
-                        .marginals
-                        .iter()
-                        .zip(&e.marginals)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            });
-
-        // Score classifications against the planted truth.
-        let mut tp = 0usize;
-        let mut fn_ = 0usize;
-        let mut tn = 0usize;
-        let mut fp = 0usize;
-        for (spec, out) in specs.iter().zip(&serial) {
-            for (i, status) in out.classification.statuses.iter().enumerate() {
-                let infected = spec.truth.contains(i);
-                match (infected, status) {
-                    (true, SubjectStatus::Positive) => tp += 1,
-                    (true, _) => fn_ += 1,
-                    (false, SubjectStatus::Positive) => fp += 1,
-                    (false, _) => tn += 1,
-                }
-            }
+    for (id, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.iter().any(|s| s == id) {
+            run(quick);
         }
-        let total_tests: usize = serial.iter().map(|o| o.tests).sum();
-
-        // Terminal per-cohort state: replay one cohort to completion and
-        // measure its checkpoint — history-sized, never 2^N.
-        let engine2 = Engine::new(EngineConfig::default().with_threads(2));
-        let mut actor = CohortActor::new(
-            &engine2,
-            specs[0].clone(),
-            config.model,
-            config.session,
-            config.policy(),
-        );
-        while !matches!(actor.run_round(&engine2), RoundStep::Finished(_)) {}
-        let ckpt_bytes = actor.checkpoint().to_bytes().len();
-
-        rows.push(vec![
-            label.to_string(),
-            fmt_duration(wall),
-            format!("{:.0}", specimens.len() as f64 / wall.as_secs_f64()),
-            format!("{:.3}", total_tests as f64 / specimens.len() as f64),
-            format!(
-                "{:.3}",
-                if tp + fn_ == 0 {
-                    1.0
-                } else {
-                    tp as f64 / (tp + fn_) as f64
-                }
-            ),
-            format!(
-                "{:.3}",
-                if tn + fp == 0 {
-                    1.0
-                } else {
-                    tn as f64 / (tn + fp) as f64
-                }
-            ),
-            format!("{:.1} KiB", ckpt_bytes as f64 / 1024.0),
-            if identical {
-                "✓ bit-for-bit"
-            } else {
-                "✗ DIVERGED"
-            }
-            .into(),
-        ]);
     }
-    println!(
-        "({cohorts} cohorts of {n} specimens at 5% prevalence — a dense \
-         posterior at this size would need 8·2^{n} bytes; both backends \
-         keep per-cohort state history-sized)\n"
-    );
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "backend",
-                "wall",
-                "specimens/s",
-                "tests/specimen",
-                "sensitivity",
-                "specificity",
-                "cohort ckpt",
-                "vs serial reference"
-            ],
-            &rows
-        )
-    );
-}
-
-/// E13 — surveillance-service throughput and bit-for-bit equivalence.
-///
-/// Drives one fixed seeded Poisson workload through the full service
-/// stack (bounded ingress → batcher → fair round-robin workers → shared
-/// engine) at several worker counts, checks every run classifies
-/// identically to a serial per-cohort reference, and reports end-to-end
-/// throughput.
-fn e13_service_throughput(quick: bool) {
-    use sbgt_service::{batch_specimens, run_cohort_serial, Specimen, SurveillanceService};
-    use sbgt_sim::traffic::{generate_arrivals, TrafficConfig};
-
-    println!("## E13 — surveillance service throughput (extension)\n");
-    let cohorts = if quick { 8 } else { 32 };
-    let batch = 8usize;
-    let config = sbgt_service::ServiceConfig {
-        queue_capacity: cohorts * batch,
-        batch_size: batch,
-        dense_threshold: 7,
-        parts: 4,
-        base_seed: 0xE13,
-        ..sbgt_service::ServiceConfig::default()
-    };
-    let specimens: Vec<Specimen> =
-        generate_arrivals(&TrafficConfig::mixed(1000.0, cohorts * batch, 2026))
-            .into_iter()
-            .map(|a| Specimen {
-                risk: a.risk,
-                infected: a.infected,
-            })
-            .collect();
-
-    let engine = sbgt_engine::SharedEngine::new(EngineConfig::default().with_threads(2));
-    let serial: Vec<_> = batch_specimens(&specimens, batch, config.base_seed)
-        .iter()
-        .map(|spec| run_cohort_serial(&engine, spec, config.model, config.session, config.policy()))
-        .collect();
-    let total_tests: usize = serial.iter().map(|o| o.tests).sum();
-
-    let mut rows = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let engine = sbgt_engine::SharedEngine::new(EngineConfig::default().with_threads(2));
-        let cfg = sbgt_service::ServiceConfig {
-            workers,
-            ..config.clone()
-        };
-        let (reports, wall) = timed(|| {
-            let service = SurveillanceService::start(engine.clone(), cfg).expect("service starts");
-            for s in &specimens {
-                service.submit(*s).expect("queue sized for the workload");
-            }
-            service.drain()
-        });
-        let identical = reports.len() == serial.len()
-            && reports.iter().zip(&serial).all(|(r, e)| {
-                r.outcome == *e
-                    && r.outcome
-                        .marginals
-                        .iter()
-                        .zip(&e.marginals)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            });
-        let stats = engine.metrics().service_stats();
-        let throughput = specimens.len() as f64 / wall.as_secs_f64();
-        rows.push(vec![
-            workers.to_string(),
-            fmt_duration(wall),
-            format!("{throughput:.0}"),
-            stats
-                .round_latency_percentile(0.5)
-                .map(fmt_duration)
-                .unwrap_or_else(|| "—".into()),
-            stats
-                .round_latency_percentile(0.99)
-                .map(fmt_duration)
-                .unwrap_or_else(|| "—".into()),
-            if identical {
-                "✓ bit-for-bit"
-            } else {
-                "✗ DIVERGED"
-            }
-            .into(),
-        ]);
-    }
-    println!(
-        "({} specimens in {cohorts} cohorts of {batch}, mixed two-class risk \
-         traffic, {total_tests} assays in the serial reference; engine fixed \
-         at 2 threads while service workers sweep)\n",
-        specimens.len()
-    );
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "workers",
-                "wall",
-                "specimens/s",
-                "round p50",
-                "round p99",
-                "vs serial reference"
-            ],
-            &rows
-        )
-    );
 }
 
 /// Classification thresholds adapted to the scenario prevalence: the
@@ -394,6 +114,21 @@ fn reps_for(n: usize) -> usize {
     } else {
         3
     }
+}
+
+/// The reference framework (`sbgt::baseline`, what the equivalence tests
+/// compare against) brought to the state of [`warmed_posterior`] by the
+/// same six scripted observations: the baseline column of E2–E4.
+fn warmed_baseline(n: usize) -> BaselineSession<BinaryDilutionModel> {
+    let mut base = BaselineSession::new(
+        bench_prior(n, 7),
+        BinaryDilutionModel::pcr_like(),
+        SbgtConfig::default().serial(),
+    );
+    for (pool, outcome) in observation_script(n, 6) {
+        let _ = base.observe(pool, outcome);
+    }
+    base
 }
 
 /// E1 — the workload configuration table.
@@ -446,11 +181,12 @@ fn e2_lattice_manipulation(quick: bool) {
         let pool = sbgt_lattice::State::from_subjects((0..8.min(n)).step_by(2));
         let table = model.likelihood_table(true, pool.rank());
 
-        let (_, t_base) = best_of(reps, || {
-            let mut p = base_post.clone();
-            baseline_update(&mut p, &model, pool, true);
-            p.get(sbgt_lattice::State::EMPTY)
-        });
+        // The reference session is not `Clone`, so its reps stack the same
+        // observation on one posterior (no clone inside the timing, unlike
+        // the SBGT columns); the cost of `observe` does not depend on the
+        // values it multiplies.
+        let mut base = warmed_baseline(n);
+        let (_, t_base) = best_of(reps, || base.observe(pool, true).expect("likelihoods > 0"));
         let (_, t_fused) = best_of(reps, || {
             let mut p = base_post.clone();
             let z = p.mul_likelihood_fused(pool, &table);
@@ -514,7 +250,8 @@ fn e3_test_selection(quick: bool) {
 
         // Baseline: recompute marginals (N passes) + one full scan per
         // candidate prefix — the pre-SBGT framework's access pattern.
-        let (_, t_base) = best_of(reps, || baseline_selection(&post, 16));
+        let base = warmed_baseline(n);
+        let (_, t_base) = best_of(reps, || base.select_next());
         // SBGT: single fused all-prefix pass (order maintained incrementally
         // by the session, so not recomputed here).
         let (_, t_fast) = best_of(reps, || {
@@ -566,7 +303,8 @@ fn e4_statistical_analysis(quick: bool) {
         let post = warmed_posterior(n);
         // Baseline: per-subject passes + entropy pass + rank pass +
         // materialize-and-sort top-k.
-        let (_, t_base) = best_of(reps, || baseline_analysis(&post));
+        let base = warmed_baseline(n);
+        let (_, t_base) = best_of(reps, || base.report(5).expected_positives);
         let (_, t_fused) = best_of(reps, || analyze(&post, 5).expected_positives);
         let (_, t_par) = best_of(reps, || analyze_par(&post, 5, cfg).expected_positives);
         rows.push(vec![

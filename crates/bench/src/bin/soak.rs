@@ -1,4 +1,6 @@
-//! Sustained multi-process soak of the shard fabric (E16).
+//! Multi-process soak of the shard fabric (E16): a correctness test. It
+//! reports no performance figures — those come from `benchmark/`
+//! (`fabric-n12`).
 //!
 //! One binary, two roles, selected by `--shard`:
 //!
@@ -6,15 +8,15 @@
 //!   itself, connects a [`sbgt_net::FabricRouter`] to them, and drives a
 //!   seeded open-loop Poisson specimen stream (`sbgt_sim::traffic`)
 //!   through the wire path — client-side cohort formation, consistent-hash
-//!   placement, windowed Prometheus scrapes for round-latency quantiles,
-//!   and a **mid-soak drain** of one shard whose live cohorts relocate by
-//!   `SBGTCKPT` checkpoint handoff. Ends by asserting the specimen ledger
-//!   balances exactly (generated = accepted + shed, accepted = classified
-//!   — nothing lost, including across the drain) and, in full mode,
-//!   writing `BENCH_soak.json`.
+//!   placement, and a **mid-soak drain** of one shard whose live cohorts
+//!   relocate by `SBGTCKPT` checkpoint handoff. Ends by asserting the
+//!   specimen ledger balances exactly (generated = accepted + shed,
+//!   accepted = classified — nothing lost, including across the drain)
+//!   and that the drain relocated at least one cohort.
 //! * **Shard** (`--shard`): binds a [`sbgt_net::ShardServer`] on an
 //!   ephemeral port, prints `ADDR <addr>` on stdout for the parent, and
-//!   serves until the orchestrator's shutdown verb.
+//!   serves until the orchestrator's shutdown verb or until its stdin — a
+//!   pipe only the orchestrator holds — closes.
 //!
 //! Shard children run with `SBGT_TRACE=spans`, and the orchestrator
 //! scrapes every process through [`sbgt_net::FleetScraper`] (once right
@@ -26,30 +28,59 @@
 //! fleet-merged round-latency histogram equals the sum of the individual
 //! shard scrapes.
 //!
-//! `--smoke` shrinks the run to the `make soak-smoke` gate: 3 shards, a
-//! few thousand specimens, one drain/handoff, zero lost specimens, and a
-//! shed-rate bound — seconds, not minutes.
+//! Options: `--shards`, `--specimens`, `--seed`, and `--smoke`, which
+//! shrinks the run to the `make soak-smoke` gate (3 shards, a few
+//! thousand unpaced specimens, plus a shed-rate bound) — well under a
+//! second.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use sbgt_engine::obs::{parse_prometheus, validate_chrome_trace, NO_COHORT};
 use sbgt_engine::{trace_id_for_cohort, EngineConfig, SharedEngine};
-use sbgt_net::{FabricConfig, FabricRouter, FleetScraper, ShardServer};
-use sbgt_service::{ServiceConfig, Specimen, TenantSpec};
-use sbgt_sim::traffic::{generate_arrivals, TrafficConfig};
+use sbgt_net::{FabricConfig, FabricRouter, FleetScraper, HashRing, ShardServer};
+use sbgt_service::{CohortSpec, ServiceConfig, Specimen, TenantSpec};
+use sbgt_sim::traffic::{generate_arrivals, Arrival, TrafficConfig};
 
-/// Committed single-process baseline (BENCH_service.json headline):
-/// specimens/s end-to-end through the in-process service stack.
-const SINGLE_PROCESS_BASELINE: f64 = 68_085.0;
+/// Specimens per cohort, formed router-side.
+const BATCH: usize = 12;
+
+/// Service workers and live-cohort cap of each shard.
+const WORKERS: usize = 1;
+const MAX_LIVE: usize = 64;
+
+/// Full-mode arrival rate of the open-loop stream. Whether it overloads
+/// the fabric depends on the host — it did on the one-core host it was
+/// picked on, while the two-vCPU reference host sheds 0.3–2 % under it —
+/// and the ledger accounts for shed specimens either way. Smoke submits
+/// unpaced.
+const RATE: f64 = 45_000.0;
+
+/// Cohorts of the handoff burst, placed back to back on the drain victim
+/// right before it drains: as many as it may hold, so the burst sheds
+/// nothing by itself, and placed several times faster than one worker
+/// classifies them, so most are still live when the drain lands (25 to
+/// 64 of 64 over 400 smoke runs, half of them beside a busy neighbour).
+/// Spread over the ring the same burst builds no backlog — one
+/// synchronous router cannot outrun three or four shard workers — and
+/// 17 of 100 smoke runs drained a victim with nothing left to hand off.
+const HANDOFF_BURST_COHORTS: usize = MAX_LIVE;
+
+/// Ids of the burst's cohorts start here, far above any id the router's
+/// own sequence reaches.
+const BURST_ID_BASE: u64 = 1 << 40;
+
+/// Completed reports are collected every this many submissions, which
+/// bounds what a shard buffers between polls.
+const HARVEST_EVERY: usize = 8192;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = if has(&args, "--shard") {
-        run_shard(&args)
+        run_shard()
     } else {
         run_orchestrator(&args)
     };
@@ -59,18 +90,14 @@ fn main() {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn has(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
 fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name)
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
@@ -79,16 +106,13 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
 
 /// Child role: one shard server process. The ephemeral bind address goes
 /// to the parent over stdout; everything else is the wire protocol.
-fn run_shard(args: &[String]) -> io::Result<()> {
-    let workers = parse(args, "--workers", 1usize);
-    let max_live = parse(args, "--max-live", 64usize);
-    let batch = parse(args, "--batch", 10usize);
+fn run_shard() -> io::Result<()> {
     let engine = SharedEngine::new(EngineConfig::default().with_threads(2));
     let config = ServiceConfig {
-        workers,
-        batch_size: batch,
-        max_live_cohorts: max_live,
-        dense_threshold: batch + 1,
+        workers: WORKERS,
+        batch_size: BATCH,
+        max_live_cohorts: MAX_LIVE,
+        dense_threshold: BATCH + 1,
         // Two-lab QoS scenario matching the traffic mix: lab 0 has twice
         // the weight of lab 1, so WFQ (not FIFO) arbitrates under load.
         tenants: vec![TenantSpec::weighted(0, 2), TenantSpec::weighted(1, 1)],
@@ -97,7 +121,79 @@ fn run_shard(args: &[String]) -> io::Result<()> {
     let server = ShardServer::bind("127.0.0.1:0", engine, config)?;
     println!("ADDR {}", server.local_addr());
     io::stdout().flush()?;
+    std::thread::Builder::new()
+        .name("stdin-watch".to_string())
+        .spawn(|| {
+            let mut sink = [0u8; 64];
+            let mut stdin = io::stdin();
+            // Data is ignored; end of file (or a broken pipe) means the
+            // orchestrator is gone, however it went.
+            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+            std::process::exit(0);
+        })?;
     server.join()
+}
+
+/// A shard child that cannot outlive the orchestrator: dropping the guard
+/// kills and reaps it, and the child exits by itself when its stdin
+/// reaches end of file, which covers an orchestrator killed outright.
+struct ShardChild {
+    id: u32,
+    child: Child,
+    /// Held open for the child's lifetime; never written.
+    _stdin: ChildStdin,
+}
+
+impl ShardChild {
+    /// Re-exec this binary in the shard role and read the address it
+    /// bound from the first line of its stdout.
+    fn spawn(id: u32) -> io::Result<(ShardChild, SocketAddr)> {
+        let mut child = Command::new(std::env::current_exe()?)
+            .arg("--shard")
+            // Span-level tracing in every shard process: the fleet
+            // scrape stitches these into one cross-process trace.
+            // Trace ids are pure functions of cohort ids, so this
+            // changes nothing about what the shards compute.
+            .env("SBGT_TRACE", "spans")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()?;
+        let stdin = child.stdin.take().expect("child stdin piped");
+        let stdout = child.stdout.take().expect("child stdout piped");
+        // From here on the guard owns the child, error paths included.
+        let shard = ShardChild {
+            id,
+            child,
+            _stdin: stdin,
+        };
+        let mut line = String::new();
+        BufReader::new(stdout).read_line(&mut line)?;
+        let addr = line
+            .trim()
+            .strip_prefix("ADDR ")
+            .and_then(|a| a.parse().ok())
+            .ok_or_else(|| {
+                io::Error::other(format!("shard did not announce its address: {line:?}"))
+            })?;
+        Ok((shard, addr))
+    }
+
+    /// Wait for a child that was told to shut down over the wire.
+    fn wait_exit(mut self) -> io::Result<()> {
+        let status = self.child.wait()?;
+        check(
+            status.success(),
+            &format!("shard {} exited with {status}", self.id),
+        )
+    }
+}
+
+impl Drop for ShardChild {
+    fn drop(&mut self) {
+        // No-ops on a child that already exited and was reaped.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 // --------------------------------------------------------- orchestrator --
@@ -105,13 +201,8 @@ fn run_shard(args: &[String]) -> io::Result<()> {
 struct Opts {
     shards: u32,
     specimens: usize,
-    rate: f64,
-    batch: usize,
-    workers: usize,
-    max_live: usize,
     seed: u64,
     smoke: bool,
-    out: String,
 }
 
 impl Opts {
@@ -120,132 +211,68 @@ impl Opts {
         Opts {
             shards: parse(args, "--shards", if smoke { 3 } else { 4 }),
             specimens: parse(args, "--specimens", if smoke { 3_000 } else { 1_000_000 }),
-            // Full mode paces arrivals ~20% above this host's measured
-            // fabric capacity at the default cohort size, so overload,
-            // shedding, and a standing backlog are real (the synchronous
-            // router is otherwise self-clocking: place RTTs stretch as
-            // the engines saturate, and the backlog never builds). Smoke
-            // submits effectively unpaced so backlog — and therefore a
-            // non-trivial drain — is guaranteed even on a fast machine.
-            rate: parse(args, "--rate", if smoke { 1e6 } else { 45_000.0 }),
-            batch: parse(args, "--batch", 12),
-            workers: parse(args, "--workers", 1),
-            max_live: parse(args, "--max-live", 64),
             seed: parse(args, "--seed", 0x50AA_u64),
             smoke,
-            out: flag(args, "--out").unwrap_or_else(|| "BENCH_soak.json".to_string()),
         }
     }
 }
 
-/// Totals as of the previous window sample, for delta computation.
-#[derive(Default)]
-struct Cursor {
-    t_s: f64,
-    accepted: u64,
-    classified: u64,
-    shed: u64,
-    buckets: Vec<(f64, f64)>,
-}
-
-/// One windowed observation of the running fabric.
-struct WindowSample {
-    t_s: f64,
-    accepted: u64,
-    classified: u64,
-    shed: u64,
-    throughput: f64,
-    shed_rate: f64,
-    p50_ms: Option<f64>,
-    p99_ms: Option<f64>,
-}
-
 fn run_orchestrator(args: &[String]) -> io::Result<()> {
     let opts = Opts::from_args(args);
-    let mut children = spawn_shards(&opts)?;
-    let shard_addrs: Vec<(u32, SocketAddr)> = children
-        .iter_mut()
-        .map(|(id, child)| read_addr(child).map(|a| (*id, a)))
-        .collect::<io::Result<_>>()?;
+    let shards = (0..opts.shards)
+        .map(ShardChild::spawn)
+        .collect::<io::Result<Vec<_>>>()?;
+    let shard_addrs: Vec<(u32, SocketAddr)> =
+        shards.iter().map(|(s, addr)| (s.id, *addr)).collect();
     let fabric_config = FabricConfig {
-        batch_size: opts.batch,
+        batch_size: BATCH,
         base_seed: opts.seed,
         ..FabricConfig::default()
     };
     let mut router = FabricRouter::connect(&shard_addrs, &fabric_config)?;
     let shard_ids: Vec<u32> = shard_addrs.iter().map(|&(id, _)| id).collect();
 
+    let rate = if opts.smoke { 1e6 } else { RATE };
     eprintln!(
-        "soak: {} shards up, {} specimens at {:.0}/s (seed {:#x})",
-        opts.shards, opts.specimens, opts.rate, opts.seed
+        "soak: {} shards up, {} specimens at {rate:.0}/s (seed {:#x})",
+        opts.shards, opts.specimens, opts.seed
     );
-    let traffic = TrafficConfig::two_tenant(opts.rate, opts.specimens, 0.5, opts.seed);
-    let arrivals = generate_arrivals(&traffic);
+    let arrivals = generate_arrivals(&TrafficConfig::two_tenant(
+        rate,
+        opts.specimens,
+        0.5,
+        opts.seed,
+    ));
 
-    let window = Duration::from_millis(if opts.smoke { 250 } else { 1000 });
     // Fleet telemetry accumulator: polled right after the drain and once
     // at the end, so accumulation stays bounded by the shards' span-ring
     // capacity even on the 1M-specimen full run.
     let mut scraper = FleetScraper::new();
     let start = Instant::now();
-    let mut windows: Vec<WindowSample> = Vec::new();
     let mut classified: u64 = 0;
-    let mut prev = Cursor::default();
-    let mut next_sample = start + window;
 
-    // Mid-soak the highest shard id drains out of the fabric; its live
-    // cohorts relocate by checkpoint handoff and finish elsewhere. The
-    // drain waits for a moment when the victim actually holds live
-    // cohorts (it nearly always does under the over-capacity pacing), so
-    // the handoff is never vacuous.
-    let mut drain_after = opts.specimens / 2;
-    let drain_retry = (opts.specimens / 100).max(opts.batch);
+    // Halfway through, the highest shard id drains out of the fabric; its
+    // live cohorts relocate by checkpoint handoff and finish elsewhere.
+    // The burst precedes the drain directly — no probe of the victim in
+    // between, whose round trip the victim could finish under.
     let victim = *shard_ids.last().expect("at least one shard");
-    let mut drain_record: Option<(f64, u64, usize)> = None;
-
-    for (i, arrival) in arrivals.iter().enumerate() {
-        let now = start.elapsed();
-        if arrival.at > now {
-            std::thread::sleep(arrival.at - now);
-        }
-        router.submit(
-            arrival.tenant,
-            Specimen {
-                risk: arrival.risk,
-                infected: arrival.infected,
-            },
-        )?;
-        if drain_record.is_none() && i + 1 >= drain_after {
-            if live_cohorts(&mut router, victim)? == 0 {
-                drain_after += drain_retry;
-                continue;
-            }
-            drain_record = Some(do_drain(
-                &mut router,
-                &mut scraper,
-                victim,
-                start,
-                &mut classified,
-            )?);
-        }
-        if Instant::now() >= next_sample {
-            classified += harvest(&mut router)?;
-            windows.push(sample_window(
-                &mut router,
-                &shard_ids,
-                start,
-                classified,
-                &mut prev,
-            )?);
-            next_sample += window;
-        }
+    let (before, after) = arrivals.split_at(opts.specimens / 2);
+    let (paced, burst) =
+        before.split_at(before.len().saturating_sub(HANDOFF_BURST_COHORTS * BATCH));
+    feed(&mut router, paced, start, &mut classified)?;
+    // The router's ring, rebuilt here to pick ids it places on the victim.
+    let mut ring = HashRing::new(fabric_config.vnodes);
+    for &id in &shard_ids {
+        ring.add_shard(id);
     }
-    // If no drain-check ever caught the victim with backlog (possible at
-    // a sub-capacity --rate), drain it now, before the fabric empties.
-    let drain_summary = match drain_record {
-        Some(r) => r,
-        None => do_drain(&mut router, &mut scraper, victim, start, &mut classified)?,
-    };
+    let victim_ids = (BURST_ID_BASE..).filter(|&id| ring.shard_for(id) == Ok(victim));
+    for (cohort, id) in burst.chunks(BATCH).zip(victim_ids) {
+        let specimens: Vec<Specimen> = cohort.iter().map(specimen).collect();
+        let spec = CohortSpec::from_specimens(id, opts.seed, &specimens);
+        router.place(spec.with_tenant(cohort[0].tenant))?;
+    }
+    do_drain(&mut router, &mut scraper, victim, start, &mut classified)?;
+    feed(&mut router, after, start, &mut classified)?;
     router.flush_all()?;
 
     // Drain-to-empty: every accepted specimen must come back classified.
@@ -261,24 +288,11 @@ fn run_orchestrator(args: &[String]) -> io::Result<()> {
                 router.counters().accepted_specimens
             )));
         }
-        if Instant::now() >= next_sample {
-            windows.push(sample_window(
-                &mut router,
-                &shard_ids,
-                start,
-                classified,
-                &mut prev,
-            )?);
-            next_sample += window;
-        }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let wall_s = start.elapsed().as_secs_f64();
     let counters = router.counters();
-    let rounds = total_rounds(&mut router, &shard_ids)?;
 
     // --- the soak's invariants -------------------------------------------
-    let (drain_t, relocated, recovered) = drain_summary;
     check(
         counters.accepted_specimens + counters.shed_specimens == opts.specimens as u64,
         &format!(
@@ -294,7 +308,7 @@ fn run_orchestrator(args: &[String]) -> io::Result<()> {
         ),
     )?;
     check(
-        relocated >= 1,
+        counters.relocated_cohorts >= 1,
         "mid-soak drain relocated no cohorts — the handoff path went unexercised",
     )?;
     let shed_rate = counters.shed_specimens as f64 / opts.specimens as f64;
@@ -311,39 +325,16 @@ fn run_orchestrator(args: &[String]) -> io::Result<()> {
     check_fleet_obs(&scraper, &shard_ids)?;
 
     router.shutdown_all()?;
-    for (id, mut child) in children {
-        let status = child.wait()?;
-        check(
-            status.success(),
-            &format!("shard {id} exited with {status}"),
-        )?;
+    for (shard, _) in shards {
+        shard.wait_exit()?;
     }
 
-    let throughput = classified as f64 / wall_s;
-    eprintln!(
-        "soak: OK — {classified} specimens classified in {wall_s:.1}s \
-         ({throughput:.0}/s, shed rate {shed_rate:.3}, {} cohorts relocated at {drain_t:.1}s)",
+    println!(
+        "{}: OK — {classified} specimens classified, none lost, shed rate {shed_rate:.3}, \
+         {} cohorts relocated by the drain of shard {victim}",
+        if opts.smoke { "soak-smoke" } else { "soak" },
         counters.relocated_cohorts
     );
-    if opts.smoke {
-        println!("soak-smoke: OK");
-        return Ok(());
-    }
-    let report = render_json(
-        &opts,
-        &windows,
-        classified,
-        counters.accepted_specimens,
-        counters.shed_specimens,
-        counters.placed_cohorts,
-        rounds,
-        wall_s,
-        throughput,
-        shed_rate,
-        (drain_t, victim, relocated, recovered),
-    );
-    std::fs::write(&opts.out, report)?;
-    println!("soak: wrote {}", opts.out);
     Ok(())
 }
 
@@ -355,70 +346,63 @@ fn check(ok: bool, msg: &str) -> io::Result<()> {
     }
 }
 
-fn spawn_shards(opts: &Opts) -> io::Result<Vec<(u32, Child)>> {
-    (0..opts.shards)
-        .map(|id| {
-            let child = Command::new(std::env::current_exe()?)
-                .args([
-                    "--shard",
-                    "--workers",
-                    &opts.workers.to_string(),
-                    "--max-live",
-                    &opts.max_live.to_string(),
-                    "--batch",
-                    &opts.batch.to_string(),
-                ])
-                // Span-level tracing in every shard process: the fleet
-                // scrape stitches these into one cross-process trace.
-                // Trace ids are pure functions of cohort ids, so this
-                // changes nothing about what the shards compute.
-                .env("SBGT_TRACE", "spans")
-                .stdout(Stdio::piped())
-                .spawn()?;
-            Ok((id, child))
-        })
-        .collect()
+fn specimen(arrival: &Arrival) -> Specimen {
+    Specimen {
+        risk: arrival.risk,
+        infected: arrival.infected,
+    }
 }
 
-fn read_addr(child: &mut Child) -> io::Result<SocketAddr> {
-    let stdout = child.stdout.take().expect("child stdout piped");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line)?;
-    line.trim()
-        .strip_prefix("ADDR ")
-        .and_then(|a| a.parse().ok())
-        .ok_or_else(|| io::Error::other(format!("shard did not announce its address: {line:?}")))
+/// Submit `arrivals` on their open-loop schedule, counted from `start`,
+/// folding the reports collected on the way into the classified tally.
+fn feed(
+    router: &mut FabricRouter,
+    arrivals: &[Arrival],
+    start: Instant,
+    classified: &mut u64,
+) -> io::Result<()> {
+    for (i, arrival) in arrivals.iter().enumerate() {
+        let now = start.elapsed();
+        if arrival.at > now {
+            std::thread::sleep(arrival.at - now);
+        }
+        router.submit(arrival.tenant, specimen(arrival))?;
+        if (i + 1) % HARVEST_EVERY == 0 {
+            *classified += harvest(router)?;
+        }
+    }
+    Ok(())
 }
 
 /// Drain `victim` out of the fabric, folding its already-finished reports
-/// into the classified tally. Returns `(t_s, relocated, recovered)`.
+/// into the classified tally; the live cohorts it hands off show in the
+/// router's `relocated_cohorts`.
 ///
 /// Scrapes the fleet right after the handoff: the victim's span rings
 /// persist on its (retired but still answering) server, and the
 /// survivors' adoption marks are still in their rings — on the full run
 /// those marks would wrap out long before the end-of-run scrape. The
 /// scrape must not run *before* `drain_shard`: the extra round trips
-/// would give the victim time to finish the very backlog the caller just
-/// confirmed, making the handoff vacuous.
+/// would give the victim time to finish the backlog the handoff burst
+/// built, making the handoff vacuous.
 fn do_drain(
     router: &mut FabricRouter,
     scraper: &mut FleetScraper,
     victim: u32,
     start: Instant,
     classified: &mut u64,
-) -> io::Result<(f64, u64, usize)> {
-    let before = router.counters().relocated_cohorts;
+) -> io::Result<()> {
     let recovered = router.drain_shard(victim)?;
     scraper.poll(router)?;
     *classified += recovered.iter().map(|r| r.subjects as u64).sum::<u64>();
-    let moved = router.counters().relocated_cohorts - before;
-    let t_s = start.elapsed().as_secs_f64();
     eprintln!(
-        "soak: drained shard {victim} at {t_s:.1}s — {moved} live cohorts handed off, \
+        "soak: drained shard {victim} at {:.1}s — {} live cohorts handed off, \
          {} finished reports recovered",
+        start.elapsed().as_secs_f64(),
+        router.counters().relocated_cohorts,
         recovered.len()
     );
-    Ok((t_s, moved, recovered.len()))
+    Ok(())
 }
 
 /// Merge the accumulated shard exports into the two fleet artifacts —
@@ -501,22 +485,6 @@ fn check_fleet_obs(scraper: &FleetScraper, shard_ids: &[u32]) -> io::Result<()> 
     Ok(())
 }
 
-/// Live (opened, not yet classified) cohorts on one shard, over the wire.
-fn live_cohorts(router: &mut FabricRouter, shard: u32) -> io::Result<u64> {
-    let text = router.stats(shard)?;
-    let samples = parse_prometheus(&text).map_err(io::Error::other)?;
-    let total = |name: &str| -> f64 {
-        samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.value)
-            .sum()
-    };
-    let opened = total("sbgt_service_cohorts_opened_total");
-    let completed = total("sbgt_service_cohorts_completed_total");
-    Ok((opened - completed).max(0.0) as u64)
-}
-
 /// Pull completed reports off every shard, returning classified specimens.
 fn harvest(router: &mut FabricRouter) -> io::Result<u64> {
     Ok(router
@@ -524,242 +492,4 @@ fn harvest(router: &mut FabricRouter) -> io::Result<u64> {
         .iter()
         .map(|r| r.subjects as u64)
         .sum())
-}
-
-/// Merge the round-latency histogram across every shard's Prometheus
-/// scrape into cumulative `(le, count)` pairs.
-fn scrape_buckets(router: &mut FabricRouter, shard_ids: &[u32]) -> io::Result<Vec<(f64, f64)>> {
-    let mut merged: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-    for &shard in shard_ids {
-        let text = router.stats(shard)?;
-        let samples = parse_prometheus(&text).map_err(io::Error::other)?;
-        for s in samples {
-            if s.name != "sbgt_round_latency_seconds_bucket" {
-                continue;
-            }
-            let le = match s.label("le") {
-                Some("+Inf") => f64::INFINITY,
-                Some(v) => v.parse().map_err(|_| io::Error::other("bad le"))?,
-                None => continue,
-            };
-            let entry = merged.entry(le.to_bits()).or_insert((le, 0.0));
-            entry.1 += s.value;
-        }
-    }
-    let mut buckets: Vec<(f64, f64)> = merged.into_values().collect();
-    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(buckets)
-}
-
-fn total_rounds(router: &mut FabricRouter, shard_ids: &[u32]) -> io::Result<u64> {
-    let mut rounds = 0.0;
-    for &shard in shard_ids {
-        let text = router.stats(shard)?;
-        let samples = parse_prometheus(&text).map_err(io::Error::other)?;
-        rounds += samples
-            .iter()
-            .filter(|s| s.name == "sbgt_service_rounds_total")
-            .map(|s| s.value)
-            .sum::<f64>();
-    }
-    Ok(rounds as u64)
-}
-
-/// Linear-interpolated quantile over per-window histogram deltas.
-fn quantile(delta: &[(f64, f64)], q: f64) -> Option<f64> {
-    let total = delta.last().map(|&(_, c)| c)?;
-    if total <= 0.0 {
-        return None;
-    }
-    let target = q * total;
-    let (mut prev_le, mut prev_cum) = (0.0, 0.0);
-    for &(le, cum) in delta {
-        if cum >= target {
-            if le.is_infinite() {
-                return Some(prev_le);
-            }
-            let span = cum - prev_cum;
-            let frac = if span > 0.0 {
-                (target - prev_cum) / span
-            } else {
-                0.0
-            };
-            return Some(prev_le + (le - prev_le) * frac);
-        }
-        prev_le = le;
-        prev_cum = cum;
-    }
-    None
-}
-
-fn sample_window(
-    router: &mut FabricRouter,
-    shard_ids: &[u32],
-    start: Instant,
-    classified: u64,
-    prev: &mut Cursor,
-) -> io::Result<WindowSample> {
-    let counters = router.counters();
-    let buckets = scrape_buckets(router, shard_ids)?;
-    let delta: Vec<(f64, f64)> = buckets
-        .iter()
-        .map(|&(le, cum)| {
-            let before = prev
-                .buckets
-                .iter()
-                .find(|&&(ple, _)| ple.to_bits() == le.to_bits())
-                .map_or(0.0, |&(_, c)| c);
-            (le, cum - before)
-        })
-        .collect();
-    let t_s = start.elapsed().as_secs_f64();
-    let dt = t_s - prev.t_s;
-    let d_accepted = counters.accepted_specimens - prev.accepted;
-    let d_classified = classified - prev.classified;
-    let d_shed = counters.shed_specimens - prev.shed;
-    let submitted = d_accepted + d_shed;
-    let sample = WindowSample {
-        t_s,
-        accepted: d_accepted,
-        classified: d_classified,
-        shed: d_shed,
-        throughput: if dt > 0.0 {
-            d_classified as f64 / dt
-        } else {
-            0.0
-        },
-        shed_rate: if submitted > 0 {
-            d_shed as f64 / submitted as f64
-        } else {
-            0.0
-        },
-        p50_ms: quantile(&delta, 0.50).map(|s| s * 1e3),
-        p99_ms: quantile(&delta, 0.99).map(|s| s * 1e3),
-    };
-    *prev = Cursor {
-        t_s,
-        accepted: counters.accepted_specimens,
-        classified,
-        shed: counters.shed_specimens,
-        buckets,
-    };
-    Ok(sample)
-}
-
-// ----------------------------------------------------------------- json --
-
-fn utc_date() -> String {
-    let secs = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    // Civil-from-days (Hinnant's algorithm) — enough calendar for a stamp.
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-fn host_string() -> String {
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown CPU".to_string());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!("{model}, {cores} core(s)")
-}
-
-fn opt_ms(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x:.2}"))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    opts: &Opts,
-    windows: &[WindowSample],
-    classified: u64,
-    accepted: u64,
-    shed: u64,
-    placed: u64,
-    rounds: u64,
-    wall_s: f64,
-    throughput: f64,
-    shed_rate: f64,
-    drain: (f64, u32, u64, usize),
-) -> String {
-    let (drain_t, victim, relocated, recovered) = drain;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"soak\",\n");
-    out.push_str(
-        "  \"description\": \"Sustained multi-process soak of the shard fabric: a seeded \
-         open-loop Poisson specimen stream (two tenants, WFQ weights 2:1) is driven through \
-         the length-prefixed wire protocol into shard server processes, cohorts placed by \
-         consistent hash; halfway through, one shard drains and its live cohorts relocate \
-         to the survivors by byte-exact SBGTCKPT checkpoint handoff. Windowed throughput / \
-         shed-rate / round-latency quantiles come from per-shard Prometheus scrapes over \
-         the same wire path.\",\n",
-    );
-    out.push_str(&format!("  \"date\": \"{}\",\n", utc_date()));
-    out.push_str(&format!("  \"host\": \"{}\",\n", host_string()));
-    out.push_str("  \"command\": \"cargo run --release -p sbgt-bench --bin soak\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{ \"shards\": {}, \"specimens\": {}, \"rate_per_sec\": {:.0}, \
-         \"batch_size\": {}, \"workers_per_shard\": {}, \"engine_threads_per_shard\": 2, \
-         \"max_live_cohorts\": {}, \"tenant_weights\": {{ \"0\": 2, \"1\": 1 }}, \
-         \"seed\": {}, \"drain_fraction\": 0.5 }},\n",
-        opts.shards, opts.specimens, opts.rate, opts.batch, opts.workers, opts.max_live, opts.seed
-    ));
-    out.push_str(&format!(
-        "  \"totals\": {{ \"specimens_generated\": {}, \"accepted\": {accepted}, \
-         \"shed\": {shed}, \"classified\": {classified}, \"lost\": 0, \
-         \"shed_rate\": {shed_rate:.4}, \"cohorts_placed\": {placed}, \
-         \"engine_rounds\": {rounds}, \"wall_s\": {wall_s:.2}, \
-         \"throughput_specimens_per_s\": {throughput:.0} }},\n",
-        opts.specimens
-    ));
-    out.push_str(&format!(
-        "  \"drain\": {{ \"at_s\": {drain_t:.2}, \"shard\": {victim}, \
-         \"relocated_cohorts\": {relocated}, \"reports_recovered_at_drain\": {recovered}, \
-         \"lost_specimens\": 0 }},\n"
-    ));
-    out.push_str(&format!(
-        "  \"baseline\": {{ \"single_process_specimens_per_s\": {SINGLE_PROCESS_BASELINE:.0}, \
-         \"ratio\": {:.2}, \"note\": \"the >=2x-of-baseline aggregate-throughput criterion \
-         assumes one core per shard; on this host every shard process time-shares the same \
-         core(s) with the router, so the measured ratio reports fabric overhead under core \
-         contention, not horizontal scaling\" }},\n",
-        throughput / SINGLE_PROCESS_BASELINE
-    ));
-    out.push_str("  \"windows\": [\n");
-    for (i, w) in windows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"t_s\": {:.2}, \"accepted\": {}, \"classified\": {}, \"shed\": {}, \
-             \"throughput_per_s\": {:.0}, \"shed_rate\": {:.4}, \"round_p50_ms\": {}, \
-             \"round_p99_ms\": {} }}{}\n",
-            w.t_s,
-            w.accepted,
-            w.classified,
-            w.shed,
-            w.throughput,
-            w.shed_rate,
-            opt_ms(w.p50_ms),
-            opt_ms(w.p99_ms),
-            if i + 1 == windows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
 }

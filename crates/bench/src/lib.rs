@@ -1,9 +1,7 @@
-//! Shared harness utilities for the SBGT benchmark suite.
-//!
-//! Both the criterion micro-benches and the `experiments` binary (which
-//! regenerates every reconstructed table/figure, E1–E12) build their
-//! workloads and timing helpers from here so the two report on identical
-//! inputs.
+//! Workload builders, timing helpers and table rendering for the
+//! `experiments` binary, which regenerates every reconstructed
+//! table/figure (E1–E12). Performance numbers outside those rows come
+//! from `benchmark/` (`BENCHMARK.json`), not from this crate.
 
 #![forbid(unsafe_code)]
 
@@ -112,16 +110,8 @@ pub fn fmt_speedup(baseline: Duration, fast: Duration) -> String {
     format!("{:.1}x", baseline.as_secs_f64() / f)
 }
 
-/// Whether quick mode is requested (`SBGT_QUICK=1`): smaller sweeps for CI
-/// and the test suite.
-pub fn quick_mode() -> bool {
-    std::env::var("SBGT_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// A posterior warmed into a non-trivial shape by six scripted pooled
-/// observations (shared by the E2–E4 kernels and the criterion benches).
+/// observations (the SBGT side of E2–E4, E10 and E12).
 pub fn warmed_posterior(n: usize) -> sbgt_lattice::DensePosterior {
     use sbgt_bayes::{update_dense, Observation};
     let model = sbgt_response::BinaryDilutionModel::pcr_like();
@@ -130,89 +120,6 @@ pub fn warmed_posterior(n: usize) -> sbgt_lattice::DensePosterior {
         let _ = update_dense(&mut post, &model, &Observation::new(pool, outcome));
     }
     post
-}
-
-/// Baseline-framework posterior update: one response-model call per state,
-/// then separate sum and scale passes — the pre-SBGT cost model timed by
-/// E2 and the `lattice_ops` bench (semantics identical to the fused SBGT
-/// kernel; see `sbgt::baseline`).
-pub fn baseline_update<M: sbgt_response::ResponseModel>(
-    post: &mut sbgt_lattice::DensePosterior,
-    model: &M,
-    pool: State,
-    outcome: M::Outcome,
-) {
-    let n = pool.rank();
-    let len = post.len();
-    for idx in 0..len {
-        let s = State(idx as u64);
-        let lik = model.likelihood(outcome, s.positives_in(pool), n);
-        post.probs_mut()[idx] *= lik;
-    }
-    let z = post.total();
-    let inv = 1.0 / z;
-    for p in post.probs_mut() {
-        *p *= inv;
-    }
-}
-
-/// Baseline-framework halving selection: recompute marginals with one full
-/// pass per subject, then one full down-set scan per candidate prefix.
-/// Returns the best halving distance (timed by E3 and the `selection`
-/// bench).
-pub fn baseline_selection(post: &sbgt_lattice::DensePosterior, max_pool: usize) -> f64 {
-    let n = post.n_subjects();
-    let total = post.total();
-    let mut ms = vec![0.0f64; n];
-    for (i, m) in ms.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (idx, &p) in post.probs().iter().enumerate() {
-            if (idx >> i) & 1 == 1 {
-                acc += p;
-            }
-        }
-        *m = acc / total;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| ms[a].total_cmp(&ms[b]));
-    let mut best = f64::INFINITY;
-    for k in 1..=n.min(max_pool) {
-        let pool = State::from_subjects(order[..k].iter().copied());
-        let mass = post.pool_negative_mass(pool) / total;
-        best = best.min((mass - 0.5).abs());
-    }
-    best
-}
-
-/// Baseline-framework statistical analysis: per-subject marginal passes,
-/// separate entropy and rank passes, materialize-and-sort top-k. Returns a
-/// checksum (timed by E4 and the `analysis` bench).
-pub fn baseline_analysis(post: &sbgt_lattice::DensePosterior) -> f64 {
-    let n = post.n_subjects();
-    let total = post.total();
-    let mut acc = 0.0;
-    for i in 0..n {
-        let mut m = 0.0;
-        for (idx, &p) in post.probs().iter().enumerate() {
-            if (idx >> i) & 1 == 1 {
-                m += p;
-            }
-        }
-        acc += m / total;
-    }
-    let _ = post.entropy();
-    let mut rank = vec![0.0; n + 1];
-    for (idx, &p) in post.probs().iter().enumerate() {
-        rank[(idx as u64).count_ones() as usize] += p;
-    }
-    let mut everything: Vec<(u64, f64)> = post
-        .probs()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (i as u64, p))
-        .collect();
-    everything.sort_by(|a, b| b.1.total_cmp(&a.1));
-    acc + everything[0].1 + rank[0]
 }
 
 #[cfg(test)]
