@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -94,6 +94,28 @@ measure-lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "measure-lint: OK"
+
+# One exact backend: the dense->sparse arm is written once, in
+# crates/core/src/exact.rs. Fails if a sparse-arm kernel is named in more
+# than one file under crates/core/src, or if a retired session/posterior
+# type (or an approx session newtype) is named again in the sources or the
+# documents that describe the tree.
+EXACT_KERNELS := select_halving_prefix_sparse select_stage_lookahead_sparse update_sparse sparse_round_on
+EXACT_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession
+exact-lint:
+	@for k in $(EXACT_KERNELS); do \
+		files=$$(grep -rlw "$$k" crates/core/src); \
+		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+			echo "exact-lint: $$k named in more than one file under crates/core/src:"; \
+			echo "$$files"; exit 1; \
+		fi; \
+	done
+	@bad=$$(grep -rnE "$(EXACT_GONE)" crates src tests examples README.md DESIGN.md .claude/skills/verify/SKILL.md); \
+	if [ -n "$$bad" ]; then \
+		echo "exact-lint: a retired exact-backend or approx session type is named again:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "exact-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.

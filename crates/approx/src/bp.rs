@@ -15,7 +15,7 @@
 //! path-independent — observing tests one at a time or as one stage lands
 //! on identical marginals — and makes checkpoint/restore trivially
 //! bit-exact: an `SBGTSNAP` approx snapshot carries only the history, and
-//! [`BpSession::restore`] re-runs the identical deterministic relaxation.
+//! [`BpBackend::restore`] re-runs the identical deterministic relaxation.
 //!
 //! The round loop itself is `sbgt`'s generic driver; this module supplies
 //! the [`BpBackend`] under it.
@@ -28,8 +28,8 @@ use sbgt_lattice::BigState;
 use sbgt_response::BinaryOutcomeModel;
 
 use sbgt::{
-    ApproxKind, ApproxSnapshot, Backend, ConfigError, RoundStep, RoundTrace, SbgtConfig, Session,
-    SessionOutcome, SessionSnapshot, SnapshotError,
+    ApproxKind, ApproxSnapshot, Backend, ConfigError, RoundTrace, SbgtConfig, Session,
+    SessionSnapshot, SnapshotError,
 };
 
 use crate::factor::{count_distribution, Factor};
@@ -271,24 +271,9 @@ pub struct BpBackend<M> {
 }
 
 /// A surveillance session whose posterior is the BP fixed point: the shared
-/// round driver ([`Session`], reached through `Deref`) over [`BpBackend`].
-/// The round context is an optional engine — [`Self::run_round_on`] runs
-/// the relaxation as a fault-injectable engine stage.
-pub struct BpSession<M>(pub Session<BpBackend<M>>);
-
-impl<M> std::ops::Deref for BpSession<M> {
-    type Target = Session<BpBackend<M>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<M> std::ops::DerefMut for BpSession<M> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
+/// round driver over [`BpBackend`]. The round context is an optional engine
+/// — `Some(engine)` runs the relaxation as a fault-injectable engine stage.
+pub type BpSession<M> = Session<BpBackend<M>>;
 
 /// Reject a pool that is empty or names a subject outside the cohort.
 pub(crate) fn check_pool(pool: &BigState, n_subjects: usize) -> Result<(), BayesError> {
@@ -487,20 +472,17 @@ impl<M: BinaryOutcomeModel> Backend for BpBackend<M> {
     }
 }
 
-impl<M: BinaryOutcomeModel> BpSession<M> {
+impl<M: BinaryOutcomeModel> BpBackend<M> {
     /// Open a session from per-specimen prior risks. Cohort size is bounded
     /// by memory in specimens and pools, not `2^N`.
-    pub fn new(
+    pub fn open(
         risks: &[f64],
         model: M,
         config: SbgtConfig,
         bp: BpConfig,
-    ) -> Result<Self, ConfigError> {
+    ) -> Result<BpSession<M>, ConfigError> {
         config.validate()?;
-        Ok(BpSession(Session::open(
-            BpBackend::new(risks, model, bp)?,
-            config,
-        )))
+        Ok(Session::open(BpBackend::new(risks, model, bp)?, config))
     }
 
     /// Rehydrate from a snapshot. The risks, model, and configs are not
@@ -512,7 +494,7 @@ impl<M: BinaryOutcomeModel> BpSession<M> {
         model: M,
         config: SbgtConfig,
         bp: BpConfig,
-    ) -> Result<Self, SnapshotError> {
+    ) -> Result<BpSession<M>, SnapshotError> {
         config
             .validate()
             .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
@@ -524,56 +506,23 @@ impl<M: BinaryOutcomeModel> BpSession<M> {
             backend.cached = None;
             Ok(backend)
         })
-        .map(BpSession)
     }
 
     /// The BP tuning.
     pub fn bp_config(&self) -> &BpConfig {
-        &self.backend().bp
+        &self.bp
     }
 
     /// Observed factors, in observation order.
     pub fn factors(&self) -> &[Factor] {
-        &self.backend().factors
-    }
-
-    /// Ingest one observed pooled test (counted as one stage).
-    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        self.0.observe_in(None, pool, outcome)
-    }
-
-    /// Ingest one stage of observed pools (counted as one stage).
-    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
-        self.0
-            .observe_stage_in(None, observations.iter().map(|(p, o)| (p, *o)))
-    }
-
-    /// Drive the session to classification against a lab oracle, relaxing
-    /// on the driver ([`Session::run`]).
-    pub fn run_to_classification(&mut self, lab: impl FnMut(&BigState) -> bool) -> SessionOutcome {
-        self.0.run(None, lab)
-    }
-
-    /// Drive exactly one round, relaxing on the driver ([`Session::round`]).
-    pub fn run_round(&mut self, lab: impl FnMut(&BigState) -> bool) -> RoundStep {
-        self.0.round(None, lab)
-    }
-
-    /// [`Self::run_round`] with the relaxation running as a
-    /// fault-injectable `fused-round:bp` engine stage, annotated
-    /// [`StageVariant::Approx`] with the factor count.
-    pub fn run_round_on(
-        &mut self,
-        engine: &Engine,
-        lab: impl FnMut(&BigState) -> bool,
-    ) -> RoundStep {
-        self.0.round(Some(engine), lab)
+        &self.factors
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgt::RoundStep;
     use sbgt_response::{BinaryDilutionModel, ResponseModel};
 
     fn risks(n: usize) -> Vec<f64> {
@@ -581,7 +530,7 @@ mod tests {
     }
 
     fn session(n: usize) -> BpSession<BinaryDilutionModel> {
-        BpSession::new(
+        BpBackend::open(
             &risks(n),
             BinaryDilutionModel::pcr_like(),
             SbgtConfig::default().serial(),
@@ -594,19 +543,19 @@ mod tests {
     fn constructor_validates_risks_and_config() {
         let model = BinaryDilutionModel::pcr_like();
         let cfg = SbgtConfig::default().serial();
-        assert!(BpSession::new(&[], model, cfg, BpConfig::default()).is_err());
-        assert!(BpSession::new(&[0.5, 1.0], model, cfg, BpConfig::default()).is_err());
-        assert!(BpSession::new(&[0.0], model, cfg, BpConfig::default()).is_err());
+        assert!(BpBackend::open(&[], model, cfg, BpConfig::default()).is_err());
+        assert!(BpBackend::open(&[0.5, 1.0], model, cfg, BpConfig::default()).is_err());
+        assert!(BpBackend::open(&[0.0], model, cfg, BpConfig::default()).is_err());
         let bad_bp = BpConfig {
             damping: 1.0,
             ..BpConfig::default()
         };
-        assert!(BpSession::new(&[0.1], model, cfg, bad_bp).is_err());
+        assert!(BpBackend::open(&[0.1], model, cfg, bad_bp).is_err());
         let bad_iters = BpConfig {
             max_iters: 0,
             ..BpConfig::default()
         };
-        assert!(BpSession::new(&[0.1], model, cfg, bad_iters).is_err());
+        assert!(BpBackend::open(&[0.1], model, cfg, bad_iters).is_err());
     }
 
     #[test]
@@ -625,7 +574,7 @@ mod tests {
         let mut s = session(5);
         let model = BinaryDilutionModel::pcr_like();
         let pool = BigState::from_subjects([2]);
-        s.observe(&pool, true).unwrap();
+        s.observe_in(None, &pool, true).unwrap();
         let m = s.marginals();
         let p = risks(5)[2];
         let l1 = model.likelihood(true, 1, 1).max(crate::MIN_LIKELIHOOD);
@@ -644,7 +593,7 @@ mod tests {
     fn negative_pool_pushes_members_down() {
         let mut s = session(8);
         let pool = BigState::from_subjects([0, 1, 2, 3]);
-        s.observe(&pool, false).unwrap();
+        s.observe_in(None, &pool, false).unwrap();
         let m = s.marginals();
         let r = risks(8);
         for i in 0..4 {
@@ -663,11 +612,11 @@ mod tests {
         let a_pool = BigState::from_subjects([0, 1, 2]);
         let b_pool = BigState::from_subjects([2, 3, 4]);
         let mut one = session(6);
-        one.observe(&a_pool, true).unwrap();
-        one.observe(&b_pool, false).unwrap();
+        one.observe_in(None, &a_pool, true).unwrap();
+        one.observe_in(None, &b_pool, false).unwrap();
         let mut batch = session(6);
         batch
-            .observe_stage(&[(a_pool, true), (b_pool, false)])
+            .observe_stage_in(None, [(&a_pool, true), (&b_pool, false)])
             .unwrap();
         assert_eq!(one.marginals(), batch.marginals());
         assert_eq!(one.stages(), 2);
@@ -680,7 +629,7 @@ mod tests {
         let s = session(4);
         let snap = s.snapshot();
         // Wrong cohort size.
-        assert!(BpSession::restore(
+        assert!(BpBackend::restore(
             &snap,
             &risks(5),
             BinaryDilutionModel::pcr_like(),
@@ -695,11 +644,12 @@ mod tests {
         let mut s = session(9);
         let truth = BigState::from_subjects([1, 6]);
         for _ in 0..2 {
-            s.run_round(|p| truth.intersects(p));
+            s.round(None, |p| truth.intersects(p));
         }
         let cfg = BpConfig::default();
-        let plain = relax_marginals(&s.backend().prior_logit, s.factors(), &cfg);
-        let (traced, trace) = relax_marginals_traced(&s.backend().prior_logit, s.factors(), &cfg);
+        let plain = relax_marginals(&s.backend().prior_logit, s.backend().factors(), &cfg);
+        let (traced, trace) =
+            relax_marginals_traced(&s.backend().prior_logit, s.backend().factors(), &cfg);
         assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
             assert_eq!(
@@ -736,7 +686,7 @@ mod tests {
         let truth = BigState::from_subjects([2, 7]);
         let mut s = session(10);
         let outcome = loop {
-            if let RoundStep::Finished(o) = s.run_round_on(&engine, |p| truth.intersects(p)) {
+            if let RoundStep::Finished(o) = s.round(Some(&engine), |p| truth.intersects(p)) {
                 break o;
             }
         };
@@ -761,8 +711,8 @@ mod tests {
         // The relaxation is pure, so the engine-staged variant must land on
         // the identical trajectory.
         loop {
-            let a = plain.run_round(|p| truth.intersects(p));
-            let b = staged.run_round_on(&engine, |p| truth.intersects(p));
+            let a = plain.round(None, |p| truth.intersects(p));
+            let b = staged.round(Some(&engine), |p| truth.intersects(p));
             match (a, b) {
                 (RoundStep::Progressed, RoundStep::Progressed) => continue,
                 (RoundStep::Finished(x), RoundStep::Finished(y)) => {

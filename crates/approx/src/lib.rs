@@ -9,8 +9,9 @@
 //!
 //! Two posterior backends run under `sbgt`'s one generic round driver
 //! ([`sbgt::Session`] over the [`sbgt::Backend`] trait); each session type
-//! here is a thin newtype over `Session<…Backend>` adding its constructor
-//! and `BigState`-typed entry points:
+//! here is an alias of `Session<…Backend>`, opened and restored by its
+//! backend's `open` / `restore` and driven through the driver's own entry
+//! points (`observe_in`, `run`, `round`) over `BigState` pools:
 //!
 //! * [`BpSession`] — **loopy belief propagation** on the specimen↔pool
 //!   factor graph (Coja-Oghlan et al., *Efficient and accurate group

@@ -21,8 +21,8 @@ use sbgt_lattice::BigState;
 use sbgt_response::BinaryOutcomeModel;
 
 use sbgt::{
-    ApproxKind, ApproxSnapshot, Backend, ConfigError, ParticleBlock, RoundStep, SbgtConfig,
-    Session, SessionOutcome, SessionSnapshot, SnapshotError,
+    ApproxKind, ApproxSnapshot, Backend, ConfigError, ParticleBlock, SbgtConfig, Session,
+    SessionSnapshot, SnapshotError,
 };
 
 use crate::bp::{
@@ -97,25 +97,11 @@ pub struct ParticleBackend<M> {
 }
 
 /// A surveillance session whose posterior is a weighted particle cloud:
-/// the shared round driver ([`Session`], reached through `Deref`) over
-/// [`ParticleBackend`]. The update mutates the RNG stream, which does not
-/// fit the engine's pure-retry contract, so rounds are self-contained
-/// (context `()`) and fault recovery rides on snapshot rollback.
-pub struct ParticleSession<M>(pub Session<ParticleBackend<M>>);
-
-impl<M> std::ops::Deref for ParticleSession<M> {
-    type Target = Session<ParticleBackend<M>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<M> std::ops::DerefMut for ParticleSession<M> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
+/// the shared round driver over [`ParticleBackend`]. The update mutates the
+/// RNG stream, which does not fit the engine's pure-retry contract, so
+/// rounds are self-contained (context `()`) and fault recovery rides on
+/// snapshot rollback.
+pub type ParticleSession<M> = Session<ParticleBackend<M>>;
 
 impl<M: BinaryOutcomeModel> ParticleBackend<M> {
     /// The cloud is initialized by sampling every specimen's bit from its
@@ -192,7 +178,7 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
     }
 
     /// Effective sample size of the current weights.
-    fn ess(&self) -> f64 {
+    pub fn ess(&self) -> f64 {
         let w = self.normalized_weights();
         1.0 / w.iter().map(|&v| v * v).sum::<f64>()
     }
@@ -346,19 +332,19 @@ impl<M: BinaryOutcomeModel> Backend for ParticleBackend<M> {
     }
 }
 
-impl<M: BinaryOutcomeModel> ParticleSession<M> {
+impl<M: BinaryOutcomeModel> ParticleBackend<M> {
     /// Open a session over per-specimen prior risks.
-    pub fn new(
+    pub fn open(
         risks: &[f64],
         model: M,
         config: SbgtConfig,
         pcfg: ParticleConfig,
-    ) -> Result<Self, ConfigError> {
+    ) -> Result<ParticleSession<M>, ConfigError> {
         config.validate()?;
-        Ok(ParticleSession(Session::open(
+        Ok(Session::open(
             ParticleBackend::new(risks, model, pcfg)?,
             config,
-        )))
+        ))
     }
 
     /// Rehydrate from a snapshot. The risks, model, and configs are not
@@ -370,7 +356,7 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
         model: M,
         config: SbgtConfig,
         pcfg: ParticleConfig,
-    ) -> Result<Self, SnapshotError> {
+    ) -> Result<ParticleSession<M>, SnapshotError> {
         config
             .validate()
             .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
@@ -396,39 +382,11 @@ impl<M: BinaryOutcomeModel> ParticleSession<M> {
             backend.rng = rng;
             Ok(backend)
         })
-        .map(ParticleSession)
     }
 
     /// The particle tuning.
     pub fn particle_config(&self) -> &ParticleConfig {
-        &self.backend().pcfg
-    }
-
-    /// Effective sample size of the current weights.
-    pub fn ess(&self) -> f64 {
-        self.backend().ess()
-    }
-
-    /// Ingest one observed pooled test (counted as one stage).
-    pub fn observe(&mut self, pool: &BigState, outcome: bool) -> Result<f64, BayesError> {
-        self.0.observe_in((), pool, outcome)
-    }
-
-    /// Ingest one stage of observed pools (counted as one stage).
-    pub fn observe_stage(&mut self, observations: &[(BigState, bool)]) -> Result<f64, BayesError> {
-        self.0
-            .observe_stage_in((), observations.iter().map(|(p, o)| (p, *o)))
-    }
-
-    /// Drive the session to classification against a lab oracle
-    /// ([`Session::run`]).
-    pub fn run_to_classification(&mut self, lab: impl FnMut(&BigState) -> bool) -> SessionOutcome {
-        self.0.run((), lab)
-    }
-
-    /// Drive exactly one round ([`Session::round`]).
-    pub fn run_round(&mut self, lab: impl FnMut(&BigState) -> bool) -> RoundStep {
-        self.0.round((), lab)
+        &self.pcfg
     }
 }
 
@@ -449,7 +407,7 @@ mod tests {
     }
 
     fn session(n: usize) -> ParticleSession<BinaryDilutionModel> {
-        ParticleSession::new(
+        ParticleBackend::open(
             &risks(n),
             BinaryDilutionModel::pcr_like(),
             SbgtConfig::default().serial(),
@@ -462,18 +420,18 @@ mod tests {
     fn constructor_validates_everything() {
         let model = BinaryDilutionModel::pcr_like();
         let cfg = SbgtConfig::default().serial();
-        assert!(ParticleSession::new(&[], model, cfg, small_cfg()).is_err());
-        assert!(ParticleSession::new(&[1.5], model, cfg, small_cfg()).is_err());
+        assert!(ParticleBackend::open(&[], model, cfg, small_cfg()).is_err());
+        assert!(ParticleBackend::open(&[1.5], model, cfg, small_cfg()).is_err());
         let zero = ParticleConfig {
             particles: 0,
             ..ParticleConfig::default()
         };
-        assert!(ParticleSession::new(&[0.1], model, cfg, zero).is_err());
+        assert!(ParticleBackend::open(&[0.1], model, cfg, zero).is_err());
         let bad_ess = ParticleConfig {
             ess_frac: 0.0,
             ..ParticleConfig::default()
         };
-        assert!(ParticleSession::new(&[0.1], model, cfg, bad_ess).is_err());
+        assert!(ParticleBackend::open(&[0.1], model, cfg, bad_ess).is_err());
     }
 
     #[test]
@@ -483,7 +441,10 @@ mod tests {
             // 512 particles: Monte Carlo error on a Bernoulli(≤0.08) mean.
             assert!((m - r).abs() < 0.05, "prior marginal {m} vs risk {r}");
         }
-        assert!((s.ess() - 512.0).abs() < 1e-9, "uniform weights → ESS = P");
+        assert!(
+            (s.backend().ess() - 512.0).abs() < 1e-9,
+            "uniform weights → ESS = P"
+        );
     }
 
     #[test]
@@ -491,14 +452,14 @@ mod tests {
         let truth = BigState::from_subjects([3, 11]);
         let mut a = session(16);
         let mut b = session(16);
-        let oa = a.run_to_classification(|pool| truth.intersects(pool));
-        let ob = b.run_to_classification(|pool| truth.intersects(pool));
+        let oa = a.run((), |pool| truth.intersects(pool));
+        let ob = b.run((), |pool| truth.intersects(pool));
         assert_eq!(oa.marginals, ob.marginals, "same (seed, config) must agree");
         assert_eq!(oa.tests, ob.tests);
         assert_eq!(a.backend().words, b.backend().words);
         assert_eq!(a.backend().rng.state(), b.backend().rng.state());
         // A different seed takes a different sample path.
-        let mut c = ParticleSession::new(
+        let mut c = ParticleBackend::open(
             &risks(16),
             BinaryDilutionModel::pcr_like(),
             SbgtConfig::default().serial(),
@@ -508,7 +469,7 @@ mod tests {
             },
         )
         .unwrap();
-        c.run_to_classification(|pool| truth.intersects(pool));
+        c.run((), |pool| truth.intersects(pool));
         assert_ne!(a.backend().words, c.backend().words);
     }
 
@@ -516,7 +477,7 @@ mod tests {
     fn positive_singleton_observation_moves_the_marginal() {
         let mut s = session(8);
         let pool = BigState::from_subjects([2]);
-        let z = s.observe(&pool, true).unwrap();
+        let z = s.observe_in((), &pool, true).unwrap();
         assert!(z > 0.0 && z < 1.0, "evidence {z} must be a probability");
         let m = s.marginals();
         assert!(
@@ -533,12 +494,12 @@ mod tests {
         // concentrate, ESS collapses, resampling + rejuvenation kicks in.
         let pool = BigState::from_subjects([5]);
         for _ in 0..6 {
-            s.observe(&pool, true).unwrap();
+            s.observe_in((), &pool, true).unwrap();
         }
         assert!(
-            s.ess() >= s.particle_config().ess_frac * 512.0 * 0.5,
+            s.backend().ess() >= s.backend().particle_config().ess_frac * 512.0 * 0.5,
             "ESS {} should have been restored by resampling",
-            s.ess()
+            s.backend().ess()
         );
         assert!(s.marginals()[5] > 0.9);
     }
@@ -549,11 +510,11 @@ mod tests {
         let snap = s.snapshot();
         let model = BinaryDilutionModel::pcr_like();
         let cfg = SbgtConfig::default().serial();
-        assert!(ParticleSession::restore(&snap, &risks(9), model, cfg, small_cfg()).is_err());
+        assert!(ParticleBackend::restore(&snap, &risks(9), model, cfg, small_cfg()).is_err());
         let wrong_count = ParticleConfig {
             particles: 64,
             ..ParticleConfig::default()
         };
-        assert!(ParticleSession::restore(&snap, &risks(8), model, cfg, wrong_count).is_err());
+        assert!(ParticleBackend::restore(&snap, &risks(8), model, cfg, wrong_count).is_err());
     }
 }

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use sbgt::{RoundStep, SbgtConfig, SbgtSession, SessionOutcome};
-use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
+use sbgt_approx::{BpBackend, BpConfig, ParticleBackend, ParticleConfig, ParticleSession};
 use sbgt_bayes::{Prior, SubjectStatus};
 use sbgt_lattice::{BigState, State};
 use sbgt_response::{BinaryDilutionModel, Dilution};
@@ -77,15 +77,15 @@ fn run_all_backends(seed: u64, n: usize) -> CampaignRun {
     let mut dense = SbgtSession::new(Prior::from_risks(&risks), model(), config);
     let dense_out = dense.run_to_classification(|pool| truth_small.intersects(pool));
 
-    let mut bp = BpSession::new(&risks, model(), config, BpConfig::default()).unwrap();
-    let bp_out = bp.run_to_classification(|pool| truth_big.intersects(pool));
+    let mut bp = BpBackend::open(&risks, model(), config, BpConfig::default()).unwrap();
+    let bp_out = bp.run(None, |pool| truth_big.intersects(pool));
 
     let pcfg = ParticleConfig {
         seed,
         ..ParticleConfig::default()
     };
-    let mut particle = ParticleSession::new(&risks, model(), config, pcfg).unwrap();
-    let particle_out = particle.run_to_classification(|pool| truth_big.intersects(pool));
+    let mut particle = ParticleBackend::open(&risks, model(), config, pcfg).unwrap();
+    let particle_out = particle.run((), |pool| truth_big.intersects(pool));
 
     CampaignRun {
         dense: dense_out,
@@ -171,8 +171,8 @@ fn bp_marginals_track_the_exact_posterior() {
             let truth = BigState::from_subjects(infected.iter().copied());
             let config = SbgtConfig::default().serial();
 
-            let mut bp = BpSession::new(&risks, model(), config, BpConfig::default()).unwrap();
-            let _ = bp.run_to_classification(|pool| truth.intersects(pool));
+            let mut bp = BpBackend::open(&risks, model(), config, BpConfig::default()).unwrap();
+            let _ = bp.run(None, |pool| truth.intersects(pool));
             let history = bp
                 .snapshot()
                 .approx
@@ -211,21 +211,21 @@ fn particle_runs_are_reproducible_from_seed_and_config() {
     };
 
     let drive = |session: &mut ParticleSession<BinaryDilutionModel>| {
-        session.run_to_classification(|pool| truth.intersects(pool))
+        session.run((), |pool| truth.intersects(pool))
     };
 
-    let mut a = ParticleSession::new(&risks, model(), config, pcfg).unwrap();
+    let mut a = ParticleBackend::open(&risks, model(), config, pcfg).unwrap();
     let out_a = drive(&mut a);
-    let mut b = ParticleSession::new(&risks, model(), config, pcfg).unwrap();
+    let mut b = ParticleBackend::open(&risks, model(), config, pcfg).unwrap();
     let out_b = drive(&mut b);
     assert_eq!(out_a, out_b, "same (seed, config) must replay bit-for-bit");
 
     // Interrupt a third run after two rounds, freeze it, restore, finish:
     // the outcome must still be bit-identical — the snapshot carries the
     // cloud and RNG, so the sample path continues where it left off.
-    let mut c = ParticleSession::new(&risks, model(), config, pcfg).unwrap();
+    let mut c = ParticleBackend::open(&risks, model(), config, pcfg).unwrap();
     for _ in 0..2 {
-        if let RoundStep::Finished(out) = c.run_round(|pool| truth.intersects(pool)) {
+        if let RoundStep::Finished(out) = c.round((), |pool| truth.intersects(pool)) {
             // Cohort classified before the interruption point: the full-run
             // equality above already covers it.
             assert_eq!(out, out_a);
@@ -233,7 +233,7 @@ fn particle_runs_are_reproducible_from_seed_and_config() {
         }
     }
     let frozen = c.snapshot();
-    let mut d = ParticleSession::restore(&frozen, &risks, model(), config, pcfg).unwrap();
+    let mut d = ParticleBackend::restore(&frozen, &risks, model(), config, pcfg).unwrap();
     let out_d = drive(&mut d);
     assert_eq!(
         out_d, out_a,
@@ -254,8 +254,8 @@ fn bp_handles_cohorts_far_past_the_exact_wall() {
     let truth = BigState::from_subjects(infected.iter().copied());
     let config = SbgtConfig::default();
 
-    let mut session = BpSession::new(&risks, model(), config, BpConfig::default()).unwrap();
-    let out = session.run_to_classification(|pool| truth.intersects(pool));
+    let mut session = BpBackend::open(&risks, model(), config, BpConfig::default()).unwrap();
+    let out = session.run(None, |pool| truth.intersects(pool));
     assert_eq!(out.subjects, n);
     assert_eq!(out.marginals.len(), n);
     assert!(out.classification.is_terminal(), "cohort must classify");

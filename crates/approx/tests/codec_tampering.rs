@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 
 use sbgt::SessionSnapshot;
-use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
+use sbgt_approx::{
+    BpBackend, BpConfig, BpSession, ParticleBackend, ParticleConfig, ParticleSession,
+};
 use sbgt_lattice::{bytes, BigState};
 use sbgt_response::BinaryDilutionModel;
 
@@ -44,15 +46,15 @@ fn observed_sessions(
     let risks = risks_from_seed(seed, n);
     let model = BinaryDilutionModel::pcr_like();
     let config = sbgt::SbgtConfig::default();
-    let mut bp = BpSession::new(&risks, model, config, BpConfig::default()).unwrap();
-    let mut particle = ParticleSession::new(&risks, model, config, particle_config(seed)).unwrap();
+    let mut bp = BpBackend::open(&risks, model, config, BpConfig::default()).unwrap();
+    let mut particle = ParticleBackend::open(&risks, model, config, particle_config(seed)).unwrap();
     let pools = [
         BigState::from_subjects(0..n / 2),
         BigState::from_subjects(n / 2..n),
     ];
     for (i, pool) in pools.iter().enumerate() {
-        bp.observe(pool, i % 2 == 0).unwrap();
-        particle.observe(pool, i % 2 == 0).unwrap();
+        bp.observe_in(None, pool, i % 2 == 0).unwrap();
+        particle.observe_in((), pool, i % 2 == 0).unwrap();
     }
     (bp, particle)
 }
@@ -74,9 +76,9 @@ fn approx_snapshots_survive_the_tamper_harness() {
                 let decoded = SessionSnapshot::from_bytes(tampered)?;
                 if is_bp {
                     let _ =
-                        BpSession::restore(&decoded, &risks, model, config, BpConfig::default());
+                        BpBackend::restore(&decoded, &risks, model, config, BpConfig::default());
                 } else {
-                    let _ = ParticleSession::restore(
+                    let _ = ParticleBackend::restore(
                         &decoded,
                         &risks,
                         model,
@@ -105,10 +107,10 @@ proptest! {
         let model = BinaryDilutionModel::pcr_like();
         let config = sbgt::SbgtConfig::default();
         let pcfg = particle_config(seed);
-        prop_assert!(ParticleSession::restore(
+        prop_assert!(ParticleBackend::restore(
             &bp.snapshot(), &risks, model, config, pcfg
         ).is_err());
-        prop_assert!(BpSession::restore(
+        prop_assert!(BpBackend::restore(
             &particle.snapshot(), &risks, model, config, BpConfig::default()
         ).is_err());
         // And both reject an exact (approx-less) snapshot.
@@ -123,7 +125,7 @@ proptest! {
             sparse: None,
             approx: None,
         };
-        prop_assert!(BpSession::restore(
+        prop_assert!(BpBackend::restore(
             &exact, &risks, model, config, BpConfig::default()
         ).is_err());
     }

@@ -4,7 +4,9 @@
 
 use sbgt::conformance::Harness;
 use sbgt::{SbgtConfig, SbgtSession, SessionSnapshot};
-use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
+use sbgt_approx::{
+    BpBackend, BpConfig, BpSession, ParticleBackend, ParticleConfig, ParticleSession,
+};
 use sbgt_bayes::Prior;
 use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::BigState;
@@ -42,11 +44,11 @@ fn exact_snapshot() -> SessionSnapshot {
 }
 
 fn bp(config: SbgtConfig) -> BpSession<BinaryDilutionModel> {
-    BpSession::new(&risks(), model(), config, BpConfig::default()).unwrap()
+    BpBackend::open(&risks(), model(), config, BpConfig::default()).unwrap()
 }
 
 fn particle(config: SbgtConfig) -> ParticleSession<BinaryDilutionModel> {
-    ParticleSession::new(&risks(), model(), config, pcfg()).unwrap()
+    ParticleBackend::open(&risks(), model(), config, pcfg()).unwrap()
 }
 
 #[test]
@@ -54,10 +56,9 @@ fn bp_backend_conforms_on_the_driver_and_on_the_engine() {
     let engine = Engine::new(EngineConfig::default().with_threads(2));
     for ctx in [None, Some(&engine)] {
         Harness {
-            open: &|config| bp(config).0,
+            open: &|config| bp(config),
             restore: &|snapshot, config| {
-                BpSession::restore(snapshot, &risks(), model(), config, BpConfig::default())
-                    .map(|s| s.0)
+                BpBackend::restore(snapshot, &risks(), model(), config, BpConfig::default())
             },
             ctx,
             lab: &truth,
@@ -73,9 +74,9 @@ fn bp_backend_conforms_on_the_driver_and_on_the_engine() {
 #[test]
 fn particle_backend_conforms() {
     Harness {
-        open: &|config| particle(config).0,
+        open: &|config| particle(config),
         restore: &|snapshot, config| {
-            ParticleSession::restore(snapshot, &risks(), model(), config, pcfg()).map(|s| s.0)
+            ParticleBackend::restore(snapshot, &risks(), model(), config, pcfg())
         },
         ctx: (),
         lab: &truth,

@@ -1,8 +1,8 @@
 //! Backend-conformance suite: what every [`Session<B>`](Session) must do,
 //! asserted once against the generic driver and instantiated per backend
-//! (the three exact ones in this crate's tests, BP and particle in
-//! `sbgt-approx`'s). A backend's own test module keeps only what is
-//! specific to its posterior representation.
+//! (the exact one — in memory, sharded, and opened sparse — in this
+//! crate's tests, BP and particle in `sbgt-approx`'s). A backend's own test
+//! module keeps only what is specific to its posterior representation.
 
 use std::sync::Arc;
 

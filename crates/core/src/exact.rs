@@ -1,0 +1,1349 @@
+//! The exact backend: the `2^N` lattice posterior, dense until evidence
+//! concentrates it and pruned-sparse after.
+//!
+//! [`ExactBackend`] runs one of two dense representations — the in-memory
+//! [`DensePosterior`] ([`SbgtSession`]: serial or rayon kernels per
+//! [`ExecMode`]) or the engine-sharded [`ShardedPosterior`]
+//! ([`ShardedSession`]: every traversal an engine stage, one fused stage per
+//! observation) — and the pruned [`SparsePosterior`] both switch to once the
+//! retained support falls below [`SbgtConfig::sparse_switch`]'s fraction of
+//! `2^N`, or that a session opened by [`SbgtSession::new_sparse`] (HiBGT's
+//! execution mode) runs from the start. A [`DenseRepr`] carries only what
+//! the two dense representations do differently; the sparse arm —
+//! marginals, halving and look-ahead selection, the update (on the driver,
+//! or as a `fused-round:sparse` engine stage whenever the round context
+//! carries an engine), the switch predicate and the snapshot section — is
+//! written here once. The switch is one-way: support only shrinks under
+//! further evidence, and the pruned-mass record would be lost.
+//!
+//! ## Sharded selection pipelining
+//!
+//! The fused round computes prefix masses under a candidate ordering that
+//! must be supplied *before* the update runs, so the sharded loop
+//! pipelines: the ordering passed into round `t` is derived from round
+//! `t-1`'s (fresh) marginals, and the masses that round returns drive round
+//! `t+1`'s pool selection. Classification always uses the current
+//! marginals — only the candidate *ordering* for selection is one round
+//! stale, which perturbs near-tied pool choices but never the posterior
+//! math. [`ShardedSession::select_next`] remains the exact, non-pipelined
+//! path (fresh ordering, one extra read-only stage).
+
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use sbgt_bayes::{
+    analyze, analyze_par, update_dense, update_dense_par, update_sparse, update_sparse_with_table,
+    BayesError, Observation, PosteriorReport, Prior,
+};
+use sbgt_engine::{Engine, StageVariant};
+use sbgt_lattice::hybrid::retained_support;
+use sbgt_lattice::kernels::par_marginals;
+use sbgt_lattice::{num_states, DensePosterior, LookaheadKernel, SparsePosterior, State};
+use sbgt_response::BinaryOutcomeModel;
+use sbgt_select::{
+    drive_lookahead, select_halving_from_masses, select_halving_global, select_halving_global_par,
+    select_halving_prefix, select_halving_prefix_par, select_halving_prefix_sparse,
+    select_information_gain, select_stage_lookahead_fused, select_stage_lookahead_par,
+    select_stage_lookahead_sparse, InfoSelection, LookaheadConfig, SelectError, Selection,
+};
+
+use crate::config::{ConfigError, ExecMode, SbgtConfig};
+use crate::parallel::ShardedPosterior;
+use crate::report::SessionOutcome;
+use crate::session::{eligible_order, Backend, RoundCtx, RoundStep, Session};
+use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
+
+/// What differs between the two dense representations under
+/// [`ExactBackend`]. The trait lives in a private module, so nothing outside
+/// this crate can name or implement it.
+pub trait DenseRepr: Sized {
+    /// What a round borrows: `Option<&Engine>` in memory, `&Engine` sharded.
+    type Ctx<'a>: RoundCtx<'a>;
+    /// Read-outs kept beside the posterior on both sides of the switch:
+    /// none in memory; the sharded marginals cache and selection bank.
+    type Cache;
+
+    /// Cohort size.
+    fn n_subjects(&self) -> usize;
+
+    /// Current per-subject marginals.
+    fn marginals(&self, cache: &Self::Cache, config: &SbgtConfig) -> Vec<f64>;
+
+    /// Exact prefix halving over `order`.
+    fn select_next(
+        &self,
+        ctx: Self::Ctx<'_>,
+        config: &SbgtConfig,
+        order: &[usize],
+    ) -> Option<Selection>;
+
+    /// Branch-fused look-ahead selection of one stage over `order`.
+    fn select_stage<M: BinaryOutcomeModel>(
+        &self,
+        ctx: Self::Ctx<'_>,
+        config: &SbgtConfig,
+        model: &M,
+        cfg: &LookaheadConfig,
+        order: &[usize],
+    ) -> Result<Vec<Selection>, SelectError>;
+
+    /// Apply one observation; returns its model evidence.
+    fn observe<M: BinaryOutcomeModel>(
+        &mut self,
+        cache: &mut Self::Cache,
+        ctx: Self::Ctx<'_>,
+        config: &SbgtConfig,
+        model: &M,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError>;
+
+    /// States whose mass exceeds the relative prune cut `epsilon`: the
+    /// support the posterior would retain if it switched now.
+    fn retained_support(&self, ctx: Self::Ctx<'_>, epsilon: f64) -> usize;
+
+    /// The pruned, normalized sparse equivalent — the switch itself.
+    fn to_sparse(
+        &self,
+        cache: &mut Self::Cache,
+        ctx: Self::Ctx<'_>,
+        epsilon: f64,
+    ) -> SparsePosterior;
+
+    /// Write the cache and, before the switch, the dense posterior.
+    fn snapshot_into(dense: Option<&Self>, cache: &Self::Cache, snapshot: &mut SessionSnapshot);
+
+    /// Rebuild the cache from a snapshot.
+    fn restore_cache(snapshot: &SessionSnapshot) -> Result<Self::Cache, SnapshotError>;
+
+    /// Rebuild the posterior from a snapshot's dense section.
+    fn restore(snapshot: &SessionSnapshot) -> Result<Self, SnapshotError>;
+
+    /// A width-1 selection the last update banked for this round.
+    fn banked(_cache: &mut Self::Cache, _config: &SbgtConfig) -> Option<Selection> {
+        None
+    }
+
+    /// Marginals once the switch has happened.
+    fn sparse_marginals(_cache: &Self::Cache, sparse: &SparsePosterior) -> Vec<f64> {
+        sparse.marginals()
+    }
+
+    /// Runs after every sparse update lands.
+    fn sparse_updated(_cache: &mut Self::Cache, _sparse: &SparsePosterior) {}
+}
+
+/// The posterior in whichever arm is live. The sparse arm fixes its prune
+/// threshold when it is entered: from the switch policy at the switch, from
+/// the caller of [`SbgtSession::new_sparse`] or
+/// [`SbgtSession::restore_sparse`], or from the configured policy when a
+/// post-switch snapshot is restored.
+enum Arm<D> {
+    Dense(D),
+    Sparse {
+        posterior: SparsePosterior,
+        epsilon: f64,
+    },
+}
+
+/// The exact lattice posterior under the round driver: a dense
+/// representation `D` until the switch and the pruned sparse arm after,
+/// plus the assay model and the observation history the plan cache is
+/// keyed on.
+pub struct ExactBackend<D: DenseRepr, M> {
+    posterior: Arm<D>,
+    /// What `D` keeps beside its posterior, on both sides of the switch.
+    cache: D::Cache,
+    model: M,
+    history: Vec<(State, bool)>,
+}
+
+/// A live Bayesian group-testing session over one cohort, held in memory,
+/// exposing the paper's three operation classes (`observe` = lattice
+/// manipulation, `select_next`/`select_stage` = test selection, `report` =
+/// statistical analysis).
+pub type SbgtSession<M> = Session<ExactBackend<DensePosterior, M>>;
+
+/// A live group-testing session whose posterior lives as engine shards.
+pub type ShardedSession<M> = Session<ExactBackend<ShardedPosterior, M>>;
+
+fn check_epsilon(prune_epsilon: f64) -> Result<(), String> {
+    if (0.0..1.0).contains(&prune_epsilon) {
+        Ok(())
+    } else {
+        Err(format!("prune epsilon {prune_epsilon} outside [0, 1)"))
+    }
+}
+
+/// One sparse update and re-prune: on the driver, or — when `engine` is
+/// given — as a single-task engine stage named `fused-round:sparse`. The
+/// stage updates a clone of `posterior`, so the engine's installed fault
+/// plan can kill or retry it (the closure is pure — a retry re-clones
+/// pristine input), and the result is committed only on stage success. The
+/// job is annotated [`StageVariant::Sparse`] with the post-update support.
+///
+/// # Panics
+/// Panics when the stage fails permanently (retry budget exhausted) — the
+/// same contract as the sharded fused rounds, which a supervising service
+/// converts into a snapshot rollback.
+fn sparse_round_on<M: BinaryOutcomeModel>(
+    engine: Option<&Engine>,
+    model: &M,
+    posterior: &mut SparsePosterior,
+    pool: State,
+    outcome: bool,
+    epsilon: f64,
+) -> Result<f64, BayesError> {
+    let Some(engine) = engine else {
+        return update_sparse(posterior, model, &Observation::new(pool, outcome), epsilon);
+    };
+    if pool.rank() == 0 {
+        return Err(BayesError::EmptyPool);
+    }
+    let table = model.likelihood_table(outcome, pool.rank());
+    let base = Arc::new(posterior.clone());
+    let task = move || {
+        let mut p = (*base).clone();
+        update_sparse_with_table(&mut p, pool, &table, epsilon).map(|z| (p, z))
+    };
+    let results = engine
+        .run_stage("fused-round:sparse", vec![task])
+        .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
+    let (p, z) = results.into_iter().next().expect("one sparse task")?;
+    engine.metrics().annotate_last_job(StageVariant::Sparse {
+        support: p.support(),
+    });
+    *posterior = p;
+    Ok(z)
+}
+
+impl<D: DenseRepr, M: BinaryOutcomeModel> ExactBackend<D, M> {
+    fn new(posterior: Arm<D>, cache: D::Cache, model: M) -> Self {
+        ExactBackend {
+            posterior,
+            cache,
+            model,
+            history: Vec::new(),
+        }
+    }
+
+    /// Rebuild from a snapshot, before or after the switch; a post-switch
+    /// snapshot resumes the sparse arm at `epsilon`.
+    fn restore(snapshot: &SessionSnapshot, model: M, epsilon: f64) -> Result<Self, SnapshotError> {
+        if snapshot.approx.is_some() {
+            return Err(SnapshotError::Corrupt(
+                "approx snapshot cannot restore an exact session".into(),
+            ));
+        }
+        let cache = D::restore_cache(snapshot)?;
+        let posterior = match &snapshot.sparse {
+            Some(sp) => Arm::Sparse {
+                posterior: sp.posterior(snapshot.n_subjects),
+                epsilon,
+            },
+            None => Arm::Dense(D::restore(snapshot)?),
+        };
+        Ok(ExactBackend {
+            posterior,
+            cache,
+            model,
+            history: snapshot.history.clone(),
+        })
+    }
+
+    fn select_next(
+        &self,
+        ctx: D::Ctx<'_>,
+        config: &SbgtConfig,
+        order: &[usize],
+    ) -> Option<Selection> {
+        match &self.posterior {
+            Arm::Dense(d) => d.select_next(ctx, config, order),
+            Arm::Sparse { posterior, .. } => {
+                select_halving_prefix_sparse(posterior, order, config.max_pool_size)
+            }
+        }
+    }
+
+    fn select_stage(
+        &self,
+        ctx: D::Ctx<'_>,
+        config: &SbgtConfig,
+        cfg: &LookaheadConfig,
+        order: &[usize],
+    ) -> Result<Vec<Selection>, SelectError> {
+        match &self.posterior {
+            Arm::Dense(d) => d.select_stage(ctx, config, &self.model, cfg, order),
+            Arm::Sparse { posterior, .. } => {
+                select_stage_lookahead_sparse(posterior, &self.model, order, cfg)
+            }
+        }
+    }
+}
+
+impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
+    type Pool = State;
+    type Ctx<'a> = D::Ctx<'a>;
+
+    fn n_subjects(&self) -> usize {
+        match &self.posterior {
+            Arm::Dense(d) => d.n_subjects(),
+            Arm::Sparse { posterior, .. } => posterior.n_subjects(),
+        }
+    }
+
+    fn tests(&self) -> usize {
+        self.history.len()
+    }
+
+    fn marginals(&self, config: &SbgtConfig) -> Vec<f64> {
+        match &self.posterior {
+            Arm::Dense(d) => d.marginals(&self.cache, config),
+            Arm::Sparse { posterior, .. } => D::sparse_marginals(&self.cache, posterior),
+        }
+    }
+
+    /// A width-1 round spends the masses the last (sharded) update banked,
+    /// if any, and otherwise runs exact halving. Plan hits never reach this
+    /// method and leave the bank alone — every update re-banks it, so a
+    /// later live miss sees the same masses either way.
+    fn select(
+        &mut self,
+        ctx: D::Ctx<'_>,
+        config: &SbgtConfig,
+        _marginals: &[f64],
+        order: &[usize],
+    ) -> Vec<Selection> {
+        if config.stage_width > 1 {
+            return self
+                .select_stage(ctx, config, &config.lookahead(), order)
+                .expect("stage width validated by SbgtConfig");
+        }
+        D::banked(&mut self.cache, config)
+            .or_else(|| self.select_next(ctx, config, order))
+            .into_iter()
+            .collect()
+    }
+
+    fn observe(
+        &mut self,
+        ctx: D::Ctx<'_>,
+        config: &SbgtConfig,
+        pool: &State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        let z = match &mut self.posterior {
+            Arm::Dense(d) => {
+                d.observe(&mut self.cache, ctx, config, &self.model, *pool, outcome)?
+            }
+            Arm::Sparse { posterior, epsilon } => {
+                let engine = ctx.engine();
+                let z = sparse_round_on(engine, &self.model, posterior, *pool, outcome, *epsilon)?;
+                D::sparse_updated(&mut self.cache, posterior);
+                z
+            }
+        };
+        self.history.push((*pool, outcome));
+        Ok(z)
+    }
+
+    /// The dense→sparse switch, checked once per stage after its updates
+    /// land: taken when configured and the support retained at the policy's
+    /// prune cut is at most its fraction of `2^N`.
+    fn end_stage(&mut self, ctx: D::Ctx<'_>, config: &SbgtConfig) {
+        let (Some(switch), Arm::Dense(dense)) = (config.sparse_switch, &self.posterior) else {
+            return;
+        };
+        let support = dense.retained_support(ctx, switch.prune_epsilon);
+        let limit = switch.max_support_fraction * num_states(dense.n_subjects()) as f64;
+        if support as f64 > limit {
+            return;
+        }
+        let posterior = dense.to_sparse(&mut self.cache, ctx, switch.prune_epsilon);
+        self.posterior = Arm::Sparse {
+            posterior,
+            epsilon: switch.prune_epsilon,
+        };
+    }
+
+    fn plan_history(&self) -> Option<&[(State, bool)]> {
+        Some(&self.history)
+    }
+
+    /// After the switch the snapshot stores the retained entries and the
+    /// pruned mass instead of a dense posterior.
+    fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
+        snapshot.history = self.history.clone();
+        let dense = match &self.posterior {
+            Arm::Dense(d) => Some(d),
+            Arm::Sparse { posterior, .. } => {
+                snapshot.total = posterior.total();
+                snapshot.sparse = Some(SparseSnapshot::of(posterior));
+                None
+            }
+        };
+        D::snapshot_into(dense, &self.cache, snapshot);
+    }
+}
+
+impl DenseRepr for DensePosterior {
+    type Ctx<'a> = Option<&'a Engine>;
+    type Cache = ();
+
+    fn n_subjects(&self) -> usize {
+        DensePosterior::n_subjects(self)
+    }
+
+    fn marginals(&self, _: &(), config: &SbgtConfig) -> Vec<f64> {
+        match config.exec {
+            ExecMode::Serial => DensePosterior::marginals(self),
+            ExecMode::Parallel(cfg) => par_marginals(self, cfg),
+        }
+    }
+
+    fn select_next(
+        &self,
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        order: &[usize],
+    ) -> Option<Selection> {
+        let cap = config.max_pool_size;
+        match config.exec {
+            ExecMode::Serial => select_halving_prefix(self, order, cap),
+            ExecMode::Parallel(par) => select_halving_prefix_par(self, order, cap, par),
+        }
+    }
+
+    fn select_stage<M: BinaryOutcomeModel>(
+        &self,
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        model: &M,
+        cfg: &LookaheadConfig,
+        order: &[usize],
+    ) -> Result<Vec<Selection>, SelectError> {
+        match config.exec {
+            ExecMode::Serial => select_stage_lookahead_fused(self, model, order, cfg),
+            ExecMode::Parallel(par) => select_stage_lookahead_par(self, model, order, cfg, par),
+        }
+    }
+
+    fn observe<M: BinaryOutcomeModel>(
+        &mut self,
+        _: &mut (),
+        _: Option<&Engine>,
+        config: &SbgtConfig,
+        model: &M,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        let obs = Observation::new(pool, outcome);
+        match config.exec {
+            ExecMode::Serial => update_dense(self, model, &obs),
+            ExecMode::Parallel(par) => update_dense_par(self, model, &obs, par),
+        }
+    }
+
+    fn retained_support(&self, _: Option<&Engine>, epsilon: f64) -> usize {
+        retained_support(self, epsilon)
+    }
+
+    fn to_sparse(&self, _: &mut (), _: Option<&Engine>, epsilon: f64) -> SparsePosterior {
+        SparsePosterior::from_dense(self, epsilon)
+    }
+
+    /// One shard of exact (normalized) values.
+    fn snapshot_into(dense: Option<&Self>, _: &(), snapshot: &mut SessionSnapshot) {
+        if let Some(d) = dense {
+            snapshot.shards = vec![d.probs().to_vec()];
+        }
+    }
+
+    fn restore_cache(_: &SessionSnapshot) -> Result<(), SnapshotError> {
+        Ok(())
+    }
+
+    fn restore(snapshot: &SessionSnapshot) -> Result<Self, SnapshotError> {
+        let probs = snapshot.shards.iter().flatten().copied().collect();
+        Ok(DensePosterior::from_probs(snapshot.n_subjects, probs))
+    }
+}
+
+/// The sharded read-outs: the marginals of the current posterior, kept
+/// fresh by every round so reading them costs no stage, and the
+/// `(order, masses)` bank of all-prefix negative masses the last fused
+/// round computed under `order`. Both carry across the switch: the first
+/// round after it classifies on the cached dense marginals.
+pub struct ShardedCache {
+    marginals: Vec<f64>,
+    pending_selection: Option<(Vec<usize>, Vec<f64>)>,
+}
+
+impl DenseRepr for ShardedPosterior {
+    type Ctx<'a> = &'a Engine;
+    type Cache = ShardedCache;
+
+    fn n_subjects(&self) -> usize {
+        ShardedPosterior::n_subjects(self)
+    }
+
+    fn marginals(&self, cache: &ShardedCache, _: &SbgtConfig) -> Vec<f64> {
+        cache.marginals.clone()
+    }
+
+    /// One read-only all-prefix mass stage.
+    fn select_next(
+        &self,
+        engine: &Engine,
+        config: &SbgtConfig,
+        order: &[usize],
+    ) -> Option<Selection> {
+        if order.is_empty() {
+            return None;
+        }
+        let masses = self.prefix_negative_masses(engine, order);
+        select_halving_from_masses(order, &masses, config.max_pool_size)
+    }
+
+    /// Each greedy step is one read-only `lookahead:select` aggregate stage
+    /// accumulating every outcome branch's prefix-mass histogram in a
+    /// single traversal of the shards — no branch posterior is ever
+    /// materialized.
+    fn select_stage<M: BinaryOutcomeModel>(
+        &self,
+        engine: &Engine,
+        _: &SbgtConfig,
+        model: &M,
+        cfg: &LookaheadConfig,
+        order: &[usize],
+    ) -> Result<Vec<Selection>, SelectError> {
+        cfg.validate()?;
+        if order.is_empty() {
+            return Ok(Vec::new());
+        }
+        let kernel = Arc::new(LookaheadKernel::new(self.n_subjects(), order));
+        drive_lookahead(model, order, cfg, |pools| {
+            self.lookahead_histograms(engine, &kernel, pools.to_vec())
+        })
+    }
+
+    /// One fused in-place stage: applies the update, refreshes the
+    /// marginals, and banks the prefix masses for the next round.
+    fn observe<M: BinaryOutcomeModel>(
+        &mut self,
+        cache: &mut ShardedCache,
+        engine: &Engine,
+        config: &SbgtConfig,
+        model: &M,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        let order = eligible_order(&cache.marginals, config.rule);
+        let round = self.fused_round(engine, model, pool, outcome, &order)?;
+        cache.marginals = round.marginals;
+        cache.pending_selection = Some((order, round.prefix_negative_masses));
+        Ok(round.evidence)
+    }
+
+    /// One read-only `sparse:support` counting stage.
+    fn retained_support(&self, engine: &Engine, epsilon: f64) -> usize {
+        ShardedPosterior::retained_support(self, engine, epsilon)
+    }
+
+    /// One `sparse:collect` stage that materializes the pruned posterior on
+    /// the driver.
+    fn to_sparse(
+        &self,
+        cache: &mut ShardedCache,
+        engine: &Engine,
+        epsilon: f64,
+    ) -> SparsePosterior {
+        let sparse = ShardedPosterior::to_sparse(self, engine, epsilon);
+        engine.metrics().annotate_last_job(StageVariant::Sparse {
+            support: sparse.support(),
+        });
+        // The banked selection masses are unnormalized dense-total units;
+        // drop them so the next round selects from the sparse posterior.
+        cache.pending_selection = None;
+        sparse
+    }
+
+    /// The read-outs, and before the switch the shards (exact bits,
+    /// partition boundaries preserved) and their normalization constant.
+    /// Shard storage is captured by value so the snapshot stays valid
+    /// across later in-place rounds.
+    fn snapshot_into(dense: Option<&Self>, cache: &ShardedCache, snapshot: &mut SessionSnapshot) {
+        snapshot.marginals = cache.marginals.clone();
+        snapshot.pending_selection = cache.pending_selection.clone();
+        if let Some(p) = dense {
+            snapshot.shards = p.shard_values();
+            snapshot.total = p.total();
+        }
+    }
+
+    fn restore_cache(snapshot: &SessionSnapshot) -> Result<ShardedCache, SnapshotError> {
+        if snapshot.marginals.len() != snapshot.n_subjects {
+            return Err(SnapshotError::Corrupt(format!(
+                "sharded restore needs {} marginals, snapshot holds {}",
+                snapshot.n_subjects,
+                snapshot.marginals.len()
+            )));
+        }
+        Ok(ShardedCache {
+            marginals: snapshot.marginals.clone(),
+            pending_selection: snapshot.pending_selection.clone(),
+        })
+    }
+
+    fn restore(snapshot: &SessionSnapshot) -> Result<Self, SnapshotError> {
+        let shards = snapshot.shards.clone();
+        ShardedPosterior::from_shards(snapshot.n_subjects, shards, snapshot.total)
+    }
+
+    fn banked(cache: &mut ShardedCache, config: &SbgtConfig) -> Option<Selection> {
+        let (order, masses) = cache.pending_selection.take()?;
+        select_halving_from_masses(&order, &masses, config.max_pool_size)
+    }
+
+    fn sparse_marginals(cache: &ShardedCache, _: &SparsePosterior) -> Vec<f64> {
+        cache.marginals.clone()
+    }
+
+    fn sparse_updated(cache: &mut ShardedCache, sparse: &SparsePosterior) {
+        cache.marginals = sparse.marginals();
+        cache.pending_selection = None;
+    }
+}
+
+impl<D: DenseRepr, M: BinaryOutcomeModel> Session<ExactBackend<D, M>> {
+    /// Rehydrate a session from a snapshot taken by [`Session::snapshot`],
+    /// before or after the switch, without touching an engine. Posterior
+    /// values — and the sharded marginals and selection bank — are restored
+    /// exactly, so the session continues bit-for-bit.
+    pub fn restore(
+        snapshot: &SessionSnapshot,
+        model: M,
+        config: SbgtConfig,
+    ) -> Result<Self, SnapshotError> {
+        let epsilon = config.sparse_switch.map_or(0.0, |s| s.prune_epsilon);
+        Session::resume(snapshot, config, |snapshot| {
+            ExactBackend::restore(snapshot, model, epsilon)
+        })
+    }
+
+    /// The dense posterior (kept normalized in memory; unnormalized shards
+    /// plus their total when sharded).
+    ///
+    /// # Panics
+    /// Panics once the session has taken the adaptive dense→sparse switch
+    /// (or was opened sparse); check [`Self::is_sparse`] or use
+    /// [`Self::sparse_posterior`] then.
+    pub fn posterior(&self) -> &D {
+        match &self.backend().posterior {
+            Arm::Dense(d) => d,
+            Arm::Sparse { .. } => {
+                panic!("posterior has switched to sparse; use sparse_posterior()")
+            }
+        }
+    }
+
+    /// Whether the posterior is in the pruned sparse representation.
+    pub fn is_sparse(&self) -> bool {
+        self.sparse_posterior().is_some()
+    }
+
+    /// The sparse posterior, once the session has switched.
+    pub fn sparse_posterior(&self) -> Option<&SparsePosterior> {
+        match &self.backend().posterior {
+            Arm::Sparse { posterior, .. } => Some(posterior),
+            Arm::Dense(_) => None,
+        }
+    }
+
+    /// Every `(pool, outcome)` observed so far, in order.
+    pub fn history(&self) -> &[(State, bool)] {
+        &self.backend().history
+    }
+}
+
+impl<M: BinaryOutcomeModel> ExactBackend<DensePosterior, M> {
+    /// The dense posterior, materialized from the sparse entries once the
+    /// session has switched — for the zeta-transform and exact-information
+    /// rules, which have no sparse counterpart.
+    fn dense_view(&self) -> Cow<'_, DensePosterior> {
+        match &self.posterior {
+            Arm::Dense(d) => Cow::Borrowed(d),
+            Arm::Sparse { posterior, .. } => Cow::Owned(posterior.to_dense()),
+        }
+    }
+}
+
+impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
+    /// Open a session from a prior and an assay model.
+    pub fn new(prior: Prior, model: M, config: SbgtConfig) -> Self {
+        Session::open(
+            ExactBackend::new(Arm::Dense(prior.to_dense()), (), model),
+            config,
+        )
+    }
+
+    /// Open a session in the pruned sparse representation from the start.
+    /// `prune_epsilon` is the per-update relative mass threshold below
+    /// which states are dropped (`1e-9` is a good default per E10; `0.0`
+    /// keeps everything). An out-of-range epsilon is a typed
+    /// [`ConfigError::InvalidArgument`], so a service assembling sessions
+    /// from untrusted configuration can shed the cohort instead of
+    /// crashing.
+    pub fn new_sparse(
+        prior: Prior,
+        model: M,
+        config: SbgtConfig,
+        prune_epsilon: f64,
+    ) -> Result<Self, ConfigError> {
+        check_epsilon(prune_epsilon).map_err(ConfigError::InvalidArgument)?;
+        let posterior = Arm::Sparse {
+            posterior: prior.to_sparse(prune_epsilon),
+            epsilon: prune_epsilon,
+        };
+        Ok(Session::open(
+            ExactBackend::new(posterior, (), model),
+            config,
+        ))
+    }
+
+    /// Rehydrate a session opened by [`Self::new_sparse`]. The prune
+    /// epsilon, like the model and config, is the cohort's static spec;
+    /// a snapshot without a sparse section or an epsilon outside `[0, 1)`
+    /// is a typed error.
+    pub fn restore_sparse(
+        snapshot: &SessionSnapshot,
+        model: M,
+        config: SbgtConfig,
+        prune_epsilon: f64,
+    ) -> Result<Self, SnapshotError> {
+        Session::resume(snapshot, config, |snapshot| {
+            if snapshot.sparse.is_none() {
+                return Err(SnapshotError::Corrupt(
+                    "sparse restore needs a sparse section".into(),
+                ));
+            }
+            check_epsilon(prune_epsilon).map_err(SnapshotError::Corrupt)?;
+            ExactBackend::restore(snapshot, model, prune_epsilon)
+        })
+    }
+
+    /// Ingest one observed pooled test (one stage), on the driver.
+    /// Returns the model evidence of the observation.
+    pub fn observe(&mut self, pool: State, outcome: bool) -> Result<f64, BayesError> {
+        self.observe_in(None, &pool, outcome)
+    }
+
+    /// Ingest a whole stage of observations (look-ahead workflows run
+    /// several pools per lab round); returns the joint evidence. Stage
+    /// accounting is [`Session::observe_stage_in`]'s.
+    pub fn observe_stage(&mut self, observations: &[(State, bool)]) -> Result<f64, BayesError> {
+        self.observe_stage_in(None, observations.iter().map(|(p, o)| (p, *o)))
+    }
+
+    /// Drive the session to classification against a lab oracle, on the
+    /// driver ([`Session::run`]).
+    pub fn run_to_classification(&mut self, mut lab: impl FnMut(State) -> bool) -> SessionOutcome {
+        self.run(None, |pool| lab(*pool))
+    }
+
+    /// Drive exactly one round on the driver ([`Session::round`]).
+    pub fn run_round(&mut self, mut lab: impl FnMut(State) -> bool) -> RoundStep {
+        self.round(None, |pool| lab(*pool))
+    }
+
+    /// Bayesian Halving Algorithm: the next pool to test, or `None` when
+    /// every subject is already classified.
+    pub fn select_next(&self) -> Option<Selection> {
+        self.backend()
+            .select_next(None, self.config(), &self.eligible_order())
+    }
+
+    /// Globally optimal Bayesian halving over **all** admissible pools of
+    /// the unclassified subjects, priced by one zeta transform
+    /// (`O(N · 2^N)` instead of the prefix rule's `O(2^N)`, exact instead
+    /// of near-optimal). `None` when every subject is classified.
+    pub fn select_next_global(&self) -> Option<Selection> {
+        let order = self.eligible_order();
+        let dense = self.backend().dense_view();
+        let cap = self.config().max_pool_size;
+        match self.config().exec {
+            ExecMode::Serial => select_halving_global(&dense, &order, cap),
+            ExecMode::Parallel(_) => select_halving_global_par(&dense, &order, cap),
+        }
+    }
+
+    /// Information-gain refinement: score the `shortlist` best halving
+    /// prefixes by exact expected entropy reduction and return the most
+    /// informative (see `sbgt_select::information`). `None` when the
+    /// cohort is classified.
+    pub fn select_next_informative(&self, shortlist: usize) -> Option<InfoSelection> {
+        select_information_gain(
+            &self.backend().dense_view(),
+            &self.backend().model,
+            &self.eligible_order(),
+            self.config().max_pool_size,
+            shortlist,
+        )
+    }
+
+    /// Look-ahead stage selection: up to `width` pools for one lab round,
+    /// on the **branch-fused** fast path (serial or rayon per the
+    /// configured [`ExecMode`]) — no branch posterior is materialized.
+    /// Rejects a zero `width` with [`SelectError::InvalidArgument`].
+    pub fn select_stage(&self, width: usize) -> Result<Vec<Selection>, SelectError> {
+        let cfg = LookaheadConfig {
+            width,
+            max_pool_size: self.config().max_pool_size,
+        };
+        self.backend()
+            .select_stage(None, self.config(), &cfg, &self.eligible_order())
+    }
+
+    /// Full statistical readout (marginals, entropy, MAP, top-k, rank
+    /// distribution) using the configured kernels.
+    pub fn report(&self, top_k: usize) -> PosteriorReport {
+        let dense = self.backend().dense_view();
+        match self.config().exec {
+            ExecMode::Serial => analyze(&dense, top_k),
+            ExecMode::Parallel(cfg) => analyze_par(&dense, top_k, cfg),
+        }
+    }
+}
+
+impl<M: BinaryOutcomeModel> Session<ExactBackend<ShardedPosterior, M>> {
+    /// Open a session: shard the prior posterior into `parts` partitions
+    /// and run one marginals stage to seed the classification state.
+    pub fn new(engine: &Engine, prior: Prior, model: M, config: SbgtConfig, parts: usize) -> Self {
+        let posterior = ShardedPosterior::from_dense(&prior.to_dense(), parts);
+        let cache = ShardedCache {
+            marginals: posterior.marginals(engine),
+            pending_selection: None,
+        };
+        Session::open(
+            ExactBackend::new(Arm::Dense(posterior), cache, model),
+            config,
+        )
+    }
+
+    /// Exact BHA selection: fresh eligible ordering, one read-only
+    /// all-prefix mass stage. `None` when the cohort is classified.
+    pub fn select_next(&self, engine: &Engine) -> Option<Selection> {
+        self.backend()
+            .select_next(engine, self.config(), &self.eligible_order())
+    }
+
+    /// Select all pools of one look-ahead stage on the **engine-sharded
+    /// fused path**, bit-for-bit the pools of the serial clone-per-branch
+    /// rule (pinned by the chaos-equivalence suite, with and without
+    /// injected faults). Empty when the cohort is already classified.
+    pub fn select_stage(
+        &self,
+        engine: &Engine,
+        cfg: &LookaheadConfig,
+    ) -> Result<Vec<Selection>, SelectError> {
+        self.backend()
+            .select_stage(engine, self.config(), cfg, &self.eligible_order())
+    }
+
+    /// Ingest one observed pooled test as a single fused in-place stage;
+    /// returns the model evidence.
+    pub fn observe(
+        &mut self,
+        engine: &Engine,
+        pool: State,
+        outcome: bool,
+    ) -> Result<f64, BayesError> {
+        self.observe_in(engine, &pool, outcome)
+    }
+
+    /// Ingest all observed outcomes of one look-ahead stage under a single
+    /// stage count; returns the joint model evidence. Stage accounting is
+    /// [`Session::observe_stage_in`]'s.
+    pub fn observe_stage(
+        &mut self,
+        engine: &Engine,
+        observations: &[(State, bool)],
+    ) -> Result<f64, BayesError> {
+        self.observe_stage_in(engine, observations.iter().map(|(p, o)| (p, *o)))
+    }
+
+    /// Drive the session to classification against a lab oracle, one fused
+    /// stage per round ([`Session::run`]). Under a fault-tolerant engine the
+    /// whole run survives injected or real task failures with an identical
+    /// outcome: every stage recovers bit-for-bit.
+    pub fn run_to_classification(
+        &mut self,
+        engine: &Engine,
+        mut lab: impl FnMut(State) -> bool,
+    ) -> SessionOutcome {
+        self.run(engine, |pool| lab(*pool))
+    }
+
+    /// Drive exactly one round ([`Session::round`]) — the unit a
+    /// multi-cohort service schedules onto a shared engine.
+    pub fn run_round(&mut self, engine: &Engine, mut lab: impl FnMut(State) -> bool) -> RoundStep {
+        self.round(engine, |pool| lab(*pool))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbgt_engine::EngineConfig;
+    use sbgt_lattice::kernels::ParConfig;
+    use sbgt_lattice::SparseSwitch;
+    use sbgt_response::BinaryDilutionModel;
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-9
+    }
+
+    fn engine() -> Engine {
+        Engine::new(EngineConfig::default().with_threads(2))
+    }
+
+    fn session(exec: ExecMode) -> SbgtSession<BinaryDilutionModel> {
+        let prior = Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]);
+        SbgtSession::new(
+            prior,
+            BinaryDilutionModel::pcr_like(),
+            SbgtConfig {
+                exec,
+                ..SbgtConfig::default()
+            },
+        )
+    }
+
+    fn parallel() -> ExecMode {
+        ExecMode::Parallel(ParConfig {
+            chunk_len: 17,
+            threshold: 0,
+        })
+    }
+
+    /// Ten subjects with distinct risks: a flat prior would leave the
+    /// ascending-marginal ordering to last-ulp noise (dense and sharded
+    /// summation orders differ), sending the two representations down
+    /// different — equally valid — BHA trajectories.
+    fn distinct_risks() -> Prior {
+        Prior::from_risks(&[0.03, 0.07, 0.02, 0.09, 0.05, 0.04, 0.08, 0.06, 0.025, 0.045])
+    }
+
+    fn switch(max_support_fraction: f64) -> SparseSwitch {
+        SparseSwitch {
+            max_support_fraction,
+            prune_epsilon: 1e-9,
+        }
+    }
+
+    #[test]
+    fn serial_and_parallel_sessions_agree() {
+        let mut a = session(ExecMode::Serial);
+        let mut b = session(parallel());
+        let pool = State::from_subjects([0, 1, 2, 3]);
+        let za = a.observe(pool, true).unwrap();
+        let zb = b.observe(pool, true).unwrap();
+        assert!(close(za, zb));
+        for (x, y) in a.marginals().iter().zip(b.marginals()) {
+            assert!(close(*x, y));
+        }
+        let sa = a.select_next().unwrap();
+        let sb = b.select_next().unwrap();
+        assert_eq!(sa.pool, sb.pool);
+        let ra = a.report(3);
+        let rb = b.report(3);
+        assert!(close(ra.entropy, rb.entropy));
+        assert_eq!(ra.map_state.0, rb.map_state.0);
+    }
+
+    #[test]
+    fn select_next_none_when_classified() {
+        let prior = Prior::flat(4, 0.02);
+        let mut s = SbgtSession::new(
+            prior,
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default().serial(),
+        );
+        // One all-negative pool classifies everyone at these thresholds.
+        s.observe(State::from_subjects([0, 1, 2, 3]), false)
+            .unwrap();
+        assert!(s.classify().is_terminal());
+        assert!(s.select_next().is_none());
+    }
+
+    #[test]
+    fn global_selection_is_no_worse_than_prefix() {
+        let mut s = session(ExecMode::Serial);
+        s.observe(State::from_subjects([0, 1, 2]), true).unwrap();
+        let prefix = s.select_next().unwrap();
+        let global = s.select_next_global().unwrap();
+        assert!(global.distance <= prefix.distance + 1e-12);
+        // And the parallel path agrees with the serial one.
+        let mut p = session(parallel());
+        p.observe(State::from_subjects([0, 1, 2]), true).unwrap();
+        let global_par = p.select_next_global().unwrap();
+        assert_eq!(global.pool, global_par.pool);
+    }
+
+    #[test]
+    fn informative_selection_bounds() {
+        let mut s = session(ExecMode::Serial);
+        s.observe(State::from_subjects([0, 1]), true).unwrap();
+        let sel = s.select_next_informative(3).unwrap();
+        assert!(sel.information_gain >= 0.0);
+        assert!(sel.information_gain <= 2f64.ln() + 1e-12);
+        assert!(!sel.pool.is_empty());
+    }
+
+    #[test]
+    fn select_stage_dispatches_and_validates() {
+        let mut a = session(ExecMode::Serial);
+        let mut b = session(parallel());
+        let pool = State::from_subjects([0, 1, 2]);
+        a.observe(pool, true).unwrap();
+        b.observe(pool, true).unwrap();
+        let sa = a.select_stage(3).unwrap();
+        let sb = b.select_stage(3).unwrap();
+        assert_eq!(sa.len(), sb.len());
+        for (x, y) in sa.iter().zip(&sb) {
+            assert_eq!(x.pool, y.pool);
+        }
+        // Zero width is a typed error, not a panic.
+        assert!(matches!(
+            a.select_stage(0),
+            Err(SelectError::InvalidArgument(_))
+        ));
+    }
+
+    #[test]
+    fn adaptive_switch_happens_mid_run_and_still_classifies() {
+        let truth = State::from_subjects([2, 7]);
+        let mut s = SbgtSession::new(
+            Prior::flat(10, 0.05),
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default()
+                .serial()
+                .with_sparse_switch(switch(0.5)),
+        );
+        assert!(!s.is_sparse());
+        let outcome = s.run_to_classification(|pool| truth.intersects(pool));
+        assert!(outcome.classification.is_terminal());
+        assert_eq!(outcome.classification.positives(), 2);
+        // A perfect-model run collapses support fast; the switch must have
+        // fired well before classification at a 50% threshold.
+        assert!(s.is_sparse(), "session never switched to sparse");
+        let sp = s.sparse_posterior().unwrap();
+        assert!(sp.support() < 1 << 10);
+        // Conservation holds on the live sparse posterior.
+        assert!((sp.total() + sp.pruned_mass() - 1.0).abs() < 1e-9);
+        // Dense-only views still work by materializing.
+        let report = s.report(2);
+        assert!(report.entropy >= 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "switched to sparse")]
+    fn dense_accessor_panics_after_switch() {
+        let truth = State::from_subjects([0]);
+        let mut s = SbgtSession::new(
+            Prior::flat(6, 0.05),
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default()
+                .serial()
+                .with_sparse_switch(switch(1.0)),
+        );
+        // With the threshold at the whole lattice, the first informative
+        // observation triggers the switch.
+        let _ = s.run_round(|pool| truth.intersects(pool));
+        assert!(s.is_sparse());
+        let _ = s.posterior();
+    }
+
+    #[test]
+    fn rounds_run_as_single_in_place_stages() {
+        let e = engine();
+        let truth = State::from_subjects([2]);
+        let mut s = ShardedSession::new(
+            &e,
+            Prior::flat(8, 0.06),
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default(),
+            4,
+        );
+        e.metrics().clear();
+        let outcome = s.run_to_classification(&e, |pool| truth.intersects(pool));
+        assert!(outcome.classification.is_terminal());
+        // Steady-state rounds are one fused in-place stage each; only the
+        // bootstrap selection may add one read-only stage.
+        let jobs = e.metrics().jobs();
+        let fused = jobs
+            .iter()
+            .filter(|j| j.name.contains("fused-round"))
+            .count();
+        assert_eq!(fused, outcome.tests, "one fused stage per observation");
+        assert!(
+            jobs.len() <= outcome.tests + 1,
+            "at most one bootstrap stage beyond the fused rounds ({} jobs, {} tests)",
+            jobs.len(),
+            outcome.tests
+        );
+        assert_eq!(e.metrics().in_place_job_count(), fused);
+    }
+
+    #[test]
+    fn observe_matches_dense_session_evidence() {
+        let e = engine();
+        let prior = Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]);
+        let model = BinaryDilutionModel::pcr_like();
+        let mut sharded = ShardedSession::new(&e, prior.clone(), model, SbgtConfig::default(), 3);
+        let mut dense = SbgtSession::new(prior, model, SbgtConfig::default().serial());
+        let pool = State::from_subjects([0, 1, 2, 3]);
+        let zs = sharded.observe(&e, pool, true).unwrap();
+        let zd = dense.observe(pool, true).unwrap();
+        assert!(close(zs, zd), "evidence {zs} vs {zd}");
+        for (a, b) in sharded.marginals().iter().zip(dense.marginals()) {
+            assert!(close(*a, b));
+        }
+        assert_eq!(sharded.history(), dense.history());
+    }
+
+    #[test]
+    fn exact_select_agrees_with_dense_prefix_rule() {
+        let e = engine();
+        // Distinct risks, none on the symmetric(0.99) boundary: a subject
+        // at exactly 0.01 flips classification on ulp-level summation
+        // differences between the dense and sharded paths.
+        let prior = Prior::from_risks(&[0.02, 0.05, 0.03, 0.1, 0.035, 0.08, 0.025, 0.04]);
+        let model = BinaryDilutionModel::pcr_like();
+        let mut sharded = ShardedSession::new(&e, prior.clone(), model, SbgtConfig::default(), 3);
+        let mut dense = SbgtSession::new(prior, model, SbgtConfig::default().serial());
+        let pool = State::from_subjects([1, 5]);
+        sharded.observe(&e, pool, false).unwrap();
+        dense.observe(pool, false).unwrap();
+        let a = sharded.select_next(&e).unwrap();
+        let b = dense.select_next().unwrap();
+        assert_eq!(a.pool, b.pool);
+        assert!(close(a.negative_mass, b.negative_mass));
+    }
+
+    #[test]
+    fn wide_stage_loop_counts_stages_not_tests() {
+        let e = engine();
+        let truth = State::from_subjects([1, 6]);
+        let mut s = ShardedSession::new(
+            &e,
+            distinct_risks(),
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default().with_stage_width(3),
+            4,
+        );
+        let outcome = s.run_to_classification(&e, |pool| truth.intersects(pool));
+        assert!(outcome.classification.is_terminal());
+        assert!(
+            outcome.stages < outcome.tests,
+            "width-3 stages must bank several tests per stage ({} stages, {} tests)",
+            outcome.stages,
+            outcome.tests
+        );
+        // The selection stages ran on the sharded fused path.
+        let jobs = e.metrics().jobs();
+        assert!(jobs.iter().any(|j| j.name == "lookahead:select"));
+    }
+
+    #[test]
+    fn engine_recorder_captures_cohort_tagged_round_spans() {
+        use sbgt_engine::obs::{ObsConfig, SpanKind};
+        let e = Engine::new(
+            EngineConfig::default()
+                .with_threads(2)
+                .with_obs(ObsConfig::full()),
+        );
+        let truth = State::from_subjects([3, 7]);
+        let mut s = ShardedSession::new(
+            &e,
+            distinct_risks(),
+            BinaryDilutionModel::perfect(),
+            SbgtConfig::default(),
+            4,
+        );
+        assert_eq!(s.cohort(), None);
+        s.set_cohort(42);
+        assert_eq!(s.cohort(), Some(42));
+        let outcome = s.run_to_classification(&e, |pool| truth.intersects(pool));
+        assert!(outcome.classification.is_terminal());
+        let snap = e.obs().snapshot();
+        let events: Vec<_> = snap.all_events().collect();
+        let rec = e.obs();
+        // Round and phase spans carry the cohort tag; the engine's own
+        // stage spans (the fused rounds) share the same recorder.
+        assert!(events
+            .iter()
+            .any(|ev| ev.kind == SpanKind::Round && ev.meta.cohort == 42));
+        assert!(events.iter().any(|ev| ev.kind == SpanKind::Phase
+            && ev.meta.cohort == 42
+            && rec.name_of(ev.name) == "session:observe"));
+        assert!(events
+            .iter()
+            .any(|ev| ev.kind == SpanKind::Stage && rec.name_of(ev.name).contains("fused-round")));
+    }
+
+    #[test]
+    fn adaptive_switch_runs_sparse_rounds_on_the_engine() {
+        let e = engine();
+        let truth = State::from_subjects([3, 7]);
+        let config = SbgtConfig::default().with_sparse_switch(switch(0.5));
+        let mut s = ShardedSession::new(
+            &e,
+            distinct_risks(),
+            BinaryDilutionModel::perfect(),
+            config,
+            4,
+        );
+        e.metrics().clear();
+        let outcome = s.run_to_classification(&e, |pool| truth.intersects(pool));
+        assert!(outcome.classification.is_terminal());
+        assert_eq!(outcome.classification.positives(), 2);
+        assert!(s.is_sparse(), "session never switched to sparse");
+        assert!(s.sparse_posterior().unwrap().support() < 1 << 10);
+        // Post-switch rounds ran as engine stages, tagged with the sparse
+        // variant so `jobs()` shows the representation change.
+        let jobs = e.metrics().jobs();
+        let sparse_rounds = jobs
+            .iter()
+            .filter(|j| j.name == "fused-round:sparse")
+            .count();
+        assert!(sparse_rounds >= 1, "no sparse round ran on the engine");
+        assert!(jobs
+            .iter()
+            .any(|j| matches!(j.variant, StageVariant::Sparse { .. })));
+        // The switch itself ran the support-count and collect stages.
+        assert!(jobs.iter().any(|j| j.name == "sparse:support"));
+        assert!(jobs.iter().any(|j| j.name == "sparse:collect"));
+    }
+
+    #[test]
+    fn hybrid_sharded_matches_hybrid_dense_session() {
+        let e = engine();
+        let truth = State::from_subjects([1, 8]);
+        let model = BinaryDilutionModel::perfect();
+        let mut sharded = ShardedSession::new(
+            &e,
+            distinct_risks(),
+            model,
+            SbgtConfig::default().with_sparse_switch(switch(0.5)),
+            4,
+        );
+        let so = sharded.run_to_classification(&e, |pool| truth.intersects(pool));
+        let mut dense = SbgtSession::new(
+            distinct_risks(),
+            model,
+            SbgtConfig::default()
+                .serial()
+                .with_sparse_switch(switch(0.5)),
+        );
+        let do_ = dense.run_to_classification(|pool| truth.intersects(pool));
+        assert_eq!(
+            so.classification.statuses, do_.classification.statuses,
+            "hybrid sharded and hybrid dense must classify identically"
+        );
+        assert!(sharded.is_sparse() && dense.is_sparse());
+        for (a, b) in so.marginals.iter().zip(&do_.marginals) {
+            assert!(close(*a, *b), "{a} vs {b}");
+        }
+    }
+
+    fn sparse_risks() -> Prior {
+        Prior::from_risks(&[0.02, 0.08, 0.03, 0.15, 0.05, 0.1, 0.04])
+    }
+
+    #[test]
+    fn pruning_shrinks_support_during_episode() {
+        let model = BinaryDilutionModel::pcr_like();
+        let cfg = SbgtConfig::default().serial();
+        let mut s = SbgtSession::new_sparse(sparse_risks(), model, cfg, 1e-9).unwrap();
+        let initial = s.sparse_posterior().unwrap().support();
+        s.observe(State::from_subjects([0, 1, 2, 3]), false)
+            .unwrap();
+        s.observe(State::from_subjects([4, 5, 6]), false).unwrap();
+        let sp = s.sparse_posterior().unwrap();
+        assert!(sp.support() < initial, "{} !< {initial}", sp.support());
+        assert!(sp.pruned_mass() > 0.0);
+    }
+
+    #[test]
+    fn aggressive_pruning_still_tracks_truth_with_perfect_assay() {
+        // With a perfect assay, the true state's mass only ever grows
+        // relatively, so even harsh pruning keeps it.
+        let truth = State::from_subjects([1]);
+        let model = BinaryDilutionModel::perfect();
+        let cfg = SbgtConfig::default().serial();
+        let mut s = SbgtSession::new_sparse(Prior::flat(8, 0.05), model, cfg, 1e-3).unwrap();
+        let out = s.run_to_classification(|pool| truth.intersects(pool));
+        assert!(out.classification.is_terminal());
+        assert_eq!(out.classification.positives(), 1);
+    }
+
+    /// Regression: an out-of-range epsilon used to `assert!`-panic inside
+    /// the constructor, taking down the whole process when a service opened
+    /// a cohort from bad configuration. It is now the workspace-standard
+    /// typed error.
+    #[test]
+    fn epsilon_out_of_range_is_typed_error_not_panic() {
+        let model = BinaryDilutionModel::pcr_like();
+        let open =
+            |eps| SbgtSession::new_sparse(Prior::flat(3, 0.1), model, SbgtConfig::default(), eps);
+        for bad in [1.0, 1.5, -0.1, f64::NAN] {
+            match open(bad) {
+                Err(ConfigError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("prune epsilon"), "message: {msg}")
+                }
+                Ok(_) => panic!("epsilon {bad} must be rejected"),
+            }
+        }
+        // And the boundary values are accepted.
+        assert!(open(0.0).is_ok());
+    }
+
+    #[test]
+    fn engine_backed_rounds_match_driver_rounds_bit_for_bit() {
+        let e = engine();
+        let truth = State::from_subjects([1, 6]);
+        let model = BinaryDilutionModel::perfect();
+        let cfg = SbgtConfig::default().serial();
+        let mk = || SbgtSession::new_sparse(Prior::flat(8, 0.07), model, cfg, 1e-9).unwrap();
+        let mut driver = mk();
+        let expected = driver.run_to_classification(|pool| truth.intersects(pool));
+        let mut staged = mk();
+        e.metrics().clear();
+        let outcome = loop {
+            if let Some(o) = staged
+                .round(Some(&e), |pool| truth.intersects(*pool))
+                .finished()
+            {
+                break o;
+            }
+        };
+        assert_eq!(outcome, expected);
+        assert_eq!(staged.history(), driver.history());
+        let entries = |s: &SbgtSession<_>| s.sparse_posterior().unwrap().entries().to_vec();
+        for (a, b) in entries(&staged).iter().zip(&entries(&driver)) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+        // Every observation ran as a sparse-tagged engine stage.
+        let jobs = e.metrics().jobs();
+        let sparse_jobs: Vec<_> = jobs
+            .iter()
+            .filter(|j| j.name == "fused-round:sparse")
+            .collect();
+        assert_eq!(sparse_jobs.len(), outcome.tests);
+        assert!(sparse_jobs
+            .iter()
+            .all(|j| matches!(j.variant, StageVariant::Sparse { .. })));
+    }
+}

@@ -14,10 +14,11 @@
 //!
 //! The loop over those three classes is written once — the generic
 //! [`Session`] driver in [`session`] — over a small [`Backend`] trait that
-//! carries only what differs between posterior representations. The
-//! concrete sessions are aliases: [`SbgtSession`] (dense in memory, with
-//! the adaptive dense→sparse switch), [`ShardedSession`] (engine shards),
-//! [`SparseSession`] (pruned lattice); `sbgt-approx` adds the BP and
+//! carries only what differs between posterior representations. The exact
+//! lattice posterior is one backend, [`ExactBackend`]: dense — in memory
+//! ([`SbgtSession`]) or as engine shards ([`ShardedSession`]) — until the
+//! adaptive switch prunes it to the sparse representation, which
+//! [`SbgtSession::new_sparse`] opens directly; `sbgt-approx` adds the BP and
 //! particle backends past the `2^N` wall.
 //!
 //! Two frameworks implement the same math:
@@ -59,29 +60,25 @@
 pub mod baseline;
 pub mod config;
 pub mod conformance;
-pub mod dense_session;
+mod exact;
 pub mod parallel;
 pub mod report;
 pub mod session;
-pub mod sharded_session;
 pub mod snapshot;
-pub mod sparse_session;
 
 pub use baseline::BaselineSession;
 pub use config::{ConfigError, ExecMode, SbgtConfig};
-pub use dense_session::{DenseBackend, SbgtSession};
+pub use exact::{ExactBackend, SbgtSession, ShardedSession};
 pub use parallel::{FusedRound, ShardedPosterior};
 pub use report::SessionOutcome;
 pub use session::{Backend, History, Pool, RoundCtx, RoundStep, RoundTrace, Session};
-pub use sharded_session::{ShardedBackend, ShardedSession};
 pub use snapshot::{
     ApproxKind, ApproxSnapshot, ParticleBlock, SessionSnapshot, SnapshotError, SparseSnapshot,
 };
-pub use sparse_session::{SparseBackend, SparseSession};
 
 // The adaptive-switch types are lattice-level but configured through
 // [`SbgtConfig::sparse_switch`], so re-export them at the session surface.
-pub use sbgt_lattice::{HybridPosterior, SparsePosterior, SparseSwitch};
+pub use sbgt_lattice::{SparsePosterior, SparseSwitch};
 
 // The plan cache is select-level but attached through the sessions
 // (`attach_plan`), so re-export the service-facing types here too.
@@ -94,7 +91,7 @@ pub mod prelude {
     pub use crate::{
         ApproxKind, ApproxSnapshot, BaselineSession, ConfigError, ExecMode, ParticleBlock,
         RoundStep, SbgtConfig, SbgtSession, SessionOutcome, SessionSnapshot, ShardedSession,
-        SnapshotError, SparseSession, SparseSwitch,
+        SnapshotError, SparseSwitch,
     };
     pub use sbgt_bayes::{ClassificationRule, CohortClassification, Prior, SubjectStatus};
     pub use sbgt_lattice::State;

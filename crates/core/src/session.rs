@@ -7,13 +7,16 @@
 //! stage counter, telemetry, the plan-cache handle, the lab call and the
 //! stopping rule. A [`Backend`] carries only what differs between
 //! posterior representations — how to read marginals, select one stage
-//! live, and apply one observation — so dense-hybrid, engine-sharded,
-//! pruned-sparse, loopy-BP and particle sessions are five `Backend` impls
-//! under the same driver, monomorphised per backend.
+//! live, and apply one observation — so the exact lattice posterior (in
+//! memory or engine-sharded, dense or pruned-sparse), loopy BP and the
+//! particle filter are three `Backend` impls under the same driver,
+//! monomorphised per backend.
 
 use std::sync::Arc;
 
-use sbgt_bayes::{classify_marginals, BayesError, ClassificationRule, CohortClassification};
+use sbgt_bayes::{
+    classify_marginals, BayesError, ClassificationRule, CohortClassification, SubjectStatus,
+};
 use sbgt_engine::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel, NO_COHORT};
 use sbgt_engine::Engine;
 use sbgt_lattice::{BigState, State};
@@ -59,8 +62,13 @@ pub type History<P> = [(P, bool)];
 /// representation: `State` forwards to the [`PlanHandle`]; by default a
 /// representation never hits and never records.
 pub trait Pool: Clone {
-    /// The selections `plan` memoized for exactly this history, if any.
-    fn replay(_plan: &PlanHandle, _history: &History<Self>) -> Option<Vec<Selection<Self>>> {
+    /// The selections `plan` memoized for exactly this history, if any and
+    /// if live selection could have made them under `classification`.
+    fn replay(
+        _plan: &PlanHandle,
+        _history: &History<Self>,
+        _classification: &CohortClassification,
+    ) -> Option<Vec<Selection<Self>>> {
         None
     }
 
@@ -69,8 +77,29 @@ pub trait Pool: Clone {
 }
 
 impl Pool for State {
-    fn replay(plan: &PlanHandle, history: &History<State>) -> Option<Vec<Selection>> {
-        plan.lookup(history)
+    /// A cached stage is replayed only when every pool is non-empty and
+    /// names only subjects `classification` leaves undetermined (this
+    /// round's candidate order); otherwise the round selects live, as on a
+    /// miss, so a damaged plan — an SBGTPLAN byte flipped into a
+    /// structurally valid tree — can never end a cohort unclassified. A pool
+    /// that is valid but different stays undetectable until stored blobs
+    /// carry a checksum (ROADMAP item 9).
+    fn replay(
+        plan: &PlanHandle,
+        history: &History<State>,
+        classification: &CohortClassification,
+    ) -> Option<Vec<Selection>> {
+        let open = classification
+            .statuses
+            .iter()
+            .enumerate()
+            .filter(|(_, status)| **status == SubjectStatus::Undetermined)
+            .fold(0u64, |open, (i, _)| open | 1 << i);
+        plan.lookup(history).filter(|stage| {
+            stage
+                .iter()
+                .all(|s| !s.pool.is_empty() && s.pool.bits() & !open == 0)
+        })
     }
 
     fn record(plan: &PlanHandle, history: &History<State>, live: &[Selection]) {
@@ -89,15 +118,20 @@ pub trait RoundCtx<'a>: Copy {
     /// owns one engine steps any backend).
     fn on(engine: &'a Engine) -> Self;
 
+    /// The engine this context carries, if any.
+    fn engine(self) -> Option<&'a Engine>;
+
     /// The engine's recorder, when the context carries an engine: the
     /// telemetry sink of a session no recorder was attached to.
-    fn recorder(self) -> Option<&'a Arc<SpanRecorder>>;
+    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
+        self.engine().map(Engine::obs)
+    }
 }
 
 impl<'a> RoundCtx<'a> for () {
     fn on(_: &'a Engine) {}
 
-    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
+    fn engine(self) -> Option<&'a Engine> {
         None
     }
 }
@@ -107,8 +141,8 @@ impl<'a> RoundCtx<'a> for &'a Engine {
         engine
     }
 
-    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
-        Some(self.obs())
+    fn engine(self) -> Option<&'a Engine> {
+        Some(self)
     }
 }
 
@@ -117,8 +151,8 @@ impl<'a> RoundCtx<'a> for Option<&'a Engine> {
         Some(engine)
     }
 
-    fn recorder(self) -> Option<&'a Arc<SpanRecorder>> {
-        self.map(Engine::obs)
+    fn engine(self) -> Option<&'a Engine> {
+        self
     }
 }
 
@@ -161,7 +195,7 @@ fn phase_end(phases: Option<&RoundTrace>, name: &str, start: Option<u64>) {
 }
 
 /// A posterior representation under the round driver: only what differs
-/// between dense, sharded, sparse, BP and particle posteriors. The methods
+/// between exact, BP and particle posteriors. The methods
 /// map onto the paper's three operation classes — [`Self::marginals`] is
 /// statistical analysis, [`Self::select`] is test selection,
 /// [`Self::observe`] is lattice-model manipulation — plus the snapshot
@@ -237,23 +271,13 @@ fn order_from(marginals: &[f64], classification: &CohortClassification) -> Vec<u
     eligible
 }
 
-/// Reject an approximate-backend snapshot in an exact backend's restore.
-pub(crate) fn exact_only(snapshot: &SessionSnapshot) -> Result<(), SnapshotError> {
-    match snapshot.approx {
-        Some(_) => Err(SnapshotError::Corrupt(
-            "approx snapshot cannot restore an exact session".into(),
-        )),
-        None => Ok(()),
-    }
-}
-
 /// A live Bayesian group-testing session over one cohort: the round loop,
 /// generic over the posterior [`Backend`].
 ///
-/// The concrete sessions are aliases of this type — `SbgtSession`,
-/// `ShardedSession`, `SparseSession` here, the BP and particle sessions in
-/// `sbgt-approx` — each adding its constructor and the entry points whose
-/// signatures depend on the backend's pool and context types.
+/// The concrete sessions are aliases of this type — `SbgtSession` and
+/// `ShardedSession` here, the BP and particle sessions in `sbgt-approx` —
+/// the exact ones adding the entry points whose signatures depend on their
+/// round context.
 pub struct Session<B> {
     backend: B,
     config: SbgtConfig,
@@ -502,7 +526,7 @@ impl<B: Backend> Session<B> {
         let t = phase_start(phases);
         let cached = self
             .planned()
-            .and_then(|(plan, history)| B::Pool::replay(plan, history));
+            .and_then(|(plan, history)| B::Pool::replay(plan, history, &classification));
         let selections = match cached {
             Some(cached) => cached,
             None => {

@@ -1,17 +1,15 @@
-//! Adaptive dense→sparse posterior switching.
+//! Adaptive dense→sparse posterior switching: the policy and its support
+//! count.
 //!
 //! Posterior mass concentrates onto a tiny support after a few informative
 //! rounds (HiBGT's pruned-lattice observation), at which point the `Θ(2^N)`
 //! dense traversal wastes almost all of its work on states carrying no
-//! mass. [`HybridPosterior`] starts dense — where the SIMD kernels and the
-//! sharded engine path are fastest — and switches to [`SparsePosterior`]
-//! once the retained support falls below a configurable fraction of the
-//! lattice ([`SparseSwitch`]). The switch is one-way: a posterior never
-//! re-densifies (support only shrinks under further evidence, and the
-//! pruned-mass record would be lost).
+//! mass. A session starts dense — where the SIMD kernels and the sharded
+//! engine path are fastest — and switches to the sparse representation once
+//! the [`retained_support`] falls below a configurable fraction of the
+//! lattice ([`SparseSwitch`]); `sbgt`'s exact backend takes the switch.
 
 use crate::dense::DensePosterior;
-use crate::sparse::SparsePosterior;
 
 /// When (and how aggressively) a dense posterior converts to sparse.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,71 +66,9 @@ pub fn retained_support(dense: &DensePosterior, epsilon: f64) -> usize {
         .count()
 }
 
-/// A posterior that is dense until evidence concentrates it, sparse after.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HybridPosterior {
-    /// Early-session exhaustive representation.
-    Dense(DensePosterior),
-    /// Post-switch pruned representation.
-    Sparse(SparsePosterior),
-}
-
-impl HybridPosterior {
-    /// Start dense (the only entry point — switching is evidence-driven).
-    pub fn new_dense(dense: DensePosterior) -> Self {
-        HybridPosterior::Dense(dense)
-    }
-
-    /// Cohort size `N`.
-    pub fn n_subjects(&self) -> usize {
-        match self {
-            HybridPosterior::Dense(d) => d.n_subjects(),
-            HybridPosterior::Sparse(s) => s.n_subjects(),
-        }
-    }
-
-    /// Whether the switch has happened.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, HybridPosterior::Sparse(_))
-    }
-
-    /// The sparse representation, when switched.
-    pub fn as_sparse(&self) -> Option<&SparsePosterior> {
-        match self {
-            HybridPosterior::Sparse(s) => Some(s),
-            HybridPosterior::Dense(_) => None,
-        }
-    }
-
-    /// The dense representation, while unswitched.
-    pub fn as_dense(&self) -> Option<&DensePosterior> {
-        match self {
-            HybridPosterior::Dense(d) => Some(d),
-            HybridPosterior::Sparse(_) => None,
-        }
-    }
-
-    /// Convert to sparse now if the retained support qualifies under
-    /// `switch`; returns the retained support when the switch happens.
-    /// No-op (returning `None`) when already sparse or still too spread.
-    pub fn maybe_switch(&mut self, switch: &SparseSwitch) -> Option<usize> {
-        let HybridPosterior::Dense(dense) = self else {
-            return None;
-        };
-        let support = retained_support(dense, switch.prune_epsilon);
-        let limit = switch.max_support_fraction * dense.len() as f64;
-        if support as f64 > limit {
-            return None;
-        }
-        *self = HybridPosterior::Sparse(SparsePosterior::from_dense(dense, switch.prune_epsilon));
-        Some(support)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::State;
 
     #[test]
     fn switch_config_is_validated() {
@@ -157,32 +93,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn stays_dense_while_spread_then_switches() {
-        // Uniform posterior: full support, no switch.
-        let mut h = HybridPosterior::new_dense(DensePosterior::new_uniform(6));
-        let switch = SparseSwitch {
-            max_support_fraction: 0.25,
-            prune_epsilon: 1e-9,
-        };
-        assert_eq!(h.maybe_switch(&switch), None);
-        assert!(!h.is_sparse());
-
-        // Concentrate the mass onto a handful of states.
-        let mut probs = vec![0.0f64; 64];
-        probs[3] = 0.7;
-        probs[12] = 0.2;
-        probs[40] = 0.1;
-        let mut h = HybridPosterior::new_dense(DensePosterior::from_probs(6, probs));
-        assert_eq!(h.maybe_switch(&switch), Some(3));
-        assert!(h.is_sparse());
-        let s = h.as_sparse().unwrap();
-        assert_eq!(s.support(), 3);
-        assert_eq!(s.get(State(3)), 0.7);
-        // Switching is one-way and idempotent.
-        assert_eq!(h.maybe_switch(&switch), None);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod transform;
 pub use bigstate::BigState;
 pub use branch::{BranchPool, LookaheadKernel};
 pub use dense::DensePosterior;
-pub use hybrid::{HybridPosterior, SparseSwitch};
+pub use hybrid::SparseSwitch;
 pub use sparse::SparsePosterior;
 pub use state::{State, MAX_SUBJECTS};
 

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 
-use sbgt::{SbgtConfig, SbgtSession, ShardedSession, SparseSession, SparseSwitch};
+use sbgt::{SbgtConfig, SbgtSession, ShardedSession, SparseSwitch};
 use sbgt_bayes::{ClassificationRule, Prior, SubjectStatus};
 use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::State;
@@ -180,7 +180,7 @@ impl Scenario {
             }
             Mode::Sparse { epsilon } => {
                 let mut s =
-                    SparseSession::new(prior, model, cfg, epsilon).expect("epsilon in range");
+                    SbgtSession::new_sparse(prior, model, cfg, epsilon).expect("epsilon in range");
                 if let Some(p) = plan {
                     s.attach_plan(p);
                 }

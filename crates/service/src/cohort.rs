@@ -19,9 +19,9 @@ use std::sync::Arc;
 use sbgt::{
     Backend, ExecMode, PlanCache, PlanHandle, PlanKey, PlanLineage, RiskQuantizer, RoundCtx,
     RoundStep, SbgtConfig, SbgtSession, Session, SessionOutcome, SessionSnapshot, ShardedSession,
-    SnapshotError, SparseSession,
+    SnapshotError,
 };
-use sbgt_approx::{BpConfig, BpSession, ParticleConfig, ParticleSession};
+use sbgt_approx::{BpBackend, BpConfig, ParticleBackend, ParticleConfig};
 use sbgt_bayes::Prior;
 use sbgt_engine::obs::{SpanMeta, TraceLevel};
 use sbgt_engine::Engine;
@@ -335,10 +335,10 @@ fn build_session(
             let epsilon = policy.sparse_epsilon;
             let session = match source {
                 Source::Fresh(_) => {
-                    SparseSession::new(prior(), model, cfg, epsilon).expect(validated)
+                    SbgtSession::new_sparse(prior(), model, cfg, epsilon).expect(validated)
                 }
                 Source::Snapshot(snapshot) => {
-                    SparseSession::restore(snapshot, model, cfg, epsilon)?
+                    SbgtSession::restore_sparse(snapshot, model, cfg, epsilon)?
                 }
             };
             let epsilon_bits = epsilon.to_bits();
@@ -347,30 +347,30 @@ fn build_session(
         CohortKind::Bp => {
             let bp = BpConfig::default();
             let session = match source {
-                Source::Fresh(_) => BpSession::new(&risks, model, cfg, bp).expect(validated),
-                Source::Snapshot(snapshot) => BpSession::restore(snapshot, &risks, model, cfg, bp)?,
+                Source::Fresh(_) => BpBackend::open(&risks, model, cfg, bp).expect(validated),
+                Source::Snapshot(snapshot) => BpBackend::restore(snapshot, &risks, model, cfg, bp)?,
             };
             let lineage = PlanLineage::Bp {
                 max_iters: bp.max_iters,
                 damping_bits: bp.damping.to_bits(),
             };
-            (Box::new(session.0), lineage)
+            (Box::new(session), lineage)
         }
         CohortKind::Particle => {
             let pcfg = particle_config(policy, spec);
             let session = match source {
                 Source::Fresh(_) => {
-                    ParticleSession::new(&risks, model, cfg, pcfg).expect(validated)
+                    ParticleBackend::open(&risks, model, cfg, pcfg).expect(validated)
                 }
                 Source::Snapshot(snapshot) => {
-                    ParticleSession::restore(snapshot, &risks, model, cfg, pcfg)?
+                    ParticleBackend::restore(snapshot, &risks, model, cfg, pcfg)?
                 }
             };
             let lineage = PlanLineage::Particle {
                 particles: pcfg.particles as u32,
                 ess_bits: pcfg.ess_frac.to_bits(),
             };
-            (Box::new(session.0), lineage)
+            (Box::new(session), lineage)
         }
     })
 }

@@ -39,7 +39,7 @@ pub struct ServiceConfig {
     /// Per-update prune threshold for sparse cohort sessions, in `[0, 1)`.
     /// `0.0` (the default) disables the sparse mode entirely; a positive
     /// value routes cohorts of at least [`Self::sparse_threshold`] subjects
-    /// to a pruned [`sbgt::SparseSession`] instead of the sharded one.
+    /// to a pruned sparse [`sbgt::SbgtSession`] (`new_sparse`) instead of the sharded one.
     pub sparse_epsilon: f64,
     /// Minimum cohort size for the sparse session (only consulted when
     /// [`Self::sparse_epsilon`] is positive). Cohorts between

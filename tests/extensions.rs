@@ -131,7 +131,7 @@ fn ct_value_episode_manual_loop() {
 #[test]
 fn sparse_session_holds_small_support() {
     let truth = State::from_subjects([4, 9]);
-    let mut s = SparseSession::new(
+    let mut s = SbgtSession::new_sparse(
         Prior::flat(12, 0.05),
         BinaryDilutionModel::perfect(),
         SbgtConfig::default().serial(),
@@ -142,7 +142,8 @@ fn sparse_session_holds_small_support() {
     assert!(out.classification.is_terminal());
     assert_eq!(out.classification.positives(), 2);
     // 2^12 = 4096 states; the working set must have collapsed far below.
-    assert!(s.support() < 256, "support {}", s.support());
+    let support = s.sparse_posterior().unwrap().support();
+    assert!(support < 256, "support {support}");
 }
 
 /// The zeta transform's joint up-set masses answer contact-cluster
