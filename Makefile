@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -97,11 +97,8 @@ measure-lint:
 
 # One exact backend: the dense->sparse arm is written once, in
 # crates/core/src/exact.rs. Fails if a sparse-arm kernel is named in more
-# than one file under crates/core/src, or if a retired session/posterior
-# type (or an approx session newtype) is named again in the sources or the
-# documents that describe the tree.
+# than one file under crates/core/src.
 EXACT_KERNELS := select_halving_prefix_sparse select_stage_lookahead_sparse update_sparse sparse_round_on
-EXACT_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession
 exact-lint:
 	@for k in $(EXACT_KERNELS); do \
 		files=$$(grep -rlw "$$k" crates/core/src); \
@@ -110,12 +107,26 @@ exact-lint:
 			echo "$$files"; exit 1; \
 		fi; \
 	done
-	@bad=$$(grep -rnE "$(EXACT_GONE)" crates src tests examples README.md DESIGN.md .claude/skills/verify/SKILL.md); \
+	@echo "exact-lint: OK"
+
+# Retired names stay retired: the exact backend's old session/posterior
+# types and the approx session newtypes; the pre-service multi-cohort
+# harness (the sim surveillance/stream/reporting modules) and the engine
+# surface only it used (the materializing stage, the per-thread partition
+# knob, the retrying-job wrapper, the indexed pool helper); the session's
+# uncalled selection entry points and the parallel twins only they
+# reached; and the calibration fit. Fails if one is named again in the
+# sources or the documents that describe the tree. `\.map_partitions\(`
+# does not match `map_partitions_in_place(`.
+RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha
+retired-lint:
+	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \
-		echo "exact-lint: a retired exact-backend or approx session type is named again:"; \
+		echo "retired-lint: a retired name is named again:"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@echo "exact-lint: OK"
+	@echo "retired-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.

@@ -41,10 +41,9 @@ use sbgt_lattice::kernels::par_marginals;
 use sbgt_lattice::{num_states, DensePosterior, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
-    drive_lookahead, select_halving_from_masses, select_halving_global, select_halving_global_par,
-    select_halving_prefix, select_halving_prefix_par, select_halving_prefix_sparse,
-    select_information_gain, select_stage_lookahead_fused, select_stage_lookahead_par,
-    select_stage_lookahead_sparse, InfoSelection, LookaheadConfig, SelectError, Selection,
+    drive_lookahead, select_halving_from_masses, select_halving_prefix, select_halving_prefix_par,
+    select_halving_prefix_sparse, select_stage_lookahead_fused, select_stage_lookahead_par,
+    select_stage_lookahead_sparse, LookaheadConfig, SelectError, Selection,
 };
 
 use crate::config::{ConfigError, ExecMode, SbgtConfig};
@@ -668,8 +667,8 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Session<ExactBackend<D, M>> {
 
 impl<M: BinaryOutcomeModel> ExactBackend<DensePosterior, M> {
     /// The dense posterior, materialized from the sparse entries once the
-    /// session has switched — for the zeta-transform and exact-information
-    /// rules, which have no sparse counterpart.
+    /// session has switched — for `report`, which has no sparse
+    /// counterpart.
     fn dense_view(&self) -> Cow<'_, DensePosterior> {
         match &self.posterior {
             Arm::Dense(d) => Cow::Borrowed(d),
@@ -761,34 +760,6 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
     pub fn select_next(&self) -> Option<Selection> {
         self.backend()
             .select_next(None, self.config(), &self.eligible_order())
-    }
-
-    /// Globally optimal Bayesian halving over **all** admissible pools of
-    /// the unclassified subjects, priced by one zeta transform
-    /// (`O(N · 2^N)` instead of the prefix rule's `O(2^N)`, exact instead
-    /// of near-optimal). `None` when every subject is classified.
-    pub fn select_next_global(&self) -> Option<Selection> {
-        let order = self.eligible_order();
-        let dense = self.backend().dense_view();
-        let cap = self.config().max_pool_size;
-        match self.config().exec {
-            ExecMode::Serial => select_halving_global(&dense, &order, cap),
-            ExecMode::Parallel(_) => select_halving_global_par(&dense, &order, cap),
-        }
-    }
-
-    /// Information-gain refinement: score the `shortlist` best halving
-    /// prefixes by exact expected entropy reduction and return the most
-    /// informative (see `sbgt_select::information`). `None` when the
-    /// cohort is classified.
-    pub fn select_next_informative(&self, shortlist: usize) -> Option<InfoSelection> {
-        select_information_gain(
-            &self.backend().dense_view(),
-            &self.backend().model,
-            &self.eligible_order(),
-            self.config().max_pool_size,
-            shortlist,
-        )
     }
 
     /// Look-ahead stage selection: up to `width` pools for one lab round,
@@ -974,30 +945,6 @@ mod tests {
             .unwrap();
         assert!(s.classify().is_terminal());
         assert!(s.select_next().is_none());
-    }
-
-    #[test]
-    fn global_selection_is_no_worse_than_prefix() {
-        let mut s = session(ExecMode::Serial);
-        s.observe(State::from_subjects([0, 1, 2]), true).unwrap();
-        let prefix = s.select_next().unwrap();
-        let global = s.select_next_global().unwrap();
-        assert!(global.distance <= prefix.distance + 1e-12);
-        // And the parallel path agrees with the serial one.
-        let mut p = session(parallel());
-        p.observe(State::from_subjects([0, 1, 2]), true).unwrap();
-        let global_par = p.select_next_global().unwrap();
-        assert_eq!(global.pool, global_par.pool);
-    }
-
-    #[test]
-    fn informative_selection_bounds() {
-        let mut s = session(ExecMode::Serial);
-        s.observe(State::from_subjects([0, 1]), true).unwrap();
-        let sel = s.select_next_informative(3).unwrap();
-        assert!(sel.information_gain >= 0.0);
-        assert!(sel.information_gain <= 2f64.ln() + 1e-12);
-        assert!(!sel.pool.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   states `offsets[p] .. offsets[p] + len(p)` (state id = global index,
 //!   so tasks recover each state's bitmask from its position — no keys, no
 //!   gathers, no shuffle);
-//! * updates are `map_partitions` stages that also emit their partial sum,
+//! * updates are in-place stages that also emit their partial sum,
 //!   so normalization needs no second traversal (the posterior tracks its
 //!   running total instead of rescaling shards — Spark SBGT's trick of
 //!   folding the normalizing constant into the driver state);
@@ -69,9 +69,12 @@ pub struct ShardedPosterior {
 }
 
 impl ShardedPosterior {
-    /// Shard a dense posterior into `parts` contiguous partitions.
+    /// Shard a dense posterior into `parts` contiguous partitions, at most
+    /// one per state: an empty shard would add only `+0.0` to every
+    /// reduction, and [`Self::from_shards`] rejects it, so a snapshot of a
+    /// lattice smaller than `parts` must not carry one.
     pub fn from_dense(dense: &DensePosterior, parts: usize) -> Self {
-        let shards = Dataset::from_vec(dense.probs().to_vec(), parts);
+        let shards = Dataset::from_vec(dense.probs().to_vec(), parts.min(dense.len()));
         let offsets = Self::offsets_of(&shards);
         let total = dense.total();
         ShardedPosterior {

@@ -1,11 +1,11 @@
 //! Chaos tests: the posterior hot loop under deterministic fault
 //! injection.
 //!
-//! Every stage variant of the sharded posterior — immutable
-//! (`map_partitions`), in-place on uniquely-owned shards, in-place under a
-//! live clone (COW), and the fused superstage — is run with seeded panics,
-//! injected stragglers, and poisoned results, and must recover to a
-//! posterior **bit-for-bit identical** to a fault-free run. Recovery never
+//! Every stage variant of the sharded posterior — in-place on
+//! uniquely-owned shards, in-place under a live clone (COW), and the fused
+//! superstage — is run with seeded panics, injected stragglers, and
+//! poisoned results, and must recover to a posterior **bit-for-bit
+//! identical** to a fault-free run. Recovery never
 //! changes values because every retried or speculative attempt re-runs the
 //! same pure closure against pristine partition input and the driver
 //! reduces partials in task-index order.
@@ -15,12 +15,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use sbgt::{SbgtConfig, ShardedPosterior, ShardedSession};
-use sbgt_bayes::{BayesError, Prior};
-use sbgt_engine::{
-    ChaosConfig, Dataset, Engine, EngineConfig, FaultPlan, RetryPolicy, SpeculationConfig,
-};
-use sbgt_lattice::{simd, DensePosterior, State};
-use sbgt_response::{BinaryDilutionModel, ResponseModel};
+use sbgt_bayes::Prior;
+use sbgt_engine::{ChaosConfig, Engine, EngineConfig, FaultPlan, RetryPolicy, SpeculationConfig};
+use sbgt_lattice::State;
+use sbgt_response::BinaryDilutionModel;
 use sbgt_select::{select_stage_lookahead, LookaheadConfig, Selection};
 
 /// Fault-free reference engine.
@@ -57,61 +55,6 @@ fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// The immutable stage variant, driven directly (the sharded posterior's
-/// own update is in-place only): the same contiguous shards, updated by a
-/// materializing `Dataset::map_partitions` stage that multiplies each one
-/// into a fresh vector and ships it back with its partial sum, reduced on
-/// the driver in partition order.
-struct ImmutablePosterior {
-    shards: Dataset<f64>,
-    total: f64,
-}
-
-impl ImmutablePosterior {
-    fn from_dense(dense: &DensePosterior, parts: usize) -> Self {
-        ImmutablePosterior {
-            shards: Dataset::from_vec(dense.probs().to_vec(), parts),
-            total: dense.total(),
-        }
-    }
-
-    fn update(
-        &mut self,
-        e: &Engine,
-        model: &BinaryDilutionModel,
-        pool: State,
-        outcome: bool,
-    ) -> Result<f64, BayesError> {
-        let table = model.likelihood_table(outcome, pool.rank());
-        let mask = pool.bits();
-        let mut offsets = Vec::with_capacity(self.shards.num_partitions());
-        let mut base = 0u64;
-        for p in 0..self.shards.num_partitions() {
-            offsets.push(base);
-            base += self.shards.partition(p).len() as u64;
-        }
-        let stage = self.shards.map_partitions(e, move |pidx, probs| {
-            let mut out = probs.to_vec();
-            let sum = simd::mul_table_block(&mut out, offsets[pidx], mask, &table);
-            vec![(out, sum)]
-        });
-        let (parts, sums): (Vec<Vec<f64>>, Vec<f64>) = stage.iter().cloned().unzip();
-        let new_total: f64 = sums.iter().sum();
-        if !(new_total.is_finite() && new_total > 0.0) {
-            return Err(BayesError::ImpossibleObservation);
-        }
-        let evidence = new_total / self.total;
-        self.shards = Dataset::from_partitions(parts);
-        self.total = new_total;
-        Ok(evidence)
-    }
-
-    /// Unnormalized values in state order.
-    fn values(&self) -> Vec<f64> {
-        self.shards.collect()
-    }
-}
-
 /// Every observable of the stage-variant sequence, for exact comparison
 /// between a clean and a chaotic run.
 struct SequenceOutput {
@@ -119,23 +62,16 @@ struct SequenceOutput {
     fused_marginals: Vec<f64>,
     fused_masses: Vec<f64>,
     final_dense: Vec<f64>,
-    immutable_dense: Vec<f64>,
     cow_snapshot_dense: Vec<f64>,
 }
 
-/// One update through each stage variant: immutable, in-place on unique
-/// handles, in-place under a live clone (COW), and the fused superstage.
+/// One update through each stage variant: in-place on unique handles,
+/// in-place under a live clone (COW), and the fused superstage.
 fn run_stage_variant_sequence(e: &Engine) -> SequenceOutput {
     let risks = [0.02, 0.08, 0.15, 0.05, 0.3, 0.11, 0.07, 0.22];
     let n = risks.len();
     let dense0 = Prior::from_risks(&risks).to_dense();
     let model = BinaryDilutionModel::pcr_like();
-
-    // Immutable variant (`map_partitions`).
-    let mut immutable = ImmutablePosterior::from_dense(&dense0, 4);
-    let z1 = immutable
-        .update(e, &model, pool_from_seed(13, n), true)
-        .unwrap();
 
     // In-place on uniquely-owned shards.
     let mut post = ShardedPosterior::from_dense(&dense0, 4);
@@ -154,11 +90,10 @@ fn run_stage_variant_sequence(e: &Engine) -> SequenceOutput {
         .unwrap();
 
     SequenceOutput {
-        evidences: vec![z1, z2, z3, round.evidence],
+        evidences: vec![z2, z3, round.evidence],
         fused_marginals: round.marginals,
         fused_masses: round.prefix_negative_masses,
         final_dense: post.to_dense(e).probs().to_vec(),
-        immutable_dense: immutable.values(),
         cow_snapshot_dense: snapshot.to_dense(e).probs().to_vec(),
     }
 }
@@ -185,8 +120,6 @@ fn every_stage_variant_survives_panic_and_straggler_bit_for_bit() {
     // match every occurrence of the stage name, so both get hit.
     e.set_fault_plan(
         FaultPlan::new()
-            .panic_at("map_partitions", 0, 0)
-            .delay_at("map_partitions", 3, 0, straggle)
             .panic_at("update:in-place", 1, 0)
             .delay_at("update:in-place", 2, 0, straggle)
             .panic_at("fused-round:in-place", 0, 0)
@@ -203,22 +136,17 @@ fn every_stage_variant_survives_panic_and_straggler_bit_for_bit() {
     assert_bitwise_eq(&clean.fused_masses, &chaotic.fused_masses, "fused masses");
     assert_bitwise_eq(&clean.final_dense, &chaotic.final_dense, "final posterior");
     assert_bitwise_eq(
-        &clean.immutable_dense,
-        &chaotic.immutable_dense,
-        "immutable posterior",
-    );
-    assert_bitwise_eq(
         &clean.cow_snapshot_dense,
         &chaotic.cow_snapshot_dense,
         "cow snapshot",
     );
 
     let totals = e.metrics().fault_totals();
-    // One panic + one delay per stage occurrence: map_partitions once,
-    // update:in-place twice, fused-round:in-place once.
-    assert_eq!(totals.injected_panics, 4, "{totals:?}");
-    assert_eq!(totals.injected_delays, 4, "{totals:?}");
-    assert_eq!(totals.retries, 4, "every injected panic was retried");
+    // One panic + one delay per stage occurrence: update:in-place twice,
+    // fused-round:in-place once.
+    assert_eq!(totals.injected_panics, 3, "{totals:?}");
+    assert_eq!(totals.injected_delays, 3, "{totals:?}");
+    assert_eq!(totals.retries, 3, "every injected panic was retried");
     assert!(
         totals.speculative_wins >= 1,
         "no speculative duplicate beat its 150ms straggler: {totals:?}"
@@ -562,15 +490,13 @@ proptest! {
 
         let mut clean_post = ShardedPosterior::from_dense(&dense0, parts);
         let mut chaos_post = ShardedPosterior::from_dense(&dense0, parts);
-        let mut clean_imm = ImmutablePosterior::from_dense(&dense0, parts);
-        let mut chaos_imm = ImmutablePosterior::from_dense(&dense0, parts);
         let order: Vec<usize> = (0..n).collect();
 
         for (i, &(seed, outcome)) in obs.iter().enumerate() {
             let pool = pool_from_seed(seed, n);
             // Rotate through the stage variants so each proptest case
             // exercises several under the campaign.
-            match i % 3 {
+            match i % 2 {
                 0 => {
                     let a = clean_post.update(&clean_e, &model, pool, outcome);
                     let b = chaos_post.update(&chaos_e, &model, pool, outcome);
@@ -581,7 +507,7 @@ proptest! {
                         break;
                     }
                 }
-                1 => {
+                _ => {
                     let a = clean_post.fused_round(&clean_e, &model, pool, outcome, &order);
                     let b = chaos_post.fused_round(&chaos_e, &model, pool, outcome, &order);
                     prop_assert_eq!(a.is_ok(), b.is_ok());
@@ -598,27 +524,12 @@ proptest! {
                         _ => break,
                     }
                 }
-                _ => {
-                    let a = clean_imm.update(&clean_e, &model, pool, outcome);
-                    let b = chaos_imm.update(&chaos_e, &model, pool, outcome);
-                    prop_assert_eq!(a.is_ok(), b.is_ok());
-                    if let (Ok(za), Ok(zb)) = (a, b) {
-                        prop_assert_eq!(za.to_bits(), zb.to_bits());
-                    } else {
-                        break;
-                    }
-                }
             }
             prop_assert_eq!(clean_post.total().to_bits(), chaos_post.total().to_bits());
             assert_bitwise_eq(
                 clean_post.to_dense(&clean_e).probs(),
                 chaos_post.to_dense(&chaos_e).probs(),
                 "chaos vs clean posterior",
-            );
-            assert_bitwise_eq(
-                &clean_imm.values(),
-                &chaos_imm.values(),
-                "chaos vs clean immutable posterior",
             );
         }
     }

@@ -190,3 +190,55 @@ fn live_sharded_snapshot_survives_the_tamper_harness() {
         Ok::<_, SnapshotError>(decoded.to_bytes())
     });
 }
+
+/// A lattice with fewer states than the configured partition count (a
+/// one-specimen cohort sealed by a deadline under the default `parts`):
+/// the posterior shards at most one state per partition, so the snapshot
+/// taken at every round boundary restores, and each resumed run finishes
+/// bit-for-bit as the uninterrupted one.
+#[test]
+fn sharded_snapshot_restores_with_more_parts_than_states() {
+    let e = engine();
+    let (model, config) = (BinaryDilutionModel::pcr_like(), SbgtConfig::default());
+    for n in 1usize..=3 {
+        for parts in [8, (1 << n) + 5] {
+            let risks = risks_from_seed(n as u64, n);
+            let truth = State::from_subjects(0..n);
+            let mut reference =
+                ShardedSession::new(&e, Prior::from_risks(&risks), model, config, parts);
+            let mut ref_pools = Vec::new();
+            let expected = reference.run_to_classification(&e, |pool| {
+                ref_pools.push(pool);
+                truth.intersects(pool)
+            });
+
+            let mut live = ShardedSession::new(&e, Prior::from_risks(&risks), model, config, parts);
+            let mut pools = Vec::new();
+            let mut resumed = 0;
+            loop {
+                let snap = live.snapshot();
+                assert_eq!(snap.shards.len(), 1 << n, "n={n} parts={parts}");
+                let decoded = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+                let mut restored = ShardedSession::restore(&decoded, model, config)
+                    .unwrap_or_else(|err| panic!("n={n} parts={parts}: {err}"));
+                let mut tail = pools.clone();
+                let outcome = restored.run_to_classification(&e, |pool| {
+                    tail.push(pool);
+                    truth.intersects(pool)
+                });
+                assert_eq!(tail, ref_pools, "n={n} parts={parts}: trajectory diverged");
+                assert_bitwise_marginals(&outcome.marginals, &expected.marginals);
+                assert_eq!(outcome, expected);
+                resumed += 1;
+                let step = live.run_round(&e, |pool| {
+                    pools.push(pool);
+                    truth.intersects(pool)
+                });
+                if let RoundStep::Finished(_) = step {
+                    break;
+                }
+            }
+            assert!(resumed >= 2, "n={n} parts={parts}: no mid-run snapshot");
+        }
+    }
+}

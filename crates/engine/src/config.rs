@@ -9,18 +9,16 @@ use crate::retry::RetryPolicy;
 /// Configuration for an [`crate::Engine`].
 ///
 /// Mirrors the knobs of a Spark deployment that matter to SBGT: executor
-/// count (`threads`), partition granularity (`partitions_per_thread`), task
-/// re-execution (`retry`, Spark's `spark.task.maxFailures`), and straggler
-/// speculation (`speculation`, Spark's `spark.speculation`).
+/// count (`threads`), task re-execution (`retry`, Spark's
+/// `spark.task.maxFailures`), straggler speculation (`speculation`,
+/// Spark's `spark.speculation`), and telemetry (`obs`). Partition counts
+/// belong to each dataset; [`crate::Engine::default_partitions`] suggests
+/// one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Number of executor threads. Defaults to the available parallelism of
     /// the host (at least 1).
     pub threads: usize,
-    /// Partitions created per thread when a dataset does not specify its own
-    /// partition count. Over-partitioning (the Spark default of 2-4x) keeps
-    /// executors busy when partition workloads are skewed.
-    pub partitions_per_thread: usize,
     /// Per-task retry policy applied to every dataset stage. Defaults to
     /// [`RetryPolicy::none`] (single attempt): retries force in-place
     /// stages onto the copy-on-write path (a retried task must re-run
@@ -41,7 +39,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: available_threads(),
-            partitions_per_thread: 4,
             retry: RetryPolicy::none(),
             speculation: None,
             obs: ObsConfig::from_env(),
@@ -53,12 +50,6 @@ impl EngineConfig {
     /// Set the executor thread count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Set the per-thread partition multiplier (clamped to at least 1).
-    pub fn with_partitions_per_thread(mut self, ppt: usize) -> Self {
-        self.partitions_per_thread = ppt.max(1);
         self
     }
 
@@ -98,18 +89,14 @@ mod tests {
     fn default_is_sane() {
         let c = EngineConfig::default();
         assert!(c.threads >= 1);
-        assert!(c.partitions_per_thread >= 1);
         assert_eq!(c.retry.max_attempts(), 1, "fault tolerance is opt-in");
         assert!(c.speculation.is_none());
     }
 
     #[test]
     fn builders_clamp() {
-        let c = EngineConfig::default()
-            .with_threads(0)
-            .with_partitions_per_thread(0);
+        let c = EngineConfig::default().with_threads(0);
         assert_eq!(c.threads, 1);
-        assert_eq!(c.partitions_per_thread, 1);
     }
 
     #[test]
@@ -144,6 +131,6 @@ mod tests {
     fn serde_json_like(c: &EngineConfig) -> String {
         // serde_json is not an allowed dependency; exercise Serialize via the
         // debug representation plus a manual field check instead.
-        format!("threads={} ppt={}", c.threads, c.partitions_per_thread)
+        format!("threads={}", c.threads)
     }
 }

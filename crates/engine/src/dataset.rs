@@ -3,9 +3,11 @@
 //! A [`Dataset<T>`] is a collection split into partitions, each held
 //! behind an [`Arc`] so tasks can reference partition data without copying
 //! it. A stage submits one task per partition to the engine's executor
-//! pool: `map_partitions` produces a new dataset, `map_partitions_in_place`
-//! mutates this one and returns one scalar per partition,
-//! `aggregate_partitions` only reads; `collect` gathers to the driver.
+//! pool, in one of two kinds: `map_partitions_in_place` mutates this
+//! dataset and returns one scalar per partition (the posterior update),
+//! `aggregate_partitions` only reads and returns one value per partition
+//! (marginals, masses, look-ahead histograms); `collect` gathers to the
+//! driver. No stage materializes an output dataset.
 //!
 //! Unlike Spark, execution is eager: each stage is one job. SBGT's dataflow
 //! is a short pipeline of wide barriers over the lattice shards, so lazy
@@ -25,7 +27,7 @@ use crate::error::Result;
 use crate::partitioner::partition_ranges;
 use crate::Engine;
 
-/// An immutable, partitioned, in-memory collection.
+/// A partitioned, in-memory collection.
 pub struct Dataset<T> {
     partitions: Vec<Arc<Vec<T>>>,
 }
@@ -84,57 +86,14 @@ impl<T> Dataset<T> {
     pub fn partition_handles(&self) -> &[Arc<Vec<T>>] {
         &self.partitions
     }
-
-    /// Consume the dataset, yielding its partition handles. Handles that are
-    /// uniquely owned can then be moved out with [`Arc::try_unwrap`] —
-    /// the zero-copy way to take a stage's output to the driver.
-    pub fn into_partitions(self) -> Vec<Arc<Vec<T>>> {
-        self.partitions
-    }
-
-    /// Iterate over records in partition order (driver-side, sequential).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.partitions.iter().flat_map(|p| p.iter())
-    }
 }
 
 impl<T: Send + Sync + 'static> Dataset<T> {
-    /// Per-partition transformation (fallible). `f` receives the partition
-    /// index and a borrowed slice of its records.
-    pub fn try_map_partitions<U, F>(&self, engine: &Engine, name: &str, f: F) -> Result<Dataset<U>>
-    where
-        U: Send + Sync + 'static,
-        F: Fn(usize, &[T]) -> Vec<U> + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(idx, part)| {
-                let part = Arc::clone(part);
-                let f = Arc::clone(&f);
-                move || f(idx, &part)
-            })
-            .collect();
-        let parts = engine.run_stage(name, tasks)?;
-        Ok(Dataset::from_partitions(parts))
-    }
-
-    /// Per-partition transformation (panics on task failure).
-    pub fn map_partitions<U, F>(&self, engine: &Engine, f: F) -> Dataset<U>
-    where
-        U: Send + Sync + 'static,
-        F: Fn(usize, &[T]) -> Vec<U> + Send + Sync + 'static,
-    {
-        unwrap_job(self.try_map_partitions(engine, "map_partitions", f))
-    }
-
     /// In-place per-partition stage: each task receives `&mut [T]` for its
     /// partition and returns one scalar to the driver; **no output dataset
     /// is materialized**. This is the zero-copy primitive for iterated
-    /// numeric passes (posterior updates) where the immutable path's
-    /// per-stage output allocation dominates.
+    /// numeric passes (posterior updates), where a posterior-sized output
+    /// per stage would dominate.
     ///
     /// # Uniqueness and copy-on-write
     ///
@@ -366,20 +325,7 @@ mod tests {
         let ds = Dataset::from_vec(vec![1, 2], 5);
         assert_eq!(ds.num_partitions(), 5);
         assert_eq!(ds.collect(), vec![1, 2]);
-        assert_eq!(ds.iter().count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "dataset job failed")]
-    fn map_partitions_propagates_user_panic() {
-        let e = engine();
-        let ds = Dataset::from_vec(vec![1, 2, 3], 2);
-        let _ = ds.map_partitions(&e, |idx, part| {
-            if idx == 1 {
-                panic!("bad partition");
-            }
-            part.to_vec()
-        });
+        assert_eq!(ds.len(), 2);
     }
 
     #[test]
@@ -539,47 +485,15 @@ mod tests {
     }
 
     #[test]
-    fn immutable_stage_recovers_from_injected_panic() {
-        let e = Engine::new(
-            EngineConfig::default()
-                .with_threads(2)
-                .with_retry(crate::RetryPolicy::clamped(3)),
-        );
-        e.set_fault_plan(crate::FaultPlan::new().panic_at("map_partitions", 0, 0));
-        let ds = Dataset::from_vec((0..30i64).collect::<Vec<_>>(), 3);
-        let out = ds
-            .map_partitions(&e, |_, part| part.iter().map(|x| x + 1).collect())
-            .collect();
-        assert_eq!(out, (1..31).collect::<Vec<_>>());
-        // Make sure the fault actually fired and was absorbed somewhere in
-        // this engine's jobs.
-        let totals = e.metrics().fault_totals();
-        assert_eq!(totals.injected_panics, 1);
-        assert_eq!(totals.retries, 1);
-    }
-
-    #[test]
     fn aggregate_partitions_returns_per_partition_results() {
         let e = engine();
         let ds = Dataset::from_vec((0..100u64).collect::<Vec<_>>(), 5);
         let sums = ds.aggregate_partitions(&e, |_, part| part.iter().sum::<u64>());
         assert_eq!(sums.len(), 5);
         assert_eq!(sums.iter().sum::<u64>(), 4950);
-        // Read-only: the dataset is intact and the stage is immutable.
+        // Read-only: the dataset is intact and the stage is tagged read-only.
         assert_eq!(ds.len(), 100);
         let jobs = e.metrics().jobs();
         assert_eq!(jobs.last().unwrap().variant, crate::StageVariant::Immutable);
-    }
-
-    #[test]
-    fn into_partitions_moves_handles_out() {
-        let ds = Dataset::from_vec((0..6i32).collect::<Vec<_>>(), 2);
-        let handles = ds.into_partitions();
-        assert_eq!(handles.len(), 2);
-        let owned: Vec<Vec<i32>> = handles
-            .into_iter()
-            .map(|h| Arc::try_unwrap(h).expect("unique"))
-            .collect();
-        assert_eq!(owned, vec![vec![0, 1, 2], vec![3, 4, 5]]);
     }
 }

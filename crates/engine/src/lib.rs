@@ -10,10 +10,10 @@
 //!   [`MetricsRegistry`] recording per-job timings (the equivalent of
 //!   Spark's stage UI), read out through one typed scrape
 //!   ([`MetricsRegistry::scrape`]) that the Prometheus page renders from.
-//! * [`Dataset`] — a partitioned collection (the RDD analogue) with
-//!   per-partition stages: `map_partitions` (new dataset),
-//!   `map_partitions_in_place` (mutate, one scalar per partition back),
-//!   `aggregate_partitions` (read-only, one value per partition back).
+//! * [`Dataset`] — a partitioned collection (the RDD analogue) with two
+//!   per-partition stage kinds: `map_partitions_in_place` (mutate, one
+//!   scalar per partition back) and `aggregate_partitions` (read-only, one
+//!   value per partition back).
 //! * [`Broadcast`] — read-only variables shared with every task (likelihood
 //!   tables, pool masks).
 //! * Supervised stages ([`Engine::run_stage`]) with retry, speculation and
@@ -26,35 +26,35 @@
 //! match what the SBGT paper's dataflow needs, so the scaling structure of
 //! the original system is preserved.
 //!
-//! ## Immutable vs in-place stages
+//! ## In-place and read-only stages
 //!
-//! Stages come in two execution variants, recorded per job as a
-//! [`StageVariant`] in the metrics registry:
+//! Stages come in two kinds, recorded per job as a [`StageVariant`] in the
+//! metrics registry:
 //!
-//! * **Immutable** (`map_partitions` and everything lowering to it): tasks
-//!   read shared partition handles and materialize new output vectors. Any
-//!   number of dataset clones can coexist; nothing is ever mutated. This is
-//!   the Spark-faithful default, but each stage allocates output the size
-//!   of its input — ruinous for a `2^N` posterior updated hundreds of times
-//!   per episode.
 //! * **In-place** ([`Dataset::map_partitions_in_place`] /
-//!   [`Dataset::try_map_partitions_in_place`]): tasks receive `&mut [T]`
-//!   and return only a per-partition scalar; no output dataset is
-//!   materialized. Mutating through a shared `Arc` would be unsound, so
-//!   each task proves uniqueness at runtime with [`Arc::try_unwrap`]:
-//!   a partition whose handle is uniquely owned by this dataset is mutated
-//!   in place (zero copies); a partition whose handle is shared — a live
-//!   [`Dataset::clone`], an outstanding [`Dataset::partition_handles`]
-//!   borrow kept alive, a concurrent reader — is **copied first**
-//!   (copy-on-write), so observers of the old handle never see the
-//!   mutation. The per-stage unique/COW split is what
+//!   [`Dataset::try_map_partitions_in_place`], the posterior update): tasks
+//!   receive `&mut [T]` and return only a per-partition scalar; no output
+//!   dataset is materialized. Mutating through a shared `Arc` would be
+//!   unsound, so each task proves uniqueness at runtime with
+//!   [`Arc::try_unwrap`]: a partition whose handle is uniquely owned by
+//!   this dataset is mutated in place (zero copies); a partition whose
+//!   handle is shared — a live [`Dataset::clone`], an outstanding
+//!   [`Dataset::partition_handles`] borrow kept alive, a concurrent reader
+//!   — is **copied first** (copy-on-write), so observers of the old handle
+//!   never see the mutation. The per-stage unique/COW split is what
 //!   [`StageVariant::InPlace`] records.
+//! * **Read-only aggregate** ([`Dataset::aggregate_partitions`] /
+//!   [`Dataset::try_aggregate_partitions`]: marginals, masses, look-ahead
+//!   histograms): tasks read shared partition handles and ship one small
+//!   value per partition to the driver; nothing is written, so any number
+//!   of dataset clones can coexist. Tagged [`StageVariant::Immutable`]
+//!   unless the caller annotates a finer variant.
 //!
-//! The uniqueness rule means in-place stages are *semantically* identical
-//! to running the same closure immutably and replacing the dataset — only
-//! the allocation profile differs. With fault tolerance off (the default),
-//! a failed in-place stage has consumed its partitions and leaves the
-//! dataset empty; see `try_map_partitions_in_place`.
+//! The uniqueness rule means an in-place stage is *semantically* a pure
+//! function of the pre-stage partitions — only the allocation profile
+//! depends on sharing. With fault tolerance off (the default), a failed
+//! in-place stage has consumed its partitions and leaves the dataset empty;
+//! see `try_map_partitions_in_place`.
 //!
 //! ## Fault model
 //!
@@ -136,6 +136,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+/// Partitions per executor thread in [`Engine::default_partitions`]:
+/// over-partitioning (Spark's default of 2–4×) keeps executors busy when
+/// partition workloads are skewed.
+const PARTITIONS_PER_THREAD: usize = 4;
+
 /// The driver of the dataflow engine.
 ///
 /// An `Engine` owns a pool of executor threads and a metrics registry. All
@@ -191,10 +196,10 @@ impl Engine {
         self.pool.threads()
     }
 
-    /// Default partition count for datasets created through this engine:
-    /// `partitions_per_thread * threads`, at least 1.
+    /// Default partition count for a dataset sharded over this engine:
+    /// `PARTITIONS_PER_THREAD * threads` (the pool has at least one thread).
     pub fn default_partitions(&self) -> usize {
-        (self.config.partitions_per_thread * self.pool.threads()).max(1)
+        PARTITIONS_PER_THREAD * self.pool.threads()
     }
 
     /// The metrics registry recording job/task timings.
@@ -425,6 +430,8 @@ mod tests {
     fn default_partitions_positive() {
         let engine = Engine::new(EngineConfig::default().with_threads(1));
         assert!(engine.default_partitions() >= 1);
+        let engine = Engine::new(EngineConfig::default().with_threads(3));
+        assert_eq!(engine.default_partitions(), 4 * 3);
     }
 
     #[test]

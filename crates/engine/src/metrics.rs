@@ -12,11 +12,12 @@ use parking_lot::Mutex;
 use crate::obs::hist::LogHistogram;
 
 /// How a stage touched its partitions — the axis the E9 breakdown uses to
-/// distinguish allocation-free rounds from materializing ones.
+/// tell rounds that write the posterior from rounds that only read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StageVariant {
-    /// Classic `Dataset → Dataset` transform: tasks read shared partitions
-    /// and materialize new output vectors.
+    /// Read-only stage: tasks read shared partitions and return one value
+    /// each ([`crate::Engine::run_job`], the aggregate stages); no
+    /// partition is written.
     #[default]
     Immutable,
     /// In-place stage: `unique` partitions were mutated through their sole
@@ -106,7 +107,7 @@ pub struct JobMetrics {
     pub wall: Duration,
     /// Whether every task completed without panicking.
     pub succeeded: bool,
-    /// How the stage touched its partitions (in-place vs immutable).
+    /// How the stage touched its partitions (in-place vs read-only).
     pub variant: StageVariant,
     /// Injected faults, retries, and speculative duplicates of this job.
     pub faults: FaultStats,

@@ -154,19 +154,6 @@ impl ThreadPool {
             .map(|s| s.expect("all tasks accounted for"))
             .collect())
     }
-
-    /// Convenience: run `n` tasks produced by an indexed factory.
-    pub fn run_indexed<T, F>(
-        &self,
-        n: usize,
-        factory: impl Fn(usize) -> F,
-    ) -> Result<Vec<TaskResult<T>>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_tasks((0..n).map(factory).collect())
-    }
 }
 
 impl Drop for ThreadPool {
@@ -260,14 +247,6 @@ mod tests {
             .collect();
         pool.run_tasks(tasks).unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn run_indexed_matches_manual() {
-        let pool = ThreadPool::new(3, "t");
-        let r = pool.run_indexed(5, |i| move || i + 10).unwrap();
-        let v: Vec<_> = r.into_iter().map(|t| t.value).collect();
-        assert_eq!(v, vec![10, 11, 12, 13, 14]);
     }
 
     #[test]

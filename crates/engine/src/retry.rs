@@ -7,15 +7,13 @@
 //! than the one-shot `FnOnce` of [`crate::ThreadPool::run_tasks`]; task
 //! closures must therefore be idempotent, exactly like Spark tasks.
 //!
-//! The actual retry loop lives in the stage scheduler
-//! ([`crate::Engine::run_stage_with`]), which also handles fault injection
-//! and speculative straggler re-execution; [`crate::Engine::run_job_retrying`]
-//! is the thin policy-explicit entry point kept for driver-level jobs.
+//! The retry loop lives in the stage scheduler,
+//! [`crate::Engine::run_stage_with`], which takes the policy explicitly and
+//! also handles fault injection and speculative straggler re-execution.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{EngineError, Result};
-use crate::Engine;
 
 /// Policy for retrying failed tasks.
 ///
@@ -72,35 +70,10 @@ impl RetryPolicy {
     }
 }
 
-impl Engine {
-    /// Run a job whose tasks are retried on panic per `policy`.
-    ///
-    /// Returns the results in task order, plus the total number of retries
-    /// that occurred. Fails with [`EngineError::TaskPanicked`] (carrying
-    /// the stage name and attempt count) only after a task exhausts its
-    /// attempts; earlier attempts' panics are contained. Runs through the
-    /// stage scheduler, so an installed [`crate::FaultPlan`] and the
-    /// engine's speculation config apply here too.
-    pub fn run_job_retrying<T, F>(
-        &self,
-        name: &str,
-        tasks: Vec<F>,
-        policy: RetryPolicy,
-    ) -> Result<(Vec<T>, usize)>
-    where
-        T: Send + 'static,
-        F: Fn() -> T + Send + Sync + 'static,
-    {
-        let (results, stats) =
-            self.run_stage_with(name, tasks, policy, self.config().speculation)?;
-        Ok((results, stats.retries))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{Engine, EngineConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -112,11 +85,11 @@ mod tests {
     fn no_failures_no_retries() {
         let e = engine();
         let tasks: Vec<_> = (0..6).map(|i| move || i * 2).collect();
-        let (out, retries) = e
-            .run_job_retrying("clean", tasks, RetryPolicy::default())
+        let (out, stats) = e
+            .run_stage_with("clean", tasks, RetryPolicy::default(), None)
             .unwrap();
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        assert_eq!(retries, 0);
+        assert_eq!(stats.retries, 0);
     }
 
     #[test]
@@ -132,11 +105,11 @@ mod tests {
             }
             99
         };
-        let (out, retries) = e
-            .run_job_retrying("flaky", vec![flaky], RetryPolicy::new(4).unwrap())
+        let (out, stats) = e
+            .run_stage_with("flaky", vec![flaky], RetryPolicy::new(4).unwrap(), None)
             .unwrap();
         assert_eq!(out, vec![99]);
-        assert_eq!(retries, 2);
+        assert_eq!(stats.retries, 2);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
     }
 
@@ -150,7 +123,7 @@ mod tests {
             panic!("permanent");
         };
         let err = e
-            .run_job_retrying("doomed", vec![doomed], RetryPolicy::new(3).unwrap())
+            .run_stage_with("doomed", vec![doomed], RetryPolicy::new(3).unwrap(), None)
             .unwrap_err();
         match err {
             EngineError::TaskPanicked {
@@ -192,17 +165,17 @@ mod tests {
                 2
             }),
         ];
-        let (out, retries) = e
-            .run_job_retrying("partial", tasks, RetryPolicy::default())
+        let (out, stats) = e
+            .run_stage_with("partial", tasks, RetryPolicy::default(), None)
             .unwrap();
         assert_eq!(out, vec![1, 2]);
-        assert_eq!(retries, 1);
+        assert_eq!(stats.retries, 1);
         assert_eq!(good_calls.load(Ordering::SeqCst), 1, "good task ran once");
         assert_eq!(flaky_calls.load(Ordering::SeqCst), 2);
     }
 
     /// Regression: a zero-attempt config used to `assert!`-panic on the
-    /// driver inside `run_job_retrying`; it is now rejected at policy
+    /// driver inside a retried job; it is now rejected at policy
     /// construction with a typed error, and an invalid policy smuggled in
     /// anyway (same-crate struct literal) surfaces `EngineError` too.
     #[test]
@@ -221,7 +194,7 @@ mod tests {
         // Defense in depth: the scheduler validates rather than asserting.
         let e = engine();
         let invalid = RetryPolicy { max_attempts: 0 };
-        match e.run_job_retrying("bad", vec![|| 1], invalid) {
+        match e.run_stage_with("bad", vec![|| 1], invalid, None) {
             Err(EngineError::InvalidArgument(_)) => {}
             other => panic!("expected InvalidArgument, got {other:?}"),
         }

@@ -28,8 +28,9 @@ fn traced_engine() -> Engine {
 /// Run a few engine jobs so every lane holds stage and task spans.
 fn run_some_jobs(e: &Engine) {
     let ds = Dataset::from_vec((0..64i64).collect(), 4);
-    let doubled = ds.map_partitions(e, |_, part| part.iter().map(|x| x * 2).collect());
-    assert_eq!(doubled.collect().len(), 64);
+    let doubled =
+        ds.aggregate_partitions(e, |_, part| part.iter().map(|x| x * 2).collect::<Vec<_>>());
+    assert_eq!(doubled.concat().len(), 64);
     let sums = ds.aggregate_partitions(e, |_, part| part.iter().sum::<i64>());
     assert_eq!(sums.iter().sum::<i64>(), (0..64).sum::<i64>());
 }

@@ -23,7 +23,7 @@ proptest! {
         prop_assert_eq!(ds.collect(), data);
     }
 
-    /// A per-partition map, immutable or in place, equals the iterator map.
+    /// A per-partition map, read-only or in place, equals the iterator map.
     #[test]
     fn partition_stages_commute_with_collect(
         data in prop::collection::vec(any::<i16>(), 0..150),
@@ -33,8 +33,10 @@ proptest! {
         let widened: Vec<i32> = data.iter().map(|x| i32::from(*x)).collect();
         let direct: Vec<i32> = widened.iter().map(|x| x * 3 - 1).collect();
         let mut ds = Dataset::from_vec(widened, parts);
-        let immutable = ds.map_partitions(&e, |_, part| part.iter().map(|x| x * 3 - 1).collect());
-        prop_assert_eq!(immutable.collect(), direct.clone());
+        let read_only = ds.aggregate_partitions(&e, |_, part| {
+            part.iter().map(|x| x * 3 - 1).collect::<Vec<_>>()
+        });
+        prop_assert_eq!(read_only.concat(), direct.clone());
         ds.map_partitions_in_place(&e, |_, part| part.iter_mut().for_each(|x| *x = *x * 3 - 1));
         prop_assert_eq!(ds.collect(), direct);
     }

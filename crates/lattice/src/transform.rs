@@ -12,9 +12,6 @@
 //! Bayesian-halving search from `Θ(4^N)` (one `Θ(2^N)` scan per subset)
 //! into `Θ(N · 2^N)` — the lattice-algebra speedup that makes globally
 //! optimal selection feasible wherever the posterior fits in memory.
-//! [`crate::kernels`]-style chunk parallelism applies per DP level.
-
-use rayon::prelude::*;
 
 use crate::dense::DensePosterior;
 
@@ -50,44 +47,6 @@ pub fn mobius_in_place(f: &mut [f64], n: usize) {
     }
 }
 
-/// Parallel zeta transform: each DP level is a chunk-parallel sweep.
-///
-/// Within level `i`, slot `t` (with bit `i` set) reads `t ^ bit` and writes
-/// `t`; splitting the array into aligned blocks of `2^(i+1)` keeps every
-/// read and write inside one task's range, so levels parallelize without
-/// synchronization. Levels themselves are sequential (each depends on the
-/// previous), mirroring how a Spark implementation would run `N` narrow
-/// stages.
-pub fn zeta_in_place_par(f: &mut [f64], n: usize, min_block_per_task: usize) {
-    assert_eq!(f.len(), crate::num_states(n), "length must be 2^n");
-    for i in 0..n {
-        let bit = 1usize << i;
-        let block = bit << 1;
-        if f.len() / block >= 2 && f.len() >= min_block_per_task.max(2) {
-            // Round the task size up to a whole number of blocks so no DP
-            // block straddles two tasks (the level would race / go out of
-            // bounds otherwise). `f.len()` is a power of two, so the final
-            // ragged chunk is still a multiple of `block`.
-            let chunk_size = min_block_per_task.max(block).div_ceil(block) * block;
-            f.par_chunks_mut(chunk_size).for_each(|chunk| {
-                let mut base = 0;
-                while base < chunk.len() {
-                    for off in 0..bit {
-                        chunk[base + bit + off] += chunk[base + off];
-                    }
-                    base += block;
-                }
-            });
-        } else {
-            for t in 0..f.len() {
-                if t & bit != 0 {
-                    f[t] += f[t ^ bit];
-                }
-            }
-        }
-    }
-}
-
 /// Pool-negative masses of **every** pool of a cohort in `Θ(N · 2^N)`:
 /// `out[pool] = Σ_{s ∩ pool = ∅} π(s)`.
 ///
@@ -99,19 +58,6 @@ pub fn all_pool_negative_masses(posterior: &DensePosterior) -> Vec<f64> {
     zeta_in_place(&mut zeta, n);
     let full = crate::num_states(n) - 1;
     (0..=full).map(|pool| zeta[pool ^ full]).collect()
-}
-
-/// Parallel variant of [`all_pool_negative_masses`].
-pub fn all_pool_negative_masses_par(posterior: &DensePosterior, min_block: usize) -> Vec<f64> {
-    let n = posterior.n_subjects();
-    let mut zeta = posterior.probs().to_vec();
-    zeta_in_place_par(&mut zeta, n, min_block);
-    let full = crate::num_states(n) - 1;
-    let zeta = &zeta;
-    (0..=full)
-        .into_par_iter()
-        .map(|pool| zeta[pool ^ full])
-        .collect()
 }
 
 /// Up-set (superset) masses of every set in `Θ(N · 2^N)`:
@@ -182,20 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_zeta_matches_serial() {
-        let d = example(9);
-        let mut serial = d.probs().to_vec();
-        zeta_in_place(&mut serial, 9);
-        for min_block in [2usize, 8, 12, 64, 100, 1024] {
-            let mut parallel = d.probs().to_vec();
-            zeta_in_place_par(&mut parallel, 9, min_block);
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert!(close(*a, *b), "min_block={min_block}");
-            }
-        }
-    }
-
-    #[test]
     fn all_pool_masses_match_per_pool_scans() {
         let d = example(7);
         let all = all_pool_negative_masses(&d);
@@ -208,16 +140,6 @@ mod tests {
         }
         // The empty pool's negative mass is the total.
         assert!(close(all[0], d.total()));
-    }
-
-    #[test]
-    fn all_pool_masses_par_matches_serial() {
-        let d = example(8);
-        let a = all_pool_negative_masses(&d);
-        let b = all_pool_negative_masses_par(&d, 16);
-        for (x, y) in a.iter().zip(&b) {
-            assert!(close(*x, *y));
-        }
     }
 
     #[test]

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod binary;
-pub mod calibrate;
 pub mod continuous;
 pub mod ct_value;
 pub mod dilution;

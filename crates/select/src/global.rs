@@ -10,22 +10,10 @@
 //! operations — the lattice algebra itself (not per-candidate rescans)
 //! does the selection work.
 
-use sbgt_lattice::transform::{all_pool_negative_masses, all_pool_negative_masses_par};
+use sbgt_lattice::transform::all_pool_negative_masses;
 use sbgt_lattice::{DensePosterior, State};
 
 use crate::halving::Selection;
-
-/// State count above which [`select_halving_global_par`] runs its zeta
-/// levels in parallel.
-///
-/// Each zeta level is a `Θ(2^N)` in-place butterfly pass; below ~4096
-/// states (`N ≲ 12`) the pass is microseconds and rayon's fork/join
-/// overhead dominates, while at `2^16` states and beyond the parallel
-/// levels win clearly. `2^12` is the measured crossover neighborhood on
-/// the bench boxes — close enough that either side of it is cheap, so a
-/// compile-time constant (rather than a config knob threaded through every
-/// caller) keeps the API surface flat.
-pub const GLOBAL_PAR_THRESHOLD: usize = 1 << 12;
 
 /// Exact global BHA: the best pool among **all** subsets of `eligible`
 /// with `1 <= |pool| <= max_pool_size`, in `Θ(N · 2^N)`.
@@ -38,24 +26,6 @@ pub fn select_halving_global(
     eligible: &[usize],
     max_pool_size: usize,
 ) -> Option<Selection> {
-    select_impl(posterior, eligible, max_pool_size, false)
-}
-
-/// Parallel variant of [`select_halving_global`] (parallel zeta levels).
-pub fn select_halving_global_par(
-    posterior: &DensePosterior,
-    eligible: &[usize],
-    max_pool_size: usize,
-) -> Option<Selection> {
-    select_impl(posterior, eligible, max_pool_size, true)
-}
-
-fn select_impl(
-    posterior: &DensePosterior,
-    eligible: &[usize],
-    max_pool_size: usize,
-    parallel: bool,
-) -> Option<Selection> {
     if eligible.is_empty() || max_pool_size == 0 {
         return None;
     }
@@ -63,11 +33,7 @@ fn select_impl(
     if !(total.is_finite() && total > 0.0) {
         return None;
     }
-    let masses = if parallel {
-        all_pool_negative_masses_par(posterior, GLOBAL_PAR_THRESHOLD)
-    } else {
-        all_pool_negative_masses(posterior)
-    };
+    let masses = all_pool_negative_masses(posterior);
     let eligible_mask = State::from_subjects(eligible.iter().copied());
 
     let mut best: Option<Selection> = None;
@@ -154,17 +120,6 @@ mod tests {
         let sel = select_halving_global(&post, &[1, 3], 5).unwrap();
         assert!(sel.pool.is_subset_of(State::from_subjects([1, 3])));
         assert!(!sel.pool.is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let risks = [0.03, 0.12, 0.07, 0.28, 0.19, 0.05, 0.15, 0.09, 0.02];
-        let post = DensePosterior::from_risks(&risks);
-        let eligible: Vec<usize> = (0..risks.len()).collect();
-        let a = select_halving_global(&post, &eligible, 9).unwrap();
-        let b = select_halving_global_par(&post, &eligible, 9).unwrap();
-        assert_eq!(a.pool, b.pool);
-        assert!(close(a.negative_mass, b.negative_mass));
     }
 
     #[test]

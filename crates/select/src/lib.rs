@@ -43,7 +43,7 @@ pub mod lookahead;
 pub mod plancache;
 
 pub use candidates::CandidateStrategy;
-pub use global::{select_halving_global, select_halving_global_par, GLOBAL_PAR_THRESHOLD};
+pub use global::select_halving_global;
 pub use halving::{
     select_halving_exhaustive, select_halving_from_masses, select_halving_prefix,
     select_halving_prefix_par, select_halving_prefix_sparse, Selection,

@@ -14,14 +14,11 @@
 //! * [`runner`] — sequential testing episodes: Bayesian halving /
 //!   look-ahead loops run to classification, plus the *individual-testing*
 //!   and *Dorfman two-stage* comparator procedures;
-//! * [`surveillance`] — the batched surveillance harness: a large
-//!   population is split into cohorts and episodes run as parallel jobs on
-//!   the [`sbgt_engine`] (the framework's Spark-style outer loop);
 //! * [`metrics`] — confusion matrices, tests-per-subject, stage counts, and
 //!   aggregation across replicates;
 //! * [`scenario`] — named workload configurations (the E1 table);
 //! * [`traffic`] — open-loop Poisson specimen arrivals driving the
-//!   surveillance service experiments (E13).
+//!   surveillance service (`sbgt-service`, the multi-cohort outer loop).
 
 #![forbid(unsafe_code)]
 
@@ -30,12 +27,9 @@ pub mod dorfman;
 pub mod metrics;
 pub mod outcome;
 pub mod population;
-pub mod reporting;
 pub mod robustness;
 pub mod runner;
 pub mod scenario;
-pub mod stream;
-pub mod surveillance;
 pub mod traffic;
 
 pub use array_testing::{run_array_testing, square_grid};
@@ -47,6 +41,4 @@ pub use runner::{
     run_dorfman, run_episode, run_episode_with_prior, run_individual, EpisodeConfig, EpisodeResult,
 };
 pub use scenario::Scenario;
-pub use stream::{run_stream, Drift, StreamConfig, WaveReport};
-pub use surveillance::{run_surveillance, SurveillanceConfig, SurveillanceReport};
 pub use traffic::{generate_arrivals, Arrival, TrafficClass, TrafficConfig};

@@ -8,9 +8,6 @@
 //!
 //! Run: `cargo run --release --example dilution_study`
 
-use sbgt_repro::sbgt_response::calibrate::{
-    fit_exponential_alpha, max_pool_for_sensitivity, DetectionPoint,
-};
 use sbgt_repro::sbgt_response::{BinaryDilutionModel, BinaryOutcomeModel, Dilution};
 use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
 use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile, SummaryStats};
@@ -49,26 +46,16 @@ fn main() {
     println!();
     println!("largest pool keeping single-positive sensitivity ≥ 0.75:");
     for (name, dilution) in curves {
-        match max_pool_for_sensitivity(0.99, dilution, 0.75, 64) {
+        // Single-positive sensitivity only falls with pool size, so the
+        // largest admissible pool ends the first run that meets the target.
+        let largest = (1..=64u32)
+            .take_while(|&n| 0.99 * dilution.attenuation(1, n) >= 0.75)
+            .last();
+        match largest {
             Some(n) => println!("  {name:>20}: {n}"),
             None => println!("  {name:>20}: unreachable even neat"),
         }
     }
-
-    // Calibration demo: recover the exponential α from noisy spike-in data.
-    let truth = Dilution::Exponential { alpha: 4.0 };
-    let points: Vec<DetectionPoint> = [2u32, 4, 8, 16, 32]
-        .iter()
-        .map(|&n| DetectionPoint {
-            pool_size: n,
-            rate: 0.99 * truth.attenuation(1, n),
-        })
-        .collect();
-    println!();
-    println!(
-        "calibration: fitted α = {:.2} from 5 spike-in points (truth 4.0)",
-        fit_exponential_alpha(&points, 0.99)
-    );
 
     // Efficiency impact: same cohorts, different dilution regimes.
     println!();

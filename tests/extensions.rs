@@ -207,11 +207,11 @@ fn retry_survives_transient_surveillance_failures() {
             }
         })
         .collect();
-    let (tests, retries) = engine
-        .run_job_retrying("surveillance", tasks, RetryPolicy::default())
+    let (tests, stats) = engine
+        .run_stage_with("surveillance", tasks, RetryPolicy::default(), None)
         .unwrap();
     assert_eq!(tests.len(), 6);
-    assert_eq!(retries, 1);
+    assert_eq!(stats.retries, 1);
     assert!(tests.iter().all(|&t| t >= 1));
 }
 
