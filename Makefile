@@ -97,8 +97,11 @@ measure-lint:
 
 # One exact backend: the dense->sparse arm is written once, in
 # crates/core/src/exact.rs. Fails if a sparse-arm kernel is named in more
-# than one file under crates/core/src.
+# than one file under crates/core/src, or if the subject-order check (the
+# code, not its panic text) is written in more than one file under
+# crates/*/src: it lives in sbgt_lattice::dense::order_tables.
 EXACT_KERNELS := select_halving_prefix_sparse select_stage_lookahead_sparse update_sparse sparse_round_on
+ORDER_CHECK := pos_of[subj] == u32::MAX
 exact-lint:
 	@for k in $(EXACT_KERNELS); do \
 		files=$$(grep -rlw "$$k" crates/core/src); \
@@ -107,6 +110,11 @@ exact-lint:
 			echo "$$files"; exit 1; \
 		fi; \
 	done
+	@files=$$(grep -rlF "$(ORDER_CHECK)" crates/*/src); \
+	if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+		echo "exact-lint: the order check is written in more than one file under crates/*/src:"; \
+		echo "$$files"; exit 1; \
+	fi
 	@echo "exact-lint: OK"
 
 # Retired names stay retired: the exact backend's old session/posterior
@@ -115,11 +123,12 @@ exact-lint:
 # surface only it used (the materializing stage, the per-thread partition
 # knob, the retrying-job wrapper, the indexed pool helper); the session's
 # uncalled selection entry points and the parallel twins only they
-# reached; and the calibration fit. Fails if one is named again in the
+# reached; the calibration fit; and the lattice kernels that had no caller
+# outside tests, plus the executor-private copies of the block kernels. Fails if one is named again in the
 # sources or the documents that describe the tree. `\.map_partitions\(`
 # does not match `map_partitions_in_place(`.
 RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
-RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place
 retired-lint:
 	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \

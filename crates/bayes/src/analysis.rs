@@ -98,21 +98,28 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_reports_agree() {
-        let d = DensePosterior::from_risks(&[0.3, 0.1, 0.45, 0.2, 0.08, 0.15]);
         let cfg = ParConfig {
             chunk_len: 9,
             threshold: 0,
         };
-        let a = analyze(&d, 4);
-        let b = analyze_par(&d, 4, cfg);
-        assert!(close(a.entropy, b.entropy));
-        assert_eq!(a.map_state.0, b.map_state.0);
-        for (x, y) in a.marginals.iter().zip(&b.marginals) {
-            assert!(close(*x, *y));
-        }
-        for ((s1, p1), (s2, p2)) in a.top_states.iter().zip(&b.top_states) {
-            assert_eq!(s1, s2);
-            assert!(close(*p1, *p2));
+        // The uniform posterior ties every state: both passes must report
+        // the smallest one as the MAP state, as `top_states` does.
+        for d in [
+            DensePosterior::from_risks(&[0.3, 0.1, 0.45, 0.2, 0.08, 0.15]),
+            DensePosterior::new_uniform(6),
+        ] {
+            let a = analyze(&d, 4);
+            let b = analyze_par(&d, 4, cfg);
+            assert!(close(a.entropy, b.entropy));
+            assert_eq!(a.map_state.0, a.top_states[0].0);
+            assert_eq!(a.map_state.0, b.map_state.0);
+            for (x, y) in a.marginals.iter().zip(&b.marginals) {
+                assert!(close(*x, *y));
+            }
+            for ((s1, p1), (s2, p2)) in a.top_states.iter().zip(&b.top_states) {
+                assert_eq!(s1, s2);
+                assert!(close(*p1, *p2));
+            }
         }
     }
 

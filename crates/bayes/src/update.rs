@@ -157,20 +157,6 @@ pub fn update_sparse_with_table(
     Ok(z)
 }
 
-/// Apply a whole sequence of observations to a dense posterior, returning
-/// the accumulated log-evidence `Σ ln Z_t` (the log-likelihood of the data).
-pub fn update_dense_sequence<M: ResponseModel>(
-    posterior: &mut DensePosterior,
-    model: &M,
-    observations: &[Observation<M::Outcome>],
-) -> Result<f64, BayesError> {
-    let mut log_evidence = 0.0;
-    for obs in observations {
-        log_evidence += update_dense(posterior, model, obs)?.ln();
-    }
-    Ok(log_evidence)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,22 +330,6 @@ mod tests {
         for (x, y) in ab.probs().iter().zip(ba.probs()) {
             assert!(close(*x, *y));
         }
-    }
-
-    #[test]
-    fn sequence_log_evidence_accumulates() {
-        let risks = [0.2, 0.1];
-        let model = BinaryDilutionModel::pcr_like();
-        let obs = vec![
-            Observation::new(State::from_subjects([0]), true),
-            Observation::new(State::from_subjects([1]), false),
-        ];
-        let mut post = prior(&risks);
-        let log_ev = update_dense_sequence(&mut post, &model, &obs).unwrap();
-        let mut check = prior(&risks);
-        let z1 = update_dense(&mut check, &model, &obs[0]).unwrap();
-        let z2 = update_dense(&mut check, &model, &obs[1]).unwrap();
-        assert!(close(log_ev, z1.ln() + z2.ln()));
     }
 
     #[test]

@@ -27,12 +27,21 @@
 //! histogram in a single traversal, making a full BHA round one stage
 //! instead of three. Per-stage variants land in the engine's metrics
 //! registry, giving the E9 breakdown.
+//!
+//! Every per-partition body is a block kernel from [`sbgt_lattice::dense`]
+//! (the same one `DensePosterior` and the rayon kernels run); this module
+//! only chooses the partitions and combines their partials in partition
+//! order, so one partition gives the serial bits.
 
 use std::sync::Arc;
 
 use sbgt_bayes::BayesError;
 use sbgt_engine::{Dataset, Engine, StageVariant};
-use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State};
+use sbgt_lattice::dense::{
+    add_into, first_pos_histogram, marginal_sums, normalize_marginals, order_tables, suffix_sums,
+};
+use sbgt_lattice::simd;
+use sbgt_lattice::{hybrid, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::ResponseModel;
 
 /// Everything one fused BHA round produces: the Bayesian update applied
@@ -166,15 +175,11 @@ impl ShardedPosterior {
     /// [`sbgt_lattice::hybrid::retained_support`] on the collected dense
     /// posterior, at shard-traversal cost instead of a materialization.
     pub fn retained_support(&self, engine: &Engine, epsilon: f64) -> usize {
-        let cut = if self.total > 0.0 {
-            epsilon * self.total
-        } else {
-            0.0
-        };
+        let keep = hybrid::keeps(self.total, epsilon);
         let partials: Vec<usize> = self
             .shards
             .try_aggregate_partitions(engine, "sparse:support", move |_pidx, probs| {
-                probs.iter().filter(|&&p| p > cut && p > 0.0).count()
+                probs.iter().filter(|&&p| keep(p)).count()
             })
             .unwrap_or_else(|e| panic!("dataset job failed: {e}"));
         partials.iter().sum()
@@ -190,7 +195,7 @@ impl ShardedPosterior {
     /// `to_dense` applies up front.
     pub fn to_sparse(&self, engine: &Engine, epsilon: f64) -> SparsePosterior {
         let total = self.total;
-        let cut = if total > 0.0 { epsilon * total } else { 0.0 };
+        let keep = hybrid::keeps(total, epsilon);
         let offsets = Arc::clone(&self.offsets);
         let partials: Vec<Vec<(State, f64)>> = self
             .shards
@@ -199,7 +204,7 @@ impl ShardedPosterior {
                 probs
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &p)| p > cut && p > 0.0)
+                    .filter(|&(_, &p)| keep(p))
                     .map(|(off, &p)| (State(base + off as u64), p))
                     .collect()
             })
@@ -266,7 +271,7 @@ impl ShardedPosterior {
         let partial_sums = self
             .shards
             .try_map_partitions_in_place(engine, "update:in-place", move |pidx, probs| {
-                mul_table_in_place(probs, offsets[pidx], mask, table.value())
+                simd::mul_table_block(probs, offsets[pidx], mask, table.value())
             })
             .unwrap_or_else(|e| panic!("dataset job failed: {e}"));
 
@@ -335,25 +340,19 @@ impl ShardedPosterior {
         let mut hist = vec![0.0f64; m + 1];
         for (sum, acc, local_hist) in partials {
             new_total += sum;
-            for (a, l) in marginals.iter_mut().zip(&acc) {
-                *a += l;
-            }
-            for (h, l) in hist.iter_mut().zip(&local_hist) {
-                *h += l;
-            }
+            add_into(&mut marginals, &acc);
+            add_into(&mut hist, &local_hist);
         }
         if !(new_total.is_finite() && new_total > 0.0) {
             return Err(BayesError::ImpossibleObservation);
         }
         let evidence = new_total / self.total;
         self.total = new_total;
-        for a in &mut marginals {
-            *a /= new_total;
-        }
+        normalize_marginals(&mut marginals, new_total);
         Ok(FusedRound {
             evidence,
             marginals,
-            prefix_negative_masses: Self::suffix_sum(hist),
+            prefix_negative_masses: suffix_sums(&hist),
         })
     }
 
@@ -365,98 +364,39 @@ impl ShardedPosterior {
         let partials: Vec<(Vec<f64>, f64)> =
             self.shards
                 .aggregate_partitions(engine, move |pidx, probs| {
-                    let base = offsets[pidx];
                     let mut acc = vec![0.0f64; n];
-                    let mut total = 0.0;
-                    for (off, &p) in probs.iter().enumerate() {
-                        total += p;
-                        let mut bits = base + off as u64;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            acc[b] += p;
-                            bits &= bits - 1;
-                        }
-                    }
+                    let total = marginal_sums(probs, offsets[pidx], &mut acc);
                     (acc, total)
                 });
         let mut acc = vec![0.0f64; n];
         let mut total = 0.0;
         for (local, t) in partials {
             total += t;
-            for (a, l) in acc.iter_mut().zip(&local) {
-                *a += l;
-            }
+            add_into(&mut acc, &local);
         }
-        if total > 0.0 {
-            for a in &mut acc {
-                *a /= total;
-            }
-        }
+        normalize_marginals(&mut acc, total);
         acc
-    }
-
-    /// Pool-negative probability as a read-only aggregate stage.
-    pub fn pool_negative_mass(&self, engine: &Engine, pool: State) -> f64 {
-        let mask = pool.bits();
-        let offsets = Arc::clone(&self.offsets);
-        let partials: Vec<f64> = self
-            .shards
-            .aggregate_partitions(engine, move |pidx, probs| {
-                let base = offsets[pidx];
-                let mut local = 0.0;
-                for (off, &p) in probs.iter().enumerate() {
-                    if (base + off as u64) & mask == 0 {
-                        local += p;
-                    }
-                }
-                local
-            });
-        let mass: f64 = partials.iter().sum();
-        if self.total > 0.0 {
-            mass / self.total
-        } else {
-            0.0
-        }
     }
 
     /// All-prefix pool-negative probabilities (the selection kernel) as a
     /// read-only aggregate stage: per-partition first-positive histograms,
     /// reduced and suffix-summed on the driver.
     pub fn prefix_negative_masses(&self, engine: &Engine, order: &[usize]) -> Vec<f64> {
-        let n = self.n_subjects;
-        let m = order.len();
-        let pos_of = Arc::new(Self::positions_of(n, order));
+        let rows = order.len() + 1;
+        let tables = Arc::new(order_tables(self.n_subjects, order));
         let offsets = Arc::clone(&self.offsets);
         let partials: Vec<Vec<f64>> =
             self.shards
                 .aggregate_partitions(engine, move |pidx, probs| {
-                    let base = offsets[pidx];
-                    let mut hist = vec![0.0f64; m + 1];
-                    for (off, &p) in probs.iter().enumerate() {
-                        let mut first = m as u32;
-                        let mut bits = base + off as u64;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            let pos = pos_of[b];
-                            if pos < first {
-                                first = pos;
-                                if first == 0 {
-                                    break;
-                                }
-                            }
-                            bits &= bits - 1;
-                        }
-                        hist[first as usize] += p;
-                    }
+                    let mut hist = vec![0.0f64; rows];
+                    first_pos_histogram(&tables, probs, offsets[pidx], &mut hist);
                     hist
                 });
-        let mut hist = vec![0.0f64; m + 1];
+        let mut hist = vec![0.0f64; rows];
         for local in partials {
-            for (h, l) in hist.iter_mut().zip(&local) {
-                *h += l;
-            }
+            add_into(&mut hist, &local);
         }
-        Self::suffix_sum(hist)
+        suffix_sums(&hist)
     }
 
     /// Branch-fused look-ahead histograms as a read-only aggregate stage —
@@ -493,45 +433,10 @@ impl ShardedPosterior {
             .annotate_last_job(StageVariant::Lookahead { branches: nb });
         let mut hist = vec![0.0f64; rows * nb];
         for local in partials {
-            for (h, l) in hist.iter_mut().zip(&local) {
-                *h += l;
-            }
+            add_into(&mut hist, &local);
         }
         hist
     }
-
-    /// Position of each subject within `order` (`u32::MAX` = not in order).
-    fn positions_of(n: usize, order: &[usize]) -> Vec<u32> {
-        let mut pos_of = vec![u32::MAX; n];
-        for (k, &subj) in order.iter().enumerate() {
-            assert!(subj < n, "subject {subj} out of range");
-            assert!(pos_of[subj] == u32::MAX, "duplicate subject in order");
-            pos_of[subj] = k as u32;
-        }
-        pos_of
-    }
-
-    /// Turn a first-positive histogram into all-prefix negative masses.
-    fn suffix_sum(hist: Vec<f64>) -> Vec<f64> {
-        let mut masses = vec![0.0f64; hist.len()];
-        let mut running = 0.0;
-        for k in (0..hist.len()).rev() {
-            running += hist[k];
-            masses[k] = running;
-        }
-        masses
-    }
-}
-
-/// `probs[off] *= table[popcount((base + off) & mask)]` for every element,
-/// returning the partial sum — the update's per-partition kernel, now
-/// delegated to the runtime-dispatched SIMD block kernel
-/// ([`sbgt_lattice::simd::mul_table_block`]). The blocked popcount and the
-/// four accumulator lanes (lane of element `off` = `off % 4`) live there;
-/// the reduction order is a pure function of the partition layout, so the
-/// kernel stays bit-for-bit identical across dispatch levels.
-fn mul_table_in_place(probs: &mut [f64], base: u64, mask: u64, table: &[f64]) -> f64 {
-    simd::mul_table_block(probs, base, mask, table)
 }
 
 #[cfg(test)]
@@ -585,11 +490,6 @@ mod tests {
         for (a, b) in dense.marginals().iter().zip(sharded.marginals(&e)) {
             assert!(close(*a, b));
         }
-        let pool = State::from_subjects([1, 4, 6]);
-        assert!(close(
-            dense.pool_negative_mass(pool),
-            sharded.pool_negative_mass(&e, pool)
-        ));
         let order = [3usize, 0, 7, 2, 5];
         let dm = dense.prefix_negative_masses(&order);
         let sm = sharded.prefix_negative_masses(&e, &order);

@@ -7,8 +7,13 @@ use proptest::prelude::*;
 use sbgt::ShardedPosterior;
 use sbgt_bayes::{update_dense, BayesError, Observation, Prior};
 use sbgt_engine::{Engine, EngineConfig, StageVariant};
-use sbgt_lattice::{simd, State};
+use sbgt_lattice::kernels::{
+    par_entropy, par_lookahead_histograms, par_marginals, par_prefix_negative_masses, par_top_k,
+    ParConfig,
+};
+use sbgt_lattice::{simd, BranchPool, LookaheadKernel, State};
 use sbgt_response::{BinaryDilutionModel, ResponseModel};
+use std::sync::Arc;
 
 fn engine() -> Engine {
     Engine::new(EngineConfig::default().with_threads(2))
@@ -117,8 +122,83 @@ fn full_tracing_never_changes_posterior_bits() {
     );
 }
 
+/// A seeded partial ordering of `n` subjects: a shuffled prefix of
+/// `len % (n + 1)` of them.
+fn order_from_seed(seed: u64, len: usize, n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut s = seed;
+    for i in (1..n).rev() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (s >> 33) as usize % (i + 1));
+    }
+    order.truncate(len % (n + 1));
+    order
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One block is the serial kernel: a single rayon chunk and a single
+    /// engine partition run the same block bodies as `DensePosterior`, so
+    /// every reduction agrees to the bit.
+    #[test]
+    fn one_block_is_the_serial_kernel_bitwise(
+        risks in prop::collection::vec(0.01f64..0.6, 1..=12),
+        seed in proptest::arbitrary::any::<u64>(),
+        len in 0usize..=12,
+        pool_seeds in prop::collection::vec(proptest::arbitrary::any::<u64>(), 0..=2),
+    ) {
+        let e = engine();
+        let n = risks.len();
+        let mut d = Prior::from_risks(&risks).to_dense();
+        // An update breaks the product structure of the prior.
+        let model = BinaryDilutionModel::pcr_like();
+        let pool = pool_from_seed(seed, n);
+        d.mul_likelihood(pool, &model.likelihood_table(true, pool.rank()));
+        let cfg = ParConfig { chunk_len: 1 << n, threshold: 0 };
+        let sharded = ShardedPosterior::from_dense(&d, 1);
+        let order = order_from_seed(seed, len, n);
+
+        let marginals = d.marginals();
+        assert_bitwise_eq(&marginals, &par_marginals(&d, cfg), "par marginals");
+        assert_bitwise_eq(&marginals, &sharded.marginals(&e), "sharded marginals");
+
+        let masses = d.prefix_negative_masses(&order);
+        assert_bitwise_eq(&masses, &par_prefix_negative_masses(&d, &order, cfg), "par prefix");
+        assert_bitwise_eq(&masses, &sharded.prefix_negative_masses(&e, &order), "sharded prefix");
+
+        prop_assert_eq!(d.entropy().to_bits(), par_entropy(&d, cfg).to_bits());
+
+        for k in [1usize, 5, 1 << n] {
+            let serial = d.top_k(k);
+            let parallel = par_top_k(&d, k, cfg);
+            prop_assert_eq!(serial.len(), parallel.len());
+            for ((s1, p1), (s2, p2)) in serial.iter().zip(&parallel) {
+                prop_assert_eq!(s1, s2);
+                prop_assert_eq!(p1.to_bits(), p2.to_bits());
+            }
+        }
+
+        let kernel = Arc::new(LookaheadKernel::new(n, &order));
+        let pools: Vec<BranchPool> = pool_seeds
+            .iter()
+            .map(|&ps| {
+                let pool = pool_from_seed(ps, n);
+                BranchPool {
+                    mask: pool.bits(),
+                    tables: [
+                        model.likelihood_table(false, pool.rank()),
+                        model.likelihood_table(true, pool.rank()),
+                    ],
+                }
+            })
+            .collect();
+        let hist = kernel.histograms(d.probs(), 0, &pools);
+        assert_bitwise_eq(&hist, &par_lookahead_histograms(&d, &kernel, &pools, cfg), "par look-ahead");
+        assert_bitwise_eq(&hist, &sharded.lookahead_histograms(&e, &kernel, pools), "sharded look-ahead");
+    }
 
     /// The in-place stage and the serial scalar reference produce
     /// bitwise-identical posteriors and evidences for any observation

@@ -25,7 +25,7 @@
 //! ([`crate::kernels::par_lookahead_histograms`]), and the engine-sharded
 //! aggregate stage in the core crate.
 
-use crate::dense::{first_pos, first_pos_tables};
+use crate::dense::{first_pos, order_tables};
 
 /// A pool committed to the current look-ahead stage, in the form the fused
 /// kernel consumes: its bitmask plus the likelihood tables of both assay
@@ -76,19 +76,9 @@ impl LookaheadKernel {
     /// Panics if `order` contains a duplicate or an index `>= n` (matching
     /// [`crate::DensePosterior::prefix_negative_masses`]).
     pub fn new(n: usize, order: &[usize]) -> Self {
-        let m = order.len();
-        let mut pos_of = vec![u32::MAX; n];
-        for (k, &subj) in order.iter().enumerate() {
-            assert!(subj < n, "subject {subj} out of range");
-            assert!(
-                pos_of[subj] == u32::MAX,
-                "duplicate subject {subj} in order"
-            );
-            pos_of[subj] = k as u32;
-        }
         LookaheadKernel {
-            first_tables: first_pos_tables(&pos_of, m),
-            m,
+            first_tables: order_tables(n, order),
+            m: order.len(),
         }
     }
 

@@ -1,10 +1,18 @@
-//! Dense posterior over the full Boolean lattice.
+//! Dense posterior over the full Boolean lattice, and the block kernels
+//! every executor runs.
 //!
 //! `DensePosterior` stores one `f64` of (generally unnormalized) posterior
-//! mass per state, indexed by the state's bitmask. All methods here are the
-//! **serial reference kernels** — they define the semantics, serve as the
-//! baseline framework in the speedup experiments, and back-stop the parallel
-//! kernels in [`crate::kernels`] (property tests assert agreement).
+//! mass per state, indexed by the state's bitmask. Each `Θ(2^N)` reduction
+//! is written **once**, as a plain function over one contiguous block of
+//! the lattice (`probs[off]` is the mass of state `base + off`):
+//! [`marginal_sums`], [`first_pos_histogram`], [`plogp_sums`] and
+//! [`top_k_block`]. `DensePosterior` runs each as one block with
+//! `base = 0`; the rayon chunk kernels in [`crate::kernels`] run it once per
+//! chunk and the engine-sharded posterior once per partition. Executors
+//! differ only in block boundaries and in the order they combine the
+//! partials ([`add_into`]; [`normalize_marginals`], [`suffix_sums`],
+//! [`entropy_of`] and [`finish_top_k`] finish every path), so one block
+//! gives the serial bits.
 //!
 //! Kernel design notes (these are the paper's constant-factor wins, not
 //! incidental details):
@@ -20,46 +28,54 @@
 //!   computes all `N+1` of them in one traversal via a first-positive-
 //!   position histogram, instead of one `O(2^N)` scan per candidate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::state::State;
 use crate::MAX_SUBJECTS;
 
-/// Per-byte first-position lookup tables for the all-prefix mass kernels.
+/// Validate a subject ordering over `n` subjects and build its per-byte
+/// first-position lookup tables for the all-prefix mass kernels.
 ///
-/// `pos_of[b]` is the position of subject `b` in the candidate ordering
-/// (`u32::MAX` when absent). The returned `lanes[l][byte]` is the minimum
-/// ordering position over the set bits of `byte` interpreted as subjects
-/// `8l .. 8l+7`, with `m` (the order length) when none apply. A state's
-/// first positive position is then `min` over its byte lanes — four table
-/// lookups for `N ≤ 32` instead of a set-bit loop, which makes the fused
-/// selection pass run at copy speed.
-pub(crate) fn first_pos_tables(pos_of: &[u32], m: usize) -> Vec<[u32; 256]> {
-    let n = pos_of.len();
-    let lanes = n.div_ceil(8);
-    let mut tables = vec![[m as u32; 256]; lanes];
+/// `lanes[l][byte]` is the minimum ordering position over the set bits of
+/// `byte` interpreted as subjects `8l .. 8l+7`, with `m = order.len()` when
+/// none is ordered. A state's first positive position is then `min` over
+/// its byte lanes ([`first_pos`]) — four table lookups for `N ≤ 32` instead
+/// of a set-bit loop, which makes the fused selection pass run at copy
+/// speed.
+///
+/// # Panics
+/// Panics if `order` contains a duplicate or an index `>= n`.
+pub fn order_tables(n: usize, order: &[usize]) -> Vec<[u32; 256]> {
+    let m = order.len() as u32;
+    let mut pos_of = vec![u32::MAX; n];
+    for (k, &subj) in order.iter().enumerate() {
+        assert!(subj < n, "subject {subj} out of range");
+        assert!(
+            pos_of[subj] == u32::MAX,
+            "duplicate subject {subj} in order"
+        );
+        pos_of[subj] = k as u32;
+    }
+    let mut tables = vec![[m; 256]; n.div_ceil(8)];
     for (lane, table) in tables.iter_mut().enumerate() {
         for (byte, entry) in table.iter_mut().enumerate().skip(1) {
-            let mut best = m as u32;
             let mut bits = byte;
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let subj = lane * 8 + b;
+                let subj = lane * 8 + bits.trailing_zeros() as usize;
                 if subj < n {
-                    let pos = pos_of[subj];
-                    if pos < best {
-                        best = pos;
-                    }
+                    *entry = (*entry).min(pos_of[subj]);
                 }
                 bits &= bits - 1;
             }
-            *entry = best;
         }
     }
     tables
 }
 
-/// First positive position of `state` under the prepared tables.
+/// First positive position of `state` under [`order_tables`]' tables.
 #[inline]
-pub(crate) fn first_pos(tables: &[[u32; 256]], state: u64) -> u32 {
+pub fn first_pos(tables: &[[u32; 256]], state: u64) -> u32 {
     let mut best = u32::MAX;
     let mut bits = state;
     for table in tables {
@@ -81,6 +97,126 @@ pub(crate) fn first_pos(tables: &[[u32; 256]], state: u64) -> u32 {
     } else {
         best
     }
+}
+
+/// Block kernel: `hist[first_pos(s)] += π(s)` over one block.
+pub fn first_pos_histogram(tables: &[[u32; 256]], probs: &[f64], base: u64, hist: &mut [f64]) {
+    for (off, &p) in probs.iter().enumerate() {
+        hist[first_pos(tables, base + off as u64) as usize] += p;
+    }
+}
+
+/// Turn a first-positive histogram into all-prefix negative masses:
+/// `masses[k] = Σ_{first ≥ k} hist[first]`.
+pub fn suffix_sums(hist: &[f64]) -> Vec<f64> {
+    let mut masses = vec![0.0f64; hist.len()];
+    let mut running = 0.0;
+    for (m, &h) in masses.iter_mut().zip(hist).rev() {
+        running += h;
+        *m = running;
+    }
+    masses
+}
+
+/// Combine one block's partial into the running partial: `acc[i] += part[i]`.
+/// Plain and inlinable on purpose: routing this through the SIMD
+/// dispatcher made LLVM spill `marginal_sums`' running total to the stack
+/// inside the rayon kernel, halving its speed.
+#[inline]
+pub fn add_into(acc: &mut [f64], part: &[f64]) {
+    for (a, p) in acc.iter_mut().zip(part) {
+        *a += p;
+    }
+}
+
+/// Block kernel: `acc[i] += π(s)` for every subject `i ∈ s` over one block;
+/// returns the block's total mass.
+pub fn marginal_sums(probs: &[f64], base: u64, acc: &mut [f64]) -> f64 {
+    let mut total = 0.0f64;
+    for (off, &p) in probs.iter().enumerate() {
+        total += p;
+        let mut bits = base + off as u64;
+        while bits != 0 {
+            acc[bits.trailing_zeros() as usize] += p;
+            bits &= bits - 1;
+        }
+    }
+    total
+}
+
+/// Divide accumulated marginal masses by the total (left at zero when the
+/// total is not positive).
+pub fn normalize_marginals(acc: &mut [f64], total: f64) {
+    if total > 0.0 {
+        for a in acc {
+            *a /= total;
+        }
+    }
+}
+
+/// Block kernel: `(Σ p, Σ_{p > 0} p · ln p)` over one block.
+pub fn plogp_sums(probs: &[f64]) -> (f64, f64) {
+    let (mut z, mut s) = (0.0, 0.0);
+    for &p in probs {
+        z += p;
+        if p > 0.0 {
+            s += p * p.ln();
+        }
+    }
+    (z, s)
+}
+
+/// Shannon entropy (nats) from [`plogp_sums`]' totals; 0 for a degenerate
+/// (zero or non-finite) total.
+pub fn entropy_of(z: f64, sum_plogp: f64) -> f64 {
+    if !(z.is_finite() && z > 0.0) {
+        return 0.0;
+    }
+    z.ln() - sum_plogp / z
+}
+
+/// Heap entry of the top-k kernels: mass ascending (so the heap root is
+/// the smallest kept entry), then index descending, so that equal masses
+/// prefer keeping the smaller index.
+#[derive(PartialEq)]
+struct Entry(f64, u64);
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then(other.1.cmp(&self.1))
+    }
+}
+
+/// Block kernel: the `k` highest-mass `(state, mass)` pairs of one block,
+/// unordered.
+pub fn top_k_block(probs: &[f64], base: u64, k: usize) -> Vec<(u64, f64)> {
+    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
+    for (off, &p) in probs.iter().enumerate() {
+        heap.push(Reverse(Entry(p, base + off as u64)));
+        if heap.len() > k {
+            heap.pop();
+        }
+    }
+    heap.into_iter()
+        .map(|Reverse(Entry(p, idx))| (idx, p))
+        .collect()
+}
+
+/// Finish a top-k from block candidates: normalize by `z`, sort descending
+/// (ties by state index, ascending) and keep the first `k`.
+pub fn finish_top_k(candidates: Vec<(u64, f64)>, k: usize, z: f64) -> Vec<(State, f64)> {
+    let mut out: Vec<(State, f64)> = candidates
+        .into_iter()
+        .map(|(idx, p)| (State(idx), if z > 0.0 { p / z } else { 0.0 }))
+        .collect();
+    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.bits().cmp(&b.0.bits())));
+    out.truncate(k);
+    out
 }
 
 /// Dense (one slot per lattice state) posterior mass vector.
@@ -271,23 +407,9 @@ impl DensePosterior {
     ///
     /// Returns the zero vector for a posterior with zero total mass.
     pub fn marginals(&self) -> Vec<f64> {
-        let n = self.n_subjects;
-        let mut acc = vec![0.0f64; n];
-        let mut total = 0.0f64;
-        for (idx, &p) in self.probs.iter().enumerate() {
-            total += p;
-            let mut bits = idx as u64;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                acc[b] += p;
-                bits &= bits - 1;
-            }
-        }
-        if total > 0.0 {
-            for a in &mut acc {
-                *a /= total;
-            }
-        }
+        let mut acc = vec![0.0f64; self.n_subjects];
+        let total = marginal_sums(&self.probs, 0, &mut acc);
+        normalize_marginals(&mut acc, total);
         acc
     }
 
@@ -320,56 +442,28 @@ impl DensePosterior {
     /// # Panics
     /// Panics if `order` contains a duplicate or an index `>= n_subjects`.
     pub fn prefix_negative_masses(&self, order: &[usize]) -> Vec<f64> {
-        let m = order.len();
-        let mut pos_of = vec![u32::MAX; self.n_subjects];
-        for (k, &subj) in order.iter().enumerate() {
-            assert!(subj < self.n_subjects, "subject {subj} out of range");
-            assert!(
-                pos_of[subj] == u32::MAX,
-                "duplicate subject {subj} in order"
-            );
-            pos_of[subj] = k as u32;
-        }
-        let tables = first_pos_tables(&pos_of, m);
-        let mut hist = vec![0.0f64; m + 1];
-        for (idx, &p) in self.probs.iter().enumerate() {
-            let first = first_pos(&tables, idx as u64);
-            hist[first as usize] += p;
-        }
-        // masses[k] = sum of hist[k..=m]
-        let mut masses = vec![0.0f64; m + 1];
-        let mut running = 0.0;
-        for k in (0..=m).rev() {
-            running += hist[k];
-            masses[k] = running;
-        }
-        masses
+        let tables = order_tables(self.n_subjects, order);
+        let mut hist = vec![0.0f64; order.len() + 1];
+        first_pos_histogram(&tables, &self.probs, 0, &mut hist);
+        suffix_sums(&hist)
     }
 
     /// Shannon entropy (nats) of the normalized posterior. Zero-mass states
     /// contribute zero. Returns 0 for a degenerate (zero-total) posterior.
     pub fn entropy(&self) -> f64 {
-        let z = self.total();
-        if !(z.is_finite() && z > 0.0) {
-            return 0.0;
-        }
-        let mut sum_plogp = 0.0;
-        for &p in &self.probs {
-            if p > 0.0 {
-                sum_plogp += p * p.ln();
-            }
-        }
-        z.ln() - sum_plogp / z
+        let (z, sum_plogp) = plogp_sums(&self.probs);
+        entropy_of(z, sum_plogp)
     }
 
-    /// Maximum a-posteriori state and its normalized probability.
+    /// Maximum a-posteriori state and its normalized probability; the
+    /// smallest state index among tied maxima, like [`Self::top_k`].
     pub fn map_state(&self) -> (State, f64) {
         let z = self.total();
         let (idx, &p) = self
             .probs
             .iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
+            .min_by(|(_, a), (_, b)| b.total_cmp(a))
             .expect("non-empty lattice");
         let prob = if z > 0.0 { p / z } else { 0.0 };
         (State(idx as u64), prob)
@@ -378,43 +472,10 @@ impl DensePosterior {
     /// The `k` highest-mass states with their normalized probabilities,
     /// descending (ties broken by state index, ascending).
     pub fn top_k(&self, k: usize) -> Vec<(State, f64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        #[derive(PartialEq)]
-        struct Entry(f64, u64);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Primary: mass ascending (so the heap root is the smallest
-                // kept entry); secondary: index descending, so that equal
-                // masses prefer keeping the smaller index.
-                self.0.total_cmp(&other.0).then(other.1.cmp(&self.1))
-            }
-        }
-
         if k == 0 {
-            return Vec::with_capacity(0);
+            return Vec::new();
         }
-        let z = self.total();
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
-        for (idx, &p) in self.probs.iter().enumerate() {
-            heap.push(Reverse(Entry(p, idx as u64)));
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        let mut out: Vec<(State, f64)> = heap
-            .into_iter()
-            .map(|Reverse(Entry(p, idx))| (State(idx), if z > 0.0 { p / z } else { 0.0 }))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.bits().cmp(&b.0.bits())));
-        out
+        finish_top_k(top_k_block(&self.probs, 0, k), k, self.total())
     }
 
     /// Expected number of positive subjects under the normalized posterior.

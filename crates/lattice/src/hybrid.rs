@@ -54,16 +54,19 @@ impl SparseSwitch {
     }
 }
 
+/// The one prune rule: a state of mass `p` is retained iff
+/// `p > ε · total` and `p > 0` (the cut is 0 when `total` is not
+/// positive). Every conversion and support count filters through this.
+pub fn keeps(total: f64, epsilon: f64) -> impl Fn(f64) -> bool + Copy + Send + Sync + 'static {
+    let cut = if total > 0.0 { epsilon * total } else { 0.0 };
+    move |p| p > cut && p > 0.0
+}
+
 /// Number of states of `dense` whose mass exceeds the relative prune cut —
 /// the support the posterior would retain if converted to sparse now.
 pub fn retained_support(dense: &DensePosterior, epsilon: f64) -> usize {
-    let total = dense.total();
-    let cut = if total > 0.0 { epsilon * total } else { 0.0 };
-    dense
-        .probs()
-        .iter()
-        .filter(|&&p| p > cut && p > 0.0)
-        .count()
+    let keep = keeps(dense.total(), epsilon);
+    dense.probs().iter().filter(|&&p| keep(p)).count()
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Data-parallel lattice kernels.
 //!
-//! Each function here is the chunked, parallel counterpart of a serial
-//! reference kernel on [`DensePosterior`]; property tests assert agreement
-//! to floating-point tolerance. The SBGT operators dispatch to these when
-//! the lattice is large enough to amortize fork/join overhead
-//! ([`ParConfig::threshold`]), exactly as the Spark framework only shines
-//! past a state-count threshold.
+//! Each `par_*` function runs the block kernel of its serial counterpart on
+//! [`DensePosterior`] (see [`crate::dense`]) once per rayon chunk and
+//! combines the partials; with one chunk it returns the serial bits. The
+//! SBGT operators dispatch to these when the lattice is large enough to
+//! amortize fork/join overhead ([`ParConfig::threshold`]), exactly as the
+//! Spark framework only shines past a state-count threshold.
 //!
 //! Parallelism is rayon over contiguous chunks: the state index equals the
 //! array index, so a chunk starting at `base` covers states
@@ -14,7 +14,7 @@
 
 use rayon::prelude::*;
 
-use crate::dense::DensePosterior;
+use crate::dense::{self, DensePosterior};
 use crate::state::State;
 
 /// Tuning for the parallel kernels.
@@ -115,66 +115,24 @@ pub fn par_marginals(posterior: &DensePosterior, cfg: ParConfig) -> Vec<f64> {
     }
     let n = posterior.n_subjects();
     let chunk = cfg.chunk_len.max(1);
-    let (acc, total) = posterior
+    let (mut acc, total) = posterior
         .probs()
         .par_chunks(chunk)
         .enumerate()
         .map(|(ci, probs)| {
-            let base = (ci * chunk) as u64;
             let mut acc = vec![0.0f64; n];
-            let mut total = 0.0f64;
-            for (off, &p) in probs.iter().enumerate() {
-                total += p;
-                let mut bits = base + off as u64;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    acc[b] += p;
-                    bits &= bits - 1;
-                }
-            }
+            let total = dense::marginal_sums(probs, (ci * chunk) as u64, &mut acc);
             (acc, total)
         })
         .reduce(
             || (vec![0.0f64; n], 0.0f64),
             |(mut a, ta), (b, tb)| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
+                dense::add_into(&mut a, &b);
                 (a, ta + tb)
             },
         );
-    let mut acc = acc;
-    if total > 0.0 {
-        for a in &mut acc {
-            *a /= total;
-        }
-    }
+    dense::normalize_marginals(&mut acc, total);
     acc
-}
-
-/// Parallel pool-negative mass, matching
-/// [`DensePosterior::pool_negative_mass`].
-pub fn par_pool_negative_mass(posterior: &DensePosterior, pool: State, cfg: ParConfig) -> f64 {
-    if posterior.len() < cfg.threshold {
-        return posterior.pool_negative_mass(pool);
-    }
-    let mask = pool.bits();
-    let chunk = cfg.chunk_len.max(1);
-    posterior
-        .probs()
-        .par_chunks(chunk)
-        .enumerate()
-        .map(|(ci, probs)| {
-            let base = (ci * chunk) as u64;
-            let mut local = 0.0;
-            for (off, &p) in probs.iter().enumerate() {
-                if (base + off as u64) & mask == 0 {
-                    local += p;
-                }
-            }
-            local
-        })
-        .sum()
 }
 
 /// Parallel all-prefix pool-negative masses, matching
@@ -187,49 +145,26 @@ pub fn par_prefix_negative_masses(
     if posterior.len() < cfg.threshold {
         return posterior.prefix_negative_masses(order);
     }
-    let n = posterior.n_subjects();
-    let m = order.len();
-    let mut pos_of = vec![u32::MAX; n];
-    for (k, &subj) in order.iter().enumerate() {
-        assert!(subj < n, "subject {subj} out of range");
-        assert!(
-            pos_of[subj] == u32::MAX,
-            "duplicate subject {subj} in order"
-        );
-        pos_of[subj] = k as u32;
-    }
+    let rows = order.len() + 1;
     let chunk = cfg.chunk_len.max(1);
-    let tables = crate::dense::first_pos_tables(&pos_of, m);
-    let tables = &tables;
+    let tables = &dense::order_tables(posterior.n_subjects(), order);
     let hist = posterior
         .probs()
         .par_chunks(chunk)
         .enumerate()
         .map(move |(ci, probs)| {
-            let base = (ci * chunk) as u64;
-            let mut hist = vec![0.0f64; m + 1];
-            for (off, &p) in probs.iter().enumerate() {
-                let first = crate::dense::first_pos(tables, base + off as u64);
-                hist[first as usize] += p;
-            }
+            let mut hist = vec![0.0f64; rows];
+            dense::first_pos_histogram(tables, probs, (ci * chunk) as u64, &mut hist);
             hist
         })
         .reduce(
-            || vec![0.0f64; m + 1],
+            || vec![0.0f64; rows],
             |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
+                dense::add_into(&mut a, &b);
                 a
             },
         );
-    let mut masses = vec![0.0f64; m + 1];
-    let mut running = 0.0;
-    for k in (0..=m).rev() {
-        running += hist[k];
-        masses[k] = running;
-    }
-    masses
+    dense::suffix_sums(&hist)
 }
 
 /// Parallel branch-fused look-ahead histograms, matching
@@ -258,9 +193,7 @@ pub fn par_lookahead_histograms(
         .reduce(
             || vec![0.0f64; kernel.num_prefixes() * nb],
             |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
+                dense::add_into(&mut a, &b);
                 a
             },
         )
@@ -271,26 +204,12 @@ pub fn par_entropy(posterior: &DensePosterior, cfg: ParConfig) -> f64 {
     if posterior.len() < cfg.threshold {
         return posterior.entropy();
     }
-    let chunk = cfg.chunk_len.max(1);
     let (z, sum_plogp) = posterior
         .probs()
-        .par_chunks(chunk)
-        .map(|probs| {
-            let mut z = 0.0;
-            let mut s = 0.0;
-            for &p in probs {
-                z += p;
-                if p > 0.0 {
-                    s += p * p.ln();
-                }
-            }
-            (z, s)
-        })
+        .par_chunks(cfg.chunk_len.max(1))
+        .map(dense::plogp_sums)
         .reduce(|| (0.0, 0.0), |(a1, b1), (a2, b2)| (a1 + a2, b1 + b2));
-    if !(z.is_finite() && z > 0.0) {
-        return 0.0;
-    }
-    z.ln() - sum_plogp / z
+    dense::entropy_of(z, sum_plogp)
 }
 
 /// Parallel top-k: per-chunk bounded heaps merged on the driver, matching
@@ -299,72 +218,18 @@ pub fn par_top_k(posterior: &DensePosterior, k: usize, cfg: ParConfig) -> Vec<(S
     if posterior.len() < cfg.threshold || k == 0 {
         return posterior.top_k(k);
     }
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry(f64, u64);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(other.1.cmp(&self.1))
-        }
-    }
-
     let chunk = cfg.chunk_len.max(1);
     let z = par_total(posterior, cfg);
-    let mut candidates: Vec<(u64, f64)> = posterior
+    let candidates = posterior
         .probs()
         .par_chunks(chunk)
         .enumerate()
-        .map(|(ci, probs)| {
-            let base = (ci * chunk) as u64;
-            let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
-            for (off, &p) in probs.iter().enumerate() {
-                heap.push(Reverse(Entry(p, base + off as u64)));
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-            heap.into_iter()
-                .map(|Reverse(Entry(p, idx))| (idx, p))
-                .collect::<Vec<_>>()
-        })
+        .map(|(ci, probs)| dense::top_k_block(probs, (ci * chunk) as u64, k))
         .reduce(Vec::new, |mut a, b| {
             a.extend(b);
             a
         });
-    candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    candidates.truncate(k);
-    candidates
-        .into_iter()
-        .map(|(idx, p)| (State(idx), if z > 0.0 { p / z } else { 0.0 }))
-        .collect()
-}
-
-/// Parallel construction from a state→mass function.
-pub fn par_from_fn(n: usize, f: impl Fn(State) -> f64 + Sync, cfg: ParConfig) -> DensePosterior {
-    let len = crate::num_states(n);
-    if len < cfg.threshold {
-        return DensePosterior::from_fn(n, f);
-    }
-    let chunk = cfg.chunk_len.max(1);
-    let mut probs = vec![0.0f64; len];
-    probs
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(ci, slots)| {
-            let base = (ci * chunk) as u64;
-            for (off, slot) in slots.iter_mut().enumerate() {
-                *slot = f(State(base + off as u64));
-            }
-        });
-    DensePosterior::from_probs(n, probs)
+    dense::finish_top_k(candidates, k, z)
 }
 
 #[cfg(test)]
@@ -436,22 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_negative_mass_matches_serial() {
-        let d = example(10);
-        for pool in [
-            State::EMPTY,
-            State::from_subjects([0]),
-            State::from_subjects([2, 5, 9]),
-            State::full(10),
-        ] {
-            assert_close(
-                d.pool_negative_mass(pool),
-                par_pool_negative_mass(&d, pool, CFG),
-            );
-        }
-    }
-
-    #[test]
     fn prefix_masses_match_serial() {
         let d = example(10);
         let order = [4usize, 9, 0, 2, 7, 1];
@@ -509,16 +358,6 @@ mod tests {
                 assert_eq!(s1, s2, "k={k}");
                 assert_close(*p1, *p2);
             }
-        }
-    }
-
-    #[test]
-    fn from_fn_matches_serial() {
-        let f = |s: State| 1.0 / (1.0 + s.rank() as f64);
-        let a = DensePosterior::from_fn(9, f);
-        let b = par_from_fn(9, f, CFG);
-        for (x, y) in a.probs().iter().zip(b.probs()) {
-            assert_close(*x, *y);
         }
     }
 }

@@ -16,13 +16,13 @@
 //! * [`order`] — order-theoretic helpers (up-sets, down-sets, comparability);
 //! * [`iter`] — subset/superset/rank iterators used by exhaustive selection
 //!   and by tests as ground truth;
-//! * [`DensePosterior`] — the `Vec<f64>`-of-length-`2^N` posterior with the
-//!   serial reference kernels (multiply-by-likelihood, normalize, marginals,
-//!   down-set masses, entropy, top-k);
+//! * [`DensePosterior`] — the `Vec<f64>`-of-length-`2^N` posterior, and in
+//!   [`dense`] the block kernels (marginals, prefix masses, entropy, top-k)
+//!   that it, [`kernels`] and the engine-sharded posterior all run;
 //! * [`SparsePosterior`] — the pruned representation (HiBGT-style) that
 //!   drops negligible-mass states;
-//! * [`kernels`] — the data-parallel versions of every dense kernel, chunked
-//!   with rayon; these are what SBGT's distributed operators lower to;
+//! * [`kernels`] — the rayon executors: each runs a dense block kernel once
+//!   per chunk and combines the partials;
 //! * [`branch`] — the branch-fused look-ahead selection kernel
 //!   ([`LookaheadKernel`]) that accumulates all `2^j` outcome-branch
 //!   prefix-mass histograms in one traversal, shared by the serial, rayon,

@@ -10,7 +10,10 @@
 //! Entries are kept sorted by state index and unique, so dense ↔ sparse
 //! conversions and merges are linear.
 
-use crate::dense::DensePosterior;
+use crate::dense::{
+    entropy_of, first_pos, normalize_marginals, order_tables, suffix_sums, DensePosterior,
+};
+use crate::hybrid::keeps;
 use crate::state::State;
 
 /// Pruned posterior: explicit `(state, mass)` entries, sorted by state
@@ -62,12 +65,11 @@ impl SparsePosterior {
     /// Convert from dense, dropping states whose share of the total mass is
     /// `< epsilon`. `epsilon = 0.0` keeps every state with positive mass.
     pub fn from_dense(dense: &DensePosterior, epsilon: f64) -> Self {
-        let total = dense.total();
-        let cut = if total > 0.0 { epsilon * total } else { 0.0 };
+        let keep = keeps(dense.total(), epsilon);
         let mut entries = Vec::new();
         let mut pruned = 0.0;
         for (idx, &p) in dense.probs().iter().enumerate() {
-            if p > cut && p > 0.0 {
+            if keep(p) {
                 entries.push((State(idx as u64), p));
             } else {
                 pruned += p;
@@ -208,11 +210,7 @@ impl SparsePosterior {
                 acc[b] += p;
             }
         }
-        if total > 0.0 {
-            for a in &mut acc {
-                *a /= total;
-            }
-        }
+        normalize_marginals(&mut acc, total);
         acc
     }
 
@@ -229,61 +227,33 @@ impl SparsePosterior {
     /// [`DensePosterior::prefix_negative_masses`]); same histogram method
     /// over the retained states only.
     pub fn prefix_negative_masses(&self, order: &[usize]) -> Vec<f64> {
-        let m = order.len();
-        let mut pos_of = vec![u32::MAX; self.n_subjects];
-        for (k, &subj) in order.iter().enumerate() {
-            assert!(subj < self.n_subjects, "subject {subj} out of range");
-            assert!(
-                pos_of[subj] == u32::MAX,
-                "duplicate subject {subj} in order"
-            );
-            pos_of[subj] = k as u32;
-        }
-        let mut hist = vec![0.0f64; m + 1];
+        let tables = order_tables(self.n_subjects, order);
+        let mut hist = vec![0.0f64; order.len() + 1];
         for &(s, p) in &self.entries {
-            let mut first = m as u32;
-            for b in s.subjects() {
-                let pos = pos_of[b];
-                if pos < first {
-                    first = pos;
-                    if first == 0 {
-                        break;
-                    }
-                }
-            }
-            hist[first as usize] += p;
+            hist[first_pos(&tables, s.bits()) as usize] += p;
         }
-        let mut masses = vec![0.0f64; m + 1];
-        let mut running = 0.0;
-        for k in (0..=m).rev() {
-            running += hist[k];
-            masses[k] = running;
-        }
-        masses
+        suffix_sums(&hist)
     }
 
     /// Shannon entropy (nats) of the retained, normalized posterior.
     pub fn entropy(&self) -> f64 {
-        let z = self.total();
-        if !(z.is_finite() && z > 0.0) {
-            return 0.0;
-        }
         let mut sum_plogp = 0.0;
         for &(_, p) in &self.entries {
             if p > 0.0 {
                 sum_plogp += p * p.ln();
             }
         }
-        z.ln() - sum_plogp / z
+        entropy_of(self.total(), sum_plogp)
     }
 
-    /// MAP state among retained states and its normalized probability.
-    /// `None` when the support is empty.
+    /// MAP state among retained states and its normalized probability
+    /// (the smallest state among tied maxima). `None` when the support is
+    /// empty.
     pub fn map_state(&self) -> Option<(State, f64)> {
         let z = self.total();
         self.entries
             .iter()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
+            .min_by(|(_, a), (_, b)| b.total_cmp(a))
             .map(|&(s, p)| (s, if z > 0.0 { p / z } else { 0.0 }))
     }
 }
@@ -392,6 +362,21 @@ mod tests {
         assert_eq!(s.map_state(), None);
         assert_eq!(s.entropy(), 0.0);
         assert_eq!(s.marginals(), vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn map_state_keeps_the_first_of_tied_maxima() {
+        let s = SparsePosterior::from_entries(
+            3,
+            vec![(State(6), 0.4), (State(2), 0.4), (State(1), 0.2)],
+        );
+        assert_eq!(s.map_state().unwrap().0, State(2));
+        let d = DensePosterior::new_uniform(3);
+        assert_eq!(d.map_state().0, State(0));
+        assert_eq!(
+            SparsePosterior::from_dense(&d, 0.0).map_state().unwrap().0,
+            State(0)
+        );
     }
 
     #[test]

@@ -81,13 +81,6 @@ pub fn up_set_masses(posterior: &DensePosterior) -> Vec<f64> {
     out
 }
 
-/// Reconstruct a mass vector from its down-set cumulative form — round-trip
-/// helper used to validate lattice-model manipulations.
-pub fn mobius_of_zeta(mut zeta: Vec<f64>, n: usize) -> Vec<f64> {
-    mobius_in_place(&mut zeta, n);
-    zeta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,17 +150,6 @@ mod tests {
         assert!(close(up[0], 1.0));
         // Full set: all-positive probability.
         assert!(close(up[0b1111], risks.iter().product()));
-    }
-
-    #[test]
-    fn roundtrip_helper() {
-        let d = example(5);
-        let mut z = d.probs().to_vec();
-        zeta_in_place(&mut z, 5);
-        let back = mobius_of_zeta(z, 5);
-        for (a, b) in back.iter().zip(d.probs()) {
-            assert!(close(*a, *b));
-        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::collections::HashSet;
 
 use sbgt_bayes::{update_dense, Observation};
 use sbgt_lattice::branch::suffix_sum_rows;
+use sbgt_lattice::dense::{first_pos, order_tables};
 use sbgt_lattice::kernels::{par_lookahead_histograms, ParConfig};
 use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
@@ -258,20 +259,11 @@ pub fn select_stage_lookahead_sparse<M: BinaryOutcomeModel>(
     cfg: &LookaheadConfig,
 ) -> Result<Vec<Selection>, SelectError> {
     cfg.validate()?;
-    let n = posterior.n_subjects();
-    let m = order.len();
-    let mut pos_of = vec![u32::MAX; n];
-    for (k, &subj) in order.iter().enumerate() {
-        assert!(subj < n, "subject {subj} out of range");
-        assert!(
-            pos_of[subj] == u32::MAX,
-            "duplicate subject {subj} in order"
-        );
-        pos_of[subj] = k as u32;
-    }
+    let rows = order.len() + 1;
+    let tables = order_tables(posterior.n_subjects(), order);
     drive_lookahead(model, order, cfg, |pools| {
         let nb = 1usize << pools.len();
-        let mut hist = vec![0.0f64; (m + 1) * nb];
+        let mut hist = vec![0.0f64; rows * nb];
         let mut prod = vec![0.0f64; nb];
         for &(s, p) in posterior.entries() {
             prod[0] = p;
@@ -281,17 +273,7 @@ pub fn select_stage_lookahead_sparse<M: BinaryOutcomeModel>(
                 simd::lookahead_double_block(&mut prod, cur, pool.tables[0][k], pool.tables[1][k]);
                 cur <<= 1;
             }
-            let mut first = m as u32;
-            for b in s.subjects() {
-                let pos = pos_of[b];
-                if pos < first {
-                    first = pos;
-                    if first == 0 {
-                        break;
-                    }
-                }
-            }
-            let row = first as usize * nb;
+            let row = first_pos(&tables, s.bits()) as usize * nb;
             simd::add_assign_block(&mut hist[row..row + nb], &prod);
         }
         hist
