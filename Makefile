@@ -124,11 +124,14 @@ exact-lint:
 # knob, the retrying-job wrapper, the indexed pool helper); the session's
 # uncalled selection entry points and the parallel twins only they
 # reached; the calibration fit; and the lattice kernels that had no caller
-# outside tests, plus the executor-private copies of the block kernels. Fails if one is named again in the
-# sources or the documents that describe the tree. `\.map_partitions\(`
-# does not match `map_partitions_in_place(`.
+# outside tests, plus the executor-private copies of the block kernels;
+# and the engine's task retry, speculation, pristine-copy in-place path and
+# second stage runner with their scrape families (the service's round
+# rollback is the one recovery mechanism). Fails if one is named again in
+# the sources or the documents that describe the tree.
+# `\.map_partitions\(` does not match `map_partitions_in_place(`.
 RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
-RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_
 retired-lint:
 	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \
@@ -148,12 +151,15 @@ build:
 test:
 	$(CARGO) test --workspace -q
 
-# Fault-injection suite: seeded panics/stragglers/poisons into every stage
-# variant of the posterior hot loop must recover bit-for-bit (offline,
-# in-process — no network or external chaos tooling involved).
+# Fault-injection suite: under seeded panics/stragglers/poisons every
+# stage of the posterior hot loop returns the fault-free bits or fails
+# naming itself, and every killed service round (sharded, sparse, BP) is
+# rolled back and replayed to reports equal to the fault-free serial run
+# (offline, in-process — no network or external chaos tooling involved).
 chaos:
 	$(CARGO) test -p sbgt --test chaos_equivalence -q
-	$(CARGO) test -p sbgt-engine -q -- stage:: chaos:: retry::
+	$(CARGO) test -p sbgt-service --test chaos_service -q
+	$(CARGO) test -p sbgt-engine -q -- stage:: chaos::
 
 # Surveillance-service smoke: a short seeded load through the full service
 # stack (bounded ingress -> batcher -> round-robin workers -> shared

@@ -161,8 +161,8 @@ pub fn residual_nanos(residual: f64) -> u64 {
 
 /// Run the damped LLR relaxation from a cold start and return the
 /// per-specimen marginals. Pure: same `(prior_logit, factors, cfg)` →
-/// bit-identical output, which is what the snapshot contract and the
-/// engine-stage retry path both lean on.
+/// bit-identical output, which is what the snapshot contract and a
+/// replayed round both lean on.
 pub fn relax_marginals(prior_logit: &[f64], factors: &[Factor], cfg: &BpConfig) -> Vec<f64> {
     relax_marginals_traced(prior_logit, factors, cfg).0
 }
@@ -360,16 +360,15 @@ impl<M: BinaryOutcomeModel> Backend for BpBackend<M> {
 
     /// Refresh the marginal cache, optionally running the relaxation as an
     /// engine stage: the sweep is a pure closure over the (shared) factor
-    /// list, so the engine's installed fault plan can kill or retry it and
-    /// a retry recomputes the identical fixed point. Convergence telemetry
-    /// (sweep count, residual march) is read from the pure relaxation's
-    /// side trace *after* it returns, so recording can never perturb the
-    /// posterior.
+    /// list, so an injected fault can kill it and a replay recomputes the
+    /// identical fixed point. Convergence telemetry (sweep count, residual
+    /// march) is read from the pure relaxation's side trace *after* it
+    /// returns, so recording can never perturb the posterior.
     ///
     /// # Panics
-    /// Panics when the stage fails permanently (retry budget exhausted) —
-    /// the same contract as the other engine-staged rounds, which a
-    /// supervising service converts into a snapshot rollback.
+    /// Panics when the stage fails — the same contract as the other
+    /// engine-staged rounds, which a supervising service converts into a
+    /// snapshot rollback.
     fn refresh(&mut self, engine: Option<&Engine>, phases: Option<&RoundTrace>) {
         if self.cached.is_some() {
             return;
@@ -377,7 +376,7 @@ impl<M: BinaryOutcomeModel> Backend for BpBackend<M> {
         let (marginals, trace) = match engine {
             None => relax_marginals_traced(&self.prior_logit, &self.factors, &self.bp),
             Some(engine) => {
-                let prior = Arc::new(self.prior_logit.clone());
+                let prior = self.prior_logit.clone();
                 let factors = Arc::clone(&self.factors);
                 let bp = self.bp;
                 let task = move || -> Result<(Vec<f64>, BpTrace), BayesError> {

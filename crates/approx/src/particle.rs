@@ -97,10 +97,9 @@ pub struct ParticleBackend<M> {
 }
 
 /// A surveillance session whose posterior is a weighted particle cloud:
-/// the shared round driver over [`ParticleBackend`]. The update mutates the
-/// RNG stream, which does not fit the engine's pure-retry contract, so
-/// rounds are self-contained (context `()`) and fault recovery rides on
-/// snapshot rollback.
+/// the shared round driver over [`ParticleBackend`]. Rounds are
+/// self-contained (context `()`): the update never calls the engine, so
+/// engine faults cannot reach it.
 pub type ParticleSession<M> = Session<ParticleBackend<M>>;
 
 impl<M: BinaryOutcomeModel> ParticleBackend<M> {

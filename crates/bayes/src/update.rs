@@ -127,8 +127,8 @@ pub fn update_sparse<M: ResponseModel>(
 
 /// [`update_sparse`] with the likelihood table already materialized. The
 /// engine-backed sparse round builds the table driver-side (it only depends
-/// on the outcome and pool size) so the retried stage closure captures plain
-/// `Send + Sync` data instead of the response model.
+/// on the outcome and pool size) so the stage closure captures plain `Send`
+/// data instead of the response model.
 pub fn update_sparse_with_table(
     posterior: &mut SparsePosterior,
     pool: State,

@@ -5,7 +5,7 @@ use sbgt_lattice::kernels::ParConfig;
 use sbgt_lattice::SparseSwitch;
 
 /// Typed configuration error — the validated-construction convention shared
-/// with `RetryPolicy::new(0)` and `LookaheadConfig::validate`.
+/// with `LookaheadConfig::validate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A parameter is outside its valid range; the message names it.

@@ -176,15 +176,13 @@ fn check_epsilon(prune_epsilon: f64) -> Result<(), String> {
 
 /// One sparse update and re-prune: on the driver, or — when `engine` is
 /// given — as a single-task engine stage named `fused-round:sparse`. The
-/// stage updates a clone of `posterior`, so the engine's installed fault
-/// plan can kill or retry it (the closure is pure — a retry re-clones
-/// pristine input), and the result is committed only on stage success. The
-/// job is annotated [`StageVariant::Sparse`] with the post-update support.
+/// stage updates a clone of `posterior`, so an injected fault can kill it,
+/// and the result is committed only on stage success. The job is annotated
+/// [`StageVariant::Sparse`] with the post-update support.
 ///
 /// # Panics
-/// Panics when the stage fails permanently (retry budget exhausted) — the
-/// same contract as the sharded fused rounds, which a supervising service
-/// converts into a snapshot rollback.
+/// Panics when the stage fails — the same contract as the sharded fused
+/// rounds, which a supervising service converts into a snapshot rollback.
 fn sparse_round_on<M: BinaryOutcomeModel>(
     engine: Option<&Engine>,
     model: &M,
@@ -200,11 +198,8 @@ fn sparse_round_on<M: BinaryOutcomeModel>(
         return Err(BayesError::EmptyPool);
     }
     let table = model.likelihood_table(outcome, pool.rank());
-    let base = Arc::new(posterior.clone());
-    let task = move || {
-        let mut p = (*base).clone();
-        update_sparse_with_table(&mut p, pool, &table, epsilon).map(|z| (p, z))
-    };
+    let mut p = posterior.clone();
+    let task = move || update_sparse_with_table(&mut p, pool, &table, epsilon).map(|z| (p, z));
     let results = engine
         .run_stage("fused-round:sparse", vec![task])
         .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
@@ -844,9 +839,9 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<ShardedPosterior, M>> {
     }
 
     /// Drive the session to classification against a lab oracle, one fused
-    /// stage per round ([`Session::run`]). Under a fault-tolerant engine the
-    /// whole run survives injected or real task failures with an identical
-    /// outcome: every stage recovers bit-for-bit.
+    /// stage per round ([`Session::run`]). A failed stage panics; to survive
+    /// one, drive [`Self::run_round`] from a pre-round snapshot and replay,
+    /// as the service does.
     pub fn run_to_classification(
         &mut self,
         engine: &Engine,

@@ -248,12 +248,10 @@ impl ShardedPosterior {
     /// the posterior is degenerate; like the dense fused update, callers
     /// must treat the posterior as unusable after this error.
     ///
-    /// When the engine's fault tolerance is active (retries, speculation,
-    /// or an installed fault plan) the stage instead runs copy-on-write
-    /// from pristine driver-held handles: task failures retry against
-    /// unmutated input and recover **bit-for-bit** — the closure is pure
-    /// and partials are reduced in task order — while a permanently failed
-    /// stage leaves the shards untouched.
+    /// # Panics
+    /// Panics when the stage fails (an injected fault): the shards were
+    /// consumed by the failed stage, so the posterior is unusable until
+    /// restored from a snapshot — what the service's round rollback does.
     pub fn update<M: ResponseModel>(
         &mut self,
         engine: &Engine,
@@ -554,6 +552,43 @@ mod tests {
         );
         assert_eq!(jobs[1].variant, sbgt_engine::StageVariant::Immutable);
         assert_eq!(e.metrics().in_place_job_count(), 1);
+    }
+
+    /// The posterior update, the hottest stage, is visible per task: at
+    /// `Full` it records one task span per partition, each carrying its
+    /// stage span's sequence number.
+    #[test]
+    fn full_traced_update_records_a_task_span_per_partition() {
+        use sbgt_engine::{ObsConfig, SpanKind};
+        let e = Engine::new(
+            EngineConfig::default()
+                .with_threads(2)
+                .with_obs(ObsConfig::full()),
+        );
+        let mut sharded = ShardedPosterior::from_dense(&Prior::flat(6, 0.1).to_dense(), 4);
+        sharded
+            .update(
+                &e,
+                &BinaryDilutionModel::pcr_like(),
+                State::from_subjects([0, 1]),
+                true,
+            )
+            .unwrap();
+        let rec = e.obs();
+        let snap = rec.snapshot();
+        let named = |kind| {
+            snap.all_events()
+                .filter(|ev| ev.kind == kind && rec.name_of(ev.name) == "update:in-place")
+                .collect::<Vec<_>>()
+        };
+        let stages = named(SpanKind::Stage);
+        assert_eq!(stages.len(), 1);
+        let tasks = named(SpanKind::Task);
+        assert_eq!(tasks.len(), 4, "one task span per partition");
+        assert!(tasks.iter().all(|t| t.meta.seq == stages[0].meta.seq));
+        let mut indices: Vec<u32> = tasks.iter().map(|t| t.meta.task).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! then asserts `hooks_per_round × hook_cost ≤ 2% × round_time` with a
 //! generous hook budget (64 per round; the real loop has well under 20:
-//! two in `run_stage_with`, a handful in the session and service loops,
-//! and zero per task — the per-attempt context is `None` when disabled).
+//! two in `run_stage`, a handful in the session and service loops, and
+//! zero per task — the per-task context is `None` when disabled).
 //!
 //! Meaningless under an unoptimized build, so it skips in debug profiles;
 //! `make obs-smoke` runs it with `--release`.

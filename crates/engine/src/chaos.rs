@@ -1,28 +1,23 @@
 //! Deterministic fault injection — the engine's chaos layer.
 //!
 //! Long surveillance runs are exactly the workloads where mid-run loss is
-//! costliest, so the recovery machinery ([`crate::RetryPolicy`], COW-on-retry
-//! in-place stages, speculative straggler re-execution) must be provable.
-//! This module supplies the adversary: a [`FaultPlan`] schedules task
-//! panics, injected delays (stragglers), and poisoned partition results at
-//! exact `(stage, task, attempt)` coordinates, or draws them from a seeded
-//! [`ChaosConfig`] so whole fault campaigns replay bit-for-bit.
+//! costliest, so the one recovery mechanism — the service's pre-round
+//! snapshot and replay — must be provable. This module supplies the
+//! adversary: a [`FaultPlan`] schedules task panics, injected delays
+//! (stragglers), and poisoned partition results at exact `(stage, task)`
+//! coordinates, or draws them from a seeded [`ChaosConfig`] so whole fault
+//! campaigns replay bit-for-bit.
 //!
 //! # Determinism
 //!
 //! A fault fires purely as a function of `(plan, stage name, stage
-//! sequence number, task index, attempt ordinal)`. The stage sequence
-//! number is the engine's count of launched stages, and attempt ordinals
-//! are assigned per task in submission order, so a single-driver program
-//! replays the same faults on every run with the same plan — executor
-//! scheduling cannot perturb them. Injected faults never change *values*
-//! either: retried and speculative attempts re-run the task closure against
-//! pristine input (see [`crate::Dataset::try_map_partitions_in_place`]),
-//! so a recovered job is bit-for-bit identical to a fault-free one.
-//!
-//! A random campaign from [`ChaosConfig`] only injects into attempt
-//! ordinals below [`ChaosConfig::max_faulted_attempts`]; keeping that below
-//! the retry policy's attempt budget guarantees every job survives.
+//! sequence number, task index)`. The stage sequence number is the
+//! engine's count of launched stages, so a single-driver program replays
+//! the same faults on every run with the same plan — executor scheduling
+//! cannot perturb them. A task runs once: an injected panic or poison
+//! fails its stage, and a stage either returns the fault-free values or
+//! fails. A replayed round runs under fresh sequence numbers, so it draws
+//! a fresh schedule.
 
 use std::hash::Hasher as _;
 use std::time::Duration;
@@ -33,36 +28,32 @@ use crate::partitioner::FxHasher;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The task panics instead of running its body (an executor dying
-    /// mid-task; any partial work of the attempt is discarded).
+    /// mid-task).
     Panic,
     /// The task sleeps for the given duration before running its body — a
-    /// straggler, the trigger for speculative re-execution.
+    /// straggler. It changes no value.
     Delay(Duration),
     /// The task body runs to completion but its result is discarded and
-    /// the attempt is counted as failed — a corrupted partition result
-    /// caught by verification.
+    /// the task counts as failed — a corrupted partition result caught by
+    /// verification.
     Poison,
 }
 
 /// Seeded random fault campaign: per-coordinate rates, all decided by
-/// hashing `(seed, stage, stage-seq, task, attempt)` — no RNG state, fully
+/// hashing `(seed, stage, stage-seq, task)` — no RNG state, fully
 /// reproducible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for the per-coordinate hash.
     pub seed: u64,
-    /// Probability an attempt panics.
+    /// Probability a task panics.
     pub panic_rate: f64,
-    /// Probability an attempt is delayed by [`Self::delay`].
+    /// Probability a task is delayed by [`Self::delay`].
     pub delay_rate: f64,
-    /// Probability an attempt's result is poisoned.
+    /// Probability a task's result is poisoned.
     pub poison_rate: f64,
     /// Injected straggler delay.
     pub delay: Duration,
-    /// Faults are only injected into attempt ordinals strictly below this
-    /// (default 1: only first attempts). Keeping it below the retry
-    /// policy's `max_attempts` makes every job survivable by construction.
-    pub max_faulted_attempts: usize,
 }
 
 impl ChaosConfig {
@@ -74,7 +65,6 @@ impl ChaosConfig {
             delay_rate: 0.0,
             poison_rate: 0.0,
             delay: Duration::from_millis(5),
-            max_faulted_attempts: 1,
         }
     }
 
@@ -97,22 +87,16 @@ impl ChaosConfig {
         self
     }
 
-    fn fault_for(&self, stage: &str, seq: u64, task: usize, attempt: usize) -> Option<Fault> {
-        if attempt >= self.max_faulted_attempts {
-            return None;
-        }
+    fn fault_for(&self, stage: &str, seq: u64, task: usize) -> Option<Fault> {
         let mut h = FxHasher::default();
         h.write_u64(self.seed);
         h.write(stage.as_bytes());
         h.write_u64(seq);
         h.write_usize(task);
-        h.write_usize(attempt);
-        // FxHasher's last step is one multiply, so adjacent attempt
-        // ordinals leave final states exactly ±K apart and their [0, 1)
-        // draws offset by a constant ~0.319 — a retry of a faulted attempt
-        // could then never fault itself whenever the combined rate is
-        // below that offset. Avalanche (splitmix64 finalizer) so every
-        // coordinate draws independently.
+        // FxHasher's last step is one multiply, so adjacent task indices
+        // leave final states a small multiple of one constant apart and
+        // their [0, 1) draws correlate. Avalanche (splitmix64 finalizer) so
+        // every coordinate draws independently.
         let mut x = h.finish();
         x ^= x >> 30;
         x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -141,7 +125,6 @@ impl ChaosConfig {
 struct ScheduledFault {
     stage: String,
     task: usize,
-    attempt: usize,
     fault: Fault,
 }
 
@@ -149,7 +132,8 @@ struct ScheduledFault {
 ///
 /// Combines exact scheduled faults (first match wins) with an optional
 /// seeded random campaign. Install with [`crate::Engine::set_fault_plan`];
-/// installing any plan activates the engine's fault-tolerant stage path.
+/// while a plan is installed the service snapshots each cohort before a
+/// round so a killed round can be rolled back.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     scheduled: Vec<ScheduledFault>,
@@ -170,37 +154,28 @@ impl FaultPlan {
         }
     }
 
-    /// Schedule a panic at `(stage, task, attempt)`.
-    pub fn panic_at(mut self, stage: &str, task: usize, attempt: usize) -> Self {
+    fn at(mut self, stage: &str, task: usize, fault: Fault) -> Self {
         self.scheduled.push(ScheduledFault {
             stage: stage.to_string(),
             task,
-            attempt,
-            fault: Fault::Panic,
+            fault,
         });
         self
     }
 
-    /// Schedule an injected delay (straggler) at `(stage, task, attempt)`.
-    pub fn delay_at(mut self, stage: &str, task: usize, attempt: usize, delay: Duration) -> Self {
-        self.scheduled.push(ScheduledFault {
-            stage: stage.to_string(),
-            task,
-            attempt,
-            fault: Fault::Delay(delay),
-        });
-        self
+    /// Schedule a panic at `(stage, task)`.
+    pub fn panic_at(self, stage: &str, task: usize) -> Self {
+        self.at(stage, task, Fault::Panic)
     }
 
-    /// Schedule a poisoned result at `(stage, task, attempt)`.
-    pub fn poison_at(mut self, stage: &str, task: usize, attempt: usize) -> Self {
-        self.scheduled.push(ScheduledFault {
-            stage: stage.to_string(),
-            task,
-            attempt,
-            fault: Fault::Poison,
-        });
-        self
+    /// Schedule an injected delay (straggler) at `(stage, task)`.
+    pub fn delay_at(self, stage: &str, task: usize, delay: Duration) -> Self {
+        self.at(stage, task, Fault::Delay(delay))
+    }
+
+    /// Schedule a poisoned result at `(stage, task)`.
+    pub fn poison_at(self, stage: &str, task: usize) -> Self {
+        self.at(stage, task, Fault::Poison)
     }
 
     /// Whether the plan can ever fire.
@@ -211,45 +186,15 @@ impl FaultPlan {
     /// The fault (if any) to inject at these coordinates. `seq` is the
     /// engine's stage sequence number, used only by the random campaign so
     /// repeated stages draw fresh faults.
-    pub fn fault_for(&self, stage: &str, seq: u64, task: usize, attempt: usize) -> Option<Fault> {
+    pub fn fault_for(&self, stage: &str, seq: u64, task: usize) -> Option<Fault> {
         for s in &self.scheduled {
-            if s.task == task && s.attempt == attempt && s.stage == stage {
+            if s.task == task && s.stage == stage {
                 return Some(s.fault);
             }
         }
         self.chaos
             .as_ref()
-            .and_then(|c| c.fault_for(stage, seq, task, attempt))
-    }
-}
-
-/// Bounded speculative re-execution of stragglers (Spark's
-/// `spark.speculation`).
-///
-/// Once at least `quantile` of a stage's tasks have finished, any task
-/// still running `multiplier ×` the median completed duration after its
-/// submission (with `min_straggler` as a floor) is duplicated once; the
-/// first result wins and the loser is discarded. Safe for every stage
-/// variant: fault-tolerant stages give each attempt a private copy of its
-/// input, so a duplicate never races its original on shared data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationConfig {
-    /// Fraction of tasks that must complete before speculation arms.
-    pub quantile: f64,
-    /// Straggler threshold as a multiple of the median completed duration.
-    pub multiplier: f64,
-    /// Floor on the straggler threshold (keeps short stages quiet).
-    pub min_straggler: Duration,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        // Spark defaults: quantile 0.75, multiplier 1.5.
-        SpeculationConfig {
-            quantile: 0.75,
-            multiplier: 1.5,
-            min_straggler: Duration::from_millis(10),
-        }
+            .and_then(|c| c.fault_for(stage, seq, task))
     }
 }
 
@@ -260,19 +205,19 @@ mod tests {
     #[test]
     fn scheduled_faults_match_exact_coordinates() {
         let plan = FaultPlan::new()
-            .panic_at("update", 2, 0)
-            .delay_at("update", 1, 1, Duration::from_millis(7))
-            .poison_at("select", 0, 0);
-        assert_eq!(plan.fault_for("update", 0, 2, 0), Some(Fault::Panic));
+            .panic_at("update", 2)
+            .delay_at("update", 1, Duration::from_millis(7))
+            .poison_at("select", 0);
+        assert_eq!(plan.fault_for("update", 0, 2), Some(Fault::Panic));
         // Stage sequence number is irrelevant for scheduled faults.
-        assert_eq!(plan.fault_for("update", 99, 2, 0), Some(Fault::Panic));
+        assert_eq!(plan.fault_for("update", 99, 2), Some(Fault::Panic));
         assert_eq!(
-            plan.fault_for("update", 0, 1, 1),
+            plan.fault_for("update", 0, 1),
             Some(Fault::Delay(Duration::from_millis(7)))
         );
-        assert_eq!(plan.fault_for("select", 3, 0, 0), Some(Fault::Poison));
-        assert_eq!(plan.fault_for("update", 0, 2, 1), None);
-        assert_eq!(plan.fault_for("other", 0, 2, 0), None);
+        assert_eq!(plan.fault_for("select", 3, 0), Some(Fault::Poison));
+        assert_eq!(plan.fault_for("update", 0, 0), None);
+        assert_eq!(plan.fault_for("other", 0, 2), None);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
     }
@@ -284,14 +229,13 @@ mod tests {
             .with_delay_rate(0.2, Duration::from_millis(3))
             .with_poison_rate(0.2);
         let plan = FaultPlan::seeded(cfg);
-        let draw = |seq, task, attempt| plan.fault_for("stage", seq, task, attempt);
         // Same coordinates, same fault — across plan instances too.
         let plan2 = FaultPlan::seeded(cfg);
         let mut fired = 0;
         for seq in 0..20u64 {
             for task in 0..8 {
-                let a = draw(seq, task, 0);
-                assert_eq!(a, plan2.fault_for("stage", seq, task, 0));
+                let a = plan.fault_for("stage", seq, task);
+                assert_eq!(a, plan2.fault_for("stage", seq, task));
                 if a.is_some() {
                     fired += 1;
                 }
@@ -303,25 +247,15 @@ mod tests {
         // Different seeds disagree somewhere.
         let other = FaultPlan::seeded(ChaosConfig::new(43).with_panic_rate(0.3));
         let differs =
-            (0..160).any(|i| plan.fault_for("stage", i, 0, 0) != other.fault_for("stage", i, 0, 0));
+            (0..160).any(|i| plan.fault_for("stage", i, 0) != other.fault_for("stage", i, 0));
         assert!(differs);
-    }
-
-    #[test]
-    fn campaign_respects_max_faulted_attempts() {
-        let cfg = ChaosConfig::new(7).with_panic_rate(1.0);
-        let plan = FaultPlan::seeded(cfg);
-        assert_eq!(plan.fault_for("s", 0, 0, 0), Some(Fault::Panic));
-        // Attempt 1 is beyond max_faulted_attempts (1): always clean, so a
-        // 2-attempt retry policy survives a 100% panic rate.
-        assert_eq!(plan.fault_for("s", 0, 0, 1), None);
     }
 
     #[test]
     fn distinct_stage_occurrences_draw_fresh_faults() {
         let cfg = ChaosConfig::new(11).with_panic_rate(0.5);
         let plan = FaultPlan::seeded(cfg);
-        let a: Vec<_> = (0..64).map(|seq| plan.fault_for("s", seq, 0, 0)).collect();
+        let a: Vec<_> = (0..64).map(|seq| plan.fault_for("s", seq, 0)).collect();
         assert!(a.iter().any(|f| f.is_some()));
         assert!(a.iter().any(|f| f.is_none()));
     }

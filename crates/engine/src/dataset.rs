@@ -19,7 +19,7 @@
 //! If a user closure panics inside a task, the convenience methods on
 //! `Dataset` propagate the panic on the driver thread (like Spark rethrowing
 //! an executor exception). Use the `try_*` variants to receive an
-//! [`EngineError`] instead.
+//! [`EngineError`](crate::EngineError) instead.
 
 use std::sync::Arc;
 
@@ -106,27 +106,13 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// partitions. The unique/COW split is recorded on the job's metrics as
     /// [`crate::StageVariant::InPlace`].
     ///
-    /// # Fault tolerance
-    ///
-    /// When [`Engine::fault_tolerance_active`] (retries, speculation, or an
-    /// installed fault plan), the zero-copy path is unsound for recovery:
-    /// a retried attempt must re-run against **pristine** input, but an
-    /// in-place attempt may have half-mutated its partition before dying.
-    /// The stage therefore switches to a retry-safe variant: the dataset
-    /// keeps its partition handles on the driver and every attempt mutates
-    /// a private copy (recorded as all-COW on the job's metrics). First
-    /// attempts pay one copy per partition — exactly what COW would have
-    /// cost — and retried or speculative attempts are automatically
-    /// idempotent and race-free.
-    ///
     /// # Errors
     ///
-    /// With fault tolerance off, a task failure loses the consumed
-    /// partitions with the failed job: the dataset is left **empty** (zero
+    /// A task failure (a panic, or an injected fault) loses the consumed
+    /// partitions with the failed stage: the dataset is left **empty** (zero
     /// partitions). Callers that need the pre-stage data after a failure
-    /// must clone first. With fault tolerance on, a failed stage leaves the
-    /// dataset **unchanged** (pristine pre-stage partitions; no partial
-    /// results are leaked).
+    /// must keep a copy first — the service snapshots each cohort before a
+    /// round while a fault plan is installed, and restores from it.
     pub fn try_map_partitions_in_place<R, F>(
         &mut self,
         engine: &Engine,
@@ -139,9 +125,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         F: Fn(usize, &mut [T]) -> R + Send + Sync + 'static,
     {
         let f = Arc::new(f);
-        if engine.fault_tolerance_active() {
-            return self.map_in_place_retry_safe(engine, name, f);
-        }
         let handles = std::mem::take(&mut self.partitions);
         let tasks: Vec<_> = handles
             .into_iter()
@@ -160,7 +143,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                 }
             })
             .collect();
-        let outputs = engine.run_job(name, tasks)?;
+        let outputs = engine.run_stage(name, tasks)?;
         let mut results = Vec::with_capacity(outputs.len());
         let (mut unique, mut cow) = (0, 0);
         self.partitions = outputs
@@ -178,55 +161,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         engine
             .metrics()
             .annotate_last_job(crate::StageVariant::InPlace { unique, cow });
-        Ok(results)
-    }
-
-    /// Retry-safe in-place stage: the driver keeps the pristine handles and
-    /// each attempt mutates a private copy, so attempts are idempotent
-    /// (retries) and never race each other (speculation). On failure the
-    /// dataset is left exactly as it was.
-    fn map_in_place_retry_safe<R, F>(
-        &mut self,
-        engine: &Engine,
-        name: &str,
-        f: Arc<F>,
-    ) -> Result<Vec<R>>
-    where
-        T: Clone,
-        R: Send + 'static,
-        F: Fn(usize, &mut [T]) -> R + Send + Sync + 'static,
-    {
-        let tasks: Vec<_> = self
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(idx, handle)| {
-                let handle = Arc::clone(handle);
-                let f = Arc::clone(&f);
-                move || {
-                    // Copy from the pristine handle on *every* attempt; the
-                    // driver's copy is never mutated, so a re-run after a
-                    // half-complete panic still sees unmutated input.
-                    let mut values = (*handle).clone();
-                    let result = f(idx, &mut values);
-                    (Arc::new(values), result)
-                }
-            })
-            .collect();
-        // On failure `self.partitions` has not been touched: pristine.
-        let outputs = engine.run_stage(name, tasks)?;
-        let cow = outputs.len();
-        let mut results = Vec::with_capacity(cow);
-        self.partitions = outputs
-            .into_iter()
-            .map(|(handle, result)| {
-                results.push(result);
-                handle
-            })
-            .collect();
-        engine
-            .metrics()
-            .annotate_last_job(crate::StageVariant::InPlace { unique: 0, cow });
         Ok(results)
     }
 
@@ -303,7 +237,7 @@ fn unwrap_job<T>(result: Result<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineConfig, EngineError};
+    use crate::{EngineConfig, EngineError, FaultPlan};
 
     fn engine() -> Engine {
         Engine::new(EngineConfig::default().with_threads(2))
@@ -405,83 +339,39 @@ mod tests {
                 panic!("bad partition");
             }
         });
-        assert!(err.is_err());
+        match err.unwrap_err() {
+            EngineError::TaskPanicked { stage, task, .. } => {
+                assert_eq!(stage, "boom");
+                assert_eq!(task, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         assert_eq!(ds.num_partitions(), 0);
         assert!(ds.is_empty());
     }
 
+    /// An injected panic kills an in-place stage exactly like a real one,
+    /// while a shared snapshot taken before the stage keeps the pre-stage
+    /// values to restore from.
     #[test]
-    fn in_place_failure_restores_pristine_under_fault_tolerance() {
-        let e = Engine::new(
-            EngineConfig::default()
-                .with_threads(2)
-                .with_retry(crate::RetryPolicy::clamped(2)),
-        );
-        let mut ds = Dataset::from_vec((0..10i64).collect::<Vec<_>>(), 2);
-        // Mutates its copy before dying on every attempt: the partial
-        // results must never land in the dataset.
+    fn injected_panic_kills_in_place_stage_and_snapshot_survives() {
+        let e = engine();
+        e.set_fault_plan(FaultPlan::new().panic_at("hot", 2));
+        let mut ds = Dataset::from_vec((0..40i64).collect::<Vec<_>>(), 4);
+        let snapshot = ds.clone();
         let err = ds
-            .try_map_partitions_in_place(&e, "boom", |idx, part| {
-                for x in part.iter_mut() {
-                    *x = -1;
-                }
-                if idx == 1 {
-                    panic!("bad partition");
-                }
-            })
-            .unwrap_err();
-        match err {
-            EngineError::TaskPanicked {
-                stage,
-                task,
-                attempts,
-                ..
-            } => {
-                assert_eq!(stage, "boom");
-                assert_eq!(task, 1);
-                assert_eq!(attempts, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Unchanged, not emptied and not partially mutated.
-        assert_eq!(ds.collect(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn in_place_recovers_from_injected_panic_bit_for_bit() {
-        let clean = {
-            let e = engine();
-            let mut ds = Dataset::from_vec((0..40i64).collect::<Vec<_>>(), 4);
-            ds.map_partitions_in_place(&e, |_, part| {
+            .try_map_partitions_in_place(&e, "hot", |_, part| {
                 for x in part.iter_mut() {
                     *x = x.wrapping_mul(17) ^ 3;
                 }
-            });
-            ds.collect()
-        };
-        let e = Engine::new(
-            EngineConfig::default()
-                .with_threads(2)
-                .with_retry(crate::RetryPolicy::clamped(2)),
-        );
-        e.set_fault_plan(crate::FaultPlan::new().panic_at("hot", 2, 0));
-        let mut ds = Dataset::from_vec((0..40i64).collect::<Vec<_>>(), 4);
-        ds.try_map_partitions_in_place(&e, "hot", |_, part| {
-            for x in part.iter_mut() {
-                *x = x.wrapping_mul(17) ^ 3;
-            }
-        })
-        .unwrap();
-        assert_eq!(ds.collect(), clean);
+            })
+            .unwrap_err();
+        assert!(err.to_string().starts_with("stage 'hot': task 2"), "{err}");
+        assert!(ds.is_empty());
+        assert_eq!(snapshot.collect(), (0..40).collect::<Vec<_>>());
         let job = e.metrics().jobs().pop().unwrap();
-        assert!(job.succeeded);
+        assert!(!job.succeeded);
         assert_eq!(job.faults.injected_panics, 1);
-        assert_eq!(job.faults.retries, 1);
-        // Retry-safe stages run all-COW from pristine handles.
-        assert_eq!(
-            job.variant,
-            crate::StageVariant::InPlace { unique: 0, cow: 4 }
-        );
     }
 
     #[test]

@@ -6,27 +6,21 @@ pub type Result<T> = std::result::Result<T, EngineError>;
 /// Errors surfaced by engine jobs and dataset operations.
 #[derive(Debug)]
 pub enum EngineError {
-    /// A task closure panicked on an executor thread (for retried stages:
-    /// panicked on **every** allowed attempt). The panic payload is
-    /// rendered to a string when it is a `&str`/`String`, otherwise a
-    /// placeholder is used.
+    /// A task closure panicked on an executor thread, or an injected fault
+    /// killed it. The panic payload is rendered to a string when it is a
+    /// `&str`/`String`, otherwise a placeholder is used.
     TaskPanicked {
         /// Stage name the task belonged to (empty for raw pool batches,
         /// which have no stage context).
         stage: String,
-        /// Index of the task within its job.
+        /// Index of the task within its stage (the lowest, if several
+        /// failed).
         task: usize,
-        /// Attempts consumed before giving up (1 = no retry).
-        attempts: usize,
-        /// Rendered panic message of the last failed attempt.
+        /// Rendered panic message.
         message: String,
     },
     /// The executor pool shut down while a job was in flight.
     PoolShutDown,
-    /// An operation required a non-empty dataset but the dataset was empty.
-    EmptyDataset,
-    /// A caller-supplied parameter was invalid (e.g. zero partitions).
-    InvalidArgument(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -35,24 +29,15 @@ impl std::fmt::Display for EngineError {
             EngineError::TaskPanicked {
                 stage,
                 task,
-                attempts,
                 message,
             } => {
                 if stage.is_empty() {
-                    write!(
-                        f,
-                        "task {task} panicked after {attempts} attempt(s): {message}"
-                    )
+                    write!(f, "task {task} panicked: {message}")
                 } else {
-                    write!(
-                        f,
-                        "stage '{stage}': task {task} panicked after {attempts} attempt(s): {message}"
-                    )
+                    write!(f, "stage '{stage}': task {task} panicked: {message}")
                 }
             }
             EngineError::PoolShutDown => write!(f, "executor pool shut down"),
-            EngineError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
-            EngineError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
 }
@@ -79,31 +64,18 @@ mod tests {
         let e = EngineError::TaskPanicked {
             stage: String::new(),
             task: 3,
-            attempts: 1,
             message: "x".into(),
         };
-        assert_eq!(e.to_string(), "task 3 panicked after 1 attempt(s): x");
+        assert_eq!(e.to_string(), "task 3 panicked: x");
         let e = EngineError::TaskPanicked {
             stage: "update".into(),
             task: 3,
-            attempts: 4,
             message: "x".into(),
         };
-        assert_eq!(
-            e.to_string(),
-            "stage 'update': task 3 panicked after 4 attempt(s): x"
-        );
+        assert_eq!(e.to_string(), "stage 'update': task 3 panicked: x");
         assert_eq!(
             EngineError::PoolShutDown.to_string(),
             "executor pool shut down"
-        );
-        assert_eq!(
-            EngineError::EmptyDataset.to_string(),
-            "operation requires a non-empty dataset"
-        );
-        assert_eq!(
-            EngineError::InvalidArgument("bad".into()).to_string(),
-            "invalid argument: bad"
         );
     }
 

@@ -16,8 +16,8 @@
 //!   value per partition back).
 //! * [`Broadcast`] — read-only variables shared with every task (likelihood
 //!   tables, pool masks).
-//! * Supervised stages ([`Engine::run_stage`]) with retry, speculation and
-//!   seeded fault injection, and the telemetry recorder ([`obs`]).
+//! * One stage runner ([`Engine::run_stage`]) with seeded fault injection,
+//!   and the telemetry recorder ([`obs`]).
 //!
 //! Everything runs inside one process: "executors" are worker threads and a
 //! "cluster" is a thread count, per the reproduction guidance to rebuild the
@@ -52,37 +52,27 @@
 //!
 //! The uniqueness rule means an in-place stage is *semantically* a pure
 //! function of the pre-stage partitions — only the allocation profile
-//! depends on sharing. With fault tolerance off (the default), a failed
-//! in-place stage has consumed its partitions and leaves the dataset empty;
-//! see `try_map_partitions_in_place`.
+//! depends on sharing. A failed in-place stage has consumed its partitions
+//! and leaves the dataset empty; see `try_map_partitions_in_place`.
 //!
 //! ## Fault model
 //!
-//! Stages run through a supervising scheduler ([`Engine::run_stage`]) that
-//! provides Spark-style fault containment:
+//! A task is the unit of failure and runs exactly once. A panicking task
+//! fails its stage with [`EngineError::TaskPanicked`] naming the stage and
+//! the task; the engine never re-runs it. Recovery belongs to whoever owns
+//! the state: the service snapshots each cohort before a round while a
+//! fault plan is installed, and a killed round is rolled back and
+//! replayed (DESIGN.md §4c).
 //!
-//! * **Retry** ([`RetryPolicy`], Spark's `spark.task.maxFailures`): a
-//!   panicking task is re-executed up to the attempt budget; the job fails
-//!   only when some task exhausts it. Task closures must be idempotent.
-//! * **Speculation** ([`SpeculationConfig`], Spark's `spark.speculation`):
-//!   once a quantile of tasks has finished, tasks still running well past
-//!   the median duration are duplicated once; first result wins.
-//! * **Deterministic fault injection** ([`FaultPlan`] / [`ChaosConfig`],
-//!   installed with [`Engine::set_fault_plan`]): seeded panics, straggler
-//!   delays, and poisoned results at exact `(stage, task, attempt)`
-//!   coordinates, for chaos testing the recovery machinery. A fault fires
-//!   purely as a function of the plan and those coordinates (plus the
-//!   engine's stage sequence number), so campaigns replay bit-for-bit;
-//!   executor scheduling cannot perturb them.
-//!
-//! Fault tolerance is **opt-in**: with the default config (single attempt,
-//! no speculation, no plan — [`Engine::fault_tolerance_active`] false),
-//! in-place stages keep their zero-copy path. When active, every in-place
-//! stage runs copy-on-write from pristine driver-held partition handles so
-//! a retried or speculated attempt always sees unmutated input, and a
-//! failed stage restores the dataset unchanged instead of leaving partial
-//! results. What was injected and what recovery did about it is recorded
-//! per job in [`metrics::FaultStats`]; the totals are in the scrape.
+//! **Deterministic fault injection** ([`FaultPlan`] / [`ChaosConfig`],
+//! installed with [`Engine::set_fault_plan`]) supplies the failures:
+//! seeded panics, straggler delays, and poisoned results at exact
+//! `(stage, task)` coordinates. A fault fires purely as a function of the
+//! plan, those coordinates and the engine's stage sequence number, so
+//! campaigns replay bit-for-bit; executor scheduling cannot perturb them.
+//! Under any plan a stage returns the fault-free values or fails — never
+//! different values. What was injected is recorded per job in
+//! [`metrics::FaultStats`]; the totals are in the scrape.
 //!
 //! ## Example
 //!
@@ -110,11 +100,10 @@ pub mod metrics;
 pub mod obs;
 pub mod partitioner;
 pub mod pool;
-pub mod retry;
 pub mod stage;
 
 pub use broadcast::Broadcast;
-pub use chaos::{ChaosConfig, Fault, FaultPlan, SpeculationConfig};
+pub use chaos::{ChaosConfig, Fault, FaultPlan};
 pub use config::EngineConfig;
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
@@ -128,11 +117,9 @@ pub use obs::{
 };
 pub use partitioner::partition_ranges;
 pub use pool::ThreadPool;
-pub use retry::RetryPolicy;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -227,9 +214,8 @@ impl Engine {
         &self.pool
     }
 
-    /// Install a fault-injection plan. Replaces any existing plan and
-    /// activates the fault-tolerant stage path (see
-    /// [`Engine::fault_tolerance_active`]).
+    /// Install a fault-injection plan, replacing any existing one. While a
+    /// plan is installed the service snapshots each cohort before a round.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         *self.fault_plan.lock() = Some(Arc::new(plan));
     }
@@ -244,74 +230,9 @@ impl Engine {
         self.fault_plan.lock().clone()
     }
 
-    /// Whether stages must be retry-safe: retries enabled, speculation
-    /// enabled, or a fault plan installed. In-place dataset stages use this
-    /// to choose between the zero-copy path (off) and the copy-on-write
-    /// recovery path (on), where every attempt re-runs against pristine
-    /// partition input.
-    pub fn fault_tolerance_active(&self) -> bool {
-        self.config.retry.retries_enabled()
-            || self.config.speculation.is_some()
-            || self.fault_plan.lock().is_some()
-    }
-
     /// Next stage sequence number (monotonic per engine).
     pub(crate) fn next_stage_seq(&self) -> u64 {
         self.stage_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Run a named job: one closure per task, results returned in task order.
-    ///
-    /// This is the primitive the unsupervised `Dataset` stages lower to. Task
-    /// panics are caught and surfaced as [`EngineError::TaskPanicked`]; the
-    /// job's timing is recorded in the metrics registry whether it succeeds
-    /// or fails.
-    pub fn run_job<T, F>(&self, name: &str, tasks: Vec<F>) -> Result<Vec<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let obs_start = self
-            .obs
-            .enabled_at(TraceLevel::Spans)
-            .then(|| (self.obs.intern(name), self.obs.now_ns()));
-        let start = std::time::Instant::now();
-        let outcome = self.pool.run_tasks(tasks);
-        let elapsed = start.elapsed();
-        if let Some((name_id, start_ns)) = obs_start {
-            let meta = SpanMeta {
-                failed: outcome.is_err(),
-                ..SpanMeta::default()
-            };
-            self.obs
-                .record_span_ending_now(SpanKind::Stage, name_id, start_ns, meta);
-        }
-        match outcome {
-            Ok(results) => {
-                self.metrics.record_job(JobMetrics {
-                    name: name.to_string(),
-                    tasks: results.len(),
-                    task_time: results.iter().map(|r| r.duration).sum(),
-                    wall: elapsed,
-                    succeeded: true,
-                    variant: StageVariant::Immutable,
-                    faults: FaultStats::default(),
-                });
-                Ok(results.into_iter().map(|r| r.value).collect())
-            }
-            Err(e) => {
-                self.metrics.record_job(JobMetrics {
-                    name: name.to_string(),
-                    tasks: 0,
-                    task_time: Duration::ZERO,
-                    wall: elapsed,
-                    succeeded: false,
-                    variant: StageVariant::Immutable,
-                    faults: FaultStats::default(),
-                });
-                Err(e)
-            }
-        }
     }
 
     /// Broadcast a read-only value to tasks (Spark `sc.broadcast`).
@@ -370,10 +291,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_runs_simple_job() {
+    fn engine_runs_simple_stage() {
         let engine = Engine::new(EngineConfig::default().with_threads(2));
         let tasks: Vec<_> = (0..8).map(|i| move || i * i).collect();
-        let out = engine.run_job("squares", tasks).unwrap();
+        let out = engine.run_stage("squares", tasks).unwrap();
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
     }
 
@@ -381,10 +302,10 @@ mod tests {
     fn engine_records_metrics() {
         let engine = Engine::new(EngineConfig::default().with_threads(2));
         engine
-            .run_job("a", (0..4).map(|i| move || i).collect::<Vec<_>>())
+            .run_stage("a", (0..4).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
         engine
-            .run_job("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
+            .run_stage("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
         let jobs = engine.metrics().jobs();
         assert_eq!(jobs.len(), 2);
@@ -399,13 +320,20 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().with_threads(2));
         let tasks: Vec<Box<dyn FnOnce() -> i32 + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
-        let err = engine.run_job("panicky", tasks).unwrap_err();
+        let err = engine.run_stage("panicky", tasks).unwrap_err();
         match err {
-            EngineError::TaskPanicked { .. } => {}
+            EngineError::TaskPanicked {
+                stage,
+                task,
+                message,
+            } => {
+                assert_eq!((stage.as_str(), task), ("panicky", 1));
+                assert_eq!(message, "boom");
+            }
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
         // Pool must stay usable after a panic.
-        let ok = engine.run_job("after", vec![|| 42]).unwrap();
+        let ok = engine.run_stage("after", vec![|| 42]).unwrap();
         assert_eq!(ok, vec![42]);
     }
 
@@ -414,10 +342,10 @@ mod tests {
         let shared = SharedEngine::new(EngineConfig::default().with_threads(2));
         let other = shared.clone();
         shared
-            .run_job("a", (0..2).map(|i| move || i).collect::<Vec<_>>())
+            .run_stage("a", (0..2).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
         other
-            .run_job("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
+            .run_stage("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
         // Both handles drive the same engine: one registry sees both jobs.
         assert_eq!(shared.metrics().job_count(), 2);
@@ -435,28 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_tolerance_activation_gates() {
-        // Default: off — the zero-copy in-place path stays live.
+    fn fault_plan_installs_and_clears() {
         let engine = Engine::new(EngineConfig::default().with_threads(1));
-        assert!(!engine.fault_tolerance_active());
-        // Installing any fault plan flips it on; clearing flips it back.
-        engine.set_fault_plan(FaultPlan::new().panic_at("x", 0, 0));
-        assert!(engine.fault_tolerance_active());
+        assert!(engine.fault_plan().is_none());
+        engine.set_fault_plan(FaultPlan::new().panic_at("x", 0));
         assert!(engine.fault_plan().is_some());
         engine.clear_fault_plan();
-        assert!(!engine.fault_tolerance_active());
-        // Retries or speculation alone also activate it.
-        let retrying = Engine::new(
-            EngineConfig::default()
-                .with_threads(1)
-                .with_retry(RetryPolicy::default()),
-        );
-        assert!(retrying.fault_tolerance_active());
-        let speculating = Engine::new(
-            EngineConfig::default()
-                .with_threads(1)
-                .with_speculation(SpeculationConfig::default()),
-        );
-        assert!(speculating.fault_tolerance_active());
+        assert!(engine.fault_plan().is_none());
     }
 }

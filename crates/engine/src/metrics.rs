@@ -16,8 +16,7 @@ use crate::obs::hist::LogHistogram;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StageVariant {
     /// Read-only stage: tasks read shared partitions and return one value
-    /// each ([`crate::Engine::run_job`], the aggregate stages); no
-    /// partition is written.
+    /// each (the aggregate stages); no partition is written.
     #[default]
     Immutable,
     /// In-place stage: `unique` partitions were mutated through their sole
@@ -59,8 +58,8 @@ impl StageVariant {
     }
 }
 
-/// Fault-containment counters of one job: what the chaos layer injected
-/// and what the recovery machinery did about it.
+/// What the chaos layer injected into one job. Recovery is the service's
+/// round rollback, counted in [`ServiceStats::recovered_rounds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Injected task panics ([`crate::Fault::Panic`]).
@@ -69,12 +68,6 @@ pub struct FaultStats {
     pub injected_delays: usize,
     /// Injected poisoned results ([`crate::Fault::Poison`]).
     pub injected_poisons: usize,
-    /// Failed attempts that were re-submitted under the retry policy.
-    pub retries: usize,
-    /// Speculative duplicates launched for stragglers.
-    pub speculative_launched: usize,
-    /// Tasks whose speculative duplicate finished before the original.
-    pub speculative_wins: usize,
 }
 
 impl FaultStats {
@@ -88,16 +81,13 @@ impl FaultStats {
         self.injected_panics += other.injected_panics;
         self.injected_delays += other.injected_delays;
         self.injected_poisons += other.injected_poisons;
-        self.retries += other.retries;
-        self.speculative_launched += other.speculative_launched;
-        self.speculative_wins += other.speculative_wins;
     }
 }
 
 /// Timing summary of one job (a batch of tasks with a barrier).
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
-    /// Job name as passed to [`crate::Engine::run_job`].
+    /// Stage name as passed to [`crate::Engine::run_stage`].
     pub name: String,
     /// Tasks that completed (0 when the job failed).
     pub tasks: usize,
@@ -109,7 +99,7 @@ pub struct JobMetrics {
     pub succeeded: bool,
     /// How the stage touched its partitions (in-place vs read-only).
     pub variant: StageVariant,
-    /// Injected faults, retries, and speculative duplicates of this job.
+    /// Faults injected into this job.
     pub faults: FaultStats,
 }
 
@@ -466,7 +456,7 @@ impl MetricsRegistry {
     }
 
     /// Sum of all jobs' fault counters — the campaign-level view a chaos
-    /// test asserts against (nonzero retries, speculative wins, ...).
+    /// test asserts against (did the campaign fire at all).
     /// Maintained incrementally at record time, covering evicted jobs.
     pub fn fault_totals(&self) -> FaultStats {
         *self.faults.lock()
@@ -637,20 +627,15 @@ pub(crate) mod tests {
             injected_panics: 1,
             injected_delays: 2,
             injected_poisons: 0,
-            retries: 1,
-            speculative_launched: 2,
-            speculative_wins: 1,
         };
         let mut b = job("update", &[7], 7);
-        b.faults.retries = 3;
+        b.faults.injected_poisons = 3;
         reg.record_job(a);
         reg.record_job(b);
         reg.record_job(job("quiet", &[1], 1));
         let totals = reg.fault_totals();
-        assert_eq!(totals.injected_total(), 3);
-        assert_eq!(totals.retries, 4);
-        assert_eq!(totals.speculative_launched, 2);
-        assert_eq!(totals.speculative_wins, 1);
+        assert_eq!(totals.injected_total(), 6);
+        assert_eq!(totals.injected_poisons, 3);
         assert_eq!(reg.jobs()[2].faults, FaultStats::default());
     }
 
@@ -701,7 +686,7 @@ pub(crate) mod tests {
         let reg = MetricsRegistry::with_retention(4);
         for i in 0..6 {
             let mut j = job(if i % 2 == 0 { "update" } else { "select" }, &[10], 10);
-            j.faults.retries = 1;
+            j.faults.injected_panics = 1;
             reg.record_job(j);
         }
         // Only the newest 4 jobs keep their own record...
@@ -710,7 +695,7 @@ pub(crate) mod tests {
         // ...but the aggregate view still covers all 6.
         assert_eq!(reg.wall_time_for("update"), Duration::from_millis(30));
         assert_eq!(reg.wall_time_for("select"), Duration::from_millis(30));
-        assert_eq!(reg.fault_totals().retries, 6);
+        assert_eq!(reg.fault_totals().injected_panics, 6);
         let aggs = reg.stage_aggregates();
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].name, "select");

@@ -14,7 +14,7 @@ pub enum TraceLevel {
     Off,
     /// Stage, session-phase, and service spans (driver-side only).
     Spans,
-    /// Everything: per-task attempt spans on worker threads, fault and
+    /// Everything: per-task spans on worker threads, fault and
     /// recovery marks, and counter tracks (queue depth, live cohorts).
     Full,
 }
@@ -68,7 +68,7 @@ impl ObsConfig {
         }
     }
 
-    /// Spans plus per-task attempts, marks, and counter tracks.
+    /// Spans plus per-task spans, marks, and counter tracks.
     pub fn full() -> Self {
         ObsConfig {
             level: TraceLevel::Full,

@@ -8,8 +8,8 @@
 //! * [`config`] — [`ObsConfig`]/[`TraceLevel`]: what to record, read
 //!   from `SBGT_TRACE` by default and costing one atomic load when off.
 //! * [`span`] — [`SpanRecorder`]: per-thread lock-free ring buffers of
-//!   begin/end events keyed by `(stage, task, attempt, cohort)`, fed by
-//!   the stage scheduler, both session round loops, and the service.
+//!   begin/end events keyed by `(stage, task, cohort)`, fed by the stage
+//!   runner, the session round loop, and the service.
 //! * [`hist`] — [`LogHistogram`]: fixed-size streaming log-bucketed
 //!   histograms (≤12.5% relative error) backing all percentile queries.
 //! * [`chrome`] — Chrome trace-event JSON export (Perfetto-loadable),

@@ -64,7 +64,7 @@ macro_rules! families {
 families! {
     STAGE_JOBS = "sbgt_stage_jobs_total", Counter, "Jobs run, by stage name.";
     STAGE_FAILED_JOBS = "sbgt_stage_failed_jobs_total", Counter,
-        "Jobs that failed after exhausting retries, by stage name.";
+        "Jobs in which a task panicked, by stage name.";
     STAGE_TASKS = "sbgt_stage_tasks_total", Counter, "Task completions, by stage name.";
     STAGE_WALL_SECONDS = "sbgt_stage_wall_seconds_total", Counter,
         "Summed job wall-clock seconds, by stage name.";
@@ -73,12 +73,6 @@ families! {
     BROADCASTS = "sbgt_broadcasts_total", Counter, "Broadcast variables created.";
     FAULTS_INJECTED = "sbgt_faults_injected_total", Counter,
         "Faults injected by the chaos layer, by kind.";
-    TASK_RETRIES = "sbgt_task_retries_total", Counter,
-        "Failed attempts re-submitted under the retry policy.";
-    SPECULATIVE_LAUNCHED = "sbgt_speculative_launched_total", Counter,
-        "Speculative duplicates launched for stragglers.";
-    SPECULATIVE_WINS = "sbgt_speculative_wins_total", Counter,
-        "Tasks whose speculative duplicate finished first.";
     SUBMITTED = "sbgt_service_specimens_submitted_total", Counter,
         "Specimens admitted past the ingress queue's admission control.";
     SHED = "sbgt_service_specimens_shed_total", Counter,
@@ -241,13 +235,6 @@ impl MetricsRegistry {
         ] {
             s.sample(FAULTS_INJECTED, &[("kind", kind)], count as f64);
         }
-        s.sample(TASK_RETRIES, &[], faults.retries as f64);
-        s.sample(
-            SPECULATIVE_LAUNCHED,
-            &[],
-            faults.speculative_launched as f64,
-        );
-        s.sample(SPECULATIVE_WINS, &[], faults.speculative_wins as f64);
 
         let service = self.service_stats();
         for (name, value) in [
@@ -611,7 +598,6 @@ z_bucket{le=\"+Inf\"} 7\n";
         let mut failed = job("fused-round:in-place", &[], 9);
         failed.succeeded = false;
         failed.faults.injected_panics = 2;
-        failed.faults.retries = 1;
         reg.record_job(failed);
         reg.record_broadcast();
         reg.update_service(|s| {
@@ -647,7 +633,6 @@ z_bucket{le=\"+Inf\"} 7\n";
         assert!(panics
             .iter()
             .any(|s| s.label("kind") == Some("panic") && s.value == 2.0));
-        assert_eq!(get("sbgt_task_retries_total")[0].value, 1.0);
         assert_eq!(get("sbgt_broadcasts_total")[0].value, 1.0);
         assert_eq!(
             get("sbgt_service_specimens_submitted_total")[0].value,

@@ -1,8 +1,8 @@
 //! Structured span recorder — per-thread lock-free ring buffers.
 //!
 //! A [`SpanRecorder`] collects begin/end events keyed by
-//! `(stage, task, attempt, cohort)` from every execution layer: the stage
-//! scheduler, both session round loops, and the surveillance service.
+//! `(stage, task, cohort)` from every execution layer: the stage runner,
+//! the session round loop, and the surveillance service.
 //! Recording must not perturb what it measures, so the design is:
 //!
 //! * **One lane per thread.** The first event a thread records against a
@@ -105,9 +105,9 @@ impl TraceContext {
 /// What a recorded event represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// An engine stage or job (driver-side, wraps all its attempts).
+    /// An engine stage (driver-side, wraps all its tasks).
     Stage,
-    /// One task attempt on an executor thread.
+    /// One task on an executor thread.
     Task,
     /// One full session round (dense or sharded).
     Round,
@@ -152,23 +152,25 @@ impl SpanKind {
     }
 }
 
-/// Identity of a recorded event beyond its name: which task attempt it
-/// was, which cohort it served, and which engine stage sequence number it
+/// Identity of a recorded event beyond its name: which task it was, which
+/// cohort it served, and which engine stage sequence number it
 /// belongs to. All fields default to "not applicable".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanMeta {
     /// Task index within the stage, [`NO_TASK`] if not task-scoped.
     pub task: u32,
-    /// Attempt ordinal of the task (retries and speculation bump it).
+    /// Attempt ordinal of the task. The engine runs every task once and
+    /// records 0; the field stays because the ObsFrame event layout
+    /// carries it.
     pub attempt: u16,
-    /// Whether the attempt was a speculative duplicate.
+    /// Speculative-duplicate flag. The engine never sets it; kept, like
+    /// [`Self::attempt`], for the ObsFrame event layout.
     pub speculative: bool,
     /// Whether the span's operation failed.
     pub failed: bool,
     /// Cohort id the event served, [`NO_COHORT`] if not cohort-scoped.
     pub cohort: u64,
-    /// Engine stage sequence number linking task attempts to their stage
-    /// span, [`NO_SEQ`] when not stage-scoped.
+    /// Engine stage sequence number linking tasks to their stage span, [`NO_SEQ`] when not stage-scoped.
     pub seq: u64,
 }
 

@@ -78,20 +78,6 @@ impl ThreadPool {
         self.busy.load(Ordering::Relaxed)
     }
 
-    /// Submit one fire-and-forget job to the pool without waiting for it.
-    /// The stage scheduler uses this to resubmit failed attempts and to
-    /// launch speculative duplicates; results travel over channels owned by
-    /// the caller.
-    pub fn spawn<F>(&self, job: F) -> Result<()>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let sender = self.sender.as_ref().ok_or(EngineError::PoolShutDown)?;
-        sender
-            .send(Box::new(job))
-            .map_err(|_| EngineError::PoolShutDown)
-    }
-
     /// Submit a batch of independent tasks and block until all complete.
     ///
     /// Results are returned in submission order. If any task panics, the
@@ -145,7 +131,6 @@ impl ThreadPool {
             return Err(EngineError::TaskPanicked {
                 stage: String::new(),
                 task,
-                attempts: 1,
                 message,
             });
         }
@@ -247,23 +232,6 @@ mod tests {
             .collect();
         pool.run_tasks(tasks).unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn spawn_runs_detached_jobs() {
-        let pool = ThreadPool::new(2, "t");
-        let (tx, rx) = unbounded::<u32>();
-        for i in 0..5u32 {
-            let tx = tx.clone();
-            pool.spawn(move || {
-                let _ = tx.send(i * 2);
-            })
-            .unwrap();
-        }
-        drop(tx);
-        let mut got: Vec<u32> = (0..5).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]

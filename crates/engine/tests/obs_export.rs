@@ -15,8 +15,7 @@ use sbgt_engine::{
     Dataset, Engine, EngineConfig, FaultStats, JobMetrics, MetricsRegistry, StageVariant,
 };
 
-/// Fault-free traced engine: speculation/retry losers can outlive their
-/// stage span, so nesting assertions need a clean fault configuration.
+/// Fully traced engine with no fault plan.
 fn traced_engine() -> Engine {
     Engine::new(
         EngineConfig::default()
@@ -172,8 +171,9 @@ fn job(name: &str, task_ns: &[u64], wall_ns: u64) -> JobMetrics {
     }
 }
 
-/// The registry state `tests/data/parent_scrape.txt` was rendered from at
-/// the parent commit: stage aggregates (one hostile stage name), fault
+/// The registry state `tests/data/parent_scrape.txt` was rendered from
+/// (regenerated when the retry and speculation families were dropped;
+/// every other series is unchanged): stage aggregates (one hostile stage name), fault
 /// totals, every service counter, two tenants (one with an SLO burn
 /// window), BP stats, and a recorder whose one lane wrapped.
 fn golden_state() -> (MetricsRegistry, Arc<SpanRecorder>) {
@@ -195,9 +195,6 @@ fn golden_state() -> (MetricsRegistry, Arc<SpanRecorder>) {
         injected_panics: 2,
         injected_delays: 1,
         injected_poisons: 3,
-        retries: 4,
-        speculative_launched: 5,
-        speculative_wins: 1,
     };
     reg.record_job(failed);
     reg.record_broadcast();

@@ -38,8 +38,7 @@ use sbgt_response::BinaryOutcomeModel;
 
 use crate::halving::{select_halving_from_masses, Selection};
 
-/// Errors from selection-rule configuration, mirroring the engine crate's
-/// `EngineError::InvalidArgument` convention: invalid configs are rejected
+/// Errors from selection-rule configuration: invalid configs are rejected
 /// with a typed error at the API boundary instead of panicking mid-stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectError {
@@ -493,7 +492,7 @@ mod tests {
 
     /// Regression: a zero-width (or zero-cap) config used to `assert!`-panic
     /// inside the selection loop; it is now rejected with a typed error,
-    /// matching the engine crate's `RetryPolicy::new(0)` convention.
+    /// matching `SbgtConfig::validate`.
     #[test]
     fn invalid_config_rejected_without_panicking() {
         let post = DensePosterior::from_risks(&[0.1]);

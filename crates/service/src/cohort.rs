@@ -201,9 +201,8 @@ impl LabPool for BigState {
 trait CohortSession: Send {
     /// One round against the virtual lab, on the engine where the backend
     /// can use one (sharded stages, the sparse update and the BP relaxation
-    /// as fault-injectable stages; the particle update mutates its RNG
-    /// stream, which does not fit the engine's pure-retry contract, so
-    /// particle recovery rides entirely on snapshot rollback).
+    /// as fault-injectable stages; the particle update runs on the driver
+    /// and never calls the engine, so engine faults cannot reach it).
     fn round(
         &mut self,
         engine: &Engine,
@@ -467,7 +466,7 @@ impl CohortActor {
                     return actor;
                 }
                 Err(payload) => {
-                    if recovered >= max_recoveries || !engine.fault_tolerance_active() {
+                    if recovered >= max_recoveries || engine.fault_plan().is_none() {
                         std::panic::resume_unwind(payload);
                     }
                     recovered += 1;
@@ -532,21 +531,21 @@ impl CohortActor {
         self.session.round(engine, &self.spec, &self.model)
     }
 
-    /// Advance one round with rollback-and-replay recovery: when the engine
-    /// exhausts its retry budget mid-round (a chaos fault), the session
-    /// state is rolled back to the pre-round snapshot and the round
-    /// replayed — the engine's stage sequence has moved on, so the replay
-    /// draws a fresh fault schedule. After `max_recoveries` rollbacks the
-    /// original failure is re-raised.
+    /// Advance one round with rollback-and-replay recovery — the system's
+    /// one recovery mechanism: when an engine stage fails mid-round (a
+    /// chaos fault), the session state is rolled back to the pre-round
+    /// snapshot and the round replayed — the engine's stage sequence has
+    /// moved on, so the replay draws a fresh fault schedule. After
+    /// `max_recoveries` rollbacks the original failure is re-raised.
     ///
-    /// Snapshots are only taken while the engine has fault tolerance
-    /// enabled; a fault-free service pays nothing for this path.
+    /// Snapshots are only taken while a fault plan is installed; a
+    /// fault-free service pays nothing for this path.
     pub(crate) fn run_round_recovering(
         &mut self,
         engine: &Engine,
         max_recoveries: u64,
     ) -> RoundRun {
-        if !engine.fault_tolerance_active() {
+        if engine.fault_plan().is_none() {
             return RoundRun {
                 step: self.run_round(engine),
                 recovered: 0,

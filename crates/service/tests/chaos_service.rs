@@ -1,16 +1,17 @@
-//! Chaos at the service layer: a seeded fault campaign aggressive enough
-//! to exhaust the engine's retry budget and kill cohort rounds mid-flight.
-//! The service's rollback-and-replay recovery (pre-round snapshot +
-//! deterministic virtual lab) must make every cohort's final report equal
-//! the fault-free serial run — bit-for-bit — including across a mid-run
-//! suspend/resume under the same campaign.
+//! Chaos at the service layer: a seeded fault campaign kills cohort
+//! rounds mid-flight. The engine runs every task once, so each injected
+//! panic or poison fails its stage and kills the round; the service's
+//! rollback-and-replay recovery (pre-round snapshot + deterministic virtual
+//! lab) — the system's one recovery mechanism — must make every cohort's
+//! final report equal the fault-free serial run, bit-for-bit, including
+//! across a mid-run suspend/resume under the same campaign.
 
 use std::thread;
 use std::time::Duration;
 
-use sbgt_engine::{ChaosConfig, EngineConfig, FaultPlan, RetryPolicy, SharedEngine};
+use sbgt_engine::{ChaosConfig, EngineConfig, FaultPlan, ServiceStats, SharedEngine};
 use sbgt_service::{
-    batch_specimens, run_cohort_serial, ServiceConfig, Specimen, SurveillanceService,
+    batch_specimens, run_cohort_serial, ApproxBackend, ServiceConfig, Specimen, SurveillanceService,
 };
 use sbgt_sim::traffic::{generate_arrivals, TrafficConfig};
 
@@ -18,22 +19,19 @@ fn clean_engine() -> SharedEngine {
     SharedEngine::new(EngineConfig::default().with_threads(2))
 }
 
-/// Fault-tolerant engine under a campaign that *can* kill a job: faults
-/// may hit both attempt ordinals while the retry policy allows only two
-/// attempts, so a task double-faulting fails its stage and the round dies
-/// — exactly what the service's rollback recovery exists for.
+/// An engine under a campaign of 2 % panics, 1 % poisons and 3 % 1-ms
+/// stragglers per task. Every panic or poison kills its round; the sweeps
+/// below see 4–24 % of rounds killed (sharded stages run 4 tasks, BP's
+/// one), so each finds a rollback within its first seeds, and no cohort
+/// comes near `max_recoveries` (16) kills.
 fn chaotic_engine(campaign_seed: u64) -> SharedEngine {
-    let engine = SharedEngine::new(
-        EngineConfig::default()
-            .with_threads(2)
-            .with_retry(RetryPolicy::clamped(2)),
-    );
-    let mut chaos = ChaosConfig::new(campaign_seed)
-        .with_panic_rate(0.12)
-        .with_delay_rate(0.03, Duration::from_millis(1))
-        .with_poison_rate(0.08);
-    chaos.max_faulted_attempts = 2;
-    engine.set_fault_plan(FaultPlan::seeded(chaos));
+    let engine = clean_engine();
+    engine.set_fault_plan(FaultPlan::seeded(
+        ChaosConfig::new(campaign_seed)
+            .with_panic_rate(0.02)
+            .with_delay_rate(0.03, Duration::from_millis(1))
+            .with_poison_rate(0.01),
+    ));
     engine
 }
 
@@ -100,8 +98,8 @@ fn seeded_campaign_cannot_change_any_report() {
     let reports = service.drain();
     assert_reports_match(&reports, &serial);
 
-    // The campaign must actually have fired, and with these rates it is
-    // overwhelmingly likely at least one round needed a rollback.
+    // The campaign must actually have fired; every kill is a rollback the
+    // reports account for.
     let faults = engine.metrics().fault_totals();
     assert!(faults.injected_total() > 0, "campaign never fired");
     let stats = engine.metrics().service_stats();
@@ -109,66 +107,63 @@ fn seeded_campaign_cannot_change_any_report() {
     assert_eq!(stats.recovered_rounds, recovered);
 }
 
-#[test]
-fn rounds_killed_by_chaos_are_rolled_back_and_replayed() {
-    // Hunt a campaign seed that provably kills at least one round, then
-    // assert the run still matches the fault-free reference exactly.
-    let cfg = config();
-    let specimens = workload(49, 9);
-    let serial = serial_reference(&cfg, &specimens);
-
-    let mut any_recovered = false;
-    for campaign_seed in 0..8u64 {
+/// Hunt a campaign seed in `seeds` that provably kills at least one round:
+/// every run's reports must match the fault-free serial reference exactly,
+/// and `check` sees each run's service stats.
+fn hunt_killed_round(
+    cfg: &ServiceConfig,
+    specimens: &[Specimen],
+    seeds: std::ops::Range<u64>,
+    check: impl Fn(&ServiceStats),
+) {
+    let serial = serial_reference(cfg, specimens);
+    for campaign_seed in seeds {
         let engine = chaotic_engine(campaign_seed);
         let service = SurveillanceService::start(engine.clone(), cfg.clone()).unwrap();
-        for s in &specimens {
+        for s in specimens {
             service.submit(*s).unwrap();
         }
         let reports = service.drain();
         assert_reports_match(&reports, &serial);
-        if engine.metrics().service_stats().recovered_rounds > 0 {
-            any_recovered = true;
-            break;
+        let stats = engine.metrics().service_stats();
+        check(&stats);
+        if stats.recovered_rounds > 0 {
+            return;
         }
     }
-    assert!(
-        any_recovered,
-        "no campaign in the sweep killed a round; rates too low to test recovery"
-    );
+    panic!("no campaign in the sweep killed a round; rates too low to test recovery");
+}
+
+#[test]
+fn rounds_killed_by_chaos_are_rolled_back_and_replayed() {
+    hunt_killed_round(&config(), &workload(49, 9), 0..8, |_| {});
 }
 
 #[test]
 fn sparse_rounds_killed_by_chaos_are_rolled_back_and_replayed() {
     // Route every cohort to the pruned sparse session (epsilon on, size
     // floor at zero, dense off) so the campaign targets the sparse engine
-    // stages, then hunt a campaign seed that provably kills at least one
-    // round and assert the run still matches the fault-free reference.
+    // stages.
     let cfg = ServiceConfig {
         sparse_epsilon: 1e-9,
         sparse_threshold: 0,
         ..config()
     };
-    let specimens = workload(49, 9);
-    let serial = serial_reference(&cfg, &specimens);
+    hunt_killed_round(&cfg, &workload(49, 9), 100..116, |_| {});
+}
 
-    let mut any_recovered = false;
-    for campaign_seed in 100..116u64 {
-        let engine = chaotic_engine(campaign_seed);
-        let service = SurveillanceService::start(engine.clone(), cfg.clone()).unwrap();
-        for s in &specimens {
-            service.submit(*s).unwrap();
-        }
-        let reports = service.drain();
-        assert_reports_match(&reports, &serial);
-        if engine.metrics().service_stats().recovered_rounds > 0 {
-            any_recovered = true;
-            break;
-        }
-    }
-    assert!(
-        any_recovered,
-        "no campaign in the sweep killed a sparse round; rates too low to test recovery"
-    );
+/// Every cohort on BP (`approx_threshold` 1): the relaxation runs as the
+/// one-task `fused-round:bp` stage, so a killed BP round is rolled back
+/// and replayed like an exact one. The particle backend has no case here:
+/// its rounds never call the engine, so engine faults cannot reach it.
+#[test]
+fn bp_rounds_killed_by_chaos_are_rolled_back_and_replayed() {
+    let cfg = ServiceConfig {
+        approx_threshold: 1,
+        approx_backend: ApproxBackend::Bp,
+        ..config()
+    };
+    hunt_killed_round(&cfg, &workload(49, 9), 200..216, |_| {});
 }
 
 #[test]
@@ -188,32 +183,13 @@ fn chaos_during_cache_extension_leaves_reports_and_tree_intact() {
         .into_iter()
         .map(|s| Specimen { risk: 0.06, ..s })
         .collect();
-    let serial = serial_reference(&cfg, &specimens);
-
-    let mut any_recovered = false;
-    for campaign_seed in 300..308u64 {
-        let engine = chaotic_engine(campaign_seed);
-        let service = SurveillanceService::start(engine.clone(), cfg.clone()).unwrap();
-        for s in &specimens {
-            service.submit(*s).unwrap();
-        }
-        let reports = service.drain();
-        assert_reports_match(&reports, &serial);
-        let stats = engine.metrics().service_stats();
+    hunt_killed_round(&cfg, &specimens, 300..308, |stats| {
         assert!(stats.plan_extends > 0, "misses must extend the shared tree");
         assert!(
             stats.plan_hits > 0,
             "shared-key cohorts must replay memoized selections under chaos"
         );
-        if stats.recovered_rounds > 0 {
-            any_recovered = true;
-            break;
-        }
-    }
-    assert!(
-        any_recovered,
-        "no campaign in the sweep killed a round while the cache was live"
-    );
+    });
 }
 
 #[test]

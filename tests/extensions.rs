@@ -1,10 +1,9 @@
 //! Integration tests for the extension features: episode replay,
 //! zeta-transform global selection, credible sets, Ct-value outcomes,
-//! sparse sessions, and engine fault tolerance under surveillance load.
+//! and sparse sessions.
 
 use sbgt_repro::sbgt::prelude::*;
 use sbgt_repro::sbgt_bayes::{credible_set, update_dense, Observation};
-use sbgt_repro::sbgt_engine::{Engine, EngineConfig, RetryPolicy};
 use sbgt_repro::sbgt_lattice::transform::{all_pool_negative_masses, up_set_masses};
 use sbgt_repro::sbgt_lattice::DensePosterior;
 use sbgt_repro::sbgt_response::{CtOutcome, CtValueModel};
@@ -177,42 +176,6 @@ fn joint_infection_queries_via_up_sets() {
     for i in 0..6 {
         assert!(close(all[1 << i], 1.0 - marginals[i]));
     }
-}
-
-/// Engine retry keeps a surveillance-style job alive through transient
-/// task failures.
-#[test]
-fn retry_survives_transient_surveillance_failures() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let engine = Engine::new(EngineConfig::default().with_threads(2));
-    let flaky_counter = Arc::new(AtomicUsize::new(0));
-    let profile = RiskProfile::Flat { n: 8, p: 0.05 };
-    let model = BinaryDilutionModel::perfect();
-
-    let tasks: Vec<_> = (0..6u64)
-        .map(|cohort| {
-            let counter = Arc::clone(&flaky_counter);
-            let profile = profile.clone();
-            move || {
-                // Cohort 3's first attempt dies (simulated executor loss).
-                if cohort == 3 && counter.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("executor lost");
-                }
-                let pop = Population::sample(&profile, cohort);
-                run_episode(&pop, &model, &EpisodeConfig::standard(cohort))
-                    .stats
-                    .tests
-            }
-        })
-        .collect();
-    let (tests, stats) = engine
-        .run_stage_with("surveillance", tasks, RetryPolicy::default(), None)
-        .unwrap();
-    assert_eq!(tests.len(), 6);
-    assert_eq!(stats.retries, 1);
-    assert!(tests.iter().all(|&t| t >= 1));
 }
 
 /// Information-gain refinement and halving agree on which pools are
