@@ -16,6 +16,25 @@
 //! written here once. The switch is one-way: support only shrinks under
 //! further evidence, and the pruned-mass record would be lost.
 //!
+//! ## Deferred normalisation in memory
+//!
+//! A width-`w` in-memory stage costs `w + 2` lattice traversals: one per
+//! observation, one to settle the stage, and selection's histogram. An
+//! observation multiplies and sums the evidence in one traversal and
+//! leaves its `1/z` *pending* in the [`DenseCache`]; the next observation
+//! folds it into its own multiply as `(p·inv)·t[k]`, which rounds exactly
+//! as a scale pass followed by the multiply. [`DenseRepr::finish_stage`],
+//! the first step of every `end_stage`, applies the last pending scale and
+//! computes the marginals of the result in the same traversal, and
+//! classification reads them from the cache. The invariant: **no scale is
+//! pending when any public call returns** — an observation that fails
+//! settles or consumes it — so the posterior, snapshots, reports and
+//! selection all see the normalised vector, with every bit of the
+//! scale-after-every-update order. An empty cache (a fresh or restored
+//! session, or after an impossible observation) computes the marginals on
+//! read. Past [`ParConfig::threshold`] states the rayon kernels run the
+//! same passes unfused.
+//!
 //! ## Sharded selection pipelining
 //!
 //! The fused round computes prefix masses under a candidate ordering that
@@ -32,12 +51,12 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use sbgt_bayes::{
-    analyze, analyze_par, update_dense, update_dense_par, update_sparse, update_sparse_with_table,
-    BayesError, Observation, PosteriorReport, Prior,
+    analyze, analyze_par, update_sparse, update_sparse_with_table, BayesError, Observation,
+    PosteriorReport, Prior,
 };
 use sbgt_engine::{Engine, StageVariant};
 use sbgt_lattice::hybrid::retained_support;
-use sbgt_lattice::kernels::par_marginals;
+use sbgt_lattice::kernels::{par_marginals, par_mul_likelihood_fused, par_scale, ParConfig};
 use sbgt_lattice::{num_states, DensePosterior, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
@@ -58,8 +77,9 @@ use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
 pub trait DenseRepr: Sized {
     /// What a round borrows: `Option<&Engine>` in memory, `&Engine` sharded.
     type Ctx<'a>: RoundCtx<'a>;
-    /// Read-outs kept beside the posterior on both sides of the switch:
-    /// none in memory; the sharded marginals cache and selection bank.
+    /// Read-outs kept beside the posterior on both sides of the switch: the
+    /// in-memory marginals and pending scale; the sharded marginals cache
+    /// and selection bank.
     type Cache;
 
     /// Cohort size.
@@ -96,6 +116,10 @@ pub trait DenseRepr: Sized {
         pool: State,
         outcome: bool,
     ) -> Result<f64, BayesError>;
+
+    /// Settle what the stage's observations deferred and refresh the
+    /// cache; runs first in every `end_stage`.
+    fn finish_stage(&mut self, _cache: &mut Self::Cache, _config: &SbgtConfig) {}
 
     /// States whose mass exceeds the relative prune cut `epsilon`: the
     /// support the posterior would retain if it switched now.
@@ -341,10 +365,14 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
         Ok(z)
     }
 
-    /// The dense→sparse switch, checked once per stage after its updates
-    /// land: taken when configured and the support retained at the policy's
-    /// prune cut is at most its fraction of `2^N`.
+    /// [`DenseRepr::finish_stage`], then the dense→sparse switch, checked
+    /// once per stage after its updates land: taken when configured and the
+    /// support retained at the policy's prune cut is at most its fraction
+    /// of `2^N`.
     fn end_stage(&mut self, ctx: D::Ctx<'_>, config: &SbgtConfig) {
+        if let Arm::Dense(dense) = &mut self.posterior {
+            dense.finish_stage(&mut self.cache, config);
+        }
         let (Some(switch), Arm::Dense(dense)) = (config.sparse_switch, &self.posterior) else {
             return;
         };
@@ -380,18 +408,37 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
     }
 }
 
+/// The in-memory read-outs (see the module docs): the marginals of the
+/// settled posterior, and the `1/z` the last observation left pending.
+#[derive(Default)]
+pub struct DenseCache {
+    marginals: Option<Vec<f64>>,
+    pending_scale: Option<f64>,
+}
+
+/// The rayon tuning when `posterior` is large enough for the chunk
+/// kernels; `None` runs the fused serial traversals, which give the bits
+/// the chunk kernels give below their threshold.
+fn chunked(posterior: &DensePosterior, config: &SbgtConfig) -> Option<ParConfig> {
+    let par = config.exec.par_config();
+    (posterior.len() >= par.threshold).then_some(par)
+}
+
 impl DenseRepr for DensePosterior {
     type Ctx<'a> = Option<&'a Engine>;
-    type Cache = ();
+    type Cache = DenseCache;
 
     fn n_subjects(&self) -> usize {
         DensePosterior::n_subjects(self)
     }
 
-    fn marginals(&self, _: &(), config: &SbgtConfig) -> Vec<f64> {
-        match config.exec {
-            ExecMode::Serial => DensePosterior::marginals(self),
-            ExecMode::Parallel(cfg) => par_marginals(self, cfg),
+    fn marginals(&self, cache: &DenseCache, config: &SbgtConfig) -> Vec<f64> {
+        if let Some(marginals) = &cache.marginals {
+            return marginals.clone();
+        }
+        match chunked(self, config) {
+            Some(par) => par_marginals(self, par),
+            None => DensePosterior::marginals(self),
         }
     }
 
@@ -422,39 +469,72 @@ impl DenseRepr for DensePosterior {
         }
     }
 
+    /// One traversal: the multiply, with the pending scale folded in, and
+    /// the serial evidence sum; this observation's `1/z` is left pending.
     fn observe<M: BinaryOutcomeModel>(
         &mut self,
-        _: &mut (),
+        cache: &mut DenseCache,
         _: Option<&Engine>,
         config: &SbgtConfig,
         model: &M,
         pool: State,
         outcome: bool,
     ) -> Result<f64, BayesError> {
-        let obs = Observation::new(pool, outcome);
-        match config.exec {
-            ExecMode::Serial => update_dense(self, model, &obs),
-            ExecMode::Parallel(par) => update_dense_par(self, model, &obs, par),
+        if pool.rank() == 0 {
+            self.finish_stage(cache, config);
+            return Err(BayesError::EmptyPool);
         }
+        let table = model.likelihood_table(outcome, pool.rank());
+        cache.marginals = None;
+        let pending = cache.pending_scale.take();
+        let z = match chunked(self, config) {
+            Some(par) => {
+                if let Some(inv) = pending {
+                    par_scale(self, inv, par);
+                }
+                par_mul_likelihood_fused(self, pool, &table, par)
+            }
+            None => self.scale_mul_likelihood_fused(pending.unwrap_or(1.0), pool, &table),
+        };
+        if !(z.is_finite() && z > 0.0) {
+            return Err(BayesError::ImpossibleObservation);
+        }
+        cache.pending_scale = Some(1.0 / z);
+        Ok(z)
+    }
+
+    /// Apply the pending scale and compute the marginals of the result, in
+    /// one traversal below the rayon threshold.
+    fn finish_stage(&mut self, cache: &mut DenseCache, config: &SbgtConfig) {
+        let Some(inv) = cache.pending_scale.take() else {
+            return;
+        };
+        cache.marginals = Some(match chunked(self, config) {
+            Some(par) => {
+                par_scale(self, inv, par);
+                par_marginals(self, par)
+            }
+            None => self.scale_marginals(inv),
+        });
     }
 
     fn retained_support(&self, _: Option<&Engine>, epsilon: f64) -> usize {
         retained_support(self, epsilon)
     }
 
-    fn to_sparse(&self, _: &mut (), _: Option<&Engine>, epsilon: f64) -> SparsePosterior {
+    fn to_sparse(&self, _: &mut DenseCache, _: Option<&Engine>, epsilon: f64) -> SparsePosterior {
         SparsePosterior::from_dense(self, epsilon)
     }
 
     /// One shard of exact (normalized) values.
-    fn snapshot_into(dense: Option<&Self>, _: &(), snapshot: &mut SessionSnapshot) {
+    fn snapshot_into(dense: Option<&Self>, _: &DenseCache, snapshot: &mut SessionSnapshot) {
         if let Some(d) = dense {
             snapshot.shards = vec![d.probs().to_vec()];
         }
     }
 
-    fn restore_cache(_: &SessionSnapshot) -> Result<(), SnapshotError> {
-        Ok(())
+    fn restore_cache(_: &SessionSnapshot) -> Result<DenseCache, SnapshotError> {
+        Ok(DenseCache::default())
     }
 
     fn restore(snapshot: &SessionSnapshot) -> Result<Self, SnapshotError> {
@@ -676,7 +756,7 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
     /// Open a session from a prior and an assay model.
     pub fn new(prior: Prior, model: M, config: SbgtConfig) -> Self {
         Session::open(
-            ExactBackend::new(Arm::Dense(prior.to_dense()), (), model),
+            ExactBackend::new(Arm::Dense(prior.to_dense()), DenseCache::default(), model),
             config,
         )
     }
@@ -700,7 +780,7 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
             epsilon: prune_epsilon,
         };
         Ok(Session::open(
-            ExactBackend::new(posterior, (), model),
+            ExactBackend::new(posterior, DenseCache::default(), model),
             config,
         ))
     }

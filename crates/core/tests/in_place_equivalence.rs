@@ -2,17 +2,25 @@
 //! identical to a serial scalar reference over the same shards, and agrees
 //! with the serial dense kernel, across random priors, pools, outcomes,
 //! and partition counts — including the shared-handle copy-on-write case.
+//! The in-memory session, which defers each normalisation into the next
+//! traversal, is bit-for-bit a driver that normalises after every update.
 
 use proptest::prelude::*;
-use sbgt::ShardedPosterior;
-use sbgt_bayes::{update_dense, BayesError, Observation, Prior};
+use sbgt::{ExecMode, SbgtConfig, SbgtSession, SessionSnapshot, ShardedPosterior};
+use sbgt_bayes::{
+    classify_marginals, update_dense, update_dense_par, BayesError, Observation, Prior,
+};
 use sbgt_engine::{Engine, EngineConfig, StageVariant};
 use sbgt_lattice::kernels::{
     par_entropy, par_lookahead_histograms, par_marginals, par_prefix_negative_masses, par_top_k,
     ParConfig,
 };
-use sbgt_lattice::{simd, BranchPool, LookaheadKernel, State};
+use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, State};
 use sbgt_response::{BinaryDilutionModel, ResponseModel};
+use sbgt_select::{
+    select_halving_prefix, select_halving_prefix_par, select_stage_lookahead_fused,
+    select_stage_lookahead_par, Selection,
+};
 use std::sync::Arc;
 
 fn engine() -> Engine {
@@ -310,5 +318,264 @@ proptest! {
             unshared.to_dense(&e).probs(),
             "cow vs unique",
         );
+    }
+}
+
+/// The in-memory session's passes as they were before normalisation was
+/// deferred: `update_dense(_par)` multiplies and normalises every
+/// observation, and marginals and selection each traverse the normalised
+/// vector. Stage accounting is `Session::observe_stage_in`'s.
+struct NormaliseEveryUpdate {
+    posterior: DensePosterior,
+    config: SbgtConfig,
+    history: Vec<(State, bool)>,
+    stages: usize,
+}
+
+impl NormaliseEveryUpdate {
+    fn new(prior: &Prior, config: SbgtConfig) -> Self {
+        NormaliseEveryUpdate {
+            posterior: prior.to_dense(),
+            config,
+            history: Vec::new(),
+            stages: 0,
+        }
+    }
+
+    fn marginals(&self) -> Vec<f64> {
+        match self.config.exec {
+            ExecMode::Serial => self.posterior.marginals(),
+            ExecMode::Parallel(par) => par_marginals(&self.posterior, par),
+        }
+    }
+
+    fn select(&self, model: &BinaryDilutionModel, order: &[usize]) -> Vec<Selection> {
+        let (post, cap, lookahead) = (
+            &self.posterior,
+            self.config.max_pool_size,
+            self.config.lookahead(),
+        );
+        match (self.config.stage_width, self.config.exec) {
+            (1, ExecMode::Serial) => select_halving_prefix(post, order, cap)
+                .into_iter()
+                .collect(),
+            (1, ExecMode::Parallel(par)) => select_halving_prefix_par(post, order, cap, par)
+                .into_iter()
+                .collect(),
+            (_, ExecMode::Serial) => {
+                select_stage_lookahead_fused(post, model, order, &lookahead).unwrap()
+            }
+            (_, ExecMode::Parallel(par)) => {
+                select_stage_lookahead_par(post, model, order, &lookahead, par).unwrap()
+            }
+        }
+    }
+
+    fn observe_stage(
+        &mut self,
+        model: &BinaryDilutionModel,
+        observations: &[(State, bool)],
+    ) -> Result<f64, BayesError> {
+        let mut joint = 1.0f64;
+        let mut landed = false;
+        for &(pool, outcome) in observations {
+            let obs = Observation::new(pool, outcome);
+            let z = match self.config.exec {
+                ExecMode::Serial => update_dense(&mut self.posterior, model, &obs),
+                ExecMode::Parallel(par) => update_dense_par(&mut self.posterior, model, &obs, par),
+            };
+            match z {
+                Ok(z) => joint *= z,
+                Err(e) => {
+                    self.stages += usize::from(landed);
+                    return Err(e);
+                }
+            }
+            self.history.push((pool, outcome));
+            landed = true;
+        }
+        self.stages += usize::from(landed);
+        Ok(joint)
+    }
+
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        SessionSnapshot {
+            n_subjects: self.posterior.n_subjects(),
+            shards: vec![self.posterior.probs().to_vec()],
+            total: 1.0,
+            history: self.history.clone(),
+            stages: self.stages,
+            marginals: Vec::new(),
+            pending_selection: None,
+            sparse: None,
+            approx: None,
+        }
+        .to_bytes()
+    }
+}
+
+/// Serial and rayon-chunked, each at widths 1 (halving) and 3 (look-ahead).
+fn deferred_configs() -> Vec<SbgtConfig> {
+    let chunked = ExecMode::Parallel(ParConfig {
+        chunk_len: 64,
+        threshold: 0,
+    });
+    [ExecMode::Serial, chunked]
+        .into_iter()
+        .flat_map(|exec| {
+            [1, 3].map(|width| {
+                SbgtConfig {
+                    exec,
+                    ..SbgtConfig::default()
+                }
+                .with_stage_width(width)
+            })
+        })
+        .collect()
+}
+
+fn assert_session_is_reference(
+    session: &SbgtSession<BinaryDilutionModel>,
+    reference: &NormaliseEveryUpdate,
+    what: &str,
+) {
+    assert_bitwise_eq(
+        &session.marginals(),
+        &reference.marginals(),
+        &format!("{what}: marginals"),
+    );
+    assert_bitwise_eq(
+        session.posterior().probs(),
+        reference.posterior.probs(),
+        &format!("{what}: posterior"),
+    );
+    assert_eq!(
+        session.snapshot().to_bytes(),
+        reference.snapshot_bytes(),
+        "{what}: snapshot bytes"
+    );
+}
+
+fn assert_same_outcome(a: Result<f64, BayesError>, b: Result<f64, BayesError>, what: &str) {
+    match (a, b) {
+        (Ok(za), Ok(zb)) => assert_eq!(za.to_bits(), zb.to_bits(), "{what}: evidence"),
+        (a, b) => assert_eq!(a, b, "{what}: outcome"),
+    }
+}
+
+/// Up to `stages` rounds of session and reference side by side against
+/// the lab `truth`, checking every read-out each round; the session is
+/// rebuilt from its own snapshot before round `restore_at`.
+fn run_rounds(
+    session: &mut SbgtSession<BinaryDilutionModel>,
+    reference: &mut NormaliseEveryUpdate,
+    model: &BinaryDilutionModel,
+    truth: State,
+    stages: usize,
+    restore_at: usize,
+) {
+    let config = reference.config;
+    for round in 0..stages {
+        let what = format!("{config:?} round {round}");
+        assert_session_is_reference(session, reference, &what);
+        if round == restore_at {
+            *session = SbgtSession::restore(&session.snapshot(), *model, config).unwrap();
+            assert_session_is_reference(session, reference, &format!("{what} restored"));
+        }
+        let marginals = reference.marginals();
+        let classification = classify_marginals(&marginals, config.rule);
+        if classification.is_terminal() {
+            return;
+        }
+        let mut order = classification.undetermined();
+        order.sort_by(|&a, &b| marginals[a].total_cmp(&marginals[b]).then(a.cmp(&b)));
+        assert_eq!(session.eligible_order(), order, "{what}: order");
+        let want = reference.select(model, &order);
+        let got: Vec<Selection> = if config.stage_width == 1 {
+            session.select_next().into_iter().collect()
+        } else {
+            session.select_stage(config.stage_width).unwrap()
+        };
+        assert_eq!(got.len(), want.len(), "{what}: stage width");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.pool, w.pool, "{what}: pool");
+            assert_eq!(g.negative_mass.to_bits(), w.negative_mass.to_bits());
+        }
+        if want.is_empty() {
+            return;
+        }
+        let observations: Vec<(State, bool)> = want
+            .iter()
+            .map(|s| (s.pool, s.pool.intersects(truth)))
+            .collect();
+        assert_same_outcome(
+            session.observe_stage(&observations),
+            reference.observe_stage(model, &observations),
+            &what,
+        );
+    }
+    assert_session_is_reference(session, reference, "end of run");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Deferred normalisation moves no bit: marginals, posterior, pools,
+    /// evidence and snapshot bytes equal the normalise-every-update driver
+    /// every round, serial and chunked, at widths 1 and 3, across a
+    /// restore (which starts from an empty cache).
+    #[test]
+    fn deferred_normalisation_is_normalise_every_update_bitwise(
+        risks in prop::collection::vec(0.01f64..0.3, 3..=9),
+        truth_seed in proptest::arbitrary::any::<u64>(),
+        restore_at in 0usize..8,
+    ) {
+        let model = BinaryDilutionModel::pcr_like();
+        let prior = Prior::from_risks(&risks);
+        let truth = pool_from_seed(truth_seed, risks.len());
+        for config in deferred_configs() {
+            let mut session = SbgtSession::new(prior.clone(), model, config);
+            let mut reference = NormaliseEveryUpdate::new(&prior, config);
+            run_rounds(&mut session, &mut reference, &model, truth, 12, restore_at);
+        }
+    }
+}
+
+/// A scale left pending by a stage's first observation meets an error in
+/// the same stage: an empty pool settles it, an impossible observation
+/// folds it into the multiply that fails. Either way the session holds the
+/// bits of the driver that had normalised, and an empty-pool session runs
+/// on to the same classification.
+#[test]
+fn a_pending_scale_meets_an_error_with_the_reference_bits() {
+    let risks = [0.04, 0.12, 0.07, 0.2, 0.03, 0.09];
+    let prior = Prior::from_risks(&risks);
+    let (a, b) = (State::from_subjects([0, 1, 2]), State::from_subjects([1]));
+    for config in deferred_configs() {
+        let model = BinaryDilutionModel::pcr_like();
+        let mut session = SbgtSession::new(prior.clone(), model, config);
+        let mut reference = NormaliseEveryUpdate::new(&prior, config);
+        let stage = [(a, true), (State::EMPTY, false)];
+        let (zs, zr) = (
+            session.observe_stage(&stage),
+            reference.observe_stage(&model, &stage),
+        );
+        assert_eq!(zs, Err(BayesError::EmptyPool));
+        assert_same_outcome(zs, zr, "empty pool");
+        assert_eq!(session.stages(), 1, "the landed observation counts");
+        let truth = State::from_subjects([1, 4]);
+        run_rounds(&mut session, &mut reference, &model, truth, 12, usize::MAX);
+
+        let model = BinaryDilutionModel::perfect();
+        let mut session = SbgtSession::new(prior.clone(), model, config);
+        let mut reference = NormaliseEveryUpdate::new(&prior, config);
+        let stage = [(a, false), (b, true)];
+        let (zs, zr) = (
+            session.observe_stage(&stage),
+            reference.observe_stage(&model, &stage),
+        );
+        assert_eq!(zs, Err(BayesError::ImpossibleObservation));
+        assert_same_outcome(zs, zr, "impossible observation");
+        assert_session_is_reference(&session, &reference, "after an impossible observation");
     }
 }

@@ -21,8 +21,10 @@
 //!   `k = |s ∩ A|`, so a multiply pass indexes a precomputed table of
 //!   `|A| + 1` entries rather than calling the response model `2^N` times.
 //! * Marginals for all `N` subjects are accumulated in **one** pass
-//!   (`O(2^N · N)` bit-tests but a single memory traversal) instead of `N`
-//!   separate passes.
+//!   instead of `N` separate passes, by [`crate::simd`]'s subject-lane
+//!   kernel: one register lane per subject, so the per-subject adds stay
+//!   in registers. [`scale_marginal_sums`] folds a normalisation into the
+//!   same traversal.
 //! * The halving search needs the pool-negative mass of every *prefix pool*
 //!   of a subject ordering; [`DensePosterior::prefix_negative_masses`]
 //!   computes all `N+1` of them in one traversal via a first-positive-
@@ -31,6 +33,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+pub use crate::simd::{marginal_sums, scale_marginal_sums};
 use crate::state::State;
 use crate::MAX_SUBJECTS;
 
@@ -59,15 +62,12 @@ pub fn order_tables(n: usize, order: &[usize]) -> Vec<[u32; 256]> {
     }
     let mut tables = vec![[m; 256]; n.div_ceil(8)];
     for (lane, table) in tables.iter_mut().enumerate() {
-        for (byte, entry) in table.iter_mut().enumerate().skip(1) {
-            let mut bits = byte;
-            while bits != 0 {
-                let subj = lane * 8 + bits.trailing_zeros() as usize;
-                if subj < n {
-                    *entry = (*entry).min(pos_of[subj]);
-                }
-                bits &= bits - 1;
-            }
+        // A byte's entry is its lowest set bit's position folded into the
+        // entry of the byte without that bit: O(256) per lane.
+        for byte in 1..256usize {
+            let subj = lane * 8 + byte.trailing_zeros() as usize;
+            let pos = pos_of.get(subj).map_or(m, |&p| p.min(m));
+            table[byte] = table[byte & (byte - 1)].min(pos);
         }
     }
     tables
@@ -99,10 +99,47 @@ pub fn first_pos(tables: &[[u32; 256]], state: u64) -> u32 {
     }
 }
 
-/// Block kernel: `hist[first_pos(s)] += π(s)` over one block.
+/// First-positive position restricted to state bits ≥ 8 (constant within a
+/// 256-aligned run); `m` when none apply.
+#[inline]
+pub(crate) fn hi_first_pos(tables: &[[u32; 256]], state: u64, m: u32) -> u32 {
+    let mut best = m;
+    for (l, t) in tables.iter().enumerate().skip(1) {
+        let byte = ((state >> (8 * l)) & 0xFF) as usize;
+        let v = t[byte];
+        if v < best {
+            best = v;
+        }
+    }
+    best
+}
+
+/// First-positive position of a state given its low byte and the hoisted
+/// high-bit minimum.
+#[inline]
+pub(crate) fn low_first_pos(tables: &[[u32; 256]], byte: usize, hi_first: u32) -> u32 {
+    match tables.first() {
+        Some(t) => t[byte].min(hi_first),
+        None => hi_first,
+    }
+}
+
+/// Block kernel: `hist[first_pos(s)] += π(s)` over one block, where
+/// `hist` has one row per prefix (`order.len() + 1`). The lanes above the
+/// low byte are looked up once per 256-aligned run; the adds stay in
+/// ascending state order.
 pub fn first_pos_histogram(tables: &[[u32; 256]], probs: &[f64], base: u64, hist: &mut [f64]) {
-    for (off, &p) in probs.iter().enumerate() {
-        hist[first_pos(tables, base + off as u64) as usize] += p;
+    let m = (hist.len() - 1) as u32;
+    let mut off = 0usize;
+    while off < probs.len() {
+        let state = base + off as u64;
+        let hi_first = hi_first_pos(tables, state, m);
+        let low = (state & 0xFF) as usize;
+        let run = (256 - low).min(probs.len() - off);
+        for (byte, &p) in (low..).zip(&probs[off..off + run]) {
+            hist[low_first_pos(tables, byte, hi_first) as usize] += p;
+        }
+        off += run;
     }
 }
 
@@ -127,21 +164,6 @@ pub fn add_into(acc: &mut [f64], part: &[f64]) {
     for (a, p) in acc.iter_mut().zip(part) {
         *a += p;
     }
-}
-
-/// Block kernel: `acc[i] += π(s)` for every subject `i ∈ s` over one block;
-/// returns the block's total mass.
-pub fn marginal_sums(probs: &[f64], base: u64, acc: &mut [f64]) -> f64 {
-    let mut total = 0.0f64;
-    for (off, &p) in probs.iter().enumerate() {
-        total += p;
-        let mut bits = base + off as u64;
-        while bits != 0 {
-            acc[bits.trailing_zeros() as usize] += p;
-            bits &= bits - 1;
-        }
-    }
-    total
 }
 
 /// Divide accumulated marginal masses by the total (left at zero when the
@@ -384,12 +406,20 @@ impl DensePosterior {
     /// (the Bayesian evidence of the observation). This is the fusion of
     /// Spark stages the SBGT framework performs to halve lattice traffic.
     pub fn mul_likelihood_fused(&mut self, pool: State, table: &[f64]) -> f64 {
+        self.scale_mul_likelihood_fused(1.0, pool, table)
+    }
+
+    /// [`Self::mul_likelihood_fused`] of the masses scaled by `factor`, in
+    /// the same traversal: each mass becomes `(π(s) · factor) · table[k]`,
+    /// rounded exactly as a scale pass followed by the multiply.
+    #[inline]
+    pub fn scale_mul_likelihood_fused(&mut self, factor: f64, pool: State, table: &[f64]) -> f64 {
         assert!(table.len() > pool.rank() as usize);
         let mask = pool.bits();
         let mut total = 0.0;
         for (idx, p) in self.probs.iter_mut().enumerate() {
             let k = (idx as u64 & mask).count_ones() as usize;
-            *p *= table[k];
+            *p = *p * factor * table[k];
             total += *p;
         }
         total
@@ -409,6 +439,16 @@ impl DensePosterior {
     pub fn marginals(&self) -> Vec<f64> {
         let mut acc = vec![0.0f64; self.n_subjects];
         let total = marginal_sums(&self.probs, 0, &mut acc);
+        normalize_marginals(&mut acc, total);
+        acc
+    }
+
+    /// Scale every mass by `factor` and return the marginals of the result
+    /// — bit-for-bit a scale pass followed by [`Self::marginals`] — in one
+    /// traversal.
+    pub fn scale_marginals(&mut self, factor: f64) -> Vec<f64> {
+        let mut acc = vec![0.0f64; self.n_subjects];
+        let total = scale_marginal_sums(&mut self.probs, 0, factor, &mut acc);
         normalize_marginals(&mut acc, total);
         acc
     }

@@ -1,26 +1,33 @@
 //! Runtime-dispatched SIMD kernels for the `Θ(2^N)` hot loops.
 //!
-//! Three kernels dominate every SBGT round: the blocked-popcount posterior
-//! update, the fused update+marginals+histogram superstage, and the
-//! branch-fused look-ahead accumulator. Each has a **blocked scalar
-//! reference** here (the semantic definition) and an AVX2 variant that is
-//! **bit-for-bit identical** to it; `cargo test` pins the equality on any
-//! machine with AVX2 and the forced-scalar CI step validates the dispatcher
-//! without it.
+//! Four kernels dominate every SBGT round: the blocked-popcount posterior
+//! update, the fused update+marginals+histogram superstage, the
+//! branch-fused look-ahead accumulator and the subject-lane marginal sums.
+//! Each has a **scalar reference** here (the semantic definition) and an
+//! AVX2 variant that is **bit-for-bit identical** to it; `cargo test` pins
+//! the equality on any machine with AVX2 and the forced-scalar CI step
+//! validates the dispatcher without it.
 //!
 //! ## Why bit-for-bit is achievable
 //!
 //! Per-element multiplies are exact in IEEE-754 (the same two operands give
 //! the same product regardless of vector width), so only *reduction order*
-//! can diverge. Every reduction here is therefore fixed to four accumulator
-//! lanes indexed by the partition-local offset modulo 4 — exactly one
-//! 4×f64 AVX2 register — with the final reduce `(l0 + l1) + (l2 + l3)`.
-//! The scalar reference performs the same lane assignment, so the two
-//! paths execute the same additions in the same order per lane. Masked
-//! accumulations (the per-subject marginal lanes) add an explicit `+0.0`
-//! for non-members in both variants, keeping the instruction-level
-//! blend-and-add of the vector path structurally identical to the scalar
-//! loop.
+//! can diverge. Kernels 1–3 therefore fix every reduction to four
+//! accumulator lanes indexed by the partition-local offset modulo 4 —
+//! exactly one 4×f64 AVX2 register — with the final reduce
+//! `(l0 + l1) + (l2 + l3)`. The scalar reference performs the same lane
+//! assignment, so the two paths execute the same additions in the same
+//! order per lane. Masked accumulations (the per-subject marginal lanes)
+//! add an explicit `+0.0` for non-members in both variants, keeping the
+//! instruction-level blend-and-add of the vector path structurally
+//! identical to the scalar loop.
+//!
+//! Kernel 4 reproduces a reference that has no `o & 3` lanes — the plain
+//! per-state loop every marginals read-out has always run — so its lanes
+//! are *subjects* instead: each lane is one subject's accumulator and sees
+//! that accumulator's scalar add sequence, state by state, with `+0.0`
+//! where the subject is absent. `x + 0.0 == x` for every accumulator a sum
+//! of masses started at `+0.0` can reach, so the `+0.0` adds change no bit.
 //!
 //! ## AVX-512
 //!
@@ -37,6 +44,7 @@
 use std::sync::OnceLock;
 
 use crate::branch::{low_byte_popcounts, LookaheadKernel};
+use crate::dense::{hi_first_pos, low_first_pos};
 
 /// Environment variable that forces scalar dispatch when set (non-`0`).
 pub const FORCE_SCALAR_ENV: &str = "SBGT_FORCE_SCALAR";
@@ -288,31 +296,6 @@ pub fn fused_update_block_scalar(
     reduce4(sum_lanes)
 }
 
-/// First-positive position restricted to state bits ≥ 8 (constant within a
-/// 256-aligned run); `m` when none apply.
-#[inline]
-fn hi_first_pos(tables: &[[u32; 256]], state: u64, m: u32) -> u32 {
-    let mut best = m;
-    for (l, t) in tables.iter().enumerate().skip(1) {
-        let byte = ((state >> (8 * l)) & 0xFF) as usize;
-        let v = t[byte];
-        if v < best {
-            best = v;
-        }
-    }
-    best
-}
-
-/// First-positive position of a state given its low byte and the hoisted
-/// high-bit minimum.
-#[inline]
-fn low_first_pos(tables: &[[u32; 256]], byte: usize, hi_first: u32) -> u32 {
-    match tables.first() {
-        Some(t) => t[byte].min(hi_first),
-        None => hi_first,
-    }
-}
-
 /// Add a run's reduced total to every subject ≥ 8 contained in the run's
 /// (constant) high state bits.
 #[inline]
@@ -523,6 +506,197 @@ unsafe fn add_assign_block_avx2(dst: &mut [f64], src: &[f64]) {
         dst[i] += src[i];
         i += 1;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel 4: subject-lane marginal sums.
+// ---------------------------------------------------------------------------
+
+/// Subjects whose accumulators the vector kernel holds in registers: four
+/// per 4×f64 register, eight registers.
+const LANE_SUBJECTS: usize = 32;
+
+/// `NIBBLE_LANES[b]` has lane `j` all-ones iff bit `j` of `b` is set. ANDed
+/// with a broadcast mass it keeps the mass in the lanes of the subjects
+/// `4r .. 4r + 3` that nibble `r` of a state holds, and `+0.0` elsewhere.
+const NIBBLE_LANES: [[u64; 4]; 16] = {
+    let mut t = [[0u64; 4]; 16];
+    let mut b = 0;
+    while b < 16 {
+        let mut j = 0;
+        while j < 4 {
+            if b >> j & 1 == 1 {
+                t[b][j] = u64::MAX;
+            }
+            j += 1;
+        }
+        b += 1;
+    }
+    t
+};
+
+/// Block kernel: `acc[i] += π(s)` for every subject `i ∈ s` over one block
+/// (`probs[off]` is the mass of state `base + off`, and `acc` has one slot
+/// per subject of the lattice); returns the block's total mass, one serial
+/// sum in state order. Bit-for-bit [`marginal_sums_scalar`].
+pub fn marginal_sums(probs: &[f64], base: u64, acc: &mut [f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if active().is_simd() && (1..=LANE_SUBJECTS).contains(&acc.len()) {
+        // SAFETY: dispatch checked AVX2 availability; the subject count is
+        // in range.
+        return unsafe { subject_lanes_avx2(probs.len(), base, acc, |o| probs[o]) };
+    }
+    marginal_sums_scalar(probs, base, acc)
+}
+
+/// [`marginal_sums`] over the block scaled in place: every mass becomes
+/// `π(s) · factor` and is summed as such, in the same traversal —
+/// bit-for-bit a scale pass followed by [`marginal_sums`].
+pub fn scale_marginal_sums(probs: &mut [f64], base: u64, factor: f64, acc: &mut [f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if active().is_simd() && (1..=LANE_SUBJECTS).contains(&acc.len()) {
+        let len = probs.len();
+        // SAFETY: dispatch checked AVX2 availability; the subject count is
+        // in range.
+        return unsafe { subject_lanes_avx2(len, base, acc, |o| scale_at(probs, o, factor)) };
+    }
+    scale_marginal_sums_scalar(probs, base, factor, acc)
+}
+
+/// Scalar reference of [`marginal_sums`]: per state, one add to the total
+/// and one scattered add per member subject.
+pub fn marginal_sums_scalar(probs: &[f64], base: u64, acc: &mut [f64]) -> f64 {
+    subject_sums(probs.len(), base, acc, |o| probs[o])
+}
+
+/// Scalar reference of [`scale_marginal_sums`].
+pub fn scale_marginal_sums_scalar(
+    probs: &mut [f64],
+    base: u64,
+    factor: f64,
+    acc: &mut [f64],
+) -> f64 {
+    let len = probs.len();
+    subject_sums(len, base, acc, |o| scale_at(probs, o, factor))
+}
+
+#[inline(always)]
+fn scale_at(probs: &mut [f64], o: usize, factor: f64) -> f64 {
+    let p = probs[o] * factor;
+    probs[o] = p;
+    p
+}
+
+/// The reference loop over a block of `len` states; `mass(o)` yields the
+/// mass of state `base + o`, once per state in ascending order.
+#[inline(always)]
+fn subject_sums(len: usize, base: u64, acc: &mut [f64], mut mass: impl FnMut(usize) -> f64) -> f64 {
+    let mut total = 0.0f64;
+    for o in 0..len {
+        let p = mass(o);
+        total += p;
+        let mut bits = base + o as u64;
+        while bits != 0 {
+            acc[bits.trailing_zeros() as usize] += p;
+            bits &= bits - 1;
+        }
+    }
+    total
+}
+
+/// Monomorphise [`subject_lanes`] on the register count, so the lanes are
+/// a fixed-size array LLVM keeps in registers; lanes indexed at run time
+/// spill to memory and run slower than the scalar reference.
+///
+/// # Safety
+/// The CPU must support AVX2. `1 ≤ acc.len() ≤ LANE_SUBJECTS` picks the
+/// register count that covers every subject.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn subject_lanes_avx2(
+    len: usize,
+    base: u64,
+    acc: &mut [f64],
+    mass: impl FnMut(usize) -> f64,
+) -> f64 {
+    match acc.len().div_ceil(4) {
+        1 => subject_lanes::<1>(len, base, acc, mass),
+        2 => subject_lanes::<2>(len, base, acc, mass),
+        3 => subject_lanes::<3>(len, base, acc, mass),
+        4 => subject_lanes::<4>(len, base, acc, mass),
+        5 => subject_lanes::<5>(len, base, acc, mass),
+        6 => subject_lanes::<6>(len, base, acc, mass),
+        7 => subject_lanes::<7>(len, base, acc, mass),
+        _ => subject_lanes::<8>(len, base, acc, mass),
+    }
+}
+
+/// [`subject_sums`] with subject `4r + j` accumulated in lane `j` of
+/// register `r`: each state's mass is broadcast and masked by
+/// [`NIBBLE_LANES`], so every lane performs its subject's reference add
+/// sequence (plus exact `+0.0`s); the total stays a scalar chain.
+///
+/// `acc.len() ≤ 4 * R`; subjects past `4 * R` would not be accumulated.
+///
+/// # Safety
+/// The CPU must support AVX2. The lane loads and stores stay inside the
+/// `LANE_SUBJECTS`-slot buffer: `4 * R ≤ LANE_SUBJECTS` is checked at
+/// compile time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)]
+unsafe fn subject_lanes<const R: usize>(
+    len: usize,
+    base: u64,
+    acc: &mut [f64],
+    mut mass: impl FnMut(usize) -> f64,
+) -> f64 {
+    use std::arch::x86_64::*;
+    const { assert!(4 * R <= LANE_SUBJECTS) };
+    let n = acc.len();
+    // The reference indexes `acc` by every set bit; here a bit at or past
+    // `n` would land in a discarded padding lane instead of panicking.
+    assert!(
+        base + len as u64 <= 1u64 << n,
+        "block outside the 2^{n}-state lattice"
+    );
+    let mask = |nibble: u64| _mm256_loadu_pd(NIBBLE_LANES[(nibble & 0xF) as usize].as_ptr().cast());
+    let mut padded = [0.0f64; LANE_SUBJECTS];
+    padded[..n].copy_from_slice(acc);
+    // Plain index loops over the constant `R` throughout: LLVM unrolls them
+    // into register code, where iterator adapters stayed out-of-line calls
+    // that forced the lanes and the total through memory.
+    let mut lanes = [_mm256_setzero_pd(); R];
+    for r in 0..R {
+        lanes[r] = _mm256_loadu_pd(padded.as_ptr().add(4 * r));
+    }
+    let mut total = 0.0f64;
+    let mut o = 0usize;
+    while o < len {
+        let state = base + o as u64;
+        // Nibbles above the lowest are constant over a 16-aligned run, so
+        // their masks are loaded once per run.
+        let run = ((16 - (state & 0xF)) as usize).min(len - o);
+        let mut hi = [_mm256_setzero_pd(); R];
+        for r in 1..R {
+            hi[r] = mask(state >> (4 * r));
+        }
+        for j in 0..run {
+            let p = mass(o + j);
+            total += p;
+            let v = _mm256_set1_pd(p);
+            lanes[0] = _mm256_add_pd(lanes[0], _mm256_and_pd(v, mask(state + j as u64)));
+            for r in 1..R {
+                lanes[r] = _mm256_add_pd(lanes[r], _mm256_and_pd(v, hi[r]));
+            }
+        }
+        o += run;
+    }
+    for r in 0..R {
+        _mm256_storeu_pd(padded.as_mut_ptr().add(4 * r), lanes[r]);
+    }
+    acc.copy_from_slice(&padded[..n]);
+    total
 }
 
 #[cfg(test)]

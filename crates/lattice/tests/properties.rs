@@ -174,11 +174,107 @@ proptest! {
 
 // --- SIMD kernels: dispatched vs scalar reference, bit-for-bit ---
 
+use sbgt_lattice::dense::{first_pos, first_pos_histogram, order_tables};
 use sbgt_lattice::simd::{
     add_assign_block, add_assign_block_scalar, fused_update_block, fused_update_block_scalar,
-    lookahead_double_block, lookahead_double_block_scalar, mul_table_block, mul_table_block_scalar,
+    lookahead_double_block, lookahead_double_block_scalar, marginal_sums, marginal_sums_scalar,
+    mul_table_block, mul_table_block_scalar, scale_marginal_sums, scale_marginal_sums_scalar,
 };
 use sbgt_lattice::LookaheadKernel;
+
+/// Deterministic pseudo-random values in `[0, 1)`, every `zero_every`-th
+/// one an exact zero.
+fn masses(len: usize, seed: u64, zero_every: usize) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if i % zero_every == 0 {
+                0.0
+            } else {
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            }
+        })
+        .collect()
+}
+
+fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+    }
+}
+
+/// The subject-lane marginal sums and their scaling form are bit-for-bit
+/// the scalar reference at every cohort size the dense arm runs — n not a
+/// multiple of 4, n past 16 (lanes past the low byte), n = 0 — on blocks
+/// with misaligned bases, ragged lengths, zero masses and accumulators
+/// that already hold a partial; and the scaling form is bit-for-bit a
+/// scale pass followed by `marginal_sums`.
+#[test]
+fn simd_marginal_sums_are_bit_identical_to_scalar() {
+    let factor = 1.0 / 0.737;
+    for n in 0..=22usize {
+        let states = 1usize << n;
+        let len = states.min(700);
+        for (k, base) in [0, ((states - len) / 3) | 1, states - len]
+            .into_iter()
+            .filter(|&b| b + len <= states)
+            .enumerate()
+        {
+            let seed = (n * 3 + k) as u64;
+            let probs = masses(len, seed, 3 + k);
+            let acc0 = masses(n, seed + 99, 4);
+            let what = format!("n {n} base {base}");
+            let base = base as u64;
+
+            let (mut a, mut b) = (acc0.clone(), acc0.clone());
+            let ta = marginal_sums(&probs, base, &mut a);
+            let tb = marginal_sums_scalar(&probs, base, &mut b);
+            assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: total");
+            assert_bits(&a, &b, &what);
+
+            let (mut pa, mut pb) = (probs.clone(), probs.clone());
+            let (mut a, mut b) = (acc0.clone(), acc0.clone());
+            let ta = scale_marginal_sums(&mut pa, base, factor, &mut a);
+            let tb = scale_marginal_sums_scalar(&mut pb, base, factor, &mut b);
+            assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: scaled total");
+            assert_bits(&pa, &pb, &format!("{what} scaled values"));
+            assert_bits(&a, &b, &format!("{what} scaled sums"));
+
+            let mut two_pass = probs.clone();
+            for p in &mut two_pass {
+                *p *= factor;
+            }
+            let mut c = acc0.clone();
+            let tc = marginal_sums(&two_pass, base, &mut c);
+            assert_eq!(
+                ta.to_bits(),
+                tc.to_bits(),
+                "{what}: fused vs two-pass total"
+            );
+            assert_bits(&pa, &two_pass, &format!("{what} fused vs two-pass values"));
+            assert_bits(&a, &c, &format!("{what} fused vs two-pass sums"));
+        }
+    }
+}
+
+/// A pseudo-random ordering of a pseudo-random, possibly empty, subset of
+/// `n` subjects.
+fn seeded_order(n: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut s = seed | 1;
+    for i in (1..n).rev() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (s >> 33) as usize % (i + 1));
+    }
+    order.truncate(seed as usize % (n + 1));
+    order
+}
 
 /// A likelihood-like table for a pool of `rank` bits, parameterized so
 /// proptest explores different value profiles.
@@ -286,6 +382,56 @@ proptest! {
         add_assign_block_scalar(&mut db[..src.len()], src);
         for (x, y) in da.iter().zip(&db) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// The run-hoisted first-positive histogram is bit-for-bit the
+    /// per-state `first_pos` loop, on misaligned blocks of lattices up to
+    /// three table lanes wide and over partial orders.
+    #[test]
+    fn first_pos_histogram_matches_per_state_loop(
+        n in 0usize..=20,
+        order_seed in any::<u64>(),
+        base_frac in 0.0f64..1.0,
+        probs in prop::collection::vec(0.0f64..1.0, 1..900),
+    ) {
+        let states = 1usize << n;
+        let probs = &probs[..probs.len().min(states)];
+        let base = ((states - probs.len()) as f64 * base_frac) as u64;
+        let order = seeded_order(n, order_seed);
+        let tables = order_tables(n, &order);
+        let mut hoisted = vec![0.0f64; order.len() + 1];
+        first_pos_histogram(&tables, probs, base, &mut hoisted);
+        let mut per_state = vec![0.0f64; order.len() + 1];
+        for (off, &p) in probs.iter().enumerate() {
+            per_state[first_pos(&tables, base + off as u64) as usize] += p;
+        }
+        for (x, y) in hoisted.iter().zip(&per_state) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// The recurrence-built order tables equal the set-bit loop: each byte's
+    /// entry is the least ordering position among its subjects, `m` when
+    /// none is ordered.
+    #[test]
+    fn order_tables_match_set_bit_loop(n in 0usize..=30, order_seed in any::<u64>()) {
+        let order = seeded_order(n, order_seed);
+        let m = order.len() as u32;
+        let mut pos_of = vec![m; n];
+        for (k, &subj) in order.iter().enumerate() {
+            pos_of[subj] = k as u32;
+        }
+        let tables = order_tables(n, &order);
+        prop_assert_eq!(tables.len(), n.div_ceil(8));
+        for (lane, table) in tables.iter().enumerate() {
+            for (byte, &entry) in table.iter().enumerate() {
+                let want = (0..8)
+                    .filter(|b| byte >> b & 1 == 1 && lane * 8 + b < n)
+                    .map(|b| pos_of[lane * 8 + b])
+                    .fold(m, u32::min);
+                prop_assert_eq!(entry, want);
+            }
         }
     }
 }

@@ -6,15 +6,15 @@
 //! `wfq::tests`; this test drives the whole service — batcherless
 //! placement, one round worker, per-tenant round accounting — and checks
 //! the ratio where it is observable without racing the scheduler: the
-//! rounds each tenant had consumed at the moment the heavy tenant
-//! finished its last cohort.
+//! rounds each tenant had consumed just before the heavy tenant finished
+//! its last cohort.
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sbgt_engine::{EngineConfig, SharedEngine};
+use sbgt_engine::{EngineConfig, ServiceStats, SharedEngine};
 use sbgt_service::{CohortSpec, ServiceConfig, Specimen, SurveillanceService, TenantSpec};
 
 fn specimens(n: usize, seed: u64) -> Vec<Specimen> {
@@ -36,8 +36,13 @@ fn two_to_one_weights_give_two_to_one_rounds_under_saturation() {
     const HEAVY: u32 = 1;
     const LIGHT: u32 = 2;
     const IDLE: u32 = 9;
-    const COHORTS_PER_TENANT: usize = 12;
-    const BATCH: usize = 10;
+    const HEAVY_COHORTS: usize = 16;
+    // At half the heavy lane's share the light lane cannot drain this many
+    // before the heavy lane finishes, however fast rounds are.
+    const LIGHT_COHORTS: usize = 2 * HEAVY_COHORTS;
+    // 2^14-state cohorts keep the heavy lane busy for many scheduler slices
+    // of the polling thread, so its end is observed, not skipped over.
+    const BATCH: usize = 14;
     let config = ServiceConfig {
         // One worker: rounds are dispensed strictly in scheduler order, so
         // the weighted shares are visible in the round counters.
@@ -58,23 +63,44 @@ fn two_to_one_weights_give_two_to_one_rounds_under_saturation() {
     let service = SurveillanceService::start(engine.clone(), config.clone()).unwrap();
 
     // Saturate both lanes with identical-size cohorts (ids interleaved so
-    // neither tenant gets a head start from placement order).
-    let sp = specimens(2 * COHORTS_PER_TENANT * BATCH, 7);
+    // neither tenant gets a head start from placement order; the light
+    // lane's surplus queues behind).
+    let sp = specimens((HEAVY_COHORTS + LIGHT_COHORTS) * BATCH, 7);
     for (i, chunk) in sp.chunks(BATCH).enumerate() {
-        let tenant = if i % 2 == 0 { HEAVY } else { LIGHT };
+        let tenant = if i % 2 == 0 && i < 2 * HEAVY_COHORTS {
+            HEAVY
+        } else {
+            LIGHT
+        };
         let spec =
             CohortSpec::from_specimens(i as u64, config.base_seed, chunk).with_tenant(tenant);
         service.place_cohort(spec).unwrap();
     }
+    // From here until the heavy lane's last cohort finishes both lanes are
+    // backlogged; rounds run while placement was still filling them
+    // (possibly one lane only) are left out of the shares.
+    let placed = engine.metrics().service_stats();
 
-    // Poll completions; snapshot per-tenant round counters the moment the
-    // heavy tenant finishes its last cohort (while the light lane is still
-    // backlogged — i.e. under saturation the whole time).
+    // Poll without sleeping and sample the per-tenant round counters on
+    // every poll that sees a cohort complete; keep the last sample taken
+    // while a heavy cohort was still unfinished. Completions are harvested
+    // after the sample, so one that leaves the heavy lane short proves the
+    // sample predates its end. The poll itself reads only the lock-free
+    // live-cohort count: taking the stats lock on every spin starves the
+    // worker, which takes it once per round.
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut heavy_done = 0usize;
     let mut light_done = 0usize;
-    let snapshot = loop {
+    let mut live = service.live_cohorts();
+    let mut saturated = None;
+    loop {
         assert!(Instant::now() < deadline, "service stalled");
+        if service.live_cohorts() == live {
+            std::hint::spin_loop();
+            continue;
+        }
+        live = service.live_cohorts();
+        let sample = engine.metrics().service_stats();
         for report in service.take_completed() {
             match report.tenant {
                 HEAVY => heavy_done += 1,
@@ -82,17 +108,21 @@ fn two_to_one_weights_give_two_to_one_rounds_under_saturation() {
                 other => panic!("unexpected tenant {other}"),
             }
         }
-        if heavy_done == COHORTS_PER_TENANT {
-            break engine.metrics().service_stats();
+        if heavy_done == HEAVY_COHORTS {
+            break;
         }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    let heavy_rounds = snapshot.tenants()[&HEAVY].rounds as f64;
-    let light_rounds = snapshot.tenants()[&LIGHT].rounds as f64;
+        saturated = Some((sample, light_done));
+    }
+    let (snapshot, light_done_then) =
+        saturated.expect("a heavy cohort completed before the heavy lane's last");
     assert!(
-        light_done < COHORTS_PER_TENANT,
+        light_done_then < LIGHT_COHORTS,
         "light lane must still be backlogged when the heavy lane finishes"
     );
+    let rounds =
+        |stats: &ServiceStats, tenant| stats.tenants().get(&tenant).map_or(0, |t| t.rounds) as f64;
+    let heavy_rounds = rounds(&snapshot, HEAVY) - rounds(&placed, HEAVY);
+    let light_rounds = rounds(&snapshot, LIGHT) - rounds(&placed, LIGHT);
     let ratio = light_rounds / heavy_rounds;
     assert!(
         (0.30..=0.80).contains(&ratio),
@@ -106,7 +136,7 @@ fn two_to_one_weights_give_two_to_one_rounds_under_saturation() {
     let reports = service.drain();
     assert_eq!(
         heavy_done + light_done + reports.len(),
-        2 * COHORTS_PER_TENANT
+        HEAVY_COHORTS + LIGHT_COHORTS
     );
     assert!(!snapshot.tenants().contains_key(&IDLE));
     let stats = engine.metrics().service_stats();
