@@ -187,10 +187,13 @@ experiments-smoke:
 	@echo "experiments-smoke: OK"
 
 # Plan-cache smoke: the cached≡live equivalence harness (dense, sharded,
-# hybrid-sparse, mid-session eviction, quantization collisions), so the
-# memoized decision trees stay bit-for-bit honest in `verify`.
+# hybrid-sparse, mid-session and width-8 eviction, quantization
+# collisions), so the memoized decision trees stay bit-for-bit honest in
+# `verify`; then the module's own tests (the SBGTPLAN codec and its
+# tamper harness, the free-list arena's churn invariants).
 plancache-smoke:
 	$(CARGO) test -p sbgt-select --test plancache_equivalence -q
+	$(CARGO) test -p sbgt-select --lib plancache -q
 
 # Shard-fabric smoke: a short seeded soak through the real wire path —
 # 3 shard processes behind the binary protocol, client-side cohort

@@ -25,7 +25,12 @@
 //!   it by walking outcome-indexed branches from the root using its own
 //!   observation history; falling off the tree transparently falls back to
 //!   live selection and the miss extends the tree in place, bounded by a
-//!   node budget with LRU eviction of cold subtrees.
+//!   node budget. Every hit and insert stamps its whole root path, so a
+//!   node's stamp is its subtree's newest touch and cold subtrees go
+//!   first: an insert past the budget evicts the least-recently-stamped
+//!   leaf, found by one scan of a per-slot column, onto a free list whose
+//!   slots are reused in place. Nothing is re-walked, compacted or
+//!   renumbered.
 //! * [`PlanCache`] is the process-wide map from key to tree with atomic
 //!   hit/miss/extend/evict counters, and the `SBGTPLAN` byte codec
 //!   ([`PlanCache::export`] / [`PlanCache::import`]) so a warmed cache
@@ -279,25 +284,29 @@ impl RiskQuantizer {
 // Tree
 // ---------------------------------------------------------------------------
 
+/// A vacant child slot, the empty tree's root, or no parent (the root
+/// and free slots).
+const NIL: u32 = u32::MAX;
+
 /// One memoized select step: the pools chosen at this point of the outcome
 /// history, with one child slot per joint outcome of the stage (bit `i` of
-/// the child index = outcome of pool `i`).
-#[derive(Debug, Clone, PartialEq)]
+/// the child index = outcome of pool `i`). A slot on the free list has no
+/// selections.
+#[derive(Debug, Default)]
 struct PlanNode {
     selections: Vec<Selection>,
-    children: Vec<Option<usize>>,
-    last_touch: u64,
-}
-
-impl PlanNode {
-    fn new(selections: Vec<Selection>, touch: u64) -> Self {
-        let slots = 1usize << selections.len();
-        PlanNode {
-            selections,
-            children: vec![None; slots],
-            last_touch: touch,
-        }
-    }
+    /// Arena index per joint outcome, [`NIL`] when vacant.
+    children: Vec<u32>,
+    /// Arena index of the parent, [`NIL`] at the root.
+    parent: u32,
+    /// Which of the parent's child slots holds this node.
+    mask: u32,
+    /// Occupied child slots.
+    child_count: u32,
+    /// Clock of the newest lookup or insert at or below this node: every
+    /// touch stamps the whole root path, so a node is never older than
+    /// any of its children and the oldest node is always a leaf.
+    touch: u64,
 }
 
 /// Where a history walk landed.
@@ -318,12 +327,20 @@ enum Walk {
 /// Sessions hold no cursor into the tree: every lookup re-walks from the
 /// root using the session's flat `(pool, outcome)` history. The walk is
 /// `O(stages)` — trivial next to one posterior update — and makes eviction
-/// and arena compaction invisible to sessions (a pruned path simply walks
+/// and slot reuse invisible to sessions (a pruned path simply walks
 /// `Detached` and falls back to live selection).
+///
+/// Nodes live in an arena whose evicted slots go on a free list and are
+/// reused in place: no index ever moves. Over budget, an insert drops the
+/// least-recently-touched leaf, found by one scan of `leaf_touch`.
 #[derive(Debug)]
 pub struct PlanTree {
     nodes: Vec<PlanNode>,
-    root: Option<usize>,
+    /// Per arena slot: the touch of a live leaf, `u64::MAX` for interior
+    /// and free slots — the eviction scan's only input.
+    leaf_touch: Vec<u64>,
+    free: Vec<u32>,
+    root: u32,
     clock: u64,
     node_budget: usize,
 }
@@ -332,7 +349,9 @@ impl PlanTree {
     fn new(node_budget: usize) -> Self {
         PlanTree {
             nodes: Vec::new(),
-            root: None,
+            leaf_touch: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
             clock: 0,
             node_budget,
         }
@@ -340,16 +359,16 @@ impl PlanTree {
 
     /// Number of memoized select steps.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Whether the tree holds no plan yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
     fn walk(&self, history: &[(State, bool)]) -> Walk {
-        let Some(root) = self.root else {
+        if self.root == NIL {
             return if history.is_empty() {
                 Walk::Vacant {
                     parent: None,
@@ -358,8 +377,8 @@ impl PlanTree {
             } else {
                 Walk::Detached
             };
-        };
-        let mut cur = root;
+        }
+        let mut cur = self.root as usize;
         let mut at = 0usize;
         loop {
             let node = &self.nodes[cur];
@@ -382,17 +401,14 @@ impl PlanTree {
             }
             at += k;
             match node.children[mask] {
-                Some(child) => cur = child,
-                None => {
-                    return if at == history.len() {
-                        Walk::Vacant {
-                            parent: Some(cur),
-                            mask,
-                        }
-                    } else {
-                        Walk::Detached
-                    };
+                NIL if at == history.len() => {
+                    return Walk::Vacant {
+                        parent: Some(cur),
+                        mask,
+                    }
                 }
+                NIL => return Walk::Detached,
+                child => cur = child as usize,
             }
         }
     }
@@ -401,8 +417,7 @@ impl PlanTree {
     pub fn lookup(&mut self, history: &[(State, bool)]) -> Option<Vec<Selection>> {
         match self.walk(history) {
             Walk::Hit(idx) => {
-                self.clock += 1;
-                self.nodes[idx].last_touch = self.clock;
+                self.touch_path(idx);
                 Some(self.nodes[idx].selections.clone())
             }
             _ => None,
@@ -420,122 +435,107 @@ impl PlanTree {
             Walk::Vacant { parent, mask } => (parent, mask),
             _ => return None,
         };
-        self.clock += 1;
-        let node = PlanNode::new(selections.to_vec(), self.clock);
-        let idx = self.nodes.len();
-        self.nodes.push(node);
+        let idx = self.alloc(selections, parent.map_or(NIL, |p| p as u32), mask as u32);
         match parent {
-            Some(p) => self.nodes[p].children[mask] = Some(idx),
-            None => self.root = Some(idx),
+            Some(p) => self.link(p, mask, idx),
+            None => self.root = idx as u32,
         }
-        Some(self.evict_to_budget(idx))
+        self.touch_path(idx);
+        Some(self.evict_to_budget())
     }
 
-    /// Prune the coldest subtrees (by most-recent touch anywhere below
-    /// them) until the arena fits the budget again, never evicting the
-    /// just-inserted node or its ancestors. Returns the number of nodes
-    /// dropped.
-    fn evict_to_budget(&mut self, protect: usize) -> u64 {
-        if self.nodes.len() <= self.node_budget {
-            return 0;
-        }
-        let n = self.nodes.len();
-        let root = self.root.expect("non-empty tree has a root");
-
-        // Parents and iterative post-order for subtree max-touch.
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut stack = vec![root];
-        while let Some(i) = stack.pop() {
-            order.push(i);
-            for child in self.nodes[i].children.iter().flatten() {
-                parent[*child] = Some(i);
-                stack.push(*child);
+    /// Take a slot off the free list (or grow the arena) and fill it with a
+    /// childless node; its buffers are reused when the slot is.
+    fn alloc(&mut self, selections: &[Selection], parent: u32, mask: u32) -> usize {
+        let idx = match self.free.pop() {
+            Some(idx) => idx as usize,
+            None => {
+                self.nodes.push(PlanNode::default());
+                self.leaf_touch.push(u64::MAX);
+                self.nodes.len() - 1
             }
-        }
+        };
+        let node = &mut self.nodes[idx];
+        node.selections.extend_from_slice(selections);
+        node.children.clear();
+        node.children.resize(1 << selections.len(), NIL);
+        node.parent = parent;
+        node.mask = mask;
+        node.child_count = 0;
+        node.touch = 0;
+        self.refresh_leaf_touch(idx);
+        idx
+    }
 
-        // The protected path: the new node and its ancestors up to root.
-        let mut on_path = vec![false; n];
-        let mut cur = Some(protect);
-        while let Some(i) = cur {
-            on_path[i] = true;
-            cur = parent[i];
-        }
+    /// Occupy the parent's vacant child slot `mask` with `child`.
+    fn link(&mut self, parent: usize, mask: usize, child: usize) {
+        let node = &mut self.nodes[parent];
+        node.children[mask] = child as u32;
+        node.child_count += 1;
+        self.refresh_leaf_touch(parent);
+    }
 
-        let mut removed = vec![false; n];
-        let mut live = n;
-        while live > self.node_budget {
-            // Subtree max-touch over live nodes (children before parents).
-            let mut subtree_touch: Vec<u64> = vec![0; n];
-            for &i in order.iter().rev() {
-                if removed[i] {
-                    continue;
+    fn refresh_leaf_touch(&mut self, idx: usize) {
+        let node = &self.nodes[idx];
+        self.leaf_touch[idx] = if node.child_count == 0 {
+            node.touch
+        } else {
+            u64::MAX
+        };
+    }
+
+    /// Advance the clock and stamp this node and every ancestor with it.
+    fn touch_path(&mut self, idx: usize) {
+        self.clock += 1;
+        let mut cur = idx as u32;
+        while cur != NIL {
+            let i = cur as usize;
+            self.nodes[i].touch = self.clock;
+            self.refresh_leaf_touch(i);
+            cur = self.nodes[i].parent;
+        }
+    }
+
+    /// Drop least-recently-touched leaves until the tree fits the budget
+    /// again. A node's touch covers its whole subtree, so this evicts the
+    /// coldest subtrees first, one leaf at a time; the leaf stamped by this
+    /// insert (the clock's current value) is skipped, and its ancestors are
+    /// interior, so the insert path survives even a budget smaller than
+    /// itself. Returns the number of nodes dropped.
+    fn evict_to_budget(&mut self) -> u64 {
+        let mut dropped = 0;
+        while self.len() > self.node_budget {
+            let mut victim = None;
+            let mut coldest = self.clock;
+            for (idx, &touch) in self.leaf_touch.iter().enumerate() {
+                if touch < coldest {
+                    coldest = touch;
+                    victim = Some(idx);
                 }
-                let mut t = self.nodes[i].last_touch;
-                for child in self.nodes[i].children.iter().flatten() {
-                    if !removed[*child] {
-                        t = t.max(subtree_touch[*child]);
-                    }
-                }
-                subtree_touch[i] = t;
             }
-            let victim = (0..n)
-                .filter(|&i| !removed[i] && !on_path[i])
-                .min_by_key(|&i| subtree_touch[i]);
             let Some(victim) = victim else {
-                // Only the protected path remains; the budget is smaller
-                // than one plan path — keep it rather than thrash.
+                // Only the insert path remains; keep it rather than thrash.
                 break;
             };
-            // Unlink from the (live, off-subtree) parent and drop the
-            // whole subtree.
-            if let Some(p) = parent[victim] {
-                for slot in self.nodes[p].children.iter_mut() {
-                    if *slot == Some(victim) {
-                        *slot = None;
-                    }
-                }
-            }
-            let mut stack = vec![victim];
-            while let Some(i) = stack.pop() {
-                removed[i] = true;
-                live -= 1;
-                for child in self.nodes[i].children.iter().flatten() {
-                    if !removed[*child] {
-                        stack.push(*child);
-                    }
-                }
-            }
+            self.release(victim);
+            dropped += 1;
         }
-
-        let dropped = (n - live) as u64;
-        if dropped == 0 {
-            return 0;
-        }
-
-        // Compact the arena and remap child indices.
-        let mut remap: Vec<usize> = vec![usize::MAX; n];
-        let mut kept = 0usize;
-        for (i, gone) in removed.iter().enumerate() {
-            if !gone {
-                remap[i] = kept;
-                kept += 1;
-            }
-        }
-        let old = std::mem::take(&mut self.nodes);
-        self.nodes = old
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !removed[*i])
-            .map(|(_, mut node)| {
-                for slot in node.children.iter_mut() {
-                    *slot = slot.map(|c| remap[c]);
-                }
-                node
-            })
-            .collect();
-        self.root = self.root.map(|r| remap[r]);
         dropped
+    }
+
+    /// Unlink a leaf from its parent and put its slot on the free list. A
+    /// parent left childless becomes a leaf carrying its own touch.
+    fn release(&mut self, leaf: usize) {
+        let node = &mut self.nodes[leaf];
+        let (parent, mask) = (node.parent as usize, node.mask as usize);
+        node.selections.clear();
+        node.parent = NIL;
+        self.leaf_touch[leaf] = u64::MAX;
+        self.free.push(leaf as u32);
+        let node = &mut self.nodes[parent];
+        node.children[mask] = NIL;
+        node.child_count -= 1;
+        self.refresh_leaf_touch(parent);
     }
 }
 
@@ -870,18 +870,18 @@ fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
 /// none). Touch clocks are deliberately not serialized: an imported tree
 /// starts cold and re-earns its LRU standing.
 fn write_tree(w: &mut Writer, tree: &PlanTree) {
-    let mut bfs: Vec<usize> = Vec::with_capacity(tree.nodes.len());
-    let mut remap: Vec<u32> = vec![u32::MAX; tree.nodes.len()];
-    if let Some(root) = tree.root {
-        bfs.push(root);
-        remap[root] = 0;
+    let mut bfs: Vec<usize> = Vec::with_capacity(tree.len());
+    let mut remap: Vec<u32> = vec![NIL; tree.nodes.len()];
+    if tree.root != NIL {
+        bfs.push(tree.root as usize);
+        remap[tree.root as usize] = 0;
         let mut head = 0usize;
         while head < bfs.len() {
             let i = bfs[head];
             head += 1;
-            for child in tree.nodes[i].children.iter().flatten() {
-                remap[*child] = bfs.len() as u32;
-                bfs.push(*child);
+            for &child in tree.nodes[i].children.iter().filter(|&&c| c != NIL) {
+                remap[child as usize] = bfs.len() as u32;
+                bfs.push(child as usize);
             }
         }
     }
@@ -894,16 +894,24 @@ fn write_tree(w: &mut Writer, tree: &PlanTree) {
             w.f64(sel.negative_mass);
             w.f64(sel.distance);
         }
-        for slot in &node.children {
-            w.u32(slot.map_or(u32::MAX, |c| remap[c]));
+        for &slot in &node.children {
+            w.u32(if slot == NIL {
+                NIL
+            } else {
+                remap[slot as usize]
+            });
         }
     }
 }
 
+/// Every child index must follow its parent's, as breadth-first export
+/// writes them: with each non-root node linked exactly once, that makes
+/// every node reachable from the root.
 fn read_tree(r: &mut Reader<'_>, node_budget: usize) -> Result<PlanTree, PlanCodecError> {
     let n_nodes = r.count32(MIN_NODE_BYTES, "node")?;
     let mut tree = PlanTree::new(node_budget);
-    let mut referenced = vec![false; n_nodes];
+    // `(parent, slot)` of every node linked so far; `NIL` = not yet.
+    let mut linked_from = vec![(NIL, 0u32); n_nodes];
     for idx in 0..n_nodes {
         let width = r.u8()? as usize;
         if width == 0 || width > PLAN_MAX_STAGE_POOLS {
@@ -919,43 +927,48 @@ fn read_tree(r: &mut Reader<'_>, node_budget: usize) -> Result<PlanTree, PlanCod
                     distance: r.f64()?,
                 })
             })
-            .collect::<Result<_, ByteError>>()?;
+            .collect::<Result<Vec<_>, ByteError>>()?;
         let slots = r.fits(1 << width, 4, "child slot")?;
-        let mut node = PlanNode::new(selections, 0);
+        let (parent, mask) = linked_from[idx];
+        tree.alloc(&selections, parent, mask);
         for slot in 0..slots {
             let child = r.u32()?;
-            if child != u32::MAX {
-                let child = child as usize;
-                if child >= n_nodes {
-                    return Err(PlanCodecError::Corrupt(format!(
-                        "node {idx} links child {child} beyond {n_nodes} nodes"
-                    )));
-                }
-                if child == 0 {
-                    return Err(PlanCodecError::Corrupt(format!(
-                        "node {idx} links the root as a child"
-                    )));
-                }
-                if referenced[child] {
-                    return Err(PlanCodecError::Corrupt(format!(
-                        "node {child} linked twice"
-                    )));
-                }
-                referenced[child] = true;
-                node.children[slot] = Some(child);
+            if child == NIL {
+                continue;
             }
+            let child = child as usize;
+            if child >= n_nodes {
+                return Err(PlanCodecError::Corrupt(format!(
+                    "node {idx} links child {child} beyond {n_nodes} nodes"
+                )));
+            }
+            if child == 0 {
+                return Err(PlanCodecError::Corrupt(format!(
+                    "node {idx} links the root as a child"
+                )));
+            }
+            if child <= idx {
+                return Err(PlanCodecError::Corrupt(format!(
+                    "node {idx} links child {child} out of breadth-first order"
+                )));
+            }
+            if linked_from[child].0 != NIL {
+                return Err(PlanCodecError::Corrupt(format!(
+                    "node {child} linked twice"
+                )));
+            }
+            linked_from[child] = (idx as u32, slot as u32);
+            tree.link(idx, slot, child);
         }
-        tree.nodes.push(node);
     }
-    for (idx, linked) in referenced.iter().enumerate().skip(1) {
-        if !linked {
-            return Err(PlanCodecError::Corrupt(format!(
-                "node {idx} is orphaned (never linked)"
-            )));
-        }
+    if let Some(idx) = linked_from.iter().skip(1).position(|&(p, _)| p == NIL) {
+        return Err(PlanCodecError::Corrupt(format!(
+            "node {} is orphaned (never linked)",
+            idx + 1
+        )));
     }
     if n_nodes > 0 {
-        tree.root = Some(0);
+        tree.root = 0;
     }
     Ok(tree)
 }
@@ -1143,7 +1156,7 @@ mod tests {
         assert!(tree.lookup(&h_neg).is_none(), "cold branch evicted");
         assert!(tree.lookup(&h_pos_deep).is_some(), "insert survived");
         assert!(tree.lookup(&[]).is_some(), "root survived");
-        // The evicted branch re-extends cleanly after compaction.
+        // The evicted branch re-extends cleanly into the freed slot.
         tree.extend(&h_neg, &[sel(0b10, 0.4)]);
         assert!(tree.lookup(&h_neg).is_some() || tree.len() <= 3);
     }
@@ -1286,6 +1299,12 @@ mod tests {
                 &[[2, NONE], [NONE, NONE]][..],
                 "links child 2 beyond 2 nodes",
             ),
+            // Each non-root node is linked exactly once, but 1 and 2 link
+            // each other and the root links neither.
+            (
+                &[[NONE, NONE], [2, NONE], [1, NONE]][..],
+                "node 2 links child 1 out of breadth-first order",
+            ),
         ] {
             let err = tree(nodes).unwrap_err().to_string();
             assert!(err.contains(why), "{err}");
@@ -1322,5 +1341,137 @@ mod tests {
         );
         assert!(h.tree_len() <= 2 + 1, "budget enforced after extension");
         assert!(tight.stats().evictions > 0);
+    }
+
+    /// Every structural invariant of the arena, checked from the root: back
+    /// links and child counts agree with the child slots, a node is never
+    /// older than its children, the leaf column mirrors the leaves, and
+    /// every slot is either reachable from the root or free — never both.
+    fn assert_arena_invariants(tree: &PlanTree) {
+        let mut reachable = 0usize;
+        let mut stack = Vec::new();
+        if tree.root != NIL {
+            assert_eq!(tree.nodes[tree.root as usize].parent, NIL);
+            stack.push(tree.root as usize);
+        }
+        while let Some(i) = stack.pop() {
+            let node = &tree.nodes[i];
+            assert!(!node.selections.is_empty(), "free slot {i} is reachable");
+            reachable += 1;
+            assert!(reachable <= tree.len(), "more nodes reachable than live");
+            let mut count = 0;
+            for (mask, &child) in node.children.iter().enumerate() {
+                if child == NIL {
+                    continue;
+                }
+                let c = &tree.nodes[child as usize];
+                assert_eq!((c.parent, c.mask), (i as u32, mask as u32));
+                assert!(node.touch >= c.touch, "node {i} older than child {child}");
+                count += 1;
+                stack.push(child as usize);
+            }
+            assert_eq!(node.child_count, count);
+            let leaf = if count == 0 { node.touch } else { u64::MAX };
+            assert_eq!(tree.leaf_touch[i], leaf);
+        }
+        assert_eq!(reachable, tree.len(), "a live node is unreachable");
+        for &slot in &tree.free {
+            assert!(tree.nodes[slot as usize].selections.is_empty());
+            assert_eq!(tree.leaf_touch[slot as usize], u64::MAX);
+        }
+    }
+
+    /// The width-3 plan the churn sessions follow: pools are a pure
+    /// function of the history, so every hit can be checked against it.
+    fn churn_plan(history: &[(State, bool)]) -> Vec<Selection> {
+        let h = history
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &(pool, out)| {
+                (h ^ pool.bits() ^ u64::from(out)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        (0..3)
+            .map(|i| sel(1 + (h.rotate_left(21 * i) & 0xff), 0.5))
+            .collect()
+    }
+
+    /// A seeded stream of sessions over a width-3 tree at a budget far
+    /// below its reach: hits, misses that extend, and detached walks (a
+    /// wrong pool, a partial stage) interleave while slots are evicted and
+    /// reused. After every call the arena is sound and within budget, every
+    /// hit replays exactly the plan that was inserted, and the churned
+    /// layout is invisible to the codec.
+    #[test]
+    fn churn_keeps_the_arena_sound_and_the_codec_blind_to_slot_reuse() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        const BUDGET: usize = 12;
+        let cache = PlanCache::new(BUDGET);
+        let handle = cache.handle(key(&[0.05, 0.15, 0.25]));
+        let check = |bound: usize| {
+            let tree = handle.tree.lock().unwrap();
+            assert_arena_invariants(&tree);
+            assert!(
+                tree.len() <= bound,
+                "{} nodes over a bound of {bound}",
+                tree.len()
+            );
+        };
+        let mut rng = StdRng::seed_from_u64(30);
+        let (mut lookups, mut detached) = (0u64, 0u64);
+        let mut bound = BUDGET;
+        for _ in 0..1500 {
+            let mut history: Vec<(State, bool)> = Vec::new();
+            for stage in 0..rng.random_range(1usize..=5) {
+                let plan = churn_plan(&history);
+                lookups += 1;
+                match handle.lookup(&history) {
+                    Some(got) => assert_eq!(got, plan, "a hit replayed a foreign plan"),
+                    None => {
+                        let before = cache.stats().extends;
+                        handle.extend(&history, &plan);
+                        if cache.stats().extends > before {
+                            bound = BUDGET.max(stage + 1);
+                        }
+                    }
+                }
+                check(bound);
+                for s in &plan {
+                    history.push((s.pool, rng.random_bool(0.2)));
+                }
+            }
+            if rng.random_bool(0.25) {
+                // Leave the tree mid-branch: a pool no plan selects, or the
+                // last stage cut short.
+                if rng.random_bool(0.5) {
+                    let at = history.len() - 1 - rng.random_range(0usize..3);
+                    history[at].0 = State(0x1000);
+                } else {
+                    history.pop();
+                }
+                let plan = churn_plan(&history);
+                lookups += 1;
+                detached += 1;
+                assert!(handle.lookup(&history).is_none(), "a detached walk hit");
+                handle.extend(&history, &plan);
+                check(bound);
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, lookups);
+        assert!(stats.hits > 0 && stats.misses > detached, "{stats:?}");
+        assert!(stats.evictions > 0, "the budget must bite: {stats:?}");
+        // Freed slots are reused: the arena never outgrows its largest tree.
+        assert!(handle.tree.lock().unwrap().nodes.len() <= BUDGET + 1);
+
+        let blob = cache.export();
+        let restored = PlanCache::new(BUDGET);
+        assert_eq!(restored.import(&blob).unwrap(), 1);
+        assert_eq!(restored.total_nodes(), cache.total_nodes());
+        assert_eq!(
+            restored.export(),
+            blob,
+            "export depends on the arena layout"
+        );
     }
 }

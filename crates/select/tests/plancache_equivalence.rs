@@ -410,6 +410,47 @@ fn cross_truth_churn_actually_evicts() {
     assert!(stats.hits > 0 && stats.extends > 0);
 }
 
+/// Wide stages under eviction: the 256-slot nodes of a width-8 stage (the
+/// shape the `plan-w8` benchmark workload runs) are evicted and their slots
+/// reused while cohorts with differing truths replay, extend and fall off
+/// one shared tree. Every cohort must stay bit-identical to live.
+#[test]
+fn wide_stage_eviction_never_changes_results() {
+    let sc = Scenario {
+        risks: vec![0.02, 0.05, 0.03, 0.08, 0.01, 0.04, 0.06, 0.02, 0.07, 0.03],
+        truth_mask: 0,
+        stage_width: 8,
+        perfect_assay: false,
+        mode: Mode::Dense,
+    };
+    let e = engine();
+    let cache = PlanCache::new(16);
+    let key = sc.key();
+    for i in 0..24u16 {
+        // None, one or two positives; every truth recurs after three others.
+        let j = i % 4 + 4 * (i / 8);
+        let mask = match j % 4 {
+            0 => 0,
+            1 | 2 => 1 << (j % 10),
+            _ => 1 << (j % 10) | 1 << ((j * 7 + 3) % 10),
+        };
+        let truth = State::from_subjects((0..sc.risks.len()).filter(|s| mask >> s & 1 == 1));
+        let cached = sc.run(&e, truth, Some(cache.handle(key.clone())));
+        let live = sc.run(&e, truth, None);
+        assert_eq!(
+            cached, live,
+            "cohort {i} (truth {mask:#b}) diverged from live"
+        );
+    }
+    // The tree reaches about 40 nodes; recurring truths replay below the
+    // root (more hits than cohorts) while the budget keeps evicting.
+    let stats = cache.stats();
+    assert!(
+        stats.evictions > 0 && stats.hits > 24,
+        "a 16-node budget must evict and still replay ({stats:?})"
+    );
+}
+
 /// Deterministic (non-proptest) spot check that a cache shared across
 /// *session kinds* never crosses trees: the same cohort run dense and
 /// sharded gets distinct keys (lineage), so neither replays the other's
