@@ -4,9 +4,9 @@
 
 CARGO := CARGO_NET_OFFLINE=true cargo
 
-.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+.PHONY: verify fmt fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint arith-lint loc build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 
-verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
+verify: fmt-check clippy codec-lint unsafe-lint obs-lint measure-lint exact-lint retired-lint arith-lint build test chaos service-smoke obs-smoke experiments-smoke plancache-smoke kernels-smoke approx-smoke soak-smoke fleet-obs-smoke benchmark-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -127,11 +127,14 @@ exact-lint:
 # outside tests, plus the executor-private copies of the block kernels;
 # and the engine's task retry, speculation, pristine-copy in-place path and
 # second stage runner with their scrape families (the service's round
-# rollback is the one recovery mechanism). Fails if one is named again in
-# the sources or the documents that describe the tree.
+# rollback is the one recovery mechanism); the rayon chunk kernels, their
+# knobs and the plan lineage they needed (one arithmetic: every in-memory
+# pass runs through sbgt_lattice::blocks); and five public functions
+# nothing called. Fails if one is named again in the sources or the
+# documents that describe the tree.
 # `\.map_partitions\(` does not match `map_partitions_in_place(`.
 RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
-RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_|lattice::kernels|par_mul_likelihood_fused|par_scale|par_total|par_marginals|par_prefix_negative_masses|par_lookahead_histograms|par_entropy|par_top_k|update_dense_par|analyze_par|always_parallel|par_config|DenseSerial|DenseParallel|default_local|busy_workers|bp_config|process_tags|is_draining
 retired-lint:
 	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \
@@ -139,6 +142,21 @@ retired-lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "retired-lint: OK"
+
+# One arithmetic for the in-memory posterior: every lattice pass runs its
+# block kernel once per 2^16-state block and folds the partials in block
+# order, inline or on rayon (sbgt_lattice::blocks). Fails if rayon or a
+# parallel chunk iterator is named under crates/*/src outside that file,
+# so no second combine order can come back; crates/bench/src (the E5
+# scaling driver pins rayon thread counts) is exempt.
+arith-lint:
+	@bad=$$(grep -rnE "rayon::|par_chunks" crates/*/src \
+		| grep -v -e "^crates/lattice/src/blocks.rs:" -e "^crates/bench/src/"); \
+	if [ -n "$$bad" ]; then \
+		echo "arith-lint: rayon or a parallel chunk iterator outside sbgt_lattice::blocks:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "arith-lint: OK"
 
 # The benchmark's `repo.rust_loc`: lines of every *.rs under crates/ and
 # src/, without a traced run.

@@ -507,11 +507,6 @@ impl<M: BinaryOutcomeModel> BpBackend<M> {
         })
     }
 
-    /// The BP tuning.
-    pub fn bp_config(&self) -> &BpConfig {
-        &self.bp
-    }
-
     /// Observed factors, in observation order.
     pub fn factors(&self) -> &[Factor] {
         &self.factors

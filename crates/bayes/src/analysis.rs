@@ -4,14 +4,14 @@
 //! marginals (for reflex testing), posterior entropy (a progress gauge for
 //! the sequential design), the MAP state and top-k credible states (for
 //! outbreak-pattern readouts), and the rank distribution (posterior over
-//! the *number* of positives, for prevalence estimation). [`analyze`]
-//! computes all of these in a few fused passes over the lattice;
-//! [`analyze_par`] is the parallel variant.
+//! the *number* of positives, for prevalence estimation). [`analyze_on`]
+//! computes all of these in a few fused passes over the lattice, with the
+//! blocks of each pass run where its [`ExecMode`] says; [`analyze`] runs
+//! them inline. Both give the same bits.
 
 use serde::{Deserialize, Serialize};
 
-use sbgt_lattice::kernels::{par_entropy, par_marginals, par_top_k, ParConfig};
-use sbgt_lattice::{DensePosterior, State};
+use sbgt_lattice::{DensePosterior, ExecMode, State};
 
 /// Full statistical readout of a posterior.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,35 +38,20 @@ impl PosteriorReport {
     }
 }
 
-/// Serial analysis pass. `top_k` bounds the credible-state list length.
+/// [`analyze_on`] with every block inline.
 pub fn analyze(posterior: &DensePosterior, top_k: usize) -> PosteriorReport {
-    let marginals = posterior.marginals();
-    let expected_positives = marginals.iter().sum();
-    PosteriorReport {
-        entropy: posterior.entropy(),
-        map_state: posterior.map_state(),
-        top_states: posterior.top_k(top_k),
-        rank_distribution: posterior.rank_distribution(),
-        expected_positives,
-        marginals,
-    }
+    analyze_on(posterior, top_k, ExecMode::Serial)
 }
 
-/// Parallel analysis pass (rayon kernels for every `Θ(2^N)` reduction,
-/// including the chunked-heap top-k).
-pub fn analyze_par(posterior: &DensePosterior, top_k: usize, cfg: ParConfig) -> PosteriorReport {
-    let marginals = par_marginals(posterior, cfg);
+/// The full read-out. `top_k` bounds the credible-state list length.
+pub fn analyze_on(posterior: &DensePosterior, top_k: usize, exec: ExecMode) -> PosteriorReport {
+    let marginals = posterior.marginals_on(exec);
     let expected_positives = marginals.iter().sum();
-    let top_states = par_top_k(posterior, top_k, cfg);
-    let map_state = top_states
-        .first()
-        .copied()
-        .unwrap_or_else(|| posterior.map_state());
     PosteriorReport {
-        entropy: par_entropy(posterior, cfg),
-        map_state,
-        top_states,
-        rank_distribution: posterior.rank_distribution(),
+        entropy: posterior.entropy_on(exec),
+        map_state: posterior.map_state_on(exec),
+        top_states: posterior.top_k_on(top_k, exec),
+        rank_distribution: posterior.rank_distribution_on(exec),
         expected_positives,
         marginals,
     }
@@ -75,6 +60,7 @@ pub fn analyze_par(posterior: &DensePosterior, top_k: usize, cfg: ParConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgt_lattice::ParConfig;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9 * (1.0 + a.abs() + b.abs())
@@ -96,31 +82,34 @@ mod tests {
         }
     }
 
+    /// Past one 2^16-state block the read-out is a fold of block
+    /// partials, and it is the same fold on rayon.
     #[test]
-    fn serial_and_parallel_reports_agree() {
-        let cfg = ParConfig {
-            chunk_len: 9,
-            threshold: 0,
-        };
-        // The uniform posterior ties every state: both passes must report
-        // the smallest one as the MAP state, as `top_states` does.
-        for d in [
-            DensePosterior::from_risks(&[0.3, 0.1, 0.45, 0.2, 0.08, 0.15]),
-            DensePosterior::new_uniform(6),
-        ] {
-            let a = analyze(&d, 4);
-            let b = analyze_par(&d, 4, cfg);
-            assert!(close(a.entropy, b.entropy));
-            assert_eq!(a.map_state.0, a.top_states[0].0);
-            assert_eq!(a.map_state.0, b.map_state.0);
-            for (x, y) in a.marginals.iter().zip(&b.marginals) {
-                assert!(close(*x, *y));
-            }
-            for ((s1, p1), (s2, p2)) in a.top_states.iter().zip(&b.top_states) {
-                assert_eq!(s1, s2);
-                assert!(close(*p1, *p2));
-            }
+    fn serial_and_parallel_reports_are_bitwise_equal() {
+        let risks: Vec<f64> = (0..17).map(|i| 0.02 + 0.05 * (i % 7) as f64).collect();
+        let d = DensePosterior::from_risks(&risks);
+        let a = analyze(&d, 4);
+        let b = analyze_on(&d, 4, ExecMode::Parallel(ParConfig));
+        assert_eq!(a.entropy.to_bits(), b.entropy.to_bits());
+        assert_eq!(a.map_state.0, a.top_states[0].0);
+        assert_eq!(a.map_state.0, b.map_state.0);
+        assert_eq!(a.map_state.1.to_bits(), b.map_state.1.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.marginals), bits(&b.marginals));
+        assert_eq!(bits(&a.rank_distribution), bits(&b.rank_distribution));
+        assert_eq!(a.top_states.len(), b.top_states.len());
+        for ((s1, p1), (s2, p2)) in a.top_states.iter().zip(&b.top_states) {
+            assert_eq!(s1, s2);
+            assert_eq!(p1.to_bits(), p2.to_bits());
         }
+    }
+
+    #[test]
+    fn uniform_posterior_map_is_the_smallest_tied_state() {
+        let d = DensePosterior::new_uniform(6);
+        let r = analyze(&d, 4);
+        assert_eq!(r.map_state.0, State::EMPTY);
+        assert_eq!(r.map_state.0, r.top_states[0].0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`prior`] — cohort priors: flat prevalence, heterogeneous risk groups,
 //!   arbitrary per-subject risks;
 //! * [`update`] — the Bayesian update after observing a pooled test
-//!   (`π'(s) ∝ π(s) · f(y | |s∩A|, |A|)`), in serial, rayon-parallel, and
-//!   sparse variants, all returning the model evidence;
+//!   (`π'(s) ∝ π(s) · f(y | |s∩A|, |A|)`), dense and sparse, both
+//!   returning the model evidence;
 //! * [`classify`] — threshold classification on posterior marginals, the
 //!   stopping rule of the sequential procedure;
 //! * [`analysis`] — the "statistical analyses" operation class of the SBGT
@@ -23,12 +23,9 @@ pub mod predictive;
 pub mod prior;
 pub mod update;
 
-pub use analysis::{analyze, analyze_par, PosteriorReport};
+pub use analysis::{analyze, analyze_on, PosteriorReport};
 pub use classify::{classify_marginals, ClassificationRule, CohortClassification, SubjectStatus};
 pub use credible::{credible_set, CredibleSet};
 pub use predictive::{predictive_cost, PredictiveCost, RolloutConfig};
 pub use prior::Prior;
-pub use update::{
-    update_dense, update_dense_par, update_sparse, update_sparse_with_table, BayesError,
-    Observation,
-};
+pub use update::{update_dense, update_sparse, update_sparse_with_table, BayesError, Observation};

@@ -8,7 +8,6 @@
 //! multiply, sum, scale becomes multiply+sum, scale) and delegate the
 //! per-state likelihood to a `|A|+1`-entry broadcast table.
 
-use sbgt_lattice::kernels::{self, ParConfig};
 use sbgt_lattice::{DensePosterior, SparsePosterior, State};
 use sbgt_response::ResponseModel;
 
@@ -84,23 +83,6 @@ pub fn update_dense<M: ResponseModel>(
     Ok(z)
 }
 
-/// Parallel dense update (rayon chunk kernels). Same contract as
-/// [`update_dense`].
-pub fn update_dense_par<M: ResponseModel>(
-    posterior: &mut DensePosterior,
-    model: &M,
-    obs: &Observation<M::Outcome>,
-    cfg: ParConfig,
-) -> Result<f64, BayesError> {
-    let table = likelihood_table(model, obs)?;
-    let z = kernels::par_mul_likelihood_fused(posterior, obs.pool, &table, cfg);
-    if !(z.is_finite() && z > 0.0) {
-        return Err(BayesError::ImpossibleObservation);
-    }
-    kernels::par_scale(posterior, 1.0 / z, cfg);
-    Ok(z)
-}
-
 /// Sparse update with optional re-pruning: after the multiply, the retained
 /// vector is rescaled so that `total() + pruned_mass() == 1`, then states
 /// whose mass dropped below `prune_epsilon` of the retained total are
@@ -160,7 +142,7 @@ pub fn update_sparse_with_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgt_lattice::State;
+    use sbgt_lattice::{ExecMode, ParConfig, State};
     use sbgt_response::{BinaryDilutionModel, Dilution, GaussianResponse};
 
     fn close(a: f64, b: f64) -> bool {
@@ -210,28 +192,36 @@ mod tests {
         assert!(close(post.marginals()[0], 0.18 / 0.22));
     }
 
+    /// The update on rayon blocks, normalised by the same scale loop, is
+    /// `update_dense` bit for bit past one 2^16-state block.
     #[test]
-    fn serial_and_parallel_agree() {
-        let risks = [0.05, 0.2, 0.01, 0.4, 0.15, 0.33, 0.08];
+    fn serial_and_parallel_updates_are_bitwise_equal() {
+        let risks: Vec<f64> = (0..17).map(|i| 0.01 + 0.03 * (i % 5) as f64).collect();
         let model = BinaryDilutionModel::pcr_like();
         let obs = [
             Observation::new(State::from_subjects([0, 1, 2, 3]), true),
-            Observation::new(State::from_subjects([4, 5]), false),
+            Observation::new(State::from_subjects([4, 5, 16]), false),
             Observation::new(State::from_subjects([1]), true),
         ];
         let mut serial = prior(&risks);
         let mut parallel = prior(&risks);
-        let cfg = ParConfig {
-            chunk_len: 13,
-            threshold: 0,
-        };
         for o in &obs {
             let zs = update_dense(&mut serial, &model, o).unwrap();
-            let zp = update_dense_par(&mut parallel, &model, o, cfg).unwrap();
-            assert!(close(zs, zp));
+            let table = model.likelihood_table(o.outcome, o.pool.rank());
+            let zp = parallel.scale_mul_likelihood_fused(
+                1.0,
+                o.pool,
+                &table,
+                ExecMode::Parallel(ParConfig),
+            );
+            assert_eq!(zs.to_bits(), zp.to_bits());
+            let inv = 1.0 / zp;
+            for p in parallel.probs_mut() {
+                *p *= inv;
+            }
         }
         for (a, b) in serial.probs().iter().zip(parallel.probs()) {
-            assert!(close(*a, *b));
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

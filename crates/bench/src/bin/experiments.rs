@@ -11,16 +11,13 @@ use std::time::Duration;
 
 use sbgt::prelude::*;
 use sbgt::ShardedPosterior;
-use sbgt_bayes::{analyze, analyze_par, update_dense_par, Observation};
+use sbgt_bayes::{analyze, analyze_on};
 use sbgt_bench::{
     bench_prior, best_of, fmt_duration, fmt_speedup, markdown_table, observation_script, timed,
     warmed_posterior,
 };
 use sbgt_engine::{Engine, EngineConfig};
-use sbgt_lattice::kernels::{
-    par_entropy, par_marginals, par_mul_likelihood_fused, par_prefix_negative_masses, ParConfig,
-};
-use sbgt_lattice::SparsePosterior;
+use sbgt_lattice::{ExecMode, ParConfig, SparsePosterior};
 use sbgt_response::ResponseModel;
 use sbgt_sim::runner::{EpisodeConfig, SelectionMethod};
 use sbgt_sim::{
@@ -173,7 +170,7 @@ fn e1_workloads() {
 fn e2_lattice_manipulation(quick: bool) {
     println!("## E2 — lattice-model manipulation: posterior update (Fig. A)\n");
     let model = BinaryDilutionModel::pcr_like();
-    let cfg = ParConfig::always_parallel();
+    let par = ExecMode::Parallel(ParConfig);
     let mut rows = Vec::new();
     for n in lattice_sizes(quick) {
         let reps = reps_for(n);
@@ -198,7 +195,12 @@ fn e2_lattice_manipulation(quick: bool) {
         });
         let (_, t_par) = best_of(reps, || {
             let mut p = base_post.clone();
-            update_dense_par(&mut p, &model, &Observation::new(pool, true), cfg).unwrap();
+            let inv = 1.0 / p.scale_mul_likelihood_fused(1.0, pool, &table, par);
+            par.fold_mut(
+                p.probs_mut(),
+                |block, _| block.iter_mut().for_each(|x| *x *= inv),
+                |_, _| (),
+            );
             p.get(sbgt_lattice::State::EMPTY)
         });
         let engine = Engine::new(EngineConfig::default());
@@ -239,7 +241,7 @@ fn e2_lattice_manipulation(quick: bool) {
 /// E3 — test-selection runtime vs N.
 fn e3_test_selection(quick: bool) {
     println!("## E3 — test selection: Bayesian halving (Fig. B)\n");
-    let cfg = ParConfig::always_parallel();
+    let par = ExecMode::Parallel(ParConfig);
     let mut rows = Vec::new();
     for n in lattice_sizes(quick) {
         let reps = reps_for(n);
@@ -262,7 +264,7 @@ fn e3_test_selection(quick: bool) {
                 .fold(f64::INFINITY, f64::min)
         });
         let (_, t_par) = best_of(reps, || {
-            let masses = par_prefix_negative_masses(&post, &order, cfg);
+            let masses = post.prefix_negative_masses_on(&order, par);
             let total = masses[0];
             (1..=n.min(16))
                 .map(|k| (masses[k] / total - 0.5).abs())
@@ -296,7 +298,7 @@ fn e3_test_selection(quick: bool) {
 /// E4 — statistical-analysis runtime vs N.
 fn e4_statistical_analysis(quick: bool) {
     println!("## E4 — statistical analyses (Fig. C)\n");
-    let cfg = ParConfig::always_parallel();
+    let par = ExecMode::Parallel(ParConfig);
     let mut rows = Vec::new();
     for n in lattice_sizes(quick) {
         let reps = reps_for(n);
@@ -306,7 +308,7 @@ fn e4_statistical_analysis(quick: bool) {
         let base = warmed_baseline(n);
         let (_, t_base) = best_of(reps, || base.report(5).expected_positives);
         let (_, t_fused) = best_of(reps, || analyze(&post, 5).expected_positives);
-        let (_, t_par) = best_of(reps, || analyze_par(&post, 5, cfg).expected_positives);
+        let (_, t_par) = best_of(reps, || analyze_on(&post, 5, par).expected_positives);
         rows.push(vec![
             n.to_string(),
             fmt_duration(t_base),
@@ -332,10 +334,12 @@ fn e4_statistical_analysis(quick: bool) {
     );
 }
 
-/// E5 — strong scaling of the three parallel kernels.
+/// E5 — strong scaling of the three parallel kernels. A lattice runs on
+/// rayon only from two 2^16-state blocks up, so even `--quick` needs
+/// N ≥ 17.
 fn e5_strong_scaling(quick: bool) {
     println!("## E5 — strong scaling (Fig. D)\n");
-    let n = if quick { 16 } else { 20 };
+    let n = if quick { 18 } else { 20 };
     let host = std::thread::available_parallelism()
         .map(|x| x.get())
         .unwrap_or(1);
@@ -346,7 +350,7 @@ fn e5_strong_scaling(quick: bool) {
     let pool = sbgt_lattice::State::from_subjects((0..8.min(n)).step_by(2));
     let table = model.likelihood_table(true, pool.rank());
     let order: Vec<usize> = (0..n).collect();
-    let cfg = ParConfig::always_parallel();
+    let par = ExecMode::Parallel(ParConfig);
 
     let mut rows = Vec::new();
     let mut t1: Option<(Duration, Duration, Duration)> = None;
@@ -358,11 +362,11 @@ fn e5_strong_scaling(quick: bool) {
         let (upd, sel, ana) = rt.install(|| {
             let (_, upd) = best_of(5, || {
                 let mut p = post.clone();
-                par_mul_likelihood_fused(&mut p, pool, &table, cfg)
+                p.scale_mul_likelihood_fused(1.0, pool, &table, par)
             });
-            let (_, sel) = best_of(5, || par_prefix_negative_masses(&post, &order, cfg)[1]);
+            let (_, sel) = best_of(5, || post.prefix_negative_masses_on(&order, par)[1]);
             let (_, ana) = best_of(5, || {
-                par_marginals(&post, cfg).iter().sum::<f64>() + par_entropy(&post, cfg)
+                post.marginals_on(par).iter().sum::<f64>() + post.entropy_on(par)
             });
             (upd, sel, ana)
         });

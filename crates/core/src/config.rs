@@ -1,8 +1,8 @@
 //! Framework configuration.
 
 use sbgt_bayes::ClassificationRule;
-use sbgt_lattice::kernels::ParConfig;
 use sbgt_lattice::SparseSwitch;
+pub use sbgt_lattice::{ExecMode, ParConfig};
 
 /// Typed configuration error — the validated-construction convention shared
 /// with `LookaheadConfig::validate`.
@@ -22,33 +22,11 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// How the `Θ(2^N)` kernels execute.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExecMode {
-    /// Serial reference kernels (used by tests and tiny cohorts).
-    Serial,
-    /// Rayon chunk kernels with the given tuning.
-    Parallel(ParConfig),
-}
-
-impl ExecMode {
-    /// The `ParConfig` to pass to kernels: serial mode maps to an
-    /// infinite threshold so every kernel takes its serial path.
-    pub fn par_config(&self) -> ParConfig {
-        match *self {
-            ExecMode::Serial => ParConfig {
-                chunk_len: usize::MAX,
-                threshold: usize::MAX,
-            },
-            ExecMode::Parallel(cfg) => cfg,
-        }
-    }
-}
-
 /// Session configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SbgtConfig {
-    /// Kernel execution mode.
+    /// Where the blocks of each lattice pass run: inline or on rayon,
+    /// with the same bits either way.
     pub exec: ExecMode,
     /// Classification thresholds (stopping rule).
     pub rule: ClassificationRule,
@@ -71,7 +49,7 @@ pub struct SbgtConfig {
 impl Default for SbgtConfig {
     fn default() -> Self {
         SbgtConfig {
-            exec: ExecMode::Parallel(ParConfig::default()),
+            exec: ExecMode::Parallel(ParConfig),
             rule: ClassificationRule::symmetric(0.99),
             max_pool_size: 16,
             max_stages: 200,
@@ -117,7 +95,7 @@ impl SbgtConfig {
         self
     }
 
-    /// Force serial kernels.
+    /// Run every block inline.
     pub fn serial(mut self) -> Self {
         self.exec = ExecMode::Serial;
         self
@@ -162,10 +140,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_mode_disables_parallel_paths() {
-        let cfg = SbgtConfig::default().serial();
-        let pc = cfg.exec.par_config();
-        assert_eq!(pc.threshold, usize::MAX);
+    fn serial_mode_runs_blocks_inline() {
+        assert_eq!(SbgtConfig::default().serial().exec, ExecMode::Serial);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! concentrates it and pruned-sparse after.
 //!
 //! [`ExactBackend`] runs one of two dense representations — the in-memory
-//! [`DensePosterior`] ([`SbgtSession`]: serial or rayon kernels per
-//! [`ExecMode`]) or the engine-sharded [`ShardedPosterior`]
+//! [`DensePosterior`] ([`SbgtSession`]: its blocks inline or on rayon per
+//! [`ExecMode`](crate::ExecMode), with the same bits) or the engine-sharded
+//! [`ShardedPosterior`]
 //! ([`ShardedSession`]: every traversal an engine stage, one fused stage per
 //! observation) — and the pruned [`SparsePosterior`] both switch to once the
 //! retained support falls below [`SbgtConfig::sparse_switch`]'s fraction of
@@ -32,8 +33,7 @@
 //! selection all see the normalised vector, with every bit of the
 //! scale-after-every-update order. An empty cache (a fresh or restored
 //! session, or after an impossible observation) computes the marginals on
-//! read. Past [`ParConfig::threshold`] states the rayon kernels run the
-//! same passes unfused.
+//! read.
 //!
 //! ## Sharded selection pipelining
 //!
@@ -51,21 +51,20 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use sbgt_bayes::{
-    analyze, analyze_par, update_sparse, update_sparse_with_table, BayesError, Observation,
-    PosteriorReport, Prior,
+    analyze_on, update_sparse, update_sparse_with_table, BayesError, Observation, PosteriorReport,
+    Prior,
 };
 use sbgt_engine::{Engine, StageVariant};
 use sbgt_lattice::hybrid::retained_support;
-use sbgt_lattice::kernels::{par_marginals, par_mul_likelihood_fused, par_scale, ParConfig};
 use sbgt_lattice::{num_states, DensePosterior, LookaheadKernel, SparsePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
-    drive_lookahead, select_halving_from_masses, select_halving_prefix, select_halving_prefix_par,
-    select_halving_prefix_sparse, select_stage_lookahead_fused, select_stage_lookahead_par,
-    select_stage_lookahead_sparse, LookaheadConfig, SelectError, Selection,
+    drive_lookahead, select_halving_from_masses, select_halving_prefix_on,
+    select_halving_prefix_sparse, select_stage_lookahead_on, select_stage_lookahead_sparse,
+    LookaheadConfig, SelectError, Selection,
 };
 
-use crate::config::{ConfigError, ExecMode, SbgtConfig};
+use crate::config::{ConfigError, SbgtConfig};
 use crate::parallel::ShardedPosterior;
 use crate::report::SessionOutcome;
 use crate::session::{eligible_order, Backend, RoundCtx, RoundStep, Session};
@@ -123,7 +122,7 @@ pub trait DenseRepr: Sized {
 
     /// States whose mass exceeds the relative prune cut `epsilon`: the
     /// support the posterior would retain if it switched now.
-    fn retained_support(&self, ctx: Self::Ctx<'_>, epsilon: f64) -> usize;
+    fn retained_support(&self, ctx: Self::Ctx<'_>, config: &SbgtConfig, epsilon: f64) -> usize;
 
     /// The pruned, normalized sparse equivalent — the switch itself.
     fn to_sparse(
@@ -376,7 +375,7 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
         let (Some(switch), Arm::Dense(dense)) = (config.sparse_switch, &self.posterior) else {
             return;
         };
-        let support = dense.retained_support(ctx, switch.prune_epsilon);
+        let support = dense.retained_support(ctx, config, switch.prune_epsilon);
         let limit = switch.max_support_fraction * num_states(dense.n_subjects()) as f64;
         if support as f64 > limit {
             return;
@@ -416,14 +415,6 @@ pub struct DenseCache {
     pending_scale: Option<f64>,
 }
 
-/// The rayon tuning when `posterior` is large enough for the chunk
-/// kernels; `None` runs the fused serial traversals, which give the bits
-/// the chunk kernels give below their threshold.
-fn chunked(posterior: &DensePosterior, config: &SbgtConfig) -> Option<ParConfig> {
-    let par = config.exec.par_config();
-    (posterior.len() >= par.threshold).then_some(par)
-}
-
 impl DenseRepr for DensePosterior {
     type Ctx<'a> = Option<&'a Engine>;
     type Cache = DenseCache;
@@ -433,12 +424,9 @@ impl DenseRepr for DensePosterior {
     }
 
     fn marginals(&self, cache: &DenseCache, config: &SbgtConfig) -> Vec<f64> {
-        if let Some(marginals) = &cache.marginals {
-            return marginals.clone();
-        }
-        match chunked(self, config) {
-            Some(par) => par_marginals(self, par),
-            None => DensePosterior::marginals(self),
+        match &cache.marginals {
+            Some(marginals) => marginals.clone(),
+            None => self.marginals_on(config.exec),
         }
     }
 
@@ -448,11 +436,7 @@ impl DenseRepr for DensePosterior {
         config: &SbgtConfig,
         order: &[usize],
     ) -> Option<Selection> {
-        let cap = config.max_pool_size;
-        match config.exec {
-            ExecMode::Serial => select_halving_prefix(self, order, cap),
-            ExecMode::Parallel(par) => select_halving_prefix_par(self, order, cap, par),
-        }
+        select_halving_prefix_on(self, order, config.max_pool_size, config.exec)
     }
 
     fn select_stage<M: BinaryOutcomeModel>(
@@ -463,14 +447,11 @@ impl DenseRepr for DensePosterior {
         cfg: &LookaheadConfig,
         order: &[usize],
     ) -> Result<Vec<Selection>, SelectError> {
-        match config.exec {
-            ExecMode::Serial => select_stage_lookahead_fused(self, model, order, cfg),
-            ExecMode::Parallel(par) => select_stage_lookahead_par(self, model, order, cfg, par),
-        }
+        select_stage_lookahead_on(self, model, order, cfg, config.exec)
     }
 
     /// One traversal: the multiply, with the pending scale folded in, and
-    /// the serial evidence sum; this observation's `1/z` is left pending.
+    /// the evidence sum; this observation's `1/z` is left pending.
     fn observe<M: BinaryOutcomeModel>(
         &mut self,
         cache: &mut DenseCache,
@@ -486,16 +467,8 @@ impl DenseRepr for DensePosterior {
         }
         let table = model.likelihood_table(outcome, pool.rank());
         cache.marginals = None;
-        let pending = cache.pending_scale.take();
-        let z = match chunked(self, config) {
-            Some(par) => {
-                if let Some(inv) = pending {
-                    par_scale(self, inv, par);
-                }
-                par_mul_likelihood_fused(self, pool, &table, par)
-            }
-            None => self.scale_mul_likelihood_fused(pending.unwrap_or(1.0), pool, &table),
-        };
+        let pending = cache.pending_scale.take().unwrap_or(1.0);
+        let z = self.scale_mul_likelihood_fused(pending, pool, &table, config.exec);
         if !(z.is_finite() && z > 0.0) {
             return Err(BayesError::ImpossibleObservation);
         }
@@ -504,22 +477,15 @@ impl DenseRepr for DensePosterior {
     }
 
     /// Apply the pending scale and compute the marginals of the result, in
-    /// one traversal below the rayon threshold.
+    /// one traversal.
     fn finish_stage(&mut self, cache: &mut DenseCache, config: &SbgtConfig) {
-        let Some(inv) = cache.pending_scale.take() else {
-            return;
-        };
-        cache.marginals = Some(match chunked(self, config) {
-            Some(par) => {
-                par_scale(self, inv, par);
-                par_marginals(self, par)
-            }
-            None => self.scale_marginals(inv),
-        });
+        if let Some(inv) = cache.pending_scale.take() {
+            cache.marginals = Some(self.scale_marginals(inv, config.exec));
+        }
     }
 
-    fn retained_support(&self, _: Option<&Engine>, epsilon: f64) -> usize {
-        retained_support(self, epsilon)
+    fn retained_support(&self, _: Option<&Engine>, config: &SbgtConfig, epsilon: f64) -> usize {
+        retained_support(self, epsilon, config.exec)
     }
 
     fn to_sparse(&self, _: &mut DenseCache, _: Option<&Engine>, epsilon: f64) -> SparsePosterior {
@@ -620,7 +586,7 @@ impl DenseRepr for ShardedPosterior {
     }
 
     /// One read-only `sparse:support` counting stage.
-    fn retained_support(&self, engine: &Engine, epsilon: f64) -> usize {
+    fn retained_support(&self, engine: &Engine, _: &SbgtConfig, epsilon: f64) -> usize {
         ShardedPosterior::retained_support(self, engine, epsilon)
     }
 
@@ -838,8 +804,9 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
     }
 
     /// Look-ahead stage selection: up to `width` pools for one lab round,
-    /// on the **branch-fused** fast path (serial or rayon per the
-    /// configured [`ExecMode`]) — no branch posterior is materialized.
+    /// on the **branch-fused** fast path (its blocks inline or on rayon per
+    /// the configured [`ExecMode`](crate::ExecMode)) — no branch posterior
+    /// is materialized.
     /// Rejects a zero `width` with [`SelectError::InvalidArgument`].
     pub fn select_stage(&self, width: usize) -> Result<Vec<Selection>, SelectError> {
         let cfg = LookaheadConfig {
@@ -851,13 +818,12 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
     }
 
     /// Full statistical readout (marginals, entropy, MAP, top-k, rank
-    /// distribution) using the configured kernels.
+    /// distribution), its blocks run where the configured [`ExecMode`]
+    /// says.
+    ///
+    /// [`ExecMode`]: crate::ExecMode
     pub fn report(&self, top_k: usize) -> PosteriorReport {
-        let dense = self.backend().dense_view();
-        match self.config().exec {
-            ExecMode::Serial => analyze(&dense, top_k),
-            ExecMode::Parallel(cfg) => analyze_par(&dense, top_k, cfg),
-        }
+        analyze_on(&self.backend().dense_view(), top_k, self.config().exec)
     }
 }
 
@@ -940,8 +906,8 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<ShardedPosterior, M>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecMode, ParConfig};
     use sbgt_engine::EngineConfig;
-    use sbgt_lattice::kernels::ParConfig;
     use sbgt_lattice::SparseSwitch;
     use sbgt_response::BinaryDilutionModel;
 
@@ -954,7 +920,13 @@ mod tests {
     }
 
     fn session(exec: ExecMode) -> SbgtSession<BinaryDilutionModel> {
-        let prior = Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]);
+        session_of(
+            Prior::from_risks(&[0.02, 0.05, 0.01, 0.1, 0.03, 0.08, 0.02, 0.04]),
+            exec,
+        )
+    }
+
+    fn session_of(prior: Prior, exec: ExecMode) -> SbgtSession<BinaryDilutionModel> {
         SbgtSession::new(
             prior,
             BinaryDilutionModel::pcr_like(),
@@ -966,10 +938,7 @@ mod tests {
     }
 
     fn parallel() -> ExecMode {
-        ExecMode::Parallel(ParConfig {
-            chunk_len: 17,
-            threshold: 0,
-        })
+        ExecMode::Parallel(ParConfig)
     }
 
     /// Ten subjects with distinct risks: a flat prior would leave the
@@ -987,24 +956,27 @@ mod tests {
         }
     }
 
+    /// Seventeen subjects are two 2^16-state blocks: every read-out folds
+    /// block partials, in the same order on rayon as inline.
     #[test]
-    fn serial_and_parallel_sessions_agree() {
-        let mut a = session(ExecMode::Serial);
-        let mut b = session(parallel());
-        let pool = State::from_subjects([0, 1, 2, 3]);
+    fn serial_and_parallel_sessions_are_bitwise_equal() {
+        let risks: Vec<f64> = (0..17).map(|i| 0.01 + 0.01 * (i % 6) as f64).collect();
+        let mut a = session_of(Prior::from_risks(&risks), ExecMode::Serial);
+        let mut b = session_of(Prior::from_risks(&risks), parallel());
+        let pool = State::from_subjects([0, 1, 2, 3, 16]);
         let za = a.observe(pool, true).unwrap();
         let zb = b.observe(pool, true).unwrap();
-        assert!(close(za, zb));
-        for (x, y) in a.marginals().iter().zip(b.marginals()) {
-            assert!(close(*x, y));
-        }
-        let sa = a.select_next().unwrap();
-        let sb = b.select_next().unwrap();
+        assert_eq!(za.to_bits(), zb.to_bits());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(a.marginals()), bits(b.marginals()));
+        let (sa, sb) = (a.select_next().unwrap(), b.select_next().unwrap());
         assert_eq!(sa.pool, sb.pool);
+        assert_eq!(sa.negative_mass.to_bits(), sb.negative_mass.to_bits());
         let ra = a.report(3);
         let rb = b.report(3);
-        assert!(close(ra.entropy, rb.entropy));
+        assert_eq!(ra.entropy.to_bits(), rb.entropy.to_bits());
         assert_eq!(ra.map_state.0, rb.map_state.0);
+        assert_eq!(bits(ra.rank_distribution), bits(rb.rank_distribution));
     }
 
     #[test]
@@ -1029,12 +1001,7 @@ mod tests {
         let pool = State::from_subjects([0, 1, 2]);
         a.observe(pool, true).unwrap();
         b.observe(pool, true).unwrap();
-        let sa = a.select_stage(3).unwrap();
-        let sb = b.select_stage(3).unwrap();
-        assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(&sb) {
-            assert_eq!(x.pool, y.pool);
-        }
+        assert_eq!(a.select_stage(3).unwrap(), b.select_stage(3).unwrap());
         // Zero width is a typed error, not a panic.
         assert!(matches!(
             a.select_stage(0),

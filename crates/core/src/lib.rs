@@ -25,7 +25,8 @@
 //!
 //! * [`SbgtSession`] — the SBGT framework: likelihood-table
 //!   broadcast, fused multiply+reduce passes, one-pass all-prefix halving
-//!   search, rayon chunk kernels, and an engine-sharded dataflow variant
+//!   search, blocked passes run inline or on rayon with the same bits, and
+//!   an engine-sharded dataflow variant
 //!   ([`parallel::ShardedPosterior`]) that mirrors the paper's Spark
 //!   mapping (partitioned lattice shards, broadcast tables, stage metrics).
 //! * [`baseline::BaselineSession`] — the pre-SBGT "state-of-the-art
@@ -67,7 +68,7 @@ pub mod session;
 pub mod snapshot;
 
 pub use baseline::BaselineSession;
-pub use config::{ConfigError, ExecMode, SbgtConfig};
+pub use config::{ConfigError, ExecMode, ParConfig, SbgtConfig};
 pub use exact::{ExactBackend, SbgtSession, ShardedSession};
 pub use parallel::{FusedRound, ShardedPosterior};
 pub use report::SessionOutcome;

@@ -29,9 +29,9 @@
 //! registry, giving the E9 breakdown.
 //!
 //! Every per-partition body is a block kernel from [`sbgt_lattice::dense`]
-//! (the same one `DensePosterior` and the rayon kernels run); this module
-//! only chooses the partitions and combines their partials in partition
-//! order, so one partition gives the serial bits.
+//! (the same one `DensePosterior` runs per block); this module only
+//! chooses the partitions and combines their partials in partition order,
+//! so one partition gives the bits of a one-block in-memory pass.
 
 use std::sync::Arc;
 
@@ -85,7 +85,10 @@ impl ShardedPosterior {
     pub fn from_dense(dense: &DensePosterior, parts: usize) -> Self {
         let shards = Dataset::from_vec(dense.probs().to_vec(), parts.min(dense.len()));
         let offsets = Self::offsets_of(&shards);
-        let total = dense.total();
+        // The sharded path keeps its own order (DESIGN.md §3,
+        // **Parallelism**): its total is a plain sequential sum, not the
+        // in-memory block fold.
+        let total = dense.probs().iter().sum();
         ShardedPosterior {
             n_subjects: dense.n_subjects(),
             shards,

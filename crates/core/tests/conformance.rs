@@ -107,7 +107,7 @@ fn dense_backend_conforms_on_the_driver_and_on_the_engine() {
                 lab: &truth,
                 pool: &pool,
                 positives,
-                plan_key: Some(&plan_key(model, PlanLineage::DenseSerial)),
+                plan_key: Some(&plan_key(model, PlanLineage::Dense)),
                 foreign: vec![approx_snapshot()],
             };
             harness.check();
@@ -194,7 +194,7 @@ fn an_invalid_replayed_stage_is_selected_live() {
     let open = || SbgtSession::new(Prior::from_risks(&risks), model, config);
     let live = open().run(None, truth);
     // Each handle is the only tree of a fresh cache: its key just names it.
-    let key = plan_key(model, PlanLineage::DenseSerial)(&config);
+    let key = plan_key(model, PlanLineage::Dense)(&config);
     for bad in [State::EMPTY, pool(&[0, 1])] {
         let plan = PlanCache::new(64).handle(key.clone());
         let stage = Selection {

@@ -6,21 +6,12 @@
 //! traversal, is bit-for-bit a driver that normalises after every update.
 
 use proptest::prelude::*;
-use sbgt::{ExecMode, SbgtConfig, SbgtSession, SessionSnapshot, ShardedPosterior};
-use sbgt_bayes::{
-    classify_marginals, update_dense, update_dense_par, BayesError, Observation, Prior,
-};
+use sbgt::{ExecMode, ParConfig, SbgtConfig, SbgtSession, SessionSnapshot, ShardedPosterior};
+use sbgt_bayes::{classify_marginals, update_dense, BayesError, Observation, Prior};
 use sbgt_engine::{Engine, EngineConfig, StageVariant};
-use sbgt_lattice::kernels::{
-    par_entropy, par_lookahead_histograms, par_marginals, par_prefix_negative_masses, par_top_k,
-    ParConfig,
-};
 use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, State};
 use sbgt_response::{BinaryDilutionModel, ResponseModel};
-use sbgt_select::{
-    select_halving_prefix, select_halving_prefix_par, select_stage_lookahead_fused,
-    select_stage_lookahead_par, Selection,
-};
+use sbgt_select::{select_halving_prefix, select_stage_lookahead_fused, Selection};
 use std::sync::Arc;
 
 fn engine() -> Engine {
@@ -148,9 +139,9 @@ fn order_from_seed(seed: u64, len: usize, n: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One block is the serial kernel: a single rayon chunk and a single
-    /// engine partition run the same block bodies as `DensePosterior`, so
-    /// every reduction agrees to the bit.
+    /// One block is the serial kernel: a lattice of one block on rayon and
+    /// a single engine partition run the same block bodies as the inline
+    /// `DensePosterior` passes, so every reduction agrees to the bit.
     #[test]
     fn one_block_is_the_serial_kernel_bitwise(
         risks in prop::collection::vec(0.01f64..0.6, 1..=12),
@@ -165,23 +156,23 @@ proptest! {
         let model = BinaryDilutionModel::pcr_like();
         let pool = pool_from_seed(seed, n);
         d.mul_likelihood(pool, &model.likelihood_table(true, pool.rank()));
-        let cfg = ParConfig { chunk_len: 1 << n, threshold: 0 };
+        let par = ExecMode::Parallel(ParConfig);
         let sharded = ShardedPosterior::from_dense(&d, 1);
         let order = order_from_seed(seed, len, n);
 
         let marginals = d.marginals();
-        assert_bitwise_eq(&marginals, &par_marginals(&d, cfg), "par marginals");
+        assert_bitwise_eq(&marginals, &d.marginals_on(par), "par marginals");
         assert_bitwise_eq(&marginals, &sharded.marginals(&e), "sharded marginals");
 
         let masses = d.prefix_negative_masses(&order);
-        assert_bitwise_eq(&masses, &par_prefix_negative_masses(&d, &order, cfg), "par prefix");
+        assert_bitwise_eq(&masses, &d.prefix_negative_masses_on(&order, par), "par prefix");
         assert_bitwise_eq(&masses, &sharded.prefix_negative_masses(&e, &order), "sharded prefix");
 
-        prop_assert_eq!(d.entropy().to_bits(), par_entropy(&d, cfg).to_bits());
+        prop_assert_eq!(d.entropy().to_bits(), d.entropy_on(par).to_bits());
 
         for k in [1usize, 5, 1 << n] {
             let serial = d.top_k(k);
-            let parallel = par_top_k(&d, k, cfg);
+            let parallel = d.top_k_on(k, par);
             prop_assert_eq!(serial.len(), parallel.len());
             for ((s1, p1), (s2, p2)) in serial.iter().zip(&parallel) {
                 prop_assert_eq!(s1, s2);
@@ -204,7 +195,7 @@ proptest! {
             })
             .collect();
         let hist = kernel.histograms(d.probs(), 0, &pools);
-        assert_bitwise_eq(&hist, &par_lookahead_histograms(&d, &kernel, &pools, cfg), "par look-ahead");
+        assert_bitwise_eq(&hist, &d.lookahead_histograms(&kernel, &pools, par), "par look-ahead");
         assert_bitwise_eq(&hist, &sharded.lookahead_histograms(&e, &kernel, pools), "sharded look-ahead");
     }
 
@@ -322,9 +313,10 @@ proptest! {
 }
 
 /// The in-memory session's passes as they were before normalisation was
-/// deferred: `update_dense(_par)` multiplies and normalises every
-/// observation, and marginals and selection each traverse the normalised
-/// vector. Stage accounting is `Session::observe_stage_in`'s.
+/// deferred: `update_dense` multiplies and normalises every observation,
+/// and marginals and selection each traverse the normalised vector, every
+/// block inline whatever the session's `ExecMode`. Stage accounting is
+/// `Session::observe_stage_in`'s.
 struct NormaliseEveryUpdate {
     posterior: DensePosterior,
     config: SbgtConfig,
@@ -343,10 +335,7 @@ impl NormaliseEveryUpdate {
     }
 
     fn marginals(&self) -> Vec<f64> {
-        match self.config.exec {
-            ExecMode::Serial => self.posterior.marginals(),
-            ExecMode::Parallel(par) => par_marginals(&self.posterior, par),
-        }
+        self.posterior.marginals()
     }
 
     fn select(&self, model: &BinaryDilutionModel, order: &[usize]) -> Vec<Selection> {
@@ -355,19 +344,12 @@ impl NormaliseEveryUpdate {
             self.config.max_pool_size,
             self.config.lookahead(),
         );
-        match (self.config.stage_width, self.config.exec) {
-            (1, ExecMode::Serial) => select_halving_prefix(post, order, cap)
+        if self.config.stage_width == 1 {
+            select_halving_prefix(post, order, cap)
                 .into_iter()
-                .collect(),
-            (1, ExecMode::Parallel(par)) => select_halving_prefix_par(post, order, cap, par)
-                .into_iter()
-                .collect(),
-            (_, ExecMode::Serial) => {
-                select_stage_lookahead_fused(post, model, order, &lookahead).unwrap()
-            }
-            (_, ExecMode::Parallel(par)) => {
-                select_stage_lookahead_par(post, model, order, &lookahead, par).unwrap()
-            }
+                .collect()
+        } else {
+            select_stage_lookahead_fused(post, model, order, &lookahead).unwrap()
         }
     }
 
@@ -380,11 +362,7 @@ impl NormaliseEveryUpdate {
         let mut landed = false;
         for &(pool, outcome) in observations {
             let obs = Observation::new(pool, outcome);
-            let z = match self.config.exec {
-                ExecMode::Serial => update_dense(&mut self.posterior, model, &obs),
-                ExecMode::Parallel(par) => update_dense_par(&mut self.posterior, model, &obs, par),
-            };
-            match z {
+            match update_dense(&mut self.posterior, model, &obs) {
                 Ok(z) => joint *= z,
                 Err(e) => {
                     self.stages += usize::from(landed);
@@ -414,13 +392,9 @@ impl NormaliseEveryUpdate {
     }
 }
 
-/// Serial and rayon-chunked, each at widths 1 (halving) and 3 (look-ahead).
+/// Serial and parallel, each at widths 1 (halving) and 3 (look-ahead).
 fn deferred_configs() -> Vec<SbgtConfig> {
-    let chunked = ExecMode::Parallel(ParConfig {
-        chunk_len: 64,
-        threshold: 0,
-    });
-    [ExecMode::Serial, chunked]
+    [ExecMode::Serial, ExecMode::Parallel(ParConfig)]
         .into_iter()
         .flat_map(|exec| {
             [1, 3].map(|width| {
@@ -522,7 +496,7 @@ proptest! {
 
     /// Deferred normalisation moves no bit: marginals, posterior, pools,
     /// evidence and snapshot bytes equal the normalise-every-update driver
-    /// every round, serial and chunked, at widths 1 and 3, across a
+    /// every round, serial and parallel, at widths 1 and 3, across a
     /// restore (which starts from an empty cache).
     #[test]
     fn deferred_normalisation_is_normalise_every_update_bitwise(

@@ -168,11 +168,6 @@ impl Engine {
         }
     }
 
-    /// Engine with default configuration (one executor per available core).
-    pub fn default_local() -> Self {
-        Self::new(EngineConfig::default())
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config

@@ -8,8 +8,6 @@
 //! survives failed jobs — mirroring executor fault containment.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
@@ -32,7 +30,6 @@ pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
-    busy: Arc<AtomicUsize>,
 }
 
 impl ThreadPool {
@@ -42,18 +39,14 @@ impl ThreadPool {
     pub fn new(threads: usize, name: &str) -> Self {
         let threads = threads.max(1);
         let (sender, receiver) = unbounded::<Job>();
-        let busy = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
             let rx = receiver.clone();
-            let busy = Arc::clone(&busy);
             let handle = std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
-                        busy.fetch_add(1, Ordering::Relaxed);
                         job();
-                        busy.fetch_sub(1, Ordering::Relaxed);
                     }
                 })
                 .expect("failed to spawn executor thread");
@@ -63,19 +56,12 @@ impl ThreadPool {
             sender: Some(sender),
             workers,
             threads,
-            busy,
         }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Number of workers currently executing a task (approximate; intended
-    /// for diagnostics only).
-    pub fn busy_workers(&self) -> usize {
-        self.busy.load(Ordering::Relaxed)
     }
 
     /// Submit a batch of independent tasks and block until all complete.
@@ -162,7 +148,8 @@ impl std::fmt::Debug for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn runs_tasks_in_order() {

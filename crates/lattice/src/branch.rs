@@ -13,7 +13,7 @@
 //!
 //! Per state the kernel needs `j` pool popcounts (blocked: the high-bit
 //! popcount is hoisted per 256-aligned run and the low byte comes from a
-//! 256-entry table, exactly like the sharded update kernel), one
+//! 256-entry table, exactly like the update kernels), one
 //! first-positive lookup (byte-lane tables), and `2^{j+1} − 2` multiplies
 //! (iterative doubling over the branch products). The output is a
 //! `(m + 1) × 2^j` histogram — `m + 1` first-positive rows, branch-minor —
@@ -21,8 +21,8 @@
 //! Memory per task is `O(m · 2^j)`, independent of `2^N`.
 //!
 //! The kernel takes plain likelihood tables rather than a response model,
-//! so it is shared verbatim by the dense serial path, the rayon chunk path
-//! ([`crate::kernels::par_lookahead_histograms`]), and the engine-sharded
+//! so it is shared verbatim by the in-memory path (once per block,
+//! [`crate::DensePosterior::lookahead_histograms`]) and the engine-sharded
 //! aggregate stage in the core crate.
 
 use crate::dense::{first_pos, order_tables};
@@ -46,7 +46,7 @@ pub fn num_branches(pools: &[BranchPool]) -> usize {
 }
 
 /// Popcount of `i & mask` for every low-byte value `i` — the table half of
-/// the blocked popcount shared with the sharded update kernels.
+/// the blocked popcount shared with the update kernels.
 pub fn low_byte_popcounts(mask: u64) -> [u8; 256] {
     let m = (mask & 0xFF) as usize;
     let mut t = [0u8; 256];
@@ -61,7 +61,7 @@ pub fn low_byte_popcounts(mask: u64) -> [u8; 256] {
 ///
 /// Build once per greedy stage (the ordering is fixed for the stage), then
 /// call [`LookaheadKernel::histograms`] once per greedy step with the
-/// pools committed so far — over the whole posterior, a rayon chunk, or an
+/// pools committed so far — over a block of the in-memory posterior or an
 /// engine partition.
 #[derive(Debug)]
 pub struct LookaheadKernel {

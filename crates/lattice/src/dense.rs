@@ -2,24 +2,26 @@
 //! every executor runs.
 //!
 //! `DensePosterior` stores one `f64` of (generally unnormalized) posterior
-//! mass per state, indexed by the state's bitmask. Each `Θ(2^N)` reduction
-//! is written **once**, as a plain function over one contiguous block of
-//! the lattice (`probs[off]` is the mass of state `base + off`):
-//! [`marginal_sums`], [`first_pos_histogram`], [`plogp_sums`] and
-//! [`top_k_block`]. `DensePosterior` runs each as one block with
-//! `base = 0`; the rayon chunk kernels in [`crate::kernels`] run it once per
-//! chunk and the engine-sharded posterior once per partition. Executors
-//! differ only in block boundaries and in the order they combine the
-//! partials ([`add_into`]; [`normalize_marginals`], [`suffix_sums`],
-//! [`entropy_of`] and [`finish_top_k`] finish every path), so one block
-//! gives the serial bits.
+//! mass per state, indexed by the state's bitmask. Each `Θ(2^N)` pass is
+//! written **once**, as a plain function over one contiguous block of the
+//! lattice (`probs[off]` is the mass of state `base + off`):
+//! [`scale_mul_table_block`], [`marginal_sums`], [`first_pos_histogram`],
+//! [`plogp_sums`] and [`top_k_block`]. `DensePosterior` runs each through
+//! [`crate::blocks`]: once per 2^16-state block, partials folded in
+//! ascending block order ([`add_into`]; [`normalize_marginals`],
+//! [`suffix_sums`], [`entropy_of`] and [`finish_top_k`] finish the pass),
+//! so every [`ExecMode`] gives the same bits and a lattice of one block is
+//! the plain whole-array loop. The engine-sharded posterior runs the same
+//! kernels once per partition.
 //!
 //! Kernel design notes (these are the paper's constant-factor wins, not
 //! incidental details):
 //!
 //! * A pooled test's likelihood depends on the state only through
 //!   `k = |s ∩ A|`, so a multiply pass indexes a precomputed table of
-//!   `|A| + 1` entries rather than calling the response model `2^N` times.
+//!   `|A| + 1` entries rather than calling the response model `2^N` times,
+//!   and `k` is a blocked popcount: the high bits' count is hoisted once
+//!   per 256-state run and the low byte indexes a 256-entry table.
 //! * Marginals for all `N` subjects are accumulated in **one** pass
 //!   instead of `N` separate passes, by [`crate::simd`]'s subject-lane
 //!   kernel: one register lane per subject, so the per-subject adds stay
@@ -33,6 +35,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::blocks::ExecMode;
+use crate::branch::{low_byte_popcounts, BranchPool, LookaheadKernel};
 pub use crate::simd::{marginal_sums, scale_marginal_sums};
 use crate::state::State;
 use crate::MAX_SUBJECTS;
@@ -157,13 +161,58 @@ pub fn suffix_sums(hist: &[f64]) -> Vec<f64> {
 
 /// Combine one block's partial into the running partial: `acc[i] += part[i]`.
 /// Plain and inlinable on purpose: routing this through the SIMD
-/// dispatcher made LLVM spill `marginal_sums`' running total to the stack
-/// inside the rayon kernel, halving its speed.
+/// dispatcher once made LLVM spill `marginal_sums`' running total to the
+/// stack inside the per-block closure, halving its speed.
 #[inline]
 pub fn add_into(acc: &mut [f64], part: &[f64]) {
     for (a, p) in acc.iter_mut().zip(part) {
         *a += p;
     }
+}
+
+/// Fold step of the vector partials: block `b`'s histogram added into the
+/// running one.
+fn add_vecs(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
+    add_into(&mut acc, &part);
+    acc
+}
+
+/// Fold step of the `(per-subject or per-rank sums, total)` partials.
+fn add_sums((mut acc, total): (Vec<f64>, f64), (part, t): (Vec<f64>, f64)) -> (Vec<f64>, f64) {
+    add_into(&mut acc, &part);
+    (acc, total + t)
+}
+
+/// Block kernel of the update: `probs[off] = (π · factor) · table[k]` with
+/// `k = |(base + off) ∩ mask|`, returning the block's new total, summed in
+/// state order. `k` is a blocked popcount — the bits above the low byte
+/// counted once per 256-state run, the low byte from a 256-entry table —
+/// which is the per-state `count_ones` in fewer instructions, so the
+/// products and the total are those of the per-state loop, bit for bit.
+pub fn scale_mul_table_block(
+    probs: &mut [f64],
+    base: u64,
+    factor: f64,
+    mask: u64,
+    table: &[f64],
+) -> f64 {
+    let lo = low_byte_popcounts(mask);
+    let hi_mask = mask & !0xFF;
+    let mut total = 0.0;
+    let mut off = 0usize;
+    while off < probs.len() {
+        let state = base + off as u64;
+        let k_hi = (state & hi_mask).count_ones() as usize;
+        let low = (state & 0xFF) as usize;
+        let run = (256 - low).min(probs.len() - off);
+        let table = &table[k_hi..];
+        for (p, &k_lo) in probs[off..off + run].iter_mut().zip(&lo[low..]) {
+            *p = *p * factor * table[k_lo as usize];
+            total += *p;
+        }
+        off += run;
+    }
+    total
 }
 
 /// Divide accumulated marginal masses by the total (left at zero when the
@@ -349,7 +398,7 @@ impl DensePosterior {
         &self.probs
     }
 
-    /// Mutably borrow the raw mass vector (for the parallel kernels).
+    /// Mutably borrow the raw mass vector.
     #[inline]
     pub fn probs_mut(&mut self) -> &mut [f64] {
         &mut self.probs
@@ -357,7 +406,16 @@ impl DensePosterior {
 
     /// Total mass.
     pub fn total(&self) -> f64 {
-        self.probs.iter().sum()
+        self.total_on(ExecMode::Serial)
+    }
+
+    /// [`Self::total`], with the blocks run where `exec` says.
+    pub fn total_on(&self, exec: ExecMode) -> f64 {
+        exec.fold(
+            &self.probs,
+            |block, _| block.iter().sum::<f64>(),
+            |a, b| a + b,
+        )
     }
 
     /// Normalize to total mass 1; returns the normalizing constant `Z`.
@@ -406,23 +464,26 @@ impl DensePosterior {
     /// (the Bayesian evidence of the observation). This is the fusion of
     /// Spark stages the SBGT framework performs to halve lattice traffic.
     pub fn mul_likelihood_fused(&mut self, pool: State, table: &[f64]) -> f64 {
-        self.scale_mul_likelihood_fused(1.0, pool, table)
+        self.scale_mul_likelihood_fused(1.0, pool, table, ExecMode::Serial)
     }
 
     /// [`Self::mul_likelihood_fused`] of the masses scaled by `factor`, in
     /// the same traversal: each mass becomes `(π(s) · factor) · table[k]`,
     /// rounded exactly as a scale pass followed by the multiply.
-    #[inline]
-    pub fn scale_mul_likelihood_fused(&mut self, factor: f64, pool: State, table: &[f64]) -> f64 {
+    pub fn scale_mul_likelihood_fused(
+        &mut self,
+        factor: f64,
+        pool: State,
+        table: &[f64],
+        exec: ExecMode,
+    ) -> f64 {
         assert!(table.len() > pool.rank() as usize);
         let mask = pool.bits();
-        let mut total = 0.0;
-        for (idx, p) in self.probs.iter_mut().enumerate() {
-            let k = (idx as u64 & mask).count_ones() as usize;
-            *p = *p * factor * table[k];
-            total += *p;
-        }
-        total
+        exec.fold_mut(
+            &mut self.probs,
+            |block, base| scale_mul_table_block(block, base, factor, mask, table),
+            |a, b| a + b,
+        )
     }
 
     /// Posterior marginal `P(subject i positive)` for every subject, plus
@@ -437,8 +498,21 @@ impl DensePosterior {
     ///
     /// Returns the zero vector for a posterior with zero total mass.
     pub fn marginals(&self) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.n_subjects];
-        let total = marginal_sums(&self.probs, 0, &mut acc);
+        self.marginals_on(ExecMode::Serial)
+    }
+
+    /// [`Self::marginals`], with the blocks run where `exec` says.
+    pub fn marginals_on(&self, exec: ExecMode) -> Vec<f64> {
+        let n = self.n_subjects;
+        let (mut acc, total) = exec.fold(
+            &self.probs,
+            |block, base| {
+                let mut acc = vec![0.0f64; n];
+                let total = marginal_sums(block, base, &mut acc);
+                (acc, total)
+            },
+            add_sums,
+        );
         normalize_marginals(&mut acc, total);
         acc
     }
@@ -446,9 +520,17 @@ impl DensePosterior {
     /// Scale every mass by `factor` and return the marginals of the result
     /// — bit-for-bit a scale pass followed by [`Self::marginals`] — in one
     /// traversal.
-    pub fn scale_marginals(&mut self, factor: f64) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.n_subjects];
-        let total = scale_marginal_sums(&mut self.probs, 0, factor, &mut acc);
+    pub fn scale_marginals(&mut self, factor: f64, exec: ExecMode) -> Vec<f64> {
+        let n = self.n_subjects;
+        let (mut acc, total) = exec.fold_mut(
+            &mut self.probs,
+            |block, base| {
+                let mut acc = vec![0.0f64; n];
+                let total = scale_marginal_sums(block, base, factor, &mut acc);
+                (acc, total)
+            },
+            add_sums,
+        );
         normalize_marginals(&mut acc, total);
         acc
     }
@@ -458,12 +540,17 @@ impl DensePosterior {
     /// normalized; otherwise raw mass — see [`Self::total`]).
     pub fn pool_negative_mass(&self, pool: State) -> f64 {
         let mask = pool.bits();
-        self.probs
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| *idx as u64 & mask == 0)
-            .map(|(_, &p)| p)
-            .sum()
+        ExecMode::Serial.fold(
+            &self.probs,
+            |block, base| {
+                (base..)
+                    .zip(block)
+                    .filter(|(s, _)| s & mask == 0)
+                    .map(|(_, &p)| p)
+                    .sum::<f64>()
+            },
+            |a, b| a + b,
+        )
     }
 
     /// Pool-negative masses of **all prefix pools** of a subject ordering in
@@ -482,40 +569,104 @@ impl DensePosterior {
     /// # Panics
     /// Panics if `order` contains a duplicate or an index `>= n_subjects`.
     pub fn prefix_negative_masses(&self, order: &[usize]) -> Vec<f64> {
+        self.prefix_negative_masses_on(order, ExecMode::Serial)
+    }
+
+    /// [`Self::prefix_negative_masses`], with the blocks run where `exec`
+    /// says.
+    pub fn prefix_negative_masses_on(&self, order: &[usize], exec: ExecMode) -> Vec<f64> {
         let tables = order_tables(self.n_subjects, order);
-        let mut hist = vec![0.0f64; order.len() + 1];
-        first_pos_histogram(&tables, &self.probs, 0, &mut hist);
+        let rows = order.len() + 1;
+        let hist = exec.fold(
+            &self.probs,
+            |block, base| {
+                let mut hist = vec![0.0f64; rows];
+                first_pos_histogram(&tables, block, base, &mut hist);
+                hist
+            },
+            add_vecs,
+        );
         suffix_sums(&hist)
+    }
+
+    /// [`LookaheadKernel::histograms`] over the whole posterior: the
+    /// branch-weighted first-positive histograms of the pools committed so
+    /// far, one greedy look-ahead step.
+    pub fn lookahead_histograms(
+        &self,
+        kernel: &LookaheadKernel,
+        pools: &[BranchPool],
+        exec: ExecMode,
+    ) -> Vec<f64> {
+        exec.fold(
+            &self.probs,
+            |block, base| kernel.histograms(block, base, pools),
+            add_vecs,
+        )
     }
 
     /// Shannon entropy (nats) of the normalized posterior. Zero-mass states
     /// contribute zero. Returns 0 for a degenerate (zero-total) posterior.
     pub fn entropy(&self) -> f64 {
-        let (z, sum_plogp) = plogp_sums(&self.probs);
+        self.entropy_on(ExecMode::Serial)
+    }
+
+    /// [`Self::entropy`], with the blocks run where `exec` says.
+    pub fn entropy_on(&self, exec: ExecMode) -> f64 {
+        let (z, sum_plogp) = exec.fold(
+            &self.probs,
+            |block, _| plogp_sums(block),
+            |(z1, s1), (z2, s2)| (z1 + z2, s1 + s2),
+        );
         entropy_of(z, sum_plogp)
     }
 
     /// Maximum a-posteriori state and its normalized probability; the
     /// smallest state index among tied maxima, like [`Self::top_k`].
     pub fn map_state(&self) -> (State, f64) {
-        let z = self.total();
-        let (idx, &p) = self
-            .probs
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| b.total_cmp(a))
-            .expect("non-empty lattice");
+        self.map_state_on(ExecMode::Serial)
+    }
+
+    /// [`Self::map_state`], with the blocks run where `exec` says.
+    pub fn map_state_on(&self, exec: ExecMode) -> (State, f64) {
+        let (idx, p) = exec.fold(
+            &self.probs,
+            |block, base| {
+                let (off, &p) = block
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| b.total_cmp(a))
+                    .expect("non-empty block");
+                (base + off as u64, p)
+            },
+            |a, b| if b.1.total_cmp(&a.1).is_gt() { b } else { a },
+        );
+        let z = self.total_on(exec);
         let prob = if z > 0.0 { p / z } else { 0.0 };
-        (State(idx as u64), prob)
+        (State(idx), prob)
     }
 
     /// The `k` highest-mass states with their normalized probabilities,
     /// descending (ties broken by state index, ascending).
     pub fn top_k(&self, k: usize) -> Vec<(State, f64)> {
+        self.top_k_on(k, ExecMode::Serial)
+    }
+
+    /// [`Self::top_k`], with the blocks run where `exec` says: each block's
+    /// `k` best are merged on the caller.
+    pub fn top_k_on(&self, k: usize, exec: ExecMode) -> Vec<(State, f64)> {
         if k == 0 {
             return Vec::new();
         }
-        finish_top_k(top_k_block(&self.probs, 0, k), k, self.total())
+        let candidates = exec.fold(
+            &self.probs,
+            |block, base| top_k_block(block, base, k),
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        );
+        finish_top_k(candidates, k, self.total_on(exec))
     }
 
     /// Expected number of positive subjects under the normalized posterior.
@@ -525,12 +676,25 @@ impl DensePosterior {
 
     /// Probability (normalized) that the number of positives is exactly `k`.
     pub fn rank_distribution(&self) -> Vec<f64> {
-        let mut hist = vec![0.0; self.n_subjects + 1];
-        let mut total = 0.0;
-        for (idx, &p) in self.probs.iter().enumerate() {
-            hist[(idx as u64).count_ones() as usize] += p;
-            total += p;
-        }
+        self.rank_distribution_on(ExecMode::Serial)
+    }
+
+    /// [`Self::rank_distribution`], with the blocks run where `exec` says.
+    pub fn rank_distribution_on(&self, exec: ExecMode) -> Vec<f64> {
+        let rows = self.n_subjects + 1;
+        let (mut hist, total) = exec.fold(
+            &self.probs,
+            |block, base| {
+                let mut hist = vec![0.0; rows];
+                let mut total = 0.0;
+                for (s, &p) in (base..).zip(block) {
+                    hist[s.count_ones() as usize] += p;
+                    total += p;
+                }
+                (hist, total)
+            },
+            add_sums,
+        );
         if total > 0.0 {
             for h in &mut hist {
                 *h /= total;

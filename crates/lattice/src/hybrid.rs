@@ -9,6 +9,7 @@
 //! the [`retained_support`] falls below a configurable fraction of the
 //! lattice ([`SparseSwitch`]); `sbgt`'s exact backend takes the switch.
 
+use crate::blocks::ExecMode;
 use crate::dense::DensePosterior;
 
 /// When (and how aggressively) a dense posterior converts to sparse.
@@ -63,10 +64,15 @@ pub fn keeps(total: f64, epsilon: f64) -> impl Fn(f64) -> bool + Copy + Send + S
 }
 
 /// Number of states of `dense` whose mass exceeds the relative prune cut —
-/// the support the posterior would retain if converted to sparse now.
-pub fn retained_support(dense: &DensePosterior, epsilon: f64) -> usize {
-    let keep = keeps(dense.total(), epsilon);
-    dense.probs().iter().filter(|&&p| keep(p)).count()
+/// the support the posterior would retain if converted to sparse now —
+/// with the blocks run where `exec` says.
+pub fn retained_support(dense: &DensePosterior, epsilon: f64, exec: ExecMode) -> usize {
+    let keep = keeps(dense.total_on(exec), epsilon);
+    exec.fold(
+        dense.probs(),
+        |block, _| block.iter().filter(|&&p| keep(p)).count(),
+        |a, b| a + b,
+    )
 }
 
 #[cfg(test)]
@@ -103,7 +109,7 @@ mod tests {
         let mut probs = vec![1e-15f64; 16];
         probs[5] = 1.0;
         let d = DensePosterior::from_probs(4, probs);
-        assert_eq!(retained_support(&d, 1e-9), 1);
-        assert_eq!(retained_support(&d, 0.0), 16);
+        assert_eq!(retained_support(&d, 1e-9, ExecMode::Serial), 1);
+        assert_eq!(retained_support(&d, 0.0, ExecMode::Serial), 16);
     }
 }

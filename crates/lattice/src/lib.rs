@@ -17,16 +17,17 @@
 //! * [`iter`] — subset/superset/rank iterators used by exhaustive selection
 //!   and by tests as ground truth;
 //! * [`DensePosterior`] — the `Vec<f64>`-of-length-`2^N` posterior, and in
-//!   [`dense`] the block kernels (marginals, prefix masses, entropy, top-k)
-//!   that it, [`kernels`] and the engine-sharded posterior all run;
+//!   [`dense`] the block kernels (update, marginals, prefix masses,
+//!   entropy, top-k) that it and the engine-sharded posterior both run;
+//! * [`blocks`] — the block executor: every in-memory pass runs its kernel
+//!   once per 2^16-state block and folds the partials in block order,
+//!   inline or on rayon per [`ExecMode`], with the same bits either way;
 //! * [`SparsePosterior`] — the pruned representation (HiBGT-style) that
 //!   drops negligible-mass states;
-//! * [`kernels`] — the rayon executors: each runs a dense block kernel once
-//!   per chunk and combines the partials;
 //! * [`branch`] — the branch-fused look-ahead selection kernel
 //!   ([`LookaheadKernel`]) that accumulates all `2^j` outcome-branch
-//!   prefix-mass histograms in one traversal, shared by the serial, rayon,
-//!   and engine-sharded selection paths;
+//!   prefix-mass histograms in one traversal, shared by the in-memory and
+//!   engine-sharded selection paths;
 //! * [`bytes`] — the workspace's one byte layer: the fail-closed
 //!   `Reader`/`Writer` every binary format (SBGTSNAP, SBGTCKPT, SBGTPLAN,
 //!   wire frames, ObsFrame) is written on, and the tamper harness each is
@@ -38,12 +39,12 @@
 //! partition-parallel engine shard the lattice by contiguous index ranges.
 
 pub mod bigstate;
+pub mod blocks;
 pub mod branch;
 pub mod bytes;
 pub mod dense;
 pub mod hybrid;
 pub mod iter;
-pub mod kernels;
 pub mod order;
 pub mod simd;
 pub mod sparse;
@@ -51,6 +52,7 @@ pub mod state;
 pub mod transform;
 
 pub use bigstate::BigState;
+pub use blocks::{ExecMode, ParConfig};
 pub use branch::{BranchPool, LookaheadKernel};
 pub use dense::DensePosterior;
 pub use hybrid::SparseSwitch;

@@ -10,6 +10,7 @@
 //! Entries are kept sorted by state index and unique, so dense ↔ sparse
 //! conversions and merges are linear.
 
+use crate::blocks::ExecMode;
 use crate::dense::{
     entropy_of, first_pos, normalize_marginals, order_tables, suffix_sums, DensePosterior,
 };
@@ -66,15 +67,25 @@ impl SparsePosterior {
     /// `< epsilon`. `epsilon = 0.0` keeps every state with positive mass.
     pub fn from_dense(dense: &DensePosterior, epsilon: f64) -> Self {
         let keep = keeps(dense.total(), epsilon);
-        let mut entries = Vec::new();
-        let mut pruned = 0.0;
-        for (idx, &p) in dense.probs().iter().enumerate() {
-            if keep(p) {
-                entries.push((State(idx as u64), p));
-            } else {
-                pruned += p;
-            }
-        }
+        let (entries, pruned) = ExecMode::Serial.fold(
+            dense.probs(),
+            |block, base| {
+                let mut entries = Vec::new();
+                let mut pruned = 0.0;
+                for (s, &p) in (base..).zip(block) {
+                    if keep(p) {
+                        entries.push((State(s), p));
+                    } else {
+                        pruned += p;
+                    }
+                }
+                (entries, pruned)
+            },
+            |(mut entries, pruned), (more, p)| {
+                entries.extend(more);
+                (entries, pruned + p)
+            },
+        );
         SparsePosterior {
             n_subjects: dense.n_subjects(),
             entries,

@@ -332,7 +332,6 @@ fn unexpected(response: &Response) -> io::Error {
 /// One shard's accumulated telemetry inside a [`FleetScraper`].
 #[derive(Default)]
 struct ShardObs {
-    process_tag: u64,
     /// Latest scalar samples (counters/gauges are cumulative, so the
     /// newest scrape supersedes older ones).
     samples: Vec<PromSample>,
@@ -388,7 +387,6 @@ impl FleetScraper {
     /// test or an out-of-band transport can feed frames directly).
     pub fn ingest(&mut self, shard: u32, frame: ObsFrame) {
         let entry = self.shards.entry(shard).or_default();
-        entry.process_tag = frame.process_tag;
         entry.samples = frame.samples;
         entry.hists = frame.hists;
         entry.names = frame.names;
@@ -442,14 +440,6 @@ impl FleetScraper {
             .get(&shard)
             .map(|obs| obs.names.clone())
             .unwrap_or_default()
-    }
-
-    /// `(shard id, process tag)` pairs of everything scraped.
-    pub fn process_tags(&self) -> Vec<(u32, u64)> {
-        self.shards
-            .iter()
-            .map(|(&shard, obs)| (shard, obs.process_tag))
-            .collect()
     }
 
     /// One shard's latest native histogram for the unlabelled series

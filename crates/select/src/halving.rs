@@ -10,8 +10,7 @@
 //! Ties are broken toward smaller pools (cheaper wet-lab handling), then
 //! lexicographically for determinism.
 
-use sbgt_lattice::kernels::{par_prefix_negative_masses, ParConfig};
-use sbgt_lattice::{DensePosterior, SparsePosterior, State};
+use sbgt_lattice::{DensePosterior, ExecMode, ParConfig, SparsePosterior, State};
 
 /// The outcome of a selection rule. The pool is a one-word [`State`] for
 /// every exact rule in this crate; the approximate backends past the
@@ -106,18 +105,29 @@ pub fn select_halving_prefix(
     order: &[usize],
     max_pool_size: usize,
 ) -> Option<Selection> {
-    let masses = posterior.prefix_negative_masses(order);
-    select_halving_from_masses(order, &masses, max_pool_size)
+    select_halving_prefix_on(posterior, order, max_pool_size, ExecMode::Serial)
 }
 
-/// Parallel variant of [`select_halving_prefix`].
+/// [`select_halving_prefix`] with the mass pass's blocks on rayon; the
+/// same selection, bit for bit.
 pub fn select_halving_prefix_par(
     posterior: &DensePosterior,
     order: &[usize],
     max_pool_size: usize,
-    cfg: ParConfig,
+    par: ParConfig,
 ) -> Option<Selection> {
-    let masses = par_prefix_negative_masses(posterior, order, cfg);
+    select_halving_prefix_on(posterior, order, max_pool_size, ExecMode::Parallel(par))
+}
+
+/// [`select_halving_prefix`] with the mass pass's blocks run where `exec`
+/// says.
+pub fn select_halving_prefix_on(
+    posterior: &DensePosterior,
+    order: &[usize],
+    max_pool_size: usize,
+    exec: ExecMode,
+) -> Option<Selection> {
+    let masses = posterior.prefix_negative_masses_on(order, exec);
     select_halving_from_masses(order, &masses, max_pool_size)
 }
 
@@ -223,19 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_parallel_prefix_agree() {
-        let risks = [0.01, 0.05, 0.03, 0.2, 0.12, 0.08, 0.02, 0.3, 0.07];
+    fn prefix_and_parallel_prefix_are_bitwise_equal() {
+        let risks: Vec<f64> = (0..17).map(|i| 0.01 + 0.02 * (i % 9) as f64).collect();
         let post = DensePosterior::from_risks(&risks);
         let mut order: Vec<usize> = (0..risks.len()).collect();
-        order.sort_by(|&a, &b| risks[a].total_cmp(&risks[b]));
-        let cfg = ParConfig {
-            chunk_len: 11,
-            threshold: 0,
-        };
-        let a = select_halving_prefix(&post, &order, 9).unwrap();
-        let b = select_halving_prefix_par(&post, &order, 9, cfg).unwrap();
+        order.sort_by(|&a, &b| risks[a].total_cmp(&risks[b]).then(a.cmp(&b)));
+        let a = select_halving_prefix(&post, &order, 16).unwrap();
+        let b = select_halving_prefix_par(&post, &order, 16, ParConfig).unwrap();
         assert_eq!(a.pool, b.pool);
-        assert!(close(a.negative_mass, b.negative_mass));
+        assert_eq!(a.negative_mass.to_bits(), b.negative_mass.to_bits());
     }
 
     #[test]

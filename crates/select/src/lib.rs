@@ -23,8 +23,8 @@
 //!   run in one stage (before any outcome is known) by greedily minimizing
 //!   the *expected* halving distance over outcome branches. Trades more
 //!   tests per stage for fewer stages — experiment E8. Besides the
-//!   clone-per-branch baseline this now carries the **branch-fused** paths
-//!   (serial and rayon) that score all `2^j` outcome branches in one
+//!   clone-per-branch baseline this now carries the **branch-fused** path
+//!   (blocks inline or on rayon) that scores all `2^j` outcome branches in one
 //!   lattice traversal per greedy step, plus the shared greedy driver the
 //!   engine-sharded session path plugs into.
 //! * [`plancache`] — memoized BHA decision plans: outcome-indexed selection
@@ -46,12 +46,13 @@ pub use candidates::CandidateStrategy;
 pub use global::select_halving_global;
 pub use halving::{
     select_halving_exhaustive, select_halving_from_masses, select_halving_prefix,
-    select_halving_prefix_par, select_halving_prefix_sparse, Selection,
+    select_halving_prefix_on, select_halving_prefix_par, select_halving_prefix_sparse, Selection,
 };
 pub use information::{select_information_gain, InfoSelection};
 pub use lookahead::{
     drive_lookahead, select_stage_lookahead, select_stage_lookahead_fused,
-    select_stage_lookahead_par, select_stage_lookahead_sparse, LookaheadConfig, SelectError,
+    select_stage_lookahead_on, select_stage_lookahead_par, select_stage_lookahead_sparse,
+    LookaheadConfig, SelectError,
 };
 pub use plancache::{
     PlanCache, PlanCacheStats, PlanCodecError, PlanHandle, PlanKey, PlanLineage, PlanTree,

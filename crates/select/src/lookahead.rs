@@ -20,8 +20,9 @@
 //!   accumulates every branch's prefix histogram at once; no branch
 //!   posterior ever exists. `O(2^N · 2^j)` multiplies but `O(N · 2^j)`
 //!   memory, and no allocation proportional to the lattice.
-//! * [`select_stage_lookahead_par`] — the fused kernel over rayon chunks
-//!   ([`sbgt_lattice::kernels::par_lookahead_histograms`]).
+//! * [`select_stage_lookahead_on`] — the fused kernel with its blocks run
+//!   where an [`ExecMode`] says ([`DensePosterior::lookahead_histograms`]);
+//!   `_fused` runs them inline and `_par` on rayon, with the same bits.
 //!
 //! The engine-sharded variant (`ShardedSession::select_stage` in the core
 //! crate) reuses the same driver with a histogram closure that runs the
@@ -32,8 +33,9 @@ use std::collections::HashSet;
 use sbgt_bayes::{update_dense, Observation};
 use sbgt_lattice::branch::suffix_sum_rows;
 use sbgt_lattice::dense::{first_pos, order_tables};
-use sbgt_lattice::kernels::{par_lookahead_histograms, ParConfig};
-use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State};
+use sbgt_lattice::{
+    simd, BranchPool, DensePosterior, ExecMode, LookaheadKernel, ParConfig, SparsePosterior, State,
+};
 use sbgt_response::BinaryOutcomeModel;
 
 use crate::halving::{select_halving_from_masses, Selection};
@@ -108,7 +110,7 @@ fn branch_pool<M: BinaryOutcomeModel>(model: &M, pool: State) -> BranchPool {
     }
 }
 
-/// The greedy look-ahead driver shared by the fused, rayon, and
+/// The greedy look-ahead driver shared by the in-memory fused and
 /// engine-sharded paths.
 ///
 /// `histograms(pools)` must return the `(order.len() + 1) × 2^j`
@@ -200,7 +202,8 @@ pub fn drive_lookahead<M: BinaryOutcomeModel>(
     Ok(chosen)
 }
 
-/// Branch-fused look-ahead selection over the dense posterior, serial.
+/// Branch-fused look-ahead selection over the dense posterior, every
+/// block inline.
 ///
 /// Selects the same pools as [`select_stage_lookahead`] (pinned bit-for-bit
 /// by property tests) without ever materializing a branch posterior: each
@@ -212,16 +215,11 @@ pub fn select_stage_lookahead_fused<M: BinaryOutcomeModel>(
     order: &[usize],
     cfg: &LookaheadConfig,
 ) -> Result<Vec<Selection>, SelectError> {
-    cfg.validate()?;
-    let kernel = LookaheadKernel::new(posterior.n_subjects(), order);
-    drive_lookahead(model, order, cfg, |pools| {
-        kernel.histograms(posterior.probs(), 0, pools)
-    })
+    select_stage_lookahead_on(posterior, model, order, cfg, ExecMode::Serial)
 }
 
-/// Parallel variant of [`select_stage_lookahead_fused`]: the fused kernel
-/// runs over rayon chunks and the partial histograms are reduced
-/// elementwise.
+/// [`select_stage_lookahead_fused`] with its blocks on rayon; the same
+/// selections, bit for bit.
 pub fn select_stage_lookahead_par<M: BinaryOutcomeModel>(
     posterior: &DensePosterior,
     model: &M,
@@ -229,10 +227,21 @@ pub fn select_stage_lookahead_par<M: BinaryOutcomeModel>(
     cfg: &LookaheadConfig,
     par: ParConfig,
 ) -> Result<Vec<Selection>, SelectError> {
+    select_stage_lookahead_on(posterior, model, order, cfg, ExecMode::Parallel(par))
+}
+
+/// [`select_stage_lookahead_fused`] with its blocks run where `exec` says.
+pub fn select_stage_lookahead_on<M: BinaryOutcomeModel>(
+    posterior: &DensePosterior,
+    model: &M,
+    order: &[usize],
+    cfg: &LookaheadConfig,
+    exec: ExecMode,
+) -> Result<Vec<Selection>, SelectError> {
     cfg.validate()?;
     let kernel = LookaheadKernel::new(posterior.n_subjects(), order);
     drive_lookahead(model, order, cfg, |pools| {
-        par_lookahead_histograms(posterior, &kernel, pools, par)
+        posterior.lookahead_histograms(&kernel, pools, exec)
     })
 }
 
@@ -535,28 +544,14 @@ mod tests {
             };
             let base = select_stage_lookahead(&post, &model, &order, &cfg).unwrap();
             let fused = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
-            let par = select_stage_lookahead_par(
-                &post,
-                &model,
-                &order,
-                &cfg,
-                ParConfig {
-                    chunk_len: 64,
-                    threshold: 0,
-                },
-            )
-            .unwrap();
+            let par = select_stage_lookahead_par(&post, &model, &order, &cfg, ParConfig).unwrap();
             assert_eq!(base.len(), fused.len(), "width {width}");
             for (b, f) in base.iter().zip(&fused) {
                 assert_eq!(b.pool, f.pool, "width {width}");
                 assert!((b.negative_mass - f.negative_mass).abs() < 1e-9);
                 assert!((b.distance - f.distance).abs() < 1e-9);
             }
-            for (f, p) in fused.iter().zip(&par) {
-                assert_eq!(f.pool, p.pool, "width {width}");
-                assert!((f.negative_mass - p.negative_mass).abs() < 1e-12);
-                assert!((f.distance - p.distance).abs() < 1e-12);
-            }
+            assert_eq!(fused, par, "width {width}");
         }
     }
 

@@ -14,9 +14,8 @@
 //!   size, the exact post-quantization risk bits, a fingerprint of the
 //!   response model's likelihood tables, classification thresholds, stage
 //!   width, pool-size cap, the sparse-switch policy, and an execution
-//!   [`PlanLineage`] (dense serial / dense parallel / engine-sharded /
-//!   sparse differ in floating-point summation order, which can flip a
-//!   near-tied argmin). Key equality therefore implies bit-identical live
+//!   [`PlanLineage`] (in-memory dense / engine-sharded / sparse differ in
+//!   floating-point summation order, which can flip a near-tied argmin). Key equality therefore implies bit-identical live
 //!   selections, which is what makes replaying a cached plan sound.
 //! * [`RiskQuantizer`] snaps per-subject risks onto bucket representatives
 //!   *before* the prior is built, so nearby cohorts collapse onto one key
@@ -64,22 +63,20 @@ const VERSION: u32 = 1;
 
 /// Which arithmetic path produced (and will replay) the plan.
 ///
-/// The dense serial, dense rayon-chunked, engine-sharded, and sparse paths
-/// select the same pools in exact arithmetic but sum in different orders,
-/// so a near-tied halving argmin can legitimately differ in the last ulp.
-/// Folding the path into the key keeps "key equal ⇒ selections bit-equal"
-/// true without any cross-path tolerance argument.
+/// The in-memory dense, engine-sharded and sparse paths select the same
+/// pools in exact arithmetic but sum in different orders, so a near-tied
+/// halving argmin can legitimately differ in the last ulp. Folding the path
+/// into the key keeps "key equal ⇒ selections bit-equal" true without any
+/// cross-path tolerance argument. The in-memory path is one lineage: its
+/// blocks fold in one order whether they run inline or on rayon.
+///
+/// Tag 1 belonged to the retired rayon-chunked lineage, whose sums depended
+/// on its chunk length and the host's thread count. [`PlanCache::import`]
+/// still decodes it, and drops its tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanLineage {
-    /// Dense in-memory session, serial kernels.
-    DenseSerial,
-    /// Dense in-memory session, rayon chunk kernels with this tuning.
-    DenseParallel {
-        /// `ParConfig::chunk_len` of the session.
-        chunk_len: u64,
-        /// `ParConfig::threshold` of the session.
-        threshold: u64,
-    },
+    /// Dense in-memory session, serial or parallel.
+    Dense,
     /// Engine-sharded session over this many posterior partitions.
     Sharded {
         /// Partition count (summation-order relevant).
@@ -113,8 +110,7 @@ pub enum PlanLineage {
 impl PlanLineage {
     fn tag(&self) -> u8 {
         match self {
-            PlanLineage::DenseSerial => 0,
-            PlanLineage::DenseParallel { .. } => 1,
+            PlanLineage::Dense => 0,
             PlanLineage::Sharded { .. } => 2,
             PlanLineage::Sparse { .. } => 3,
             PlanLineage::Bp { .. } => 4,
@@ -680,6 +676,7 @@ impl PlanCache {
         let mut adopted = 0usize;
         let mut trees = self.trees.lock().unwrap();
         for (key, tree) in parsed {
+            let Some(key) = key else { continue };
             trees.entry(key).or_insert_with(|| {
                 adopted += 1;
                 Arc::new(Mutex::new(tree))
@@ -756,7 +753,7 @@ impl From<ByteError> for PlanCodecError {
     }
 }
 
-/// Smallest encoded key: no risks, no sparse switch, the `DenseSerial`
+/// Smallest encoded key: no risks, no sparse switch, the `Dense`
 /// lineage (`n`, risk count, fingerprint, two thresholds, width, pool cap,
 /// switch flag, lineage tag).
 const MIN_KEY_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 1 + 1;
@@ -783,14 +780,7 @@ fn write_key(w: &mut Writer, key: &PlanKey) {
     }
     w.u8(key.lineage.tag());
     match key.lineage {
-        PlanLineage::DenseSerial => {}
-        PlanLineage::DenseParallel {
-            chunk_len,
-            threshold,
-        } => {
-            w.u64(chunk_len);
-            w.u64(threshold);
-        }
+        PlanLineage::Dense => {}
         PlanLineage::Sharded { parts } => w.u32(parts),
         PlanLineage::Sparse { epsilon_bits } => w.u64(epsilon_bits),
         PlanLineage::Bp {
@@ -810,7 +800,9 @@ fn write_key(w: &mut Writer, key: &PlanKey) {
     }
 }
 
-fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
+/// A key, or `None` for one under the retired tag 1: its two `u64` fields
+/// are consumed and the tree that follows is never adopted.
+fn read_key(r: &mut Reader<'_>) -> Result<Option<PlanKey>, PlanCodecError> {
     let n = r.u32()?;
     let n_risks = r.count32(8, "risk")?;
     let risk_bits = r.u64s(n_risks)?;
@@ -829,11 +821,12 @@ fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
         }
     };
     let lineage = match r.u8()? {
-        0 => PlanLineage::DenseSerial,
-        1 => PlanLineage::DenseParallel {
-            chunk_len: r.u64()?,
-            threshold: r.u64()?,
-        },
+        0 => PlanLineage::Dense,
+        1 => {
+            r.u64()?;
+            r.u64()?;
+            return Ok(None);
+        }
         2 => PlanLineage::Sharded { parts: r.u32()? },
         3 => PlanLineage::Sparse {
             epsilon_bits: r.u64()?,
@@ -852,7 +845,7 @@ fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
             )))
         }
     };
-    Ok(PlanKey {
+    Ok(Some(PlanKey {
         n,
         risk_bits,
         model_fp,
@@ -862,7 +855,7 @@ fn read_key(r: &mut Reader<'_>) -> Result<PlanKey, PlanCodecError> {
         max_pool_size,
         sparse_switch_bits,
         lineage,
-    })
+    }))
 }
 
 /// Nodes are exported in BFS order from the root (root = index 0), each as
@@ -987,7 +980,7 @@ mod tests {
             2,
             8,
             None,
-            PlanLineage::DenseSerial,
+            PlanLineage::Dense,
         )
     }
 
@@ -1320,6 +1313,49 @@ mod tests {
         w.raw(&[0; 64]);
         let err = PlanCache::new(64).import(&w.into_bytes()).unwrap_err();
         assert!(err.to_string().contains("node count 64"), "{err}");
+    }
+
+    /// A v1 blob holding a tree under the retired tag 1 (the rayon-chunked
+    /// lineage, with its chunk length and threshold) beside a tag-0 tree:
+    /// both decode, only the tag-0 tree is adopted, counted and replayed,
+    /// and the blob re-encodes to that tree alone.
+    #[test]
+    fn a_retired_lineage_tree_decodes_and_is_dropped() {
+        let live = PlanCache::new(64);
+        live.handle(key(&[0.05])).extend(&[], &[sel(0b1, 0.5)]);
+        let canonical = live.export();
+
+        let mut retired_key = Writer::new();
+        write_key(&mut retired_key, &key(&[0.05]));
+        let mut retired_key = retired_key.into_bytes();
+        // A `Dense` key ends in its tag byte.
+        *retired_key.last_mut().unwrap() = 1;
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u32(VERSION);
+        w.u32(2);
+        w.raw(&retired_key);
+        w.u64(1 << 14);
+        w.u64(1 << 16);
+        w.u32(1);
+        w.u8(1);
+        w.u64(0b10);
+        w.f64(0.25);
+        w.f64(0.25);
+        w.u32(NIL);
+        w.u32(NIL);
+        // The tag-0 key and tree, after the header's magic, version and count.
+        w.raw(&canonical[16..]);
+        let blob = w.into_bytes();
+
+        let cache = PlanCache::new(64);
+        assert_eq!(cache.import(&blob), Ok(1));
+        assert_eq!(cache.tree_count(), 1);
+        assert_eq!(
+            cache.handle(key(&[0.05])).lookup(&[]),
+            Some(vec![sel(0b1, 0.5)])
+        );
+        bytes::check_against(&blob, &canonical, reencode);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Scenario {
     fn key(&self) -> PlanKey {
         let cfg = self.config();
         let lineage = match self.mode {
-            Mode::Dense => PlanLineage::DenseSerial,
+            Mode::Dense => PlanLineage::Dense,
             Mode::Sharded { parts } | Mode::HybridSparse { parts } => PlanLineage::Sharded {
                 parts: parts as u32,
             },
@@ -301,7 +301,7 @@ proptest! {
         let model = BinaryDilutionModel::pcr_like();
         let rule = ClassificationRule::symmetric(0.99);
         let mk_key = |risks: &[f64], width: usize, cap: usize| {
-            PlanKey::new(risks, &model, &rule, width, cap, None, PlanLineage::DenseSerial)
+            PlanKey::new(risks, &model, &rule, width, cap, None, PlanLineage::Dense)
         };
         let key_a = mk_key(&snapped_a, stage_width, 16);
         let key_b = mk_key(&snapped_b, stage_width, 16);
@@ -342,7 +342,7 @@ proptest! {
                     stage_width,
                     16,
                     None,
-                    PlanLineage::DenseSerial,
+                    PlanLineage::Dense,
                 ),
             ),
             (
@@ -366,7 +366,7 @@ proptest! {
                     stage_width,
                     16,
                     None,
-                    PlanLineage::DenseSerial,
+                    PlanLineage::Dense,
                 ),
             ),
         ] {

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 
-use sbgt_lattice::kernels::ParConfig;
-use sbgt_lattice::{DensePosterior, State};
+use sbgt_lattice::{DensePosterior, ParConfig, State};
 use sbgt_response::{BinaryDilutionModel, Dilution};
 use sbgt_select::{
     select_halving_exhaustive, select_halving_global, select_halving_prefix,
@@ -117,13 +116,7 @@ proptest! {
         };
         let base = select_stage_lookahead(&post, &model, &order, &cfg).unwrap();
         let fused = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
-        let par = select_stage_lookahead_par(
-            &post,
-            &model,
-            &order,
-            &cfg,
-            ParConfig { chunk_len: 32, threshold: 0 },
-        ).unwrap();
+        let par = select_stage_lookahead_par(&post, &model, &order, &cfg, ParConfig).unwrap();
 
         prop_assert_eq!(base.len(), fused.len());
         prop_assert_eq!(fused.len(), par.len());
@@ -134,8 +127,8 @@ proptest! {
         }
         for (f, p) in fused.iter().zip(&par) {
             prop_assert_eq!(f.pool, p.pool);
-            prop_assert!((f.negative_mass - p.negative_mass).abs() < 1e-12);
-            prop_assert!((f.distance - p.distance).abs() < 1e-12);
+            prop_assert_eq!(f.negative_mass.to_bits(), p.negative_mass.to_bits());
+            prop_assert_eq!(f.distance.to_bits(), p.distance.to_bits());
         }
     }
 

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use sbgt::{
-    Backend, ExecMode, PlanCache, PlanHandle, PlanKey, PlanLineage, RiskQuantizer, RoundCtx,
-    RoundStep, SbgtConfig, SbgtSession, Session, SessionOutcome, SessionSnapshot, ShardedSession,
+    Backend, PlanCache, PlanHandle, PlanKey, PlanLineage, RiskQuantizer, RoundCtx, RoundStep,
+    SbgtConfig, SbgtSession, Session, SessionOutcome, SessionSnapshot, ShardedSession,
     SnapshotError,
 };
 use sbgt_approx::{BpBackend, BpConfig, ParticleBackend, ParticleConfig};
@@ -311,14 +311,7 @@ fn build_session(
                 Source::Fresh(_) => SbgtSession::new(prior(), model, cfg),
                 Source::Snapshot(snapshot) => SbgtSession::restore(snapshot, model, cfg)?,
             };
-            let lineage = match cfg.exec {
-                ExecMode::Serial => PlanLineage::DenseSerial,
-                ExecMode::Parallel(p) => PlanLineage::DenseParallel {
-                    chunk_len: p.chunk_len as u64,
-                    threshold: p.threshold as u64,
-                },
-            };
-            (Box::new(session), lineage)
+            (Box::new(session), PlanLineage::Dense)
         }
         CohortKind::Sharded => {
             let session = match source {

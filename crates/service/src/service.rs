@@ -434,11 +434,6 @@ impl SurveillanceService {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`SurveillanceService::begin_drain`] was called.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Hand out the reports completed so far and clear the buffer — the
     /// long-running server's poll path, where nobody ever calls
     /// [`SurveillanceService::drain`]. Reports are sorted by cohort id;

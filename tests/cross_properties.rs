@@ -4,14 +4,9 @@
 use proptest::prelude::*;
 
 use sbgt_repro::sbgt::prelude::*;
-use sbgt_repro::sbgt::ExecMode;
-use sbgt_repro::sbgt_lattice::kernels::ParConfig;
+use sbgt_repro::sbgt::{ExecMode, ParConfig};
 use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
 use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile};
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() < 1e-9 * (1.0 + a.abs() + b.abs())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -53,8 +48,8 @@ proptest! {
         }
     }
 
-    /// Serial and parallel sessions remain bit-compatible (to reduction
-    /// tolerance) over random observation sequences.
+    /// Serial and parallel sessions stay bitwise equal over random
+    /// observation sequences.
     #[test]
     fn backend_equivalence(
         n in 3usize..9,
@@ -77,7 +72,7 @@ proptest! {
             Prior::from_risks(&risks),
             model,
             SbgtConfig {
-                exec: ExecMode::Parallel(ParConfig { chunk_len: 7, threshold: 0 }),
+                exec: ExecMode::Parallel(ParConfig),
                 ..SbgtConfig::default()
             },
         );
@@ -88,13 +83,13 @@ proptest! {
             let a = serial.observe(pool, outcome);
             let b = parallel.observe(pool, outcome);
             match (a, b) {
-                (Ok(za), Ok(zb)) => prop_assert!(close(za, zb)),
+                (Ok(za), Ok(zb)) => prop_assert_eq!(za.to_bits(), zb.to_bits()),
                 (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
                 (a, b) => prop_assert!(false, "backends diverged: {a:?} vs {b:?}"),
             }
         }
         for (a, b) in serial.marginals().iter().zip(parallel.marginals()) {
-            prop_assert!(close(*a, b));
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
