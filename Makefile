@@ -234,13 +234,15 @@ fleet-obs-smoke:
 	$(CARGO) test -p sbgt-net --test fleet_obs -q
 	$(CARGO) test -p sbgt-engine --test obs_export -q
 
-# SIMD/sparse kernel smoke: replay the SIMD-vs-scalar and
-# sparse-equivalence suites with the dispatcher forced to the scalar path
+# SIMD/sparse kernel smoke: replay the SIMD-vs-scalar, sparse-equivalence
+# and selection suites with the dispatcher forced to the scalar path
 # (SBGT_FORCE_SCALAR=1), so a CI machine without AVX2/AVX-512 still
-# validates both sides of the dispatch.
+# validates both sides of the dispatch, the projected look-ahead's
+# branch doubling included.
 kernels-smoke:
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt-lattice --test properties -q
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt --test sparse_equivalence -q
+	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt-select --test properties -q
 
 # Approximate-backend smoke: the exact-vs-approx accuracy harness (>=99%
 # per-specimen agreement with the dense reference, assay budget within 5%,

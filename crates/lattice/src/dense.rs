@@ -12,7 +12,11 @@
 //! [`suffix_sums`], [`entropy_of`] and [`finish_top_k`] finish the pass),
 //! so every [`ExecMode`] gives the same bits and a lattice of one block is
 //! the plain whole-array loop. The engine-sharded posterior runs the same
-//! kernels once per partition.
+//! kernels once per partition. The projection onto a subject subset
+//! ([`DensePosterior::project`]) folds nothing: its kernel,
+//! `project_block`, adds each block straight into the smaller lattice,
+//! block after block, so every target sums its sources in ascending state
+//! order.
 //!
 //! Kernel design notes (these are the paper's constant-factor wins, not
 //! incidental details):
@@ -32,10 +36,11 @@
 //!   computes all `N+1` of them in one traversal via a first-positive-
 //!   position histogram, instead of one `O(2^N)` scan per candidate.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::blocks::ExecMode;
+use crate::blocks::{ExecMode, BLOCK_BITS, BLOCK_LEN};
 use crate::branch::{low_byte_popcounts, BranchPool, LookaheadKernel};
 pub use crate::simd::{marginal_sums, scale_marginal_sums};
 use crate::state::State;
@@ -55,15 +60,7 @@ use crate::MAX_SUBJECTS;
 /// Panics if `order` contains a duplicate or an index `>= n`.
 pub fn order_tables(n: usize, order: &[usize]) -> Vec<[u32; 256]> {
     let m = order.len() as u32;
-    let mut pos_of = vec![u32::MAX; n];
-    for (k, &subj) in order.iter().enumerate() {
-        assert!(subj < n, "subject {subj} out of range");
-        assert!(
-            pos_of[subj] == u32::MAX,
-            "duplicate subject {subj} in order"
-        );
-        pos_of[subj] = k as u32;
-    }
+    let pos_of = order_positions(n, order);
     let mut tables = vec![[m; 256]; n.div_ceil(8)];
     for (lane, table) in tables.iter_mut().enumerate() {
         // A byte's entry is its lowest set bit's position folded into the
@@ -75,6 +72,75 @@ pub fn order_tables(n: usize, order: &[usize]) -> Vec<[u32; 256]> {
         }
     }
     tables
+}
+
+/// Each subject's position in a validated ordering over `n` subjects
+/// (`u32::MAX` when it is not ordered).
+///
+/// # Panics
+/// Panics if `order` contains a duplicate or an index `>= n`.
+fn order_positions(n: usize, order: &[usize]) -> Vec<u32> {
+    let mut pos_of = vec![u32::MAX; n];
+    for (k, &subj) in order.iter().enumerate() {
+        assert!(subj < n, "subject {subj} out of range");
+        assert!(
+            pos_of[subj] == u32::MAX,
+            "duplicate subject {subj} in order"
+        );
+        pos_of[subj] = k as u32;
+    }
+    pos_of
+}
+
+/// The subjects of an ordering over `n` subjects as a bitmask: the `keep`
+/// of [`DensePosterior::project`] that sums out every unordered subject.
+///
+/// # Panics
+/// Panics if `order` contains a duplicate or an index `>= n`, with the
+/// messages of [`order_tables`].
+pub fn order_mask(n: usize, order: &[usize]) -> u64 {
+    order_positions(n, order);
+    order.iter().fold(0, |mask, &subj| mask | 1 << subj)
+}
+
+/// Parallel bit extract: the bits of `x` at the set positions of `mask`,
+/// packed into the low bits in ascending position order.
+#[inline]
+fn pext(x: u64, mask: u64) -> u64 {
+    let mut out = 0u64;
+    let mut rest = mask;
+    let mut bit = 0u32;
+    while rest != 0 {
+        if x & rest & rest.wrapping_neg() != 0 {
+            out |= 1 << bit;
+        }
+        bit += 1;
+        rest &= rest - 1;
+    }
+    out
+}
+
+/// Block kernel of the projection onto `keep`: `out[pext(s, keep)] += π(s)`
+/// over one block, in ascending state order. The kept bits above the low
+/// byte are packed once per 256-state run and the low byte's come from a
+/// 256-entry table, as the update kernels split their popcount.
+fn project_block(probs: &[f64], base: u64, keep: u64, out: &mut [f64]) {
+    let mut lo = [0u8; 256];
+    for (byte, t) in lo.iter_mut().enumerate() {
+        *t = pext(byte as u64, keep & 0xFF) as u8;
+    }
+    let lo_bits = (keep & 0xFF).count_ones();
+    let mut off = 0usize;
+    while off < probs.len() {
+        let state = base + off as u64;
+        let hi = (pext(state >> 8, keep >> 8) << lo_bits) as usize;
+        let low = (state & 0xFF) as usize;
+        let run = (256 - low).min(probs.len() - off);
+        for (&p, &t) in probs[off..off + run].iter().zip(&lo[low..]) {
+            out[hi | t as usize] += p;
+        }
+        off += run;
+    }
 }
 
 /// First positive position of `state` under [`order_tables`]' tables.
@@ -605,6 +671,38 @@ impl DensePosterior {
         )
     }
 
+    /// The posterior of the subjects in `keep`, every other subject summed
+    /// out: state `t` of the result, over `keep.count_ones()` subjects
+    /// numbered by ascending index, holds the mass of every state `s` with
+    /// `pext(s, keep) = t`. Each target sums its sources in ascending
+    /// source-state order, in one serial pass of the blocks in block order,
+    /// so the result does not depend on any [`ExecMode`].
+    ///
+    /// When `keep` covers every subject the projection is the identity: it
+    /// borrows `self` and makes no pass.
+    ///
+    /// # Panics
+    /// Panics if `keep` names a subject outside the cohort.
+    pub fn project(&self, keep: u64) -> Cow<'_, DensePosterior> {
+        let full = State::full(self.n_subjects).bits();
+        assert!(
+            keep & !full == 0,
+            "projection mask {keep:#x} names a subject outside the cohort"
+        );
+        if keep == full {
+            return Cow::Borrowed(self);
+        }
+        let m = keep.count_ones() as usize;
+        let mut probs = vec![0.0f64; crate::num_states(m)];
+        for (i, block) in self.probs.chunks(BLOCK_LEN).enumerate() {
+            project_block(block, (i as u64) << BLOCK_BITS, keep, &mut probs);
+        }
+        Cow::Owned(DensePosterior {
+            n_subjects: m,
+            probs,
+        })
+    }
+
     /// Shannon entropy (nats) of the normalized posterior. Zero-mass states
     /// contribute zero. Returns 0 for a degenerate (zero-total) posterior.
     pub fn entropy(&self) -> f64 {
@@ -927,6 +1025,83 @@ mod tests {
         assert_close(rd.iter().sum::<f64>(), 1.0);
         let mean_rank: f64 = rd.iter().enumerate().map(|(k, p)| k as f64 * p).sum();
         assert_close(mean_rank, expected);
+    }
+
+    #[test]
+    fn projection_keeps_the_total_and_the_kept_marginals() {
+        let risks = [0.3, 0.1, 0.25, 0.4, 0.15, 0.05, 0.2, 0.35, 0.12, 0.45];
+        let mut d = DensePosterior::from_risks(&risks);
+        // Correlate the subjects, so the projection is more than a product.
+        d.mul_likelihood(State::from_subjects([1, 4, 8]), &[0.98, 0.4, 0.2, 0.1]);
+        let full = d.marginals();
+        for keep in [0b10_0100_1010u64, 0b1, 0b11_0000_0000, 0, 0b01_1111_1110] {
+            let p = d.project(keep);
+            assert!(matches!(p, Cow::Owned(_)), "keep {keep:#b}");
+            assert_eq!(p.n_subjects(), keep.count_ones() as usize);
+            assert!((p.total() - d.total()).abs() < 1e-12, "keep {keep:#b}");
+            let kept = p.marginals();
+            for (rank, subj) in State(keep).subjects().enumerate() {
+                assert_close(kept[rank], full[subj]);
+            }
+        }
+    }
+
+    #[test]
+    fn projection_onto_every_subject_borrows_the_posterior() {
+        let d = DensePosterior::from_risks(&[0.3, 0.1, 0.25, 0.4]);
+        let p = d.project(0b1111);
+        let Cow::Borrowed(same) = p else {
+            panic!("the identity projection made a pass");
+        };
+        assert!(std::ptr::eq(same, &d));
+        let bits: Vec<u64> = same.probs().iter().map(|p| p.to_bits()).collect();
+        let want: Vec<u64> = d.probs().iter().map(|p| p.to_bits()).collect();
+        assert_eq!(bits, want);
+    }
+
+    /// Subject 0 of three kept: target 0 sums states 0, 2, 4, 6 and target
+    /// 1 sums 1, 3, 5, 7, each in that order. The masses are chosen so the
+    /// other association of the same three non-zero terms gives a different
+    /// double, in both directions.
+    #[test]
+    fn projection_sums_its_sources_in_ascending_state_order() {
+        let tiny = f64::EPSILON * 0.45;
+        // Target 0: (1 + tiny) + tiny rounds both tinies away.
+        // Target 1: (tiny + tiny) + 1 keeps them.
+        let probs = vec![1.0, tiny, tiny, tiny, tiny, 1.0, 0.0, 0.0];
+        let d = DensePosterior::from_probs(3, probs);
+        let p = d.project(0b001);
+        assert_eq!(p.probs()[0], (1.0 + tiny) + tiny);
+        assert_ne!(p.probs()[0], 1.0 + (tiny + tiny));
+        assert_eq!(p.probs()[1], (tiny + tiny) + 1.0);
+        assert_ne!(p.probs()[1], tiny + (tiny + 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the cohort")]
+    fn projection_rejects_a_foreign_subject() {
+        let _ = DensePosterior::new_uniform(3).project(0b1001);
+    }
+
+    #[test]
+    fn order_mask_matches_the_order_and_checks_it_like_the_tables() {
+        assert_eq!(order_mask(6, &[4, 0, 2]), 0b01_0101);
+        assert_eq!(order_mask(6, &[]), 0);
+        for (order, msg) in [
+            (&[1usize, 1][..], "duplicate subject 1 in order"),
+            (&[0, 6][..], "subject 6 out of range"),
+        ] {
+            let err = std::panic::catch_unwind(|| order_mask(6, order)).unwrap_err();
+            assert_eq!(err.downcast_ref::<String>().map(String::as_str), Some(msg));
+        }
+    }
+
+    #[test]
+    fn pext_packs_the_masked_bits_in_order() {
+        assert_eq!(pext(0b1011_0110, 0b1111_0000), 0b1011);
+        assert_eq!(pext(0b1011_0110, 0b0101_0101), 0b0110);
+        assert_eq!(pext(u64::MAX, 1 << 63 | 1), 0b11);
+        assert_eq!(pext(0xFF, 0), 0);
     }
 
     #[test]

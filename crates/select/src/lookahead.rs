@@ -24,15 +24,30 @@
 //!   where an [`ExecMode`] says ([`DensePosterior::lookahead_histograms`]);
 //!   `_fused` runs them inline and `_par` on rayon, with the same bits.
 //!
+//! The in-memory fused paths run on the **undecided sub-lattice**. Only
+//! subjects in `order` can enter a candidate pool or set a first-positive
+//! row, so `_on` first projects the posterior onto them once per stage
+//! ([`DensePosterior::project`], every other subject summed out) and then
+//! runs the unchanged kernel and driver over the `2^m` states of the
+//! projection, `m = order.len()`, with `order` renumbered to ranks. A
+//! chosen prefix of rank `k` maps back to `order[..k]`. When `order`
+//! covers every subject the projection borrows the posterior and the bits
+//! are the unprojected kernel's; otherwise they differ from it in ulps,
+//! since a state's mass is summed before it is multiplied.
+//!
 //! The engine-sharded variant (`ShardedSession::select_stage` in the core
-//! crate) reuses the same driver with a histogram closure that runs the
-//! kernel as an aggregate stage over posterior partitions.
-
-use std::collections::HashSet;
+//! crate) and the sparse variant reuse the same driver over the full
+//! lattice: the sharded one with a histogram closure that runs the kernel
+//! as an aggregate stage over posterior partitions.
+//!
+//! The driver's own bookkeeping is sized for small `m`: candidates are
+//! prefixes, so the `cap` prefix pools are built once per call, used
+//! prefixes are a bitmask of lengths and the expected-score buffers are
+//! reused across steps.
 
 use sbgt_bayes::{update_dense, Observation};
 use sbgt_lattice::branch::suffix_sum_rows;
-use sbgt_lattice::dense::{first_pos, order_tables};
+use sbgt_lattice::dense::{first_pos, order_mask, order_tables};
 use sbgt_lattice::{
     simd, BranchPool, DensePosterior, ExecMode, LookaheadKernel, ParConfig, SparsePosterior, State,
 };
@@ -135,10 +150,13 @@ pub fn drive_lookahead<M: BinaryOutcomeModel>(
         return Ok(Vec::new());
     }
 
+    let prefixes = prefix_pools(order, cap);
     let mut pools: Vec<BranchPool> = Vec::new();
     let mut chosen: Vec<Selection> = Vec::with_capacity(cfg.width);
-    let mut used: HashSet<u64> = HashSet::new();
+    let mut used = 0u128;
     let mut z0 = 0.0f64;
+    let mut expected_mass = vec![0.0f64; cap + 1];
+    let mut expected_dist = vec![0.0f64; cap + 1];
 
     for step in 0..cfg.width {
         let nb = 1usize << pools.len();
@@ -152,8 +170,8 @@ pub fn drive_lookahead<M: BinaryOutcomeModel>(
             }
         }
 
-        let mut expected_mass = vec![0.0f64; cap + 1];
-        let mut expected_dist = vec![0.0f64; cap + 1];
+        expected_mass.fill(0.0);
+        expected_dist.fill(0.0);
         let mut live = 0usize;
         for b in 0..nb {
             let total = masses[b];
@@ -172,24 +190,12 @@ pub fn drive_lookahead<M: BinaryOutcomeModel>(
             break;
         }
 
-        let mut best: Option<(usize, State)> = None;
-        for k in 1..=cap {
-            let pool = State::from_subjects(order[..k].iter().copied());
-            if used.contains(&pool.bits()) {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bk, _)) => expected_dist[k] + Selection::DISTANCE_EPS < expected_dist[bk],
-            };
-            if better {
-                best = Some((k, pool));
-            }
-        }
-        let Some((k, pool)) = best else { break };
-        used.insert(pool.bits());
+        let Some(k) = best_unused_prefix(&expected_dist, used) else {
+            break;
+        };
+        used |= 1 << k;
         chosen.push(Selection {
-            pool,
+            pool: prefixes[k],
             negative_mass: expected_mass[k],
             distance: expected_dist[k],
         });
@@ -197,9 +203,43 @@ pub fn drive_lookahead<M: BinaryOutcomeModel>(
         if chosen.len() == cfg.width {
             break;
         }
-        pools.push(branch_pool(model, pool));
+        pools.push(branch_pool(model, prefixes[k]));
     }
     Ok(chosen)
+}
+
+/// The prefix pools `order[..k]` for `k = 0..=cap`, each one subject more
+/// than the last.
+fn prefix_pools(order: &[usize], cap: usize) -> Vec<State> {
+    let mut pools = Vec::with_capacity(cap + 1);
+    let mut pool = State::EMPTY;
+    pools.push(pool);
+    for &subj in &order[..cap] {
+        pool = State(pool.bits() | 1 << subj);
+        pools.push(pool);
+    }
+    pools
+}
+
+/// The prefix length `k ≥ 1` minimising `expected_dist[k]` among those not
+/// set in `used` (bit `k` = prefix `k` already in the stage); the shortest
+/// wins unless a longer one is better by more than
+/// [`Selection::DISTANCE_EPS`].
+fn best_unused_prefix(expected_dist: &[f64], used: u128) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for k in 1..expected_dist.len() {
+        if used & (1 << k) != 0 {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some(bk) => expected_dist[k] + Selection::DISTANCE_EPS < expected_dist[bk],
+        };
+        if better {
+            best = Some(k);
+        }
+    }
+    best
 }
 
 /// Branch-fused look-ahead selection over the dense posterior, every
@@ -231,6 +271,19 @@ pub fn select_stage_lookahead_par<M: BinaryOutcomeModel>(
 }
 
 /// [`select_stage_lookahead_fused`] with its blocks run where `exec` says.
+///
+/// The posterior is first projected onto `order`'s subjects
+/// ([`DensePosterior::project`]): a subject outside `order` can enter no
+/// candidate pool and set no first-positive row, so summing it out is
+/// exact, and each greedy step then scans `2^m` states for `m =
+/// order.len()` instead of `2^N`. The driver runs on the projected lattice
+/// with `order` renumbered to ranks, and a chosen prefix of rank `k` is
+/// `order[..k]`. When `order` covers every subject the projection is the
+/// identity and the bits are those of the unprojected kernel.
+///
+/// # Panics
+/// Panics if `order` contains a duplicate or an index `>= n`, matching
+/// [`LookaheadKernel::new`], before any projection.
 pub fn select_stage_lookahead_on<M: BinaryOutcomeModel>(
     posterior: &DensePosterior,
     model: &M,
@@ -239,10 +292,23 @@ pub fn select_stage_lookahead_on<M: BinaryOutcomeModel>(
     exec: ExecMode,
 ) -> Result<Vec<Selection>, SelectError> {
     cfg.validate()?;
-    let kernel = LookaheadKernel::new(posterior.n_subjects(), order);
-    drive_lookahead(model, order, cfg, |pools| {
-        posterior.lookahead_histograms(&kernel, pools, exec)
-    })
+    let keep = order_mask(posterior.n_subjects(), order);
+    let projected = posterior.project(keep);
+    let ranks: Vec<usize> = order
+        .iter()
+        .map(|&subj| (keep & ((1 << subj) - 1)).count_ones() as usize)
+        .collect();
+    let kernel = LookaheadKernel::new(projected.n_subjects(), &ranks);
+    let chosen = drive_lookahead(model, &ranks, cfg, |pools| {
+        projected.lookahead_histograms(&kernel, pools, exec)
+    })?;
+    Ok(chosen
+        .into_iter()
+        .map(|s| Selection {
+            pool: State::from_subjects(order[..s.pool.rank() as usize].iter().copied()),
+            ..s
+        })
+        .collect())
 }
 
 /// Branch-fused look-ahead selection over a **sparse** (pruned) posterior —
@@ -332,8 +398,9 @@ pub fn select_stage_lookahead<M: BinaryOutcomeModel>(
         return Ok(Vec::new());
     }
 
+    let prefixes = prefix_pools(order, cap);
     let mut chosen: Vec<Selection> = Vec::with_capacity(cfg.width);
-    let mut used: HashSet<u64> = HashSet::new();
+    let mut used = 0u128;
 
     for _ in 0..cfg.width {
         // Score every prefix candidate against every branch in one
@@ -352,22 +419,11 @@ pub fn select_stage_lookahead<M: BinaryOutcomeModel>(
                 expected_dist[k] += w * (m - 0.5).abs();
             }
         }
-        let mut best: Option<(usize, State)> = None;
-        for k in 1..=cap {
-            let pool = State::from_subjects(order[..k].iter().copied());
-            if used.contains(&pool.bits()) {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bk, _)) => expected_dist[k] + Selection::DISTANCE_EPS < expected_dist[bk],
-            };
-            if better {
-                best = Some((k, pool));
-            }
-        }
-        let Some((k, pool)) = best else { break };
-        used.insert(pool.bits());
+        let Some(k) = best_unused_prefix(&expected_dist, used) else {
+            break;
+        };
+        used |= 1 << k;
+        let pool = prefixes[k];
         chosen.push(Selection {
             pool,
             negative_mass: expected_mass[k],
@@ -555,26 +611,51 @@ mod tests {
         }
     }
 
+    /// Also with an `order` that leaves subjects out: the dense path then
+    /// runs on its projection, the sparse path on every retained entry.
     #[test]
     fn sparse_unpruned_selects_identical_pools_to_fused() {
         let risks = [0.03, 0.07, 0.12, 0.2, 0.04, 0.09, 0.15, 0.25];
         let post = DensePosterior::from_risks(&risks);
         let sparse = SparsePosterior::from_dense(&post, 0.0);
-        let order = ascending_order(&risks);
+        let full = ascending_order(&risks);
+        let partial: Vec<usize> = full.iter().copied().filter(|&s| s % 3 != 1).collect();
         let model = BinaryDilutionModel::pcr_like();
-        for width in 1..=4 {
-            let cfg = LookaheadConfig {
-                width,
-                max_pool_size: 6,
-            };
-            let fused = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
-            let sp = select_stage_lookahead_sparse(&sparse, &model, &order, &cfg).unwrap();
-            assert_eq!(fused.len(), sp.len(), "width {width}");
-            for (f, s) in fused.iter().zip(&sp) {
-                assert_eq!(f.pool, s.pool, "width {width}");
-                assert!((f.negative_mass - s.negative_mass).abs() < 1e-12);
-                assert!((f.distance - s.distance).abs() < 1e-12);
+        for order in [full, partial] {
+            for width in 1..=4 {
+                let cfg = LookaheadConfig {
+                    width,
+                    max_pool_size: 6,
+                };
+                let fused = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
+                let sp = select_stage_lookahead_sparse(&sparse, &model, &order, &cfg).unwrap();
+                assert_eq!(fused.len(), sp.len(), "width {width}");
+                for (f, s) in fused.iter().zip(&sp) {
+                    assert_eq!(f.pool, s.pool, "width {width}");
+                    assert!((f.negative_mass - s.negative_mass).abs() < 1e-12);
+                    assert!((f.distance - s.distance).abs() < 1e-12);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn a_bad_order_panics_before_any_projection() {
+        let post = DensePosterior::from_risks(&[0.1, 0.2, 0.3]);
+        let model = BinaryDilutionModel::pcr_like();
+        let cfg = LookaheadConfig {
+            width: 2,
+            max_pool_size: 3,
+        };
+        for (order, msg) in [
+            (&[2usize, 2][..], "duplicate subject 2 in order"),
+            (&[0, 3][..], "subject 3 out of range"),
+        ] {
+            let err = std::panic::catch_unwind(|| {
+                select_stage_lookahead_fused(&post, &model, order, &cfg)
+            })
+            .unwrap_err();
+            assert_eq!(err.downcast_ref::<String>().map(String::as_str), Some(msg));
         }
     }
 

@@ -55,7 +55,13 @@ use crate::halving::Selection;
 pub const PLAN_MAX_STAGE_POOLS: usize = 12;
 
 const MAGIC: &[u8; 8] = b"SBGTPLAN";
-const VERSION: u32 = 1;
+/// Version 2 has the layout of version 1. A version-1 blob still decodes,
+/// but its [`PlanLineage::Dense`] trees wider than one pool per stage are
+/// dropped: they were chosen by the look-ahead over the whole lattice,
+/// which the in-memory path no longer runs (it projects onto the
+/// undecided subjects first), so replaying them could serve pools a live
+/// selection would not pick.
+const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Key
@@ -72,7 +78,8 @@ const VERSION: u32 = 1;
 ///
 /// Tag 1 belonged to the retired rayon-chunked lineage, whose sums depended
 /// on its chunk length and the host's thread count. [`PlanCache::import`]
-/// still decodes it, and drops its tree.
+/// still decodes it, and drops its tree. It drops the look-ahead trees of a
+/// version-1 `Dense` key too (see `VERSION`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanLineage {
     /// Dense in-memory session, serial or parallel.
@@ -655,15 +662,16 @@ impl PlanCache {
     /// Merge an `SBGTPLAN` blob into this cache. Keys already present keep
     /// their live (likely fresher) tree; new keys adopt the imported one.
     /// Every structural violation is a typed [`PlanCodecError::Corrupt`] —
-    /// a tampered blob must never panic. Returns the number of trees
-    /// adopted.
+    /// a tampered blob must never panic. Trees a retired arithmetic built
+    /// (the tag-1 lineage; a version-1 blob's look-ahead `Dense` trees)
+    /// decode and are dropped. Returns the number of trees adopted.
     pub fn import(&self, bytes: &[u8]) -> Result<usize, PlanCodecError> {
         let mut r = Reader::new(bytes);
         if r.take(8)? != MAGIC {
             return Err(PlanCodecError::Corrupt("bad plan magic".into()));
         }
         let version = r.u32()?;
-        if version != VERSION {
+        if version != 1 && version != VERSION {
             return Err(PlanCodecError::Corrupt(format!(
                 "unsupported plan version {version}"
             )));
@@ -677,6 +685,9 @@ impl PlanCache {
         let mut trees = self.trees.lock().unwrap();
         for (key, tree) in parsed {
             let Some(key) = key else { continue };
+            if version == 1 && key.lineage == PlanLineage::Dense && key.stage_width > 1 {
+                continue;
+            }
             trees.entry(key).or_insert_with(|| {
                 adopted += 1;
                 Arc::new(Mutex::new(tree))
@@ -1241,14 +1252,30 @@ mod tests {
     }
 
     /// The same cache exported by the commit before the shared byte layer
-    /// (`ae8dcfc`): no byte of the format may have moved.
+    /// (`ae8dcfc`), as version 1: no byte of the layout may have moved, only
+    /// the version word. The recorded blob still decodes; its width-2
+    /// `Dense` tree is dropped and the sharded and sparse trees adopted.
     #[test]
     fn export_matches_the_bytes_the_parent_commit_wrote() {
         let hex = include_str!("../tests/data/parent_plan.txt")
             .strip_prefix("SBGTPLAN ")
             .expect("recorded SBGTPLAN line");
         let recorded = bytes::from_hex(hex.trim_end());
-        assert!(sample_cache().export() == recorded, "SBGTPLAN bytes moved");
+        let mut v1 = Writer::new();
+        v1.raw(MAGIC);
+        v1.u32(1);
+        assert_eq!(recorded[..12], v1.into_bytes()[..], "a version-1 header");
+        let mut current = Writer::new();
+        current.raw(MAGIC);
+        current.u32(VERSION);
+        current.raw(&recorded[12..]);
+        assert!(
+            sample_cache().export() == current.into_bytes(),
+            "SBGTPLAN bytes moved"
+        );
+        let cache = PlanCache::new(64);
+        assert_eq!(cache.import(&recorded), Ok(2));
+        assert!(cache.handle(key(&[0.05, 0.15, 0.25])).lookup(&[]).is_none());
     }
 
     #[test]
@@ -1315,7 +1342,7 @@ mod tests {
         assert!(err.to_string().contains("node count 64"), "{err}");
     }
 
-    /// A v1 blob holding a tree under the retired tag 1 (the rayon-chunked
+    /// A blob holding a tree under the retired tag 1 (the rayon-chunked
     /// lineage, with its chunk length and threshold) beside a tag-0 tree:
     /// both decode, only the tag-0 tree is adopted, counted and replayed,
     /// and the blob re-encodes to that tree alone.
@@ -1356,6 +1383,50 @@ mod tests {
             Some(vec![sel(0b1, 0.5)])
         );
         bytes::check_against(&blob, &canonical, reencode);
+    }
+
+    /// A version-1 blob of four trees: look-ahead (width 2) and width-1
+    /// trees under the `Dense` lineage, and look-ahead trees under the
+    /// sharded and sparse lineages, whose arithmetic did not change. All
+    /// four decode; the `Dense` look-ahead tree is dropped, never replayed,
+    /// and the blob re-encodes as version 2 without it.
+    #[test]
+    fn a_parent_lookahead_tree_decodes_and_is_dropped() {
+        let mut width_one = key(&[0.05]);
+        width_one.stage_width = 1;
+        let mut sharded = key(&[0.05]);
+        sharded.lineage = PlanLineage::Sharded { parts: 4 };
+        let mut sparse = key(&[0.05]);
+        sparse.lineage = PlanLineage::Sparse {
+            epsilon_bits: 1e-9f64.to_bits(),
+        };
+        let kept = [width_one, sharded, sparse];
+        let parent = PlanCache::new(64);
+        parent
+            .handle(key(&[0.05]))
+            .extend(&[], &[sel(0b1, 0.5), sel(0b11, 0.4)]);
+        for k in &kept {
+            parent.handle(k.clone()).extend(&[], &[sel(0b1, 0.5)]);
+        }
+        let mut v1 = parent.export();
+        let mut header = Writer::new();
+        header.raw(MAGIC);
+        header.u32(1);
+        v1[..12].copy_from_slice(&header.into_bytes());
+
+        let cache = PlanCache::new(64);
+        assert_eq!(cache.import(&v1), Ok(3));
+        assert_eq!(cache.tree_count(), 3);
+        let canonical = cache.export();
+        assert_eq!(PlanCache::new(64).import(&canonical), Ok(3));
+        bytes::check_against(&v1, &canonical, reencode);
+
+        for k in kept {
+            assert_eq!(cache.handle(k).lookup(&[]), Some(vec![sel(0b1, 0.5)]));
+        }
+        let dropped = cache.handle(key(&[0.05]));
+        assert_eq!(dropped.lookup(&[]), None);
+        assert_eq!(dropped.tree_len(), 0);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
-use sbgt_lattice::{DensePosterior, ParConfig, State};
-use sbgt_response::{BinaryDilutionModel, Dilution};
+use sbgt_lattice::{DensePosterior, ExecMode, LookaheadKernel, ParConfig, State};
+use sbgt_response::{BinaryDilutionModel, Dilution, ResponseModel};
 use sbgt_select::{
-    select_halving_exhaustive, select_halving_global, select_halving_prefix,
+    drive_lookahead, select_halving_exhaustive, select_halving_global, select_halving_prefix,
     select_information_gain, select_stage_lookahead, select_stage_lookahead_fused,
     select_stage_lookahead_par, CandidateStrategy, LookaheadConfig,
 };
@@ -20,6 +20,22 @@ fn ascending(risks: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..risks.len()).collect();
     order.sort_by(|&a, &b| risks[a].total_cmp(&risks[b]));
     order
+}
+
+/// The independent prior of `risks` after one observed pool, so subjects
+/// are correlated and a projection is more than dropping factors.
+fn observed_posterior(
+    risks: &[f64],
+    model: &BinaryDilutionModel,
+    pool_mask: u64,
+    outcome: bool,
+) -> DensePosterior {
+    let mut post = DensePosterior::from_risks(risks);
+    let pool = State(pool_mask & State::full(risks.len()).bits());
+    if !pool.is_empty() {
+        post.mul_likelihood(pool, &model.likelihood_table(outcome, pool.rank()));
+    }
+    post
 }
 
 proptest! {
@@ -129,6 +145,84 @@ proptest! {
             prop_assert_eq!(f.pool, p.pool);
             prop_assert_eq!(f.negative_mass.to_bits(), p.negative_mass.to_bits());
             prop_assert_eq!(f.distance.to_bits(), p.distance.to_bits());
+        }
+    }
+
+    /// With `order` a strict subset of the subjects, the in-memory
+    /// look-ahead runs on the posterior projected onto `order` and still
+    /// selects the clone-per-branch baseline's pools over the full lattice,
+    /// with the same expected masses and distances up to rounding.
+    #[test]
+    fn projected_lookahead_matches_the_full_lattice_baseline(
+        risks in prop::collection::vec(0.01f64..0.45, 2..=10),
+        keep in any::<u64>(),
+        pool_mask in any::<u64>(),
+        outcome in any::<bool>(),
+        width in 1usize..5,
+        cap in 1usize..8,
+        dilution_alpha in 1.0f64..8.0,
+    ) {
+        let n = risks.len();
+        let keep = keep & State::full(n).bits();
+        prop_assume!(keep != 0 && keep != State::full(n).bits());
+        let model = BinaryDilutionModel::new(
+            0.95,
+            0.99,
+            Dilution::Exponential { alpha: dilution_alpha },
+        );
+        let post = observed_posterior(&risks, &model, pool_mask, outcome);
+        let order: Vec<usize> = ascending(&risks)
+            .into_iter()
+            .filter(|&subj| keep & (1 << subj) != 0)
+            .collect();
+        let cfg = LookaheadConfig {
+            width,
+            max_pool_size: cap,
+        };
+        let base = select_stage_lookahead(&post, &model, &order, &cfg).unwrap();
+        let projected = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
+        let par = select_stage_lookahead_par(&post, &model, &order, &cfg, ParConfig).unwrap();
+
+        prop_assert_eq!(base.len(), projected.len());
+        for (b, p) in base.iter().zip(&projected) {
+            prop_assert_eq!(b.pool, p.pool);
+            prop_assert!(p.pool.is_subset_of(State(keep)));
+            prop_assert!((b.negative_mass - p.negative_mass).abs() < 1e-9);
+            prop_assert!((b.distance - p.distance).abs() < 1e-9);
+        }
+        prop_assert_eq!(projected, par);
+    }
+
+    /// With `order` covering every subject the projection is the identity:
+    /// the in-memory look-ahead is bit for bit the driver over the
+    /// unprojected posterior's histograms.
+    #[test]
+    fn lookahead_over_every_subject_is_the_unprojected_driver(
+        risks in prop::collection::vec(0.01f64..0.45, 2..=10),
+        pool_mask in any::<u64>(),
+        outcome in any::<bool>(),
+        width in 1usize..9,
+        cap in 1usize..11,
+    ) {
+        let model = BinaryDilutionModel::pcr_like();
+        let post = observed_posterior(&risks, &model, pool_mask, outcome);
+        let order = ascending(&risks);
+        let cfg = LookaheadConfig {
+            width,
+            max_pool_size: cap,
+        };
+        let kernel = LookaheadKernel::new(risks.len(), &order);
+        let unprojected = drive_lookahead(&model, &order, &cfg, |pools| {
+            post.lookahead_histograms(&kernel, pools, ExecMode::Serial)
+        })
+        .unwrap();
+        let fused = select_stage_lookahead_fused(&post, &model, &order, &cfg).unwrap();
+
+        prop_assert_eq!(unprojected.len(), fused.len());
+        for (u, f) in unprojected.iter().zip(&fused) {
+            prop_assert_eq!(u.pool, f.pool);
+            prop_assert_eq!(u.negative_mass.to_bits(), f.negative_mass.to_bits());
+            prop_assert_eq!(u.distance.to_bits(), f.distance.to_bits());
         }
     }
 
