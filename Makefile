@@ -97,9 +97,11 @@ measure-lint:
 
 # One exact backend: the dense->sparse arm is written once, in
 # crates/core/src/exact.rs. Fails if a sparse-arm kernel is named in more
-# than one file under crates/core/src, or if the subject-order check (the
+# than one file under crates/core/src, if the subject-order check (the
 # code, not its panic text) is written in more than one file under
-# crates/*/src: it lives in sbgt_lattice::dense::order_tables.
+# crates/*/src: it lives in sbgt_lattice::dense::order_tables, or if the
+# bit renumbering a contraction runs on (`fn pext`, `fn pdep`) is defined
+# in more than one file under crates/*/src: it lives in sbgt_lattice::dense.
 EXACT_KERNELS := select_halving_prefix_sparse select_stage_lookahead_sparse update_sparse sparse_round_on
 ORDER_CHECK := pos_of[subj] == u32::MAX
 exact-lint:
@@ -115,6 +117,13 @@ exact-lint:
 		echo "exact-lint: the order check is written in more than one file under crates/*/src:"; \
 		echo "$$files"; exit 1; \
 	fi
+	@for f in pext pdep; do \
+		files=$$(grep -rlw "fn $$f" crates/*/src); \
+		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+			echo "exact-lint: fn $$f defined in more than one file under crates/*/src:"; \
+			echo "$$files"; exit 1; \
+		fi; \
+	done
 	@echo "exact-lint: OK"
 
 # Retired names stay retired: the exact backend's old session/posterior
@@ -234,15 +243,16 @@ fleet-obs-smoke:
 	$(CARGO) test -p sbgt-net --test fleet_obs -q
 	$(CARGO) test -p sbgt-engine --test obs_export -q
 
-# SIMD/sparse kernel smoke: replay the SIMD-vs-scalar, sparse-equivalence
-# and selection suites with the dispatcher forced to the scalar path
-# (SBGT_FORCE_SCALAR=1), so a CI machine without AVX2/AVX-512 still
-# validates both sides of the dispatch, the projected look-ahead's
-# branch doubling included.
+# SIMD/sparse kernel smoke: replay the SIMD-vs-scalar, sparse-equivalence,
+# selection and contraction suites with the dispatcher forced to the
+# scalar path (SBGT_FORCE_SCALAR=1), so a CI machine without AVX2/AVX-512
+# still validates both sides of the dispatch, the projected look-ahead's
+# branch doubling and the contracted lattice's bits included.
 kernels-smoke:
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt-lattice --test properties -q
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt --test sparse_equivalence -q
 	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt-select --test properties -q
+	SBGT_FORCE_SCALAR=1 $(CARGO) test -p sbgt --test contraction -q
 
 # Approximate-backend smoke: the exact-vs-approx accuracy harness (>=99%
 # per-specimen agreement with the dense reference, assay budget within 5%,

@@ -26,7 +26,7 @@
 //! folds it into its own multiply as `(p·inv)·t[k]`, which rounds exactly
 //! as a scale pass followed by the multiply. [`DenseRepr::finish_stage`],
 //! the first step of every `end_stage`, applies the last pending scale and
-//! computes the marginals of the result in the same traversal, and
+//! computes the marginal masses of the result in the same traversal, and
 //! classification reads them from the cache. The invariant: **no scale is
 //! pending when any public call returns** — an observation that fails
 //! settles or consumes it — so the posterior, snapshots, reports and
@@ -34,6 +34,48 @@
 //! scale-after-every-update order. An empty cache (a fresh or restored
 //! session, or after an impossible observation) computes the marginals on
 //! read.
+//!
+//! ## Contraction
+//!
+//! A subject whose unnormalised marginal mass is exactly `0.0` is negative
+//! in every state that has mass: a perfect assay's negative pool, or any
+//! model with sensitivity 1, leaves its members there. A zero mass stays
+//! zero under every later multiply, so half of the lattice is zeros for
+//! each such subject for the rest of the session. At every `end_stage`,
+//! right after `finish_stage` settles, the dense arm sums every such
+//! subject out ([`DenseRepr::contract`]: [`DensePosterior::project`] in
+//! memory, [`ShardedPosterior::project`] sharded) and later traversals
+//! read `2^m` states for the `m` subjects still open. The test is the sum
+//! itself, never a threshold on the normalised marginal, and it runs only
+//! once all of a stage's observations have landed. Certain positives are
+//! not contracted.
+//!
+//! The [`SubjectMap`] lists the cohort subjects the lattice still stores,
+//! and [`ExactBackend`] is the one place that converts: pools going in
+//! drop their contracted members ([`pext`]; those members are negative in
+//! every state with mass, so the pool's likelihood table keeps its full
+//! size and no product changes), selections coming out are deposited back
+//! ([`pdep`], monotone, so the bitmask tie-break of [`Selection`] is
+//! unchanged), an `order` is mapped to stored positions, and marginals
+//! report a contracted subject as exactly `0.0`. The history, the plan
+//! keys and the service keep cohort ids. While nothing is contracted every
+//! conversion is skipped and nothing is allocated.
+//!
+//! A surviving mass keeps its bits (each projected target is `p + 0.0`).
+//! The in-memory cached marginal masses survive a contraction of a
+//! one-block lattice, whose sums have the same non-zero terms in the same
+//! order; a larger lattice recomputes them on read, as a restored session
+//! does. The sharded cache keeps the surviving marginals and drops each
+//! contracted `order[j]` of its selection bank together with
+//! `masses[j + 1]`, which equals `masses[j]` when `order[j]` has no mass.
+//! The sparse arm never contracts: the switch deposits its entries back to
+//! cohort numbering, and its limit stays a fraction of the cohort's `2^N`.
+//!
+//! External views keep cohort numbering: [`Session::posterior`], the
+//! report and snapshots see the expansion, with the zeros written back, so
+//! the SBGTSNAP format does not change. A restore contracts every
+//! massless subject once, as the last stage end did; a snapshot taken
+//! before any stage ended restores uncontracted, as it was taken.
 //!
 //! ## Sharded selection pipelining
 //!
@@ -48,15 +90,18 @@
 //! path (fresh ordering, one extra read-only stage).
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sbgt_bayes::{
     analyze_on, update_sparse, update_sparse_with_table, BayesError, Observation, PosteriorReport,
     Prior,
 };
 use sbgt_engine::{Engine, StageVariant};
+use sbgt_lattice::blocks::BLOCK_LEN;
 use sbgt_lattice::hybrid::retained_support;
-use sbgt_lattice::{num_states, DensePosterior, LookaheadKernel, SparsePosterior, State};
+use sbgt_lattice::{
+    num_states, pdep, pext, DensePosterior, LookaheadKernel, SparsePosterior, State,
+};
 use sbgt_response::BinaryOutcomeModel;
 use sbgt_select::{
     drive_lookahead, select_halving_from_masses, select_halving_prefix_on,
@@ -65,24 +110,125 @@ use sbgt_select::{
 };
 
 use crate::config::{ConfigError, SbgtConfig};
-use crate::parallel::ShardedPosterior;
+use crate::parallel::{massless, ShardedPosterior};
 use crate::report::SessionOutcome;
 use crate::session::{eligible_order, Backend, RoundCtx, RoundStep, Session};
 use crate::snapshot::{SessionSnapshot, SnapshotError, SparseSnapshot};
 
+/// The cohort subjects a dense lattice stores (module docs,
+/// **Contraction**): stored position `j` is the `j`-th set bit of `live`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubjectMap {
+    live: u64,
+    n: usize,
+}
+
+impl SubjectMap {
+    /// Every subject of an `n`-subject cohort stored.
+    fn full(n: usize) -> Self {
+        SubjectMap {
+            live: State::full(n).bits(),
+            n,
+        }
+    }
+
+    fn is_full(self) -> bool {
+        self.live == State::full(self.n).bits()
+    }
+
+    /// A cohort pool in stored positions, without its contracted members.
+    fn pool_in(self, pool: State) -> State {
+        if self.is_full() {
+            return pool;
+        }
+        State(pext(pool.bits(), self.live))
+    }
+
+    /// A selection over stored positions, in cohort ids.
+    fn selection_out(self, s: Selection) -> Selection {
+        if self.is_full() {
+            return s;
+        }
+        Selection {
+            pool: State(pdep(s.pool.bits(), self.live)),
+            ..s
+        }
+    }
+
+    /// Cohort subjects as stored positions.
+    ///
+    /// # Panics
+    /// Panics on a contracted subject. Its marginal is `0.0`, which every
+    /// classification rule calls negative, so no candidate order names one.
+    fn positions(self, order: &[usize]) -> Cow<'_, [usize]> {
+        if self.is_full() {
+            return Cow::Borrowed(order);
+        }
+        let position = |subject: usize| {
+            assert!(
+                self.live >> subject & 1 == 1,
+                "subject {subject} is contracted"
+            );
+            (self.live & ((1 << subject) - 1)).count_ones() as usize
+        };
+        Cow::Owned(order.iter().map(|&subject| position(subject)).collect())
+    }
+
+    /// Stored positions as cohort subjects.
+    fn subjects(self, positions: &[usize]) -> Vec<usize> {
+        positions
+            .iter()
+            .map(|&j| pdep(1 << j, self.live).trailing_zeros() as usize)
+            .collect()
+    }
+
+    /// Stored marginals in cohort numbering, `0.0` for a contracted subject.
+    fn marginals_out(self, stored: Vec<f64>) -> Vec<f64> {
+        if self.is_full() {
+            return stored;
+        }
+        let mut out = vec![0.0; self.n];
+        for (subject, m) in State(self.live).subjects().zip(stored) {
+            out[subject] = m;
+        }
+        out
+    }
+
+    /// A sparse posterior over stored positions, in cohort numbering.
+    fn sparse_out(self, sparse: SparsePosterior) -> SparsePosterior {
+        if self.is_full() {
+            return sparse;
+        }
+        let entries = sparse
+            .entries()
+            .iter()
+            .map(|&(s, p)| (State(pdep(s.bits(), self.live)), p))
+            .collect();
+        SparsePosterior::from_parts(self.n, entries, sparse.pruned_mass())
+    }
+}
+
+/// The entries of `values` at the set bits of `keep`, in order.
+fn kept(values: Vec<f64>, keep: u64) -> Vec<f64> {
+    values
+        .into_iter()
+        .enumerate()
+        .filter(|(j, _)| keep >> j & 1 == 1)
+        .map(|(_, v)| v)
+        .collect()
+}
+
 /// What differs between the two dense representations under
-/// [`ExactBackend`]. The trait lives in a private module, so nothing outside
-/// this crate can name or implement it.
+/// [`ExactBackend`]. Everything here is in stored positions: the backend
+/// converts at the boundary. The trait lives in a private module, so
+/// nothing outside this crate can name or implement it.
 pub trait DenseRepr: Sized {
     /// What a round borrows: `Option<&Engine>` in memory, `&Engine` sharded.
     type Ctx<'a>: RoundCtx<'a>;
     /// Read-outs kept beside the posterior on both sides of the switch: the
-    /// in-memory marginals and pending scale; the sharded marginals cache
-    /// and selection bank.
+    /// in-memory marginal masses and pending scale; the sharded marginals
+    /// cache, selection bank and massless subjects.
     type Cache;
-
-    /// Cohort size.
-    fn n_subjects(&self) -> usize;
 
     /// Current per-subject marginals.
     fn marginals(&self, cache: &Self::Cache, config: &SbgtConfig) -> Vec<f64>;
@@ -105,35 +251,55 @@ pub trait DenseRepr: Sized {
         order: &[usize],
     ) -> Result<Vec<Selection>, SelectError>;
 
-    /// Apply one observation; returns its model evidence.
-    fn observe<M: BinaryOutcomeModel>(
+    /// Apply one observation of `pool`, whose outcome has likelihood
+    /// `table[k]` with `k` positives in the pool; returns its evidence.
+    fn observe(
         &mut self,
         cache: &mut Self::Cache,
         ctx: Self::Ctx<'_>,
         config: &SbgtConfig,
-        model: &M,
         pool: State,
-        outcome: bool,
+        table: Vec<f64>,
     ) -> Result<f64, BayesError>;
 
     /// Settle what the stage's observations deferred and refresh the
     /// cache; runs first in every `end_stage`.
     fn finish_stage(&mut self, _cache: &mut Self::Cache, _config: &SbgtConfig) {}
 
+    /// The stored subjects whose unnormalised marginal mass is exactly
+    /// `0.0`, as a bitmask.
+    fn massless(&self, cache: &Self::Cache, config: &SbgtConfig) -> u64;
+
+    /// Sum out every stored subject outside `keep`, all of them massless,
+    /// and renumber the cache to match.
+    fn contract(&mut self, cache: &mut Self::Cache, keep: u64);
+
+    /// The posterior in cohort numbering: the inverse of the contractions
+    /// `map` records.
+    fn expand(&self, map: SubjectMap) -> Self;
+
     /// States whose mass exceeds the relative prune cut `epsilon`: the
     /// support the posterior would retain if it switched now.
     fn retained_support(&self, ctx: Self::Ctx<'_>, config: &SbgtConfig, epsilon: f64) -> usize;
 
-    /// The pruned, normalized sparse equivalent — the switch itself.
+    /// The pruned, normalized sparse equivalent — the switch itself. What
+    /// of the cache the sparse arm reads leaves in cohort numbering.
     fn to_sparse(
         &self,
         cache: &mut Self::Cache,
         ctx: Self::Ctx<'_>,
         epsilon: f64,
+        map: SubjectMap,
     ) -> SparsePosterior;
 
-    /// Write the cache and, before the switch, the dense posterior.
-    fn snapshot_into(dense: Option<&Self>, cache: &Self::Cache, snapshot: &mut SessionSnapshot);
+    /// Write the cache in cohort numbering and, before the switch, the
+    /// dense posterior `dense`, already expanded.
+    fn snapshot_into(
+        dense: Option<&Self>,
+        cache: &Self::Cache,
+        map: SubjectMap,
+        snapshot: &mut SessionSnapshot,
+    );
 
     /// Rebuild the cache from a snapshot.
     fn restore_cache(snapshot: &SessionSnapshot) -> Result<Self::Cache, SnapshotError>;
@@ -178,6 +344,12 @@ pub struct ExactBackend<D: DenseRepr, M> {
     cache: D::Cache,
     model: M,
     history: Vec<(State, bool)>,
+    /// The cohort subjects the dense arm still stores (module docs,
+    /// **Contraction**); full in the sparse arm.
+    map: SubjectMap,
+    /// The dense arm in cohort numbering, expanded on the first read while
+    /// anything is contracted and dropped when the posterior next changes.
+    expanded: OnceLock<D>,
 }
 
 /// A live Bayesian group-testing session over one cohort, held in memory,
@@ -235,18 +407,27 @@ fn sparse_round_on<M: BinaryOutcomeModel>(
 }
 
 impl<D: DenseRepr, M: BinaryOutcomeModel> ExactBackend<D, M> {
-    fn new(posterior: Arm<D>, cache: D::Cache, model: M) -> Self {
+    fn new(posterior: Arm<D>, cache: D::Cache, model: M, n: usize) -> Self {
         ExactBackend {
             posterior,
             cache,
             model,
             history: Vec::new(),
+            map: SubjectMap::full(n),
+            expanded: OnceLock::new(),
         }
     }
 
     /// Rebuild from a snapshot, before or after the switch; a post-switch
-    /// snapshot resumes the sparse arm at `epsilon`.
-    fn restore(snapshot: &SessionSnapshot, model: M, epsilon: f64) -> Result<Self, SnapshotError> {
+    /// snapshot resumes the sparse arm at `epsilon`. A dense snapshot holds
+    /// the expansion: once a stage has ended, the last `end_stage`
+    /// contracted every massless subject, so the restore does too.
+    fn restore(
+        snapshot: &SessionSnapshot,
+        model: M,
+        epsilon: f64,
+        config: &SbgtConfig,
+    ) -> Result<Self, SnapshotError> {
         if snapshot.approx.is_some() {
             return Err(SnapshotError::Corrupt(
                 "approx snapshot cannot restore an exact session".into(),
@@ -260,12 +441,42 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> ExactBackend<D, M> {
             },
             None => Arm::Dense(D::restore(snapshot)?),
         };
-        Ok(ExactBackend {
-            posterior,
-            cache,
-            model,
-            history: snapshot.history.clone(),
-        })
+        let mut backend = ExactBackend::new(posterior, cache, model, snapshot.n_subjects);
+        backend.history = snapshot.history.clone();
+        if snapshot.stages > 0 {
+            backend.contract(config);
+        }
+        Ok(backend)
+    }
+
+    /// Sum every massless subject out of the dense arm and narrow the map
+    /// (module docs, **Contraction**).
+    fn contract(&mut self, config: &SbgtConfig) {
+        let Arm::Dense(dense) = &mut self.posterior else {
+            return;
+        };
+        let dead = dense.massless(&self.cache, config);
+        if dead == 0 {
+            return;
+        }
+        let stored = self.map.live.count_ones() as usize;
+        dense.contract(&mut self.cache, State::full(stored).bits() & !dead);
+        self.map.live &= !pdep(dead, self.map.live);
+        self.expanded = OnceLock::new();
+    }
+
+    /// The dense posterior in cohort numbering.
+    ///
+    /// # Panics
+    /// Panics once the posterior has switched to sparse.
+    fn cohort_posterior(&self) -> &D {
+        match &self.posterior {
+            Arm::Dense(d) if self.map.is_full() => d,
+            Arm::Dense(d) => self.expanded.get_or_init(|| d.expand(self.map)),
+            Arm::Sparse { .. } => {
+                panic!("posterior has switched to sparse; use sparse_posterior()")
+            }
+        }
     }
 
     fn select_next(
@@ -275,7 +486,9 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> ExactBackend<D, M> {
         order: &[usize],
     ) -> Option<Selection> {
         match &self.posterior {
-            Arm::Dense(d) => d.select_next(ctx, config, order),
+            Arm::Dense(d) => d
+                .select_next(ctx, config, &self.map.positions(order))
+                .map(|s| self.map.selection_out(s)),
             Arm::Sparse { posterior, .. } => {
                 select_halving_prefix_sparse(posterior, order, config.max_pool_size)
             }
@@ -290,7 +503,14 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> ExactBackend<D, M> {
         order: &[usize],
     ) -> Result<Vec<Selection>, SelectError> {
         match &self.posterior {
-            Arm::Dense(d) => d.select_stage(ctx, config, &self.model, cfg, order),
+            Arm::Dense(d) => {
+                let order = self.map.positions(order);
+                let stage = d.select_stage(ctx, config, &self.model, cfg, &order)?;
+                Ok(stage
+                    .into_iter()
+                    .map(|s| self.map.selection_out(s))
+                    .collect())
+            }
             Arm::Sparse { posterior, .. } => {
                 select_stage_lookahead_sparse(posterior, &self.model, order, cfg)
             }
@@ -303,10 +523,7 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
     type Ctx<'a> = D::Ctx<'a>;
 
     fn n_subjects(&self) -> usize {
-        match &self.posterior {
-            Arm::Dense(d) => d.n_subjects(),
-            Arm::Sparse { posterior, .. } => posterior.n_subjects(),
-        }
+        self.map.n
     }
 
     fn tests(&self) -> usize {
@@ -315,7 +532,7 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
 
     fn marginals(&self, config: &SbgtConfig) -> Vec<f64> {
         match &self.posterior {
-            Arm::Dense(d) => d.marginals(&self.cache, config),
+            Arm::Dense(d) => self.map.marginals_out(d.marginals(&self.cache, config)),
             Arm::Sparse { posterior, .. } => D::sparse_marginals(&self.cache, posterior),
         }
     }
@@ -336,12 +553,14 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
                 .select_stage(ctx, config, &config.lookahead(), order)
                 .expect("stage width validated by SbgtConfig");
         }
-        D::banked(&mut self.cache, config)
-            .or_else(|| self.select_next(ctx, config, order))
-            .into_iter()
-            .collect()
+        match D::banked(&mut self.cache, config) {
+            Some(s) => vec![self.map.selection_out(s)],
+            None => self.select_next(ctx, config, order).into_iter().collect(),
+        }
     }
 
+    /// An empty pool settles a pending scale and is rejected; any other
+    /// pool keeps the likelihood table of its full size.
     fn observe(
         &mut self,
         ctx: D::Ctx<'_>,
@@ -351,7 +570,13 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
     ) -> Result<f64, BayesError> {
         let z = match &mut self.posterior {
             Arm::Dense(d) => {
-                d.observe(&mut self.cache, ctx, config, &self.model, *pool, outcome)?
+                if pool.rank() == 0 {
+                    d.finish_stage(&mut self.cache, config);
+                    return Err(BayesError::EmptyPool);
+                }
+                self.expanded = OnceLock::new();
+                let table = self.model.likelihood_table(outcome, pool.rank());
+                d.observe(&mut self.cache, ctx, config, self.map.pool_in(*pool), table)?
             }
             Arm::Sparse { posterior, epsilon } => {
                 let engine = ctx.engine();
@@ -364,27 +589,30 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
         Ok(z)
     }
 
-    /// [`DenseRepr::finish_stage`], then the dense→sparse switch, checked
-    /// once per stage after its updates land: taken when configured and the
-    /// support retained at the policy's prune cut is at most its fraction
-    /// of `2^N`.
+    /// [`DenseRepr::finish_stage`], the contraction, then the dense→sparse
+    /// switch, checked once per stage after its updates land: taken when
+    /// configured and the support retained at the policy's prune cut is at
+    /// most its fraction of the cohort's `2^N`.
     fn end_stage(&mut self, ctx: D::Ctx<'_>, config: &SbgtConfig) {
         if let Arm::Dense(dense) = &mut self.posterior {
             dense.finish_stage(&mut self.cache, config);
         }
+        self.contract(config);
         let (Some(switch), Arm::Dense(dense)) = (config.sparse_switch, &self.posterior) else {
             return;
         };
         let support = dense.retained_support(ctx, config, switch.prune_epsilon);
-        let limit = switch.max_support_fraction * num_states(dense.n_subjects()) as f64;
+        let limit = switch.max_support_fraction * num_states(self.map.n) as f64;
         if support as f64 > limit {
             return;
         }
-        let posterior = dense.to_sparse(&mut self.cache, ctx, switch.prune_epsilon);
+        let posterior = dense.to_sparse(&mut self.cache, ctx, switch.prune_epsilon, self.map);
         self.posterior = Arm::Sparse {
-            posterior,
+            posterior: self.map.sparse_out(posterior),
             epsilon: switch.prune_epsilon,
         };
+        self.map = SubjectMap::full(self.map.n);
+        self.expanded = OnceLock::new();
     }
 
     fn plan_history(&self) -> Option<&[(State, bool)]> {
@@ -396,22 +624,23 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Backend for ExactBackend<D, M> {
     fn snapshot_into(&self, snapshot: &mut SessionSnapshot) {
         snapshot.history = self.history.clone();
         let dense = match &self.posterior {
-            Arm::Dense(d) => Some(d),
+            Arm::Dense(_) => Some(self.cohort_posterior()),
             Arm::Sparse { posterior, .. } => {
                 snapshot.total = posterior.total();
                 snapshot.sparse = Some(SparseSnapshot::of(posterior));
                 None
             }
         };
-        D::snapshot_into(dense, &self.cache, snapshot);
+        D::snapshot_into(dense, &self.cache, self.map, snapshot);
     }
 }
 
-/// The in-memory read-outs (see the module docs): the marginals of the
-/// settled posterior, and the `1/z` the last observation left pending.
+/// The in-memory read-outs (see the module docs): the marginal masses and
+/// total of the settled posterior, and the `1/z` the last observation left
+/// pending.
 #[derive(Default)]
 pub struct DenseCache {
-    marginals: Option<Vec<f64>>,
+    sums: Option<(Vec<f64>, f64)>,
     pending_scale: Option<f64>,
 }
 
@@ -419,13 +648,13 @@ impl DenseRepr for DensePosterior {
     type Ctx<'a> = Option<&'a Engine>;
     type Cache = DenseCache;
 
-    fn n_subjects(&self) -> usize {
-        DensePosterior::n_subjects(self)
-    }
-
     fn marginals(&self, cache: &DenseCache, config: &SbgtConfig) -> Vec<f64> {
-        match &cache.marginals {
-            Some(marginals) => marginals.clone(),
+        match &cache.sums {
+            Some((sums, total)) => {
+                let mut marginals = sums.clone();
+                sbgt_lattice::dense::normalize_marginals(&mut marginals, *total);
+                marginals
+            }
             None => self.marginals_on(config.exec),
         }
     }
@@ -452,21 +681,15 @@ impl DenseRepr for DensePosterior {
 
     /// One traversal: the multiply, with the pending scale folded in, and
     /// the evidence sum; this observation's `1/z` is left pending.
-    fn observe<M: BinaryOutcomeModel>(
+    fn observe(
         &mut self,
         cache: &mut DenseCache,
         _: Option<&Engine>,
         config: &SbgtConfig,
-        model: &M,
         pool: State,
-        outcome: bool,
+        table: Vec<f64>,
     ) -> Result<f64, BayesError> {
-        if pool.rank() == 0 {
-            self.finish_stage(cache, config);
-            return Err(BayesError::EmptyPool);
-        }
-        let table = model.likelihood_table(outcome, pool.rank());
-        cache.marginals = None;
+        cache.sums = None;
         let pending = cache.pending_scale.take().unwrap_or(1.0);
         let z = self.scale_mul_likelihood_fused(pending, pool, &table, config.exec);
         if !(z.is_finite() && z > 0.0) {
@@ -476,24 +699,59 @@ impl DenseRepr for DensePosterior {
         Ok(z)
     }
 
-    /// Apply the pending scale and compute the marginals of the result, in
-    /// one traversal.
+    /// Apply the pending scale and compute the marginal masses of the
+    /// result, in one traversal.
     fn finish_stage(&mut self, cache: &mut DenseCache, config: &SbgtConfig) {
         if let Some(inv) = cache.pending_scale.take() {
-            cache.marginals = Some(self.scale_marginals(inv, config.exec));
+            cache.sums = Some(self.scale_marginal_masses(inv, config.exec));
         }
+    }
+
+    fn massless(&self, cache: &DenseCache, config: &SbgtConfig) -> u64 {
+        match &cache.sums {
+            Some((sums, _)) => massless(sums),
+            None => massless(&self.marginal_masses_on(config.exec).0),
+        }
+    }
+
+    /// The cached sums survive only a one-block lattice's contraction:
+    /// they add the non-zero terms the contracted lattice's pass would,
+    /// in the same order. A larger lattice's block fold does not survive,
+    /// so its marginals are recomputed on read, as a restore computes them.
+    fn contract(&mut self, cache: &mut DenseCache, keep: u64) {
+        let one_block = self.len() <= BLOCK_LEN;
+        *self = self.project(keep).into_owned();
+        cache.sums = match cache.sums.take() {
+            Some((sums, total)) if one_block => Some((kept(sums, keep), total)),
+            _ => None,
+        };
+    }
+
+    fn expand(&self, map: SubjectMap) -> Self {
+        DensePosterior::expand(self, map.live, map.n)
     }
 
     fn retained_support(&self, _: Option<&Engine>, config: &SbgtConfig, epsilon: f64) -> usize {
         retained_support(self, epsilon, config.exec)
     }
 
-    fn to_sparse(&self, _: &mut DenseCache, _: Option<&Engine>, epsilon: f64) -> SparsePosterior {
+    fn to_sparse(
+        &self,
+        _: &mut DenseCache,
+        _: Option<&Engine>,
+        epsilon: f64,
+        _: SubjectMap,
+    ) -> SparsePosterior {
         SparsePosterior::from_dense(self, epsilon)
     }
 
     /// One shard of exact (normalized) values.
-    fn snapshot_into(dense: Option<&Self>, _: &DenseCache, snapshot: &mut SessionSnapshot) {
+    fn snapshot_into(
+        dense: Option<&Self>,
+        _: &DenseCache,
+        _: SubjectMap,
+        snapshot: &mut SessionSnapshot,
+    ) {
         if let Some(d) = dense {
             snapshot.shards = vec![d.probs().to_vec()];
         }
@@ -510,22 +768,21 @@ impl DenseRepr for DensePosterior {
 }
 
 /// The sharded read-outs: the marginals of the current posterior, kept
-/// fresh by every round so reading them costs no stage, and the
+/// fresh by every round so reading them costs no stage, the
 /// `(order, masses)` bank of all-prefix negative masses the last fused
-/// round computed under `order`. Both carry across the switch: the first
-/// round after it classifies on the cached dense marginals.
+/// round computed under `order`, and the subjects that round left
+/// massless (`None` when no round has run since a restore or a
+/// contraction). The marginals carry across the switch: the first round
+/// after it classifies on the cached dense marginals.
 pub struct ShardedCache {
     marginals: Vec<f64>,
     pending_selection: Option<(Vec<usize>, Vec<f64>)>,
+    massless: Option<u64>,
 }
 
 impl DenseRepr for ShardedPosterior {
     type Ctx<'a> = &'a Engine;
     type Cache = ShardedCache;
-
-    fn n_subjects(&self) -> usize {
-        ShardedPosterior::n_subjects(self)
-    }
 
     fn marginals(&self, cache: &ShardedCache, _: &SbgtConfig) -> Vec<f64> {
         cache.marginals.clone()
@@ -569,20 +826,49 @@ impl DenseRepr for ShardedPosterior {
 
     /// One fused in-place stage: applies the update, refreshes the
     /// marginals, and banks the prefix masses for the next round.
-    fn observe<M: BinaryOutcomeModel>(
+    fn observe(
         &mut self,
         cache: &mut ShardedCache,
         engine: &Engine,
         config: &SbgtConfig,
-        model: &M,
         pool: State,
-        outcome: bool,
+        table: Vec<f64>,
     ) -> Result<f64, BayesError> {
         let order = eligible_order(&cache.marginals, config.rule);
-        let round = self.fused_round(engine, model, pool, outcome, &order)?;
+        let round = self.fused_round_with(engine, table, pool, &order)?;
         cache.marginals = round.marginals;
         cache.pending_selection = Some((order, round.prefix_negative_masses));
+        cache.massless = Some(round.massless);
         Ok(round.evidence)
+    }
+
+    /// The last fused round's mask; after a restore, one pass over the
+    /// shards on the driver.
+    fn massless(&self, cache: &ShardedCache, _: &SbgtConfig) -> u64 {
+        cache
+            .massless
+            .unwrap_or_else(|| ShardedPosterior::massless(self))
+    }
+
+    fn contract(&mut self, cache: &mut ShardedCache, keep: u64) {
+        *self = self.project(keep);
+        cache.marginals = kept(std::mem::take(&mut cache.marginals), keep);
+        if let Some((order, masses)) = &mut cache.pending_selection {
+            let (mut live_order, mut live_masses) = (Vec::new(), vec![masses[0]]);
+            for (&j, &mass) in order.iter().zip(&masses[1..]) {
+                if keep >> j & 1 == 1 {
+                    live_order.push((keep & ((1 << j) - 1)).count_ones() as usize);
+                    live_masses.push(mass);
+                }
+            }
+            *order = live_order;
+            *masses = live_masses;
+        }
+        cache.massless = None;
+    }
+
+    fn expand(&self, map: SubjectMap) -> Self {
+        ShardedPosterior::expand(self, map.live, map.n)
     }
 
     /// One read-only `sparse:support` counting stage.
@@ -597,6 +883,7 @@ impl DenseRepr for ShardedPosterior {
         cache: &mut ShardedCache,
         engine: &Engine,
         epsilon: f64,
+        map: SubjectMap,
     ) -> SparsePosterior {
         let sparse = ShardedPosterior::to_sparse(self, engine, epsilon);
         engine.metrics().annotate_last_job(StageVariant::Sparse {
@@ -605,6 +892,7 @@ impl DenseRepr for ShardedPosterior {
         // The banked selection masses are unnormalized dense-total units;
         // drop them so the next round selects from the sparse posterior.
         cache.pending_selection = None;
+        cache.marginals = map.marginals_out(std::mem::take(&mut cache.marginals));
         sparse
     }
 
@@ -612,9 +900,17 @@ impl DenseRepr for ShardedPosterior {
     /// partition boundaries preserved) and their normalization constant.
     /// Shard storage is captured by value so the snapshot stays valid
     /// across later in-place rounds.
-    fn snapshot_into(dense: Option<&Self>, cache: &ShardedCache, snapshot: &mut SessionSnapshot) {
-        snapshot.marginals = cache.marginals.clone();
-        snapshot.pending_selection = cache.pending_selection.clone();
+    fn snapshot_into(
+        dense: Option<&Self>,
+        cache: &ShardedCache,
+        map: SubjectMap,
+        snapshot: &mut SessionSnapshot,
+    ) {
+        snapshot.marginals = map.marginals_out(cache.marginals.clone());
+        snapshot.pending_selection = cache
+            .pending_selection
+            .as_ref()
+            .map(|(order, masses)| (map.subjects(order), masses.clone()));
         if let Some(p) = dense {
             snapshot.shards = p.shard_values();
             snapshot.total = p.total();
@@ -632,6 +928,7 @@ impl DenseRepr for ShardedPosterior {
         Ok(ShardedCache {
             marginals: snapshot.marginals.clone(),
             pending_selection: snapshot.pending_selection.clone(),
+            massless: None,
         })
     }
 
@@ -667,24 +964,21 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Session<ExactBackend<D, M>> {
     ) -> Result<Self, SnapshotError> {
         let epsilon = config.sparse_switch.map_or(0.0, |s| s.prune_epsilon);
         Session::resume(snapshot, config, |snapshot| {
-            ExactBackend::restore(snapshot, model, epsilon)
+            ExactBackend::restore(snapshot, model, epsilon, &config)
         })
     }
 
-    /// The dense posterior (kept normalized in memory; unnormalized shards
-    /// plus their total when sharded).
+    /// The dense posterior over the whole cohort (kept normalized in
+    /// memory; unnormalized shards plus their total when sharded). While
+    /// subjects are contracted it is the expansion, built on the first call
+    /// and kept until the posterior next changes.
     ///
     /// # Panics
     /// Panics once the session has taken the adaptive dense→sparse switch
     /// (or was opened sparse); check [`Self::is_sparse`] or use
     /// [`Self::sparse_posterior`] then.
     pub fn posterior(&self) -> &D {
-        match &self.backend().posterior {
-            Arm::Dense(d) => d,
-            Arm::Sparse { .. } => {
-                panic!("posterior has switched to sparse; use sparse_posterior()")
-            }
-        }
+        self.backend().cohort_posterior()
     }
 
     /// Whether the posterior is in the pruned sparse representation.
@@ -700,6 +994,13 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Session<ExactBackend<D, M>> {
         }
     }
 
+    /// The cohort subjects the dense lattice still stores, as a bitmask
+    /// (module docs, **Contraction**): every subject until a massless one
+    /// is summed out, and every subject again after the sparse switch.
+    pub fn stored_subjects(&self) -> State {
+        State(self.backend().map.live)
+    }
+
     /// Every `(pool, outcome)` observed so far, in order.
     pub fn history(&self) -> &[(State, bool)] {
         &self.backend().history
@@ -707,12 +1008,12 @@ impl<D: DenseRepr, M: BinaryOutcomeModel> Session<ExactBackend<D, M>> {
 }
 
 impl<M: BinaryOutcomeModel> ExactBackend<DensePosterior, M> {
-    /// The dense posterior, materialized from the sparse entries once the
-    /// session has switched — for `report`, which has no sparse
-    /// counterpart.
+    /// The dense posterior over the cohort, materialized from the sparse
+    /// entries once the session has switched — for `report`, which has no
+    /// sparse counterpart.
     fn dense_view(&self) -> Cow<'_, DensePosterior> {
         match &self.posterior {
-            Arm::Dense(d) => Cow::Borrowed(d),
+            Arm::Dense(_) => Cow::Borrowed(self.cohort_posterior()),
             Arm::Sparse { posterior, .. } => Cow::Owned(posterior.to_dense()),
         }
     }
@@ -721,8 +1022,14 @@ impl<M: BinaryOutcomeModel> ExactBackend<DensePosterior, M> {
 impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
     /// Open a session from a prior and an assay model.
     pub fn new(prior: Prior, model: M, config: SbgtConfig) -> Self {
+        let n = prior.n_subjects();
         Session::open(
-            ExactBackend::new(Arm::Dense(prior.to_dense()), DenseCache::default(), model),
+            ExactBackend::new(
+                Arm::Dense(prior.to_dense()),
+                DenseCache::default(),
+                model,
+                n,
+            ),
             config,
         )
     }
@@ -741,12 +1048,13 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
         prune_epsilon: f64,
     ) -> Result<Self, ConfigError> {
         check_epsilon(prune_epsilon).map_err(ConfigError::InvalidArgument)?;
+        let n = prior.n_subjects();
         let posterior = Arm::Sparse {
             posterior: prior.to_sparse(prune_epsilon),
             epsilon: prune_epsilon,
         };
         Ok(Session::open(
-            ExactBackend::new(posterior, DenseCache::default(), model),
+            ExactBackend::new(posterior, DenseCache::default(), model, n),
             config,
         ))
     }
@@ -768,7 +1076,7 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<DensePosterior, M>> {
                 ));
             }
             check_epsilon(prune_epsilon).map_err(SnapshotError::Corrupt)?;
-            ExactBackend::restore(snapshot, model, prune_epsilon)
+            ExactBackend::restore(snapshot, model, prune_epsilon, &config)
         })
     }
 
@@ -835,9 +1143,10 @@ impl<M: BinaryOutcomeModel> Session<ExactBackend<ShardedPosterior, M>> {
         let cache = ShardedCache {
             marginals: posterior.marginals(engine),
             pending_selection: None,
+            massless: None,
         };
         Session::open(
-            ExactBackend::new(Arm::Dense(posterior), cache, model),
+            ExactBackend::new(Arm::Dense(posterior), cache, model, prior.n_subjects()),
             config,
         )
     }

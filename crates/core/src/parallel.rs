@@ -38,10 +38,13 @@ use std::sync::Arc;
 use sbgt_bayes::BayesError;
 use sbgt_engine::{Dataset, Engine, StageVariant};
 use sbgt_lattice::dense::{
-    add_into, first_pos_histogram, marginal_sums, normalize_marginals, order_tables, suffix_sums,
+    add_into, expand_block, first_pos_histogram, marginal_sums, normalize_marginals, order_tables,
+    project_block, suffix_sums,
 };
 use sbgt_lattice::simd;
-use sbgt_lattice::{hybrid, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State};
+use sbgt_lattice::{
+    hybrid, pdep, BranchPool, DensePosterior, LookaheadKernel, SparsePosterior, State,
+};
 use sbgt_response::ResponseModel;
 
 /// Everything one fused BHA round produces: the Bayesian update applied
@@ -58,6 +61,9 @@ pub struct FusedRound {
     /// (`masses[k]` = mass with the first `k` subjects of `order` all
     /// negative; `masses[0]` = new total).
     pub prefix_negative_masses: Vec<f64>,
+    /// The subjects whose unnormalised post-update marginal mass is exactly
+    /// `0.0`, as a bitmask.
+    pub massless: u64,
 }
 
 /// A posterior sharded across engine partitions.
@@ -308,9 +314,24 @@ impl ShardedPosterior {
         if pool.is_empty() {
             return Err(BayesError::EmptyPool);
         }
+        let table = model.likelihood_table(outcome, pool.rank());
+        self.fused_round_with(engine, table, pool, order)
+    }
+
+    /// [`Self::fused_round`] with the likelihood table given: `table[k]` is
+    /// the likelihood of the observed outcome with `k` positives in `pool`.
+    /// A pool some of whose members the posterior no longer stores keeps
+    /// the table of its full size, so dilution still sees every member.
+    pub(crate) fn fused_round_with(
+        &mut self,
+        engine: &Engine,
+        table: Vec<f64>,
+        pool: State,
+        order: &[usize],
+    ) -> Result<FusedRound, BayesError> {
         let n = self.n_subjects;
         let m = order.len();
-        let table = engine.broadcast(model.likelihood_table(outcome, pool.rank()));
+        let table = engine.broadcast(table);
         let mask = pool.bits();
         let offsets = Arc::clone(&self.offsets);
         let kernel = Arc::new(LookaheadKernel::new(n, order));
@@ -349,12 +370,76 @@ impl ShardedPosterior {
         }
         let evidence = new_total / self.total;
         self.total = new_total;
+        let massless = massless(&marginals);
         normalize_marginals(&mut marginals, new_total);
         Ok(FusedRound {
             evidence,
             marginals,
             prefix_negative_masses: suffix_sums(&hist),
+            massless,
         })
+    }
+
+    /// The subjects whose unnormalised marginal mass is exactly `0.0`,
+    /// summed on the driver partition by partition: what a restore, which
+    /// has no engine, needs to find the subjects a snapshot no longer
+    /// stores.
+    pub(crate) fn massless(&self) -> u64 {
+        let mut acc = vec![0.0f64; self.n_subjects];
+        for (p, &base) in self.offsets.iter().enumerate() {
+            marginal_sums(self.shards.partition(p), base, &mut acc);
+        }
+        massless(&acc)
+    }
+
+    /// The posterior of the subjects in `keep`, every other subject summed
+    /// out, read partition by partition on the driver: each partition's
+    /// states add into the `2^m`-state result in ascending state order
+    /// ([`project_block`], the kernel of [`DensePosterior::project`]), and
+    /// the result is re-split into `parts.min(2^m)` shards, where `parts`
+    /// is the current partition count. The total is kept. When every
+    /// summed-out subject is massless each target is `p + 0.0`, so every
+    /// surviving mass keeps its bits, and no lattice larger than `2^m` is
+    /// built.
+    pub(crate) fn project(&self, keep: u64) -> ShardedPosterior {
+        let m = keep.count_ones() as usize;
+        let mut probs = vec![0.0f64; 1 << m];
+        for (p, &base) in self.offsets.iter().enumerate() {
+            project_block(self.shards.partition(p), base, keep, &mut probs);
+        }
+        let parts = self.num_partitions().min(probs.len());
+        let shards = Dataset::from_vec(probs, parts);
+        let offsets = Self::offsets_of(&shards);
+        ShardedPosterior {
+            n_subjects: m,
+            shards,
+            offsets: Arc::new(offsets),
+            total: self.total,
+        }
+    }
+
+    /// The posterior over `n` subjects of which this one is the projection
+    /// onto `keep` ([`DensePosterior::expand`]), with the partitions of
+    /// this one: partition `p` of the result starts at the state its first
+    /// state deposits to. The total is kept, so [`Self::project`] onto
+    /// `keep` gives back every bit and every boundary.
+    pub(crate) fn expand(&self, keep: u64, n: usize) -> ShardedPosterior {
+        let k = self.num_partitions();
+        let starts: Vec<u64> = self.offsets.iter().map(|&o| pdep(o, keep)).collect();
+        let shards = (0..k)
+            .map(|p| {
+                let end = starts.get(p + 1).copied().unwrap_or(1 << n);
+                let mut out = vec![0.0f64; (end - starts[p]) as usize];
+                expand_block(self.shards.partition(p), self.offsets[p], keep, &mut out);
+                out
+            })
+            .collect();
+        ShardedPosterior {
+            n_subjects: n,
+            shards: Dataset::from_partitions(shards),
+            offsets: Arc::new(starts),
+            total: self.total,
+        }
     }
 
     /// Marginals as a read-only aggregate stage (per-partition local
@@ -438,6 +523,15 @@ impl ShardedPosterior {
         }
         hist
     }
+}
+
+/// The subjects whose mass in `sums` is exactly `0.0`, as a bitmask. A sum
+/// of non-negative masses is `0.0` only when every one of them is.
+pub(crate) fn massless(sums: &[f64]) -> u64 {
+    sums.iter()
+        .enumerate()
+        .filter(|(_, &a)| a == 0.0)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
 }
 
 #[cfg(test)]
@@ -621,6 +715,53 @@ mod tests {
         for (x, y) in a.probs().iter().zip(b.probs()) {
             assert!(close(*x, *y));
         }
+    }
+
+    /// Subjects 1 and 4 of seven are massless after a perfect negative
+    /// pool: projecting them out of five shards keeps every surviving
+    /// mass's bits and re-splits the 32 states into five balanced shards;
+    /// expanding writes the zeros back, and projecting the expansion gives
+    /// back every shard boundary and bit.
+    #[test]
+    fn projection_of_massless_subjects_keeps_bits_and_expansion_undoes_it() {
+        let e = engine();
+        let model = BinaryDilutionModel::perfect();
+        let dense = Prior::from_risks(&[0.1, 0.2, 0.05, 0.3, 0.15, 0.08, 0.12]).to_dense();
+        let mut sharded = ShardedPosterior::from_dense(&dense, 5);
+        let round = sharded
+            .fused_round(&e, &model, State::from_subjects([1, 4]), false, &[0, 2])
+            .unwrap();
+        assert_eq!(round.massless, 0b1_0010);
+        assert_eq!(sharded.massless(), round.massless);
+        let keep = 0b110_1101;
+        let projected = sharded.project(keep);
+        assert_eq!(projected.n_subjects(), 5);
+        assert_eq!(projected.num_partitions(), 5);
+        assert_eq!(projected.total().to_bits(), sharded.total().to_bits());
+        assert_eq!(projected.massless(), 0);
+        let gathered = sharded.shards.collect();
+        let want: Vec<u64> = gathered
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| s as u64 & !keep == 0)
+            .map(|(_, p)| p.to_bits())
+            .collect();
+        let got: Vec<u64> = projected
+            .shards
+            .collect()
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(got, want);
+        let back = projected.expand(keep, 7);
+        assert_eq!(back.project(keep).shard_values(), projected.shard_values());
+        let deposited = projected.offsets.iter().map(|&o| pdep(o, keep));
+        assert!(back.offsets.iter().copied().eq(deposited));
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(back.shards.collect()), bits(gathered));
+        // A lattice smaller than the partition count keeps one state each.
+        let tiny = projected.project(0b1);
+        assert_eq!((tiny.num_partitions(), tiny.n_subjects()), (2, 1));
     }
 
     #[test]

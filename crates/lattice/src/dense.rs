@@ -16,7 +16,9 @@
 //! ([`DensePosterior::project`]) folds nothing: its kernel,
 //! `project_block`, adds each block straight into the smaller lattice,
 //! block after block, so every target sums its sources in ascending state
-//! order.
+//! order. When the summed-out subjects have no mass, the projection keeps
+//! every mass's bits and [`DensePosterior::expand`] (kernel
+//! `expand_block`) undoes it: the exact sessions' contraction.
 //!
 //! Kernel design notes (these are the paper's constant-factor wins, not
 //! incidental details):
@@ -104,9 +106,10 @@ pub fn order_mask(n: usize, order: &[usize]) -> u64 {
 }
 
 /// Parallel bit extract: the bits of `x` at the set positions of `mask`,
-/// packed into the low bits in ascending position order.
+/// packed into the low bits in ascending position order. It renumbers a
+/// state of a lattice into the lattice of the subjects in `mask`.
 #[inline]
-fn pext(x: u64, mask: u64) -> u64 {
+pub fn pext(x: u64, mask: u64) -> u64 {
     let mut out = 0u64;
     let mut rest = mask;
     let mut bit = 0u32;
@@ -120,11 +123,30 @@ fn pext(x: u64, mask: u64) -> u64 {
     out
 }
 
+/// Parallel bit deposit, the inverse of [`pext`] on `mask`'s subjects: the
+/// low bits of `x`, in ascending order, placed at the set positions of
+/// `mask`. Monotone in `x`, so it keeps the order of states and pools.
+#[inline]
+pub fn pdep(x: u64, mask: u64) -> u64 {
+    let mut out = 0u64;
+    let mut rest = mask;
+    let mut bit = 0u32;
+    while rest != 0 {
+        let low = rest & rest.wrapping_neg();
+        if x >> bit & 1 != 0 {
+            out |= low;
+        }
+        bit += 1;
+        rest &= rest - 1;
+    }
+    out
+}
+
 /// Block kernel of the projection onto `keep`: `out[pext(s, keep)] += π(s)`
 /// over one block, in ascending state order. The kept bits above the low
 /// byte are packed once per 256-state run and the low byte's come from a
 /// 256-entry table, as the update kernels split their popcount.
-fn project_block(probs: &[f64], base: u64, keep: u64, out: &mut [f64]) {
+pub fn project_block(probs: &[f64], base: u64, keep: u64, out: &mut [f64]) {
     let mut lo = [0u8; 256];
     for (byte, t) in lo.iter_mut().enumerate() {
         *t = pext(byte as u64, keep & 0xFF) as u8;
@@ -140,6 +162,17 @@ fn project_block(probs: &[f64], base: u64, keep: u64, out: &mut [f64]) {
             out[hi | t as usize] += p;
         }
         off += run;
+    }
+}
+
+/// The inverse of a projection onto `keep` whose summed-out subjects had no
+/// mass: `out[pdep(t, keep) - first] = probs[o]` for every `t = base + o`,
+/// where `first = pdep(base, keep)` is the state `out[0]` holds. States of
+/// `out` that no source reaches keep their value.
+pub fn expand_block(probs: &[f64], base: u64, keep: u64, out: &mut [f64]) {
+    let first = pdep(base, keep);
+    for (t, &p) in (base..).zip(probs) {
+        out[(pdep(t, keep) - first) as usize] = p;
     }
 }
 
@@ -569,8 +602,16 @@ impl DensePosterior {
 
     /// [`Self::marginals`], with the blocks run where `exec` says.
     pub fn marginals_on(&self, exec: ExecMode) -> Vec<f64> {
+        let (mut acc, total) = self.marginal_masses_on(exec);
+        normalize_marginals(&mut acc, total);
+        acc
+    }
+
+    /// The unnormalised marginals: every subject's positive mass and the
+    /// total, the sums [`Self::marginals_on`] divides.
+    pub fn marginal_masses_on(&self, exec: ExecMode) -> (Vec<f64>, f64) {
         let n = self.n_subjects;
-        let (mut acc, total) = exec.fold(
+        exec.fold(
             &self.probs,
             |block, base| {
                 let mut acc = vec![0.0f64; n];
@@ -578,17 +619,23 @@ impl DensePosterior {
                 (acc, total)
             },
             add_sums,
-        );
-        normalize_marginals(&mut acc, total);
-        acc
+        )
     }
 
     /// Scale every mass by `factor` and return the marginals of the result
     /// — bit-for-bit a scale pass followed by [`Self::marginals`] — in one
     /// traversal.
     pub fn scale_marginals(&mut self, factor: f64, exec: ExecMode) -> Vec<f64> {
+        let (mut acc, total) = self.scale_marginal_masses(factor, exec);
+        normalize_marginals(&mut acc, total);
+        acc
+    }
+
+    /// [`Self::scale_marginals`] before the division: the positive masses
+    /// and the total of the scaled posterior.
+    pub fn scale_marginal_masses(&mut self, factor: f64, exec: ExecMode) -> (Vec<f64>, f64) {
         let n = self.n_subjects;
-        let (mut acc, total) = exec.fold_mut(
+        exec.fold_mut(
             &mut self.probs,
             |block, base| {
                 let mut acc = vec![0.0f64; n];
@@ -596,9 +643,7 @@ impl DensePosterior {
                 (acc, total)
             },
             add_sums,
-        );
-        normalize_marginals(&mut acc, total);
-        acc
+        )
     }
 
     /// Mass of the pool-negative down-set `{s : s ∩ pool = ∅}`, relative to
@@ -701,6 +746,27 @@ impl DensePosterior {
             n_subjects: m,
             probs,
         })
+    }
+
+    /// The posterior over `n` subjects of which this one is the projection
+    /// onto `keep`, when every subject outside `keep` had no mass: state
+    /// `pdep(t, keep)` holds the mass of state `t`, every other state `0.0`.
+    /// Projecting the result onto `keep` gives back every bit.
+    ///
+    /// # Panics
+    /// Panics unless `keep` names `self.n_subjects()` subjects below `n`.
+    pub fn expand(&self, keep: u64, n: usize) -> DensePosterior {
+        assert!(
+            keep.count_ones() as usize == self.n_subjects && keep & !State::full(n).bits() == 0,
+            "expansion mask {keep:#x} does not place {} subjects among {n}",
+            self.n_subjects
+        );
+        let mut probs = vec![0.0f64; crate::num_states(n)];
+        expand_block(&self.probs, 0, keep, &mut probs);
+        DensePosterior {
+            n_subjects: n,
+            probs,
+        }
     }
 
     /// Shannon entropy (nats) of the normalized posterior. Zero-mass states
@@ -1102,6 +1168,52 @@ mod tests {
         assert_eq!(pext(0b1011_0110, 0b0101_0101), 0b0110);
         assert_eq!(pext(u64::MAX, 1 << 63 | 1), 0b11);
         assert_eq!(pext(0xFF, 0), 0);
+    }
+
+    #[test]
+    fn pdep_undoes_pext_on_the_mask() {
+        assert_eq!(pdep(0b1011, 0b1111_0000), 0b1011_0000);
+        assert_eq!(pdep(0b0110, 0b0101_0101), 0b0001_0100);
+        assert_eq!(pdep(0b11, 1 << 63 | 1), 1 << 63 | 1);
+        assert_eq!(pdep(0xFF, 0), 0);
+        let mask = 0b1101_0110u64;
+        for x in 0..1u64 << mask.count_ones() {
+            assert_eq!(pext(pdep(x, mask), mask), x);
+            assert!(x == 0 || pdep(x - 1, mask) < pdep(x, mask), "monotone");
+        }
+    }
+
+    /// Subjects 1 and 3 of five hold no mass: projecting them out keeps
+    /// every mass's bits, and expanding gives the lattice back, bit for bit.
+    #[test]
+    fn expansion_undoes_a_projection_of_massless_subjects() {
+        let mut d = DensePosterior::from_risks(&[0.3, 0.1, 0.25, 0.4, 0.15]);
+        d.mul_likelihood(State::from_subjects([1, 3]), &[1.0, 0.0, 0.0]);
+        let keep = 0b10101;
+        let projected = d.project(keep);
+        for t in 0..8u64 {
+            assert_eq!(
+                projected.probs()[t as usize].to_bits(),
+                d.probs()[pdep(t, keep) as usize].to_bits()
+            );
+        }
+        let back = projected.expand(keep, 5);
+        let bits = |d: &DensePosterior| d.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&d));
+        // Expanding one block at a time, from any base, places the same bits.
+        let mut tail = vec![f64::NAN; 32 - pdep(4, keep) as usize];
+        expand_block(&projected.probs()[4..], 4, keep, &mut tail);
+        for (s, p) in (pdep(4, keep)..).zip(&tail) {
+            if s & !keep == 0 {
+                assert_eq!(p.to_bits(), d.probs()[s as usize].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not place")]
+    fn expansion_rejects_a_mask_of_the_wrong_size() {
+        let _ = DensePosterior::new_uniform(2).expand(0b111, 3);
     }
 
     #[test]

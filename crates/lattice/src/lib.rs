@@ -54,7 +54,7 @@ pub mod transform;
 pub use bigstate::BigState;
 pub use blocks::{ExecMode, ParConfig};
 pub use branch::{BranchPool, LookaheadKernel};
-pub use dense::DensePosterior;
+pub use dense::{pdep, pext, DensePosterior};
 pub use hybrid::SparseSwitch;
 pub use sparse::SparsePosterior;
 pub use state::{State, MAX_SUBJECTS};

@@ -12,8 +12,8 @@ use rand::{RngExt, SeedableRng};
 
 use sbgt_engine::obs::{parse_prometheus, validate_chrome_trace, NO_COHORT};
 use sbgt_engine::{
-    trace_id_for_cohort, EngineConfig, FaultStats, JobMetrics, SharedEngine, StageVariant,
-    TraceLevel,
+    trace_id_for_cohort, EngineConfig, FaultPlan, FaultStats, JobMetrics, SharedEngine,
+    StageVariant, TraceLevel,
 };
 use sbgt_net::{
     FabricConfig, FabricRouter, FleetScraper, Request, Response, ShardClient, ShardServer,
@@ -46,16 +46,28 @@ fn traced_engine() -> SharedEngine {
     engine
 }
 
+/// `engine` holding every sharded round for 300 ms (an injected straggler
+/// on task 0 of each fused round), so a drain a few milliseconds after
+/// placement always finds the shard's cohorts live. Stragglers only slow a
+/// stage; they change no result.
+fn holding(engine: SharedEngine) -> SharedEngine {
+    let hold = Duration::from_millis(300);
+    engine.set_fault_plan(FaultPlan::new().delay_at("fused-round:in-place", 0, hold));
+    engine
+}
+
 #[test]
 fn relocated_cohort_stitches_one_trace_across_two_processes() {
+    // Every cohort sharded, so that shard 0's rounds run on its engine and
+    // its stragglers hold them until the drain.
     let config = ServiceConfig {
         workers: 2,
         batch_size: 12,
-        dense_threshold: 13,
+        dense_threshold: 0,
         base_seed: 4242,
         ..ServiceConfig::default()
     };
-    let engine_a = traced_engine();
+    let engine_a = holding(traced_engine());
     let engine_b = traced_engine();
     let server_a = ShardServer::bind("127.0.0.1:0", engine_a, config.clone()).unwrap();
     let server_b = ShardServer::bind("127.0.0.1:0", engine_b, config.clone()).unwrap();

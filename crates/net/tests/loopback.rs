@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sbgt_engine::{EngineConfig, SharedEngine};
+use sbgt_engine::{EngineConfig, FaultPlan, SharedEngine};
 use sbgt_net::{
     DecodeError, FabricConfig, FabricRouter, Request, Response, ShardClient, ShardServer,
     MAX_PAYLOAD,
@@ -20,6 +20,17 @@ use sbgt_service::{
 
 fn shared_engine() -> SharedEngine {
     SharedEngine::new(EngineConfig::default().with_threads(2))
+}
+
+/// An engine holding every sharded round for 300 ms (an injected straggler
+/// on task 0 of each fused round), so a drain a few milliseconds after
+/// placement always finds the shard's cohorts live. Stragglers only slow a
+/// stage; they change no result.
+fn holding_engine() -> SharedEngine {
+    let engine = shared_engine();
+    let hold = Duration::from_millis(300);
+    engine.set_fault_plan(FaultPlan::new().delay_at("fused-round:in-place", 0, hold));
+    engine
 }
 
 fn specimens(n: usize, seed: u64) -> Vec<Specimen> {
@@ -254,15 +265,17 @@ fn decode_error_variants_match_the_wire_cases() {
 fn drain_handoff_relocates_cohorts_bit_for_bit() {
     // Two shards, each its own engine (as in separate processes); a
     // router places 24 cohorts, then shard 0 is drained mid-run and its
-    // live cohorts must finish on shard 1 with identical reports.
+    // live cohorts must finish on shard 1 with identical reports. Every
+    // cohort is sharded, so that shard 0's rounds run on its engine and its
+    // stragglers hold them until the drain.
     let config = ServiceConfig {
         workers: 2,
         batch_size: 12,
-        dense_threshold: 13,
+        dense_threshold: 0,
         base_seed: 4242,
         ..ServiceConfig::default()
     };
-    let server_a = ShardServer::bind("127.0.0.1:0", shared_engine(), config.clone()).unwrap();
+    let server_a = ShardServer::bind("127.0.0.1:0", holding_engine(), config.clone()).unwrap();
     let server_b = ShardServer::bind("127.0.0.1:0", shared_engine(), config.clone()).unwrap();
 
     let fabric_config = FabricConfig {

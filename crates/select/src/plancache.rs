@@ -55,13 +55,27 @@ use crate::halving::Selection;
 pub const PLAN_MAX_STAGE_POOLS: usize = 12;
 
 const MAGIC: &[u8; 8] = b"SBGTPLAN";
-/// Version 2 has the layout of version 1. A version-1 blob still decodes,
-/// but its [`PlanLineage::Dense`] trees wider than one pool per stage are
-/// dropped: they were chosen by the look-ahead over the whole lattice,
-/// which the in-memory path no longer runs (it projects onto the
-/// undecided subjects first), so replaying them could serve pools a live
-/// selection would not pick.
-const VERSION: u32 = 2;
+/// Versions 2 and 3 have the layout of version 1, and every version still
+/// decodes; [`PlanCache::import`] drops the trees an older arithmetic
+/// chose, because replaying them could serve pools a live selection would
+/// not pick. Version 2: a version-1 blob's [`PlanLineage::Dense`] trees
+/// wider than one pool per stage were chosen by the look-ahead over the
+/// whole lattice, which the in-memory path no longer runs (it projects
+/// onto the undecided subjects first). Version 3: the exact sessions sum
+/// massless subjects out of the lattice, which moves the sums of every
+/// sharded lattice and of every in-memory lattice of more than one 2^16
+/// block, so a version-1 or version-2 tree under
+/// [`PlanLineage::Sharded`], or under `Dense` with `n ≥ 17`, is dropped.
+const VERSION: u32 = 3;
+
+/// Whether a tree of a version-`version` blob was chosen by an arithmetic
+/// this version no longer runs (see [`VERSION`]).
+fn retired(version: u32, key: &PlanKey) -> bool {
+    let dense = key.lineage == PlanLineage::Dense;
+    (version == 1 && dense && key.stage_width > 1)
+        || (version < 3
+            && (matches!(key.lineage, PlanLineage::Sharded { .. }) || (dense && key.n >= 17)))
+}
 
 // ---------------------------------------------------------------------------
 // Key
@@ -78,8 +92,8 @@ const VERSION: u32 = 2;
 ///
 /// Tag 1 belonged to the retired rayon-chunked lineage, whose sums depended
 /// on its chunk length and the host's thread count. [`PlanCache::import`]
-/// still decodes it, and drops its tree. It drops the look-ahead trees of a
-/// version-1 `Dense` key too (see `VERSION`).
+/// still decodes it, and drops its tree. It drops the trees of an older
+/// version whose arithmetic has moved too (see `VERSION`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanLineage {
     /// Dense in-memory session, serial or parallel.
@@ -663,15 +677,15 @@ impl PlanCache {
     /// their live (likely fresher) tree; new keys adopt the imported one.
     /// Every structural violation is a typed [`PlanCodecError::Corrupt`] —
     /// a tampered blob must never panic. Trees a retired arithmetic built
-    /// (the tag-1 lineage; a version-1 blob's look-ahead `Dense` trees)
-    /// decode and are dropped. Returns the number of trees adopted.
+    /// (the tag-1 lineage; the trees of an older version that [`VERSION`]
+    /// names) decode and are dropped. Returns the number of trees adopted.
     pub fn import(&self, bytes: &[u8]) -> Result<usize, PlanCodecError> {
         let mut r = Reader::new(bytes);
         if r.take(8)? != MAGIC {
             return Err(PlanCodecError::Corrupt("bad plan magic".into()));
         }
         let version = r.u32()?;
-        if version != 1 && version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(PlanCodecError::Corrupt(format!(
                 "unsupported plan version {version}"
             )));
@@ -685,7 +699,7 @@ impl PlanCache {
         let mut trees = self.trees.lock().unwrap();
         for (key, tree) in parsed {
             let Some(key) = key else { continue };
-            if version == 1 && key.lineage == PlanLineage::Dense && key.stage_width > 1 {
+            if retired(version, &key) {
                 continue;
             }
             trees.entry(key).or_insert_with(|| {
@@ -1254,7 +1268,8 @@ mod tests {
     /// The same cache exported by the commit before the shared byte layer
     /// (`ae8dcfc`), as version 1: no byte of the layout may have moved, only
     /// the version word. The recorded blob still decodes; its width-2
-    /// `Dense` tree is dropped and the sharded and sparse trees adopted.
+    /// `Dense` tree and its sharded tree are dropped and the sparse tree
+    /// adopted.
     #[test]
     fn export_matches_the_bytes_the_parent_commit_wrote() {
         let hex = include_str!("../tests/data/parent_plan.txt")
@@ -1274,7 +1289,7 @@ mod tests {
             "SBGTPLAN bytes moved"
         );
         let cache = PlanCache::new(64);
-        assert_eq!(cache.import(&recorded), Ok(2));
+        assert_eq!(cache.import(&recorded), Ok(1));
         assert!(cache.handle(key(&[0.05, 0.15, 0.25])).lookup(&[]).is_none());
     }
 
@@ -1385,11 +1400,50 @@ mod tests {
         bytes::check_against(&blob, &canonical, reencode);
     }
 
+    /// `cache` exported, with the header of version `version`.
+    fn export_as(cache: &PlanCache, version: u32) -> Vec<u8> {
+        let mut blob = cache.export();
+        let mut header = Writer::new();
+        header.raw(MAGIC);
+        header.u32(version);
+        blob[..12].copy_from_slice(&header.into_bytes());
+        blob
+    }
+
+    /// Import a version-`version` blob of one `sel(0b1, 0.5)` root per key
+    /// in `kept` and `dropped`: every tree decodes, the `kept` trees alone
+    /// are adopted and replayed, and the blob re-encodes as the current
+    /// version without the others.
+    fn assert_import_keeps(version: u32, kept: &[PlanKey], dropped: &[PlanKey]) {
+        let parent = PlanCache::new(64);
+        for k in kept.iter().chain(dropped) {
+            parent.handle(k.clone()).extend(&[], &[sel(0b1, 0.5)]);
+        }
+        let blob = export_as(&parent, version);
+        let cache = PlanCache::new(64);
+        assert_eq!(cache.import(&blob), Ok(kept.len()), "version {version}");
+        assert_eq!(cache.tree_count(), kept.len());
+        let canonical = cache.export();
+        assert_eq!(PlanCache::new(64).import(&canonical), Ok(kept.len()));
+        bytes::check_against(&blob, &canonical, reencode);
+        for k in kept {
+            assert_eq!(
+                cache.handle(k.clone()).lookup(&[]),
+                Some(vec![sel(0b1, 0.5)])
+            );
+        }
+        for k in dropped {
+            let handle = cache.handle(k.clone());
+            assert_eq!(handle.lookup(&[]), None);
+            assert_eq!(handle.tree_len(), 0);
+        }
+    }
+
     /// A version-1 blob of four trees: look-ahead (width 2) and width-1
     /// trees under the `Dense` lineage, and look-ahead trees under the
-    /// sharded and sparse lineages, whose arithmetic did not change. All
-    /// four decode; the `Dense` look-ahead tree is dropped, never replayed,
-    /// and the blob re-encodes as version 2 without it.
+    /// sharded and sparse lineages. All four decode; the `Dense` look-ahead
+    /// tree (version 2) and the sharded tree (version 3) are dropped, never
+    /// replayed, and the blob re-encodes without them.
     #[test]
     fn a_parent_lookahead_tree_decodes_and_is_dropped() {
         let mut width_one = key(&[0.05]);
@@ -1400,33 +1454,30 @@ mod tests {
         sparse.lineage = PlanLineage::Sparse {
             epsilon_bits: 1e-9f64.to_bits(),
         };
-        let kept = [width_one, sharded, sparse];
-        let parent = PlanCache::new(64);
-        parent
-            .handle(key(&[0.05]))
-            .extend(&[], &[sel(0b1, 0.5), sel(0b11, 0.4)]);
-        for k in &kept {
-            parent.handle(k.clone()).extend(&[], &[sel(0b1, 0.5)]);
-        }
-        let mut v1 = parent.export();
-        let mut header = Writer::new();
-        header.raw(MAGIC);
-        header.u32(1);
-        v1[..12].copy_from_slice(&header.into_bytes());
+        assert_import_keeps(1, &[width_one, sparse], &[key(&[0.05]), sharded]);
+    }
 
-        let cache = PlanCache::new(64);
-        assert_eq!(cache.import(&v1), Ok(3));
-        assert_eq!(cache.tree_count(), 3);
-        let canonical = cache.export();
-        assert_eq!(PlanCache::new(64).import(&canonical), Ok(3));
-        bytes::check_against(&v1, &canonical, reencode);
-
-        for k in kept {
-            assert_eq!(cache.handle(k).lookup(&[]), Some(vec![sel(0b1, 0.5)]));
-        }
-        let dropped = cache.handle(key(&[0.05]));
-        assert_eq!(dropped.lookup(&[]), None);
-        assert_eq!(dropped.tree_len(), 0);
+    /// Version-2 trees whose sums contraction moves — every sharded tree and
+    /// the `Dense` trees of 17 subjects or more, with or without a sparse
+    /// switch — decode and are dropped. The `Dense` trees of one-block
+    /// lattices and the sparse trees keep their bits and are adopted, and a
+    /// version-3 blob adopts every tree.
+    #[test]
+    fn a_parent_contracting_lineage_tree_decodes_and_is_dropped() {
+        let seventeen = key(&[0.05; 17]);
+        let mut hybrid = seventeen.clone();
+        hybrid.sparse_switch_bits = Some((0.25f64.to_bits(), 1e-9f64.to_bits()));
+        let mut sharded = key(&[0.05]);
+        sharded.lineage = PlanLineage::Sharded { parts: 1 };
+        let mut sparse = seventeen.clone();
+        sparse.lineage = PlanLineage::Sparse {
+            epsilon_bits: 1e-9f64.to_bits(),
+        };
+        let kept = [key(&[0.05; 16]), sparse];
+        let dropped = [seventeen, hybrid, sharded];
+        assert_import_keeps(2, &kept, &dropped);
+        let all: Vec<PlanKey> = kept.iter().chain(&dropped).cloned().collect();
+        assert_import_keeps(VERSION, &all, &[]);
     }
 
     #[test]

@@ -152,6 +152,19 @@ fn sparse_rounds_killed_by_chaos_are_rolled_back_and_replayed() {
     hunt_killed_round(&cfg, &workload(49, 9), 100..116, |_| {});
 }
 
+/// Every cohort sharded under a perfect assay, which every other case
+/// here leaves at `pcr_like`: each negative pool leaves its members
+/// massless, so the rounds contract the lattice, and a killed round
+/// restores a contracted session from its snapshot's expansion.
+#[test]
+fn contracting_rounds_killed_by_chaos_are_rolled_back_and_replayed() {
+    let cfg = ServiceConfig {
+        model: sbgt_response::BinaryDilutionModel::perfect(),
+        ..config()
+    };
+    hunt_killed_round(&cfg, &workload(49, 9), 400..416, |_| {});
+}
+
 /// Every cohort on BP (`approx_threshold` 1): the relaxation runs as the
 /// one-task `fused-round:bp` stage, so a killed BP round is rolled back
 /// and replayed like an exact one. The particle backend has no case here:
