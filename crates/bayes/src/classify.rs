@@ -35,13 +35,25 @@ impl ClassificationRule {
     /// # Panics
     /// Panics unless `0 < neg_threshold < pos_threshold < 1`.
     pub fn new(pos_threshold: f64, neg_threshold: f64) -> Self {
-        assert!(
-            0.0 < neg_threshold && neg_threshold < pos_threshold && pos_threshold < 1.0,
-            "need 0 < neg ({neg_threshold}) < pos ({pos_threshold}) < 1"
-        );
-        ClassificationRule {
+        let rule = ClassificationRule {
             pos_threshold,
             neg_threshold,
+        };
+        if let Err(e) = rule.validate() {
+            panic!("{e}");
+        }
+        rule
+    }
+
+    /// Check `0 < neg_threshold < pos_threshold < 1`, the condition
+    /// [`Self::new`] asserts. The fields are public, so a rule built as a
+    /// struct literal is checked here; a NaN threshold fails.
+    pub fn validate(&self) -> Result<(), String> {
+        let (pos, neg) = (self.pos_threshold, self.neg_threshold);
+        if 0.0 < neg && neg < pos && pos < 1.0 {
+            Ok(())
+        } else {
+            Err(format!("need 0 < neg ({neg}) < pos ({pos}) < 1"))
         }
     }
 

@@ -18,14 +18,10 @@
 
 pub mod analysis;
 pub mod classify;
-pub mod credible;
-pub mod predictive;
 pub mod prior;
 pub mod update;
 
 pub use analysis::{analyze, analyze_on, PosteriorReport};
 pub use classify::{classify_marginals, ClassificationRule, CohortClassification, SubjectStatus};
-pub use credible::{credible_set, CredibleSet};
-pub use predictive::{predictive_cost, PredictiveCost, RolloutConfig};
 pub use prior::Prior;
 pub use update::{update_dense, update_sparse, update_sparse_with_table, BayesError, Observation};

@@ -1,12 +1,10 @@
 //! Property tests for the Bayesian machinery: update laws, classification
-//! consistency, credible-set coverage, and log/linear domain agreement.
+//! consistency, and log/linear domain agreement.
 
 use proptest::prelude::*;
 
-use sbgt_bayes::{
-    classify_marginals, credible_set, update_dense, ClassificationRule, Observation, Prior,
-};
-use sbgt_lattice::{DensePosterior, State};
+use sbgt_bayes::{classify_marginals, update_dense, ClassificationRule, Observation, Prior};
+use sbgt_lattice::State;
 use sbgt_response::{BinaryDilutionModel, Dilution, ResponseModel};
 
 fn close(a: f64, b: f64) -> bool {
@@ -135,22 +133,4 @@ proptest! {
         }
     }
 
-    /// Credible sets cover at least the requested level and are minimal.
-    #[test]
-    fn credible_sets_cover_and_are_minimal(
-        risks in risks_strategy(7),
-        level in 0.1f64..1.0,
-    ) {
-        let post = DensePosterior::from_risks(&risks);
-        let cs = credible_set(&post, level);
-        prop_assert!(cs.coverage >= level - 1e-9);
-        if cs.size() > 1 {
-            let without_last: f64 = cs.states[..cs.size() - 1].iter().map(|(_, p)| p).sum();
-            prop_assert!(without_last < level + 1e-12);
-        }
-        // States are in descending probability order.
-        for w in cs.states.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1 - 1e-15);
-        }
-    }
 }

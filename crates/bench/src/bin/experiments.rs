@@ -19,7 +19,7 @@ use sbgt_bench::{
 use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::{ExecMode, ParConfig, SparsePosterior};
 use sbgt_response::ResponseModel;
-use sbgt_sim::runner::{EpisodeConfig, SelectionMethod};
+use sbgt_sim::runner::EpisodeConfig;
 use sbgt_sim::{
     run_array_testing, run_dorfman, run_episode, run_individual, square_grid, ConfusionMatrix,
     Population, RiskProfile, Scenario, SummaryStats,
@@ -550,11 +550,7 @@ fn e8_lookahead_tradeoff(quick: bool) {
         for seed in 0..reps {
             let pop = Population::sample(&profile, 3000 + seed);
             let cfg = EpisodeConfig {
-                selection: if width == 1 {
-                    SelectionMethod::HalvingPrefix
-                } else {
-                    SelectionMethod::Lookahead { width }
-                },
+                stage_width: width,
                 ..EpisodeConfig::standard(seed)
             };
             let r = run_episode(&pop, &model, &cfg);

@@ -80,6 +80,7 @@ impl SbgtConfig {
                 "stage cap must be at least 1".into(),
             ));
         }
+        self.rule.validate().map_err(ConfigError::InvalidArgument)?;
         if let Some(switch) = &self.sparse_switch {
             switch.validate().map_err(ConfigError::InvalidArgument)?;
         }
@@ -204,6 +205,30 @@ mod tests {
         match zero_stages.validate() {
             Err(ConfigError::InvalidArgument(msg)) => assert!(msg.contains("stage cap")),
             other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        // The rule's fields are public, so a struct literal can hold
+        // thresholds `ClassificationRule::new` rejects: NaN, above 1, or
+        // a negative threshold not below the positive one.
+        for (pos_threshold, neg_threshold) in [
+            (f64::NAN, 0.01),
+            (0.99, f64::NAN),
+            (1.5, 0.01),
+            (0.5, 0.5),
+            (0.4, 0.6),
+        ] {
+            let bad_rule = SbgtConfig {
+                rule: ClassificationRule {
+                    pos_threshold,
+                    neg_threshold,
+                },
+                ..SbgtConfig::default()
+            };
+            match bad_rule.validate() {
+                Err(ConfigError::InvalidArgument(msg)) => assert!(msg.contains("need 0 < neg")),
+                other => panic!(
+                    "expected InvalidArgument for {pos_threshold}/{neg_threshold}, got {other:?}"
+                ),
+            }
         }
         // The error renders its message (service logs shed typed reasons).
         let rendered = zero_width.validate().unwrap_err().to_string();

@@ -1,7 +1,10 @@
 //! The generic backend-conformance suite (`sbgt::conformance`) instantiated
 //! for the exact backend — in memory, sharded, and opened sparse. BP and
-//! particle run the same suite from `sbgt-approx`.
+//! particle run the same suite from `sbgt-approx`. The last case holds the
+//! in-memory session to the paper's episode loop (`sbgt_sim::run_episode`).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sbgt::conformance::Harness;
 use sbgt::{
     Backend, PlanCache, PlanKey, PlanLineage, SbgtConfig, SbgtSession, Session, SessionSnapshot,
@@ -12,6 +15,8 @@ use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::State;
 use sbgt_response::BinaryDilutionModel;
 use sbgt_select::Selection;
+use sbgt_sim::outcome::run_test;
+use sbgt_sim::{run_episode, EpisodeConfig, Population, RiskProfile};
 
 /// Ten subjects with distinct risks, so the ascending-marginal ordering
 /// never rests on last-ulp ties.
@@ -292,4 +297,51 @@ fn snapshots_written_before_the_exact_backend_merge_still_resume() {
             &[("2", Some(&|s| s.stages() == 2))],
         );
     });
+}
+
+/// The paper's episode loop and the service's session make the same
+/// decisions: over two sampled populations per cohort size, with the same
+/// rule, pool cap and
+/// stage width, and a lab drawing from the same seeded generator, a serial
+/// `SbgtSession` runs the episode's pools, stages, statuses and final
+/// marginals bit for bit.
+#[test]
+fn episodes_and_sessions_make_the_same_decisions() {
+    for (n, seed) in [6, 12, 16].into_iter().flat_map(|n| [(n, 1), (n, 2)]) {
+        let population = Population::sample(&RiskProfile::Flat { n, p: 0.15 }, seed);
+        for model in [
+            BinaryDilutionModel::perfect(),
+            BinaryDilutionModel::pcr_like(),
+        ] {
+            for stage_width in [1, 3] {
+                let episode_config = EpisodeConfig {
+                    stage_width,
+                    ..EpisodeConfig::standard(seed)
+                };
+                let episode = run_episode(&population, &model, &episode_config);
+
+                let config = SbgtConfig {
+                    rule: episode_config.rule,
+                    max_pool_size: episode_config.max_pool_size,
+                    max_stages: episode_config.max_stages,
+                    stage_width,
+                    ..SbgtConfig::default().serial()
+                };
+                let mut session = SbgtSession::new(population.prior(), model, config);
+                let mut rng = StdRng::seed_from_u64(episode_config.seed);
+                let outcome =
+                    session.run(None, |pool| run_test(&population, &model, *pool, &mut rng));
+
+                let case = format!("n {n}, seed {seed}, width {stage_width}, {model:?}");
+                assert_eq!(session.history(), &episode.history[..], "{case}");
+                assert_eq!(outcome.tests, episode.stats.tests, "{case}");
+                assert_eq!(outcome.stages, episode.stats.stages, "{case}");
+                assert_eq!(outcome.classification, episode.classification, "{case}");
+                assert_eq!(outcome.marginals.len(), n, "{case}");
+                for (a, b) in outcome.marginals.iter().zip(&episode.marginals) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}");
+                }
+            }
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! These are the reference enumerations: exhaustive pool search and the test
 //! suite use them as ground truth against the fused kernels in
-//! [`crate::dense`] and [`crate::kernels`].
+//! [`crate::dense`].
 
 use crate::state::State;
 
@@ -50,89 +50,6 @@ impl Iterator for SubsetIter {
     }
 }
 
-/// Iterate all supersets of `base` within a cohort of `n` subjects,
-/// ascending by the added-subject mask.
-pub fn supersets_of(base: State, n: usize) -> impl Iterator<Item = State> {
-    let free = base.complement(n);
-    subsets_of(free)
-        .collect::<Vec<_>>() // subsets_of is descending; collect to re-order
-        .into_iter()
-        .rev()
-        .map(move |add| base.join(add))
-}
-
-/// Iterate the states of exact rank `k` in a cohort of `n` subjects, in
-/// ascending index order (Gosper's hack: next-higher integer with the same
-/// popcount).
-pub fn states_of_rank(n: usize, k: usize) -> RankIter {
-    assert!(n <= 63, "rank iteration limited to n <= 63");
-    let limit = 1u64 << n;
-    let current = if k == 0 {
-        0
-    } else if k > n {
-        limit // no such states: start past the limit
-    } else {
-        (1u64 << k) - 1
-    };
-    RankIter {
-        current,
-        limit,
-        k: k as u32,
-        exhausted: k > n,
-    }
-}
-
-/// See [`states_of_rank`].
-#[derive(Debug, Clone)]
-pub struct RankIter {
-    current: u64,
-    limit: u64,
-    k: u32,
-    exhausted: bool,
-}
-
-impl Iterator for RankIter {
-    type Item = State;
-
-    fn next(&mut self) -> Option<State> {
-        if self.exhausted || self.current >= self.limit {
-            return None;
-        }
-        let out = State(self.current);
-        if self.k == 0 {
-            self.exhausted = true;
-        } else {
-            // Gosper's hack.
-            let c = self.current;
-            let lowest = c & c.wrapping_neg();
-            let ripple = c + lowest;
-            if ripple == 0 {
-                self.exhausted = true;
-            } else {
-                self.current = ripple | (((c ^ ripple) >> 2) / lowest);
-            }
-        }
-        Some(out)
-    }
-}
-
-/// Gray-code walk over all states of a cohort of `n`: consecutive states
-/// differ in exactly one subject. Yields `(state, flipped_subject)` where
-/// `flipped_subject` is `None` for the initial empty state. Useful for
-/// incremental recomputation across neighbouring hypotheses.
-pub fn gray_code(n: usize) -> impl Iterator<Item = (State, Option<usize>)> {
-    (0u64..(1u64 << n)).map(|i| {
-        let gray = i ^ (i >> 1);
-        let flipped = if i == 0 {
-            None
-        } else {
-            // Bit flipped between gray(i-1) and gray(i) is trailing_zeros(i).
-            Some(i.trailing_zeros() as usize)
-        };
-        (State(gray), flipped)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,72 +77,5 @@ mod tests {
     fn subsets_of_empty() {
         let subs: Vec<State> = subsets_of(State::EMPTY).collect();
         assert_eq!(subs, vec![State::EMPTY]);
-    }
-
-    #[test]
-    fn supersets_enumerate_exactly() {
-        let n = 5;
-        let base = State::from_subjects([1, 3]);
-        let sups: HashSet<State> = supersets_of(base, n).collect();
-        assert_eq!(sups.len(), 8); // 2^(5-2)
-        for s in &sups {
-            assert!(base.is_subset_of(*s));
-        }
-        assert!(sups.contains(&base));
-        assert!(sups.contains(&State::full(n)));
-    }
-
-    #[test]
-    fn rank_iter_matches_binomial() {
-        fn binom(n: u64, k: u64) -> u64 {
-            if k > n {
-                return 0;
-            }
-            let mut r = 1u64;
-            for i in 0..k {
-                r = r * (n - i) / (i + 1);
-            }
-            r
-        }
-        for n in 0..=8usize {
-            for k in 0..=n + 1 {
-                let states: Vec<State> = states_of_rank(n, k).collect();
-                assert_eq!(
-                    states.len() as u64,
-                    binom(n as u64, k as u64),
-                    "n={n} k={k}"
-                );
-                for s in &states {
-                    assert_eq!(s.rank() as usize, k);
-                }
-                // Ascending order.
-                for w in states.windows(2) {
-                    assert!(w[0].bits() < w[1].bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rank_zero_is_empty_state_only() {
-        let states: Vec<State> = states_of_rank(6, 0).collect();
-        assert_eq!(states, vec![State::EMPTY]);
-    }
-
-    #[test]
-    fn gray_code_single_flips() {
-        let n = 6;
-        let walk: Vec<(State, Option<usize>)> = gray_code(n).collect();
-        assert_eq!(walk.len(), 64);
-        assert_eq!(walk[0], (State::EMPTY, None));
-        let seen: HashSet<State> = walk.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seen.len(), 64); // visits every state once
-        for w in walk.windows(2) {
-            let (a, _) = w[0];
-            let (b, flip) = w[1];
-            assert_eq!((a.bits() ^ b.bits()).count_ones(), 1);
-            let flipped = (a.bits() ^ b.bits()).trailing_zeros() as usize;
-            assert_eq!(flip, Some(flipped));
-        }
     }
 }

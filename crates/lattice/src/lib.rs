@@ -13,8 +13,7 @@
 //!
 //! * [`State`] — a state as a `u64` bitmask with the lattice operations
 //!   (meet/join/complement, inclusion, rank, covers);
-//! * [`order`] — order-theoretic helpers (up-sets, down-sets, comparability);
-//! * [`iter`] — subset/superset/rank iterators used by exhaustive selection
+//! * [`iter`] — state and subset iterators used by exhaustive selection
 //!   and by tests as ground truth;
 //! * [`DensePosterior`] — the `Vec<f64>`-of-length-`2^N` posterior, and in
 //!   [`dense`] the block kernels (update, marginals, prefix masses,
@@ -45,7 +44,6 @@ pub mod bytes;
 pub mod dense;
 pub mod hybrid;
 pub mod iter;
-pub mod order;
 pub mod simd;
 pub mod sparse;
 pub mod state;

@@ -38,7 +38,6 @@
 pub mod candidates;
 pub mod global;
 pub mod halving;
-pub mod information;
 pub mod lookahead;
 pub mod plancache;
 
@@ -48,7 +47,6 @@ pub use halving::{
     select_halving_exhaustive, select_halving_from_masses, select_halving_prefix,
     select_halving_prefix_on, select_halving_prefix_par, select_halving_prefix_sparse, Selection,
 };
-pub use information::{select_information_gain, InfoSelection};
 pub use lookahead::{
     drive_lookahead, select_stage_lookahead, select_stage_lookahead_fused,
     select_stage_lookahead_on, select_stage_lookahead_par, select_stage_lookahead_sparse,

@@ -1,6 +1,6 @@
 //! Property tests for the selection rules: optimality relations between
-//! prefix, global, and exhaustive halving; look-ahead sanity; information
-//! gain bounds.
+//! prefix, global, and exhaustive halving; look-ahead sanity; candidate
+//! generators.
 
 use proptest::prelude::*;
 
@@ -8,8 +8,8 @@ use sbgt_lattice::{DensePosterior, ExecMode, LookaheadKernel, ParConfig, State};
 use sbgt_response::{BinaryDilutionModel, Dilution, ResponseModel};
 use sbgt_select::{
     drive_lookahead, select_halving_exhaustive, select_halving_global, select_halving_prefix,
-    select_information_gain, select_stage_lookahead, select_stage_lookahead_fused,
-    select_stage_lookahead_par, CandidateStrategy, LookaheadConfig,
+    select_stage_lookahead, select_stage_lookahead_fused, select_stage_lookahead_par,
+    CandidateStrategy, LookaheadConfig,
 };
 
 fn risks_strategy(max_n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -224,31 +224,6 @@ proptest! {
             prop_assert_eq!(u.negative_mass.to_bits(), f.negative_mass.to_bits());
             prop_assert_eq!(u.distance.to_bits(), f.distance.to_bits());
         }
-    }
-
-    /// Information gain is non-negative, bounded by ln 2, and weakly
-    /// improves with shortlist width.
-    #[test]
-    fn information_gain_bounds(
-        risks in risks_strategy(7),
-        dilution_alpha in 1.0f64..8.0,
-    ) {
-        let post = DensePosterior::from_risks(&risks);
-        let model = BinaryDilutionModel::new(
-            0.95,
-            0.99,
-            Dilution::Exponential { alpha: dilution_alpha },
-        );
-        let order = ascending(&risks);
-        let n = risks.len();
-        let narrow = select_information_gain(&post, &model, &order, n, 1).unwrap();
-        let wide = select_information_gain(&post, &model, &order, n, n).unwrap();
-        for sel in [&narrow, &wide] {
-            prop_assert!(sel.information_gain >= -1e-9);
-            prop_assert!(sel.information_gain <= 2f64.ln() + 1e-9);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&sel.predictive_positive));
-        }
-        prop_assert!(wide.information_gain >= narrow.information_gain - 1e-12);
     }
 
     /// Candidate generators only emit admissible pools, and the prefix

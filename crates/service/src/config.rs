@@ -421,6 +421,19 @@ mod tests {
                 },
             ),
             (
+                "session-rule-nan",
+                ServiceConfig {
+                    session: SbgtConfig {
+                        rule: sbgt_bayes::ClassificationRule {
+                            pos_threshold: f64::NAN,
+                            neg_threshold: 0.01,
+                        },
+                        ..base.session
+                    },
+                    ..base.clone()
+                },
+            ),
+            (
                 "tenant-weight-zero",
                 ServiceConfig {
                     tenants: vec![TenantSpec::weighted(1, 0)],

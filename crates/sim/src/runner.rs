@@ -17,39 +17,11 @@ use sbgt_bayes::{
 };
 use sbgt_lattice::{DensePosterior, State};
 use sbgt_response::BinaryOutcomeModel;
-use sbgt_select::{
-    select_halving_exhaustive, select_halving_global, select_halving_prefix,
-    select_information_gain, select_stage_lookahead_fused, CandidateStrategy, LookaheadConfig,
-};
+use sbgt_select::{select_halving_prefix, select_stage_lookahead_fused, LookaheadConfig};
 
 use crate::metrics::{ConfusionMatrix, EpisodeStats};
 use crate::outcome::run_test;
 use crate::population::Population;
-
-/// Which selection rule drives the episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionMethod {
-    /// Sorted-prefix Bayesian halving (the SBGT fast path).
-    HalvingPrefix,
-    /// Exhaustive Bayesian halving over all admissible pools of the
-    /// undetermined subjects (ground truth; exponential — small cohorts
-    /// only).
-    HalvingExhaustive,
-    /// Globally optimal halving via the zeta transform: exact like the
-    /// exhaustive rule but `O(N · 2^N)` (see `sbgt_select::global`).
-    HalvingGlobal,
-    /// Look-ahead stage selection with `width` pools per stage.
-    Lookahead {
-        /// Pools per stage.
-        width: usize,
-    },
-    /// Information-gain refinement over the `shortlist` best halving
-    /// prefixes (see `sbgt_select::information`).
-    InformationGain {
-        /// Number of halving candidates to score exactly.
-        shortlist: usize,
-    },
-}
 
 /// Configuration of one sequential episode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,8 +30,10 @@ pub struct EpisodeConfig {
     pub rule: ClassificationRule,
     /// Largest pool the assay supports.
     pub max_pool_size: usize,
-    /// Selection rule.
-    pub selection: SelectionMethod,
+    /// Pools selected per stage (`L ≥ 1`). `1` runs sorted-prefix Bayesian
+    /// halving, one test per stage; larger widths run the branch-fused
+    /// look-ahead rule, fewer stages for more tests (experiment E8).
+    pub stage_width: usize,
     /// Hard cap on stages (guards against non-termination when the assay
     /// is so noisy the posterior cannot reach the thresholds).
     pub max_stages: usize,
@@ -69,12 +43,12 @@ pub struct EpisodeConfig {
 
 impl EpisodeConfig {
     /// A sensible default: symmetric 99% thresholds, pools up to 16,
-    /// prefix halving, generous stage cap.
+    /// one pool per stage, generous stage cap.
     pub fn standard(seed: u64) -> Self {
         EpisodeConfig {
             rule: ClassificationRule::symmetric(0.99),
             max_pool_size: 16,
-            selection: SelectionMethod::HalvingPrefix,
+            stage_width: 1,
             max_stages: 200,
             seed,
         }
@@ -108,6 +82,12 @@ pub struct EpisodeResult {
 /// let result = run_episode(&pop, &model, &EpisodeConfig::standard(42));
 /// assert!(result.classification.is_terminal());
 /// assert_eq!(result.confusion.accuracy(), 1.0); // perfect assay
+///
+/// // Three pools per stage: the look-ahead rule, in fewer stages.
+/// let wide = EpisodeConfig { stage_width: 3, ..EpisodeConfig::standard(42) };
+/// let staged = run_episode(&pop, &model, &wide);
+/// assert!(staged.classification.is_terminal());
+/// assert!(staged.stats.stages <= result.stats.stages);
 /// ```
 pub fn run_episode<M: BinaryOutcomeModel>(
     population: &Population,
@@ -196,45 +176,22 @@ fn select_stage<M: BinaryOutcomeModel>(
     eligible: &[usize],
     cfg: &EpisodeConfig,
 ) -> Vec<State> {
-    match cfg.selection {
-        SelectionMethod::HalvingPrefix => {
-            select_halving_prefix(posterior, eligible, cfg.max_pool_size)
-                .map(|s| vec![s.pool])
-                .unwrap_or_default()
-        }
-        SelectionMethod::HalvingExhaustive => {
-            let candidates = CandidateStrategy::Exhaustive {
-                max_pool_size: cfg.max_pool_size,
-            }
-            .generate(eligible);
-            select_halving_exhaustive(posterior, &candidates)
-                .map(|s| vec![s.pool])
-                .unwrap_or_default()
-        }
-        SelectionMethod::HalvingGlobal => {
-            select_halving_global(posterior, eligible, cfg.max_pool_size)
-                .map(|s| vec![s.pool])
-                .unwrap_or_default()
-        }
-        SelectionMethod::Lookahead { width } => {
-            let la = LookaheadConfig {
-                width,
-                max_pool_size: cfg.max_pool_size,
-            };
-            // Branch-fused fast path: identical pools to the
-            // clone-per-branch rule without materializing branches.
-            select_stage_lookahead_fused(posterior, model, eligible, &la)
-                .expect("episode config guarantees a positive width")
-                .into_iter()
-                .map(|s| s.pool)
-                .collect()
-        }
-        SelectionMethod::InformationGain { shortlist } => {
-            select_information_gain(posterior, model, eligible, cfg.max_pool_size, shortlist)
-                .map(|s| vec![s.pool])
-                .unwrap_or_default()
-        }
+    if cfg.stage_width == 1 {
+        return select_halving_prefix(posterior, eligible, cfg.max_pool_size)
+            .map(|s| vec![s.pool])
+            .unwrap_or_default();
     }
+    let la = LookaheadConfig {
+        width: cfg.stage_width,
+        max_pool_size: cfg.max_pool_size,
+    };
+    // Branch-fused fast path: identical pools to the clone-per-branch rule
+    // without materializing branches.
+    select_stage_lookahead_fused(posterior, model, eligible, &la)
+        .expect("an episode needs a stage width and a pool cap of at least 1")
+        .into_iter()
+        .map(|s| s.pool)
+        .collect()
 }
 
 /// Comparator: one assay per subject, classification by the raw outcome.
@@ -390,27 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_and_prefix_agree_on_tiny_cohort_costs() {
-        // Not necessarily the identical pools, but both must classify
-        // perfectly with a perfect assay.
-        let profile = low_prev_profile(6);
-        let pop = Population::with_truth(&profile, State::from_subjects([2]));
-        let model = BinaryDilutionModel::perfect();
-        for selection in [
-            SelectionMethod::HalvingPrefix,
-            SelectionMethod::HalvingExhaustive,
-        ] {
-            let cfg = EpisodeConfig {
-                selection,
-                ..EpisodeConfig::standard(5)
-            };
-            let r = run_episode(&pop, &model, &cfg);
-            assert!(r.classification.is_terminal(), "{selection:?}");
-            assert_eq!(r.confusion.accuracy(), 1.0, "{selection:?}");
-        }
-    }
-
-    #[test]
     fn lookahead_uses_fewer_stages() {
         let profile = RiskProfile::Flat { n: 12, p: 0.08 };
         let model = BinaryDilutionModel::new(0.98, 0.99, Dilution::Exponential { alpha: 4.0 });
@@ -425,7 +361,7 @@ mod tests {
                 &pop,
                 &model,
                 &EpisodeConfig {
-                    selection: SelectionMethod::Lookahead { width: 3 },
+                    stage_width: 3,
                     ..EpisodeConfig::standard(seed)
                 },
             );

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use sbgt_response::{BinaryDilutionModel, Dilution};
 
 use crate::population::RiskProfile;
-use crate::runner::{EpisodeConfig, SelectionMethod};
+use crate::runner::EpisodeConfig;
 
 /// A named, fully specified workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,7 +79,7 @@ impl Scenario {
             profile: RiskProfile::Flat { n, p: 0.05 },
             model: BinaryDilutionModel::pcr_like(),
             episode: EpisodeConfig {
-                selection: SelectionMethod::Lookahead { width },
+                stage_width: width,
                 ..EpisodeConfig::standard(seed)
             },
         }
@@ -122,6 +122,6 @@ mod tests {
     #[test]
     fn lookahead_scenario_selects_lookahead() {
         let s = Scenario::lookahead(10, 3, 0);
-        assert_eq!(s.episode.selection, SelectionMethod::Lookahead { width: 3 });
+        assert_eq!(s.episode.stage_width, 3);
     }
 }

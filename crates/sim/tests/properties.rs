@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use sbgt_lattice::State;
 use sbgt_response::BinaryDilutionModel;
-use sbgt_sim::runner::{EpisodeConfig, SelectionMethod};
+use sbgt_sim::runner::EpisodeConfig;
 use sbgt_sim::{
     dorfman_expected_tests_per_subject, run_array_testing, run_dorfman, run_episode,
     run_individual, square_grid, Population, RiskProfile,
@@ -46,29 +46,24 @@ proptest! {
         prop_assert!(arr.stats.stages <= 2);
     }
 
-    /// Every selection rule terminates exactly with a perfect assay.
+    /// Prefix halving and the look-ahead rule terminate exactly with a
+    /// perfect assay.
     #[test]
     fn all_selection_rules_exact_with_perfect_assay(
         n in 4usize..9,
         truth_bits in any::<u64>(),
-        method_idx in 0usize..4,
+        stage_width in 1usize..3,
     ) {
         let truth = State(truth_bits & ((1 << n) - 1));
         let profile = RiskProfile::Flat { n, p: 0.15 };
         let pop = Population::with_truth(&profile, truth);
         let model = BinaryDilutionModel::perfect();
-        let selection = match method_idx {
-            0 => SelectionMethod::HalvingPrefix,
-            1 => SelectionMethod::HalvingGlobal,
-            2 => SelectionMethod::Lookahead { width: 2 },
-            _ => SelectionMethod::InformationGain { shortlist: 3 },
-        };
         let cfg = EpisodeConfig {
-            selection,
+            stage_width,
             ..EpisodeConfig::standard(7)
         };
         let r = run_episode(&pop, &model, &cfg);
-        prop_assert!(r.classification.is_terminal(), "{:?}", selection);
+        prop_assert!(r.classification.is_terminal(), "width {}", stage_width);
         prop_assert_eq!(r.confusion.fp + r.confusion.fn_, 0);
         prop_assert_eq!(r.confusion.tp, truth.rank() as usize);
     }

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example lookahead_stages`
 
 use sbgt_repro::sbgt_response::BinaryDilutionModel;
-use sbgt_repro::sbgt_sim::runner::{EpisodeConfig, SelectionMethod};
+use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
 use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile, SummaryStats};
 
 fn main() {
@@ -29,11 +29,7 @@ fn main() {
         for seed in 0..reps {
             let pop = Population::sample(&profile, 900 + seed);
             let cfg = EpisodeConfig {
-                selection: if width == 1 {
-                    SelectionMethod::HalvingPrefix
-                } else {
-                    SelectionMethod::Lookahead { width }
-                },
+                stage_width: width,
                 ..EpisodeConfig::standard(seed)
             };
             let r = run_episode(&pop, &model, &cfg);

@@ -1,13 +1,11 @@
-//! Integration tests for the extension features: episode replay,
-//! zeta-transform global selection, credible sets, Ct-value outcomes,
-//! and sparse sessions.
+//! Integration tests for the extension features: episode replay, Ct-value
+//! outcomes, sparse sessions and zeta-transform joint queries.
 
 use sbgt_repro::sbgt::prelude::*;
-use sbgt_repro::sbgt_bayes::{credible_set, update_dense, Observation};
+use sbgt_repro::sbgt_bayes::{update_dense, Observation};
 use sbgt_repro::sbgt_lattice::transform::{all_pool_negative_masses, up_set_masses};
-use sbgt_repro::sbgt_lattice::DensePosterior;
 use sbgt_repro::sbgt_response::{CtOutcome, CtValueModel};
-use sbgt_repro::sbgt_sim::runner::{EpisodeConfig, SelectionMethod};
+use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
 use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile};
 
 fn close(a: f64, b: f64) -> bool {
@@ -29,59 +27,6 @@ fn recorded_history_replays_to_the_episode_marginals() {
     for (a, b) in episode.marginals.iter().zip(linear.marginals()) {
         assert!(close(*a, b));
     }
-}
-
-/// Episodes driven by the zeta-global rule classify exactly (perfect
-/// assay) and never use more tests than the prefix rule on average.
-#[test]
-fn global_selection_episodes() {
-    let profile = RiskProfile::Flat { n: 9, p: 0.08 };
-    let model = BinaryDilutionModel::perfect();
-    let mut prefix_tests = 0usize;
-    let mut global_tests = 0usize;
-    for seed in 0..10 {
-        let pop = Population::sample(&profile, 600 + seed);
-        let p = run_episode(&pop, &model, &EpisodeConfig::standard(seed));
-        let g = run_episode(
-            &pop,
-            &model,
-            &EpisodeConfig {
-                selection: SelectionMethod::HalvingGlobal,
-                ..EpisodeConfig::standard(seed)
-            },
-        );
-        assert!(p.classification.is_terminal());
-        assert!(g.classification.is_terminal());
-        assert_eq!(g.confusion.accuracy(), 1.0);
-        prefix_tests += p.stats.tests;
-        global_tests += g.stats.tests;
-    }
-    // Exact bisection can only help (or tie) in expectation.
-    assert!(
-        global_tests <= prefix_tests + 2,
-        "global {global_tests} vs prefix {prefix_tests}"
-    );
-}
-
-/// The credible set of a session posterior shrinks to one state as a
-/// perfect-assay episode resolves, and its certain positives match the
-/// classification.
-#[test]
-fn credible_set_resolves_with_session() {
-    let truth = State::from_subjects([3]);
-    let mut session = SbgtSession::new(
-        Prior::flat(7, 0.1),
-        BinaryDilutionModel::perfect(),
-        SbgtConfig::default().serial(),
-    );
-    let before = credible_set(session.posterior(), 0.95);
-    session.run_to_classification(|pool| truth.intersects(pool));
-    let after = credible_set(session.posterior(), 0.95);
-    assert!(after.size() < before.size());
-    assert_eq!(after.size(), 1);
-    assert_eq!(after.states[0].0, truth);
-    assert!(after.certain_positives().contains(3));
-    assert!(after.certain_negatives(7).contains(0));
 }
 
 /// Ct-value (censored continuous) outcomes drive a manual episode to a
@@ -176,22 +121,4 @@ fn joint_infection_queries_via_up_sets() {
     for i in 0..6 {
         assert!(close(all[1 << i], 1.0 - marginals[i]));
     }
-}
-
-/// Information-gain refinement and halving agree on which pools are
-/// worth testing for an undiluted assay (IG is monotone in halving
-/// distance there), and IG stays within the one-bit bound.
-#[test]
-fn information_gain_consistency() {
-    use sbgt_repro::sbgt_select::select_information_gain;
-    let risks = [0.02, 0.05, 0.09, 0.14, 0.2, 0.26];
-    let post = DensePosterior::from_risks(&risks);
-    let model = BinaryDilutionModel::new(0.99, 0.995, Dilution::None);
-    let order: Vec<usize> = (0..risks.len()).collect();
-    let sel = select_information_gain(&post, &model, &order, 6, 6).unwrap();
-    assert!(sel.information_gain > 0.0);
-    assert!(sel.information_gain <= 2f64.ln() + 1e-12);
-    // For a near-perfect assay, the IG choice is the near-halving pool.
-    let mass = post.pool_negative_mass(sel.pool);
-    assert!((mass - 0.5).abs() < 0.2, "mass {mass}");
 }
