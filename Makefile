@@ -142,11 +142,14 @@ exact-lint:
 # called; and the inference and selection extensions nothing reached (the
 # posterior-predictive cost, credible sets, information-gain selection,
 # the lattice order helpers and rank/superset/Gray-code iterators, and the
-# episode's selection-rule enum, now a stage width). Fails if one is named
-# again in the sources or the documents that describe the tree.
+# episode's selection-rule enum, now a stage width); and sbgt-sim's private
+# episode loop, its config and its scenario module (an episode is a session
+# run against `Population::lab`; the E1 table lives in `experiments`), with
+# the Dorfman helper only its own test called. Fails if one is named again
+# in the sources or the documents that describe the tree.
 # `\.map_partitions\(` does not match `map_partitions_in_place(`.
 RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
-RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_|lattice::kernels|par_mul_likelihood_fused|par_scale|par_total|par_marginals|par_prefix_negative_masses|par_lookahead_histograms|par_entropy|par_top_k|update_dense_par|analyze_par|always_parallel|par_config|DenseSerial|DenseParallel|default_local|busy_workers|bp_config|process_tags|is_draining|predictive_cost|PredictiveCost|RolloutConfig|credible_set|CredibleSet|select_information_gain|InfoSelection|SelectionMethod|in_pool_negative_set|states_of_rank|supersets_of|gray_code
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_|lattice::kernels|par_mul_likelihood_fused|par_scale|par_total|par_marginals|par_prefix_negative_masses|par_lookahead_histograms|par_entropy|par_top_k|update_dense_par|analyze_par|always_parallel|par_config|DenseSerial|DenseParallel|default_local|busy_workers|bp_config|process_tags|is_draining|predictive_cost|PredictiveCost|RolloutConfig|credible_set|CredibleSet|select_information_gain|InfoSelection|SelectionMethod|in_pool_negative_set|states_of_rank|supersets_of|gray_code|run_episode|EpisodeConfig|sim::scenario|dorfman_is_beneficial
 retired-lint:
 	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \
@@ -207,12 +210,23 @@ obs-smoke:
 	$(CARGO) test -p sbgt --release --test obs_overhead -q
 
 # Paper-experiments smoke: the command EXPERIMENTS.md cites, in quick
-# mode, must exit 0 and print exactly the twelve sections E1–E12.
+# mode, must exit 0 and print exactly the twelve sections E1–E12. Its
+# deterministic quality sections — E1, E6, E7, E8 and E11, each from its
+# `## E` header to the next — must equal the committed golden byte for
+# byte, so a change that moves a paper row shows the row in its own diff.
+# The host-dependent `host parallelism` line sits outside every section.
+# After an intended row change, regenerate the golden by piping
+# `experiments --quick` through the GOLDEN_SECTIONS awk filter into it.
+EXPERIMENTS_GOLDEN := crates/bench/golden/experiments_quick.md
+GOLDEN_SECTIONS := /^\#\# E/ { keep = ($$2 ~ /^E(1|6|7|8|11)$$/) } keep
 experiments-smoke:
 	@out=$$($(CARGO) run --release -q -p sbgt-bench --bin experiments -- --quick) || exit 1; \
 	n=$$(printf '%s\n' "$$out" | grep -c '^## E'); \
 	if [ "$$n" -ne 12 ]; then \
 		echo "experiments-smoke: $$n sections printed (want 12)"; exit 1; \
+	fi; \
+	if ! printf '%s\n' "$$out" | awk '$(GOLDEN_SECTIONS)' | diff -u $(EXPERIMENTS_GOLDEN) -; then \
+		echo "experiments-smoke: E1/E6/E7/E8/E11 differ from $(EXPERIMENTS_GOLDEN)"; exit 1; \
 	fi
 	@echo "experiments-smoke: OK"
 

@@ -19,10 +19,9 @@ use sbgt_bench::{
 use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::{ExecMode, ParConfig, SparsePosterior};
 use sbgt_response::ResponseModel;
-use sbgt_sim::runner::EpisodeConfig;
 use sbgt_sim::{
-    run_array_testing, run_dorfman, run_episode, run_individual, square_grid, ConfusionMatrix,
-    Population, RiskProfile, Scenario, SummaryStats,
+    run_array_testing, run_dorfman, run_individual, square_grid, ConfusionMatrix, EpisodeStats,
+    Population, RiskProfile, SummaryStats,
 };
 
 /// An experiment's `--exp` id and its entry point, which takes `quick`.
@@ -128,10 +127,56 @@ fn warmed_baseline(n: usize) -> BaselineSession<BinaryDilutionModel> {
     base
 }
 
+/// One E1 workload: a named cohort risk structure and assay, and the
+/// session configuration its episodes run under.
+struct Scenario {
+    name: String,
+    profile: RiskProfile,
+    model: BinaryDilutionModel,
+    config: SbgtConfig,
+}
+
+/// The E1 table at cohort size `n`: routine screening across prevalences,
+/// an outbreak (elevated prevalence, smaller pools), clinic intake (a
+/// low-risk majority plus a high-risk contact group) and strong linear
+/// dilution (stresses the dilution-aware selection).
+fn scenario_table(n: usize) -> Vec<Scenario> {
+    let pcr = BinaryDilutionModel::pcr_like();
+    let capped = |cap| SbgtConfig::default().with_max_pool_size(cap);
+    let (n_low, n_high) = (n.saturating_sub(n / 4).max(1), n / 4);
+    let screening = [0.005, 0.01, 0.02, 0.05, 0.10].map(|p| Scenario {
+        name: format!("screening-n{n}-p{p}"),
+        profile: RiskProfile::Flat { n, p },
+        model: pcr,
+        config: SbgtConfig::default(),
+    });
+    let others = [
+        Scenario {
+            name: format!("outbreak-n{n}"),
+            profile: RiskProfile::Flat { n, p: 0.15 },
+            model: pcr,
+            config: capped(6),
+        },
+        Scenario {
+            name: format!("mixed-{n_low}low-{n_high}high"),
+            profile: RiskProfile::Groups(vec![(n_low, 0.01), (n_high, 0.25)]),
+            model: pcr,
+            config: SbgtConfig::default(),
+        },
+        Scenario {
+            name: format!("dilution-n{n}"),
+            profile: RiskProfile::Flat { n, p: 0.05 },
+            model: BinaryDilutionModel::new(0.95, 0.99, Dilution::Linear),
+            config: capped(8),
+        },
+    ];
+    screening.into_iter().chain(others).collect()
+}
+
 /// E1 — the workload configuration table.
 fn e1_workloads() {
     println!("## E1 — workload configurations (Table 1)\n");
-    let rows: Vec<Vec<String>> = Scenario::standard_table(16, 1)
+    let rows: Vec<Vec<String>> = scenario_table(16)
         .into_iter()
         .map(|s| {
             let risks = s.profile.risks();
@@ -143,8 +188,8 @@ fn e1_workloads() {
                 s.model.dilution.name().to_string(),
                 format!("{:.2}", s.model.sensitivity),
                 format!("{:.3}", s.model.specificity),
-                s.episode.max_pool_size.to_string(),
-                format!("{:.2}", s.episode.rule.pos_threshold),
+                s.config.max_pool_size.to_string(),
+                format!("{:.2}", s.config.rule.pos_threshold),
             ]
         })
         .collect();
@@ -412,16 +457,17 @@ fn e6_classification_quality(quick: bool) {
         let mut tests = Vec::new();
         for seed in 0..reps {
             let pop = Population::sample(&profile, 1000 + seed);
-            let cfg = EpisodeConfig {
-                // The negative threshold must sit below the prior risk or
-                // the rule classifies the whole cohort untested (the
-                // operating-point guidance of the method paper).
-                rule: prevalence_aware_rule(p),
-                ..EpisodeConfig::standard(seed)
-            };
-            let r = run_episode(&pop, &model, &cfg);
-            confusion.merge(&r.confusion);
-            tests.push(r.stats.tests_per_subject());
+            // The negative threshold must sit below the prior risk or the
+            // rule classifies the whole cohort untested (the
+            // operating-point guidance of the method paper).
+            let config = SbgtConfig::default().with_rule(prevalence_aware_rule(p));
+            let r = SbgtSession::new(pop.prior(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            confusion.merge(&ConfusionMatrix::from_statuses(
+                &r.classification.statuses,
+                pop.truth(),
+            ));
+            tests.push(r.tests_per_subject());
         }
         let t = SummaryStats::from_samples(&tests);
         rows.push(vec![
@@ -483,13 +529,14 @@ fn e7_with_model(quick: bool, label: &str, model: BinaryDilutionModel) {
         let (rows_g, cols_g) = square_grid(n);
         for seed in 0..reps {
             let pop = Population::sample(&profile, 2000 + seed);
-            let cfg = EpisodeConfig {
-                rule: prevalence_aware_rule(p),
-                ..EpisodeConfig::standard(seed)
-            };
-            let rb = run_episode(&pop, &model, &cfg);
-            bha.push(rb.stats.tests_per_subject());
-            bha_conf.merge(&rb.confusion);
+            let config = SbgtConfig::default().with_rule(prevalence_aware_rule(p));
+            let rb = SbgtSession::new(pop.prior(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            bha.push(rb.tests_per_subject());
+            bha_conf.merge(&ConfusionMatrix::from_statuses(
+                &rb.classification.statuses,
+                pop.truth(),
+            ));
             let rd = run_dorfman(&pop, &model, dorfman_g, seed);
             dorf.push(rd.stats.tests_per_subject());
             dorf_conf.merge(&rd.confusion);
@@ -549,13 +596,11 @@ fn e8_lookahead_tradeoff(quick: bool) {
         let mut tests = Vec::new();
         for seed in 0..reps {
             let pop = Population::sample(&profile, 3000 + seed);
-            let cfg = EpisodeConfig {
-                stage_width: width,
-                ..EpisodeConfig::standard(seed)
-            };
-            let r = run_episode(&pop, &model, &cfg);
-            stages.push(r.stats.stages as f64);
-            tests.push(r.stats.tests as f64);
+            let config = SbgtConfig::default().with_stage_width(width);
+            let r = SbgtSession::new(pop.prior(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            stages.push(r.stages as f64);
+            tests.push(r.tests as f64);
         }
         let s = SummaryStats::from_samples(&stages);
         let t = SummaryStats::from_samples(&tests);
@@ -712,17 +757,23 @@ fn e11_misspecification(quick: bool) {
     let reps = if quick { 10 } else { 60 };
     let n = 12;
     let true_p = 0.05;
-    let episode = EpisodeConfig {
-        rule: prevalence_aware_rule(true_p),
-        ..EpisodeConfig::standard(0)
-    };
+    let model = BinaryDilutionModel::pcr_like();
+    let config = SbgtConfig::default().with_rule(prevalence_aware_rule(true_p));
     let rows: Vec<Vec<String>> = sbgt_sim::misspecification_sweep(
         n,
         true_p,
         &[0.2, 0.5, 1.0, 2.0, 5.0],
-        BinaryDilutionModel::pcr_like(),
-        &episode,
         reps,
+        |pop, prior, seed| {
+            let r = SbgtSession::new(prior.clone(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            let stats = EpisodeStats {
+                tests: r.tests,
+                stages: r.stages,
+                subjects: r.subjects,
+            };
+            (stats, r.classification)
+        },
     )
     .into_iter()
     .map(|r| {

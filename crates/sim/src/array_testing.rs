@@ -15,10 +15,10 @@ use sbgt_bayes::{CohortClassification, SubjectStatus};
 use sbgt_lattice::State;
 use sbgt_response::BinaryOutcomeModel;
 
+use crate::comparators::EpisodeResult;
 use crate::metrics::{ConfusionMatrix, EpisodeStats};
 use crate::outcome::run_test;
 use crate::population::Population;
-use crate::runner::EpisodeResult;
 
 /// Run two-stage array testing on an `rows × cols` grid.
 ///

@@ -40,17 +40,11 @@ pub fn optimal_dorfman_pool(p: f64, max_g: usize) -> (usize, f64) {
     best
 }
 
-/// Whether Dorfman pooling beats individual testing at prevalence `p`
-/// (classically requires `p < 1 − 3^{-1/3} ≈ 0.3066`).
-pub fn dorfman_is_beneficial(p: f64, max_g: usize) -> bool {
-    optimal_dorfman_pool(p, max_g).1 < 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparators::run_dorfman;
     use crate::population::{Population, RiskProfile};
-    use crate::runner::run_dorfman;
     use sbgt_response::BinaryDilutionModel;
 
     #[test]
@@ -80,13 +74,6 @@ mod tests {
                 "p={p}: g={g} vs rule {rule:.1}"
             );
         }
-    }
-
-    #[test]
-    fn benefit_threshold() {
-        assert!(dorfman_is_beneficial(0.05, 64));
-        assert!(dorfman_is_beneficial(0.29, 64));
-        assert!(!dorfman_is_beneficial(0.35, 64));
     }
 
     #[test]

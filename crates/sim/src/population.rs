@@ -6,6 +6,9 @@ use serde::{Deserialize, Serialize};
 
 use sbgt_bayes::Prior;
 use sbgt_lattice::State;
+use sbgt_response::ResponseModel;
+
+use crate::outcome::run_test;
 
 /// Risk structure of a cohort, used both to build the prior and to draw the
 /// ground truth (so the prior is well-specified — the regime the method
@@ -114,6 +117,33 @@ impl Population {
     pub fn positives_in(&self, pool: State) -> u32 {
         self.truth.positives_in(pool)
     }
+
+    /// The seeded virtual lab for one episode: each pool it is handed runs
+    /// through [`run_test`] against this cohort's truth, every draw coming
+    /// from one `StdRng::seed_from_u64(seed)` stream in the order the pools
+    /// arrive. Hand it to a session's `run_to_classification`:
+    ///
+    /// ```
+    /// use sbgt::{SbgtConfig, SbgtSession};
+    /// use sbgt_response::BinaryDilutionModel;
+    /// use sbgt_sim::{ConfusionMatrix, Population, RiskProfile};
+    ///
+    /// let pop = Population::sample(&RiskProfile::Flat { n: 8, p: 0.05 }, 42);
+    /// let model = BinaryDilutionModel::perfect();
+    /// let outcome = SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+    ///     .run_to_classification(pop.lab(&model, 42));
+    /// let confusion = ConfusionMatrix::from_statuses(&outcome.classification.statuses, pop.truth());
+    /// assert!(outcome.classification.is_terminal());
+    /// assert_eq!(confusion.accuracy(), 1.0); // perfect assay
+    /// ```
+    pub fn lab<'a, M: ResponseModel>(
+        &'a self,
+        model: &'a M,
+        seed: u64,
+    ) -> impl FnMut(State) -> M::Outcome + 'a {
+        let mut rng = StdRng::seed_from_u64(seed);
+        move |pool| run_test(self, model, pool, &mut rng)
+    }
 }
 
 #[cfg(test)]
@@ -165,6 +195,19 @@ mod tests {
         assert_eq!(pop.n_positive(), 2);
         assert_eq!(pop.positives_in(State::from_subjects([0, 1])), 1);
         assert_eq!(pop.positives_in(State::from_subjects([2, 3])), 0);
+    }
+
+    #[test]
+    fn lab_draws_one_stream_in_call_order() {
+        let profile = RiskProfile::Flat { n: 6, p: 0.3 };
+        let pop = Population::sample(&profile, 3);
+        let model = sbgt_response::BinaryDilutionModel::pcr_like();
+        let pools = [0b11_1111, 0b11, 0b1, 0b11_0000].map(State);
+        let mut lab = pop.lab(&model, 9);
+        let mut rng = StdRng::seed_from_u64(9);
+        for pool in pools {
+            assert_eq!(lab(pool), run_test(&pop, &model, pool, &mut rng));
+        }
     }
 
     #[test]

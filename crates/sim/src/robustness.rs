@@ -5,16 +5,15 @@
 //! well-specified prior, so a reproduction must check how gracefully cost
 //! and accuracy degrade when the assumed risk is off by a factor. This
 //! module sweeps `assumed prevalence = bias × true prevalence` and reports
-//! the accuracy/efficiency envelope.
+//! the accuracy/efficiency envelope. The episode itself is the caller's:
+//! the experiments drive a session against [`Population::lab`].
 
 use serde::{Deserialize, Serialize};
 
-use sbgt_bayes::Prior;
-use sbgt_response::BinaryDilutionModel;
+use sbgt_bayes::{CohortClassification, Prior};
 
-use crate::metrics::{ConfusionMatrix, SummaryStats};
+use crate::metrics::{ConfusionMatrix, EpisodeStats, SummaryStats};
 use crate::population::{Population, RiskProfile};
-use crate::runner::{run_episode_with_prior, EpisodeConfig};
 
 /// One row of the misspecification sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,15 +33,16 @@ pub struct RobustnessRow {
 
 /// Sweep prior bias factors at a fixed true prevalence.
 ///
-/// The population is always drawn at `true_prevalence`; the episode runs
-/// with a flat prior at `bias × true_prevalence` (clamped into `(0, 0.95]`).
+/// The population of replicate `seed` is drawn at `true_prevalence`, and
+/// `episode(population, prior, seed)` runs it under a flat prior at
+/// `bias × true_prevalence` (clamped into `(0, 0.95]`), returning its cost
+/// and final classification.
 pub fn misspecification_sweep(
     n: usize,
     true_prevalence: f64,
     biases: &[f64],
-    model: BinaryDilutionModel,
-    episode: &EpisodeConfig,
     replicates: u64,
+    mut episode: impl FnMut(&Population, &Prior, u64) -> (EpisodeStats, CohortClassification),
 ) -> Vec<RobustnessRow> {
     assert!(true_prevalence > 0.0 && true_prevalence < 1.0);
     let profile = RiskProfile::Flat {
@@ -60,12 +60,13 @@ pub fn misspecification_sweep(
             let mut stages = Vec::with_capacity(replicates as usize);
             for seed in 0..replicates {
                 let pop = Population::sample(&profile, 11_000 + seed);
-                let mut cfg = *episode;
-                cfg.seed = seed;
-                let r = run_episode_with_prior(&pop, &prior, &model, &cfg);
-                confusion.merge(&r.confusion);
-                tps.push(r.stats.tests_per_subject());
-                stages.push(r.stats.stages as f64);
+                let (stats, classification) = episode(&pop, &prior, seed);
+                confusion.merge(&ConfusionMatrix::from_statuses(
+                    &classification.statuses,
+                    pop.truth(),
+                ));
+                tps.push(stats.tests_per_subject());
+                stages.push(stats.stages as f64);
             }
             RobustnessRow {
                 bias,
@@ -81,25 +82,30 @@ pub fn misspecification_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgt::{SbgtConfig, SbgtSession};
     use sbgt_bayes::ClassificationRule;
+    use sbgt_response::BinaryDilutionModel;
 
-    fn episode() -> EpisodeConfig {
-        EpisodeConfig {
+    /// A perfect-assay session run against the replicate's lab.
+    fn episode(pop: &Population, prior: &Prior, seed: u64) -> (EpisodeStats, CohortClassification) {
+        let model = BinaryDilutionModel::perfect();
+        let config = SbgtConfig {
             rule: ClassificationRule::new(0.99, 0.005),
-            ..EpisodeConfig::standard(0)
-        }
+            ..SbgtConfig::default()
+        };
+        let mut session = SbgtSession::new(prior.clone(), model, config);
+        let outcome = session.run_to_classification(pop.lab(&model, seed));
+        let stats = EpisodeStats {
+            tests: outcome.tests,
+            stages: outcome.stages,
+            subjects: outcome.subjects,
+        };
+        (stats, outcome.classification)
     }
 
     #[test]
     fn well_specified_is_present_and_sane() {
-        let rows = misspecification_sweep(
-            10,
-            0.05,
-            &[1.0],
-            BinaryDilutionModel::perfect(),
-            &episode(),
-            20,
-        );
+        let rows = misspecification_sweep(10, 0.05, &[1.0], 20, episode);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert!((r.assumed_prevalence - 0.05).abs() < 1e-12);
@@ -110,14 +116,7 @@ mod tests {
 
     #[test]
     fn misspecification_cannot_break_perfect_assay_accuracy() {
-        let rows = misspecification_sweep(
-            8,
-            0.05,
-            &[0.2, 1.0, 5.0],
-            BinaryDilutionModel::perfect(),
-            &episode(),
-            15,
-        );
+        let rows = misspecification_sweep(8, 0.05, &[0.2, 1.0, 5.0], 15, episode);
         for r in &rows {
             assert_eq!(
                 r.confusion.fp + r.confusion.fn_,
@@ -138,27 +137,13 @@ mod tests {
 
     #[test]
     fn assumed_prevalence_is_clamped() {
-        let rows = misspecification_sweep(
-            6,
-            0.4,
-            &[5.0],
-            BinaryDilutionModel::perfect(),
-            &episode(),
-            3,
-        );
+        let rows = misspecification_sweep(6, 0.4, &[5.0], 3, episode);
         assert!(rows[0].assumed_prevalence <= 0.95);
     }
 
     #[test]
     #[should_panic(expected = "bias must be positive")]
     fn rejects_non_positive_bias() {
-        let _ = misspecification_sweep(
-            4,
-            0.1,
-            &[0.0],
-            BinaryDilutionModel::perfect(),
-            &episode(),
-            2,
-        );
+        let _ = misspecification_sweep(4, 0.1, &[0.0], 2, episode);
     }
 }

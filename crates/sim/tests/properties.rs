@@ -1,14 +1,15 @@
 //! Property tests for the simulation substrate: comparator procedures,
-//! episode accounting across selection rules, and the Dorfman formula.
+//! episodes (a session against the population's lab) across stage widths
+//! and pool caps, and the Dorfman formula.
 
 use proptest::prelude::*;
 
+use sbgt::{SbgtConfig, SbgtSession};
 use sbgt_lattice::State;
 use sbgt_response::BinaryDilutionModel;
-use sbgt_sim::runner::EpisodeConfig;
 use sbgt_sim::{
-    dorfman_expected_tests_per_subject, run_array_testing, run_dorfman, run_episode,
-    run_individual, square_grid, Population, RiskProfile,
+    dorfman_expected_tests_per_subject, run_array_testing, run_dorfman, run_individual,
+    square_grid, ConfusionMatrix, Population, RiskProfile,
 };
 
 proptest! {
@@ -58,14 +59,13 @@ proptest! {
         let profile = RiskProfile::Flat { n, p: 0.15 };
         let pop = Population::with_truth(&profile, truth);
         let model = BinaryDilutionModel::perfect();
-        let cfg = EpisodeConfig {
-            stage_width,
-            ..EpisodeConfig::standard(7)
-        };
-        let r = run_episode(&pop, &model, &cfg);
-        prop_assert!(r.classification.is_terminal(), "width {}", stage_width);
-        prop_assert_eq!(r.confusion.fp + r.confusion.fn_, 0);
-        prop_assert_eq!(r.confusion.tp, truth.rank() as usize);
+        let config = SbgtConfig::default().with_stage_width(stage_width);
+        let mut session = SbgtSession::new(pop.prior(), model, config);
+        let outcome = session.run_to_classification(pop.lab(&model, 7));
+        let confusion = ConfusionMatrix::from_statuses(&outcome.classification.statuses, truth);
+        prop_assert!(outcome.classification.is_terminal(), "width {}", stage_width);
+        prop_assert_eq!(confusion.fp + confusion.fn_, 0);
+        prop_assert_eq!(confusion.tp, truth.rank() as usize);
     }
 
     /// The Dorfman closed form is an upper envelope consistency check:
@@ -106,12 +106,10 @@ proptest! {
         let profile = RiskProfile::Flat { n, p };
         let pop = Population::sample(&profile, seed);
         let model = BinaryDilutionModel::pcr_like();
-        let cfg = EpisodeConfig {
-            max_pool_size: cap,
-            ..EpisodeConfig::standard(seed)
-        };
-        let r = run_episode(&pop, &model, &cfg);
-        for (pool, _) in &r.history {
+        let config = SbgtConfig::default().with_max_pool_size(cap);
+        let mut session = SbgtSession::new(pop.prior(), model, config);
+        session.run_to_classification(pop.lab(&model, seed));
+        for (pool, _) in session.history() {
             prop_assert!(!pool.is_empty());
             prop_assert!(pool.rank() as usize <= cap);
         }

@@ -8,9 +8,9 @@
 //!
 //! Run: `cargo run --release --example dilution_study`
 
+use sbgt_repro::sbgt::{SbgtConfig, SbgtSession};
 use sbgt_repro::sbgt_response::{BinaryDilutionModel, BinaryOutcomeModel, Dilution};
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile, SummaryStats};
+use sbgt_repro::sbgt_sim::{ConfusionMatrix, Population, RiskProfile, SummaryStats};
 
 fn main() {
     let curves = [
@@ -73,11 +73,13 @@ fn main() {
         let mut classified = 0usize;
         for seed in 0..20 {
             let pop = Population::sample(&profile, 500 + seed);
-            let r = run_episode(&pop, &model, &EpisodeConfig::standard(seed));
-            tps.push(r.stats.tests_per_subject());
-            stages.push(r.stats.stages as f64);
-            correct += r.confusion.tp + r.confusion.tn;
-            classified += r.confusion.total() - r.confusion.undetermined;
+            let r = SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+                .run_to_classification(pop.lab(&model, seed));
+            let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, pop.truth());
+            tps.push(r.tests_per_subject());
+            stages.push(r.stages as f64);
+            correct += confusion.tp + confusion.tn;
+            classified += confusion.total() - confusion.undetermined;
         }
         let t = SummaryStats::from_samples(&tps);
         let s = SummaryStats::from_samples(&stages);

@@ -8,9 +8,9 @@
 //!
 //! Run: `cargo run --release --example lookahead_stages`
 
+use sbgt_repro::sbgt::{SbgtConfig, SbgtSession};
 use sbgt_repro::sbgt_response::BinaryDilutionModel;
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile, SummaryStats};
+use sbgt_repro::sbgt_sim::{Population, RiskProfile, SummaryStats};
 
 fn main() {
     let profile = RiskProfile::Flat { n: 12, p: 0.05 };
@@ -28,13 +28,11 @@ fn main() {
         let mut tests = Vec::new();
         for seed in 0..reps {
             let pop = Population::sample(&profile, 900 + seed);
-            let cfg = EpisodeConfig {
-                stage_width: width,
-                ..EpisodeConfig::standard(seed)
-            };
-            let r = run_episode(&pop, &model, &cfg);
-            stages.push(r.stats.stages as f64);
-            tests.push(r.stats.tests as f64);
+            let config = SbgtConfig::default().with_stage_width(width);
+            let r = SbgtSession::new(pop.prior(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            stages.push(r.stages as f64);
+            tests.push(r.tests as f64);
         }
         let s = SummaryStats::from_samples(&stages);
         let t = SummaryStats::from_samples(&tests);

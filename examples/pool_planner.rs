@@ -12,12 +12,12 @@
 //!   cargo run --release --example pool_planner -- \
 //!       [n=12] [prevalence=0.02] [sensitivity=0.99] [specificity=0.995] [alpha=4.0]
 
+use sbgt_repro::sbgt::{SbgtConfig, SbgtSession};
 use sbgt_repro::sbgt_bayes::ClassificationRule;
 use sbgt_repro::sbgt_response::{BinaryDilutionModel, Dilution};
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
 use sbgt_repro::sbgt_sim::{
-    dorfman_expected_tests_per_subject, optimal_dorfman_pool, run_episode, ConfusionMatrix,
-    Population, RiskProfile, SummaryStats,
+    dorfman_expected_tests_per_subject, optimal_dorfman_pool, ConfusionMatrix, Population,
+    RiskProfile, SummaryStats,
 };
 
 fn arg(n: usize, default: f64) -> f64 {
@@ -47,21 +47,21 @@ fn main() {
     // Bayesian procedure, simulated.
     let reps = 60u64;
     let profile = RiskProfile::Flat { n, p: prevalence };
-    let episode = EpisodeConfig {
-        rule: ClassificationRule::new(0.99, (prevalence / 10.0).min(0.01)),
-        ..EpisodeConfig::standard(0)
-    };
+    let config = SbgtConfig::default()
+        .with_rule(ClassificationRule::new(0.99, (prevalence / 10.0).min(0.01)));
     let mut confusion = ConfusionMatrix::default();
     let mut tps = Vec::new();
     let mut stages = Vec::new();
     for seed in 0..reps {
         let pop = Population::sample(&profile, 31_000 + seed);
-        let mut cfg = episode;
-        cfg.seed = seed;
-        let r = run_episode(&pop, &model, &cfg);
-        confusion.merge(&r.confusion);
-        tps.push(r.stats.tests_per_subject());
-        stages.push(r.stats.stages as f64);
+        let r = SbgtSession::new(pop.prior(), model, config)
+            .run_to_classification(pop.lab(&model, seed));
+        confusion.merge(&ConfusionMatrix::from_statuses(
+            &r.classification.statuses,
+            pop.truth(),
+        ));
+        tps.push(r.tests_per_subject());
+        stages.push(r.stages as f64);
     }
     let t = SummaryStats::from_samples(&tps);
     let s = SummaryStats::from_samples(&stages);

@@ -11,7 +11,8 @@
 //! * [`sbgt_response`] — dilution-aware test response models.
 //! * [`sbgt_bayes`] — priors, updates, classification, analyses.
 //! * [`sbgt_select`] — Bayesian Halving Algorithm and look-ahead rules.
-//! * [`sbgt_sim`] — synthetic cohorts and the sequential-testing runner.
+//! * [`sbgt_sim`] — synthetic cohorts, the seeded virtual lab a session
+//!   runs an episode against, and the classical comparators.
 //! * [`sbgt_service`] — the multi-cohort surveillance service (batched
 //!   ingestion, admission control, checkpoint/restore).
 

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 
 use sbgt_repro::sbgt::prelude::*;
 use sbgt_repro::sbgt::{ExecMode, ParConfig};
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile};
+use sbgt_repro::sbgt_sim::{ConfusionMatrix, Population, RiskProfile};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -21,14 +20,16 @@ proptest! {
         let profile = RiskProfile::Flat { n, p };
         let pop = Population::sample(&profile, seed);
         let model = BinaryDilutionModel::pcr_like();
-        let r = run_episode(&pop, &model, &EpisodeConfig::standard(seed));
+        let mut session = SbgtSession::new(pop.prior(), model, SbgtConfig::default());
+        let r = session.run_to_classification(pop.lab(&model, seed));
+        let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, pop.truth());
 
         // Accounting: history length is the test count; confusion covers
         // the whole cohort; stages never exceed tests.
-        prop_assert_eq!(r.stats.tests, r.history.len());
-        prop_assert_eq!(r.confusion.total(), n);
-        prop_assert!(r.stats.stages <= r.stats.tests.max(1));
-        prop_assert_eq!(r.stats.subjects, n);
+        prop_assert_eq!(r.tests, session.history().len());
+        prop_assert_eq!(confusion.total(), n);
+        prop_assert!(r.stages <= r.tests.max(1));
+        prop_assert_eq!(r.subjects, n);
         prop_assert_eq!(r.marginals.len(), n);
         for &m in &r.marginals {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&m));
@@ -42,7 +43,7 @@ proptest! {
             }
         }
         // Every tested pool was non-empty and within the cohort.
-        for (pool, _) in &r.history {
+        for (pool, _) in session.history() {
             prop_assert!(!pool.is_empty());
             prop_assert!(pool.is_subset_of(State::full(n)));
         }
@@ -105,19 +106,21 @@ proptest! {
         let profile = RiskProfile::Flat { n, p: 0.2 };
         let pop = Population::with_truth(&profile, truth);
         let model = BinaryDilutionModel::perfect();
-        let r = run_episode(&pop, &model, &EpisodeConfig::standard(1));
+        let r = SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+            .run_to_classification(pop.lab(&model, 1));
+        let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, truth);
         prop_assert!(r.classification.is_terminal());
-        prop_assert_eq!(r.confusion.fp, 0);
-        prop_assert_eq!(r.confusion.fn_, 0);
-        prop_assert_eq!(r.confusion.tp, truth.rank() as usize);
+        prop_assert_eq!(confusion.fp, 0);
+        prop_assert_eq!(confusion.fn_, 0);
+        prop_assert_eq!(confusion.tp, truth.rank() as usize);
         // Binary search information bound: a perfect strategy needs at
         // most n + |truth| * ceil(log2 n) + slack tests.
         let log_n = (n as f64).log2().ceil() as usize;
         let bound = n + (truth.rank() as usize + 1) * (log_n + 1);
         prop_assert!(
-            r.stats.tests <= bound,
+            r.tests <= bound,
             "tests {} exceed bound {bound} (n={n}, truth {truth})",
-            r.stats.tests
+            r.tests
         );
     }
 }

@@ -4,8 +4,7 @@
 use sbgt_repro::sbgt::prelude::*;
 use sbgt_repro::sbgt::{ExecMode, ParConfig, ShardedPosterior};
 use sbgt_repro::sbgt_engine::{Engine, EngineConfig};
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_dorfman, run_episode, run_individual, Population, RiskProfile};
+use sbgt_repro::sbgt_sim::{run_dorfman, run_individual, ConfusionMatrix, Population, RiskProfile};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9 * (1.0 + a.abs() + b.abs())
@@ -119,8 +118,8 @@ fn efficiency_ordering_holds_at_low_prevalence() {
     let (mut bha, mut dorf, mut indiv) = (0usize, 0usize, 0usize);
     for seed in 0..reps {
         let pop = Population::sample(&profile, 7000 + seed);
-        bha += run_episode(&pop, &model, &EpisodeConfig::standard(seed))
-            .stats
+        bha += SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+            .run_to_classification(pop.lab(&model, seed))
             .tests;
         dorf += run_dorfman(&pop, &model, 8, seed).stats.tests;
         indiv += run_individual(&pop, &model, seed).stats.tests;
@@ -138,17 +137,16 @@ fn selection_methods_all_terminate_correctly() {
     for seed in 0..6 {
         let pop = Population::sample(&profile, 300 + seed);
         for stage_width in [1, 2] {
-            let cfg = EpisodeConfig {
-                stage_width,
-                ..EpisodeConfig::standard(seed)
-            };
-            let r = run_episode(&pop, &model, &cfg);
+            let config = SbgtConfig::default().with_stage_width(stage_width);
+            let r = SbgtSession::new(pop.prior(), model, config)
+                .run_to_classification(pop.lab(&model, seed));
+            let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, pop.truth());
             assert!(
                 r.classification.is_terminal(),
                 "width {stage_width} seed {seed}"
             );
             assert_eq!(
-                r.confusion.accuracy(),
+                confusion.accuracy(),
                 1.0,
                 "width {stage_width} seed {seed}: perfect assay must classify perfectly"
             );

@@ -5,8 +5,7 @@ use sbgt_repro::sbgt::prelude::*;
 use sbgt_repro::sbgt_bayes::{update_dense, Observation};
 use sbgt_repro::sbgt_lattice::transform::{all_pool_negative_masses, up_set_masses};
 use sbgt_repro::sbgt_response::{CtOutcome, CtValueModel};
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile};
+use sbgt_repro::sbgt_sim::{Population, RiskProfile};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9 * (1.0 + a.abs() + b.abs())
@@ -18,10 +17,11 @@ fn close(a: f64, b: f64) -> bool {
 fn recorded_history_replays_to_the_episode_marginals() {
     let model = BinaryDilutionModel::pcr_like();
     let pop = Population::sample(&RiskProfile::Flat { n: 5, p: 0.1 }, 42);
-    let episode = run_episode(&pop, &model, &EpisodeConfig::standard(42));
+    let mut session = SbgtSession::new(pop.prior(), model, SbgtConfig::default());
+    let episode = session.run_to_classification(pop.lab(&model, 42));
 
     let mut linear = pop.prior().to_dense();
-    for &(pool, outcome) in &episode.history {
+    for &(pool, outcome) in session.history() {
         update_dense(&mut linear, &model, &Observation::new(pool, outcome)).unwrap();
     }
     for (a, b) in episode.marginals.iter().zip(linear.marginals()) {

@@ -3,15 +3,16 @@
 //! tie-breaks) are caught immediately.
 
 use sbgt_repro::sbgt::prelude::*;
-use sbgt_repro::sbgt_sim::runner::EpisodeConfig;
-use sbgt_repro::sbgt_sim::{run_episode, Population, RiskProfile};
+use sbgt_repro::sbgt_sim::{ConfusionMatrix, Population, RiskProfile};
 
 #[test]
 fn pinned_episode_low_prevalence() {
     let profile = RiskProfile::Flat { n: 10, p: 0.02 };
     let pop = Population::sample(&profile, 424242);
     let model = BinaryDilutionModel::perfect();
-    let r = run_episode(&pop, &model, &EpisodeConfig::standard(424242));
+    let r = SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+        .run_to_classification(pop.lab(&model, 424242));
+    let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, pop.truth());
 
     // Pin the ground truth drawn by this seed and the full cost profile.
     assert_eq!(pop.n_positive(), 0, "seed draws an all-negative cohort");
@@ -19,12 +20,9 @@ fn pinned_episode_low_prevalence() {
     // The halving pool at p=0.02 is the whole cohort (0.98^10 is the
     // closest achievable negative mass to 1/2), and one perfect negative
     // outcome classifies everyone.
-    assert_eq!(
-        r.stats.tests, 1,
-        "one all-negative pool settles 10 subjects"
-    );
-    assert_eq!(r.stats.stages, 1);
-    assert_eq!(r.confusion.tn, 10);
+    assert_eq!(r.tests, 1, "one all-negative pool settles 10 subjects");
+    assert_eq!(r.stages, 1);
+    assert_eq!(confusion.tn, 10);
 }
 
 #[test]
@@ -32,9 +30,11 @@ fn pinned_episode_with_positives() {
     let profile = RiskProfile::Flat { n: 10, p: 0.15 };
     let pop = Population::sample(&profile, 77);
     let model = BinaryDilutionModel::perfect();
-    let r = run_episode(&pop, &model, &EpisodeConfig::standard(77));
+    let r = SbgtSession::new(pop.prior(), model, SbgtConfig::default())
+        .run_to_classification(pop.lab(&model, 77));
+    let confusion = ConfusionMatrix::from_statuses(&r.classification.statuses, pop.truth());
     assert!(r.classification.is_terminal());
-    assert_eq!(r.confusion.fp + r.confusion.fn_, 0);
+    assert_eq!(confusion.fp + confusion.fn_, 0);
     assert_eq!(
         r.classification.positives(),
         pop.n_positive(),
@@ -42,7 +42,7 @@ fn pinned_episode_with_positives() {
     );
     // Pin the exact test count so selection changes surface.
     assert_eq!(
-        r.stats.tests, 5,
+        r.tests, 5,
         "pinned test count changed: selection or RNG semantics moved"
     );
 }
