@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use sbgt_bayes::BayesError;
-use sbgt_engine::{Engine, StageVariant};
+use sbgt_engine::Engine;
 use sbgt_lattice::BigState;
 use sbgt_response::BinaryOutcomeModel;
 
@@ -390,9 +390,6 @@ impl<M: BinaryOutcomeModel> Backend for BpBackend<M> {
                     .next()
                     .expect("one BP task")
                     .expect("pure relaxation cannot fail");
-                engine.metrics().annotate_last_job(StageVariant::Approx {
-                    factors: self.factors.len(),
-                });
                 engine.metrics().record_bp_relaxation(
                     u64::from(out.1.sweeps),
                     residual_nanos(out.1.final_residual()),

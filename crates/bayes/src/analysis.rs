@@ -30,14 +30,6 @@ pub struct PosteriorReport {
     pub expected_positives: f64,
 }
 
-impl PosteriorReport {
-    /// Probability mass captured by the reported top states (a credible-set
-    /// coverage figure).
-    pub fn top_coverage(&self) -> f64 {
-        self.top_states.iter().map(|(_, p)| p).sum()
-    }
-}
-
 /// [`analyze_on`] with every block inline.
 pub fn analyze(posterior: &DensePosterior, top_k: usize) -> PosteriorReport {
     analyze_on(posterior, top_k, ExecMode::Serial)
@@ -75,7 +67,7 @@ mod tests {
         assert!(close(r.rank_distribution.iter().sum::<f64>(), 1.0));
         assert_eq!(r.top_states.len(), 3);
         assert_eq!(r.top_states[0].0, r.map_state.0);
-        assert!(r.top_coverage() <= 1.0 + 1e-12);
+        assert!(r.top_states.iter().map(|(_, p)| p).sum::<f64>() <= 1.0 + 1e-12);
         // Top states are sorted descending.
         for w in r.top_states.windows(2) {
             assert!(w[0].1 >= w[1].1 - 1e-15);

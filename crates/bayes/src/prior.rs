@@ -16,7 +16,6 @@ use sbgt_lattice::{DensePosterior, SparsePosterior, MAX_SUBJECTS};
 /// use sbgt_bayes::Prior;
 /// let prior = Prior::from_groups(&[(3, 0.01), (1, 0.2)]);
 /// assert_eq!(prior.n_subjects(), 4);
-/// assert_eq!(prior.subjects_by_risk()[3], 3); // highest risk last
 /// let dense = prior.to_dense();
 /// assert!((dense.total() - 1.0).abs() < 1e-12);
 /// ```
@@ -84,14 +83,6 @@ impl Prior {
         self.risks.iter().sum()
     }
 
-    /// Subjects ordered by ascending risk (the natural candidate ordering
-    /// for halving: pool the likely-negative subjects together).
-    pub fn subjects_by_risk(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.risks.len()).collect();
-        order.sort_by(|&a, &b| self.risks[a].total_cmp(&self.risks[b]).then(a.cmp(&b)));
-        order
-    }
-
     /// Materialize the dense lattice prior.
     pub fn to_dense(&self) -> DensePosterior {
         DensePosterior::from_risks(&self.risks)
@@ -120,12 +111,6 @@ mod tests {
     fn groups_concatenate() {
         let p = Prior::from_groups(&[(3, 0.01), (2, 0.3)]);
         assert_eq!(p.risks(), &[0.01, 0.01, 0.01, 0.3, 0.3]);
-    }
-
-    #[test]
-    fn risk_order_is_ascending_and_stable() {
-        let p = Prior::from_risks(&[0.5, 0.1, 0.1, 0.02]);
-        assert_eq!(p.subjects_by_risk(), vec![3, 1, 2, 0]);
     }
 
     #[test]

@@ -96,7 +96,7 @@ use sbgt_bayes::{
     analyze_on, update_sparse, update_sparse_with_table, BayesError, Observation, PosteriorReport,
     Prior,
 };
-use sbgt_engine::{Engine, StageVariant};
+use sbgt_engine::Engine;
 use sbgt_lattice::blocks::BLOCK_LEN;
 use sbgt_lattice::hybrid::retained_support;
 use sbgt_lattice::{
@@ -372,8 +372,7 @@ fn check_epsilon(prune_epsilon: f64) -> Result<(), String> {
 /// One sparse update and re-prune: on the driver, or — when `engine` is
 /// given — as a single-task engine stage named `fused-round:sparse`. The
 /// stage updates a clone of `posterior`, so an injected fault can kill it,
-/// and the result is committed only on stage success. The job is annotated
-/// [`StageVariant::Sparse`] with the post-update support.
+/// and the result is committed only on stage success.
 ///
 /// # Panics
 /// Panics when the stage fails — the same contract as the sharded fused
@@ -399,9 +398,6 @@ fn sparse_round_on<M: BinaryOutcomeModel>(
         .run_stage("fused-round:sparse", vec![task])
         .unwrap_or_else(|e| panic!("sparse round stage failed: {e}"));
     let (p, z) = results.into_iter().next().expect("one sparse task")?;
-    engine.metrics().annotate_last_job(StageVariant::Sparse {
-        support: p.support(),
-    });
     *posterior = p;
     Ok(z)
 }
@@ -886,9 +882,6 @@ impl DenseRepr for ShardedPosterior {
         map: SubjectMap,
     ) -> SparsePosterior {
         let sparse = ShardedPosterior::to_sparse(self, engine, epsilon);
-        engine.metrics().annotate_last_job(StageVariant::Sparse {
-            support: sparse.support(),
-        });
         // The banked selection masses are unnormalized dense-total units;
         // drop them so the next round selects from the sparse posterior.
         cache.pending_selection = None;
@@ -1378,19 +1371,24 @@ mod tests {
         assert!(outcome.classification.is_terminal());
         // Steady-state rounds are one fused in-place stage each; only the
         // bootstrap selection may add one read-only stage.
-        let jobs = e.metrics().jobs();
-        let fused = jobs
+        let aggs = e.metrics().stage_aggregates();
+        let fused: Vec<_> = aggs
             .iter()
-            .filter(|j| j.name.contains("fused-round"))
-            .count();
-        assert_eq!(fused, outcome.tests, "one fused stage per observation");
+            .filter(|a| a.name.contains("fused-round"))
+            .collect();
+        let fused_jobs: u64 = fused.iter().map(|a| a.jobs).sum();
+        assert_eq!(
+            fused_jobs as usize, outcome.tests,
+            "one fused stage per observation"
+        );
+        let jobs: u64 = aggs.iter().map(|a| a.jobs).sum();
         assert!(
-            jobs.len() <= outcome.tests + 1,
-            "at most one bootstrap stage beyond the fused rounds ({} jobs, {} tests)",
-            jobs.len(),
+            jobs as usize <= outcome.tests + 1,
+            "at most one bootstrap stage beyond the fused rounds ({jobs} jobs, {} tests)",
             outcome.tests
         );
-        assert_eq!(e.metrics().in_place_job_count(), fused);
+        // The session owns its shards alone: no fused round copied one.
+        assert!(fused.iter().all(|a| a.copied_partitions == 0));
     }
 
     #[test]
@@ -1449,8 +1447,8 @@ mod tests {
             outcome.tests
         );
         // The selection stages ran on the sharded fused path.
-        let jobs = e.metrics().jobs();
-        assert!(jobs.iter().any(|j| j.name == "lookahead:select"));
+        let aggs = e.metrics().stage_aggregates();
+        assert!(aggs.iter().any(|a| a.name == "lookahead:select"));
     }
 
     #[test]
@@ -1508,20 +1506,17 @@ mod tests {
         assert_eq!(outcome.classification.positives(), 2);
         assert!(s.is_sparse(), "session never switched to sparse");
         assert!(s.sparse_posterior().unwrap().support() < 1 << 10);
-        // Post-switch rounds ran as engine stages, tagged with the sparse
-        // variant so `jobs()` shows the representation change.
-        let jobs = e.metrics().jobs();
-        let sparse_rounds = jobs
-            .iter()
-            .filter(|j| j.name == "fused-round:sparse")
-            .count();
-        assert!(sparse_rounds >= 1, "no sparse round ran on the engine");
-        assert!(jobs
-            .iter()
-            .any(|j| matches!(j.variant, StageVariant::Sparse { .. })));
+        // Post-switch rounds ran as engine stages under their own name.
+        let aggs = e.metrics().stage_aggregates();
+        let jobs_of =
+            |name: &str| -> u64 { aggs.iter().filter(|a| a.name == name).map(|a| a.jobs).sum() };
+        assert!(
+            jobs_of("fused-round:sparse") >= 1,
+            "no sparse round ran on the engine"
+        );
         // The switch itself ran the support-count and collect stages.
-        assert!(jobs.iter().any(|j| j.name == "sparse:support"));
-        assert!(jobs.iter().any(|j| j.name == "sparse:collect"));
+        assert!(jobs_of("sparse:support") >= 1);
+        assert!(jobs_of("sparse:collect") >= 1);
     }
 
     #[test]
@@ -1633,15 +1628,12 @@ mod tests {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-        // Every observation ran as a sparse-tagged engine stage.
-        let jobs = e.metrics().jobs();
-        let sparse_jobs: Vec<_> = jobs
+        // Every observation ran as a sparse engine stage.
+        let aggs = e.metrics().stage_aggregates();
+        let sparse = aggs
             .iter()
-            .filter(|j| j.name == "fused-round:sparse")
-            .collect();
-        assert_eq!(sparse_jobs.len(), outcome.tests);
-        assert!(sparse_jobs
-            .iter()
-            .all(|j| matches!(j.variant, StageVariant::Sparse { .. })));
+            .find(|a| a.name == "fused-round:sparse")
+            .expect("sparse rounds ran on the engine");
+        assert_eq!(sparse.jobs as usize, outcome.tests);
     }
 }

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use sbgt_bayes::BayesError;
-use sbgt_engine::{Dataset, Engine, StageVariant};
+use sbgt_engine::{Dataset, Engine};
 use sbgt_lattice::dense::{
     add_into, expand_block, first_pos_histogram, marginal_sums, normalize_marginals, order_tables,
     project_block, suffix_sums,
@@ -247,8 +247,9 @@ impl ShardedPosterior {
         DensePosterior::from_probs(self.n_subjects, probs)
     }
 
-    /// Bayesian update as a **zero-copy in-place stage**: broadcast the
-    /// likelihood table, multiply every shard through its uniquely-owned
+    /// Bayesian update as a **zero-copy in-place stage**: share the
+    /// likelihood table with every task through an `Arc` (Spark's
+    /// broadcast variable), multiply every shard through its uniquely-owned
     /// handle, return only per-partition partial sums. No posterior-sized
     /// buffer is allocated. Returns the model evidence.
     ///
@@ -271,14 +272,14 @@ impl ShardedPosterior {
         if pool.is_empty() {
             return Err(BayesError::EmptyPool);
         }
-        let table = engine.broadcast(model.likelihood_table(outcome, pool.rank()));
+        let table = Arc::new(model.likelihood_table(outcome, pool.rank()));
         let mask = pool.bits();
         let offsets = Arc::clone(&self.offsets);
 
         let partial_sums = self
             .shards
             .try_map_partitions_in_place(engine, "update:in-place", move |pidx, probs| {
-                simd::mul_table_block(probs, offsets[pidx], mask, table.value())
+                simd::mul_table_block(probs, offsets[pidx], mask, &table)
             })
             .unwrap_or_else(|e| panic!("dataset job failed: {e}"));
 
@@ -331,7 +332,7 @@ impl ShardedPosterior {
     ) -> Result<FusedRound, BayesError> {
         let n = self.n_subjects;
         let m = order.len();
-        let table = engine.broadcast(table);
+        let table = Arc::new(table);
         let mask = pool.bits();
         let offsets = Arc::clone(&self.offsets);
         let kernel = Arc::new(LookaheadKernel::new(n, order));
@@ -348,7 +349,7 @@ impl ShardedPosterior {
                     probs,
                     offsets[pidx],
                     mask,
-                    table.value(),
+                    &table,
                     &kernel,
                     &mut acc,
                     &mut hist,
@@ -489,14 +490,12 @@ impl ShardedPosterior {
     /// the engine-sharded half of the look-ahead selection fast path.
     ///
     /// Each task runs [`LookaheadKernel::histograms`] over its partition's
-    /// contiguous state range (committed pools shipped as a broadcast
-    /// variable, exactly like update likelihood tables) and sends one
+    /// contiguous state range (committed pools shared through an `Arc`,
+    /// exactly like update likelihood tables) and sends one
     /// `(m + 1) × 2^j` histogram to the driver, where the partials are
     /// reduced elementwise in partition order. **Nothing posterior-sized is
     /// allocated and no shard is written** — the stage reads the same
-    /// shared handles the updates mutate in place between stages. The job
-    /// is tagged [`StageVariant::Lookahead`] with its branch count so
-    /// `jobs()` distinguishes selection stages from update stages.
+    /// shared handles the updates mutate in place between stages.
     pub fn lookahead_histograms(
         &self,
         engine: &Engine,
@@ -506,17 +505,14 @@ impl ShardedPosterior {
         let nb = 1usize << pools.len();
         let rows = kernel.num_prefixes();
         let kernel = Arc::clone(kernel);
-        let pools = engine.broadcast(pools);
+        let pools = Arc::new(pools);
         let offsets = Arc::clone(&self.offsets);
         let partials: Vec<Vec<f64>> = self
             .shards
             .try_aggregate_partitions(engine, "lookahead:select", move |pidx, probs| {
-                kernel.histograms(probs, offsets[pidx], pools.value())
+                kernel.histograms(probs, offsets[pidx], &pools)
             })
             .unwrap_or_else(|e| panic!("dataset job failed: {e}"));
-        engine
-            .metrics()
-            .annotate_last_job(StageVariant::Lookahead { branches: nb });
         let mut hist = vec![0.0f64; rows * nb];
         for local in partials {
             add_into(&mut hist, &local);
@@ -638,17 +634,20 @@ mod tests {
             .update(&e, &model, State::from_subjects([0, 1]), false)
             .unwrap();
         sharded.marginals(&e);
-        assert!(e.metrics().job_count() >= 2, "expected dataflow stages");
-        assert_eq!(e.metrics().broadcast_count(), 1);
-        // The update ran as an in-place stage over uniquely-owned shards;
-        // the marginals stage is a read-only (immutable) aggregation.
-        let jobs = e.metrics().jobs();
+        // The update ran as an in-place stage over uniquely-owned shards,
+        // copying none; the marginals stage is a read-only aggregation.
+        let aggs = e.metrics().stage_aggregates();
+        let stages: Vec<_> = aggs
+            .iter()
+            .map(|a| (a.name.as_str(), a.jobs, a.tasks, a.copied_partitions))
+            .collect();
         assert_eq!(
-            jobs[0].variant,
-            sbgt_engine::StageVariant::InPlace { unique: 4, cow: 0 }
+            stages,
+            [
+                ("aggregate_partitions", 1, 4, 0),
+                ("update:in-place", 1, 4, 0)
+            ]
         );
-        assert_eq!(jobs[1].variant, sbgt_engine::StageVariant::Immutable);
-        assert_eq!(e.metrics().in_place_job_count(), 1);
     }
 
     /// The posterior update, the hottest stage, is visible per task: at
@@ -810,7 +809,6 @@ mod tests {
             vec![make_pool(&[3, 0])],
             vec![make_pool(&[3, 0]), make_pool(&[7, 2, 5])],
         ] {
-            let nb = 1usize << pools.len();
             e.metrics().clear();
             let sharded_hist = sharded.lookahead_histograms(&e, &kernel, pools.clone());
             let dense_hist = kernel.histograms(dense.probs(), 0, &pools);
@@ -818,15 +816,14 @@ mod tests {
             for (a, b) in sharded_hist.iter().zip(&dense_hist) {
                 assert!(close(*a, *b));
             }
-            // The stage is tagged with its branch count and is read-only.
-            let jobs = e.metrics().jobs();
-            let job = jobs.last().unwrap();
-            assert_eq!(job.name, "lookahead:select");
+            // The selection is one read-only stage.
+            let aggs = e.metrics().stage_aggregates();
+            assert_eq!(aggs.len(), 1);
             assert_eq!(
-                job.variant,
-                sbgt_engine::StageVariant::Lookahead { branches: nb }
+                (aggs[0].name.as_str(), aggs[0].jobs),
+                ("lookahead:select", 1)
             );
-            assert!(!job.variant.is_in_place());
+            assert_eq!(aggs[0].copied_partitions, 0);
         }
     }
 
@@ -846,20 +843,17 @@ mod tests {
         for (a, b) in snapshot.collect().iter().zip(dense.probs()) {
             assert!(close(*a, *b));
         }
-        let jobs = e.metrics().jobs();
-        assert_eq!(
-            jobs.last().unwrap().variant,
-            sbgt_engine::StageVariant::InPlace { unique: 0, cow: 3 }
-        );
+        let copied = || {
+            let aggs = e.metrics().stage_aggregates();
+            let update = aggs.iter().find(|a| a.name == "update:in-place").unwrap();
+            (update.jobs, update.copied_partitions)
+        };
+        assert_eq!(copied(), (1, 3));
         // The next update is unique again: the COW pass re-established
         // sole ownership of every shard handle.
         sharded
             .update(&e, &model, State::from_subjects([2]), false)
             .unwrap();
-        let jobs = e.metrics().jobs();
-        assert_eq!(
-            jobs.last().unwrap().variant,
-            sbgt_engine::StageVariant::InPlace { unique: 3, cow: 0 }
-        );
+        assert_eq!(copied(), (2, 3));
     }
 }

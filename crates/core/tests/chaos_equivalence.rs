@@ -228,10 +228,10 @@ fn every_stage_variant_is_clean_or_killed_under_scheduled_faults() {
         });
         // The lowest faulted task is the one reported.
         assert_eq!(killed.err(), Some((stage.to_string(), 1)));
-        let job = e.metrics().jobs().pop().unwrap();
-        assert!(!job.succeeded);
-        assert_eq!(job.name, stage);
-        assert_eq!(job.faults.injected_total(), 2);
+        let aggs = e.metrics().stage_aggregates();
+        let job = aggs.iter().find(|a| a.name == stage).unwrap();
+        assert_eq!((job.jobs, job.failed_jobs), (1, 1));
+        assert_eq!(e.metrics().fault_totals().injected_total(), 2);
         // The live clone's shards were never written (COW).
         assert_bitwise_eq(
             observer.to_dense(&e).probs(),

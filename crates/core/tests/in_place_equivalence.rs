@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sbgt::{ExecMode, ParConfig, SbgtConfig, SbgtSession, SessionSnapshot, ShardedPosterior};
 use sbgt_bayes::{classify_marginals, update_dense, BayesError, Observation, Prior};
-use sbgt_engine::{Engine, EngineConfig, StageVariant};
+use sbgt_engine::{Engine, EngineConfig};
 use sbgt_lattice::{simd, BranchPool, DensePosterior, LookaheadKernel, State};
 use sbgt_response::{BinaryDilutionModel, ResponseModel};
 use sbgt_select::{select_halving_prefix, select_stage_lookahead_fused, Selection};
@@ -291,14 +291,14 @@ proptest! {
         let pool = pool_from_seed(seed, n);
 
         let za = shared.update(&e, &model, pool, outcome).unwrap();
-        let jobs = e.metrics().jobs();
-        match jobs.last().unwrap().variant {
-            StageVariant::InPlace { unique, cow } => {
-                prop_assert_eq!(unique, 0, "every partition was shared with the clone");
-                prop_assert_eq!(cow, shared.num_partitions());
-            }
-            other => prop_assert!(false, "expected in-place stage, got {:?}", other),
-        }
+        let aggs = e.metrics().stage_aggregates();
+        let update = aggs.iter().find(|a| a.name == "update:in-place").unwrap();
+        prop_assert_eq!(update.jobs, 1);
+        prop_assert_eq!(
+            update.copied_partitions as usize,
+            shared.num_partitions(),
+            "every partition was shared with the clone"
+        );
         // The clone still sees the prior, bit for bit.
         assert_bitwise_eq(snapshot.to_dense(&e).probs(), snapshot_before.probs(), "clone");
         // The COW result is identical to the unshared (truly in-place) one.

@@ -12,7 +12,8 @@
 //! Unlike Spark, execution is eager: each stage is one job. SBGT's dataflow
 //! is a short pipeline of wide barriers over the lattice shards, so lazy
 //! DAG fusion would buy nothing here — the Spark semantics it needs
-//! (partition-parallelism, broadcast, barriers) are preserved.
+//! (partition-parallelism, read-only state shared through an `Arc`,
+//! barriers) are preserved.
 //!
 //! # Panics
 //!
@@ -103,8 +104,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// dataset, a held [`Self::partition_handles`] handle — the task clones
     /// the partition and mutates the copy, so other owners never observe
     /// the mutation. Either way `self` ends up owning the updated
-    /// partitions. The unique/COW split is recorded on the job's metrics as
-    /// [`crate::StageVariant::InPlace`].
+    /// partitions. The copied partitions are counted on the stage's
+    /// aggregate as [`crate::StageAgg::copied_partitions`].
     ///
     /// # Errors
     ///
@@ -145,22 +146,18 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             .collect();
         let outputs = engine.run_stage(name, tasks)?;
         let mut results = Vec::with_capacity(outputs.len());
-        let (mut unique, mut cow) = (0, 0);
+        let mut copied = 0;
         self.partitions = outputs
             .into_iter()
-            .map(|(handle, result, was_unique)| {
-                if was_unique {
-                    unique += 1;
-                } else {
-                    cow += 1;
-                }
+            .map(|(handle, result, unique)| {
+                copied += usize::from(!unique);
                 results.push(result);
                 handle
             })
             .collect();
-        engine
-            .metrics()
-            .annotate_last_job(crate::StageVariant::InPlace { unique, cow });
+        if copied > 0 {
+            engine.metrics().add_copied_partitions(name, copied);
+        }
         Ok(results)
     }
 
@@ -237,6 +234,7 @@ fn unwrap_job<T>(result: Result<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::only_stage;
     use crate::{EngineConfig, EngineError, FaultPlan};
 
     fn engine() -> Engine {
@@ -280,11 +278,9 @@ mod tests {
         // Unique handles: the very same buffers were mutated, no copies.
         let after: Vec<*const i64> = ds.partition_handles().iter().map(|h| h.as_ptr()).collect();
         assert_eq!(before, after);
-        let jobs = e.metrics().jobs();
-        assert_eq!(
-            jobs.last().unwrap().variant,
-            crate::StageVariant::InPlace { unique: 4, cow: 0 }
-        );
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.jobs, agg.tasks), (1, 4));
+        assert_eq!(agg.copied_partitions, 0);
     }
 
     #[test]
@@ -303,11 +299,7 @@ mod tests {
         assert_eq!(ds.collect(), (1..41).collect::<Vec<_>>());
         // ...while the shared snapshot is untouched (COW).
         assert_eq!(snapshot.collect(), (0..40).collect::<Vec<_>>());
-        let jobs = e.metrics().jobs();
-        assert_eq!(
-            jobs.last().unwrap().variant,
-            crate::StageVariant::InPlace { unique: 0, cow: 4 }
-        );
+        assert_eq!(only_stage(e.metrics()).copied_partitions, 4);
     }
 
     #[test]
@@ -323,11 +315,8 @@ mod tests {
         });
         assert_eq!(ds.collect(), (0..40).map(|x| -x).collect::<Vec<_>>());
         assert_eq!(*held, (20..30).collect::<Vec<_>>());
-        let jobs = e.metrics().jobs();
-        assert_eq!(
-            jobs.last().unwrap().variant,
-            crate::StageVariant::InPlace { unique: 3, cow: 1 }
-        );
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.tasks, agg.copied_partitions), (4, 1));
     }
 
     #[test]
@@ -369,9 +358,9 @@ mod tests {
         assert!(err.to_string().starts_with("stage 'hot': task 2"), "{err}");
         assert!(ds.is_empty());
         assert_eq!(snapshot.collect(), (0..40).collect::<Vec<_>>());
-        let job = e.metrics().jobs().pop().unwrap();
-        assert!(!job.succeeded);
-        assert_eq!(job.faults.injected_panics, 1);
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.jobs, agg.failed_jobs), (1, 1));
+        assert_eq!(e.metrics().fault_totals().injected_panics, 1);
     }
 
     #[test]
@@ -381,9 +370,59 @@ mod tests {
         let sums = ds.aggregate_partitions(&e, |_, part| part.iter().sum::<u64>());
         assert_eq!(sums.len(), 5);
         assert_eq!(sums.iter().sum::<u64>(), 4950);
-        // Read-only: the dataset is intact and the stage is tagged read-only.
+        // Read-only: the dataset is intact and nothing was copied.
         assert_eq!(ds.len(), 100);
-        let jobs = e.metrics().jobs();
-        assert_eq!(jobs.last().unwrap().variant, crate::StageVariant::Immutable);
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.jobs, agg.tasks, agg.copied_partitions), (1, 5, 0));
+    }
+
+    /// Workers sharing one engine each see their own stages' accounting:
+    /// copies land on the stage that made them, whatever ran in between.
+    #[test]
+    fn concurrent_stages_account_under_their_own_names() {
+        const K: u64 = 40;
+        const PARTS: usize = 4;
+        let e = engine();
+        // Both workers enter each in-place stage together.
+        let barrier = std::sync::Barrier::new(2);
+        let worker = |name: &'static str, stages: u64, shared: bool| {
+            let (e, barrier) = (&e, &barrier);
+            move || {
+                let mut ds = Dataset::from_vec((0..64i64).collect::<Vec<_>>(), PARTS);
+                // A live clone shares every partition handle.
+                let _clone = shared.then(|| ds.clone());
+                for _ in 0..stages {
+                    barrier.wait();
+                    ds.try_map_partitions_in_place(e, name, |_, part| {
+                        part.iter_mut().for_each(|x| *x += 1)
+                    })
+                    .unwrap();
+                    ds.try_aggregate_partitions(e, "read", |_, part| part.len())
+                        .unwrap();
+                }
+            }
+        };
+        let stage = |name: &str| {
+            let aggs = e.metrics().stage_aggregates();
+            let agg = aggs.iter().find(|a| a.name == name).unwrap();
+            (agg.jobs, agg.tasks, agg.copied_partitions)
+        };
+        std::thread::scope(|s| {
+            s.spawn(worker("cohort-a", K, false));
+            s.spawn(worker("cohort-b", K, false));
+        });
+        let parts = PARTS as u64;
+        assert_eq!(stage("cohort-a"), (K, K * parts, 0));
+        assert_eq!(stage("cohort-b"), (K, K * parts, 0));
+        assert_eq!(stage("read"), (2 * K, 2 * K * parts, 0));
+        // One stage over a dataset with a live clone copies every
+        // partition, and only its own name says so.
+        std::thread::scope(|s| {
+            s.spawn(worker("cohort-a", 1, true));
+            s.spawn(worker("cohort-b", 1, false));
+        });
+        assert_eq!(stage("cohort-a"), (K + 1, (K + 1) * parts, parts));
+        assert_eq!(stage("cohort-b"), (K + 1, (K + 1) * parts, 0));
+        assert_eq!(stage("read"), (2 * K + 2, (2 * K + 2) * parts, 0));
     }
 }

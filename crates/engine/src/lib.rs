@@ -7,29 +7,27 @@
 //! loop, the service and the simulators call:
 //!
 //! * [`Engine`] — the driver: owns a [`ThreadPool`] of executor threads and a
-//!   [`MetricsRegistry`] recording per-job timings (the equivalent of
-//!   Spark's stage UI), read out through one typed scrape
+//!   [`MetricsRegistry`] aggregating job timings per stage name (the
+//!   equivalent of Spark's stage UI), read out through one typed scrape
 //!   ([`MetricsRegistry::scrape`]) that the Prometheus page renders from.
 //! * [`Dataset`] — a partitioned collection (the RDD analogue) with two
 //!   per-partition stage kinds: `map_partitions_in_place` (mutate, one
 //!   scalar per partition back) and `aggregate_partitions` (read-only, one
 //!   value per partition back).
-//! * [`Broadcast`] — read-only variables shared with every task (likelihood
-//!   tables, pool masks).
 //! * One stage runner ([`Engine::run_stage`]) with seeded fault injection,
 //!   and the telemetry recorder ([`obs`]).
 //!
 //! Everything runs inside one process: "executors" are worker threads and a
 //! "cluster" is a thread count, per the reproduction guidance to rebuild the
 //! distribution layer on rayon/threads. The dataflow semantics (pure tasks
-//! over partitions, barriers between stages, broadcast of read-only state)
-//! match what the SBGT paper's dataflow needs, so the scaling structure of
-//! the original system is preserved.
+//! over partitions, barriers between stages, read-only state shared with
+//! every task) match what the SBGT paper's dataflow needs, so the scaling
+//! structure of the original system is preserved. Spark's broadcast
+//! variable is a plain [`Arc`]: tasks clone the handle, never the payload.
 //!
 //! ## In-place and read-only stages
 //!
-//! Stages come in two kinds, recorded per job as a [`StageVariant`] in the
-//! metrics registry:
+//! Stages come in two kinds:
 //!
 //! * **In-place** ([`Dataset::map_partitions_in_place`] /
 //!   [`Dataset::try_map_partitions_in_place`], the posterior update): tasks
@@ -41,14 +39,13 @@
 //!   handle is shared — a live [`Dataset::clone`], an outstanding
 //!   [`Dataset::partition_handles`] borrow kept alive, a concurrent reader
 //!   — is **copied first** (copy-on-write), so observers of the old handle
-//!   never see the mutation. The per-stage unique/COW split is what
-//!   [`StageVariant::InPlace`] records.
+//!   never see the mutation. The copies are counted on the stage's
+//!   aggregate as [`StageAgg::copied_partitions`].
 //! * **Read-only aggregate** ([`Dataset::aggregate_partitions`] /
 //!   [`Dataset::try_aggregate_partitions`]: marginals, masses, look-ahead
 //!   histograms): tasks read shared partition handles and ship one small
 //!   value per partition to the driver; nothing is written, so any number
-//!   of dataset clones can coexist. Tagged [`StageVariant::Immutable`]
-//!   unless the caller annotates a finer variant.
+//!   of dataset clones can coexist.
 //!
 //! The uniqueness rule means an in-place stage is *semantically* a pure
 //! function of the pre-stage partitions — only the allocation profile
@@ -71,7 +68,7 @@
 //! plan, those coordinates and the engine's stage sequence number, so
 //! campaigns replay bit-for-bit; executor scheduling cannot perturb them.
 //! Under any plan a stage returns the fault-free values or fails — never
-//! different values. What was injected is recorded per job in
+//! different values. What was injected is counted in
 //! [`metrics::FaultStats`]; the totals are in the scrape.
 //!
 //! ## Example
@@ -91,7 +88,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod broadcast;
 pub mod chaos;
 pub mod config;
 pub mod dataset;
@@ -102,14 +98,13 @@ pub mod partitioner;
 pub mod pool;
 pub mod stage;
 
-pub use broadcast::Broadcast;
 pub use chaos::{ChaosConfig, Fault, FaultPlan};
 pub use config::EngineConfig;
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
 pub use metrics::{
-    BpStats, FaultStats, JobMetrics, MetricsRegistry, ServiceStats, StageAgg, StageVariant,
-    TenantStats, BURN_BUDGET, BURN_WINDOW_ROUNDS,
+    BpStats, FaultStats, JobMetrics, MetricsRegistry, ServiceStats, StageAgg, TenantStats,
+    BURN_BUDGET, BURN_WINDOW_ROUNDS,
 };
 pub use obs::{
     trace_id_for_cohort, LogHistogram, ObsConfig, SpanKind, SpanMeta, SpanRecorder, TraceContext,
@@ -229,12 +224,6 @@ impl Engine {
     pub(crate) fn next_stage_seq(&self) -> u64 {
         self.stage_seq.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Broadcast a read-only value to tasks (Spark `sc.broadcast`).
-    pub fn broadcast<T: Send + Sync + 'static>(&self, value: T) -> Broadcast<T> {
-        self.metrics.record_broadcast();
-        Broadcast::new(value)
-    }
 }
 
 /// A clonable handle to a shared [`Engine`].
@@ -302,12 +291,12 @@ mod tests {
         engine
             .run_stage("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
-        let jobs = engine.metrics().jobs();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].name, "a");
-        assert_eq!(jobs[0].tasks, 4);
-        assert_eq!(jobs[1].name, "b");
-        assert!(jobs.iter().all(|j| j.succeeded));
+        let aggs = engine.metrics().stage_aggregates();
+        assert_eq!(aggs.len(), 2);
+        assert_eq!((aggs[0].name.as_str(), aggs[0].jobs), ("a", 1));
+        assert_eq!(aggs[0].tasks, 4);
+        assert_eq!((aggs[1].name.as_str(), aggs[1].jobs), ("b", 1));
+        assert!(aggs.iter().all(|a| a.failed_jobs == 0));
     }
 
     #[test]
@@ -343,8 +332,10 @@ mod tests {
             .run_stage("b", (0..2).map(|i| move || i).collect::<Vec<_>>())
             .unwrap();
         // Both handles drive the same engine: one registry sees both jobs.
-        assert_eq!(shared.metrics().job_count(), 2);
-        assert_eq!(other.engine().metrics().job_count(), 2);
+        let jobs =
+            |e: &Engine| -> u64 { e.metrics().stage_aggregates().iter().map(|a| a.jobs).sum() };
+        assert_eq!(jobs(&shared), 2);
+        assert_eq!(jobs(other.engine()), 2);
         let wrapped: SharedEngine = Engine::new(EngineConfig::default().with_threads(1)).into();
         assert_eq!(wrapped.threads(), 1);
     }

@@ -1,62 +1,16 @@
 //! Job/task metrics — the in-process analogue of the Spark stage UI.
 //!
-//! The benchmark harness uses these timings to report the per-operation
-//! breakdown tables (experiment E9) and to verify that work is actually
-//! distributed across tasks rather than serialized on the driver.
+//! [`crate::Engine::run_stage`] records every stage, once, into a
+//! per-stage-name aggregate ([`StageAgg`]) and the fault totals. The
+//! scrape ([`MetricsRegistry::scrape`]) renders them, and tests observe
+//! stage structure through [`MetricsRegistry::stage_aggregates`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::obs::hist::LogHistogram;
-
-/// How a stage touched its partitions — the axis the E9 breakdown uses to
-/// tell rounds that write the posterior from rounds that only read it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StageVariant {
-    /// Read-only stage: tasks read shared partitions and return one value
-    /// each (the aggregate stages); no partition is written.
-    #[default]
-    Immutable,
-    /// In-place stage: `unique` partitions were mutated through their sole
-    /// `Arc` handle without copying; `cow` partitions were copied first
-    /// because their handles were shared (copy-on-write fallback).
-    InPlace {
-        /// Partitions mutated without a copy.
-        unique: usize,
-        /// Partitions that had to be cloned before mutation.
-        cow: usize,
-    },
-    /// Branch-fused look-ahead selection stage: tasks read shared
-    /// partitions and emit per-partition branch histograms — no partition
-    /// is written and nothing posterior-sized is allocated.
-    Lookahead {
-        /// Outcome branches scored by the stage (`2^j` after `j` committed
-        /// pools).
-        branches: usize,
-    },
-    /// Sparse-mode round: the posterior has switched to the pruned
-    /// representation and the whole round ran over its retained support
-    /// instead of sharded `2^N` partitions.
-    Sparse {
-        /// Retained support (states with mass) at the end of the round.
-        support: usize,
-    },
-    /// Approximate-backend stage (`sbgt-approx`): the marginal read-out ran
-    /// over the specimen↔pool factor graph — nothing `2^N`-sized exists.
-    Approx {
-        /// Observed-test factors in the graph when the stage ran.
-        factors: usize,
-    },
-}
-
-impl StageVariant {
-    /// Whether any partition of the stage avoided a copy.
-    pub fn is_in_place(&self) -> bool {
-        matches!(self, StageVariant::InPlace { .. })
-    }
-}
 
 /// What the chaos layer injected into one job. Recovery is the service's
 /// round rollback, counted in [`ServiceStats::recovered_rounds`].
@@ -84,7 +38,8 @@ impl FaultStats {
     }
 }
 
-/// Timing summary of one job (a batch of tasks with a barrier).
+/// Timing summary of one job (a batch of tasks with a barrier): what
+/// [`MetricsRegistry::record_job`] folds into the stage's aggregate.
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
     /// Stage name as passed to [`crate::Engine::run_stage`].
@@ -97,8 +52,6 @@ pub struct JobMetrics {
     pub wall: Duration,
     /// Whether every task completed without panicking.
     pub succeeded: bool,
-    /// How the stage touched its partitions (in-place vs read-only).
-    pub variant: StageVariant,
     /// Faults injected into this job.
     pub faults: FaultStats,
 }
@@ -318,17 +271,8 @@ pub struct BpStats {
     pub residual_nanos: LogHistogram,
 }
 
-/// Default number of per-job records retained by a registry. Older jobs
-/// are evicted FIFO; the per-stage-name aggregates ([`StageAgg`]), fault
-/// totals, and broadcast counter are maintained incrementally at record
-/// time, so everything except the per-job detail of evicted jobs
-/// survives eviction. This caps registry memory at O(retention) for an
-/// engine running for days (previously the job vector grew forever).
-pub const DEFAULT_JOB_RETENTION: usize = 4096;
-
 /// Running aggregate of every job that ever ran under one stage name —
-/// the eviction-proof view behind [`MetricsRegistry::wall_time_for`] and
-/// the Prometheus exporter.
+/// what the Prometheus exporter renders.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageAgg {
     /// Stage/job name.
@@ -343,175 +287,72 @@ pub struct StageAgg {
     pub wall: Duration,
     /// Summed per-task executor time.
     pub task_time: Duration,
-    /// Jobs whose final variant was in-place.
-    pub in_place_jobs: u64,
+    /// Partitions an in-place stage copied before mutating them, because
+    /// their handles were shared (copy-on-write).
+    pub copied_partitions: u64,
 }
 
-/// Per-name accumulator (name lives in the map key).
-#[derive(Debug, Clone, Default)]
-struct StageAggCore {
-    jobs: u64,
-    failed_jobs: u64,
-    tasks: u64,
-    wall: Duration,
-    task_time: Duration,
-    in_place_jobs: u64,
+/// The stage view: one aggregate per stage name and the fault totals,
+/// under one lock, so recording a stage takes it once.
+#[derive(Debug, Default)]
+struct StageBook {
+    aggs: BTreeMap<String, StageAgg>,
+    faults: FaultStats,
 }
 
-/// Registry of all jobs an engine has run.
-///
-/// Holds the last [`DEFAULT_JOB_RETENTION`] jobs one record each
-/// plus incremental aggregates (per-stage-name totals, fault totals)
-/// covering every job ever recorded.
-#[derive(Debug)]
+/// Registry of everything an engine and the service above it have run:
+/// per-stage-name aggregates and fault totals, service counters and BP
+/// convergence figures.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    jobs: Mutex<VecDeque<JobMetrics>>,
-    retention: usize,
-    aggs: Mutex<BTreeMap<String, StageAggCore>>,
-    faults: Mutex<FaultStats>,
-    broadcasts: std::sync::atomic::AtomicU64,
+    stages: Mutex<StageBook>,
     service: Mutex<ServiceStats>,
     bp: Mutex<BpStats>,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::with_retention(DEFAULT_JOB_RETENTION)
-    }
-}
-
 impl MetricsRegistry {
-    /// Empty registry with the default job retention.
+    /// Empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empty registry retaining the last `retention` jobs in full detail
-    /// (clamped to at least 1; aggregates always cover everything).
-    pub fn with_retention(retention: usize) -> Self {
-        MetricsRegistry {
-            jobs: Mutex::new(VecDeque::new()),
-            retention: retention.max(1),
-            aggs: Mutex::new(BTreeMap::new()),
-            faults: Mutex::new(FaultStats::default()),
-            broadcasts: std::sync::atomic::AtomicU64::new(0),
-            service: Mutex::new(ServiceStats::default()),
-            bp: Mutex::new(BpStats::default()),
-        }
+    /// Record a completed (or failed) job into its stage's aggregate.
+    pub fn record_job(&self, job: JobMetrics) {
+        let mut book = self.stages.lock();
+        book.faults.absorb(&job.faults);
+        let agg = book
+            .aggs
+            .entry(job.name)
+            .or_insert_with_key(|name| StageAgg {
+                name: name.clone(),
+                ..StageAgg::default()
+            });
+        agg.jobs += 1;
+        agg.failed_jobs += u64::from(!job.succeeded);
+        agg.tasks += job.tasks as u64;
+        agg.wall += job.wall;
+        agg.task_time += job.task_time;
     }
 
-    /// Record a completed (or failed) job.
-    pub fn record_job(&self, metrics: JobMetrics) {
-        {
-            let mut aggs = self.aggs.lock();
-            let agg = aggs.entry(metrics.name.clone()).or_default();
-            agg.jobs += 1;
-            if !metrics.succeeded {
-                agg.failed_jobs += 1;
-            }
-            agg.tasks += metrics.tasks as u64;
-            agg.wall += metrics.wall;
-            agg.task_time += metrics.task_time;
-            if metrics.variant.is_in_place() {
-                agg.in_place_jobs += 1;
-            }
+    /// Add `copied` copy-on-write partitions to `stage`'s aggregate. An
+    /// in-place dataset stage learns how many partitions it copied only
+    /// after its tasks ran, so it adds them under its own name.
+    pub fn add_copied_partitions(&self, stage: &str, copied: usize) {
+        if let Some(agg) = self.stages.lock().aggs.get_mut(stage) {
+            agg.copied_partitions += copied as u64;
         }
-        self.faults.lock().absorb(&metrics.faults);
-        let mut jobs = self.jobs.lock();
-        if jobs.len() >= self.retention {
-            jobs.pop_front();
-        }
-        jobs.push_back(metrics);
-    }
-
-    /// Re-tag the most recently recorded job's [`StageVariant`]. Used by
-    /// in-place dataset stages: partition uniqueness is only known after the
-    /// tasks have run, so the stage annotates its job post hoc.
-    pub fn annotate_last_job(&self, variant: StageVariant) {
-        let mut jobs = self.jobs.lock();
-        if let Some(last) = jobs.back_mut() {
-            // Keep the aggregate's in-place count consistent with the
-            // re-tag.
-            if last.variant.is_in_place() != variant.is_in_place() {
-                let mut aggs = self.aggs.lock();
-                let agg = aggs.entry(last.name.clone()).or_default();
-                if variant.is_in_place() {
-                    agg.in_place_jobs += 1;
-                } else {
-                    agg.in_place_jobs = agg.in_place_jobs.saturating_sub(1);
-                }
-            }
-            last.variant = variant;
-        }
-    }
-
-    /// Jobs ever recorded with an in-place variant (any uniqueness mix);
-    /// maintained incrementally, so eviction does not lower it.
-    pub fn in_place_job_count(&self) -> usize {
-        self.aggs
-            .lock()
-            .values()
-            .map(|a| a.in_place_jobs as usize)
-            .sum()
     }
 
     /// Sum of all jobs' fault counters — the campaign-level view a chaos
     /// test asserts against (did the campaign fire at all).
-    /// Maintained incrementally at record time, covering evicted jobs.
     pub fn fault_totals(&self) -> FaultStats {
-        *self.faults.lock()
-    }
-
-    /// Record a broadcast creation.
-    pub fn record_broadcast(&self) {
-        self.broadcasts
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Number of broadcasts created.
-    pub fn broadcast_count(&self) -> u64 {
-        self.broadcasts.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Snapshot of the retained jobs (the newest
-    /// [`DEFAULT_JOB_RETENTION`] unless configured otherwise), in
-    /// completion order.
-    pub fn jobs(&self) -> Vec<JobMetrics> {
-        self.jobs.lock().iter().cloned().collect()
+        self.stages.lock().faults
     }
 
     /// Per-stage-name aggregates over every job ever recorded, sorted by
     /// name.
     pub fn stage_aggregates(&self) -> Vec<StageAgg> {
-        self.aggs
-            .lock()
-            .iter()
-            .map(|(name, core)| StageAgg {
-                name: name.clone(),
-                jobs: core.jobs,
-                failed_jobs: core.failed_jobs,
-                tasks: core.tasks,
-                wall: core.wall,
-                task_time: core.task_time,
-                in_place_jobs: core.in_place_jobs,
-            })
-            .collect()
-    }
-
-    /// Total wall time of jobs whose name starts with `prefix`, over
-    /// every job ever recorded (aggregate-backed, eviction-proof).
-    pub fn wall_time_for(&self, prefix: &str) -> Duration {
-        self.aggs
-            .lock()
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, core)| core.wall)
-            .sum()
-    }
-
-    /// Number of retained jobs (see [`DEFAULT_JOB_RETENTION`]).
-    pub fn job_count(&self) -> usize {
-        self.jobs.lock().len()
+        self.stages.lock().aggs.values().cloned().collect()
     }
 
     /// Mutate the service-level counters under the registry lock.
@@ -550,13 +391,9 @@ impl MetricsRegistry {
         self.bp.lock().clone()
     }
 
-    /// Drop all recorded jobs and aggregates (between benchmark phases).
+    /// Drop every aggregate and counter (between benchmark phases).
     pub fn clear(&self) {
-        self.jobs.lock().clear();
-        self.aggs.lock().clear();
-        *self.faults.lock() = FaultStats::default();
-        self.broadcasts
-            .store(0, std::sync::atomic::Ordering::Relaxed);
+        *self.stages.lock() = StageBook::default();
         *self.service.lock() = ServiceStats::default();
         *self.bp.lock() = BpStats::default();
     }
@@ -566,6 +403,13 @@ impl MetricsRegistry {
 pub(crate) mod tests {
     use super::*;
 
+    /// The aggregate of the one stage name `reg` has recorded.
+    pub(crate) fn only_stage(reg: &MetricsRegistry) -> StageAgg {
+        let mut aggs = reg.stage_aggregates();
+        assert_eq!(aggs.len(), 1);
+        aggs.pop().unwrap()
+    }
+
     pub(crate) fn job(name: &str, task_ms: &[u64], wall_ms: u64) -> JobMetrics {
         JobMetrics {
             name: name.into(),
@@ -573,50 +417,26 @@ pub(crate) mod tests {
             task_time: Duration::from_millis(task_ms.iter().sum()),
             wall: Duration::from_millis(wall_ms),
             succeeded: true,
-            variant: StageVariant::default(),
             faults: FaultStats::default(),
         }
     }
 
     #[test]
-    fn registry_filters_by_prefix() {
+    fn registry_aggregates_by_stage_name() {
         let reg = MetricsRegistry::new();
         reg.record_job(job("update:0", &[5], 5));
         reg.record_job(job("update:1", &[7], 7));
         reg.record_job(job("select:0", &[100], 100));
-        assert_eq!(reg.wall_time_for("update"), Duration::from_millis(12));
-        assert_eq!(reg.job_count(), 3);
+        let aggs = reg.stage_aggregates();
+        assert_eq!(aggs.len(), 3);
+        let update_wall: Duration = aggs
+            .iter()
+            .filter(|a| a.name.starts_with("update"))
+            .map(|a| a.wall)
+            .sum();
+        assert_eq!(update_wall, Duration::from_millis(12));
         reg.clear();
-        assert_eq!(reg.job_count(), 0);
-    }
-
-    #[test]
-    fn annotate_last_job_retags_variant() {
-        let reg = MetricsRegistry::new();
-        reg.record_job(job("update", &[5], 5));
-        reg.record_job(job("update", &[7], 7));
-        reg.annotate_last_job(StageVariant::InPlace { unique: 3, cow: 1 });
-        let jobs = reg.jobs();
-        assert_eq!(jobs[0].variant, StageVariant::Immutable);
-        assert_eq!(jobs[1].variant, StageVariant::InPlace { unique: 3, cow: 1 });
-        assert!(jobs[1].variant.is_in_place());
-        assert_eq!(reg.in_place_job_count(), 1);
-        // Annotating an empty registry is a no-op, not a panic.
-        reg.clear();
-        reg.annotate_last_job(StageVariant::Immutable);
-        assert_eq!(reg.job_count(), 0);
-    }
-
-    #[test]
-    fn lookahead_variant_is_not_in_place() {
-        let reg = MetricsRegistry::new();
-        reg.record_job(job("lookahead:select", &[4, 4], 4));
-        reg.annotate_last_job(StageVariant::Lookahead { branches: 8 });
-        let jobs = reg.jobs();
-        assert_eq!(jobs[0].variant, StageVariant::Lookahead { branches: 8 });
-        // A read-only selection stage is not an in-place stage.
-        assert!(!jobs[0].variant.is_in_place());
-        assert_eq!(reg.in_place_job_count(), 0);
+        assert!(reg.stage_aggregates().is_empty());
     }
 
     #[test]
@@ -632,11 +452,11 @@ pub(crate) mod tests {
         b.faults.injected_poisons = 3;
         reg.record_job(a);
         reg.record_job(b);
-        reg.record_job(job("quiet", &[1], 1));
         let totals = reg.fault_totals();
+        reg.record_job(job("quiet", &[1], 1));
+        assert_eq!(reg.fault_totals(), totals, "a quiet job adds no fault");
         assert_eq!(totals.injected_total(), 6);
         assert_eq!(totals.injected_poisons, 3);
-        assert_eq!(reg.jobs()[2].faults, FaultStats::default());
     }
 
     #[test]
@@ -682,47 +502,45 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retention_evicts_detail_but_keeps_aggregates() {
-        let reg = MetricsRegistry::with_retention(4);
+    fn aggregates_cover_every_job() {
+        let reg = MetricsRegistry::new();
         for i in 0..6 {
             let mut j = job(if i % 2 == 0 { "update" } else { "select" }, &[10], 10);
             j.faults.injected_panics = 1;
             reg.record_job(j);
         }
-        // Only the newest 4 jobs keep their own record...
-        assert_eq!(reg.job_count(), 4);
-        assert_eq!(reg.jobs().len(), 4);
-        // ...but the aggregate view still covers all 6.
-        assert_eq!(reg.wall_time_for("update"), Duration::from_millis(30));
-        assert_eq!(reg.wall_time_for("select"), Duration::from_millis(30));
         assert_eq!(reg.fault_totals().injected_panics, 6);
         let aggs = reg.stage_aggregates();
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].name, "select");
         assert_eq!(aggs[0].jobs, 3);
+        assert_eq!(aggs[0].wall, Duration::from_millis(30));
         assert_eq!(aggs[1].name, "update");
         assert_eq!(aggs[1].tasks, 3);
         assert_eq!(aggs[1].wall, Duration::from_millis(30));
     }
 
     #[test]
-    fn annotate_keeps_in_place_aggregate_consistent() {
+    fn copied_partitions_land_on_their_own_stage() {
         let reg = MetricsRegistry::new();
         reg.record_job(job("update", &[5], 5));
-        reg.annotate_last_job(StageVariant::InPlace { unique: 1, cow: 0 });
-        assert_eq!(reg.in_place_job_count(), 1);
-        // Re-tagging back and forth cannot drift the counter.
-        reg.annotate_last_job(StageVariant::InPlace { unique: 0, cow: 1 });
-        assert_eq!(reg.in_place_job_count(), 1);
-        reg.annotate_last_job(StageVariant::Immutable);
-        assert_eq!(reg.in_place_job_count(), 0);
-        reg.annotate_last_job(StageVariant::Lookahead { branches: 2 });
-        assert_eq!(reg.in_place_job_count(), 0);
+        reg.record_job(job("select", &[5], 5));
+        reg.add_copied_partitions("update", 3);
+        reg.add_copied_partitions("update", 1);
+        // A stage that never ran has no aggregate to add to.
+        reg.add_copied_partitions("absent", 2);
         let aggs = reg.stage_aggregates();
-        assert_eq!(aggs[0].in_place_jobs, 0);
+        assert_eq!(aggs.len(), 2);
+        assert_eq!(
+            (aggs[0].name.as_str(), aggs[0].copied_partitions),
+            ("select", 0)
+        );
+        assert_eq!(
+            (aggs[1].name.as_str(), aggs[1].copied_partitions),
+            ("update", 4)
+        );
         reg.clear();
         assert!(reg.stage_aggregates().is_empty());
-        assert_eq!(reg.in_place_job_count(), 0);
     }
 
     #[test]
@@ -807,15 +625,5 @@ pub(crate) mod tests {
         assert_eq!(bp.residual_nanos.min(), Some(500));
         reg.clear();
         assert_eq!(reg.bp_stats(), BpStats::default());
-    }
-
-    #[test]
-    fn registry_counts_broadcasts() {
-        let reg = MetricsRegistry::new();
-        reg.record_broadcast();
-        reg.record_broadcast();
-        assert_eq!(reg.broadcast_count(), 2);
-        reg.clear();
-        assert_eq!(reg.broadcast_count(), 0);
     }
 }

@@ -19,13 +19,6 @@ pub enum TraceLevel {
     Full,
 }
 
-impl TraceLevel {
-    /// Whether this level records at least `min`.
-    pub fn at_least(self, min: TraceLevel) -> bool {
-        self >= min
-    }
-}
-
 /// Default ring capacity (events) of each per-thread span lane.
 pub const DEFAULT_LANE_CAPACITY: usize = 4096;
 
@@ -105,9 +98,6 @@ mod tests {
     fn levels_are_ordered() {
         assert!(TraceLevel::Off < TraceLevel::Spans);
         assert!(TraceLevel::Spans < TraceLevel::Full);
-        assert!(TraceLevel::Full.at_least(TraceLevel::Spans));
-        assert!(TraceLevel::Spans.at_least(TraceLevel::Spans));
-        assert!(!TraceLevel::Off.at_least(TraceLevel::Spans));
     }
 
     #[test]

@@ -70,7 +70,6 @@ families! {
         "Summed job wall-clock seconds, by stage name.";
     STAGE_TASK_SECONDS = "sbgt_stage_task_seconds_total", Counter,
         "Summed per-task executor seconds, by stage name.";
-    BROADCASTS = "sbgt_broadcasts_total", Counter, "Broadcast variables created.";
     FAULTS_INJECTED = "sbgt_faults_injected_total", Counter,
         "Faults injected by the chaos layer, by kind.";
     SUBMITTED = "sbgt_service_specimens_submitted_total", Counter,
@@ -225,7 +224,6 @@ impl MetricsRegistry {
             s.sample(STAGE_WALL_SECONDS, &stage, a.wall.as_secs_f64());
             s.sample(STAGE_TASK_SECONDS, &stage, a.task_time.as_secs_f64());
         }
-        s.sample(BROADCASTS, &[], self.broadcast_count() as f64);
 
         let faults = self.fault_totals();
         for (kind, count) in [
@@ -599,7 +597,6 @@ z_bucket{le=\"+Inf\"} 7\n";
         failed.succeeded = false;
         failed.faults.injected_panics = 2;
         reg.record_job(failed);
-        reg.record_broadcast();
         reg.update_service(|s| {
             s.submitted = 100;
             s.shed = 3;
@@ -633,7 +630,6 @@ z_bucket{le=\"+Inf\"} 7\n";
         assert!(panics
             .iter()
             .any(|s| s.label("kind") == Some("panic") && s.value == 2.0));
-        assert_eq!(get("sbgt_broadcasts_total")[0].value, 1.0);
         assert_eq!(
             get("sbgt_service_specimens_submitted_total")[0].value,
             100.0

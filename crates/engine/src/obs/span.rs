@@ -626,13 +626,6 @@ pub struct SpanGuard<'a> {
     meta: SpanMeta,
 }
 
-impl SpanGuard<'_> {
-    /// Flag the span's operation as failed before it closes.
-    pub fn set_failed(&mut self) {
-        self.meta.failed = true;
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.recorder
@@ -680,17 +673,9 @@ mod tests {
     #[test]
     fn span_guard_records_on_drop() {
         let rec = full_recorder();
-        {
-            let mut g = rec
-                .span(
-                    TraceLevel::Spans,
-                    SpanKind::Stage,
-                    "stage-a",
-                    SpanMeta::for_seq(7),
-                )
-                .unwrap();
-            g.set_failed();
-        }
+        let mut meta = SpanMeta::for_seq(7);
+        meta.failed = true;
+        drop(rec.span(TraceLevel::Spans, SpanKind::Stage, "stage-a", meta));
         let snap = rec.snapshot();
         assert_eq!(snap.total_events(), 1);
         let ev = snap.lanes[0].events[0];

@@ -3,7 +3,7 @@
 //! Datasets are split into contiguous partitions by [`partition_ranges`].
 //! [`FxHasher`] is the FxHash multiplication-based mixing function (fast,
 //! adequate quality for in-process use; HashDoS resistance is irrelevant
-//! here): seeded fault plans hash `(seed, stage, task, attempt)` with it.
+//! here): seeded fault plans hash `(seed, stage, seq, task)` with it.
 
 use std::hash::Hasher;
 use std::ops::Range;

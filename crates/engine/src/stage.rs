@@ -13,7 +13,8 @@
 //!   with [`EngineError::TaskPanicked`] naming the stage and the task;
 //! * records the driver-side `Stage` span at [`TraceLevel::Spans`], one
 //!   `Task` span per task on its executor thread at [`TraceLevel::Full`],
-//!   and the job's [`JobMetrics`].
+//!   and the job's [`JobMetrics`] into its stage's aggregate — the one
+//!   place a stage is recorded.
 //!
 //! Recovery is not the engine's business. A failed stage is reported; the
 //! caller that owns the state (the service's round rollback) restores it
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::chaos::Fault;
 use crate::error::{EngineError, Result};
-use crate::metrics::{FaultStats, JobMetrics, StageVariant};
+use crate::metrics::{FaultStats, JobMetrics};
 use crate::obs::{SpanKind, SpanMeta, SpanRecorder, TraceLevel};
 use crate::Engine;
 
@@ -153,7 +154,6 @@ impl Engine {
             task_time,
             wall,
             succeeded: outcome.is_ok(),
-            variant: StageVariant::Immutable,
             faults,
         });
         match outcome {
@@ -174,6 +174,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, FaultPlan};
+    use crate::metrics::tests::only_stage;
     use crate::EngineConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -201,10 +202,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let job = e.metrics().jobs().pop().unwrap();
-        assert!(!job.succeeded);
-        assert_eq!(job.tasks, 0);
-        assert_eq!(job.faults.injected_panics, 1);
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.jobs, agg.failed_jobs), (1, 1));
+        assert_eq!(agg.tasks, 0);
+        assert_eq!(e.metrics().fault_totals().injected_panics, 1);
     }
 
     #[test]
@@ -224,8 +225,8 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         assert_eq!(calls.load(Ordering::SeqCst), 1, "a task is never re-run");
-        let job = e.metrics().jobs().pop().unwrap();
-        assert_eq!(job.faults.injected_poisons, 1);
+        assert_eq!(only_stage(e.metrics()).failed_jobs, 1);
+        assert_eq!(e.metrics().fault_totals().injected_poisons, 1);
     }
 
     #[test]
@@ -233,9 +234,9 @@ mod tests {
         let e = engine();
         e.set_fault_plan(FaultPlan::new().delay_at("slow", 2, Duration::from_millis(20)));
         assert_eq!(e.run_stage("slow", squares()).unwrap(), vec![0, 1, 4, 9]);
-        let job = e.metrics().jobs().pop().unwrap();
-        assert!(job.succeeded);
-        assert_eq!(job.faults.injected_delays, 1);
+        let agg = only_stage(e.metrics());
+        assert_eq!((agg.jobs, agg.failed_jobs), (1, 0));
+        assert_eq!(e.metrics().fault_totals().injected_delays, 1);
     }
 
     /// The stage-level contract under a seeded campaign: every stage
@@ -285,6 +286,10 @@ mod tests {
         let e = engine();
         let out: Vec<u8> = e.run_stage("empty", Vec::<fn() -> u8>::new()).unwrap();
         assert!(out.is_empty());
-        assert!(e.metrics().jobs().pop().unwrap().succeeded);
+        let agg = only_stage(e.metrics());
+        assert_eq!(
+            (agg.name.as_str(), agg.jobs, agg.failed_jobs),
+            ("empty", 1, 0)
+        );
     }
 }

@@ -11,9 +11,7 @@ use sbgt_engine::obs::{
     parse_json, parse_prometheus, render_chrome_trace, validate_chrome_trace, JsonValue, ObsConfig,
     PromSample, SpanKind, SpanMeta, SpanRecorder, TraceLevel,
 };
-use sbgt_engine::{
-    Dataset, Engine, EngineConfig, FaultStats, JobMetrics, MetricsRegistry, StageVariant,
-};
+use sbgt_engine::{Dataset, Engine, EngineConfig, FaultStats, JobMetrics, MetricsRegistry};
 
 /// Fully traced engine with no fault plan.
 fn traced_engine() -> Engine {
@@ -146,7 +144,8 @@ fn prometheus_scrape_from_a_real_run_round_trips() {
         .filter(|s| s.name == "sbgt_stage_jobs_total")
         .map(|s| s.value)
         .sum();
-    assert_eq!(jobs as usize, e.metrics().job_count());
+    let recorded: u64 = e.metrics().stage_aggregates().iter().map(|a| a.jobs).sum();
+    assert_eq!(jobs as u64, recorded);
     // Task totals per stage family match the registry aggregates.
     for agg in e.metrics().stage_aggregates() {
         let tasks = samples
@@ -166,14 +165,13 @@ fn job(name: &str, task_ns: &[u64], wall_ns: u64) -> JobMetrics {
         task_time: Duration::from_nanos(task_ns.iter().sum()),
         wall: Duration::from_nanos(wall_ns),
         succeeded: true,
-        variant: StageVariant::default(),
         faults: FaultStats::default(),
     }
 }
 
 /// The registry state `tests/data/parent_scrape.txt` was rendered from
-/// (regenerated when the retry and speculation families were dropped;
-/// every other series is unchanged): stage aggregates (one hostile stage name), fault
+/// (regenerated when the retry and speculation families were dropped, and
+/// the broadcast counter after them; every other series is unchanged): stage aggregates (one hostile stage name), fault
 /// totals, every service counter, two tenants (one with an SLO burn
 /// window), BP stats, and a recorder whose one lane wrapped.
 fn golden_state() -> (MetricsRegistry, Arc<SpanRecorder>) {
@@ -197,8 +195,6 @@ fn golden_state() -> (MetricsRegistry, Arc<SpanRecorder>) {
         injected_poisons: 3,
     };
     reg.record_job(failed);
-    reg.record_broadcast();
-    reg.record_broadcast();
     reg.update_service(|s| {
         s.submitted = 101;
         s.shed = 13;

@@ -1,7 +1,7 @@
 //! Subject sets beyond the one-word ceiling.
 //!
 //! [`State`] packs a cohort into a single `u64`, which caps exact-lattice
-//! machinery at [`MAX_SUBJECTS`] = 48. The approximate backends work on
+//! machinery at [`MAX_SUBJECTS`](crate::state::MAX_SUBJECTS) = 48. The approximate backends work on
 //! cohorts of hundreds, so truths and pools there are [`BigState`]: the same
 //! set-of-subjects semantics over an array of words. A `BigState` is *not* a
 //! lattice index — there is no `2^N` array for it to index into — so the
@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::state::{State, MAX_SUBJECTS};
+use crate::state::State;
 
 /// A set of subject indices as a little-endian array of 64-bit words:
 /// subject `i` lives in bit `i % 64` of word `i / 64`.
@@ -59,19 +59,6 @@ impl BigState {
     /// Widen a one-word [`State`] into a `BigState` with the same subjects.
     pub fn from_state(s: State) -> BigState {
         BigState::from_words(vec![s.bits()])
-    }
-
-    /// Narrow back to a one-word [`State`], if every subject fits under
-    /// [`MAX_SUBJECTS`].
-    pub fn to_state(&self) -> Option<State> {
-        if self.words.len() > 1 {
-            return None;
-        }
-        let bits = self.words.first().copied().unwrap_or(0);
-        if bits >> MAX_SUBJECTS != 0 {
-            return None;
-        }
-        Some(State(bits))
     }
 
     /// The backing words, little-endian, trailing zeros trimmed.
@@ -206,14 +193,10 @@ mod tests {
     fn state_bridge_round_trips() {
         let s = State::from_subjects([0, 7, 40]);
         let big = BigState::from_state(s);
-        assert_eq!(big.to_state(), Some(s));
         assert_eq!(big.rank(), s.rank());
         assert_eq!(
             big.subjects().collect::<Vec<_>>(),
             s.subjects().collect::<Vec<_>>()
         );
-        assert_eq!(BigState::empty().to_state(), Some(State::EMPTY));
-        assert_eq!(BigState::from_subjects([64]).to_state(), None);
-        assert_eq!(BigState::from_subjects([MAX_SUBJECTS]).to_state(), None);
     }
 }

@@ -104,13 +104,6 @@ impl State {
         self.is_subset_of(other) || other.is_subset_of(self)
     }
 
-    /// Whether `other` covers `self`: `self ⊂ other` and they differ in
-    /// exactly one subject.
-    #[inline]
-    pub fn covered_by(self, other: State) -> bool {
-        self.is_subset_of(other) && (self.0 ^ other.0).count_ones() == 1
-    }
-
     /// Add subject `i` (join with the atom for `i`).
     #[inline]
     pub fn with(self, i: usize) -> State {
@@ -229,8 +222,6 @@ mod tests {
         assert!(small.is_subset_of(big));
         assert!(!big.is_subset_of(small));
         assert!(small.comparable(big));
-        assert!(small.covered_by(big));
-        assert!(!small.covered_by(State::from_subjects([1, 3, 4])));
         let other = State::from_subjects([2]);
         assert!(!small.comparable(other));
         assert!(State::EMPTY.is_subset_of(small));

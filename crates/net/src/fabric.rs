@@ -209,20 +209,6 @@ impl FabricRouter {
         Ok(all)
     }
 
-    /// Scrape one shard's Prometheus text exposition.
-    pub fn stats(&mut self, shard: u32) -> io::Result<String> {
-        let client = self
-            .clients
-            .get_mut(&shard)
-            .or_else(|| self.retired.get_mut(&shard))
-            .ok_or_else(|| io::Error::other(format!("no client for shard {shard}")))?;
-        match client.call(&Request::Stats)? {
-            Response::Stats { prometheus } => Ok(prometheus),
-            Response::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Drain `shard` out of the fabric: freeze its live cohorts, remove it
     /// from the ring, and hand each frozen cohort to the shard the
     /// shrunken ring now assigns it. Returns the reports the shard had

@@ -12,8 +12,7 @@ use rand::{RngExt, SeedableRng};
 
 use sbgt_engine::obs::{parse_prometheus, validate_chrome_trace, NO_COHORT};
 use sbgt_engine::{
-    trace_id_for_cohort, EngineConfig, FaultPlan, FaultStats, JobMetrics, SharedEngine,
-    StageVariant, TraceLevel,
+    trace_id_for_cohort, EngineConfig, FaultPlan, FaultStats, JobMetrics, SharedEngine, TraceLevel,
 };
 use sbgt_net::{
     FabricConfig, FabricRouter, FleetScraper, Request, Response, ShardClient, ShardServer,
@@ -266,7 +265,6 @@ fn frame_scalars_carry_the_registry_bits() {
         task_time: Duration::new(4, 464_680_097),
         wall: Duration::new(4, 464_680_097),
         succeeded: true,
-        variant: StageVariant::Immutable,
         faults: FaultStats::default(),
     });
     let server =

@@ -473,11 +473,6 @@ impl CohortActor {
         &self.spec
     }
 
-    /// Whether the cohort runs the dense session.
-    pub fn is_dense(&self) -> bool {
-        self.kind == CohortKind::Dense
-    }
-
     /// The session kind the cohort is running.
     pub fn kind(&self) -> CohortKind {
         self.kind
@@ -737,7 +732,6 @@ mod tests {
         };
         let sparse_actor = CohortActor::new(&e, spec.clone(), model, cfg, sparse_policy);
         assert_eq!(dense_actor.kind(), CohortKind::Dense);
-        assert!(dense_actor.is_dense());
         assert_eq!(sharded_actor.kind(), CohortKind::Sharded);
         assert_eq!(sparse_actor.kind(), CohortKind::Sparse);
         // Below the sparse size floor the cohort stays sharded even with a

@@ -220,16 +220,6 @@ impl ServiceConfig {
         Ok(())
     }
 
-    /// Scheduler weight of a tenant: its configured lane weight, or 1 for
-    /// any tenant id not explicitly listed.
-    pub fn tenant_weight(&self, tenant: u32) -> u32 {
-        self.tenants
-            .iter()
-            .find(|t| t.tenant == tenant)
-            .map(|t| t.weight)
-            .unwrap_or(1)
-    }
-
     /// Latency SLO of a tenant, if one is configured.
     pub fn tenant_slo(&self, tenant: u32) -> Option<Duration> {
         self.tenants
@@ -467,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_lookup_defaults_to_weight_one_no_slo() {
+    fn tenant_slo_lookup_defaults_to_none() {
         let cfg = ServiceConfig {
             tenants: vec![
                 TenantSpec::weighted(7, 3),
@@ -480,8 +470,6 @@ mod tests {
             ..ServiceConfig::default()
         };
         assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.tenant_weight(7), 3);
-        assert_eq!(cfg.tenant_weight(42), 1, "unlisted tenants get weight 1");
         assert_eq!(cfg.tenant_slo(9), Some(Duration::from_millis(20)));
         assert_eq!(cfg.tenant_slo(7), None);
         assert_eq!(cfg.tenant_slo(42), None);

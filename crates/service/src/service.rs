@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 
 use sbgt::{PlanCache, PlanCacheStats, RoundStep, SessionOutcome};
 use sbgt_engine::obs::{SpanKind, SpanMeta, TraceLevel};
-use sbgt_engine::SharedEngine;
+use sbgt_engine::{ServiceStats, SharedEngine};
 
 use crate::checkpoint::CohortCheckpoint;
 use crate::cohort::{CohortActor, CohortSpec, Specimen};
@@ -95,11 +95,32 @@ struct Shared {
     completed: AtomicU64,
     /// Reports of classified cohorts not yet taken by the embedder.
     reports: Mutex<Vec<CohortReport>>,
+    /// Shared memoized-selection cache (`None` when disabled by config).
+    plan_cache: Option<Arc<PlanCache>>,
+    /// Cache counters already folded into `ServiceStats`. The cache may be
+    /// shared across service incarnations, so this incarnation adds only
+    /// the delta against its start-time counters.
+    plan_folded: Mutex<PlanCacheStats>,
 }
 
 impl Shared {
     fn completed(&self) -> u64 {
         self.completed.load(Ordering::SeqCst)
+    }
+
+    /// Fold the plan cache's activity since the last fold into `s`, so a
+    /// live scrape shows the plan counters, not only a drained one.
+    fn fold_plan_stats(&self, s: &mut ServiceStats) {
+        let Some(cache) = &self.plan_cache else {
+            return;
+        };
+        let mut folded = self.plan_folded.lock();
+        let now = cache.stats();
+        s.plan_hits += now.hits - folded.hits;
+        s.plan_misses += now.misses - folded.misses;
+        s.plan_extends += now.extends - folded.extends;
+        s.plan_evictions += now.evictions - folded.evictions;
+        *folded = now;
     }
 }
 
@@ -113,12 +134,6 @@ pub struct SurveillanceService {
     shared: Arc<Shared>,
     batcher: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
-    /// Shared memoized-selection cache (`None` when disabled by config).
-    plan_cache: Option<Arc<PlanCache>>,
-    /// Cache counters at service start: the cache may be shared across
-    /// service incarnations, so this incarnation's contribution to
-    /// `ServiceStats` is the delta against this baseline.
-    plan_baseline: PlanCacheStats,
 }
 
 impl SurveillanceService {
@@ -152,6 +167,8 @@ impl SurveillanceService {
             opened: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             reports: Mutex::new(Vec::new()),
+            plan_folded: Mutex::new(cache.as_ref().map(|c| c.stats()).unwrap_or_default()),
+            plan_cache: cache,
         });
 
         // Threads are named so each telemetry lane (and its Chrome-trace
@@ -161,10 +178,9 @@ impl SurveillanceService {
             let config = config.clone();
             let sched = Arc::clone(&sched);
             let shared = Arc::clone(&shared);
-            let cache = cache.clone();
             thread::Builder::new()
                 .name("svc-batcher".to_string())
-                .spawn(move || batcher_loop(engine, config, ingress_rx, sched, shared, cache))
+                .spawn(move || batcher_loop(engine, config, ingress_rx, sched, shared))
                 .expect("spawn batcher thread")
         };
 
@@ -182,7 +198,6 @@ impl SurveillanceService {
             })
             .collect();
 
-        let plan_baseline = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         Ok(SurveillanceService {
             engine,
             config,
@@ -192,8 +207,6 @@ impl SurveillanceService {
             shared,
             batcher: Some(batcher),
             workers,
-            plan_cache: cache,
-            plan_baseline,
         })
     }
 
@@ -208,7 +221,7 @@ impl SurveillanceService {
         let service = SurveillanceService::start(engine, config)?;
         // A tampered plan blob is a typed restore error, never a panic;
         // without a cache the warmed trees are simply dropped.
-        if let Some(cache) = &service.plan_cache {
+        if let Some(cache) = &service.shared.plan_cache {
             if !checkpoint.plans.is_empty() {
                 cache
                     .import(&checkpoint.plans)
@@ -388,7 +401,7 @@ impl SurveillanceService {
             self.config.policy(),
             self.config.max_recoveries,
         );
-        if let Some(cache) = &self.plan_cache {
+        if let Some(cache) = &self.shared.plan_cache {
             actor.attach_plan_cache(cache);
         }
         let creation_recoveries = actor.recoveries();
@@ -416,7 +429,7 @@ impl SurveillanceService {
             self.config.policy(),
         )
         .map_err(|e| ServiceError::Restore(e.to_string()))?;
-        if let Some(cache) = &self.plan_cache {
+        if let Some(cache) = &self.shared.plan_cache {
             actor.attach_plan_cache(cache);
         }
         let tenant = actor.spec().tenant;
@@ -515,6 +528,7 @@ impl SurveillanceService {
             s.checkpoints += cohorts.len() as u64;
         });
         let plans = self
+            .shared
             .plan_cache
             .as_ref()
             .map(|c| c.export())
@@ -531,20 +545,12 @@ impl SurveillanceService {
         }
     }
 
-    /// Fold this incarnation's plan-cache activity (delta against the
-    /// start-time baseline; the cache may be shared) into `ServiceStats`.
+    /// Fold the plan-cache activity since the last completed cohort into
+    /// `ServiceStats`.
     fn flush_plan_stats(&self) {
-        let Some(cache) = &self.plan_cache else {
-            return;
-        };
-        let now = cache.stats();
-        let base = self.plan_baseline;
-        self.engine.metrics().update_service(|s| {
-            s.plan_hits += now.hits - base.hits;
-            s.plan_misses += now.misses - base.misses;
-            s.plan_extends += now.extends - base.extends;
-            s.plan_evictions += now.evictions - base.evictions;
-        });
+        self.engine
+            .metrics()
+            .update_service(|s| self.shared.fold_plan_stats(s));
     }
 
     fn close_ingress_and_flush(&mut self) {
@@ -600,7 +606,6 @@ fn batcher_loop(
     ingress_rx: Receiver<Tagged>,
     sched: Arc<WfqScheduler<Box<CohortActor>>>,
     shared: Arc<Shared>,
-    cache: Option<Arc<PlanCache>>,
 ) {
     let mut open: std::collections::BTreeMap<u32, OpenBatch> = std::collections::BTreeMap::new();
     loop {
@@ -628,7 +633,6 @@ fn batcher_loop(
                         &mut batch.specimens,
                         &sched,
                         &shared,
-                        &cache,
                     );
                 }
             }
@@ -650,7 +654,6 @@ fn batcher_loop(
                         &mut batch.specimens,
                         &sched,
                         &shared,
-                        &cache,
                     );
                 }
             }
@@ -664,7 +667,6 @@ fn batcher_loop(
                         &mut batch.specimens,
                         &sched,
                         &shared,
-                        &cache,
                     );
                 }
                 return;
@@ -673,7 +675,6 @@ fn batcher_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn flush_batch(
     engine: &SharedEngine,
     config: &ServiceConfig,
@@ -681,7 +682,6 @@ fn flush_batch(
     batch: &mut Vec<Specimen>,
     sched: &WfqScheduler<Box<CohortActor>>,
     shared: &Shared,
-    cache: &Option<Arc<PlanCache>>,
 ) {
     if batch.is_empty() {
         return;
@@ -711,7 +711,7 @@ fn flush_batch(
         config.policy(),
         config.max_recoveries,
     );
-    if let Some(cache) = cache {
+    if let Some(cache) = &shared.plan_cache {
         actor.attach_plan_cache(cache);
     }
     let creation_recoveries = actor.recoveries();
@@ -771,9 +771,10 @@ fn worker_loop(
         });
         match run.step {
             RoundStep::Finished(outcome) => {
-                engine
-                    .metrics()
-                    .update_service(|s| s.cohorts_completed += 1);
+                engine.metrics().update_service(|s| {
+                    s.cohorts_completed += 1;
+                    shared.fold_plan_stats(s);
+                });
                 // Report before the counter bump: drain treats
                 // `completed == opened` as "all reports present".
                 shared.reports.lock().push(CohortReport {
@@ -983,11 +984,9 @@ mod tests {
         assert!(summary.counters > 0);
     }
 
-    #[test]
-    fn shared_plan_cache_replays_across_cohorts_bit_for_bit() {
-        let engine = shared_engine();
-        // One shared risk band: every cohort quantizes to the same risk
-        // vector, so all of them share a single memoized decision tree.
+    /// One shared risk band: every cohort quantizes to the same risk
+    /// vector, so all of them share a single memoized decision tree.
+    fn shared_key_traffic() -> (ServiceConfig, Vec<Specimen>) {
         let config = ServiceConfig {
             workers: 3,
             batch_size: 8,
@@ -1000,15 +999,22 @@ mod tests {
             ..ServiceConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(31);
-        let sp: Vec<Specimen> = (0..64)
+        let sp = (0..64)
             .map(|_| Specimen {
                 risk: 0.05,
                 infected: rng.random_bool(0.05),
             })
             .collect();
+        (config, sp)
+    }
+
+    #[test]
+    fn shared_plan_cache_replays_across_cohorts_bit_for_bit() {
+        let engine = shared_engine();
+        let (config, sp) = shared_key_traffic();
 
         let service = SurveillanceService::start(engine.clone(), config.clone()).unwrap();
-        assert!(service.plan_cache.is_some());
+        assert!(service.shared.plan_cache.is_some());
         for s in &sp {
             service.submit(*s).unwrap();
         }
@@ -1033,6 +1039,53 @@ mod tests {
             "shared-key cohorts must replay memoized selections"
         );
         assert!(stats.plan_extends > 0, "misses must extend the tree");
+    }
+
+    /// The plan counters are live: once every cohort has reported, the
+    /// scrape carries the cache's hits and misses without a drain.
+    #[test]
+    fn plan_counters_reach_a_live_scrape() {
+        let engine = shared_engine();
+        let (config, sp) = shared_key_traffic();
+        let cache = PlanCache::new(config.plan_cache_nodes);
+        let before = cache.stats();
+        let service = SurveillanceService::start_with_cache(
+            engine.clone(),
+            config.clone(),
+            Some(Arc::clone(&cache)),
+        )
+        .unwrap();
+        for s in &sp {
+            service.submit(*s).unwrap();
+        }
+        let cohorts = sp.len() / config.batch_size;
+        let mut reported = 0;
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while reported < cohorts {
+            assert!(
+                Instant::now() < deadline,
+                "{reported}/{cohorts} cohorts reported"
+            );
+            reported += service.take_completed().len();
+            thread::sleep(Duration::from_millis(1));
+        }
+        let scrape = engine.metrics().scrape(None);
+        let value = |name: &str| {
+            scrape
+                .samples
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.value)
+                .unwrap()
+        };
+        let now = cache.stats();
+        assert!(now.hits > before.hits, "shared-key cohorts replay plans");
+        let served = (now.hits - before.hits) + (now.misses - before.misses);
+        assert_eq!(
+            value("sbgt_service_plan_hits_total") + value("sbgt_service_plan_misses_total"),
+            served as f64
+        );
+        assert_eq!(service.drain().len(), 0, "every report was taken live");
     }
 
     #[test]

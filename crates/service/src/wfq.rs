@@ -215,14 +215,17 @@ mod tests {
 
     #[test]
     fn weights_two_to_one_share_rounds_two_to_one() {
-        let sched = WfqScheduler::new([(1, 2), (2, 1)]);
-        for _ in 0..4 {
-            sched.push(1, 1);
-            sched.push(2, 2);
+        // An undeclared tenant gets weight 1, the same as declaring it.
+        for declared in [vec![(1, 2), (2, 1)], vec![(1, 2)]] {
+            let sched = WfqScheduler::new(declared);
+            for _ in 0..4 {
+                sched.push(1, 1);
+                sched.push(2, 2);
+            }
+            let counts = serve_saturated(&sched, 300);
+            assert_eq!(counts[&1], 200, "weight-2 lane gets 2/3 of the rounds");
+            assert_eq!(counts[&2], 100, "weight-1 lane gets 1/3 of the rounds");
         }
-        let counts = serve_saturated(&sched, 300);
-        assert_eq!(counts[&1], 200, "weight-2 lane gets 2/3 of the rounds");
-        assert_eq!(counts[&2], 100, "weight-1 lane gets 1/3 of the rounds");
     }
 
     #[test]
