@@ -32,7 +32,7 @@ use sbgt::{
     SessionSnapshot, SnapshotError,
 };
 
-use crate::factor::{count_distribution, Factor};
+use crate::factor::{bernoulli_step, count_distribution, Factor};
 use crate::select::{select_stage_marginals, BigSelection};
 
 /// Cap on message magnitude: |LLR| ≤ 40 keeps `exp` comfortably finite
@@ -171,6 +171,8 @@ pub fn relax_marginals(prior_logit: &[f64], factors: &[Factor], cfg: &BpConfig) 
 /// relaxation; the untraced entry point discards the trace. The float
 /// schedule is byte-identical either way — the trace only *reads* each
 /// sweep's residual, which the loop already computes for its stop test.
+/// Messages and [`Tables`] are allocated once per relaxation; a sweep
+/// allocates nothing.
 pub fn relax_marginals_traced(
     prior_logit: &[f64],
     factors: &[Factor],
@@ -178,51 +180,40 @@ pub fn relax_marginals_traced(
 ) -> (Vec<f64>, BpTrace) {
     let n = prior_logit.len();
     let mut trace = BpTrace::default();
-    // llr[a][j]: message from factor a to its j-th member; llr_sum[i] keeps
-    // the running total per variable so a cavity read is O(1).
-    let mut llr: Vec<Vec<f64>> = factors.iter().map(|f| vec![0.0; f.size()]).collect();
+    // llr: each factor's messages to its members, factor-major; llr_sum[i]
+    // keeps the running total per variable so a cavity read is O(1).
+    let mut llr = vec![0.0; factors.iter().map(Factor::size).sum()];
     let mut llr_sum = vec![0.0; n];
+    let mut tables = Tables::new(factors.iter().map(Factor::size).max().unwrap_or(0));
     for _ in 0..cfg.max_iters {
         let mut residual = 0.0f64;
-        for (a, f) in factors.iter().enumerate() {
-            let m = f.size();
+        let mut at = 0;
+        for f in factors {
+            let msgs = &mut llr[at..at + f.size()];
+            at += f.size();
             // Cavity probabilities: each member's belief minus this
             // factor's own previous message.
-            let mus: Vec<f64> = f
-                .members
-                .iter()
-                .enumerate()
-                .map(|(j, &i)| sigmoid(prior_logit[i as usize] + llr_sum[i as usize] - llr[a][j]))
-                .collect();
-            // Prefix/suffix Poisson-binomial tables over the cavity
-            // probabilities; prefix[j] covers members < j, suffix[j]
-            // covers members ≥ j.
-            let mut prefix: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-            prefix.push(vec![1.0]);
-            for &mu in &mus {
-                prefix.push(convolve_bernoulli(prefix.last().unwrap(), mu));
+            let mus = &mut tables.mus[..msgs.len()];
+            for ((mu, &i), &msg) in mus.iter_mut().zip(&f.members).zip(msgs.iter()) {
+                *mu = sigmoid(prior_logit[i as usize] + llr_sum[i as usize] - msg);
             }
-            let mut suffix: Vec<Vec<f64>> = vec![Vec::new(); m + 1];
-            suffix[m] = vec![1.0];
-            for j in (0..m).rev() {
-                suffix[j] = convolve_bernoulli(&suffix[j + 1], mus[j]);
-            }
+            tables.fill(msgs.len());
             for (j, &i) in f.members.iter().enumerate() {
                 let i = i as usize;
                 // Leave-one-out count distribution of the other members.
-                let d = convolve(&prefix[j], &suffix[j + 1]);
+                let d = tables.leave_out(j);
                 let mut like0 = 0.0;
                 let mut like1 = 0.0;
-                for (k, &dk) in d.iter().enumerate() {
-                    like0 += f.table[k] * dk;
-                    like1 += f.table[k + 1] * dk;
+                for ((&dk, &l0), &l1) in d.iter().zip(&f.table).zip(&f.table[1..]) {
+                    like0 += l0 * dk;
+                    like1 += l1 * dk;
                 }
                 let fresh = (like1 / like0).ln().clamp(-LLR_CAP, LLR_CAP);
-                let damped = cfg.damping * llr[a][j] + (1.0 - cfg.damping) * fresh;
-                let delta = damped - llr[a][j];
+                let damped = cfg.damping * msgs[j] + (1.0 - cfg.damping) * fresh;
+                let delta = damped - msgs[j];
                 residual = residual.max(delta.abs());
                 llr_sum[i] += delta;
-                llr[a][j] = damped;
+                msgs[j] = damped;
             }
         }
         trace.sweeps += 1;
@@ -237,25 +228,76 @@ pub fn relax_marginals_traced(
     (marginals, trace)
 }
 
-/// Convolve a count distribution with one Bernoulli(`p`) bit.
-fn convolve_bernoulli(d: &[f64], p: f64) -> Vec<f64> {
-    let mut out = vec![0.0; d.len() + 1];
-    for (k, &dk) in d.iter().enumerate() {
-        out[k] += dk * (1.0 - p);
-        out[k + 1] += dk * p;
-    }
-    out
+/// Offset of row `r` (length `r + 1`) in a triangular table.
+fn tri(r: usize) -> usize {
+    r * (r + 1) / 2
 }
 
-/// Convolve two count distributions.
-fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; a.len() + b.len() - 1];
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
-            out[i + j] += ai * bj;
+/// A factor update's Poisson-binomial tables over its `m` cavity
+/// probabilities `mus`, triangular, sized for the largest pool. Prefix row
+/// `j` (at [`tri`]`(j)`, `j < m`) covers members `< j`; suffix row `r`
+/// covers the last `r`.
+struct Tables {
+    mus: Vec<f64>,
+    prefix: Vec<f64>,
+    suffix: Vec<f64>,
+    loo: Vec<f64>,
+    m: usize,
+}
+
+impl Tables {
+    fn new(max_m: usize) -> Self {
+        Tables {
+            mus: vec![0.0; max_m],
+            prefix: vec![0.0; tri(max_m)],
+            suffix: vec![0.0; tri(max_m)],
+            loo: vec![0.0; max_m],
+            m: 0,
         }
     }
-    out
+
+    /// Build both tables over `mus[..m]`, each row one [`bernoulli_step`]
+    /// past the row before it.
+    fn fill(&mut self, m: usize) {
+        self.m = m;
+        for (table, reversed) in [(&mut self.prefix, false), (&mut self.suffix, true)] {
+            table[0] = 1.0;
+            for r in 0..m - 1 {
+                let mu = self.mus[if reversed { m - 1 - r } else { r }];
+                let (done, next) = table.split_at_mut(tri(r + 1));
+                bernoulli_step(&done[tri(r)..], &mut next[..r + 2], mu);
+            }
+        }
+    }
+
+    /// The count distribution of every member but `j`: prefix row `j`
+    /// convolved with suffix row `m − j − 1`, with the bits of `out[x + y]
+    /// += a[x] · b[y]` over zeros, `x`-major, two `x` per pass.
+    fn leave_out(&mut self, j: usize) -> &[f64] {
+        let a = &self.prefix[tri(j)..tri(j + 1)];
+        let r = self.m - j - 1;
+        let b = &self.suffix[tri(r)..tri(r + 1)];
+        let out = &mut self.loo[..self.m];
+        for (o, &by) in out.iter_mut().zip(b) {
+            *o = a[0] * by;
+        }
+        out[b.len()..].fill(0.0);
+        let mut pairs = a[1..].chunks_exact(2);
+        for (x, pair) in (1..).step_by(2).zip(&mut pairs) {
+            let o = &mut out[x..=x + r + 1];
+            o[0] += pair[0] * b[0];
+            for (y, w) in b.windows(2).enumerate() {
+                o[y + 1] = (o[y + 1] + pair[0] * w[1]) + pair[1] * w[0];
+            }
+            o[r + 1] += pair[1] * b[r];
+        }
+        if let [ax] = *pairs.remainder() {
+            for (o, &by) in out[j..].iter_mut().zip(b) {
+                *o += ax * by;
+            }
+        }
+        out
+    }
 }
 
 /// The loopy-BP fixed point over the observed factors. Memory is

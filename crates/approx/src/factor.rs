@@ -52,11 +52,6 @@ impl Factor {
         }
     }
 
-    /// The pool as a [`BigState`].
-    pub fn pool(&self) -> BigState {
-        BigState::from_words(self.words.clone())
-    }
-
     /// The pool's bit-words.
     pub fn pool_words(&self) -> &[u64] {
         &self.words
@@ -69,20 +64,31 @@ impl Factor {
 }
 
 /// The Poisson-binomial count distribution of independent Bernoulli bits
-/// `probs`: returns `d` with `d[k] = P(k of them are 1)`. The sequential
-/// convolution every BP message pass builds its prefix/suffix tables from.
+/// `probs`: returns `d` with `d[k] = P(k of them are 1)`, built by one
+/// [`bernoulli_step`] per bit.
 pub fn count_distribution(probs: &[f64]) -> Vec<f64> {
     let mut d = vec![0.0; probs.len() + 1];
+    let mut next = d.clone();
     d[0] = 1.0;
     for (t, &p) in probs.iter().enumerate() {
-        // In-place backward update keeps one allocation for the whole pass.
-        for k in (0..=t).rev() {
-            let stay = d[k] * (1.0 - p);
-            d[k + 1] += d[k] * p;
-            d[k] = stay;
-        }
+        bernoulli_step(&d[..=t], &mut next[..t + 2], p);
+        std::mem::swap(&mut d, &mut next);
     }
     d
+}
+
+/// Fold one Bernoulli(`p`) bit into the count distribution `d`, writing
+/// the `d.len() + 1` counts to `next`: `next[k] = d[k]·(1 − p) + d[k−1]·p`,
+/// the missing term dropped at either end. The one step every
+/// Poisson-binomial table in this crate is built from — BP's prefix/suffix
+/// rows and [`count_distribution`] — so they share its bits.
+pub(crate) fn bernoulli_step(d: &[f64], next: &mut [f64], p: f64) {
+    let t = d.len();
+    next[0] = d[0] * (1.0 - p);
+    for (nk, pair) in next[1..t].iter_mut().zip(d.windows(2)) {
+        *nk = pair[1] * (1.0 - p) + pair[0] * p;
+    }
+    next[t] = d[t - 1] * p;
 }
 
 #[cfg(test)]
@@ -98,7 +104,7 @@ mod tests {
         assert_eq!(f.members, vec![0, 70, 130]);
         assert_eq!(f.table.len(), 4);
         assert!(f.table.iter().all(|&v| v >= MIN_LIKELIHOOD));
-        assert_eq!(f.pool(), pool);
+        assert_eq!(f.pool_words(), pool.words());
         assert_eq!(f.size(), 3);
     }
 

@@ -88,8 +88,17 @@ pub struct ParticleBackend<M> {
     /// Particle bit-words, particle-major: particle `p` owns
     /// `words[p*wpp .. (p+1)*wpp]`.
     words: Vec<u64>,
+    /// Resampling's destination, kept between resamples and swapped with
+    /// `words`.
+    spare: Vec<u64>,
     log_weights: Vec<f64>,
     factors: Vec<Factor>,
+    /// Factor `a`'s rows from `steps_at[a]`, one per pool count `k`:
+    /// `[ln(table[k−1] / table[k]), ln(table[k+1] / table[k])]` (`NaN` out
+    /// of range), the log-likelihood change when a member's bit clears or
+    /// sets. Rejuvenation reads these instead of calling `ln`.
+    log_steps: Vec<[f64; 2]>,
+    steps_at: Vec<usize>,
     /// Factor indices touching each subject, for O(degree) rejuvenation
     /// deltas. Rebuilt from `factors` on restore.
     subject_factors: Vec<Vec<u32>>,
@@ -126,35 +135,28 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
             pcfg,
             words_per_particle: wpp,
             words,
+            spare: Vec::new(),
             log_weights: vec![0.0; pcfg.particles],
             factors: Vec::new(),
+            log_steps: Vec::new(),
+            steps_at: Vec::new(),
             subject_factors: vec![Vec::new(); n],
             rng,
         })
     }
 
-    /// Append `factor` and index it under each member subject.
+    /// Append `factor`, index it under each member, tabulate its steps.
     fn push_factor(&mut self, factor: Factor) {
         let a = self.factors.len() as u32;
         for &i in &factor.members {
             self.subject_factors[i as usize].push(a);
         }
+        self.steps_at.push(self.log_steps.len());
+        let t = &factor.table;
+        let step = |k: usize, k2: usize| t.get(k2).map_or(f64::NAN, |&t2| (t2 / t[k]).ln());
+        let steps = (0..t.len()).map(|k| [step(k, k.wrapping_sub(1)), step(k, k + 1)]);
+        self.log_steps.extend(steps);
         self.factors.push(factor);
-    }
-
-    /// Pool count for particle `p`: `|particle ∩ pool|` over the shared
-    /// words.
-    fn pool_count(&self, p: usize, pool_words: &[u64]) -> usize {
-        let base = p * self.words_per_particle;
-        pool_words
-            .iter()
-            .zip(&self.words[base..base + self.words_per_particle])
-            .map(|(pw, sw)| (pw & sw).count_ones() as usize)
-            .sum()
-    }
-
-    fn bit(&self, p: usize, i: usize) -> bool {
-        self.words[p * self.words_per_particle + i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// Exp-normalized weights (max-subtracted for stability). Dead clouds
@@ -178,26 +180,26 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
 
     /// Effective sample size of the current weights.
     pub fn ess(&self) -> f64 {
-        let w = self.normalized_weights();
-        1.0 / w.iter().map(|&v| v * v).sum::<f64>()
+        ess_of(&self.normalized_weights())
     }
 
     fn maybe_resample(&mut self) {
-        if self.ess() >= self.pcfg.ess_frac * self.pcfg.particles as f64 {
+        let w = self.normalized_weights();
+        if ess_of(&w) >= self.pcfg.ess_frac * self.pcfg.particles as f64 {
             return;
         }
-        self.resample_systematic();
+        self.resample_systematic(&w);
         self.rejuvenate();
     }
 
     /// Systematic resampling: one uniform draw positions `P` evenly spaced
-    /// pointers over the cumulative weights; weights reset to equal.
-    fn resample_systematic(&mut self) {
+    /// pointers over the cumulative weights `w`; weights reset to equal.
+    fn resample_systematic(&mut self, w: &[f64]) {
         let p_count = self.pcfg.particles;
-        let w = self.normalized_weights();
         let u0 = self.rng.next_f64() / p_count as f64;
         let wpp = self.words_per_particle;
-        let mut new_words = vec![0u64; self.words.len()];
+        let mut new_words = std::mem::take(&mut self.spare);
+        new_words.resize(self.words.len(), 0);
         let mut cum = 0.0;
         let mut src = 0usize;
         for j in 0..p_count {
@@ -209,7 +211,7 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
             new_words[j * wpp..(j + 1) * wpp]
                 .copy_from_slice(&self.words[src * wpp..(src + 1) * wpp]);
         }
-        self.words = new_words;
+        self.spare = std::mem::replace(&mut self.words, new_words);
         self.log_weights.fill(0.0);
     }
 
@@ -218,11 +220,12 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
     /// with the acceptance ratio computed from the prior logit plus the
     /// likelihood-table ratio of every factor the subject touches.
     fn rejuvenate(&mut self) {
-        let n = self.n_subjects();
-        for p in 0..self.pcfg.particles {
+        let n = self.prior_logit.len() as u64;
+        for particle in self.words.chunks_exact_mut(self.words_per_particle) {
             for _ in 0..self.pcfg.moves {
-                let i = (self.rng.next_u64() % n as u64) as usize;
-                let set = self.bit(p, i);
+                let i = (self.rng.next_u64() % n) as usize;
+                let bit = 1u64 << (i % 64);
+                let set = particle[i / 64] & bit != 0;
                 // Flipping 0→1 adds the prior logit; 1→0 subtracts it.
                 let mut delta = if set {
                     -self.prior_logit[i]
@@ -230,18 +233,31 @@ impl<M: BinaryOutcomeModel> ParticleBackend<M> {
                     self.prior_logit[i]
                 };
                 for &a in &self.subject_factors[i] {
-                    let f = &self.factors[a as usize];
-                    let k = self.pool_count(p, f.pool_words());
-                    let k2 = if set { k - 1 } else { k + 1 };
-                    delta += (f.table[k2] / f.table[k]).ln();
+                    let a = a as usize;
+                    let k = count_in(particle, self.factors[a].pool_words());
+                    delta += self.log_steps[self.steps_at[a] + k][usize::from(!set)];
                 }
                 let accept = delta >= 0.0 || self.rng.next_f64().ln() < delta;
                 if accept {
-                    self.words[p * self.words_per_particle + i / 64] ^= 1u64 << (i % 64);
+                    particle[i / 64] ^= bit;
                 }
             }
         }
     }
+}
+
+/// `|particle ∩ pool|` over matching bit-words.
+fn count_in(particle: &[u64], pool_words: &[u64]) -> usize {
+    pool_words
+        .iter()
+        .zip(particle)
+        .map(|(pw, sw)| (pw & sw).count_ones() as usize)
+        .sum()
+}
+
+/// Effective sample size of normalized weights.
+fn ess_of(w: &[f64]) -> f64 {
+    1.0 / w.iter().map(|&v| v * v).sum::<f64>()
 }
 
 impl<M: BinaryOutcomeModel> Backend for ParticleBackend<M> {
@@ -256,18 +272,23 @@ impl<M: BinaryOutcomeModel> Backend for ParticleBackend<M> {
         self.factors.len()
     }
 
-    /// Per-specimen posterior marginals: weighted bit frequencies.
+    /// Per-specimen posterior marginals: weighted bit frequencies, summed
+    /// over each particle's set bits in ascending particle order.
     fn marginals(&self, _: &SbgtConfig) -> Vec<f64> {
         let w = self.normalized_weights();
         let mut m = vec![0.0; self.n_subjects()];
-        for (p, &wp) in w.iter().enumerate() {
+        for (&wp, words) in w
+            .iter()
+            .zip(self.words.chunks_exact(self.words_per_particle))
+        {
             if wp == 0.0 {
                 continue;
             }
-            let base = p * self.words_per_particle;
-            for (i, mi) in m.iter_mut().enumerate() {
-                if self.words[base + i / 64] & (1u64 << (i % 64)) != 0 {
-                    *mi += wp;
+            for (base, &word) in (0..).step_by(64).zip(words) {
+                let mut bits = word;
+                while bits != 0 {
+                    m[base + bits.trailing_zeros() as usize] += wp;
+                    bits &= bits - 1;
                 }
             }
         }
@@ -300,14 +321,14 @@ impl<M: BinaryOutcomeModel> Backend for ParticleBackend<M> {
     ) -> Result<f64, BayesError> {
         check_pool(pool, self.n_subjects())?;
         let factor = Factor::new(pool, outcome, &self.model);
+        let ln_table: Vec<f64> = factor.table.iter().map(|t| t.ln()).collect();
         let w = self.normalized_weights();
-        let counts: Vec<usize> = (0..self.pcfg.particles)
-            .map(|p| self.pool_count(p, pool.words()))
-            .collect();
+        let particles = self.words.chunks_exact(self.words_per_particle);
         let mut z = 0.0;
-        for ((&wp, lw), &k) in w.iter().zip(self.log_weights.iter_mut()).zip(&counts) {
+        for ((&wp, lw), words) in w.iter().zip(self.log_weights.iter_mut()).zip(particles) {
+            let k = count_in(words, pool.words());
             z += wp * factor.table[k];
-            *lw += factor.table[k].ln();
+            *lw += ln_table[k];
         }
         self.push_factor(factor);
         self.maybe_resample();

@@ -257,7 +257,8 @@ impl SessionSnapshot {
 
     /// Consistency rules for approx snapshots: no dense/sparse posterior
     /// payload may ride along, pools must be sorted in-range index lists,
-    /// and a particle block must tile `count × words_per_particle` exactly.
+    /// and a particle block must tile `count × words_per_particle` exactly
+    /// and leave the padding bits past `n_subjects` clear.
     /// There is deliberately no `2^N` bound here — that wall is the reason
     /// these snapshots exist.
     fn validate_approx(&self, ap: &ApproxSnapshot) -> Result<(), SnapshotError> {
@@ -315,6 +316,15 @@ impl SessionSnapshot {
                         "{} particle words for {} particles of {wpp} word(s)",
                         pb.words.len(),
                         pb.log_weights.len()
+                    )));
+                }
+                // No particle may set a padding bit, at or past `n_subjects`.
+                let tail = self.n_subjects % 64;
+                let padded = |w: &[u64]| tail != 0 && w[wpp - 1] >> tail != 0;
+                if let Some(p) = pb.words.chunks(wpp.max(1)).position(padded) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "particle {p} sets a bit past the cohort of {}",
+                        self.n_subjects
                     )));
                 }
                 if pb
@@ -761,6 +771,19 @@ mod tests {
             .words
             .pop();
         assert!(ragged.validate().is_err());
+        // A particle bit at or past the cohort: subject 70 of 70, in the
+        // first particle's padding.
+        let mut padded = sample_particle();
+        padded
+            .approx
+            .as_mut()
+            .unwrap()
+            .particles
+            .as_mut()
+            .unwrap()
+            .words[1] = 1 << 6;
+        let err = padded.validate().unwrap_err().to_string();
+        assert!(err.contains("past the cohort"), "{err}");
         // NaN log-weight.
         let mut nan = sample_particle();
         nan.approx
