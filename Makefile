@@ -145,11 +145,13 @@ exact-lint:
 # episode's selection-rule enum, now a stage width); and sbgt-sim's private
 # episode loop, its config and its scenario module (an episode is a session
 # run against `Population::lab`; the E1 table lives in `experiments`), with
-# the Dorfman helper only its own test called. Fails if one is named again
+# the Dorfman helper only its own test called; and BP's allocating
+# convolutions (its tables are built with the one Bernoulli step in
+# `factor.rs`). Fails if one is named again
 # in the sources or the documents that describe the tree.
 # `\.map_partitions\(` does not match `map_partitions_in_place(`.
 RETIRED_DOCS := README.md DESIGN.md .claude/skills/verify/SKILL.md
-RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_|lattice::kernels|par_mul_likelihood_fused|par_scale|par_total|par_marginals|par_prefix_negative_masses|par_lookahead_histograms|par_entropy|par_top_k|update_dense_par|analyze_par|always_parallel|par_config|DenseSerial|DenseParallel|default_local|busy_workers|bp_config|process_tags|is_draining|predictive_cost|PredictiveCost|RolloutConfig|credible_set|CredibleSet|select_information_gain|InfoSelection|SelectionMethod|in_pool_negative_set|states_of_rank|supersets_of|gray_code|run_episode|EpisodeConfig|sim::scenario|dorfman_is_beneficial|StageVariant|annotate_last_job|in_place_job_count|wall_time_for|with_retention|DEFAULT_JOB_RETENTION|struct Broadcast|Broadcast<|engine\.broadcast\(|record_broadcast|broadcast_count|sbgt_broadcasts_total|metrics\(\)\.jobs\(\)|job_count\(\)
+RETIRED_GONE := HybridPosterior|ShardedState|SparseBackend|SparseSession|struct BpSession|struct ParticleSession|run_surveillance|run_stream|SurveillanceConfig|StreamConfig|sim::reporting|try_map_partitions\(|\.map_partitions\(|partitions_per_thread|run_job_retrying|run_indexed|select_next_global|select_next_informative|select_halving_global_par|zeta_in_place_par|all_pool_negative_masses_par|fit_exponential_alpha|par_pool_negative_mass|par_from_fn|update_dense_sequence|mobius_of_zeta|fn positions_of|fn suffix_sum\(|fn mul_table_in_place|RetryPolicy|SpeculationConfig|with_retry|with_speculation|fault_tolerance_active|max_faulted_attempts|map_in_place_retry_safe|run_stage_with|run_job\(|sbgt_task_retries_total|sbgt_speculative_|lattice::kernels|par_mul_likelihood_fused|par_scale|par_total|par_marginals|par_prefix_negative_masses|par_lookahead_histograms|par_entropy|par_top_k|update_dense_par|analyze_par|always_parallel|par_config|DenseSerial|DenseParallel|default_local|busy_workers|bp_config|process_tags|is_draining|predictive_cost|PredictiveCost|RolloutConfig|credible_set|CredibleSet|select_information_gain|InfoSelection|SelectionMethod|in_pool_negative_set|states_of_rank|supersets_of|gray_code|run_episode|EpisodeConfig|sim::scenario|dorfman_is_beneficial|StageVariant|annotate_last_job|in_place_job_count|wall_time_for|with_retention|DEFAULT_JOB_RETENTION|struct Broadcast|Broadcast<|engine\.broadcast\(|record_broadcast|broadcast_count|sbgt_broadcasts_total|metrics\(\)\.jobs\(\)|job_count\(\)|convolve_bernoulli|fn convolve\(
 retired-lint:
 	@bad=$$(grep -rnE "$(RETIRED_GONE)" crates src tests examples $(RETIRED_DOCS)); \
 	if [ -n "$$bad" ]; then \
@@ -274,11 +276,16 @@ kernels-smoke:
 # Approximate-backend smoke: the exact-vs-approx accuracy harness (>=99%
 # per-specimen agreement with the dense reference, assay budget within 5%,
 # BP marginals on top of the exact posterior, seeded particle
-# reproducibility across snapshot/restore, a 256-specimen cohort on BP).
+# reproducibility across snapshot/restore, a 256-specimen cohort on BP),
+# then the bit pins: seeded N = 128 and N = 66 cohorts through both
+# backends must reproduce `crates/approx/tests/data/parent_approx.txt`
+# (per-round marginals, BP sweeps and residuals, the particle cloud, and a
+# snapshot restored at round 5), so a kernel rewrite cannot move a bit.
 # The past-the-2^N-wall service path is an input of `-p sbgt-service
 # --test equivalence`, which `test` runs.
 approx-smoke:
 	$(CARGO) test -p sbgt-approx --test accuracy -q
+	$(CARGO) test -p sbgt-approx --test bits -q
 
 # Benchmark-package smoke: `benchmark/` is its own workspace, so the root
 # `cargo test` never compiles it and a break in the session or service API

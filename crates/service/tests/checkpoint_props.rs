@@ -39,10 +39,14 @@ fn approx_checkpoint(kind: CohortKind, seed: u64, n: usize) -> CohortCheckpoint 
     let particles = match kind {
         CohortKind::Particle => {
             let wpp = n.div_ceil(64);
+            // A particle's bits past the cohort are padding and stay clear.
+            let last = u64::MAX >> (64 * wpp - n);
             Some(ParticleBlock {
                 words_per_particle: wpp,
                 words: (0..3 * wpp as u64)
                     .map(|i| seed.wrapping_mul(31).wrapping_add(i))
+                    .enumerate()
+                    .map(|(i, w)| if i % wpp == wpp - 1 { w & last } else { w })
                     .collect(),
                 log_weights: vec![-0.5, -1.25, 0.0],
                 rng: [seed | 1, 2, 3, 4],
