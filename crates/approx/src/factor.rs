@@ -65,7 +65,7 @@ impl Factor {
 
 /// The Poisson-binomial count distribution of independent Bernoulli bits
 /// `probs`: returns `d` with `d[k] = P(k of them are 1)`, built by one
-/// [`bernoulli_step`] per bit.
+/// `bernoulli_step` per bit.
 pub fn count_distribution(probs: &[f64]) -> Vec<f64> {
     let mut d = vec![0.0; probs.len() + 1];
     let mut next = d.clone();
