@@ -171,8 +171,8 @@ pub fn relax_marginals(prior_logit: &[f64], factors: &[Factor], cfg: &BpConfig) 
 /// relaxation; the untraced entry point discards the trace. The float
 /// schedule is byte-identical either way — the trace only *reads* each
 /// sweep's residual, which the loop already computes for its stop test.
-/// Messages and `Tables` are allocated once per relaxation; a sweep
-/// allocates nothing.
+/// Messages and `Tables` are allocated once per relaxation, not per sweep
+/// or factor.
 pub fn relax_marginals_traced(
     prior_logit: &[f64],
     factors: &[Factor],
